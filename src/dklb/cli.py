@@ -24,7 +24,7 @@ from .config import ExperimentConfig, load_config
 from .conjugation import conjugation_check, regularity_gain_probe
 from .errors import ConfigError, DklbError, LeakageError, NumericalError
 from .grid import l2_norm, write_snapshot
-from .norms import hs_norm, resolve_workers, verify_smoothing, weighted_norm
+from .norms import hs_norm, verify_smoothing, weighted_norm
 from .plots import emit_plot
 from .solver import etdrk4_solve, existence_time, picard_solve
 
@@ -199,8 +199,7 @@ def verify_smoothing_cmd(cfg: ExperimentConfig, outdir: Path) -> int:
         T=cfg.get("smoothing", "t"), size=cfg.get("ensemble", "size"),
         seed=cfg.get("ensemble", "seed"), nt=cfg.get("smoothing", "nt"),
         s=cfg.get("smoothing", "s"), a=cfg.get("smoothing", "a"),
-        b=cfg.get("smoothing", "b"), q=cfg.get("smoothing", "q"),
-        workers=resolve_workers())
+        b=cfg.get("smoothing", "b"), q=cfg.get("smoothing", "q"))
     if not np.all(np.isfinite(report.ratios)):
         raise NumericalError(f"non-finite ratios in check {report.check}")
     header = ["sample_id", "ratio"]

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import symbols
@@ -23,7 +24,15 @@ def _int(text: str) -> int:
 
 
 def _float(text: str) -> float:
-    return float(text)
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"must be a finite number, got {text.strip()!r}")
+    return val
+
+
+def _exponent(text: str) -> float:
+    """A Lebesgue exponent: a finite number, or inf for a supremum norm."""
+    return math.inf if text.strip().lower() == "inf" else _float(text)
 
 
 def _str(text: str) -> str:
@@ -31,7 +40,7 @@ def _str(text: str) -> str:
 
 
 def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split()]
+    return [_float(tok) for tok in text.split()]
 
 
 def _strs(text: str) -> list[str]:
@@ -104,8 +113,8 @@ _SCHEMA = {
         "t": (_float, "1.0"),
         "nt": (_int, "48"),
         "s": (_float, "0.0"),
-        "a": (_float, "2.0"),
-        "b": (_float, "4.0"),
+        "a": (_exponent, "2.0"),
+        "b": (_exponent, "4.0"),
         "q": (_float, "1.0"),
     },
     "brackets": {
@@ -133,6 +142,8 @@ class ExperimentConfig:
     """Validated configuration; raw text values keyed by (section, key)."""
 
     raw: dict[tuple[str, str], str]
+    _phase: symbols.PhaseFunction | None = field(default=None, init=False,
+                                                 repr=False, compare=False)
 
     def get(self, section: str, key: str):
         parser, _ = _SCHEMA[section][key]
@@ -162,6 +173,12 @@ class ExperimentConfig:
     # --- builders ------------------------------------------------------------
 
     def build_phase(self) -> symbols.PhaseFunction:
+        """The configured symbol, built once: construction runs find_M."""
+        if self._phase is None:
+            self._phase = self._make_phase()
+        return self._phase
+
+    def _make_phase(self) -> symbols.PhaseFunction:
         name = self.get("model", "preset")
         eta = self.get("model", "eta")
         if name != "custom":
@@ -268,6 +285,9 @@ class ExperimentConfig:
         if self.get("ensemble", "size") < 1:
             raise ConfigError(
                 f"ensemble.size: must be >= 1, got {self.get('ensemble', 'size')}")
+        if self.get("brackets", "pairs") < 1:
+            raise ConfigError(
+                f"brackets.pairs: must be >= 1, got {self.get('brackets', 'pairs')}")
         if self.get("data", "width") <= 0:
             raise ConfigError(
                 f"data.width: must be positive, got {self.get('data', 'width')}")

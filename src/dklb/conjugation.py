@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,7 @@ from .grid import (
     poly_weight,
     to_values,
 )
-from .norms import hs_norm, resolve_workers, weighted_norm
+from .norms import hs_norm, weighted_norm
 from .solver import apply_semigroup
 
 
@@ -241,23 +240,13 @@ class ExchangeReport:
 
 def exchange_ensemble(phi: symbols.PhaseFunction, r: float, s: float,
                       t_values, size: int = 50, seed: int = 2024,
-                      grid: SpectralGrid | None = None,
-                      workers: int | None = None) -> ExchangeReport:
+                      grid: SpectralGrid | None = None) -> ExchangeReport:
     """weight_exchange_check over a random ensemble; ratios must stay finite."""
     if grid is None:
         grid = SpectralGrid(256, 40.0)
     t_values = tuple(float(t) for t in t_values)
-    samples = sample_ensemble(grid, size, seed)
-
-    def one(u0):
-        return [weight_exchange_check(u0, phi, r, s, t) for t in t_values]
-
-    n_workers = resolve_workers(workers)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            ratios = np.array(list(pool.map(one, samples)))
-    else:
-        ratios = np.array([one(u0) for u0 in samples])
+    ratios = np.array([[weight_exchange_check(u0, phi, r, s, t) for t in t_values]
+                       for u0 in sample_ensemble(grid, size, seed)])
     if not np.all(np.isfinite(ratios)):
         raise ValueError("non-finite persistence ratio in ensemble")
     return ExchangeReport(r, s, t_values, size, seed, ratios,

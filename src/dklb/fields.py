@@ -71,7 +71,7 @@ def sample_ensemble(grid: SpectralGrid, size: int, seed: int) -> list[SpectralFi
     """Deterministic ensemble of random mixtures.
 
     Each sample has its own PRNG stream spawned from the root seed, so the
-    ensemble is reproducible regardless of evaluation order or worker count.
+    ensemble is reproducible regardless of evaluation order.
     """
     streams = np.random.SeedSequence(seed).spawn(size)
     return [random_mixture(grid, np.random.default_rng(s)) for s in streams]

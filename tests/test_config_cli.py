@@ -1,3 +1,4 @@
+import math
 import subprocess
 
 import pytest
@@ -70,10 +71,20 @@ def test_cross_field_validation():
         load_config(None, ("model.preset=burgers",))
 
 
+def test_non_finite_numbers_rejected_except_lebesgue_exponents():
+    with pytest.raises(ConfigError, match="conjugation.b"):
+        load_config(None, ("conjugation.b=0.25 inf",))
+    with pytest.raises(ConfigError, match="smoothing.b"):
+        load_config(None, ("smoothing.b=nan",))
+    # an infinite Lebesgue exponent selects a supremum norm
+    assert load_config(None, ("smoothing.b=inf",)).get("smoothing", "b") == math.inf
+
+
 def test_custom_phase_from_config():
     cfg = load_config(None, ("model.preset=custom", "model.p=4",
                              "model.terms=1.0 0 2.0"))
     phase = cfg.build_phase()
+    assert cfg.build_phase() is phase  # built once; construction runs find_M
     assert phase.p == 4.0
     assert phase(2.0) == pytest.approx(-12.0)
     with pytest.raises(ConfigError, match="model.p"):
@@ -114,6 +125,27 @@ def test_negative_n_exits_2_and_names_the_field(runner, tmp_path):
                                   "-D", f"output.dir={tmp_path}"])
     assert result.exit_code == 2
     assert "grid.n" in result.output
+
+
+@pytest.mark.parametrize("command, override", [
+    ("verify-smoothing", "grid.l=inf"),
+    ("simulate", "solver.t=nan"),
+    ("existence-time", "existence.norms=0.1 nan"),
+])
+def test_non_finite_number_exits_2_and_names_the_field(runner, tmp_path,
+                                                       command, override):
+    result = runner.invoke(main, [command, "-D", override,
+                                  "-D", f"output.dir={tmp_path}"])
+    assert result.exit_code == 2, result.output
+    assert override.split("=")[0] in result.output
+    assert "finite" in result.output
+
+
+def test_verify_bracket_without_pairs_exits_2(runner, tmp_path):
+    result = runner.invoke(main, ["verify-bracket", "-D", "brackets.pairs=0",
+                                  "-D", f"output.dir={tmp_path}"])
+    assert result.exit_code == 2
+    assert "brackets.pairs" in result.output
 
 
 def test_missing_config_file_exits_2(runner, tmp_path):
@@ -188,30 +220,19 @@ def test_verify_bracket_table(runner, tmp_path):
         assert float(residual) <= float(bound)
 
 
-def test_verify_smoothing_smoke_and_threads_env(runner, tmp_path):
+def test_verify_smoothing_smoke(runner, tmp_path):
     out = tmp_path / "out"
     result = runner.invoke(main, ["verify-smoothing",
                                   "-D", "ensemble.size=4",
                                   "-D", "grid.n=128",
                                   "-D", "smoothing.t=0.5",
                                   "-D", "smoothing.nt=12",
-                                  "-D", f"output.dir={out}"],
-                           env={"DKLB_THREADS": "2"})
+                                  "-D", f"output.dir={out}"])
     assert result.exit_code == 0, result.output
     lines = (out / "verify-smoothing.csv").read_text().splitlines()
     assert lines[0] == "sample_id,ratio"
     assert len(lines) == 1 + 4 + 1  # samples plus the max row
     assert lines[-1].startswith("max,")
-
-
-def test_verify_smoothing_bad_threads_env_exits_2(runner, tmp_path):
-    result = runner.invoke(main, ["verify-smoothing",
-                                  "-D", "ensemble.size=2",
-                                  "-D", "grid.n=64", "-D", "smoothing.nt=8",
-                                  "-D", f"output.dir={tmp_path / 'out'}"],
-                           env={"DKLB_THREADS": "many"})
-    assert result.exit_code == 2
-    assert "DKLB_THREADS" in result.output
 
 
 def test_simulate_writes_norm_index_and_snapshots(runner, tmp_path):

@@ -20,7 +20,7 @@ from dklb.conjugation import (
     weight_exchange_check,
 )
 from dklb.errors import LeakageError
-from dklb.fields import gaussian, gaussian_spectral, normalize_l2
+from dklb.fields import gaussian, gaussian_spectral, normalize_l2, sample_ensemble
 from dklb.grid import SpectralGrid, from_coeffs, from_values, l2_norm, to_values
 from dklb.symbols import semigroup_multiplier
 
@@ -193,14 +193,15 @@ def test_exchange_ensemble_stability():
     assert spread <= 0.2
 
 
-def test_exchange_ensemble_parallel_matches_serial(monkeypatch):
-    phi = symbols.kdvks().phase
+@pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
+def test_exchange_ensemble_matches_weight_exchange_check(name):
+    phi = symbols.preset(name).phase
     grid = SpectralGrid(128, 40.0)
-    serial = exchange_ensemble(phi, 0.5, 1.5, (0.1, 0.5), size=6, seed=3,
-                               grid=grid, workers=1)
-    parallel = exchange_ensemble(phi, 0.5, 1.5, (0.1, 0.5), size=6, seed=3,
-                                 grid=grid, workers=3)
-    assert np.array_equal(serial.ratios, parallel.ratios)
+    t_values = (0.0, 0.1, 0.5)
+    rep = exchange_ensemble(phi, 0.5, 1.5, t_values, size=6, seed=3, grid=grid)
+    expected = [[weight_exchange_check(u0, phi, 0.5, 1.5, t) for t in t_values]
+                for u0 in sample_ensemble(grid, 6, 3)]
+    assert np.array_equal(rep.ratios, np.array(expected))
 
 
 def test_regularity_gain_probe_rows():

@@ -8,8 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dklb import solver, symbols
-from dklb.fields import gaussian, normalize_l2, random_mixture
-from dklb.grid import SpectralGrid, Trajectory, from_values, l2_norm, poly_weight
+from dklb.fields import gaussian, normalize_l2, random_mixture, sample_ensemble
+from dklb.grid import (
+    SpectralGrid,
+    Trajectory,
+    fractional_D,
+    from_values,
+    l2_norm,
+    poly_weight,
+)
 from dklb.norms import (
     A2,
     A3,
@@ -23,7 +30,6 @@ from dklb.norms import (
     lambda_diagnostics,
     lp_norm,
     mixed_norm,
-    resolve_workers,
     smoothing_A,
     verify_smoothing,
     weighted_norm,
@@ -203,14 +209,41 @@ def test_verify_smoothing_is_deterministic(kdvks_phi):
     assert np.array_equal(r1.ratios, r2.ratios)
 
 
-def test_verify_smoothing_parallel_matches_serial(kdvks_phi, monkeypatch):
+def _reference_ratios(check, phi, grid, T, size, seed, nt, s, q):
+    """verify_smoothing's ratios, one linear trajectory per sample."""
+    ratios = []
+    for u0 in sample_ensemble(grid, size, seed):
+        traj = solver.linear_trajectory(u0, phi, T, nt)
+        if check == "C1":
+            lhs = mixed_norm(traj, 2.0, math.inf, op=lambda f: fractional_D(f, s))
+            rhs = smoothing_A(2.0, math.inf, s, phi, T) * lp_norm(u0, 2.0)
+        elif check == "C2":
+            lhs = mixed_norm(traj, 2.0, 4.0, op=lambda f: fractional_D(f, s))
+            rhs = smoothing_A(2.0, 4.0, s, phi, T) * l2_norm(u0)
+        elif check == "C3":
+            lhs = mixed_norm(traj, 2.0, 4.0, op=lambda f: fractional_D(f, 1.0))
+            rhs = smoothing_A(2.0, 4.0, 1.0 - s, phi, T) * l2_norm(fractional_D(u0, s))
+        elif check == "C4":
+            lhs = mixed_norm(traj, 2.0, 2.0, op=lambda f: fractional_D(f, s))
+            rhs = smoothing_A(2.0, 2.0, s, phi, T) * l2_norm(u0)
+        else:
+            lhs = mixed_norm(traj, math.inf, 2.0, order="x_outer_t_inner",
+                             op=lambda f: fractional_D(f, q))
+            rhs = l2_norm(u0)
+        ratios.append(lhs / rhs)
+    return np.array(ratios)
+
+
+@pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
+@pytest.mark.parametrize("check", ["C1", "C2", "C3", "C4", "P_inf"])
+def test_verify_smoothing_matches_per_sample_trajectories(name, check):
+    # the batched flow table must reproduce the per-sample trajectory route
+    # bit for bit, on a real flow (kdvks) and a complex one (optimality:2)
+    phi = symbols.preset(name).phase
     grid = SpectralGrid(128, 40.0)
-    serial = verify_smoothing("C2", kdvks_phi, grid=grid, T=0.5, size=6,
-                              nt=16, workers=1)
-    monkeypatch.setenv("DKLB_THREADS", "4")
-    parallel = verify_smoothing("C2", kdvks_phi, grid=grid, T=0.5, size=6,
-                                nt=16, workers=4)
-    assert np.array_equal(serial.ratios, parallel.ratios)
+    kw = dict(T=0.5, size=5, seed=11, nt=12, s=0.5, q=1.0)
+    rep = verify_smoothing(check, phi, grid=grid, **kw)
+    assert np.array_equal(rep.ratios, _reference_ratios(check, phi, grid, **kw))
 
 
 def test_verify_smoothing_ratios_stable_as_T_shrinks(kdvks_phi):
@@ -241,17 +274,6 @@ def test_interpolation_check_properties(grid256):
     for theta in (0.25, 0.5, 0.75):
         r = interpolation_check(f, 1.0, 2.0, theta)
         assert np.isfinite(r) and 0 < r < 10.0
-
-
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv("DKLB_THREADS", raising=False)
-    assert resolve_workers() == 1
-    monkeypatch.setenv("DKLB_THREADS", "3")
-    assert resolve_workers() == 3
-    assert resolve_workers(2) == 2
-    monkeypatch.setenv("DKLB_THREADS", "not-a-number")
-    with pytest.raises(ValueError):
-        resolve_workers()
 
 
 def test_random_mixture_normalization(grid256, rng):
