@@ -12,7 +12,6 @@ from .brackets import (
     Bracket,
     BracketExpression,
     GaussPoly,
-    TabulatedFunction,
     eval_bracket,
     eval_expression,
     evenodd_expand,
@@ -24,7 +23,6 @@ from .conjugation import (
     ConjugationResult,
     ExchangeReport,
     ProbeReport,
-    conjugated_propagator,
     conjugation_check,
     decay_shift,
     exchange_ensemble,
@@ -42,7 +40,6 @@ from .errors import (
     LeakageError,
     NumericalError,
     OverflowGuardWarning,
-    UnsupportedDerivativeOrder,
 )
 from .fields import (
     gaussian,
@@ -58,17 +55,14 @@ from .grid import (
     Trajectory,
     WeightSpec,
     apply_multiplier,
-    apply_weight,
     boundary_leakage,
     bracket_weight,
     dealiased_product,
     derivative,
     exp_weight,
     fractional_D,
-    fractional_J,
     from_coeffs,
     from_values,
-    hilbert,
     l2_norm,
     parse_weight,
     poly_weight,
@@ -79,13 +73,11 @@ from .grid import (
 from .norms import (
     A2,
     A3,
-    A4,
     A6,
     NormEnsembleReport,
     SmoothingParams,
     alpha,
     hs_norm,
-    interpolation_check,
     lambda_diagnostics,
     lp_norm,
     mixed_norm,
@@ -100,7 +92,6 @@ from .solver import (
     dissipation_residuals,
     etdrk4_solve,
     existence_time,
-    grid_preserves_real,
     linear_trajectory,
     nonlinearity,
     picard_solve,

@@ -23,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, UnsupportedDerivativeOrder
+from .errors import NumericalError
 
 
 @dataclass(frozen=True)
@@ -214,25 +213,6 @@ def standard_pairs() -> tuple[tuple[GaussPoly, GaussPoly], ...]:
         (GaussPoly((1.0, 0.0, 0.25), 1.3, -0.6),
          GaussPoly((0.6, -0.3), 0.02, 0.3)),
     )
-
-
-@dataclass(frozen=True)
-class TabulatedFunction:
-    """Test function given by explicit derivative callables, lowest first.
-
-    Asking for a derivative beyond the supplied table raises
-    UnsupportedDerivativeOrder; use it for hand-built special cases.
-    """
-
-    derivatives: tuple[Callable, ...]
-
-    def derivative(self, order: int = 1):
-        if order >= len(self.derivatives):
-            raise UnsupportedDerivativeOrder(
-                f"derivative order {order} exceeds the {len(self.derivatives) - 1} "
-                "orders this function supplies"
-            )
-        return self.derivatives[order]
 
 
 def eval_bracket(br: Bracket, u, rho, domain: tuple[float, float] = (-30.0, 30.0),

@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import brackets, norms, symbols
+from . import brackets, norms
 from .config import ExperimentConfig, load_config
 from .conjugation import conjugation_check, regularity_gain_probe
 from .errors import ConfigError, DklbError, LeakageError, NumericalError
@@ -73,7 +73,7 @@ def _subcommand(name: str):
             try:
                 cfg, outdir = _prepare(config_path, overrides, name)
                 code = fn(cfg, outdir, **kwargs)
-            except (NumericalError, LeakageError) as exc:
+            except (NumericalError, LeakageError, ArithmeticError) as exc:
                 click.echo(f"numerical failure: {exc}", err=True)
                 sys.exit(NUMERICAL)
             except (ConfigError, ValueError) as exc:
@@ -221,7 +221,7 @@ def conjugate_check(cfg: ExperimentConfig, outdir: Path) -> int:
     """Exponential-weight conjugation identity across (b, t) cells."""
     grid = cfg.build_grid()
     f = cfg.build_data(grid)
-    eta = cfg.get("model", "eta")
+    phase = cfg.build_phase()
     if cfg.get("model", "preset") != "kdvks":
         raise ConfigError("model.preset: conjugate-check supports kdvks only "
                           "(the shifted operator polynomial needs even powers)")
@@ -229,7 +229,7 @@ def conjugate_check(cfg: ExperimentConfig, outdir: Path) -> int:
     rows, worst = [], 0.0
     for b in cfg.get("conjugation", "b"):
         for t in cfg.get("conjugation", "t"):
-            r = conjugation_check(f, b, eta, t,
+            r = conjugation_check(f, phase, b, t,
                                   max_leakage=cfg.get("conjugation", "max_leakage"))
             rows.append([b, t, r.rel_error, r.bound_ratio, r.delta, r.mu])
             worst = max(worst, r.rel_error)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import symbols
 from .errors import ConfigError
-from .grid import WEIGHT_KINDS, SpectralGrid, WeightSpec, parse_weight
+from .grid import SpectralGrid, WeightSpec, parse_weight
 
 
 def _int(text: str) -> int:
@@ -60,8 +60,8 @@ _METHODS = ("etdrk4", "linear")
 _DATA_KINDS = ("gaussian", "spectral-gaussian", "mixture", "cusp", "zero")
 _FORMATS = ("csv", "svg", "snapshots")
 
-# section -> key -> (parser, default-as-text). None default means required
-# when the section is actually consumed.
+# section -> key -> (parser, default-as-text).  An empty default marks an
+# optional key, read as None when left empty; every other key needs a value.
 _SCHEMA = {
     "model": {
         "preset": (_str, "kdvks"),
@@ -146,9 +146,11 @@ class ExperimentConfig:
                                                  repr=False, compare=False)
 
     def get(self, section: str, key: str):
-        parser, _ = _SCHEMA[section][key]
+        parser, default = _SCHEMA[section][key]
         text = self.raw[(section, key)]
         if text == "":
+            if default:
+                raise ConfigError(f"{section}.{key}: needs a value")
             return None
         try:
             return parser(text)
@@ -203,7 +205,7 @@ class ExperimentConfig:
                 raise ConfigError(f"model.terms: {exc}") from exc
         try:
             return symbols.PhaseFunction(p=p, terms=tuple(terms), eta=eta)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"model: {exc}") from exc
 
     def build_grid(self) -> SpectralGrid:
@@ -216,7 +218,7 @@ class ExperimentConfig:
     def build_data(self, grid: SpectralGrid):
         # imported here to keep config importable from low-level modules
         from . import fields
-        from .grid import SpectralField, l2_norm
+        from .grid import SpectralField
         import numpy as np
 
         kind = self.get("data", "kind")
@@ -250,14 +252,11 @@ class ExperimentConfig:
                 spec = parse_weight(label)
             except ValueError as exc:
                 raise ConfigError(f"weights.list: {exc}") from exc
-            if spec.kind not in WEIGHT_KINDS:
-                raise ConfigError(
-                    f"weights.list: unknown weight kind {spec.kind!r}")
             specs.append(spec)
         return specs
 
     def formats(self) -> list[str]:
-        fmts = self.get("output", "formats") or []
+        fmts = self.get("output", "formats")
         for fmt in fmts:
             if fmt not in _FORMATS:
                 raise ConfigError(

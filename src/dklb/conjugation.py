@@ -36,7 +36,6 @@ from .grid import (
     SpectralField,
     SpectralGrid,
     apply_multiplier,
-    apply_weight,
     boundary_leakage,
     exp_weight,
     fractional_D,
@@ -95,13 +94,6 @@ def shifted_multiplier(phi: symbols.PhaseFunction, b: float, t: float, xi
     return np.exp(ex)
 
 
-def conjugated_propagator(g: SpectralField, b: float, eta: float, t: float
-                          ) -> SpectralField:
-    """Evolve an exp(b*x)-weighted field under the fourth-order preset flow."""
-    phi = symbols.kdvks(eta).phase
-    return apply_multiplier(g, shifted_multiplier(phi, b, t, g.grid.xi))
-
-
 def expanded_multiplier(b: float, eta: float, t: float, xi) -> np.ndarray:
     """The fourth-order conjugated multiplier from its expanded split form.
 
@@ -143,9 +135,13 @@ class ConjugationResult:
     mu: float
 
 
-def conjugation_check(f: SpectralField, b: float, eta: float, t: float,
-                      max_leakage: float | None = 1e-8) -> ConjugationResult:
+def conjugation_check(f: SpectralField, phi: symbols.PhaseFunction, b: float,
+                      t: float, max_leakage: float | None = 1e-8
+                      ) -> ConjugationResult:
     """Compare exp(b*x) * V(t) f against the conjugated propagator on exp(b*x) f.
+
+    phi must be the fourth-order preset's symbol -xi^4 + xi^2 (any eta): the
+    split into theta, delta and mu is written out for it alone.
 
     The identity is exact on the line; on the periodic grid it holds to
     rounding only while the weighted field stays away from the boundary, so
@@ -161,10 +157,12 @@ def conjugation_check(f: SpectralField, b: float, eta: float, t: float,
     exp(-t*delta) * (1 + e^t) * ||exp(b*x) f||, the persistence bound shape
     with constant 1.
     """
+    if phi.p != 4.0 or phi.terms != (symbols.PhaseTerm(1.0, 0, 2.0),):
+        raise ValueError("the conjugation check needs the kdvks symbol "
+                         f"-xi^4 + xi^2, got p={phi.p:g} with terms {phi.terms}")
     grid = f.grid
-    w = exp_weight(b)
-    wv = w.values(grid)
-    phi = symbols.kdvks(eta).phase
+    eta = phi.eta
+    wv = exp_weight(b).values(grid)
     v = apply_semigroup(phi, t, f)
     fv = to_values(f)
     vvals = to_values(v)
@@ -187,7 +185,8 @@ def conjugation_check(f: SpectralField, b: float, eta: float, t: float,
             f"weighted field leans on the boundary (leakage {leakage:.3e} > "
             f"{max_leakage:.3e}); widen the domain or recentre the data"
         )
-    b_side = apply_multiplier(g, shifted_multiplier(phi, b, t, grid.xi))
+    # not Hermitian: the Nyquist entry exp(-t*S(i*xi_N - b)) is complex
+    b_side = apply_multiplier(g, shifted_multiplier(phi, b, t, grid.xi), False)
     na = l2_norm(a_side)
     rel = l2_norm(a_side - b_side) / na if na else 0.0
     ng = l2_norm(g)

@@ -17,9 +17,5 @@ class LeakageError(DklbError, ValueError):
     """Field mass near the domain boundary exceeds the allowed threshold."""
 
 
-class UnsupportedDerivativeOrder(DklbError, ValueError):
-    """A test function was asked for a derivative order it cannot supply."""
-
-
 class OverflowGuardWarning(RuntimeWarning):
     """A growing exponent was clamped to keep the computation finite."""

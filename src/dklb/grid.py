@@ -9,8 +9,13 @@ Conventions, fixed once for the whole package:
 
 A field whose is_real flag is set must have Hermitian coefficients,
 c_{-k} = conj(c_k), within 1e-12 relative to the largest coefficient.
-Multipliers that respect that symmetry (even real symbols, odd imaginary
-ones) preserve the flag; all others clear it.
+Realness is a static fact of the multiplier, stated by its caller, never
+measured: derivatives and |xi|^s keep real fields real, and so does the flow
+of a damping symbol exactly when the symbol is even.  The rule holds on
+every grid because odd terms (odd derivatives, the dispersive phase
+t*xi^3) are evaluated at SpectralGrid.xi_odd, which is zero at the unpaired
+Nyquist mode k = -N/2: the convention of Trefethen, Spectral Methods in
+MATLAB (2000), ch. 3.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-
-from .errors import LeakageError
 
 HERMITIAN_TOL = 1e-12
 DEFAULT_DEALIAS = 2.0 / 3.0
@@ -63,6 +66,13 @@ class SpectralGrid:
     def xi(self) -> np.ndarray:
         """Wavenumbers 2*pi*k/L in FFT order."""
         return 2.0 * np.pi * self.modes / self.length
+
+    @cached_property
+    def xi_odd(self) -> np.ndarray:
+        """xi with the unpaired Nyquist entry zeroed: the wavenumbers of odd terms."""
+        xi = self.xi.copy()
+        xi[self.nyquist_index] = 0.0
+        return xi
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -161,10 +171,6 @@ def hermitian_defect_of(coeffs: np.ndarray) -> float:
     return float(np.max(np.abs(flipped - np.conj(coeffs)))) / scale
 
 
-def hermitian_defect(f: SpectralField) -> float:
-    return hermitian_defect_of(f.coeffs)
-
-
 def _flip_index(n: int) -> np.ndarray:
     # index map k -> -k in FFT order (0 -> 0, Nyquist -> Nyquist)
     idx = np.arange(n)
@@ -181,13 +187,16 @@ def multiplier_preserves_real(grid: SpectralGrid, m: np.ndarray) -> bool:
     return bool(defect <= HERMITIAN_TOL)
 
 
-def apply_multiplier(f: SpectralField, m) -> SpectralField:
-    """Multiply the coefficients by the symbol values m (FFT order)."""
+def apply_multiplier(f: SpectralField, m, keeps_real: bool) -> SpectralField:
+    """Multiply the coefficients by the symbol values m (FFT order).
+
+    keeps_real states whether m(-xi) == conj(m(xi)); the result is flagged
+    real when f is and the multiplier keeps real fields real.
+    """
     m = np.asarray(m, dtype=complex)
     if m.shape != (f.grid.n,):
         raise ValueError(f"multiplier shape {m.shape} does not match grid")
-    keep_real = f.is_real and multiplier_preserves_real(f.grid, m)
-    return SpectralField(f.grid, f.coeffs * m, keep_real)
+    return SpectralField(f.grid, f.coeffs * m, f.is_real and keeps_real)
 
 
 def derivative(f: SpectralField, order: int = 1) -> SpectralField:
@@ -196,10 +205,8 @@ def derivative(f: SpectralField, order: int = 1) -> SpectralField:
         raise ValueError(f"derivative order must be a nonnegative integer, got {order}")
     if order == 0:
         return f.copy()
-    m = (1j * f.grid.xi) ** order
-    if order % 2 == 1:
-        m[f.grid.nyquist_index] = 0.0
-    return apply_multiplier(f, m)
+    xi = f.grid.xi_odd if order % 2 else f.grid.xi
+    return apply_multiplier(f, (1j * xi) ** order, True)
 
 
 def fractional_D(f: SpectralField, s: float) -> SpectralField:
@@ -208,19 +215,7 @@ def fractional_D(f: SpectralField, s: float) -> SpectralField:
         raise ValueError(f"fractional derivative order must be >= 0, got {s}")
     if s == 0:
         return f.copy()
-    return apply_multiplier(f, np.abs(f.grid.xi) ** s)
-
-
-def fractional_J(f: SpectralField, s: float) -> SpectralField:
-    """(1 + xi**2)**(s/2) multiplier (smoothing for negative s)."""
-    return apply_multiplier(f, (1.0 + f.grid.xi**2) ** (s / 2.0))
-
-
-def hilbert(f: SpectralField) -> SpectralField:
-    """Hilbert transform, multiplier -i*sgn(xi); an odd symbol, Nyquist zeroed."""
-    m = -1j * np.sign(f.grid.xi).astype(complex)
-    m[f.grid.nyquist_index] = 0.0
-    return apply_multiplier(f, m)
+    return apply_multiplier(f, np.abs(f.grid.xi) ** s, True)
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -319,28 +314,6 @@ def parse_weight(text: str) -> WeightSpec:
     if not sep:
         raise ValueError(f"malformed weight {text!r}; expected kind:param")
     return WeightSpec(kind.strip(), float(param))
-
-
-def apply_weight(f: SpectralField, w: WeightSpec,
-                 max_leakage: float | None = None) -> tuple[SpectralField, float]:
-    """Multiply a field by a spatial weight at the nodes.
-
-    Returns (weighted field, boundary_leakage of the weighted field).  The
-    leakage is the share of weighted mass in the outer 5% of the domain; when
-    max_leakage is given and exceeded, the call refuses with LeakageError,
-    since a weighted field leaning on the boundary invalidates the periodic
-    surrogate of the whole-line statement being tested.
-    """
-    wv = w.values(f.grid)
-    vals = to_values(f) * wv
-    out = from_values(f.grid, vals, is_real=f.is_real if np.isrealobj(vals) else False)
-    leak = boundary_leakage(out)
-    if max_leakage is not None and leak > max_leakage:
-        raise LeakageError(
-            f"boundary leakage {leak:.3e} exceeds threshold {max_leakage:.3e} "
-            f"for weight {w.label}"
-        )
-    return out, leak
 
 
 # --- trajectories ---------------------------------------------------------

@@ -29,12 +29,9 @@ from .grid import (
     SpectralGrid,
     Trajectory,
     WeightSpec,
-    bracket_weight,
     derivative,
     fractional_D,
-    fractional_J,
     l2_norm,
-    multiplier_preserves_real,
     to_values,
 )
 
@@ -103,11 +100,6 @@ def A2(phi: symbols.PhaseFunction, T: float) -> float:
 def A3(phi: symbols.PhaseFunction, s: float, T: float) -> float:
     """Constant for the s-derivative L2_T L4_x bound (a=2, b=4)."""
     return smoothing_A(2.0, 4.0, s, phi, T)
-
-
-def A4(phi: symbols.PhaseFunction, T: float) -> float:
-    """Constant for the one-derivative L2_T L4_x bound (a=2, b=4, s=1)."""
-    return smoothing_A(2.0, 4.0, 1.0, phi, T)
 
 
 def A6(phi: symbols.PhaseFunction, T: float) -> float:
@@ -315,9 +307,7 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
         const = smoothing_A(*bound, phi, T)
 
     times = np.linspace(0.0, T, nt + 1)
-    flow = np.stack([symbols.semigroup_multiplier(phi, t, grid.xi) for t in times])
-    flow_real = np.array([[multiplier_preserves_real(grid, m)] for m in flow])
-    # |xi|^s is even and real, so it never clears a row's realness
+    flow = np.stack([symbols.flow_multiplier(phi, t, grid) for t in times])
     gain = (np.abs(grid.xi) ** gain_order).astype(complex) if gain_order else None
     vals = np.empty_like(flow)
     mags = np.empty(flow.shape)
@@ -329,9 +319,8 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
             vals *= gain
         np.fft.ifft(vals, axis=-1, out=vals)
         vals *= grid.n
-        real = flow_real & u0.is_real
-        np.abs(vals, out=mags, where=~real)
-        np.abs(vals.real, out=mags, where=real)
+        # |xi|^s keeps real fields real, so realness is the flow's
+        np.abs(vals.real if u0.is_real and phi.is_even else vals, out=mags)
         lhs = _mixed_norm_of(mags, times, grid.dx, outer, inner, order)
         r = const * rhs_norm(u0)
         ratios.append(lhs / r if r else 0.0)
@@ -341,22 +330,3 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
         raise ValueError("non-finite bound ratio in ensemble")
     mx = float(np.max(ratios)) if len(ratios) else 0.0
     return NormEnsembleReport(check, size, seed, T, used, ratios, mx, mx)
-
-
-def interpolation_check(f: SpectralField, a: float, b: float, theta: float) -> float:
-    """Ratio of ||<x>^(theta*b) J^((1-theta)*a) f|| to the interpolated product.
-
-    Measures || <x>^(tb) J^((1-t)a) f ||_{L2} against
-    || <x>^b f ||^theta * || J^a f ||^(1-theta); scale-invariant by
-    homogeneity, 0 for the zero field.
-    """
-    if not 0 <= theta <= 1:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    if a < 0 or b < 0:
-        raise ValueError(f"orders must be nonnegative, got a={a}, b={b}")
-    denom = (weighted_norm(f, bracket_weight(b)) ** theta
-             * hs_norm(f, a) ** (1.0 - theta))
-    if denom == 0.0:
-        return 0.0
-    num = weighted_norm(fractional_J(f, (1.0 - theta) * a), bracket_weight(theta * b))
-    return num / denom

@@ -1,23 +1,21 @@
 """Deterministic SVG plots from CSV artifacts.
 
-Three kinds cover the package's outputs: 'timeseries' (columns vs t),
-'histogram' (distribution of a ratio column), and 'convergence' (log-log
-error vs dt with fitted slope).  Output is a pure function of the CSV
-bytes: fixed 800x600 canvas, fixed palette, no timestamps, so identical
+Two kinds cover the package's outputs: 'timeseries' (columns vs t) and
+'histogram' (distribution of a ratio column).  Output is a pure function of
+the CSV bytes: fixed 800x600 canvas, fixed palette, no timestamps, so identical
 input yields byte-identical SVG.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
 
 WIDTH, HEIGHT = 800, 600
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 30, 40, 50
 PALETTE = ("#1f6fb2", "#c23b22", "#2a9d58", "#8c5aa8", "#c98a1b", "#3b3b3b")
 
-KINDS = ("timeseries", "histogram", "convergence")
+KINDS = ("timeseries", "histogram")
 
 
 def _read_csv(csv_path):
@@ -69,26 +67,24 @@ class _Canvas:
     def py(self, y: float) -> float:
         return self.y0 + (y - self.ylo) / (self.yhi - self.ylo) * (self.y1 - self.y0)
 
-    def axes(self, xlabel: str, ylabel: str, xlog=False, ylog=False):
+    def axes(self, xlabel: str, ylabel: str):
         p = self.parts
         p.append(f'<line x1="{self.x0}" y1="{self.y0}" x2="{self.x1}" '
                  f'y2="{self.y0}" stroke="black"/>')
         p.append(f'<line x1="{self.x0}" y1="{self.y0}" x2="{self.x0}" '
                  f'y2="{self.y1}" stroke="black"/>')
         for t in _ticks(self.xlo, self.xhi):
-            label = f"{10 ** t:.3g}" if xlog else f"{t:.4g}"
             p.append(f'<line x1="{_fmt(self.px(t))}" y1="{self.y0}" '
                      f'x2="{_fmt(self.px(t))}" y2="{self.y0 + 5}" stroke="black"/>')
             p.append(f'<text x="{_fmt(self.px(t))}" y="{self.y0 + 20}" '
                      f'font-family="monospace" font-size="11" '
-                     f'text-anchor="middle">{label}</text>')
+                     f'text-anchor="middle">{t:.4g}</text>')
         for t in _ticks(self.ylo, self.yhi):
-            label = f"{10 ** t:.3g}" if ylog else f"{t:.4g}"
             p.append(f'<line x1="{self.x0 - 5}" y1="{_fmt(self.py(t))}" '
                      f'x2="{self.x0}" y2="{_fmt(self.py(t))}" stroke="black"/>')
             p.append(f'<text x="{self.x0 - 8}" y="{_fmt(self.py(t) + 4)}" '
                      f'font-family="monospace" font-size="11" '
-                     f'text-anchor="end">{label}</text>')
+                     f'text-anchor="end">{t:.4g}</text>')
         p.append(f'<text x="{(self.x0 + self.x1) / 2:.0f}" y="{HEIGHT - 12}" '
                  f'font-family="monospace" font-size="13" '
                  f'text-anchor="middle">{xlabel}</text>')
@@ -181,29 +177,6 @@ def _histogram(header, rows, canvas, csv_path, bins: int = 20):
             f'stroke="white" stroke-width="0.5"/>')
 
 
-def _convergence(header, rows, canvas, csv_path):
-    _require_columns(header, ["dt", "error"], csv_path)
-    pairs = [(float(r[header.index("dt")]), float(r[header.index("error")]))
-             for r in rows]
-    pairs = [(dt, err) for dt, err in pairs if dt > 0 and err > 0]
-    if len(pairs) < 2:
-        canvas.no_data()
-        return
-    xs = [math.log10(dt) for dt, _ in pairs]
-    ys = [math.log10(err) for _, err in pairs]
-    n = len(xs)
-    mx, my = sum(xs) / n, sum(ys) / n
-    slope = (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-             / sum((x - mx) ** 2 for x in xs))
-    canvas.set_scales(min(xs), max(xs), min(ys), max(ys))
-    canvas.axes("dt", "error", xlog=True, ylog=True)
-    canvas.polyline(xs, ys, PALETTE[0])
-    for x, y in zip(xs, ys):
-        canvas.parts.append(f'<circle cx="{_fmt(canvas.px(x))}" '
-                            f'cy="{_fmt(canvas.py(y))}" r="3" fill="{PALETTE[0]}"/>')
-    canvas.legend([(f"slope {slope:.3f}", PALETTE[0])])
-
-
 def emit_plot(csv_path, kind: str, out_path=None) -> Path:
     """Render a CSV artifact to a deterministic SVG next to it."""
     if kind not in KINDS:
@@ -213,10 +186,8 @@ def emit_plot(csv_path, kind: str, out_path=None) -> Path:
     canvas = _Canvas(f"{csv_path.stem} ({kind})")
     if kind == "timeseries":
         _timeseries(header, rows, canvas, csv_path)
-    elif kind == "histogram":
-        _histogram(header, rows, canvas, csv_path)
     else:
-        _convergence(header, rows, canvas, csv_path)
+        _histogram(header, rows, canvas, csv_path)
     out = Path(out_path) if out_path else csv_path.with_suffix(".svg")
     out.write_text(canvas.render())
     return out

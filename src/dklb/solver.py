@@ -27,14 +27,13 @@ from .grid import (
     dealiased_product,
     derivative,
     l2_norm,
-    multiplier_preserves_real,
 )
 
 
 def apply_semigroup(phi: symbols.PhaseFunction, t: float,
                     f: SpectralField) -> SpectralField:
     """Evolve a field by the linear flow for time t >= 0."""
-    return apply_multiplier(f, symbols.semigroup_multiplier(phi, t, f.grid.xi))
+    return apply_multiplier(f, symbols.flow_multiplier(phi, t, f.grid), phi.is_even)
 
 
 def linear_trajectory(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
@@ -132,13 +131,13 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         raise ValueError(f"cstar must be positive, got {cstar}")
     dt = T / nt
     times = np.linspace(0.0, T, nt + 1)
-    xi = u0.grid.xi
+    is_real = u0.is_real and phi.is_even
 
     # exact flow multipliers for every node separation k*dt
-    mults = [symbols.semigroup_multiplier(phi, k * dt, xi) for k in range(nt + 1)]
+    mults = [symbols.flow_multiplier(phi, k * dt, u0.grid) for k in range(nt + 1)]
     weights = [_simpson_weights(i, dt) for i in range(nt + 1)]
 
-    linear = [apply_multiplier(u0, mults[i]) for i in range(nt + 1)]
+    linear = [apply_multiplier(u0, mults[i], phi.is_even) for i in range(nt + 1)]
 
     def duhamel(iterate: list[SpectralField]) -> list[SpectralField]:
         if not nonlinear:
@@ -151,8 +150,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             for j in range(i + 1):
                 if w[j]:
                     acc += w[j] * mults[i - j] * nl[j].coeffs
-            keep_real = linear[i].is_real and all(f.is_real for f in nl[: i + 1])
-            out.append(SpectralField(u0.grid, acc, keep_real))
+            out.append(SpectralField(u0.grid, acc, is_real))
         return out
 
     notes: list[str] = []
@@ -245,10 +243,9 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         raise ValueError("snapshot_stride must be >= 1")
 
     grid = u0.grid
-    xi = grid.xi
-    E = symbols.semigroup_multiplier(phi, dt, xi)
-    E2 = symbols.semigroup_multiplier(phi, dt / 2.0, xi)
-    c = 1j * xi**3 + phi.eta * symbols.phase_eval(phi, xi)
+    E = symbols.flow_multiplier(phi, dt, grid)
+    E2 = symbols.flow_multiplier(phi, dt / 2.0, grid)
+    c = 1j * grid.xi_odd**3 + phi.eta * symbols.phase_eval(phi, grid.xi)
     z = np.minimum(c.real * dt, symbols.EXP_REAL_CAP) + 1j * c.imag * dt
     Q, f1, f2, f3 = _etdrk4_coeffs(z, dt, contour_points)
 
@@ -259,7 +256,7 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         return nonlinearity(f).coeffs
 
     v = u0.coeffs.copy()
-    is_real = u0.is_real and grid_preserves_real(phi, grid)
+    is_real = u0.is_real and phi.is_even
     times = [0.0]
     snaps = [SpectralField(grid, v.copy(), u0.is_real)]
     for step in range(1, steps + 1):
@@ -277,12 +274,6 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             times.append(step * dt)
             snaps.append(SpectralField(grid, v.copy(), is_real))
     return Trajectory(grid, phi, np.array(times), snaps, "etdrk4")
-
-
-def grid_preserves_real(phi: symbols.PhaseFunction, grid) -> bool:
-    """True when the flow multiplier keeps real data real on this grid."""
-    m = symbols.semigroup_multiplier(phi, 1e-3, grid.xi)
-    return multiplier_preserves_real(grid, m)
 
 
 def dissipation_residuals(traj: Trajectory) -> np.ndarray:

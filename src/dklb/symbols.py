@@ -167,9 +167,24 @@ def find_M(phi: PhaseFunction, rel_tol: float = 1e-12) -> float:
 def semigroup_multiplier(phi: PhaseFunction, t: float, xi):
     """Multiplier exp(i*t*xi**3 + eta*t*Phi(xi)) of the linear flow at time t.
 
-    The real part of the exponent is clamped at EXP_REAL_CAP (with a recorded
+    xi is a bare array of wavenumbers; on a grid use flow_multiplier.  The
+    real part of the exponent is clamped at EXP_REAL_CAP (with a recorded
     warning) so pathological symbols cannot overflow exp().
     """
+    return _flow(phi, t, xi, xi)
+
+
+def flow_multiplier(phi: PhaseFunction, t: float, grid):
+    """The flow multiplier on a grid, its dispersive phase zero at the Nyquist mode.
+
+    The phase t*xi**3 is odd, so it is evaluated at grid.xi_odd; the
+    multiplier then keeps real fields real exactly when phi.is_even.
+    """
+    return _flow(phi, t, grid.xi, grid.xi_odd)
+
+
+def _flow(phi: PhaseFunction, t: float, xi, xi_odd):
+    # exp(i*t*xi_odd**3 + eta*t*Phi(xi)), the real part clamped
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     xi = np.asarray(xi, dtype=float)
@@ -179,10 +194,10 @@ def semigroup_multiplier(phi: PhaseFunction, t: float, xi):
             f"semigroup exponent clamped at +{EXP_REAL_CAP:g}; the symbol grows "
             "faster than the guard allows",
             OverflowGuardWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         re = np.minimum(re, EXP_REAL_CAP)
-    return np.exp(re + 1j * t * xi**3)
+    return np.exp(re + 1j * t * np.asarray(xi_odd, dtype=float) ** 3)
 
 
 def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float,

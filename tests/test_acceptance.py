@@ -58,7 +58,7 @@ def test_criterion_01_conjugation_identity(kdvks_phase):
     worst_rel = 0.0
     for b in (0.25, 0.5):
         for t in (0.05, 0.1):
-            r = conjugation_check(f, b, 1.0, t)
+            r = conjugation_check(f, kdvks_phase, b, t)
             assert r.rel_error <= 1e-7, (b, t, r.rel_error)
             worst_rel = max(worst_rel, r.rel_error)
     worst_mult = 0.0

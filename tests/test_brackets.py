@@ -12,7 +12,6 @@ from dklb.brackets import (
     ONE,
     Bracket,
     GaussPoly,
-    TabulatedFunction,
     eval_bracket,
     eval_expression,
     evenodd_expand,
@@ -20,7 +19,6 @@ from dklb.brackets import (
     reduction_residual,
     standard_pairs,
 )
-from dklb.errors import UnsupportedDerivativeOrder
 
 
 def test_bracket_canonical_order():
@@ -154,24 +152,3 @@ def test_pure_polynomial_derivative():
     xs = np.array([-1.0, 0.0, 2.0])
     assert np.allclose(q.derivative(1)(xs), 6.0 * xs, atol=1e-14)
     assert np.allclose(q.derivative(3)(xs), 0.0, atol=0)
-
-
-def test_tabulated_function_bounds_derivative_orders():
-    u = TabulatedFunction((np.sin, np.cos))
-    assert u.derivative(1) is np.cos
-    with pytest.raises(UnsupportedDerivativeOrder):
-        u.derivative(2)
-    rho = GaussPoly((1.0,), 0.1, 0.0)
-    with pytest.raises(UnsupportedDerivativeOrder):
-        eval_bracket(Bracket(2, 0, 0), u, rho)
-
-
-def test_tabulated_function_works_in_quadrature():
-    # sin mollified by a wide Gaussian: <1, 0, 0> = int cos*sin*rho, odd-ish
-    # but nonzero for shifted rho; just check agreement with direct quadrature
-    u = TabulatedFunction((np.sin, np.cos))
-    rho = GaussPoly((1.0,), 0.1, 0.5)
-    val = eval_bracket(Bracket(1, 0, 0), u, rho)
-    xs = np.linspace(-30, 30, 8193)
-    direct = np.trapezoid(np.cos(xs) * np.sin(xs) * rho(xs), xs)
-    assert val == pytest.approx(direct, rel=1e-12)

@@ -141,6 +141,40 @@ def test_non_finite_number_exits_2_and_names_the_field(runner, tmp_path,
     assert "finite" in result.output
 
 
+@pytest.mark.parametrize("key", ["grid.n", "solver.t", "model.preset",
+                                 "existence.norms", "output.formats"])
+def test_empty_required_value_exits_2_and_names_the_field(runner, tmp_path, key):
+    result = runner.invoke(main, ["existence-time", "-D", f"{key}=",
+                                  "-D", f"output.dir={tmp_path}"])
+    assert result.exit_code == 2, result.output
+    assert f"{key}: needs a value" in result.output
+
+
+HOSTILE_VALUES = ("", "0", "-1", "nan", "inf", "1e308", "1e-320", "abc")
+
+
+@pytest.mark.parametrize("value", HOSTILE_VALUES)
+@pytest.mark.parametrize("key", [f"{section}.{key}"
+                                 for section, keys in _SCHEMA.items()
+                                 for key in keys if (section, key) != ("output", "dir")])
+def test_hostile_value_ends_in_an_exit_code(runner, tmp_path, key, value):
+    # kdvb needs no find_M scan, which keeps the sweep fast
+    result = runner.invoke(main, ["existence-time", "-D", "model.preset=kdvb",
+                                  "-D", f"{key}={value}",
+                                  "-D", f"output.dir={tmp_path}"])
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        repr(result.exception)
+
+
+def test_overflowing_custom_terms_exit_2_and_name_the_model(runner, tmp_path):
+    result = runner.invoke(main, ["existence-time", "-D", "model.preset=custom",
+                                  "-D", "model.p=4", "-D", "model.terms=1e300 0 2",
+                                  "-D", f"output.dir={tmp_path}"])
+    assert result.exit_code == 2, result.output
+    assert "model:" in result.output
+
+
 def test_verify_bracket_without_pairs_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["verify-bracket", "-D", "brackets.pairs=0",
                                   "-D", f"output.dir={tmp_path}"])

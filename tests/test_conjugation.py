@@ -1,13 +1,10 @@
 """Exponential-weight conjugation: multiplier identity, transport, exchange."""
 
-import math
-
 import numpy as np
 import pytest
 
 from dklb import symbols
 from dklb.conjugation import (
-    conjugated_propagator,
     conjugation_check,
     decay_shift,
     exchange_ensemble,
@@ -21,8 +18,16 @@ from dklb.conjugation import (
 )
 from dklb.errors import LeakageError
 from dklb.fields import gaussian, gaussian_spectral, normalize_l2, sample_ensemble
-from dklb.grid import SpectralGrid, from_coeffs, from_values, l2_norm, to_values
+from dklb.grid import (
+    SpectralGrid,
+    apply_multiplier,
+    from_coeffs,
+    to_values,
+)
 from dklb.symbols import semigroup_multiplier
+
+
+KDVKS = symbols.kdvks().phase
 
 
 @pytest.fixture
@@ -95,19 +100,19 @@ def test_decay_shift_and_transport_values():
 
 def test_conjugation_identity_at_time_zero(wide_grid):
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
-    res = conjugation_check(f, b=0.5, eta=1.0, t=0.0)
+    res = conjugation_check(f, KDVKS, b=0.5, t=0.0)
     assert res.rel_error == 0.0
 
 
 def test_conjugation_identity_unweighted_limit(wide_grid):
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
-    res = conjugation_check(f, b=0.0, eta=1.0, t=0.1)
+    res = conjugation_check(f, KDVKS, b=0.0, t=0.1)
     assert res.rel_error <= 1e-12
 
 
 def test_conjugation_identity_moderate_weight(wide_grid):
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
-    res = conjugation_check(f, b=0.25, eta=1.0, t=0.1)
+    res = conjugation_check(f, KDVKS, b=0.25, t=0.1)
     assert res.rel_error <= 1e-9
     assert res.boundary_leakage <= 1e-8
     assert res.delta == decay_shift(0.25, 1.0)
@@ -117,8 +122,8 @@ def test_conjugation_identity_moderate_weight(wide_grid):
 
 def test_conjugation_bound_ratio_scale_invariant(wide_grid):
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
-    r1 = conjugation_check(f, 0.25, 1.0, 0.1, max_leakage=None)
-    r2 = conjugation_check(f * 5.0, 0.25, 1.0, 0.1, max_leakage=None)
+    r1 = conjugation_check(f, KDVKS, 0.25, 0.1, max_leakage=None)
+    r2 = conjugation_check(f * 5.0, KDVKS, 0.25, 0.1, max_leakage=None)
     assert r1.bound_ratio == pytest.approx(r2.bound_ratio, rel=1e-12)
     assert r1.rel_error == pytest.approx(r2.rel_error, rel=1e-9)
 
@@ -126,7 +131,7 @@ def test_conjugation_bound_ratio_scale_invariant(wide_grid):
 def test_conjugation_refuses_boundary_leaners(wide_grid):
     f = gaussian_spectral(wide_grid, center=25.0, width=4.0)
     with pytest.raises(LeakageError):
-        conjugation_check(f, b=0.5, eta=1.0, t=0.1)
+        conjugation_check(f, KDVKS, b=0.5, t=0.1)
 
 
 def test_conjugation_error_grows_with_leakage(wide_grid):
@@ -135,7 +140,8 @@ def test_conjugation_error_grows_with_leakage(wide_grid):
     prev_leak = prev_err = -1.0
     for center in (16.0, 20.0, 24.0, 28.0):
         f = gaussian_spectral(wide_grid, center=center, width=2.0)
-        res = conjugation_check(f, b=0.25, eta=1.0, t=0.1, max_leakage=None)
+        res = conjugation_check(f, KDVKS, b=0.25, t=0.1,
+                                max_leakage=None)
         assert res.boundary_leakage > prev_leak
         assert res.rel_error > prev_err
         prev_leak, prev_err = res.boundary_leakage, res.rel_error
@@ -145,7 +151,8 @@ def test_conjugated_packet_transports(wide_grid):
     # the exp(b x)-conjugated flow translates a packet by mu*t
     b, eta, t = 0.25, 1.0, 1.0
     g = gaussian(wide_grid, center=0.0, width=2.0)
-    moved = conjugated_propagator(g, b, eta, t)
+    moved = apply_multiplier(g, shifted_multiplier(KDVKS, b, t, wide_grid.xi),
+                             False)
     vals = np.abs(to_values(moved))
     i = int(np.argmax(vals))
     # quadratic refinement around the grid maximum
@@ -224,7 +231,16 @@ def test_theta_profile_positive_for_small_b(wide_grid):
     assert th[np.abs(wide_grid.xi) >= 2.0].min() > 0
 
 
+def test_conjugation_check_needs_the_kdvks_symbol(wide_grid):
+    f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
+    for phi in (symbols.kdvb().phase, symbols.PhaseFunction(p=4.0)):
+        with pytest.raises(ValueError, match="kdvks"):
+            conjugation_check(f, phi, 0.25, 0.1)
+    res = conjugation_check(f, symbols.kdvks(2.0).phase, 0.25, 0.1)
+    assert res.delta == decay_shift(0.25, 2.0)
+
+
 def test_conjugation_check_rejects_negative_time(wide_grid):
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
     with pytest.raises(ValueError):
-        conjugation_check(f, 0.25, 1.0, -0.1)
+        conjugation_check(f, KDVKS, 0.25, -0.1)

@@ -5,24 +5,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dklb.errors import LeakageError
 from dklb.grid import (
     EXP_WEIGHT_CAP,
+    HERMITIAN_TOL,
     SpectralGrid,
     WeightSpec,
     apply_multiplier,
-    apply_weight,
     boundary_leakage,
     bracket_weight,
     dealiased_product,
     derivative,
     exp_weight,
     fractional_D,
-    fractional_J,
     from_coeffs,
     from_values,
-    hilbert,
+    hermitian_defect_of,
     l2_norm,
+    multiplier_preserves_real,
     parse_weight,
     poly_weight,
     read_snapshot,
@@ -44,6 +43,13 @@ def test_grid_requires_power_of_two():
         SpectralGrid(8, 40.0)
     with pytest.raises(ValueError):
         SpectralGrid(256, -1.0)
+
+
+def test_xi_odd_zeroes_only_the_nyquist_entry(grid256):
+    nyq = grid256.nyquist_index
+    assert grid256.modes[nyq] == -grid256.n // 2
+    assert grid256.xi_odd[nyq] == 0.0
+    assert np.array_equal(np.delete(grid256.xi_odd, nyq), np.delete(grid256.xi, nyq))
 
 
 def test_nodes_cover_fundamental_domain(grid256):
@@ -101,11 +107,6 @@ def test_nyquist_mode_zeroed_by_odd_multiplier(grid256, rng):
     assert derivative(f).coeffs[grid256.n // 2] == 0.0
 
 
-def test_bessel_order_zero_is_identity(random_real_field):
-    g = fractional_J(random_real_field, 0.0)
-    assert np.array_equal(g.coeffs, random_real_field.coeffs)
-
-
 def test_riesz_order_zero_is_identity(random_real_field):
     g = fractional_D(random_real_field, 0.0)
     assert np.array_equal(g.coeffs, random_real_field.coeffs)
@@ -119,32 +120,6 @@ def test_half_derivative_composes_to_full(grid256, rng):
     assert np.max(np.abs(twice.coeffs - once.coeffs)) <= 1e-12
 
 
-def test_hilbert_of_cosine_is_sine(grid256):
-    k = 2 * np.pi / grid256.length
-    f = from_values(grid256, np.cos(k * grid256.x))
-    h = hilbert(f)
-    assert h.is_real
-    assert np.max(np.abs(to_values(h) - np.sin(k * grid256.x))) <= 1e-12
-
-
-def test_hilbert_squared_is_minus_identity(grid256, rng):
-    # on the complement of the kernel of H: no mean, no Nyquist mode
-    f = from_values(grid256, rng.standard_normal(grid256.n))
-    c = f.coeffs.copy()
-    c[0] = 0.0
-    c[grid256.n // 2] = 0.0
-    f = from_coeffs(grid256, c)
-    hh = hilbert(hilbert(f))
-    assert np.max(np.abs(hh.coeffs + f.coeffs)) <= 1e-12
-
-
-def test_hilbert_riesz_factorization(random_real_field):
-    # -H(D^1 f) = d/dx f: the classical factorization of the derivative
-    lhs = hilbert(fractional_D(random_real_field, 1.0))
-    rhs = derivative(random_real_field)
-    assert np.max(np.abs(-lhs.coeffs - rhs.coeffs)) <= 1e-12
-
-
 def test_parseval(grid256, rng):
     vals = rng.standard_normal(grid256.n)
     f = from_values(grid256, vals)
@@ -156,25 +131,29 @@ def test_multipliers_commute(grid256, rng):
     f = from_values(grid256, rng.standard_normal(grid256.n))
     m1 = np.exp(-np.abs(grid256.xi))
     m2 = 1.0 / (1.0 + grid256.xi**2)
-    ab = apply_multiplier(apply_multiplier(f, m1), m2)
-    ba = apply_multiplier(apply_multiplier(f, m2), m1)
-    joint = apply_multiplier(f, m1 * m2)
+    ab = apply_multiplier(apply_multiplier(f, m1, True), m2, True)
+    ba = apply_multiplier(apply_multiplier(f, m2, True), m1, True)
+    joint = apply_multiplier(f, m1 * m2, True)
     assert np.max(np.abs(ab.coeffs - ba.coeffs)) <= 1e-12
     assert np.max(np.abs(ab.coeffs - joint.coeffs)) <= 1e-12
 
 
 def test_real_multiplier_keeps_fields_real(grid256, rng):
     f = from_values(grid256, rng.standard_normal(grid256.n))
-    g = apply_multiplier(f, np.exp(-grid256.xi**2))
+    m = np.exp(-grid256.xi**2)
+    assert multiplier_preserves_real(grid256, m)
+    g = apply_multiplier(f, m, True)
     assert g.is_real
-    assert np.max(np.abs(to_values(g).imag)) == 0.0
+    assert hermitian_defect_of(g.coeffs) <= HERMITIAN_TOL
 
 
 def test_odd_imaginary_multiplier_keeps_fields_real(random_real_field):
-    for g in (derivative(random_real_field), hilbert(random_real_field)):
+    grid = random_real_field.grid
+    for order in (1, 2, 3):
+        assert multiplier_preserves_real(grid, (1j * grid.xi_odd) ** order)
+        g = derivative(random_real_field, order)
         assert g.is_real
-        vals = to_values(g)
-        assert np.isrealobj(vals)
+        assert hermitian_defect_of(g.coeffs) <= HERMITIAN_TOL
 
 
 def test_product_of_sine_and_cosine(grid256):
@@ -278,15 +257,6 @@ def test_boundary_leakage_detects_edge_mass(grid256):
     edged = gaussian(grid256, center=19.0, width=1.0)
     assert boundary_leakage(centered) < 1e-30
     assert boundary_leakage(edged) > 0.1
-
-
-def test_apply_weight_reports_and_refuses_leakage(grid256):
-    f = gaussian(grid256, center=0.0, width=2.0)
-    g, leak = apply_weight(f, exp_weight(0.5))
-    assert leak == pytest.approx(boundary_leakage(g), rel=1e-12)
-    with pytest.raises(LeakageError):
-        apply_weight(gaussian(grid256, center=15.0, width=2.0), exp_weight(1.0),
-                     max_leakage=1e-8)
 
 
 def test_snapshot_roundtrip_is_bit_exact(tmp_path, grid256, rng):

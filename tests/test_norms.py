@@ -20,13 +20,11 @@ from dklb.grid import (
 from dklb.norms import (
     A2,
     A3,
-    A4,
     A6,
     SmoothingParams,
     alpha,
     conjugate_exponent,
     hs_norm,
-    interpolation_check,
     lambda_diagnostics,
     lp_norm,
     mixed_norm,
@@ -81,7 +79,6 @@ def test_named_accessors_match_general_form(kdvks_phi):
     s = 1.5
     assert A2(kdvks_phi, T) == smoothing_A(2.0, 4.0, 0.0, kdvks_phi, T)
     assert A3(kdvks_phi, s, T) == smoothing_A(2.0, 4.0, s, kdvks_phi, T)
-    assert A4(kdvks_phi, T) == smoothing_A(2.0, 4.0, 1.0, kdvks_phi, T)
     assert A6(kdvks_phi, T) == smoothing_A(2.0, math.inf, 1.0, kdvks_phi, T)
 
 
@@ -262,18 +259,6 @@ def test_verify_smoothing_rejects_bad_hypotheses(kdvks_phi):
         verify_smoothing("C3", kdvks_phi, s=1.5)
     with pytest.raises(ValueError):
         verify_smoothing("C9", kdvks_phi)
-
-
-def test_interpolation_check_properties(grid256):
-    f = gaussian(grid256, width=1.1)
-    zero = from_values(grid256, np.zeros(grid256.n))
-    assert interpolation_check(zero, 1.0, 1.0, 0.5) == 0.0
-    r1 = interpolation_check(f, 1.0, 1.0, 0.5)
-    r2 = interpolation_check(f * 2.0, 1.0, 1.0, 0.5)
-    assert r1 == pytest.approx(r2, rel=1e-12)
-    for theta in (0.25, 0.5, 0.75):
-        r = interpolation_check(f, 1.0, 2.0, theta)
-        assert np.isfinite(r) and 0 < r < 10.0
 
 
 def test_random_mixture_normalization(grid256, rng):

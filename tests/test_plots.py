@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from dklb.plots import emit_plot
@@ -24,9 +22,6 @@ def test_header_mismatch_rejected(tmp_path):
     p2 = _write(tmp_path, "no-ratio.csv", "sample_id,value\n0,1.0\n")
     with pytest.raises(ValueError, match="missing column"):
         emit_plot(p2, "histogram")
-    p3 = _write(tmp_path, "no-dt.csv", "h,error\n0.1,1e-3\n")
-    with pytest.raises(ValueError, match="missing column"):
-        emit_plot(p3, "convergence")
     p4 = _write(tmp_path, "empty.csv", "")
     with pytest.raises(ValueError, match="empty file"):
         emit_plot(p4, "timeseries")
@@ -73,22 +68,6 @@ def test_histogram_skips_non_numeric_rows(tmp_path):
     body = "sample_id,ratio\n0,0.5\n1,0.75\nmax,0.75\n"
     out = emit_plot(_write(tmp_path, "h.csv", body), "histogram")
     assert "no data" not in out.read_text()
-
-
-def test_convergence_slope_in_legend(tmp_path):
-    # exact second-order data: the fitted log-log slope must print as 2.000
-    rows = "\n".join(f"{dt},{0.5 * dt ** 2}" for dt in (4e-3, 2e-3, 1e-3))
-    out = emit_plot(_write(tmp_path, "conv.csv", "dt,error\n" + rows + "\n"),
-                    "convergence")
-    text = out.read_text()
-    assert "slope 2.000" in text
-    assert text.count("<circle") == 3
-
-
-def test_convergence_needs_two_positive_points(tmp_path):
-    body = "dt,error\n0.001,0.0\n0.002,1e-3\n"
-    out = emit_plot(_write(tmp_path, "degenerate.csv", body), "convergence")
-    assert "no data" in out.read_text()
 
 
 def test_explicit_output_path(tmp_path):

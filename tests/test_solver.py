@@ -15,6 +15,7 @@ from dklb.grid import (
     from_coeffs,
     from_values,
     l2_norm,
+    multiplier_preserves_real,
     to_values,
 )
 from dklb.norms import A2, A3, hs_norm
@@ -23,7 +24,6 @@ from dklb.solver import (
     dissipation_residuals,
     etdrk4_solve,
     existence_time,
-    grid_preserves_real,
     linear_trajectory,
     nonlinearity,
     picard_solve,
@@ -240,16 +240,26 @@ def test_existence_time_monotone(kdvks_phi):
     assert all(a >= b for a, b in zip(by_cstar, by_cstar[1:]))
 
 
-def test_grid_preserves_real_flags(grid256):
-    # kdvks: the Nyquist mode is crushed by the fourth-order damping, so the
-    # unpaired rotation there is invisible.  kdvb at L=40 leaves the Nyquist
-    # mode nearly undamped and its rotation breaks the pairing; shrinking
-    # the box (raising the Nyquist frequency) restores it.  The asymmetric
-    # preset is complex at every mode.
-    assert grid_preserves_real(symbols.kdvks().phase, grid256)
-    assert not grid_preserves_real(symbols.kdvb().phase, grid256)
-    assert grid_preserves_real(symbols.kdvb().phase, SpectralGrid(256, 4.0))
-    assert not grid_preserves_real(symbols.preset("optimality:2").phase, grid256)
+def test_flow_keeps_real_iff_symbol_is_even():
+    # The measured Hermitian symmetry of the flow multiplier is the oracle for
+    # the static rule, on grids where the Nyquist mode is barely damped (kdvb
+    # at n = 256) and where it is damped least (n = 64).  At t = 0 every flow
+    # is the identity, so the times start after it.
+    for name in ("kdvb", "ost", "kdvks", "optimality:2"):
+        phi = symbols.preset(name).phase
+        for n in (64, 256, 1024):
+            grid = SpectralGrid(n, 40.0)
+            for t in np.linspace(0.0, 1.0, 49)[1:]:
+                m = symbols.flow_multiplier(phi, float(t), grid)
+                assert multiplier_preserves_real(grid, m) == phi.is_even, (name, n, t)
+            real = normalize_l2(gaussian(grid, width=1.5), 0.1)
+            for u0 in (real, real * 1j):
+                expect = u0.is_real and phi.is_even
+                assert apply_semigroup(phi, 0.5, u0).is_real == expect
+                traj = etdrk4_solve(u0, phi, T=0.01, dt=0.005)
+                assert [f.is_real for f in traj.snapshots[1:]] == [expect] * 2
+                traj, _ = picard_solve(u0, phi, T=0.01, nt=2)
+                assert [f.is_real for f in traj.snapshots] == [expect] * 3
 
 
 def test_real_data_stays_real_under_flow(grid256, kdvks_phi):

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from dklb import symbols
 from dklb.errors import OverflowGuardWarning
+from dklb.grid import SpectralGrid
 from dklb.symbols import (
     EXP_REAL_CAP,
     PhaseFunction,
     PhaseTerm,
     find_M,
+    flow_multiplier,
     phase_eval,
     phi1_eval,
     preset,
@@ -72,6 +74,22 @@ def test_multiplier_at_time_zero_is_one():
         phi = preset(name).phase
         xi = np.linspace(-30.0, 30.0, 101)
         assert np.all(semigroup_multiplier(phi, 0.0, xi) == 1.0)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_flow_multiplier_drops_only_the_nyquist_phase(name):
+    # on a grid the dispersive phase is zero at the unpaired Nyquist mode;
+    # every other mode, and the damping everywhere, match the bare multiplier
+    phi = preset(name).phase
+    grid = SpectralGrid(64, 40.0)
+    nyq = grid.nyquist_index
+    m = flow_multiplier(phi, 1e-3, grid)
+    bare = semigroup_multiplier(phi, 1e-3, grid.xi)
+    assert np.array_equal(np.delete(m, nyq), np.delete(bare, nyq))
+    assert m[nyq].imag == 0.0
+    assert m[nyq].real == pytest.approx(
+        math.exp(phi.eta * 1e-3 * phase_eval(phi, grid.xi[nyq])), rel=1e-15)
+    assert bare[nyq].imag != 0.0
 
 
 def test_kdvks_multiplier_magnitude_anchor():
