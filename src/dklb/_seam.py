@@ -8,13 +8,16 @@ weight that residue dominates weighted comparisons even though the true
 field values there are far smaller.  The helpers here evaluate seam values
 of spectral fields, and the semigroup multiplier feeding them, in
 double-double arithmetic (~31 significant digits), so the seam carries the
-true tiny tails instead of amplified rounding noise.
+true tiny tails instead of amplified rounding noise.  Field values come from
+one full-length inverse DFT in complex double-double: an iterative radix-2
+decimation-in-time FFT (Cooley & Tukey, 1965), O(n log n) in the grid size,
+whose twiddles are the double-double roots of unity of _roots_of_unity.
 
 A double-double is a pair (hi, lo) of float64 arrays with value hi + lo and
 |lo| <= ulp(hi)/2.  The primitives are the classical error-free transforms
-(Knuth two-sum, Dekker split and two-prod; no FMA assumed) plus Taylor
-exp/sin/cos with double-double argument reduction.  Everything is
-numpy-vectorized; scalars broadcast.
+(Knuth two-sum, Dekker split and two-prod; no FMA assumed; see Hida, Li &
+Bailey, ARITH-15, 2001) plus Taylor exp/sin/cos with double-double argument
+reduction.  Everything is numpy-vectorized; scalars broadcast.
 """
 
 from __future__ import annotations
@@ -189,34 +192,24 @@ def cdd_add(a, b):
     return dd_add(a[0], b[0]), dd_add(a[1], b[1])
 
 
-def cdd_value(a):
-    return dd_value(a[0]) + 1j * dd_value(a[1])
-
-
 @lru_cache(maxsize=8)
 def _roots_of_unity(n: int):
-    """exp(2*pi*i*m/n) for m = 0..n-1 as complex double-doubles."""
+    """exp(2*pi*i*m/n) for m = 0..n-1 as one (re/im, hi/lo, m) array."""
     m = np.arange(n, dtype=float)
     theta = dd_div_d(dd_mul_d(TWO_PI, m), float(n))
     s, c = dd_sincos(theta)
-    return c, s  # (re, im)
+    return np.asarray((c, s))
 
 
-def _pairwise_cdd_sum(re_h, re_l, im_h, im_l):
-    # reduce along the last axis with dd additions, halving each step
-    while re_h.shape[-1] > 1:
-        k = re_h.shape[-1]
-        if k % 2:
-            pad = [(0, 0)] * (re_h.ndim - 1) + [(0, 1)]
-            re_h = np.pad(re_h, pad)
-            re_l = np.pad(re_l, pad)
-            im_h = np.pad(im_h, pad)
-            im_l = np.pad(im_l, pad)
-        re_h, re_l = dd_add((re_h[..., ::2], re_l[..., ::2]),
-                            (re_h[..., 1::2], re_l[..., 1::2]))
-        im_h, im_l = dd_add((im_h[..., ::2], im_l[..., ::2]),
-                            (im_h[..., 1::2], im_l[..., 1::2]))
-    return ((re_h[..., 0], re_l[..., 0]), (im_h[..., 0], im_l[..., 0]))
+@lru_cache(maxsize=8)
+def _bit_reversal(n: int) -> np.ndarray:
+    """The bit-reversal permutation of 0..n-1, for n a power of two."""
+    bits = n.bit_length() - 1
+    m = np.arange(n)
+    rev = np.zeros(n, dtype=np.intp)
+    for b in range(bits):
+        rev |= ((m >> b) & 1) << (bits - 1 - b)
+    return rev
 
 
 def seam_indices(grid, b: float, cut: float = 5.0) -> np.ndarray:
@@ -252,35 +245,32 @@ def dd_field_values(coeffs: np.ndarray, grid, idx: np.ndarray,
     """Evaluate sum_k c_k * mult_k * e^{2*pi*i*k*j/n} at selected grid indices.
 
     Matches the inverse-FFT convention of SpectralField values but carries
-    the accumulation in double-double, so results are accurate in absolute
-    terms far below the 1e-16 * max|u| floor of a standard inverse FFT.
-    Returns complex128 (the true values near a weight seam are tiny but well
-    inside double range).
+    the whole transform in double-double: the spectrum c_k * mult_k is
+    formed in double-double (c_k lifted exactly when there is no
+    multiplier), then an iterative radix-2 decimation-in-time FFT, O(n log n)
+    for n = grid.n a power of two, runs one vectorised butterfly stage per
+    level h = 1, 2, ..., n/2 with twiddles taken from _roots_of_unity(n) at
+    stride n/(2h).  Results are accurate in absolute terms far below the
+    1e-16 * max|u| floor of a standard inverse FFT.  Returns complex128 at
+    idx (the true values near a weight seam are tiny but well inside double
+    range).
     """
     n = grid.n
-    live = np.nonzero(coeffs)[0]
-    if mult is not None:
-        alive = (np.abs(cdd_value((tuple(p[live] for p in mult[0]),
-                                   tuple(p[live] for p in mult[1])))) > 0)
-        live = live[alive]
-    if live.size == 0 or idx.size == 0:
-        return np.zeros(len(idx), dtype=complex)
-    c = coeffs[live]
-    if mult is not None:
-        term = (tuple(p[live] for p in mult[0]), tuple(p[live] for p in mult[1]))
-        term = cdd_mul_complex(term, c)
+    if mult is None:
+        spec = (dd(coeffs.real), dd(coeffs.imag))
     else:
-        term = (dd(c.real), dd(c.imag))
-    w_re, w_im = _roots_of_unity(n)
-    pos = (idx[:, None].astype(np.int64) * live[None, :]) % n
-    omega = ((w_re[0][pos], w_re[1][pos]), (w_im[0][pos], w_im[1][pos]))
-    tr = (np.broadcast_to(term[0][0], pos.shape),
-          np.broadcast_to(term[0][1], pos.shape))
-    ti = (np.broadcast_to(term[1][0], pos.shape),
-          np.broadcast_to(term[1][1], pos.shape))
-    prod_re, prod_im = cdd_mul((tr, ti), omega)
-    re, im = _pairwise_cdd_sum(np.ascontiguousarray(prod_re[0]),
-                               np.ascontiguousarray(prod_re[1]),
-                               np.ascontiguousarray(prod_im[0]),
-                               np.ascontiguousarray(prod_im[1]))
-    return dd_value(re) + 1j * dd_value(im)
+        spec = cdd_mul_complex(mult, coeffs)
+    # a complex double-double as one (re/im, hi/lo, ...) array
+    a = np.asarray(spec)[..., _bit_reversal(n)]
+    roots = _roots_of_unity(n)
+    h = 1
+    while h < n:
+        pairs = a.reshape(2, 2, n // (2 * h), 2, h)
+        u, v = pairs[:, :, :, 0], pairs[:, :, :, 1]
+        t = cdd_mul(v, roots[..., : n // 2 : n // (2 * h)])
+        out = np.empty_like(pairs)
+        out[:, :, :, 0] = cdd_add(u, t)
+        out[:, :, :, 1] = (dd_sub(u[0], t[0]), dd_sub(u[1], t[1]))
+        a = out.reshape(2, 2, n)
+        h *= 2
+    return dd_value(a[0][:, idx]) + 1j * dd_value(a[1][:, idx])

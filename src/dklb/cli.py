@@ -26,7 +26,12 @@ from .errors import ConfigError, DklbError, LeakageError, NumericalError
 from .grid import l2_norm, write_snapshot
 from .norms import hs_norm, verify_smoothing, weighted_norm
 from .plots import emit_plot
-from .solver import etdrk4_solve, existence_time, picard_solve
+from .solver import (
+    contraction_threshold,
+    etdrk4_solve,
+    existence_time,
+    picard_solve,
+)
 
 # exit codes
 OK, NUMERICAL, VALIDATION = 0, 1, 2
@@ -225,13 +230,15 @@ def conjugate_check(cfg: ExperimentConfig, outdir: Path) -> int:
     if cfg.get("model", "preset") != "kdvks":
         raise ConfigError("model.preset: conjugate-check supports kdvks only "
                           "(the shifted operator polynomial needs even powers)")
-    header = ["b", "t", "rel_error", "bound_ratio", "delta", "mu"]
+    header = ["b", "t", "rel_error", "bound_ratio", "delta", "mu",
+              "boundary_leakage"]
     rows, worst = [], 0.0
     for b in cfg.get("conjugation", "b"):
         for t in cfg.get("conjugation", "t"):
             r = conjugation_check(f, phase, b, t,
                                   max_leakage=cfg.get("conjugation", "max_leakage"))
-            rows.append([b, t, r.rel_error, r.bound_ratio, r.delta, r.mu])
+            rows.append([b, t, r.rel_error, r.bound_ratio, r.delta, r.mu,
+                         r.boundary_leakage])
             worst = max(worst, r.rel_error)
     csv_path = outdir / "conjugate-check.csv"
     _write_csv(csv_path, header, rows)
@@ -275,7 +282,7 @@ def existence_time_cmd(cfg: ExperimentConfig, outdir: Path) -> int:
         for cstar in cfg.get("existence", "cstars"):
             t0, z0 = existence_time(u0_norm, phase, s=s, cstar=cstar)
             a_sum = norms.A2(phase, t0) + norms.A3(phase, s, t0)
-            threshold = float("inf") if z0 == 0 else 1.0 / (2.0 * cstar * z0)
+            threshold = contraction_threshold(cstar, z0)
             rows.append([u0_norm, cstar, t0, a_sum, threshold])
     csv_path = outdir / "existence-time.csv"
     _write_csv(csv_path, header, rows)

@@ -287,6 +287,14 @@ class ExperimentConfig:
         if self.get("brackets", "pairs") < 1:
             raise ConfigError(
                 f"brackets.pairs: must be >= 1, got {self.get('brackets', 'pairs')}")
+        if any(t < 0 for t in self.get("conjugation", "t")):
+            raise ConfigError(
+                f"conjugation.t: times must be nonnegative, got "
+                f"{self.get('conjugation', 't')}")
+        if self.get("conjugation", "max_leakage") < 0:
+            raise ConfigError(
+                f"conjugation.max_leakage: must be nonnegative, got "
+                f"{self.get('conjugation', 'max_leakage')}")
         if self.get("data", "width") <= 0:
             raise ConfigError(
                 f"data.width: must be positive, got {self.get('data', 'width')}")

@@ -89,7 +89,11 @@ def smoothing_A(a: float, b: float, s: float, phi: symbols.PhaseFunction,
         raise ValueError(f"horizon T must be >= 0, got {T}")
     inv_a = 0.0 if a == INF else 1.0 / a
     al = params.alpha
-    return math.exp(phi.eta * T) * T**inv_a + (a * al) ** (-inv_a) * T**al
+    try:
+        growth = math.exp(phi.eta * T)
+    except OverflowError:  # eta*T past the largest exponent: no finite bound
+        return INF
+    return growth * T**inv_a + (a * al) ** (-inv_a) * T**al
 
 
 def A2(phi: symbols.PhaseFunction, T: float) -> float:

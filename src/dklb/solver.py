@@ -298,6 +298,15 @@ def dissipation_residuals(traj: Trajectory) -> np.ndarray:
 # --- the existence horizon from the contraction bookkeeping ------------------
 
 
+def contraction_threshold(cstar: float, z0: float) -> float:
+    """1/(2*cstar*z0), the bound (A2+A3)(T) must stay under.
+
+    +inf when the product is zero: zero data, or a product that underflows.
+    """
+    denom = 2.0 * cstar * z0
+    return float("inf") if denom == 0.0 else 1.0 / denom
+
+
 def existence_time(u0_hs_norm: float, phi: symbols.PhaseFunction,
                    s: float = 0.0, cstar: float = 1.0) -> tuple[float, float]:
     """Largest horizon (capped at 1) the contraction bookkeeping certifies.
@@ -319,7 +328,7 @@ def existence_time(u0_hs_norm: float, phi: symbols.PhaseFunction,
     def a_sum(T: float) -> float:
         return norms.A2(phi, T) + norms.A3(phi, s, T)
 
-    threshold = 1.0 / (2.0 * cstar * z0)
+    threshold = contraction_threshold(cstar, z0)
     if a_sum(1.0) < threshold:
         return 1.0, z0
     lo = 1.0

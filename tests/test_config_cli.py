@@ -153,14 +153,26 @@ def test_empty_required_value_exits_2_and_names_the_field(runner, tmp_path, key)
 HOSTILE_VALUES = ("", "0", "-1", "nan", "inf", "1e308", "1e-320", "abc")
 
 
+def _hostile_cases():
+    # every key through existence-time, where kdvb needs no find_M scan and
+    # keeps the sweep fast; the keys conjugate-check reads through it, on
+    # the kdvks symbol it needs
+    for section, keys in _SCHEMA.items():
+        for key in keys:
+            if (section, key) != ("output", "dir"):
+                yield pytest.param(("existence-time", "-D", "model.preset=kdvb"),
+                                   f"{section}.{key}", id=f"{section}.{key}")
+    for section in ("model", "grid", "data", "conjugation"):
+        for key in _SCHEMA[section]:
+            yield pytest.param(("conjugate-check",), f"{section}.{key}",
+                               id=f"conjugate-check:{section}.{key}")
+
+
 @pytest.mark.parametrize("value", HOSTILE_VALUES)
-@pytest.mark.parametrize("key", [f"{section}.{key}"
-                                 for section, keys in _SCHEMA.items()
-                                 for key in keys if (section, key) != ("output", "dir")])
-def test_hostile_value_ends_in_an_exit_code(runner, tmp_path, key, value):
-    # kdvb needs no find_M scan, which keeps the sweep fast
-    result = runner.invoke(main, ["existence-time", "-D", "model.preset=kdvb",
-                                  "-D", f"{key}={value}",
+@pytest.mark.parametrize("command, key", _hostile_cases())
+def test_hostile_value_ends_in_an_exit_code(runner, tmp_path, command, key,
+                                            value):
+    result = runner.invoke(main, [*command, "-D", f"{key}={value}",
                                   "-D", f"output.dir={tmp_path}"])
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), \
@@ -173,6 +185,50 @@ def test_overflowing_custom_terms_exit_2_and_name_the_model(runner, tmp_path):
                                   "-D", f"output.dir={tmp_path}"])
     assert result.exit_code == 2, result.output
     assert "model:" in result.output
+
+
+@pytest.mark.parametrize("override", ["conjugation.t=0.05 -1",
+                                      "conjugation.max_leakage=-1"])
+def test_negative_conjugation_input_exits_2_and_names_the_field(runner,
+                                                                tmp_path,
+                                                                override):
+    result = runner.invoke(main, ["conjugate-check", "-D", override,
+                                  "-D", f"output.dir={tmp_path}"])
+    assert result.exit_code == 2, result.output
+    assert f"{override.split('=')[0]}: " in result.output
+    assert "nonnegative" in result.output
+
+
+@pytest.mark.parametrize("eta", ["65536", "1e308"])
+def test_existence_time_survives_an_overflowing_growth_factor(runner, tmp_path,
+                                                              eta):
+    # exp(eta*T) overflows at T = 1; the bisection must move to smaller T
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["existence-time", "-D", "model.preset=kdvb",
+                                  "-D", f"model.eta={eta}",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 0, result.output
+    lines = (out / "existence-time.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3 * 3
+    for line in lines[1:]:
+        _, _, t0, a_sum, threshold = map(float, line.split(","))
+        assert math.isfinite(t0) and 0.0 < t0 <= 1.0
+        assert a_sum < threshold
+
+
+def test_existence_time_with_underflowing_cstar_has_no_threshold(runner,
+                                                                 tmp_path):
+    # 2*cstar*z0 underflows to zero, so every horizon up to 1 is certified
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["existence-time",
+                                  "-D", "existence.cstars=1e-320",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 0, result.output
+    lines = (out / "existence-time.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3
+    for line in lines[1:]:
+        _, _, t0, _, threshold = map(float, line.split(","))
+        assert t0 == 1.0 and threshold == math.inf
 
 
 def test_verify_bracket_without_pairs_exits_2(runner, tmp_path):
@@ -235,7 +291,7 @@ def test_conjugate_check_writes_cell_table(runner, tmp_path):
                                   "-D", f"output.dir={out}"])
     assert result.exit_code == 0, result.output
     lines = (out / "conjugate-check.csv").read_text().splitlines()
-    assert lines[0] == "b,t,rel_error,bound_ratio,delta,mu"
+    assert lines[0] == "b,t,rel_error,bound_ratio,delta,mu,boundary_leakage"
     assert len(lines) == 1 + 2 * 2  # default b grid x t grid
 
 

@@ -7,6 +7,7 @@ significant digits, so agreement is asserted at 1e-28 relative or better.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -195,3 +196,78 @@ def test_dd_field_values_with_multiplier_match_double_flow():
     bulk = np.fft.ifft(flowed * grid.n)[idx]
     scale = np.max(np.abs(bulk))
     assert np.max(np.abs(vals - bulk)) <= 1e-12 * scale
+
+
+def _rounded(x: Fraction, digits: int) -> Fraction:
+    return Fraction(round(x * 10**digits), 10**digits)
+
+
+def _roots_frac(n: int, digits: int = 40):
+    # e^{2*pi*i*m/n} for m = 0..n-1 as (re, im) rationals rounded to
+    # 10^-digits: powers of the first root, carried to 1e-45 so that the
+    # drift of n products stays far below the final rounding
+    x = _rounded(2 * PI_FRAC / n, 45)
+    w1 = (_rounded(_cos_frac(x), 45), _rounded(_sin_frac(x), 45))
+    roots, w = [], (Fraction(1), Fraction(0))
+    for _ in range(n):
+        roots.append((_rounded(w[0], digits), _rounded(w[1], digits)))
+        w = (_rounded(w[0] * w1[0] - w[1] * w1[1], 45),
+             _rounded(w[0] * w1[1] + w[1] * w1[0], 45))
+    return roots
+
+
+@pytest.mark.parametrize("flow", [False, True])
+def test_dd_field_values_against_an_exact_dft(flow):
+    # sum_k c_k m_k e^{2*pi*i*k*j/n} at every node, in rational arithmetic;
+    # beyond the final rounding to complex128, the transform may lose at
+    # most 1e-30 * sum_k |c_k m_k| anywhere, tails included
+    n = 64
+    grid = SpectralGrid(n, 40.0)
+    f = gaussian_spectral(grid, center=-10.0, width=2.0)
+    spec = [(Fraction(float(c.real)), Fraction(float(c.imag))) for c in f.coeffs]
+    mult = None
+    plain = f.coeffs
+    if flow:
+        mult = dd_semigroup_multiplier(operator_polynomial(kdvks().phase),
+                                       0.1, grid)
+        (re_h, re_l), (im_h, im_l) = mult
+        m = [(_as_frac((re_h[k], re_l[k])), _as_frac((im_h[k], im_l[k])))
+             for k in range(n)]
+        spec = [(a * c - b * d, a * d + b * c) for (a, b), (c, d) in zip(spec, m)]
+        plain = f.coeffs * (re_h + re_l + 1j * (im_h + im_l))
+    tol = Fraction(1e-30 * sum(abs(complex(float(a), float(b))) for a, b in spec))
+    roots = _roots_frac(n)
+    exact = []
+    for j in range(n):
+        w = [roots[k * j % n] for k in range(n)]
+        exact.append((sum(a * c - b * d for (a, b), (c, d) in zip(spec, w)),
+                      sum(a * d + b * c for (a, b), (c, d) in zip(spec, w))))
+
+    def excess(values):
+        # largest error beyond half an ulp of the exact value plus tol
+        return max(abs(Fraction(float(part)) - want)
+                   - Fraction(math.ulp(float(want)) / 2) - tol
+                   for v, pair in zip(values, exact)
+                   for part, want in zip((v.real, v.imag), pair))
+
+    assert excess(dd_field_values(f.coeffs, grid, np.arange(n), mult)) <= 0
+    # the bound bites: a double-precision inverse FFT misses it
+    assert excess(np.fft.ifft(plain * n)) > 0
+
+
+def test_dd_field_values_memory_stays_small():
+    # 6143 seam nodes: the seam x modes direct sum this transform replaced
+    # held 32 MB in its first (seam, modes) array alone
+    grid = SpectralGrid(16384, 160.0)
+    f = gaussian_spectral(grid, center=-20.0, width=3.0)
+    idx = seam_indices(grid, 0.25)
+    assert idx.size == 6143
+    mult = dd_semigroup_multiplier(operator_polynomial(kdvks().phase), 0.1, grid)
+    dd_field_values(f.coeffs, grid, idx, mult)  # fill the per-n caches
+    tracemalloc.start()
+    try:
+        dd_field_values(f.coeffs, grid, idx, mult)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
