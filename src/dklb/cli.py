@@ -232,16 +232,17 @@ def conjugate_check(cfg: ExperimentConfig, outdir: Path) -> int:
                           "(the shifted operator polynomial needs even powers)")
     header = ["b", "t", "rel_error", "bound_ratio", "delta", "mu",
               "boundary_leakage"]
-    rows, worst = [], 0.0
+    rows = []
     for b in cfg.get("conjugation", "b"):
         for t in cfg.get("conjugation", "t"):
             r = conjugation_check(f, phase, b, t,
                                   max_leakage=cfg.get("conjugation", "max_leakage"))
             rows.append([b, t, r.rel_error, r.bound_ratio, r.delta, r.mu,
                          r.boundary_leakage])
-            worst = max(worst, r.rel_error)
     csv_path = outdir / "conjugate-check.csv"
     _write_csv(csv_path, header, rows)
+    # np.max propagates NaN; max() drops it unless it comes first
+    worst = float(np.max([row[2] for row in rows]))
     click.echo(f"wrote {csv_path}")
     click.echo(f"{len(rows)} cells, worst rel_error {worst!r}")
     return OK

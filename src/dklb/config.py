@@ -281,6 +281,9 @@ class ExperimentConfig:
             raise ConfigError(f"solver.dt: must be positive, got {dt}")
         if self.get("solver", "nt") < 2:
             raise ConfigError(f"solver.nt: must be >= 2, got {self.get('solver', 'nt')}")
+        if self.get("solver", "max_iter") < 1:
+            raise ConfigError(
+                f"solver.max_iter: must be >= 1, got {self.get('solver', 'max_iter')}")
         if self.get("ensemble", "size") < 1:
             raise ConfigError(
                 f"ensemble.size: must be >= 1, got {self.get('ensemble', 'size')}")

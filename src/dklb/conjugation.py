@@ -30,7 +30,7 @@ import numpy as np
 
 from . import symbols
 from ._seam import dd_field_values, dd_semigroup_multiplier, seam_indices
-from .errors import LeakageError, OverflowGuardWarning
+from .errors import LeakageError, NumericalError, OverflowGuardWarning
 from .fields import mollified_cusp, sample_ensemble
 from .grid import (
     SpectralField,
@@ -146,7 +146,9 @@ def conjugation_check(f: SpectralField, phi: symbols.PhaseFunction, b: float,
     The identity is exact on the line; on the periodic grid it holds to
     rounding only while the weighted field stays away from the boundary, so
     the check refuses (LeakageError) when either weighted field puts more
-    than max_leakage of its mass in the outer 5% of the domain.
+    than max_leakage of its mass in the outer 5% of the domain, or when a
+    leakage is not finite, whatever max_leakage is.  A rel_error that is not
+    finite raises NumericalError.
 
     Node values of f and V(t) f under the seam (where exp(b*x) amplifies by
     more than e^5) are recomputed in double-double, because an inverse FFT
@@ -179,7 +181,13 @@ def conjugation_check(f: SpectralField, phi: symbols.PhaseFunction, b: float,
         vvals[idx] = strip_v
     g = from_values(grid, fv * wv)
     a_side = from_values(grid, vvals * wv)
-    leakage = max(boundary_leakage(g), boundary_leakage(a_side))
+    leaks = (boundary_leakage(g), boundary_leakage(a_side))
+    if not all(map(math.isfinite, leaks)):
+        raise LeakageError(
+            f"weighted field leakage is {leaks[0]} and {leaks[1]}; the weighted "
+            "values are not finite"
+        )
+    leakage = max(leaks)
     if max_leakage is not None and leakage > max_leakage:
         raise LeakageError(
             f"weighted field leans on the boundary (leakage {leakage:.3e} > "
@@ -189,6 +197,8 @@ def conjugation_check(f: SpectralField, phi: symbols.PhaseFunction, b: float,
     b_side = apply_multiplier(g, shifted_multiplier(phi, b, t, grid.xi), False)
     na = l2_norm(a_side)
     rel = l2_norm(a_side - b_side) / na if na else 0.0
+    if not math.isfinite(rel):
+        raise NumericalError(f"conjugation rel_error is {rel} at b={b:g}, t={t:g}")
     ng = l2_norm(g)
     denom = math.exp(-t * decay_shift(b, eta)) * (1.0 + math.exp(t)) * ng
     ratio = na / denom if denom else 0.0

@@ -10,6 +10,13 @@ the Picard iteration solves the integral (Duhamel) form on a coarse stored
 time grid, while ETDRK4 steps the differential form with exponential
 integrator coefficients.  Cross-checking them is the point, so neither may
 call the other.
+
+Both routes run on the coefficients of the kept modes and evaluate the
+advection term through one kernel, _advection.  A real flow
+(real data and an even symbol) keeps modes 0..N/2, a half spectrum, and
+transforms with irfft/rfft; a complex flow keeps every mode and uses
+ifft/fft.  Full spectra, with the negative modes filled in as conjugates,
+are built only where a SpectralField is returned or measured.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ from . import norms, symbols
 from .errors import NumericalError
 from .grid import (
     SpectralField,
+    SpectralGrid,
     Trajectory,
     apply_multiplier,
-    dealiased_product,
     derivative,
     l2_norm,
 )
@@ -44,13 +51,56 @@ def linear_trajectory(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     return Trajectory(u0.grid, phi, times, snaps, "linear")
 
 
+def _advection(grid: SpectralGrid, real: bool):
+    """The kept modes and the advection map v -> -1/2 d/dx P(u^2) on them.
+
+    P is the dealias truncation, applied to u before squaring and to the
+    square after.  A real field keeps modes 0..N/2 and transforms with
+    irfft/rfft; a complex field keeps every mode and uses ifft/fft.
+    Returns (keep, advect): keep slices the kept modes out of an FFT-order
+    spectrum, and advect maps kept coefficients to kept coefficients.
+    """
+    n = grid.n
+    if real:
+        keep = slice(0, n // 2 + 1)
+        to_nodes, to_modes = np.fft.irfft, np.fft.rfft
+    else:
+        keep = slice(0, n)
+        to_nodes, to_modes = np.fft.ifft, np.fft.fft
+    mask = grid.dealias_mask[keep]
+    gain = mask * (-0.5j * grid.xi_odd[keep]) / n
+
+    def advect(v: np.ndarray) -> np.ndarray:
+        u = to_nodes(np.where(mask, v, 0.0), n) * n
+        return gain * to_modes(u * u)
+
+    return keep, advect
+
+
+def _full_spectrum(v: np.ndarray, n: int, real: bool) -> np.ndarray:
+    """The FFT-order spectra whose kept modes are v, along the last axis.
+
+    A real field's modes -N/2+1..-1 are the conjugates of modes N/2-1..1, an
+    exact Hermitian extension into a new array; a complex field keeps every
+    mode already, so v itself is returned.
+    """
+    if not real:
+        return v
+    full = np.empty(v.shape[:-1] + (n,), dtype=complex)
+    full[..., : n // 2 + 1] = v
+    full[..., n // 2 + 1:] = np.conj(v[..., n // 2 - 1:0:-1])
+    return full
+
+
 def nonlinearity(f: SpectralField) -> SpectralField:
     """The advection term as fed to Duhamel: -1/2 d/dx of the dealiased square.
 
     Equals -u*u_x up to dealiasing; its zero mode vanishes identically
     because it is a total derivative.
     """
-    return derivative(dealiased_product(f, f)) * (-0.5)
+    keep, advect = _advection(f.grid, f.is_real)
+    out = advect(f.coeffs[keep])
+    return SpectralField(f.grid, _full_spectrum(out, f.grid.n, f.is_real), f.is_real)
 
 
 # --- Picard iteration on the integral form ----------------------------------
@@ -119,6 +169,13 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     start from the linear flow; convergence is sup-in-time H^s distance
     <= tol between successive iterates.
 
+    The sweep runs on the kept modes of _advection (0..N/2 for a real flow,
+    all of them for a complex one): the multipliers are one (nt+1, modes)
+    array, the advection kernel is applied one node at a time, and node i's
+    quadrature sum is one array expression over the nodes j <= i.  Only the
+    current and the new iterate are held as full spectra, for the distances,
+    the diagnostics and the returned trajectory.
+
     Returns the last iterate as a trajectory plus a ContractionReport with
     per-iterate distances and layered norm diagnostics.  Non-convergence is
     reported, not raised; NaN/overflow aborts with NumericalError.
@@ -127,30 +184,32 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         raise ValueError(f"horizon T must be positive, got {T}")
     if nt < 2 or nt % 2:
         raise ValueError(f"nt must be a positive even integer, got {nt}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if cstar <= 0:
         raise ValueError(f"cstar must be positive, got {cstar}")
+    grid = u0.grid
     dt = T / nt
     times = np.linspace(0.0, T, nt + 1)
     is_real = u0.is_real and phi.is_even
+    keep, advect = _advection(grid, is_real)
 
-    # exact flow multipliers for every node separation k*dt
-    mults = [symbols.flow_multiplier(phi, k * dt, u0.grid) for k in range(nt + 1)]
+    # exact flow multipliers for every node separation k*dt, one row each,
+    # stored latest first so that row i's sweep reads a contiguous block
+    mults = np.array([symbols.flow_multiplier(phi, k * dt, grid)[keep]
+                      for k in range(nt, -1, -1)])
     weights = [_simpson_weights(i, dt) for i in range(nt + 1)]
+    linear = u0.coeffs[keep] * mults[::-1]
 
-    linear = [apply_multiplier(u0, mults[i], phi.is_even) for i in range(nt + 1)]
-
-    def duhamel(iterate: list[SpectralField]) -> list[SpectralField]:
-        if not nonlinear:
-            return [f.copy() for f in linear]
-        nl = [nonlinearity(f) for f in iterate]
-        out = []
-        for i in range(nt + 1):
-            acc = linear[i].coeffs.copy()
-            w = weights[i]
-            for j in range(i + 1):
-                if w[j]:
-                    acc += w[j] * mults[i - j] * nl[j].coeffs
-            out.append(SpectralField(u0.grid, acc, is_real))
+    def duhamel(iterate: np.ndarray) -> np.ndarray:
+        # full spectra of the iterate in, kept modes of its image out
+        out = linear.copy()
+        if nonlinear:
+            nl = np.empty_like(linear)
+            for j, row in enumerate(iterate):
+                nl[j] = advect(row[keep])
+            for i in range(1, nt + 1):
+                out[i] += weights[i] @ (mults[nt - i:] * nl[: i + 1])
         return out
 
     notes: list[str] = []
@@ -161,7 +220,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         )
 
     z_bound = 2.0 * cstar * norms.hs_norm(u0, s)
-    current = linear
+    current = _full_spectrum(linear, grid.n, is_real)
     distances: list[float] = []
     lambdas: list[dict[str, float]] = []
     converged = False
@@ -169,15 +228,19 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     for _ in range(max_iter):
         new = duhamel(current)
         iterations += 1
-        if not all(np.all(np.isfinite(f.coeffs)) for f in new):
+        if not np.all(np.isfinite(new)):
             raise NumericalError(
                 f"Picard iterate {iterations} lost finiteness (NaN/overflow)"
             )
+        new = _full_spectrum(new, grid.n, is_real)
         dist = max(
-            norms.hs_norm(a - b, s) for a, b in zip(new, current)
+            norms.hs_norm(SpectralField(grid, a - b, is_real), s)
+            for a, b in zip(new, current)
         )
         distances.append(dist)
-        traj = Trajectory(u0.grid, phi, times, new, "picard")
+        traj = Trajectory(grid, phi, times,
+                          [SpectralField(grid, row, is_real) for row in new],
+                          "picard")
         lambdas.append(norms.lambda_diagnostics(traj, s, weight_r, weight_b))
         current = new
         if dist <= tol:
@@ -191,7 +254,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         )
     report = ContractionReport(converged, iterations, distances, lambdas,
                                z_bound, T, tol, notes)
-    return Trajectory(u0.grid, phi, times, current, "picard"), report
+    return traj, report
 
 
 # --- ETDRK4 on the differential form ----------------------------------------
@@ -232,6 +295,12 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     T must be an integer multiple of dt.  With nonlinear=False each step is
     exactly the flow multiplier, reproducing apply_semigroup.  NaN or
     overflow aborts with the offending step index.
+
+    The stages run on the kept modes of _advection, with the multipliers
+    and coefficients sliced to them once: modes 0..N/2 through irfft/rfft
+    for a real flow, every mode through ifft/fft for a complex one.  Each
+    stored snapshot after the first is extended to a full spectrum; the
+    first is a copy of u0.
     """
     if dt <= 0 or T <= 0:
         raise ValueError("T and dt must be positive")
@@ -243,36 +312,33 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         raise ValueError("snapshot_stride must be >= 1")
 
     grid = u0.grid
-    E = symbols.flow_multiplier(phi, dt, grid)
-    E2 = symbols.flow_multiplier(phi, dt / 2.0, grid)
-    c = 1j * grid.xi_odd**3 + phi.eta * symbols.phase_eval(phi, grid.xi)
+    is_real = u0.is_real and phi.is_even
+    keep, advect = _advection(grid, is_real)
+    N = advect if nonlinear else np.zeros_like
+    E = symbols.flow_multiplier(phi, dt, grid)[keep]
+    E2 = symbols.flow_multiplier(phi, dt / 2.0, grid)[keep]
+    c = 1j * grid.xi_odd[keep]**3 + phi.eta * symbols.phase_eval(phi, grid.xi[keep])
     z = np.minimum(c.real * dt, symbols.EXP_REAL_CAP) + 1j * c.imag * dt
     Q, f1, f2, f3 = _etdrk4_coeffs(z, dt, contour_points)
 
-    def nl_coeffs(coeffs: np.ndarray, is_real: bool) -> np.ndarray:
-        if not nonlinear:
-            return np.zeros_like(coeffs)
-        f = SpectralField(grid, coeffs, is_real)
-        return nonlinearity(f).coeffs
-
-    v = u0.coeffs.copy()
-    is_real = u0.is_real and phi.is_even
+    v = u0.coeffs[keep]
     times = [0.0]
-    snaps = [SpectralField(grid, v.copy(), u0.is_real)]
+    snaps = [u0.copy()]
     for step in range(1, steps + 1):
-        Nv = nl_coeffs(v, is_real)
+        Nv = N(v)
         a = E2 * v + Q * Nv
-        Na = nl_coeffs(a, is_real)
+        Na = N(a)
         b = E2 * v + Q * Na
-        Nb = nl_coeffs(b, is_real)
+        Nb = N(b)
         cc = E2 * a + Q * (2.0 * Nb - Nv)
-        Nc = nl_coeffs(cc, is_real)
+        Nc = N(cc)
         v = E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
         if not np.all(np.isfinite(v)):
             raise NumericalError(f"ETDRK4 lost finiteness at step {step}")
         if step % snapshot_stride == 0 or step == steps:
             times.append(step * dt)
-            snaps.append(SpectralField(grid, v.copy(), is_real))
+            snaps.append(SpectralField(grid, _full_spectrum(v, grid.n, is_real),
+                                       is_real))
     return Trajectory(grid, phi, np.array(times), snaps, "etdrk4")
 
 

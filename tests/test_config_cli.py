@@ -166,6 +166,13 @@ def _hostile_cases():
         for key in _SCHEMA[section]:
             yield pytest.param(("conjugate-check",), f"{section}.{key}",
                                id=f"conjugate-check:{section}.{key}")
+    # both solver routes, on kdvb's real flow
+    for command in ("simulate", "picard"):
+        for section in ("model", "grid", "data", "solver"):
+            for key in _SCHEMA[section]:
+                yield pytest.param((command, "-D", "model.preset=kdvb"),
+                                   f"{section}.{key}",
+                                   id=f"{command}:{section}.{key}")
 
 
 @pytest.mark.parametrize("value", HOSTILE_VALUES)
@@ -229,6 +236,26 @@ def test_existence_time_with_underflowing_cstar_has_no_threshold(runner,
     for line in lines[1:]:
         _, _, t0, _, threshold = map(float, line.split(","))
         assert t0 == 1.0 and threshold == math.inf
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_picard_without_iterations_exits_2_and_names_the_field(runner, tmp_path,
+                                                               value):
+    result = runner.invoke(main, ["picard", "-D", f"solver.max_iter={value}",
+                                  "-D", f"output.dir={tmp_path}"])
+    assert result.exit_code == 2, result.output
+    assert "solver.max_iter: must be >= 1" in result.output
+
+
+def test_conjugate_check_refuses_non_finite_leakage(runner, tmp_path):
+    # the weighted values overflow to nan; the guard must not read that as small
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["conjugate-check", "-D", "data.amplitude=1e308",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 1, result.output
+    assert "numerical failure" in result.output
+    assert "not finite" in result.output
+    assert not (out / "conjugate-check.csv").exists()
 
 
 def test_verify_bracket_without_pairs_exits_2(runner, tmp_path):

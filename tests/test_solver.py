@@ -1,25 +1,31 @@
 """Time evolution: semigroup, Picard contraction, ETDRK4, existence times."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dklb import symbols
 from dklb.errors import NumericalError
-from dklb.fields import gaussian, normalize_l2
+from dklb.fields import gaussian, normalize_l2, random_mixture
 from dklb.grid import (
+    SpectralField,
     SpectralGrid,
     dealiased_product,
     derivative,
     from_coeffs,
     from_values,
+    hermitian_defect_of,
     l2_norm,
     multiplier_preserves_real,
     to_values,
 )
 from dklb.norms import A2, A3, hs_norm
 from dklb.solver import (
+    _advection,
+    _full_spectrum,
+    _simpson_weights,
     apply_semigroup,
     dissipation_residuals,
     etdrk4_solve,
@@ -88,6 +94,118 @@ def test_nonlinearity_forms_agree(grid256, rng):
     assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-10 * scale
 
 
+def _band_limited(grid, rng, band=20):
+    # a real field whose modes lie well inside the dealias band
+    c = np.zeros(grid.n, dtype=complex)
+    lo = rng.standard_normal(band) + 1j * rng.standard_normal(band)
+    c[1:band + 1] = lo
+    c[-band:] = np.conj(lo[::-1])
+    c[0] = rng.standard_normal()
+    return c
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_advection_conserves_l2(grid256, rng, real):
+    # <u, -1/2 (P u^2)_x> = 1/2 <u_x, u^2> = 0 for real u in the band; a
+    # constant phase times a real field keeps the real part of it zero, so
+    # the complex kernel is tried on genuinely complex data
+    for _ in range(5):
+        c = _band_limited(grid256, rng)
+        if not real:
+            c = c * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        keep, advect = _advection(grid256, real)
+        nl = _full_spectrum(advect(c[keep]), grid256.n, real)
+        inner = np.vdot(c, nl).real
+        scale = (np.vdot(c, c).real * np.max(np.abs(grid256.xi))
+                 * np.max(np.abs(np.fft.ifft(c) * grid256.n)))
+        assert abs(inner) <= 1e-15 * scale, (inner, scale)
+
+
+def test_real_nonlinearity_is_hermitian_and_matches_the_complex_path(grid256, rng):
+    for _ in range(5):
+        f = from_values(grid256, rng.standard_normal(grid256.n))
+        real = nonlinearity(f)
+        assert real.is_real
+        assert hermitian_defect_of(real.coeffs) == 0.0
+        cplx = nonlinearity(SpectralField(grid256, f.coeffs, False))
+        scale = np.max(np.abs(cplx.coeffs))
+        assert np.max(np.abs(real.coeffs - cplx.coeffs)) <= 1e-14 * scale
+
+
+def test_full_spectrum_extends_half_spectra_exactly(grid256, rng):
+    x = rng.standard_normal((2, grid256.n))
+    half = np.fft.rfft(x) / grid256.n
+    full = _full_spectrum(half, grid256.n, True)
+    assert np.array_equal(full[:, : grid256.n // 2 + 1], half)
+    for row in full:
+        assert hermitian_defect_of(row) == 0.0
+    assert np.allclose(full, np.fft.fft(x) / grid256.n, rtol=0.0, atol=1e-14)
+    c = full[0] * 1j
+    assert _full_spectrum(c, grid256.n, False) is c
+
+
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
+def test_nonlinearity_matches_the_dealiased_product(rng, fraction):
+    # the kernel against -1/2 d/dx of grid.dealiased_product on full-band
+    # data, real and complex, with and without a live Nyquist mode
+    grid = SpectralGrid(256, 40.0, fraction)
+    f = from_values(grid, rng.standard_normal(grid.n))
+    for u in (f, from_values(grid, rng.standard_normal(grid.n)
+                             + 1j * rng.standard_normal(grid.n))):
+        ref = derivative(dealiased_product(u, u)) * (-0.5)
+        got = nonlinearity(u)
+        assert got.is_real == ref.is_real == u.is_real
+        scale = np.max(np.abs(ref.coeffs))
+        assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-14 * scale
+
+
+def test_picard_memory_stays_small(kdvks_phi):
+    # the two-routes benchmark problem; the parent of the half-spectrum
+    # sweep peaked at 26.5 MiB here
+    grid = SpectralGrid(2048, 40.0)
+    u0 = normalize_l2(random_mixture(grid, np.random.default_rng(1)), 0.1)
+    tracemalloc.start()
+    try:
+        _, rep = picard_solve(u0, kdvks_phi, T=0.1, nt=128, max_iter=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations == 3
+    assert peak < 25 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
+def test_picard_sweep_matches_the_loop_reference(grid256, name):
+    # one Duhamel sweep of the linear flow, summed term by term over (i, j)
+    # on full spectra with grid.dealiased_product, against max_iter=1
+    phi = symbols.preset(name).phase
+    u0 = normalize_l2(gaussian(grid256, width=1.5), 0.5)
+    T, nt = 0.1, 16
+    dt = T / nt
+    traj, _ = picard_solve(u0, phi, T, nt=nt, max_iter=1)
+    mults = [symbols.flow_multiplier(phi, k * dt, grid256) for k in range(nt + 1)]
+    linear = [u0.coeffs * m for m in mults]
+    nl = [-0.5 * derivative(dealiased_product(f, f)).coeffs
+          for f in (SpectralField(grid256, c, traj.final.is_real) for c in linear)]
+    # the sums run in another order, and the iterate carries the rounding
+    # of the linear part it is added to
+    floor = 1e-14 * np.max(np.abs(u0.coeffs))
+    for i in range(nt + 1):
+        w = _simpson_weights(i, dt)
+        ref = np.zeros(grid256.n, dtype=complex)
+        for j in range(i + 1):
+            ref += w[j] * mults[i - j] * nl[j]
+        got = traj.snapshots[i].coeffs - linear[i]
+        assert np.max(np.abs(got - ref)) <= floor + 1e-12 * np.max(np.abs(ref)), (name, i)
+
+
+def test_picard_rejects_no_iterations(grid256, kdvks_phi):
+    u0 = gaussian(grid256)
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter"):
+            picard_solve(u0, kdvks_phi, T=0.1, nt=8, max_iter=max_iter)
+
+
 def test_nonlinearity_has_zero_mean(grid256, rng):
     f = from_values(grid256, rng.standard_normal(grid256.n))
     assert abs(nonlinearity(f).coeffs[0]) <= 1e-14
@@ -129,6 +247,24 @@ def test_picard_matches_etdrk4(grid256, kdvks_phi):
     sup = max(
         l2_norm(a - b) for a, b in zip(traj_p.snapshots, traj_e.snapshots))
     assert sup <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["kdvb", "ost", "optimality:2"])
+def test_picard_matches_etdrk4_on_more_symbols(grid256, name):
+    # criterion 04's comparison on the real path (kdvb, ost) and the complex
+    # path (optimality:2) of the advection kernel
+    phi = symbols.preset(name).phase
+    u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
+    traj, report = picard_solve(u0, phi, 0.1, nt=64, tol=1e-8)
+    assert report.converged
+    ref = etdrk4_solve(u0, phi, 0.1, 1e-3, snapshot_stride=25)
+    assert traj.final.is_real == ref.final.is_real == phi.is_even
+    sup = 0.0
+    for k, t in enumerate(ref.times):
+        i = int(round(t / (0.1 / 64)))
+        assert abs(traj.times[i] - t) < 1e-12
+        sup = max(sup, l2_norm(traj.snapshots[i] - ref.snapshots[k]))
+    assert sup <= 1e-10
 
 
 def test_picard_reports_nonconvergence(grid256, kdvks_phi):
