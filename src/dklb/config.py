@@ -281,6 +281,9 @@ class ExperimentConfig:
             raise ConfigError(f"solver.dt: must be positive, got {dt}")
         if self.get("solver", "nt") < 2:
             raise ConfigError(f"solver.nt: must be >= 2, got {self.get('solver', 'nt')}")
+        if self.get("solver", "tol") <= 0:
+            raise ConfigError(
+                f"solver.tol: must be positive, got {self.get('solver', 'tol')}")
         if self.get("solver", "max_iter") < 1:
             raise ConfigError(
                 f"solver.max_iter: must be >= 1, got {self.get('solver', 'max_iter')}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalError
 from .grid import SpectralField, SpectralGrid, from_values, l2_norm
 
 
@@ -51,7 +52,9 @@ def random_mixture(grid: SpectralGrid, rng: np.random.Generator) -> SpectralFiel
 
     1 to 5 bumps, widths in [0.5, 4], centers in the middle half of the
     domain, standard-normal amplitudes.  Degenerate near-cancellations are
-    resampled so normalization never amplifies noise.
+    resampled so normalization never amplifies noise; a grid on which every
+    draw degenerates (bumps far narrower or wider than the grid resolves)
+    raises NumericalError.
     """
     for _ in range(100):
         bumps = int(rng.integers(1, 6))
@@ -64,7 +67,9 @@ def random_mixture(grid: SpectralGrid, rng: np.random.Generator) -> SpectralFiel
         f = from_values(grid, vals)
         if l2_norm(f) > 1e-8:
             return normalize_l2(f)
-    raise RuntimeError("could not draw a non-degenerate mixture")
+    raise NumericalError(
+        f"could not draw a non-degenerate mixture on grid n={grid.n}, "
+        f"l={grid.length!r}: 100 draws all had L2 norm <= 1e-8")
 
 
 def sample_ensemble(grid: SpectralGrid, size: int, seed: int) -> list[SpectralField]:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import symbols
+from .errors import NumericalError
 from .fields import sample_ensemble
 from .grid import (
     SpectralField,
@@ -115,9 +116,12 @@ def A6(phi: symbols.PhaseFunction, T: float) -> float:
 
 
 def hs_norm(f: SpectralField, s: float = 0.0) -> float:
-    """Sobolev norm ||(1+xi^2)^(s/2) u||_{L2}."""
+    """Sobolev norm ||(1+xi^2)^(s/2) u||_{L2}; NumericalError if not finite."""
     w = (1.0 + f.grid.xi**2) ** (s / 2.0)
-    return float(np.sqrt(f.grid.length) * np.linalg.norm(w * f.coeffs))
+    norm = float(np.sqrt(f.grid.length) * np.linalg.norm(w * f.coeffs))
+    if not math.isfinite(norm):
+        raise NumericalError(f"H^s norm at s={s!r} is not finite ({norm!r})")
+    return norm
 
 
 def lp_norm(f: SpectralField, p: float) -> float:

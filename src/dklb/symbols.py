@@ -15,12 +15,13 @@ leading -|xi|**p term dominates the corrections, and the solution multiplier.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, OverflowGuardWarning
+from .errors import OverflowGuardWarning
 
 # Real exponents above this are clamped so exp() stays finite for pathological
 # user symbols; a warning is recorded whenever the clamp fires.
@@ -62,7 +63,10 @@ class PhaseFunction:
     eta > 0 is the dissipation strength multiplying the symbol in the
     evolution.  M is the smallest threshold such that for all |xi| >= M the
     leading term dominates:  Phi1(xi) <= |xi|**p / 2  and  |Phi(xi)| >=
-    |xi|**p / 2.  It is computed at construction and never changes.
+    |xi|**p / 2.  It is computed once, at construction, by find_M: the
+    largest positive root of x**p/2 - Phi1(+-x), found by Rolle recursion
+    and bisection and then stepped up with math.nextafter until both
+    conditions hold at M itself.
     """
 
     p: float
@@ -119,18 +123,22 @@ def _dominance_holds(phi: PhaseFunction, x: float) -> bool:
     return True
 
 
-def find_M(phi: PhaseFunction, rel_tol: float = 1e-12) -> float:
+def find_M(phi: PhaseFunction) -> float:
     """Smallest M >= 0 such that the leading term dominates for all |xi| >= M.
 
-    Dominance means Phi1(xi) <= |xi|**p/2 and |Phi(xi)| >= |xi|**p/2.  A
-    term-wise bound gives a tail point beyond which dominance provably holds
-    (possible because every correction degree is < p); a fine scan of
-    [0, tail] locates the last violating point and bisection pins the
-    boundary to relative tolerance rel_tol.  The returned M satisfies both
-    conditions itself.
+    Dominance means Phi1(xi) <= |xi|**p/2 and |Phi(xi)| >= |xi|**p/2.  The
+    first condition implies the second (Phi = -|xi|**p + Phi1 <= -|xi|**p/2),
+    so dominance fails exactly where one of the generalized polynomials
+
+        g_s(x) = x**p / 2 - sum_i c_i * s**m_i * x**(m_i + n_i),  s = +1, -1,
+
+    is negative, and M is the largest root at which some g_s turns
+    nonnegative.  A term-wise bound gives a tail beyond which every g_s is
+    positive (every correction degree is < p); the roots in [0, tail] come
+    from _sign_changes, exact to the last bit the float evaluation resolves.
+    M then steps up with math.nextafter, the step doubling, until
+    _dominance_holds, so the returned M satisfies both conditions itself.
     """
-    if not phi.terms:
-        return 0.0
     # Tail bound: sum_i |c_i| x**deg_i <= x**p / 2 holds term-wise once
     # |c_i| x**deg_i <= x**p / (2k) for each of the k terms.
     k = len(phi.terms)
@@ -141,27 +149,55 @@ def find_M(phi: PhaseFunction, rel_tol: float = 1e-12) -> float:
         tail = max(tail, (2.0 * k * abs(t.coeff)) ** (1.0 / (phi.p - t.degree)))
     tail *= 1.25  # safety margin against rounding of the bound itself
 
-    for _ in range(64):
-        xs = np.linspace(0.0, tail, 8193)
-        ok = np.array([_dominance_holds(phi, float(x)) for x in xs])
-        if ok[-1]:
-            break
-        tail *= 2.0
-    else:
-        raise NumericalError("could not locate a dominance region for the symbol")
+    M = 0.0
+    for s in (1.0, -1.0):
+        poly = {phi.p: 0.5}
+        for t in phi.terms:  # terms sharing a degree merge into one
+            poly[t.degree] = poly.get(t.degree, 0.0) - t.coeff * s**t.m
+        M = max([M, *_sign_changes(
+            sorted((e, a) for e, a in poly.items() if a != 0.0), tail)])
+    gap = 0.0
+    while not _dominance_holds(phi, M):
+        M = math.nextafter(M + gap, math.inf)
+        gap = 2.0 * gap or math.ulp(M)
+    return M
 
-    bad = np.nonzero(~ok)[0]
-    if bad.size == 0:
-        return 0.0
-    lo = float(xs[bad[-1]])                      # violates
-    hi = float(xs[min(bad[-1] + 1, len(xs) - 1)])  # holds
-    while hi - lo > rel_tol * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if _dominance_holds(phi, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+
+def _sign_changes(poly, hi: float) -> list[float]:
+    """Points of (0, hi] where sum a * x**e turns negative or nonnegative.
+
+    poly lists (exponent, coefficient) pairs by ascending exponent, every
+    coefficient nonzero.  Rolle recursion: divided by its lowest power the
+    sum keeps its positive roots, and its derivative has one term fewer.
+    The derivative's sign changes cut [0, hi] into pieces on which the sum
+    is monotone, so each piece holds at most one sign change, and bisection
+    pins it to adjacent floats; the nonnegative side is returned.  At the
+    left end the sum equals its lowest-order coefficient, even where an
+    exponent gap below 1 makes the derivative blow up there.
+    """
+    low = poly[0][0]
+    poly = [(e - low, a) for e, a in poly]
+    if len(poly) == 1:
+        return []
+
+    def negative(x):
+        return (sum(a * x**e for e, a in poly) if x > 0.0 else poly[0][1]) < 0.0
+
+    cuts = [0.0, *_sign_changes([(e - 1.0, a * e) for e, a in poly[1:]], hi), hi]
+    roots = []
+    for lo, up in zip(cuts, cuts[1:]):
+        neg_lo = negative(lo)
+        if neg_lo == negative(up):
+            continue
+        mid = 0.5 * (lo + up)
+        while lo < mid < up:
+            if negative(mid) == neg_lo:
+                lo = mid
+            else:
+                up = mid
+            mid = 0.5 * (lo + up)
+        roots.append(up if neg_lo else lo)
+    return roots
 
 
 def semigroup_multiplier(phi: PhaseFunction, t: float, xi):

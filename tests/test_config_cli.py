@@ -154,9 +154,8 @@ HOSTILE_VALUES = ("", "0", "-1", "nan", "inf", "1e308", "1e-320", "abc")
 
 
 def _hostile_cases():
-    # every key through existence-time, where kdvb needs no find_M scan and
-    # keeps the sweep fast; the keys conjugate-check reads through it, on
-    # the kdvks symbol it needs
+    # every key through existence-time on kdvb; the keys conjugate-check
+    # reads through it, on the kdvks symbol it needs
     for section, keys in _SCHEMA.items():
         for key in keys:
             if (section, key) != ("output", "dir"):
@@ -173,6 +172,12 @@ def _hostile_cases():
                 yield pytest.param((command, "-D", "model.preset=kdvb"),
                                    f"{section}.{key}",
                                    id=f"{command}:{section}.{key}")
+    # the ensemble verifier, on a small ensemble
+    for section in ("model", "grid", "data", "ensemble", "smoothing"):
+        for key in _SCHEMA[section]:
+            yield pytest.param(("verify-smoothing", "-D", "ensemble.size=4"),
+                               f"{section}.{key}",
+                               id=f"verify-smoothing:{section}.{key}")
 
 
 @pytest.mark.parametrize("value", HOSTILE_VALUES)
@@ -245,6 +250,39 @@ def test_picard_without_iterations_exits_2_and_names_the_field(runner, tmp_path,
                                   "-D", f"output.dir={tmp_path}"])
     assert result.exit_code == 2, result.output
     assert "solver.max_iter: must be >= 1" in result.output
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_picard_without_a_positive_tolerance_exits_2_and_names_the_field(
+        runner, tmp_path, value):
+    result = runner.invoke(main, ["picard", "-D", f"solver.tol={value}",
+                                  "-D", f"output.dir={tmp_path}"])
+    assert result.exit_code == 2, result.output
+    assert "solver.tol: must be positive" in result.output
+
+
+@pytest.mark.parametrize("command", ["simulate", "picard"])
+def test_non_finite_sobolev_norm_exits_1(runner, tmp_path, command):
+    # (1+xi^2)^(s/2) overflows at s = 1e308: no nan may reach the CSV, and
+    # Picard must not iterate on nan distances
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "-D", "model.preset=kdvb",
+                                  "-D", "solver.s=1e308",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 1, result.output
+    assert "H^s norm at s=1e+308 is not finite" in result.output
+    assert not (out / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("length", ["1e308", "1e-320"])
+def test_degenerate_mixture_grid_exits_1_and_names_the_length(runner, tmp_path,
+                                                              length):
+    result = runner.invoke(main, ["verify-smoothing", "-D", f"grid.l={length}",
+                                  "-D", "ensemble.size=4",
+                                  "-D", f"output.dir={tmp_path}"])
+    assert result.exit_code == 1, result.output
+    assert "could not draw a non-degenerate mixture" in result.output
+    assert f"l={float(length)!r}" in result.output
 
 
 def test_conjugate_check_refuses_non_finite_leakage(runner, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dklb import solver, symbols
+from dklb.errors import NumericalError
 from dklb.fields import gaussian, normalize_l2, random_mixture, sample_ensemble
 from dklb.grid import (
     SpectralGrid,
@@ -99,6 +100,17 @@ def test_hs_norm_at_zero_is_l2(random_real_field):
 def test_hs_norm_monotone_in_s(random_real_field):
     norms = [hs_norm(random_real_field, s) for s in (0.0, 0.5, 1.0, 2.0)]
     assert all(a <= b * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
+
+
+def test_hs_norm_refuses_a_non_finite_result(random_real_field):
+    with pytest.raises(NumericalError, match="not finite"):
+        hs_norm(random_real_field, 1e308)
+
+
+def test_random_mixture_on_a_degenerate_grid_raises_numerical_error():
+    # bumps of width >= 0.5 fall between nodes spaced 1e306 apart
+    with pytest.raises(NumericalError, match="non-degenerate mixture"):
+        random_mixture(SpectralGrid(64, 1e308), np.random.default_rng(0))
 
 
 def test_hs_norm_of_pure_mode(grid256):

@@ -69,6 +69,68 @@ def test_threshold_is_sharp(name):
     assert not _dominates(phi, 0.99 * M)
 
 
+@pytest.mark.parametrize("name", ["ost", "kdvks"])
+def test_threshold_is_root_two_to_the_last_bits(name):
+    M = find_M(preset(name).phase)
+    assert abs(M - math.sqrt(2)) <= 4 * math.ulp(math.sqrt(2))
+
+
+def test_threshold_finds_a_band_narrower_than_any_scan_step():
+    # g = x^2 ((x-10)^2/2 - 1e-10) dips below zero only on 10 -+ 1.414e-5
+    phi = PhaseFunction(p=4.0, terms=(PhaseTerm(10.0, 0, 3.0),
+                                      PhaseTerm(-(50.0 - 1e-10), 0, 2.0)))
+    assert not symbols._dominance_holds(phi, 10.0)
+    M = find_M(phi)
+    assert M > 10.0
+    assert M == pytest.approx(10.0 + math.sqrt(2e-10), rel=1e-9)
+    assert symbols._dominance_holds(phi, M)
+
+
+MULTI_TERM_SYMBOLS = {
+    # real exponents, mixed signs, a sign-carrying odd term, a constant
+    "three-terms": PhaseFunction(p=3.7, terms=(PhaseTerm(2.0, 0, 1.3),
+                                               PhaseTerm(-1.5, 1, 0.7),
+                                               PhaseTerm(0.8, 0, 0.4))),
+    "four-terms": PhaseFunction(p=5.5, terms=(PhaseTerm(3.0, 0, 4.1),
+                                              PhaseTerm(-4.0, 0, 2.6),
+                                              PhaseTerm(1.0, 1, 0.25),
+                                              PhaseTerm(2.0, 0, 0.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_TERM_SYMBOLS))
+def test_multi_term_real_exponent_threshold_is_sharp(name):
+    phi = MULTI_TERM_SYMBOLS[name]
+    M = find_M(phi)
+    assert M > 1.0
+    assert symbols._dominance_holds(phi, M)
+    assert not symbols._dominance_holds(phi, math.nextafter(M, 0.0))
+    # and dominance holds on a dense sweep beyond M
+    assert all(symbols._dominance_holds(phi, x)
+               for x in np.linspace(M, 4.0 * M, 2001))
+
+
+def test_terms_sharing_a_degree_merge_and_cancel():
+    # 3 xi^2 - 3 |xi|^2 is zero: the leading term dominates everywhere
+    phi = PhaseFunction(p=4.0, terms=(PhaseTerm(3.0, 2, 0.0),
+                                      PhaseTerm(-3.0, 0, 2.0)))
+    assert find_M(phi) == 0.0
+    # 1 xi^2 + 1 |xi|^2 is kdvks's correction doubled: x^4/2 = 2 x^2 at 2
+    phi = PhaseFunction(p=4.0, terms=(PhaseTerm(1.0, 2, 0.0),
+                                      PhaseTerm(1.0, 0, 2.0)))
+    assert find_M(phi) == 2.0
+
+
+def test_threshold_with_an_exponent_gap_below_one():
+    # x^0.5/2 - 2 x^0.2 + ...: the derivative blows up at 0, and the sign
+    # there is taken from the lowest-order term
+    phi = PhaseFunction(p=0.5, terms=(PhaseTerm(2.0, 0, 0.2),
+                                      PhaseTerm(-1.0, 0, 0.1)))
+    M = find_M(phi)
+    assert symbols._dominance_holds(phi, M)
+    assert not symbols._dominance_holds(phi, math.nextafter(M, 0.0))
+
+
 def test_multiplier_at_time_zero_is_one():
     for name in PRESET_NAMES:
         phi = preset(name).phase
