@@ -143,10 +143,12 @@ def picard(cfg: ExperimentConfig, outdir: Path) -> int:
         u0, phase, cfg.get("solver", "t"), nt=cfg.get("solver", "nt"),
         tol=cfg.get("solver", "tol"), max_iter=cfg.get("solver", "max_iter"),
         s=cfg.get("solver", "s"), cstar=cfg.get("solver", "cstar"))
-    header = ["iterate", "distance", "ratio"]
+    lambda_keys = list(report.lambda_values[0])
+    header = ["iterate", "distance", "ratio"] + lambda_keys
     ratios = [""] + [repr(r) for r in report.distance_ratios]
-    rows = [[i + 1, d, ratios[i]]
-            for i, d in enumerate(report.iterate_distances)]
+    rows = [[i + 1, d, ratios[i]] + [lam[k] for k in lambda_keys]
+            for i, (d, lam) in enumerate(zip(report.iterate_distances,
+                                             report.lambda_values))]
     csv_path = outdir / "picard.csv"
     _write_csv(csv_path, header, rows)
     if "snapshots" in cfg.formats():

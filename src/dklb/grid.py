@@ -99,10 +99,6 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy(), self.is_real)
 
-    @property
-    def values(self) -> np.ndarray:
-        return to_values(self)
-
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self, other)
         return SpectralField(self.grid, self.coeffs + other.coeffs,
@@ -320,25 +316,40 @@ def parse_weight(text: str) -> WeightSpec:
 
 @dataclass
 class Trajectory:
-    """Time-indexed snapshots of a field under some evolution."""
+    """A field at increasing times: row k of the (times, N) array coeffs holds
+    the FFT-order coefficients at times[k], and is_real (u0.is_real and
+    phi.is_even for a flow) states that every row is a real field's.
+    snapshots and final are read-only SpectralField views of the rows."""
 
     grid: SpectralGrid
     phase: object
     times: np.ndarray
-    snapshots: list[SpectralField]
+    coeffs: np.ndarray
+    is_real: bool
     method: str
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        if len(self.times) != len(self.snapshots):
-            raise ValueError("times and snapshots must have equal length")
+        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        if self.coeffs.shape != (len(self.times), self.grid.n):
+            raise ValueError(f"coefficients of shape {self.coeffs.shape} do not "
+                             f"match {len(self.times)} times of {self.grid.n} modes")
 
     def __len__(self) -> int:
-        return len(self.snapshots)
+        return len(self.times)
+
+    @property
+    def snapshots(self) -> list[SpectralField]:
+        return [self._row(k) for k in range(len(self))]
 
     @property
     def final(self) -> SpectralField:
-        return self.snapshots[-1]
+        return self._row(-1)
+
+    def _row(self, k: int) -> SpectralField:
+        row = self.coeffs[k]  # a view, read-only: the array stays the record
+        row.flags.writeable = False
+        return SpectralField(self.grid, row, self.is_real)
 
 
 # --- binary snapshots -----------------------------------------------------

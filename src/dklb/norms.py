@@ -30,7 +30,6 @@ from .grid import (
     SpectralGrid,
     Trajectory,
     WeightSpec,
-    derivative,
     fractional_D,
     l2_norm,
     to_values,
@@ -161,21 +160,35 @@ def _pnorm(vals: np.ndarray, weights: np.ndarray, p: float, axis=None):
 
 
 def mixed_norm(traj: Trajectory, outer: float, inner: float,
-               order: str = "t_outer_x_inner", op=None) -> float:
+               order: str = "t_outer_x_inner", multiplier=None) -> float:
     """Mixed space-time norm of a trajectory.
 
     order='t_outer_x_inner' computes (int_0^T (int |u|^inner dx)^(outer/inner)
     dt)^(1/outer); 'x_outer_t_inner' nests the other way around.  inf
-    exponents take grid maxima.  op, when given, maps each snapshot before
-    the norm (e.g. a derivative).
+    exponents take grid maxima.  multiplier, an FFT-order spectral multiplier
+    (a derivative, |xi|^s), maps every snapshot first; it must keep real
+    fields real, since a real trajectory is transformed from its half spectra
+    by one batched irfft (a complex one by one batched ifft).
     """
     if order not in ("t_outer_x_inner", "x_outer_t_inner"):
         raise ValueError(f"unknown nesting order {order!r}")
-    if not traj.snapshots:
+    if not len(traj):
         raise ValueError("cannot take a mixed norm of an empty trajectory")
-    snaps = traj.snapshots if op is None else [op(f) for f in traj.snapshots]
-    V = np.stack([np.abs(to_values(f)) for f in snaps])  # (n_t, n_x)
-    return _mixed_norm_of(V, traj.times, traj.grid.dx, outer, inner, order)
+    return _mixed_norm_of(_magnitudes(traj, multiplier), traj.times,
+                          traj.grid.dx, outer, inner, order)
+
+
+def _magnitudes(traj: Trajectory, multiplier=None) -> np.ndarray:
+    """|values| of every snapshot after the multiplier, shape (times, N)."""
+    n = traj.grid.n
+    keep = slice(0, n // 2 + 1) if traj.is_real else slice(0, n)
+    c = traj.coeffs[:, keep]
+    if multiplier is not None:
+        c = c * np.asarray(multiplier)[keep]
+    if traj.is_real:
+        vals = np.fft.irfft(c, n, axis=-1, norm="forward")
+        return np.abs(vals, out=vals)
+    return np.abs(np.fft.ifft(c, n, axis=-1, norm="forward"))
 
 
 def _mixed_norm_of(V: np.ndarray, times, dx: float, outer: float, inner: float,
@@ -205,28 +218,48 @@ def lambda_diagnostics(traj: Trajectory, s: float = 0.0, r: float | None = None,
 
     Aggregates: Lambda = lambda1+..+lambda5, Omega = Lambda+lambda6+lambda7,
     Theta = Lambda+lambda6+lambda8, reported when their parts are defined.
+
+    All of it is read from traj.coeffs, with one batched transform per
+    multiplier (see mixed_norm): |u| serves lambda2, 7 and 8, |du/dx| serves
+    lambda5 and 6, and at s = 0 they serve lambda3 and 4 too.
     """
+    if s < 0:
+        raise ValueError(f"fractional derivative order must be >= 0, got {s}")
     phi = traj.phase
+    grid = traj.grid
     T = float(traj.times[-1])
     if T <= 0:
         raise ValueError("trajectory horizon must be positive")
-    out: dict[str, float] = {}
-    out["lambda1"] = max(hs_norm(f, s) for f in traj.snapshots)
-    out["lambda2"] = mixed_norm(traj, 2.0, 4.0) / A2(phi, T)
+
+    def l2_t(mags, inner):
+        return _mixed_norm_of(mags, traj.times, grid.dx, 2.0, inner, "t_outer_x_inner")
+
+    def sup_weighted(mags, w):
+        return float(np.sqrt(np.max(np.sum((w.values(grid) * mags) ** 2, axis=1))
+                             * grid.dx))
+
+    rows = np.abs(traj.coeffs) * (1.0 + grid.xi**2) ** (s / 2.0)  # row H^s norms
+    lambda1 = float(np.sqrt(grid.length * np.max(np.sum(rows * rows, axis=1))))
+    if not math.isfinite(lambda1):
+        raise NumericalError(f"H^s norm at s={s!r} is not finite ({lambda1!r})")
+    gain = np.abs(grid.xi) ** s if s else None
+    ddx = 1j * grid.xi_odd
+    u = _magnitudes(traj)
+    u_x = _magnitudes(traj, ddx)
+    plain = l2_t(u, 4.0)
+    out: dict[str, float] = {"lambda1": lambda1, "lambda2": plain / A2(phi, T)}
     if alpha(2.0, 4.0, s, phi.p) > 0:
-        out["lambda3"] = mixed_norm(traj, 2.0, 4.0, op=lambda f: fractional_D(f, s)) \
-            / A3(phi, s, T)
-    out["lambda4"] = mixed_norm(traj, 2.0, 4.0,
-                                op=lambda f: derivative(fractional_D(f, s)))
-    out["lambda5"] = mixed_norm(traj, 2.0, 4.0, op=derivative)
+        gained = plain if gain is None else l2_t(_magnitudes(traj, gain), 4.0)
+        out["lambda3"] = gained / A3(phi, s, T)
+    lambda5 = l2_t(u_x, 4.0)
+    out["lambda4"] = lambda5 if gain is None else l2_t(_magnitudes(traj, gain * ddx), 4.0)
+    out["lambda5"] = lambda5
     if alpha(2.0, INF, 1.0, phi.p) > 0:
-        out["lambda6"] = mixed_norm(traj, 2.0, INF, op=derivative) / A6(phi, T)
+        out["lambda6"] = l2_t(u_x, INF) / A6(phi, T)
     if r is not None:
-        out["lambda7"] = max(weighted_norm(f, WeightSpec("poly", r))
-                             for f in traj.snapshots)
+        out["lambda7"] = sup_weighted(u, WeightSpec("poly", r))
     if b is not None:
-        out["lambda8"] = max(weighted_norm(f, WeightSpec("exp", b))
-                             for f in traj.snapshots)
+        out["lambda8"] = sup_weighted(u, WeightSpec("exp", b))
     if "lambda3" in out:
         out["Lambda"] = sum(out[k] for k in
                             ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5"))
@@ -315,7 +348,7 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
         const = smoothing_A(*bound, phi, T)
 
     times = np.linspace(0.0, T, nt + 1)
-    flow = np.stack([symbols.flow_multiplier(phi, t, grid) for t in times])
+    flow = symbols.flow_multiplier(phi, times, grid)
     gain = (np.abs(grid.xi) ** gain_order).astype(complex) if gain_order else None
     vals = np.empty_like(flow)
     mags = np.empty(flow.shape)

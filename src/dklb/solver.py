@@ -16,7 +16,7 @@ advection term through one kernel, _advection.  A real flow
 (real data and an even symbol) keeps modes 0..N/2, a half spectrum, and
 transforms with irfft/rfft; a complex flow keeps every mode and uses
 ifft/fft.  Full spectra, with the negative modes filled in as conjugates,
-are built only where a SpectralField is returned or measured.
+are built only where a Trajectory or SpectralField is returned or measured.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .grid import (
     SpectralGrid,
     Trajectory,
     apply_multiplier,
-    derivative,
-    l2_norm,
 )
 
 
@@ -45,10 +43,11 @@ def apply_semigroup(phi: symbols.PhaseFunction, t: float,
 
 def linear_trajectory(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
                       nt: int) -> Trajectory:
-    """Linear flow sampled on a uniform grid of nt+1 time nodes."""
+    """Linear flow on nt+1 uniform time nodes: u0 times the flow table."""
     times = np.linspace(0.0, T, nt + 1)
-    snaps = [apply_semigroup(phi, float(t), u0) for t in times]
-    return Trajectory(u0.grid, phi, times, snaps, "linear")
+    return Trajectory(u0.grid, phi, times,
+                      u0.coeffs * symbols.flow_multiplier(phi, times, u0.grid),
+                      u0.is_real and phi.is_even, "linear")
 
 
 def _advection(grid: SpectralGrid, real: bool):
@@ -171,10 +170,12 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 
     The sweep runs on the kept modes of _advection (0..N/2 for a real flow,
     all of them for a complex one): the multipliers are one (nt+1, modes)
-    array, the advection kernel is applied one node at a time, and node i's
-    quadrature sum is one array expression over the nodes j <= i.  Only the
-    current and the new iterate are held as full spectra, for the distances,
-    the diagnostics and the returned trajectory.
+    slice of the flow table, the advection kernel is applied one node at a
+    time, and node i's quadrature sum is one array expression over the nodes
+    j <= i.  Only the current and the new iterate are held as full spectra,
+    (nt+1, N) arrays; the new one is measured for the distances and, as the
+    coefficient array of a Trajectory, for the diagnostics, and the last one
+    is returned.
 
     Returns the last iterate as a trajectory plus a ContractionReport with
     per-iterate distances and layered norm diagnostics.  Non-convergence is
@@ -196,8 +197,8 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 
     # exact flow multipliers for every node separation k*dt, one row each,
     # stored latest first so that row i's sweep reads a contiguous block
-    mults = np.array([symbols.flow_multiplier(phi, k * dt, grid)[keep]
-                      for k in range(nt, -1, -1)])
+    mults = np.ascontiguousarray(
+        symbols.flow_multiplier(phi, np.arange(nt, -1, -1) * dt, grid)[:, keep])
     weights = [_simpson_weights(i, dt) for i in range(nt + 1)]
     linear = u0.coeffs[keep] * mults[::-1]
 
@@ -238,9 +239,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             for a, b in zip(new, current)
         )
         distances.append(dist)
-        traj = Trajectory(grid, phi, times,
-                          [SpectralField(grid, row, is_real) for row in new],
-                          "picard")
+        traj = Trajectory(grid, phi, times, new, is_real, "picard")
         lambdas.append(norms.lambda_diagnostics(traj, s, weight_r, weight_b))
         current = new
         if dist <= tol:
@@ -323,7 +322,7 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 
     v = u0.coeffs[keep]
     times = [0.0]
-    snaps = [u0.copy()]
+    kept = []
     for step in range(1, steps + 1):
         Nv = N(v)
         a = E2 * v + Q * Nv
@@ -337,9 +336,11 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             raise NumericalError(f"ETDRK4 lost finiteness at step {step}")
         if step % snapshot_stride == 0 or step == steps:
             times.append(step * dt)
-            snaps.append(SpectralField(grid, _full_spectrum(v, grid.n, is_real),
-                                       is_real))
-    return Trajectory(grid, phi, np.array(times), snaps, "etdrk4")
+            kept.append(v)
+    coeffs = np.empty((len(times), grid.n), dtype=complex)
+    coeffs[0] = u0.coeffs
+    coeffs[1:] = _full_spectrum(np.array(kept), grid.n, is_real)
+    return Trajectory(grid, phi, np.array(times), coeffs, is_real, "etdrk4")
 
 
 def dissipation_residuals(traj: Trajectory) -> np.ndarray:
@@ -354,8 +355,9 @@ def dissipation_residuals(traj: Trajectory) -> np.ndarray:
     with E = ||u||^2 and D = ||u_x||^2 (trapezoid in time on D).
     """
     eta = traj.phase.eta
-    E = np.array([l2_norm(f) ** 2 for f in traj.snapshots])
-    D = np.array([l2_norm(derivative(f)) ** 2 for f in traj.snapshots])
+    power = np.abs(traj.coeffs) ** 2
+    E = traj.grid.length * np.sum(power, axis=1)
+    D = traj.grid.length * (power @ traj.grid.xi_odd**2)
     dts = np.diff(traj.times)
     res = np.abs((E[1:] - E[:-1]) / dts + eta * (D[:-1] + D[1:]))
     return np.where(E[:-1] > 0, res / np.where(E[:-1] > 0, E[:-1], 1.0), 0.0)

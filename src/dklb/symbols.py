@@ -85,7 +85,12 @@ class PhaseFunction:
                 raise ValueError(
                     f"correction term degree m+n={t.degree} must be < p={self.p}"
                 )
-        object.__setattr__(self, "M", find_M(self))
+        try:
+            M = find_M(self)
+        except OverflowError as exc:  # float ** raises a bare errno tuple
+            raise OverflowError("the damping symbol overflows a double while "
+                                "its dominance threshold is located") from exc
+        object.__setattr__(self, "M", M)
 
     @property
     def is_even(self) -> bool:
@@ -106,7 +111,8 @@ def phi1_eval(phi: PhaseFunction, xi):
 
 
 def phase_eval(phi: PhaseFunction, xi):
-    """Full damping symbol Phi(xi) = -|xi|**p + Phi1(xi)."""
+    """Full damping symbol Phi(xi) = -|xi|**p + Phi1(xi); on a grid at grid.xi,
+    odd terms included (see flow_multiplier)."""
     xi = np.asarray(xi, dtype=float)
     return -np.abs(xi) ** phi.p + phi1_eval(phi, xi)
 
@@ -210,19 +216,27 @@ def semigroup_multiplier(phi: PhaseFunction, t: float, xi):
     return _flow(phi, t, xi, xi)
 
 
-def flow_multiplier(phi: PhaseFunction, t: float, grid):
+def flow_multiplier(phi: PhaseFunction, t, grid):
     """The flow multiplier on a grid, its dispersive phase zero at the Nyquist mode.
 
-    The phase t*xi**3 is odd, so it is evaluated at grid.xi_odd; the
-    multiplier then keeps real fields real exactly when phi.is_even.
+    A vector of times t gives the (times, N) table, row k bitwise the
+    multiplier at t[k].  The phase t*xi**3 is odd, so it is evaluated at
+    grid.xi_odd; the multiplier then keeps real fields real exactly when
+    phi.is_even.  Odd damping terms (optimality:k) keep the full Nyquist
+    wavenumber: such a flow is complex for all data, so no realness rests
+    on it, and moving it would change every optimality:k result.
     """
     return _flow(phi, t, grid.xi, grid.xi_odd)
 
 
-def _flow(phi: PhaseFunction, t: float, xi, xi_odd):
-    # exp(i*t*xi_odd**3 + eta*t*Phi(xi)), the real part clamped
-    if t < 0:
+def _flow(phi: PhaseFunction, t, xi, xi_odd):
+    # exp(i*t*xi_odd**3 + eta*t*Phi(xi)), the real part clamped; a vector
+    # of times becomes a column, one row per time
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError(f"time must be nonnegative, got {t}")
+    if t.ndim:
+        t = t[:, None]
     xi = np.asarray(xi, dtype=float)
     re = phi.eta * t * phase_eval(phi, xi)
     if np.any(re > EXP_REAL_CAP):

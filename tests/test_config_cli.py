@@ -197,6 +197,9 @@ def test_overflowing_custom_terms_exit_2_and_name_the_model(runner, tmp_path):
                                   "-D", f"output.dir={tmp_path}"])
     assert result.exit_code == 2, result.output
     assert "model:" in result.output
+    assert ("overflows a double while its dominance threshold is located"
+            in result.output)
+    assert "(34," not in result.output
 
 
 @pytest.mark.parametrize("override", ["conjugation.t=0.05 -1",
@@ -329,6 +332,29 @@ def test_picard_nonconvergence_exits_1(runner, tmp_path):
                                   "-D", f"output.dir={tmp_path / 'out'}"])
     assert result.exit_code == 1
     assert "not converged" in result.output
+
+
+def test_picard_csv_has_the_lambda_columns_and_replays_byte_identically(runner,
+                                                                        tmp_path):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["picard", "-D", "model.preset=kdvks",
+                                  "-D", "grid.n=64", "-D", "solver.t=0.1",
+                                  "-D", "solver.nt=8", "-D", f"output.dir={out}"])
+    assert result.exit_code == 0, result.output
+    first = (out / "picard.csv").read_bytes()
+    lines = first.decode().splitlines()
+    assert lines[0] == ("iterate,distance,ratio,lambda1,lambda2,lambda3,"
+                        "lambda4,lambda5,lambda6,Lambda")
+    rows = [line.split(",") for line in lines[1:]]
+    assert rows and all(len(row) == 10 for row in rows)
+    assert [row[0] for row in rows] == [str(i + 1) for i in range(len(rows))]
+    assert rows[0][2] == ""
+    assert all(math.isfinite(float(v)) and float(v) > 0
+               for row in rows for v in row[3:])
+    replay = runner.invoke(main, ["picard", "--config",
+                                  str(out / "picard-manifest.ini")])
+    assert replay.exit_code == 0, replay.output
+    assert (out / "picard.csv").read_bytes() == first
 
 
 def test_conjugate_check_rejects_non_kdvks(runner, tmp_path):

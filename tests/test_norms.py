@@ -13,10 +13,13 @@ from dklb.fields import gaussian, normalize_l2, random_mixture, sample_ensemble
 from dklb.grid import (
     SpectralGrid,
     Trajectory,
+    derivative,
+    exp_weight,
     fractional_D,
     from_values,
     l2_norm,
     poly_weight,
+    to_values,
 )
 from dklb.norms import (
     A2,
@@ -33,6 +36,7 @@ from dklb.norms import (
     verify_smoothing,
     weighted_norm,
 )
+from dklb.norms import _mixed_norm_of
 
 
 def test_alpha_anchor_values():
@@ -142,7 +146,8 @@ def test_mixed_norm_constant_trajectory_collapses(grid256, kdvks_phi):
     f = gaussian(grid256, width=1.0)
     T = 0.8
     times = np.linspace(0.0, T, 33)
-    traj = Trajectory(grid256, kdvks_phi, times, [f.copy() for _ in times], "linear")
+    traj = Trajectory(grid256, kdvks_phi, times, np.tile(f.coeffs, (len(times), 1)),
+                      f.is_real, "linear")
     val = mixed_norm(traj, 2.0, 2.0)
     assert val == pytest.approx(math.sqrt(T) * l2_norm(f), rel=1e-12)
 
@@ -157,7 +162,8 @@ def test_mixed_norm_fubini(grid256, kdvks_phi):
 
 
 def test_mixed_norm_rejects_empty_and_bad_order(grid256, kdvks_phi):
-    traj = Trajectory(grid256, kdvks_phi, np.array([]), [], "linear")
+    traj = Trajectory(grid256, kdvks_phi, np.array([]),
+                      np.empty((0, grid256.n), dtype=complex), True, "linear")
     with pytest.raises(ValueError, match="empty"):
         mixed_norm(traj, 2.0, 2.0)
     full = solver.linear_trajectory(gaussian(grid256), kdvks_phi, 0.1, 4)
@@ -184,6 +190,57 @@ def test_lambda_diagnostics_keys(grid256, kdvks_phi):
         assert np.isfinite(d[key]) and d[key] >= 0
     assert d["Lambda"] == pytest.approx(
         sum(d[f"lambda{i}"] for i in range(1, 6)), rel=1e-12)
+
+
+def _reference_lambdas(traj, s, r, b):
+    """lambda_diagnostics rebuilt from per-snapshot fields, one inverse
+    transform per snapshot and map, trapezoid in time."""
+    phi, T, dx = traj.phase, float(traj.times[-1]), traj.grid.dx
+    snaps = traj.snapshots
+
+    def l2_t(op, inner):
+        per_time = []
+        for f in snaps:
+            v = np.abs(to_values(op(f)))
+            per_time.append(np.max(v) if inner == math.inf
+                            else (np.sum(v**inner) * dx) ** (1.0 / inner))
+        return math.sqrt(np.trapezoid(np.square(per_time), traj.times))
+
+    out = {"lambda1": max(hs_norm(f, s) for f in snaps),
+           "lambda2": l2_t(lambda f: f, 4.0) / A2(phi, T)}
+    if alpha(2.0, 4.0, s, phi.p) > 0:
+        out["lambda3"] = l2_t(lambda f: fractional_D(f, s), 4.0) / A3(phi, s, T)
+    out["lambda4"] = l2_t(lambda f: derivative(fractional_D(f, s)), 4.0)
+    out["lambda5"] = l2_t(derivative, 4.0)
+    if alpha(2.0, math.inf, 1.0, phi.p) > 0:
+        out["lambda6"] = l2_t(derivative, math.inf) / A6(phi, T)
+    out["lambda7"] = max(weighted_norm(f, poly_weight(r)) for f in snaps)
+    out["lambda8"] = max(weighted_norm(f, exp_weight(b)) for f in snaps)
+    if "lambda3" in out:
+        out["Lambda"] = sum(out[f"lambda{i}"] for i in range(1, 6))
+        if "lambda6" in out:
+            out["Omega"] = out["Lambda"] + out["lambda6"] + out["lambda7"]
+            out["Theta"] = out["Lambda"] + out["lambda6"] + out["lambda8"]
+    return out
+
+
+@pytest.mark.parametrize("name", ["kdvks", "optimality:2", "kdvb"])
+@pytest.mark.parametrize("data", ["real", "complex"])
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+def test_lambda_diagnostics_match_a_per_snapshot_reference(grid256, name, data, s):
+    # the batched transforms (half spectra for a real flow) against one
+    # field per snapshot; kdvb drops lambda3 at s = 1 and always lambda6
+    phi = symbols.preset(name).phase
+    u0 = normalize_l2(gaussian(grid256, width=1.2), 0.1)
+    if data == "complex":
+        u0 = from_values(grid256, to_values(u0) * np.exp(1j * grid256.x))
+    traj = solver.linear_trajectory(u0, phi, 0.2, 16)
+    assert traj.is_real == (data == "real" and phi.is_even)
+    got = lambda_diagnostics(traj, s=s, r=1.0, b=0.25)
+    want = _reference_lambdas(traj, s, 1.0, 0.25)
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == pytest.approx(want[key], rel=1e-14, abs=0.0), key
 
 
 def test_smoothing_ratio_scale_invariance(grid256, kdvks_phi):
@@ -219,27 +276,33 @@ def test_verify_smoothing_is_deterministic(kdvks_phi):
 
 
 def _reference_ratios(check, phi, grid, T, size, seed, nt, s, q):
-    """verify_smoothing's ratios, one linear trajectory per sample."""
+    """verify_smoothing's ratios, one linear trajectory per sample and one
+    inverse transform per snapshot."""
+
+    def lhs(traj, gain, outer, inner, order="t_outer_x_inner"):
+        mags = np.stack([np.abs(to_values(fractional_D(f, gain)))
+                         for f in traj.snapshots])
+        return _mixed_norm_of(mags, traj.times, grid.dx, outer, inner, order)
+
     ratios = []
     for u0 in sample_ensemble(grid, size, seed):
         traj = solver.linear_trajectory(u0, phi, T, nt)
         if check == "C1":
-            lhs = mixed_norm(traj, 2.0, math.inf, op=lambda f: fractional_D(f, s))
+            num = lhs(traj, s, 2.0, math.inf)
             rhs = smoothing_A(2.0, math.inf, s, phi, T) * lp_norm(u0, 2.0)
         elif check == "C2":
-            lhs = mixed_norm(traj, 2.0, 4.0, op=lambda f: fractional_D(f, s))
+            num = lhs(traj, s, 2.0, 4.0)
             rhs = smoothing_A(2.0, 4.0, s, phi, T) * l2_norm(u0)
         elif check == "C3":
-            lhs = mixed_norm(traj, 2.0, 4.0, op=lambda f: fractional_D(f, 1.0))
+            num = lhs(traj, 1.0, 2.0, 4.0)
             rhs = smoothing_A(2.0, 4.0, 1.0 - s, phi, T) * l2_norm(fractional_D(u0, s))
         elif check == "C4":
-            lhs = mixed_norm(traj, 2.0, 2.0, op=lambda f: fractional_D(f, s))
+            num = lhs(traj, s, 2.0, 2.0)
             rhs = smoothing_A(2.0, 2.0, s, phi, T) * l2_norm(u0)
         else:
-            lhs = mixed_norm(traj, math.inf, 2.0, order="x_outer_t_inner",
-                             op=lambda f: fractional_D(f, q))
+            num = lhs(traj, q, math.inf, 2.0, order="x_outer_t_inner")
             rhs = l2_norm(u0)
-        ratios.append(lhs / rhs)
+        ratios.append(num / rhs)
     return np.array(ratios)
 
 
