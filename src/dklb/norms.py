@@ -123,6 +123,19 @@ def hs_norm(f: SpectralField, s: float = 0.0) -> float:
     return norm
 
 
+def sup_hs_norm(grid: SpectralGrid, coeffs: np.ndarray, s: float = 0.0) -> float:
+    """The largest H^s norm among the rows of (rows, N) FFT-order spectra.
+
+    One array expression over all rows; NumericalError if the result is not
+    finite.
+    """
+    rows = np.abs(coeffs) * (1.0 + grid.xi**2) ** (s / 2.0)
+    norm = float(np.sqrt(grid.length * np.max(np.sum(rows * rows, axis=1))))
+    if not math.isfinite(norm):
+        raise NumericalError(f"H^s norm at s={s!r} is not finite ({norm!r})")
+    return norm
+
+
 def lp_norm(f: SpectralField, p: float) -> float:
     """Physical-space L^p norm with quadrature weight L/N; p=inf is the grid max."""
     vals = np.abs(to_values(f))
@@ -238,10 +251,7 @@ def lambda_diagnostics(traj: Trajectory, s: float = 0.0, r: float | None = None,
         return float(np.sqrt(np.max(np.sum((w.values(grid) * mags) ** 2, axis=1))
                              * grid.dx))
 
-    rows = np.abs(traj.coeffs) * (1.0 + grid.xi**2) ** (s / 2.0)  # row H^s norms
-    lambda1 = float(np.sqrt(grid.length * np.max(np.sum(rows * rows, axis=1))))
-    if not math.isfinite(lambda1):
-        raise NumericalError(f"H^s norm at s={s!r} is not finite ({lambda1!r})")
+    lambda1 = sup_hs_norm(grid, traj.coeffs, s)
     gain = np.abs(grid.xi) ** s if s else None
     ddx = 1j * grid.xi_odd
     u = _magnitudes(traj)

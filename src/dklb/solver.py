@@ -12,11 +12,15 @@ integrator coefficients.  Cross-checking them is the point, so neither may
 call the other.
 
 Both routes run on the coefficients of the kept modes and evaluate the
-advection term through one kernel, _advection.  A real flow
+advection term through one in-place kernel, _advection, whose calls
+allocate nothing.  A real flow
 (real data and an even symbol) keeps modes 0..N/2, a half spectrum, and
 transforms with irfft/rfft; a complex flow keeps every mode and uses
 ifft/fft.  Full spectra, with the negative modes filled in as conjugates,
 are built only where a Trajectory or SpectralField is returned or measured.
+The inner loops are linear in time: ETDRK4 runs its stages in preallocated
+buffers, and Picard's Duhamel sweep runs its quadrature sums forward by the
+semigroup law instead of summing over every pair of nodes.
 """
 
 from __future__ import annotations
@@ -51,13 +55,17 @@ def linear_trajectory(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 
 
 def _advection(grid: SpectralGrid, real: bool):
-    """The kept modes and the advection map v -> -1/2 d/dx P(u^2) on them.
+    """The kept modes and an in-place advection kernel on them.
 
-    P is the dealias truncation, applied to u before squaring and to the
-    square after.  A real field keeps modes 0..N/2 and transforms with
-    irfft/rfft; a complex field keeps every mode and uses ifft/fft.
-    Returns (keep, advect): keep slices the kept modes out of an FFT-order
-    spectrum, and advect maps kept coefficients to kept coefficients.
+    The kernel advect(v, out) writes -1/2 d/dx P(u^2) for the kept
+    coefficients v into out and returns out.  P is the dealias truncation,
+    applied to u before squaring and to the square after.  A real field
+    keeps modes 0..N/2 and transforms with irfft/rfft; a complex field keeps
+    every mode and uses ifft/fft.  The masked input and the node values live
+    in two buffers of the kernel, so a call allocates nothing; the inverse
+    transform runs unnormalised (norm="forward"), which is u at the nodes
+    exactly because N is a power of two.  Returns (keep, advect): keep slices
+    the kept modes out of an FFT-order spectrum.
     """
     n = grid.n
     if real:
@@ -68,10 +76,15 @@ def _advection(grid: SpectralGrid, real: bool):
         to_nodes, to_modes = np.fft.ifft, np.fft.fft
     mask = grid.dealias_mask[keep]
     gain = mask * (-0.5j * grid.xi_odd[keep]) / n
+    masked = np.zeros(mask.shape, dtype=complex)  # zero outside the band for good
+    nodes = np.empty(n, dtype=float if real else complex)
 
-    def advect(v: np.ndarray) -> np.ndarray:
-        u = to_nodes(np.where(mask, v, 0.0), n) * n
-        return gain * to_modes(u * u)
+    def advect(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.copyto(masked, v, where=mask)
+        to_nodes(masked, n, norm="forward", out=nodes)
+        np.multiply(nodes, nodes, out=nodes)
+        to_modes(nodes, out=out)
+        return np.multiply(gain, out, out=out)
 
     return keep, advect
 
@@ -98,7 +111,7 @@ def nonlinearity(f: SpectralField) -> SpectralField:
     because it is a total derivative.
     """
     keep, advect = _advection(f.grid, f.is_real)
-    out = advect(f.coeffs[keep])
+    out = advect(f.coeffs[keep], np.empty(keep.stop, dtype=complex))
     return SpectralField(f.grid, _full_spectrum(out, f.grid.n, f.is_real), f.is_real)
 
 
@@ -124,37 +137,6 @@ class ContractionReport:
         return [d[i] / d[i - 1] if d[i - 1] > 0 else 0.0 for i in range(1, len(d))]
 
 
-def _simpson_weights(i: int, dt: float) -> np.ndarray:
-    """Quadrature weights over nodes 0..i for int_0^{t_i}.
-
-    Composite Simpson when the panel count i is even; for odd i >= 3 Simpson
-    on the first i-3 panels plus a 3/8 tail; a single trapezoid panel at
-    i = 1.  The two low-order closures touch only O(dt^3) terms.
-    """
-    w = np.zeros(i + 1)
-    if i == 0:
-        return w
-    if i == 1:
-        w[:2] = dt / 2.0
-        return w
-    if i % 2 == 0:
-        w[0] = w[i] = dt / 3.0
-        w[1:i:2] = 4.0 * dt / 3.0
-        w[2:i:2] = 2.0 * dt / 3.0
-        return w
-    head = i - 3
-    if head:
-        w[0] = dt / 3.0
-        w[1:head:2] = 4.0 * dt / 3.0
-        w[2:head:2] = 2.0 * dt / 3.0
-        w[head] = dt / 3.0
-    w[head] += 3.0 * dt / 8.0
-    w[head + 1] += 9.0 * dt / 8.0
-    w[head + 2] += 9.0 * dt / 8.0
-    w[i] += 3.0 * dt / 8.0
-    return w
-
-
 def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
                  nt: int = 64, tol: float = 1e-8, max_iter: int = 25,
                  s: float = 0.0, nonlinear: bool = True, cstar: float = 1.0,
@@ -163,19 +145,26 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     """Solve the integral form by successive substitution on a stored grid.
 
     The Duhamel map is w -> V(t)u0 + int_0^t V(t-t') N(w(t')) dt' with
-    N(w) = -1/2 d/dx w^2, discretized by composite Simpson on nt+1 uniform
-    nodes with the exact flow multiplier at every quadrature node.  Iterates
-    start from the linear flow; convergence is sup-in-time H^s distance
-    <= tol between successive iterates.
+    N(w) = -1/2 d/dx w^2, discretized on nt+1 uniform nodes by composite
+    Simpson, with a 3/8 tail at odd nodes i >= 3 and a trapezoid at node 1.
+    Iterates start from the linear flow; convergence is sup-in-time H^s
+    distance <= tol between successive iterates.
 
     The sweep runs on the kept modes of _advection (0..N/2 for a real flow,
-    all of them for a complex one): the multipliers are one (nt+1, modes)
-    slice of the flow table, the advection kernel is applied one node at a
-    time, and node i's quadrature sum is one array expression over the nodes
-    j <= i.  Only the current and the new iterate are held as full spectra,
-    (nt+1, N) arrays; the new one is measured for the distances and, as the
-    coefficient array of a Trajectory, for the diagnostics, and the last one
-    is returned.
+    all of them for a complex one) and is linear in nt.  The kernel writes
+    each node's advection term into its row, and the quadrature sums run
+    forward by the semigroup law M_{a+b} = M_a M_b: with R_m the Simpson
+    sum at an even node m,
+
+        R_{m+2}  = M2 R_m + dt/3 (M2 N_m + 4 M1 N_{m+1} + N_{m+2}),
+        S_{m+3}  = M3 R_m + 3dt/8 (M3 N_m + 3 M2 N_{m+1} + 3 M1 N_{m+2} + N_{m+3}),
+
+    where M1, M2 and M3 are the flow multipliers at dt, 2dt and 3dt.  The
+    linear part takes the flow multiplier at every node, but the sums
+    compound M1..M3, so their rounding grows like nt ulps.  Only the current
+    and the new iterate are held as full spectra, (nt+1, N) arrays; the new
+    one is measured for the distances and, as the coefficient array of a
+    Trajectory, for the diagnostics, and the last one is returned.
 
     Returns the last iterate as a trajectory plus a ContractionReport with
     per-iterate distances and layered norm diagnostics.  Non-convergence is
@@ -195,22 +184,38 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     is_real = u0.is_real and phi.is_even
     keep, advect = _advection(grid, is_real)
 
-    # exact flow multipliers for every node separation k*dt, one row each,
-    # stored latest first so that row i's sweep reads a contiguous block
-    mults = np.ascontiguousarray(
-        symbols.flow_multiplier(phi, np.arange(nt, -1, -1) * dt, grid)[:, keep])
-    weights = [_simpson_weights(i, dt) for i in range(nt + 1)]
-    linear = u0.coeffs[keep] * mults[::-1]
+    linear = u0.coeffs[keep] * symbols.flow_multiplier(
+        phi, np.arange(nt + 1) * dt, grid)[:, keep]
+    M1, M2, M3 = symbols.flow_multiplier(phi, np.arange(1, 4) * dt, grid)[:, keep]
+    trapezoid = (dt / 2.0 * M1, dt / 2.0)
+    simpson = (dt / 3.0 * M2, 4.0 * dt / 3.0 * M1, dt / 3.0)
+    three_eighths = (3.0 * dt / 8.0 * M3, 9.0 * dt / 8.0 * M2,
+                     9.0 * dt / 8.0 * M1, 3.0 * dt / 8.0)
+    nl = np.empty_like(linear)  # the advection term at every node
+    run = np.empty_like(linear[0])  # R_m
+    tmp = np.empty_like(linear[0])
+
+    def add(acc, weights, rows):
+        # acc += sum_k weights[k] * rows[k], in place
+        for w, row in zip(weights, rows):
+            acc += np.multiply(w, row, out=tmp)
 
     def duhamel(iterate: np.ndarray) -> np.ndarray:
         # full spectra of the iterate in, kept modes of its image out
         out = linear.copy()
-        if nonlinear:
-            nl = np.empty_like(linear)
-            for j, row in enumerate(iterate):
-                nl[j] = advect(row[keep])
-            for i in range(1, nt + 1):
-                out[i] += weights[i] @ (mults[nt - i:] * nl[: i + 1])
+        if not nonlinear:
+            return out
+        for row, term in zip(iterate, nl):
+            advect(row[keep], term)
+        add(out[1], trapezoid, nl[:2])
+        run.fill(0.0)
+        for m in range(0, nt, 2):
+            if m + 3 <= nt:
+                out[m + 3] += np.multiply(M3, run, out=tmp)
+                add(out[m + 3], three_eighths, nl[m:m + 4])
+            np.multiply(M2, run, out=run)
+            add(run, simpson, nl[m:m + 3])
+            out[m + 2] += run
         return out
 
     notes: list[str] = []
@@ -234,10 +239,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
                 f"Picard iterate {iterations} lost finiteness (NaN/overflow)"
             )
         new = _full_spectrum(new, grid.n, is_real)
-        dist = max(
-            norms.hs_norm(SpectralField(grid, a - b, is_real), s)
-            for a, b in zip(new, current)
-        )
+        dist = norms.sup_hs_norm(grid, new - current, s)
         distances.append(dist)
         traj = Trajectory(grid, phi, times, new, is_real, "picard")
         lambdas.append(norms.lambda_diagnostics(traj, s, weight_r, weight_b))
@@ -297,9 +299,12 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 
     The stages run on the kept modes of _advection, with the multipliers
     and coefficients sliced to them once: modes 0..N/2 through irfft/rfft
-    for a real flow, every mode through ifft/fft for a complex one.  Each
-    stored snapshot after the first is extended to a full spectrum; the
-    first is a copy of u0.
+    for a real flow, every mode through ifft/fft for a complex one.  They
+    run in preallocated buffers, E2*v and 2*f2 computed once, with every
+    product and sum in the operand order of the plain formulas, so the
+    trajectory is bitwise that of the allocating scheme.  Each stored
+    snapshot after the first is extended to a full spectrum; the first is a
+    copy of u0.
     """
     if dt <= 0 or T <= 0:
         raise ValueError("T and dt must be positive")
@@ -313,33 +318,51 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     grid = u0.grid
     is_real = u0.is_real and phi.is_even
     keep, advect = _advection(grid, is_real)
-    N = advect if nonlinear else np.zeros_like
     E = symbols.flow_multiplier(phi, dt, grid)[keep]
     E2 = symbols.flow_multiplier(phi, dt / 2.0, grid)[keep]
     c = 1j * grid.xi_odd[keep]**3 + phi.eta * symbols.phase_eval(phi, grid.xi[keep])
     z = np.minimum(c.real * dt, symbols.EXP_REAL_CAP) + 1j * c.imag * dt
     Q, f1, f2, f3 = _etdrk4_coeffs(z, dt, contour_points)
+    twice_f2 = 2.0 * f2
 
-    v = u0.coeffs[keep]
+    def N(v, out):
+        # the advection term into out, or zero for the linear flow
+        return advect(v, out) if nonlinear else out.fill(0.0)
+
+    v = u0.coeffs[keep].copy()
+    E2v, a, b, cc, Nv, Na, Nb, Nc, tmp = np.empty((9, len(v)), dtype=complex)
+    finite = np.empty(len(v), dtype=bool)
+    kept = np.empty(((steps + snapshot_stride - 1) // snapshot_stride, len(v)),
+                    dtype=complex)
     times = [0.0]
-    kept = []
     for step in range(1, steps + 1):
-        Nv = N(v)
-        a = E2 * v + Q * Nv
-        Na = N(a)
-        b = E2 * v + Q * Na
-        Nb = N(b)
-        cc = E2 * a + Q * (2.0 * Nb - Nv)
-        Nc = N(cc)
-        v = E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
-        if not np.all(np.isfinite(v)):
+        # the four stages in the order of Cox & Matthews, each in its buffer
+        N(v, Nv)
+        np.multiply(E2, v, out=E2v)
+        np.multiply(Q, Nv, out=a)
+        a += E2v
+        N(a, Na)
+        np.multiply(Q, Na, out=b)
+        b += E2v
+        N(b, Nb)
+        np.multiply(2.0, Nb, out=cc)
+        cc -= Nv
+        np.multiply(Q, cc, out=cc)
+        cc += np.multiply(E2, a, out=tmp)
+        N(cc, Nc)
+        np.multiply(E, v, out=v)
+        v += np.multiply(f1, Nv, out=tmp)
+        np.add(Na, Nb, out=tmp)
+        v += np.multiply(twice_f2, tmp, out=tmp)
+        v += np.multiply(f3, Nc, out=tmp)
+        if not np.isfinite(v, out=finite).all():
             raise NumericalError(f"ETDRK4 lost finiteness at step {step}")
         if step % snapshot_stride == 0 or step == steps:
+            kept[len(times) - 1] = v
             times.append(step * dt)
-            kept.append(v)
     coeffs = np.empty((len(times), grid.n), dtype=complex)
     coeffs[0] = u0.coeffs
-    coeffs[1:] = _full_spectrum(np.array(kept), grid.n, is_real)
+    coeffs[1:] = _full_spectrum(kept, grid.n, is_real)
     return Trajectory(grid, phi, np.array(times), coeffs, is_real, "etdrk4")
 
 

@@ -33,6 +33,7 @@ from dklb.norms import (
     lp_norm,
     mixed_norm,
     smoothing_A,
+    sup_hs_norm,
     verify_smoothing,
     weighted_norm,
 )
@@ -109,6 +110,16 @@ def test_hs_norm_monotone_in_s(random_real_field):
 def test_hs_norm_refuses_a_non_finite_result(random_real_field):
     with pytest.raises(NumericalError, match="not finite"):
         hs_norm(random_real_field, 1e308)
+
+
+def test_sup_hs_norm_is_the_largest_row_norm(grid256, rng):
+    rows = [from_values(grid256, rng.standard_normal(grid256.n)) for _ in range(4)]
+    coeffs = np.array([f.coeffs for f in rows])
+    for s in (0.0, 0.5, 2.0):
+        expect = max(hs_norm(f, s) for f in rows)
+        assert sup_hs_norm(grid256, coeffs, s) == pytest.approx(expect, rel=1e-14)
+    with pytest.raises(NumericalError, match="not finite"):
+        sup_hs_norm(grid256, coeffs, 1e308)
 
 
 def test_random_mixture_on_a_degenerate_grid_raises_numerical_error():

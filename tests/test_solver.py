@@ -24,8 +24,8 @@ from dklb.grid import (
 from dklb.norms import A2, A3, hs_norm
 from dklb.solver import (
     _advection,
+    _etdrk4_coeffs,
     _full_spectrum,
-    _simpson_weights,
     apply_semigroup,
     dissipation_residuals,
     etdrk4_solve,
@@ -114,7 +114,8 @@ def test_advection_conserves_l2(grid256, rng, real):
         if not real:
             c = c * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         keep, advect = _advection(grid256, real)
-        nl = _full_spectrum(advect(c[keep]), grid256.n, real)
+        nl = _full_spectrum(advect(c[keep], np.empty(keep.stop, dtype=complex)),
+                            grid256.n, real)
         inner = np.vdot(c, nl).real
         scale = (np.vdot(c, c).real * np.max(np.abs(grid256.xi))
                  * np.max(np.abs(np.fft.ifft(c) * grid256.n)))
@@ -174,29 +175,111 @@ def test_picard_memory_stays_small(kdvks_phi):
     assert peak < 25 * 2**20, peak / 2**20
 
 
+def _simpson_weights(i: int, dt: float) -> np.ndarray:
+    # quadrature weights over nodes 0..i for int_0^{t_i}: composite Simpson
+    # for even i, Simpson on the first i-3 panels plus a 3/8 tail for odd
+    # i >= 3, a trapezoid at i = 1
+    w = np.zeros(i + 1)
+    if i == 0:
+        return w
+    if i == 1:
+        w[:2] = dt / 2.0
+        return w
+    if i % 2 == 0:
+        w[0] = w[i] = dt / 3.0
+        w[1:i:2] = 4.0 * dt / 3.0
+        w[2:i:2] = 2.0 * dt / 3.0
+        return w
+    head = i - 3
+    if head:
+        w[0] = dt / 3.0
+        w[1:head:2] = 4.0 * dt / 3.0
+        w[2:head:2] = 2.0 * dt / 3.0
+        w[head] = dt / 3.0
+    w[head] += 3.0 * dt / 8.0
+    w[head + 1] += 9.0 * dt / 8.0
+    w[head + 2] += 9.0 * dt / 8.0
+    w[i] += 3.0 * dt / 8.0
+    return w
+
+
 @pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
 def test_picard_sweep_matches_the_loop_reference(grid256, name):
     # one Duhamel sweep of the linear flow, summed term by term over (i, j)
-    # on full spectra with grid.dealiased_product, against max_iter=1
+    # on full spectra with grid.dealiased_product and the exact multiplier
+    # of every node separation, against max_iter=1; nt = 2 has no odd node,
+    # and node 3 is a 3/8 tail with an empty Simpson head
     phi = symbols.preset(name).phase
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.5)
-    T, nt = 0.1, 16
-    dt = T / nt
-    traj, _ = picard_solve(u0, phi, T, nt=nt, max_iter=1)
-    mults = [symbols.flow_multiplier(phi, k * dt, grid256) for k in range(nt + 1)]
-    linear = [u0.coeffs * m for m in mults]
-    nl = [-0.5 * derivative(dealiased_product(f, f)).coeffs
-          for f in (SpectralField(grid256, c, traj.final.is_real) for c in linear)]
-    # the sums run in another order, and the iterate carries the rounding
-    # of the linear part it is added to
+    T = 0.1
+    # the sums run in another order and compound the multipliers, and the
+    # iterate carries the rounding of the linear part it is added to
     floor = 1e-14 * np.max(np.abs(u0.coeffs))
-    for i in range(nt + 1):
-        w = _simpson_weights(i, dt)
-        ref = np.zeros(grid256.n, dtype=complex)
-        for j in range(i + 1):
-            ref += w[j] * mults[i - j] * nl[j]
-        got = traj.snapshots[i].coeffs - linear[i]
-        assert np.max(np.abs(got - ref)) <= floor + 1e-12 * np.max(np.abs(ref)), (name, i)
+    for nt in (2, 4, 6, 16):
+        dt = T / nt
+        traj, _ = picard_solve(u0, phi, T, nt=nt, max_iter=1)
+        mults = [symbols.flow_multiplier(phi, k * dt, grid256) for k in range(nt + 1)]
+        linear = [u0.coeffs * m for m in mults]
+        nl = [-0.5 * derivative(dealiased_product(f, f)).coeffs
+              for f in (SpectralField(grid256, c, traj.final.is_real) for c in linear)]
+        for i in range(nt + 1):
+            w = _simpson_weights(i, dt)
+            ref = np.zeros(grid256.n, dtype=complex)
+            for j in range(i + 1):
+                ref += w[j] * mults[i - j] * nl[j]
+            got = traj.snapshots[i].coeffs - linear[i]
+            assert (np.max(np.abs(got - ref))
+                    <= floor + 1e-12 * np.max(np.abs(ref))), (name, nt, i)
+
+
+def _allocating_etdrk4(u0, phi, T, dt, nonlinear):
+    # ETDRK4 on the kept modes with a fresh array for every operation: the
+    # stepper whose trajectory the in-place stages must reproduce bit for bit
+    grid, n = u0.grid, u0.grid.n
+    real = u0.is_real and phi.is_even
+    keep = slice(0, n // 2 + 1) if real else slice(0, n)
+    to_nodes, to_modes = (np.fft.irfft, np.fft.rfft) if real else (np.fft.ifft, np.fft.fft)
+    mask = grid.dealias_mask[keep]
+    gain = mask * (-0.5j * grid.xi_odd[keep]) / n
+
+    def N(v):
+        if not nonlinear:
+            return np.zeros_like(v)
+        u = to_nodes(np.where(mask, v, 0.0), n) * n
+        return gain * to_modes(u * u)
+
+    E = symbols.flow_multiplier(phi, dt, grid)[keep]
+    E2 = symbols.flow_multiplier(phi, dt / 2.0, grid)[keep]
+    c = 1j * grid.xi_odd[keep]**3 + phi.eta * symbols.phase_eval(phi, grid.xi[keep])
+    z = np.minimum(c.real * dt, symbols.EXP_REAL_CAP) + 1j * c.imag * dt
+    Q, f1, f2, f3 = _etdrk4_coeffs(z, dt)
+    v = u0.coeffs[keep]
+    rows = []
+    for _ in range(int(round(T / dt))):
+        Nv = N(v)
+        a = E2 * v + Q * Nv
+        Na = N(a)
+        b = E2 * v + Q * Na
+        Nb = N(b)
+        cc = E2 * a + Q * (2.0 * Nb - Nv)
+        Nc = N(cc)
+        v = E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
+        rows.append(v)
+    return np.vstack([u0.coeffs, _full_spectrum(np.array(rows), n, real)])
+
+
+@pytest.mark.parametrize("name, nonlinear", [("kdvks", True), ("optimality:2", True),
+                                             ("kdvb", True), ("kdvks", False)])
+def test_etdrk4_is_bitwise_the_allocating_stepper(grid256, name, nonlinear):
+    phi = symbols.preset(name).phase
+    u0 = normalize_l2(gaussian(grid256, width=1.5), 0.5)
+    ref = _allocating_etdrk4(u0, phi, 0.05, 0.0025, nonlinear)
+    traj = etdrk4_solve(u0, phi, T=0.05, dt=0.0025, nonlinear=nonlinear)
+    assert np.array_equal(traj.coeffs, ref)
+    # 20 steps at stride 3 store steps 3, 6, ..., 18 and the last one
+    strided = etdrk4_solve(u0, phi, T=0.05, dt=0.0025, nonlinear=nonlinear,
+                           snapshot_stride=3)
+    assert np.array_equal(strided.coeffs, ref[[0, 3, 6, 9, 12, 15, 18, 20]])
 
 
 def test_picard_rejects_no_iterations(grid256, kdvks_phi):
