@@ -24,14 +24,11 @@ from .conjugation import (
     ExchangeReport,
     ProbeReport,
     conjugation_check,
-    decay_shift,
     exchange_ensemble,
     expanded_multiplier,
     operator_polynomial,
     regularity_gain_probe,
     shifted_multiplier,
-    theta_profile,
-    transport_speed,
     weight_exchange_check,
 )
 from .errors import (
@@ -56,16 +53,13 @@ from .grid import (
     WeightSpec,
     apply_multiplier,
     boundary_leakage,
-    bracket_weight,
     dealiased_product,
     derivative,
-    exp_weight,
     fractional_D,
     from_coeffs,
     from_values,
     l2_norm,
     parse_weight,
-    poly_weight,
     read_snapshot,
     to_values,
     write_snapshot,

@@ -21,7 +21,11 @@ import numpy as np
 
 from . import brackets, norms
 from .config import ExperimentConfig, load_config
-from .conjugation import conjugation_check, regularity_gain_probe
+from .conjugation import (
+    conjugation_check,
+    operator_polynomial,
+    regularity_gain_probe,
+)
 from .errors import ConfigError, DklbError, LeakageError, NumericalError
 from .grid import l2_norm, write_snapshot
 from .norms import hs_norm, verify_smoothing, weighted_norm
@@ -74,10 +78,10 @@ def _subcommand(name: str):
                       metavar="SEC.KEY=VAL",
                       help="Override one config value; repeatable.")
         @functools.wraps(fn)
-        def wrapper(config_path, overrides, **kwargs):
+        def wrapper(config_path, overrides):
             try:
                 cfg, outdir = _prepare(config_path, overrides, name)
-                code = fn(cfg, outdir, **kwargs)
+                code = fn(cfg, outdir)
             except (NumericalError, LeakageError, ArithmeticError) as exc:
                 click.echo(f"numerical failure: {exc}", err=True)
                 sys.exit(NUMERICAL)
@@ -165,12 +169,10 @@ def picard(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 @main.command(name="verify-bracket")
-@click.option("--max-n", "max_n_opt", type=int, default=None,
-              help="Override brackets.max_n.")
 @_subcommand("verify-bracket")
-def verify_bracket(cfg: ExperimentConfig, outdir: Path, max_n_opt) -> int:
+def verify_bracket(cfg: ExperimentConfig, outdir: Path) -> int:
     """Check quadrature values of <n,m,a> against their exact reductions."""
-    max_n = max_n_opt if max_n_opt is not None else cfg.get("brackets", "max_n")
+    max_n = cfg.get("brackets", "max_n")
     max_a = cfg.get("brackets", "max_a")
     tol = cfg.get("brackets", "tol")
     pairs = brackets.standard_pairs()[: cfg.get("brackets", "pairs")]
@@ -229,9 +231,10 @@ def conjugate_check(cfg: ExperimentConfig, outdir: Path) -> int:
     grid = cfg.build_grid()
     f = cfg.build_data(grid)
     phase = cfg.build_phase()
-    if cfg.get("model", "preset") != "kdvks":
-        raise ConfigError("model.preset: conjugate-check supports kdvks only "
-                          "(the shifted operator polynomial needs even powers)")
+    try:
+        operator_polynomial(phase)
+    except ValueError as exc:
+        raise ConfigError(f"model: {exc}") from exc
     header = ["b", "t", "rel_error", "bound_ratio", "delta", "mu",
               "boundary_leakage"]
     rows = []

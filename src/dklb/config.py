@@ -290,9 +290,14 @@ class ExperimentConfig:
         if self.get("ensemble", "size") < 1:
             raise ConfigError(
                 f"ensemble.size: must be >= 1, got {self.get('ensemble', 'size')}")
-        if self.get("brackets", "pairs") < 1:
+        # verify-bracket must check at least one reduction against a real bound
+        for key, floor in (("max_n", 1), ("pairs", 1), ("max_a", 0)):
+            if self.get("brackets", key) < floor:
+                raise ConfigError(f"brackets.{key}: must be >= {floor}, got "
+                                  f"{self.get('brackets', key)}")
+        if self.get("brackets", "tol") <= 0:
             raise ConfigError(
-                f"brackets.pairs: must be >= 1, got {self.get('brackets', 'pairs')}")
+                f"brackets.tol: must be positive, got {self.get('brackets', 'tol')}")
         if any(t < 0 for t in self.get("conjugation", "t")):
             raise ConfigError(
                 f"conjugation.t: times must be nonnegative, got "

@@ -2,22 +2,20 @@
 
 For symbols that are polynomials in i*xi (even integer leading power, even
 absolute powers), multiplying by exp(b*x) conjugates the linear flow into
-another explicit multiplier: if w(0) = exp(b*x) f then
+another explicit multiplier (Kato's weight trick): if w(0) = exp(b*x) f then
 
     w(t) = exp(-t * S(i*xi - b)) w(0),
 
 where S is the operator polynomial with S(i*xi) = -i*xi^3 - eta*Phi(xi).
-For the fourth-order preset S(z) = z^3 + eta*(z^2 + z^4), whose shifted real
-part splits as theta(xi) + delta with
-
-    theta(xi) = eta*xi^4 + (3b - eta - 6*eta*b^2) * xi^2,
-    delta     = eta*(b^2 + b^4) - b^3,
-
-and whose linear-in-xi phase mu = 3b^2 - 2*eta*b - 4*eta*b^3 transports the
-weighted field by mu*t.  This module computes the conjugated propagator two
-independent ways (direct complex evaluation and the expanded split), checks
-the commutation identity on actual fields, and measures the weighted
-persistence and smoothing-versus-decay trade of the linear flow.
+Every conjugation constant comes from S alone.  Expanding about xi = 0,
+S(i*xi - b) = S(-b) + i*xi*S'(-b) + O(xi^2): the xi-independent decay rate
+is delta = Re S(-b), and the weighted field is transported by mu*t with
+mu = Re S'(-b).  For an even symbol S has real coefficients; for a complex
+S (odd signed powers, optimality:k) delta and mu are these real parts, and
+Im S'(-b) adds a damping or growth linear in xi instead of a transport.
+This module computes the conjugated propagator, checks the commutation
+identity on actual fields, and measures the weighted persistence and
+smoothing-versus-decay trade of the linear flow.
 """
 
 from __future__ import annotations
@@ -35,13 +33,12 @@ from .fields import mollified_cusp, sample_ensemble
 from .grid import (
     SpectralField,
     SpectralGrid,
+    WeightSpec,
     apply_multiplier,
     boundary_leakage,
-    exp_weight,
     fractional_D,
     from_values,
     l2_norm,
-    poly_weight,
     to_values,
 )
 from .norms import hs_norm, weighted_norm
@@ -97,8 +94,11 @@ def shifted_multiplier(phi: symbols.PhaseFunction, b: float, t: float, xi
 def expanded_multiplier(b: float, eta: float, t: float, xi) -> np.ndarray:
     """The fourth-order conjugated multiplier from its expanded split form.
 
-    Written out from the binomial expansion of S(i*xi - b); must agree with
-    shifted_multiplier to rounding.  The real part equals theta(xi) + delta.
+    Written out from the binomial expansion of S(i*xi - b) for the kdvks
+    symbol -xi^4 + xi^2; must agree with shifted_multiplier to rounding.  The
+    real part of the exponent splits as theta(xi) + delta with
+    theta(xi) = eta*xi^4 + (3b - eta - 6*eta*b^2)*xi^2 and
+    delta = eta*(b^2 + b^4) - b^3.
     """
     xi = np.asarray(xi, dtype=float)
     re = (3.0 * b * xi**2 - b**3
@@ -106,22 +106,6 @@ def expanded_multiplier(b: float, eta: float, t: float, xi) -> np.ndarray:
     im = (-(xi**3) + 3.0 * b**2 * xi
           + eta * (-2.0 * b * xi + 4.0 * b * xi**3 - 4.0 * b**3 * xi))
     return np.exp(-t * re - 1j * t * im)
-
-
-def decay_shift(b: float, eta: float) -> float:
-    """delta = eta*(b^2 + b^4) - b^3, the xi-independent real exponent part."""
-    return eta * (b**2 + b**4) - b**3
-
-
-def transport_speed(b: float, eta: float) -> float:
-    """mu = 3b^2 - 2*eta*b - 4*eta*b^3; the weighted field translates by mu*t."""
-    return 3.0 * b**2 - 2.0 * eta * b - 4.0 * eta * b**3
-
-
-def theta_profile(xi, b: float, eta: float) -> np.ndarray:
-    """theta(xi) = eta*xi^4 + (3b - eta - 6*eta*b^2)*xi^2."""
-    xi = np.asarray(xi, dtype=float)
-    return eta * xi**4 + (3.0 * b - eta - 6.0 * eta * b**2) * xi**2
 
 
 @dataclass
@@ -140,8 +124,9 @@ def conjugation_check(f: SpectralField, phi: symbols.PhaseFunction, b: float,
                       ) -> ConjugationResult:
     """Compare exp(b*x) * V(t) f against the conjugated propagator on exp(b*x) f.
 
-    phi must be the fourth-order preset's symbol -xi^4 + xi^2 (any eta): the
-    split into theta, delta and mu is written out for it alone.
+    phi may be any symbol that operator_polynomial accepts; any other raises
+    its ValueError.  delta = Re S(-b) and mu = Re S'(-b) come from the
+    operator polynomial S (the real parts, when S is complex).
 
     The identity is exact on the line; on the periodic grid it holds to
     rounding only while the weighted field stays away from the boundary, so
@@ -153,32 +138,27 @@ def conjugation_check(f: SpectralField, phi: symbols.PhaseFunction, b: float,
     Node values of f and V(t) f under the seam (where exp(b*x) amplifies by
     more than e^5) are recomputed in double-double, because an inverse FFT
     only delivers them to 1e-16 * max|u| and the weight turns that absolute
-    rounding floor into the dominant error of the whole comparison.
+    rounding floor into the dominant error of the whole comparison.  Each
+    strip keeps the realness of its own field: V(t) f is real only when f is
+    and phi is even.
 
     bound_ratio measures ||exp(b*x) V(t) f|| against
     exp(-t*delta) * (1 + e^t) * ||exp(b*x) f||, the persistence bound shape
-    with constant 1.
+    with constant 1 and delta = Re S(-b).
     """
-    if phi.p != 4.0 or phi.terms != (symbols.PhaseTerm(1.0, 0, 2.0),):
-        raise ValueError("the conjugation check needs the kdvks symbol "
-                         f"-xi^4 + xi^2, got p={phi.p:g} with terms {phi.terms}")
+    S = np.polynomial.Polynomial(operator_polynomial(phi))
     grid = f.grid
-    eta = phi.eta
-    wv = exp_weight(b).values(grid)
+    wv = WeightSpec("exp", b).values(grid)
     v = apply_semigroup(phi, t, f)
     fv = to_values(f)
     vvals = to_values(v)
     idx = seam_indices(grid, b)
     if idx.size:
         strip_f = dd_field_values(f.coeffs, grid, idx)
-        mult = dd_semigroup_multiplier(operator_polynomial(phi), t, grid)
+        mult = dd_semigroup_multiplier(S.coef, t, grid)
         strip_v = dd_field_values(f.coeffs, grid, idx, mult)
-        if f.is_real:
-            strip_f, strip_v = strip_f.real, strip_v.real
-        fv = fv.astype(strip_f.dtype, copy=True)
-        vvals = vvals.astype(strip_v.dtype, copy=True)
-        fv[idx] = strip_f
-        vvals[idx] = strip_v
+        fv[idx] = strip_f.real if f.is_real else strip_f
+        vvals[idx] = strip_v.real if v.is_real else strip_v
     g = from_values(grid, fv * wv)
     a_side = from_values(grid, vvals * wv)
     leaks = (boundary_leakage(g), boundary_leakage(a_side))
@@ -200,10 +180,10 @@ def conjugation_check(f: SpectralField, phi: symbols.PhaseFunction, b: float,
     if not math.isfinite(rel):
         raise NumericalError(f"conjugation rel_error is {rel} at b={b:g}, t={t:g}")
     ng = l2_norm(g)
-    denom = math.exp(-t * decay_shift(b, eta)) * (1.0 + math.exp(t)) * ng
+    delta = float(S(-b).real)
+    denom = math.exp(-t * delta) * (1.0 + math.exp(t)) * ng
     ratio = na / denom if denom else 0.0
-    return ConjugationResult(rel, ratio, leakage, decay_shift(b, eta),
-                             transport_speed(b, eta))
+    return ConjugationResult(rel, ratio, leakage, delta, float(S.deriv()(-b).real))
 
 
 # --- polynomial-weight persistence -------------------------------------------
@@ -227,7 +207,7 @@ def weight_exchange_check(u0: SpectralField, phi: symbols.PhaseFunction,
         )
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    w = poly_weight(r)
+    w = WeightSpec("poly", r)
     denom = (1.0 + t) * hs_norm(u0, s) + weighted_norm(u0, w)
     if denom == 0.0:
         return 0.0

@@ -292,18 +292,6 @@ class WeightSpec:
         return np.exp(self.param * x)
 
 
-def poly_weight(r: float) -> WeightSpec:
-    return WeightSpec("poly", r)
-
-
-def bracket_weight(r: float) -> WeightSpec:
-    return WeightSpec("bracket", r)
-
-
-def exp_weight(b: float) -> WeightSpec:
-    return WeightSpec("exp", b)
-
-
 def parse_weight(text: str) -> WeightSpec:
     """Parse 'kind:param' labels such as 'poly:1.0' or 'exp:0.25'."""
     kind, sep, param = text.strip().partition(":")

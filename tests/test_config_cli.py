@@ -155,7 +155,7 @@ HOSTILE_VALUES = ("", "0", "-1", "nan", "inf", "1e308", "1e-320", "abc")
 
 def _hostile_cases():
     # every key through existence-time on kdvb; the keys conjugate-check
-    # reads through it, on the kdvks symbol it needs
+    # reads through it, on the default kdvks symbol
     for section, keys in _SCHEMA.items():
         for key in keys:
             if (section, key) != ("output", "dir"):
@@ -306,6 +306,18 @@ def test_verify_bracket_without_pairs_exits_2(runner, tmp_path):
     assert "brackets.pairs" in result.output
 
 
+@pytest.mark.parametrize("override", ["brackets.max_n=0", "brackets.max_a=-1",
+                                      "brackets.tol=0", "brackets.tol=-1e-8"])
+def test_verify_bracket_that_would_check_nothing_exits_2(runner, tmp_path,
+                                                         override):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["verify-bracket", "-D", override,
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 2, result.output
+    assert f"{override.split('=')[0]}: " in result.output
+    assert not (out / "verify-bracket.csv").exists()
+
+
 def test_missing_config_file_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["simulate", "--config",
                                   str(tmp_path / "nope.ini")])
@@ -357,11 +369,27 @@ def test_picard_csv_has_the_lambda_columns_and_replays_byte_identically(runner,
     assert (out / "picard.csv").read_bytes() == first
 
 
-def test_conjugate_check_rejects_non_kdvks(runner, tmp_path):
-    result = runner.invoke(main, ["conjugate-check", "-D", "model.preset=kdvb",
-                                  "-D", f"output.dir={tmp_path / 'out'}"])
-    assert result.exit_code == 2
-    assert "model.preset" in result.output
+@pytest.mark.parametrize("preset", ["kdvb", "optimality:2"])
+def test_conjugate_check_runs_on_every_polynomial_symbol(runner, tmp_path,
+                                                         preset):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["conjugate-check", "-D", f"model.preset={preset}",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 0, result.output
+    assert len((out / "conjugate-check.csv").read_text().splitlines()) == 5
+
+
+def test_conjugate_check_rejects_non_polynomial_symbols(runner, tmp_path):
+    for model in (("model.preset=ost",),
+                  ("model.preset=custom", "model.p=3", "model.terms=1 0 2")):
+        flags = [arg for item in model for arg in ("-D", item)]
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["conjugate-check", *flags,
+                                      "-D", f"output.dir={out}"])
+        assert result.exit_code == 2, result.output
+        assert "model: " in result.output
+        assert "not a differential-operator polynomial" in result.output
+        assert not (out / "conjugate-check.csv").exists()
 
 
 def test_conjugate_check_leakage_exits_1(runner, tmp_path):
@@ -388,7 +416,7 @@ def test_conjugate_check_writes_cell_table(runner, tmp_path):
 
 def test_verify_bracket_table(runner, tmp_path):
     out = tmp_path / "out"
-    result = runner.invoke(main, ["verify-bracket", "--max-n", "3",
+    result = runner.invoke(main, ["verify-bracket", "-D", "brackets.max_n=3",
                                   "-D", f"output.dir={out}"])
     assert result.exit_code == 0, result.output
     assert "0 over tolerance" in result.output
@@ -492,6 +520,21 @@ def test_manifest_replays_run_byte_identically(runner, tmp_path):
     replay = runner.invoke(main, ["verify-smoothing", "--config", str(manifest)])
     assert replay.exit_code == 0, replay.output
     assert (out / "verify-smoothing.csv").read_bytes() == first
+
+
+def test_verify_bracket_replays_byte_identically_from_its_manifest(runner,
+                                                                   tmp_path):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["verify-bracket", "-D", "brackets.max_n=2",
+                                  "-D", "brackets.max_a=1",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 0, result.output
+    first = (out / "verify-bracket.csv").read_bytes()
+    assert len(first.decode().splitlines()) == 1 + (1 + 2) * 2
+    replay = runner.invoke(main, ["verify-bracket", "--config",
+                                  str(out / "verify-bracket-manifest.ini")])
+    assert replay.exit_code == 0, replay.output
+    assert (out / "verify-bracket.csv").read_bytes() == first
 
 
 def test_manifest_records_subcommand_seed_and_hash(runner, tmp_path):

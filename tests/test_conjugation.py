@@ -6,14 +6,11 @@ import pytest
 from dklb import symbols
 from dklb.conjugation import (
     conjugation_check,
-    decay_shift,
     exchange_ensemble,
     expanded_multiplier,
     operator_polynomial,
     regularity_gain_probe,
     shifted_multiplier,
-    theta_profile,
-    transport_speed,
     weight_exchange_check,
 )
 from dklb.errors import LeakageError
@@ -28,6 +25,20 @@ from dklb.symbols import semigroup_multiplier
 
 
 KDVKS = symbols.kdvks().phase
+
+
+# kdvks closed forms of the conjugation constants, S(z) = z^3 + eta*(z^2 + z^4):
+# oracles for the values conjugation_check takes from the operator polynomial
+def _delta(b, eta):
+    return eta * (b**2 + b**4) - b**3
+
+
+def _mu(b, eta):
+    return 3.0 * b**2 - 2.0 * eta * b - 4.0 * eta * b**3
+
+
+def _theta(xi, b, eta):
+    return eta * xi**4 + (3.0 * b - eta - 6.0 * eta * b**2) * xi**2
 
 
 @pytest.fixture
@@ -85,17 +96,27 @@ def test_multiplier_magnitude_factorizes(wide_grid):
     b, eta, t = 0.4, 1.0, 0.08
     phi = symbols.kdvks(eta).phase
     mags = np.abs(shifted_multiplier(phi, b, t, wide_grid.xi))
-    expect = np.exp(-t * (theta_profile(wide_grid.xi, b, eta)
-                          + decay_shift(b, eta)))
+    expect = np.exp(-t * (_theta(wide_grid.xi, b, eta) + _delta(b, eta)))
     assert np.max(np.abs(mags - expect)) <= 1e-12 * np.max(expect)
 
 
-def test_decay_shift_and_transport_values():
-    assert decay_shift(0.25, 1.0) == pytest.approx(
-        (0.0625 + 0.00390625) - 0.015625, rel=1e-15)
-    assert decay_shift(0.5, 1.0) == pytest.approx(0.25 + 0.0625 - 0.125, rel=1e-15)
-    assert transport_speed(0.25, 1.0) == pytest.approx(-0.375, rel=1e-15)
-    assert transport_speed(0.5, 1.0) == pytest.approx(-0.75, rel=1e-15)
+def test_decay_shift_and_transport_values(wide_grid):
+    f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
+    r1 = conjugation_check(f, KDVKS, 0.25, 0.0)
+    r2 = conjugation_check(f, KDVKS, 0.5, 0.0)
+    assert r1.delta == (0.0625 + 0.00390625) - 0.015625
+    assert r2.delta == 0.25 + 0.0625 - 0.125
+    assert r1.mu == -0.375
+    assert r2.mu == -0.75
+
+
+@pytest.mark.parametrize("eta", [1.0, 2.0])
+@pytest.mark.parametrize("b", [0.25, 0.5])
+def test_delta_and_mu_are_the_kdvks_closed_forms(wide_grid, b, eta):
+    f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
+    res = conjugation_check(f, symbols.kdvks(eta).phase, b, 0.1)
+    assert res.delta == _delta(b, eta)
+    assert res.mu == _mu(b, eta)
 
 
 def test_conjugation_identity_at_time_zero(wide_grid):
@@ -115,8 +136,8 @@ def test_conjugation_identity_moderate_weight(wide_grid):
     res = conjugation_check(f, KDVKS, b=0.25, t=0.1)
     assert res.rel_error <= 1e-9
     assert res.boundary_leakage <= 1e-8
-    assert res.delta == decay_shift(0.25, 1.0)
-    assert res.mu == transport_speed(0.25, 1.0)
+    assert res.delta == _delta(0.25, 1.0)
+    assert res.mu == _mu(0.25, 1.0)
     assert 0 < res.bound_ratio <= 1.0
 
 
@@ -159,7 +180,7 @@ def test_conjugated_packet_transports(wide_grid):
     y0, y1, y2 = vals[i - 1], vals[i], vals[i + 1]
     frac = 0.5 * (y0 - y2) / (y0 - 2 * y1 + y2)
     peak = wide_grid.x[i] + frac * wide_grid.dx
-    expect = transport_speed(b, eta) * t
+    expect = _mu(b, eta) * t
     assert abs(peak - expect) <= 2 * wide_grid.dx
 
 
@@ -226,18 +247,38 @@ def test_regularity_gain_probe_rows():
 
 
 def test_theta_profile_positive_for_small_b(wide_grid):
-    # for b small the damping profile stays nonnegative away from zero
-    th = theta_profile(wide_grid.xi, 0.5, 1.0)
+    # for b small the damping profile theta = Re S(i*xi - b) - delta, read off
+    # the conjugated multiplier, stays positive away from zero
+    b, t = 0.5, 1e-5
+    m = shifted_multiplier(KDVKS, b, t, wide_grid.xi)
+    th = -np.log(np.abs(m)) / t - _delta(b, 1.0)
     assert th[np.abs(wide_grid.xi) >= 2.0].min() > 0
 
 
-def test_conjugation_check_needs_the_kdvks_symbol(wide_grid):
+# criterion 01's grid, data and bar; optimality:3 (p = 6) reaches it only at
+# b = 0.25, and leans on the boundary at b = 0.5, t = 0.1
+@pytest.mark.parametrize("name, bs", [("kdvb", (0.25, 0.5)),
+                                      ("kdvks", (0.25, 0.5)),
+                                      ("optimality:2", (0.25, 0.5)),
+                                      ("optimality:3", (0.25,))])
+def test_conjugation_identity_on_every_polynomial_symbol(wide_grid, name, bs):
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
-    for phi in (symbols.kdvb().phase, symbols.PhaseFunction(p=4.0)):
-        with pytest.raises(ValueError, match="kdvks"):
+    phi = symbols.preset(name).phase
+    S = np.polynomial.Polynomial(operator_polynomial(phi))
+    for b in bs:
+        for t in (0.05, 0.1):
+            res = conjugation_check(f, phi, b, t)
+            assert res.rel_error <= 1e-7, (b, t, res.rel_error)
+            assert res.delta == S(-b).real and res.mu == S.deriv()(-b).real
+            assert 0 < res.bound_ratio <= 1.0
+
+
+def test_conjugation_check_rejects_non_polynomial_symbols(wide_grid):
+    f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
+    odd_p = symbols.PhaseFunction(p=3.0, terms=(symbols.PhaseTerm(1.0, 0, 2.0),))
+    for phi in (symbols.ost().phase, odd_p):
+        with pytest.raises(ValueError, match="not a differential-operator"):
             conjugation_check(f, phi, 0.25, 0.1)
-    res = conjugation_check(f, symbols.kdvks(2.0).phase, 0.25, 0.1)
-    assert res.delta == decay_shift(0.25, 2.0)
 
 
 def test_conjugation_check_rejects_negative_time(wide_grid):

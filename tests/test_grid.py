@@ -12,10 +12,8 @@ from dklb.grid import (
     WeightSpec,
     apply_multiplier,
     boundary_leakage,
-    bracket_weight,
     dealiased_product,
     derivative,
-    exp_weight,
     fractional_D,
     from_coeffs,
     from_values,
@@ -23,7 +21,6 @@ from dklb.grid import (
     l2_norm,
     multiplier_preserves_real,
     parse_weight,
-    poly_weight,
     read_snapshot,
     to_values,
     write_snapshot,
@@ -221,17 +218,17 @@ def test_product_is_bilinear_and_commutative(a, b, c, s1, s2):
 
 
 def test_trivial_weights_are_identity(grid256):
-    assert np.allclose(bracket_weight(0.0).values(grid256), 1.0, atol=0)
-    assert np.allclose(exp_weight(0.0).values(grid256), 1.0, atol=0)
-    assert np.allclose(poly_weight(0.0).values(grid256), 1.0, atol=0)
+    assert np.allclose(WeightSpec("bracket", 0.0).values(grid256), 1.0, atol=0)
+    assert np.allclose(WeightSpec("exp", 0.0).values(grid256), 1.0, atol=0)
+    assert np.allclose(WeightSpec("poly", 0.0).values(grid256), 1.0, atol=0)
 
 
 def test_weight_values(grid256):
     x = grid256.x
-    assert np.allclose(poly_weight(2.0).values(grid256), x**2, rtol=1e-14)
-    assert np.allclose(bracket_weight(1.0).values(grid256),
+    assert np.allclose(WeightSpec("poly", 2.0).values(grid256), x**2, rtol=1e-14)
+    assert np.allclose(WeightSpec("bracket", 1.0).values(grid256),
                        np.sqrt(1.0 + x**2), rtol=1e-14)
-    assert np.allclose(exp_weight(0.25).values(grid256),
+    assert np.allclose(WeightSpec("exp", 0.25).values(grid256),
                        np.exp(0.25 * x), rtol=1e-14)
 
 
@@ -239,7 +236,7 @@ def test_exponential_weight_cap():
     grid = SpectralGrid(64, 80.0)
     b = (EXP_WEIGHT_CAP + 1.0) / 40.0
     with pytest.raises(ValueError):
-        exp_weight(b).values(grid)
+        WeightSpec("exp", b).values(grid)
 
 
 def test_parse_weight_roundtrip():

@@ -13,12 +13,11 @@ from dklb.fields import gaussian, normalize_l2, random_mixture, sample_ensemble
 from dklb.grid import (
     SpectralGrid,
     Trajectory,
+    WeightSpec,
     derivative,
-    exp_weight,
     fractional_D,
     from_values,
     l2_norm,
-    poly_weight,
     to_values,
 )
 from dklb.norms import (
@@ -139,7 +138,7 @@ def test_hs_norm_of_pure_mode(grid256):
 def test_weighted_norm_gaussian_moment(grid256):
     # || |x| e^{-x^2/2} ||_{L2}^2 = integral x^2 e^{-x^2} = sqrt(pi)/2
     f = gaussian(grid256, width=1.0)
-    val = weighted_norm(f, poly_weight(1.0))
+    val = weighted_norm(f, WeightSpec("poly", 1.0))
     assert val == pytest.approx(math.sqrt(math.sqrt(math.pi) / 2), rel=1e-8)
 
 
@@ -225,8 +224,8 @@ def _reference_lambdas(traj, s, r, b):
     out["lambda5"] = l2_t(derivative, 4.0)
     if alpha(2.0, math.inf, 1.0, phi.p) > 0:
         out["lambda6"] = l2_t(derivative, math.inf) / A6(phi, T)
-    out["lambda7"] = max(weighted_norm(f, poly_weight(r)) for f in snaps)
-    out["lambda8"] = max(weighted_norm(f, exp_weight(b)) for f in snaps)
+    out["lambda7"] = max(weighted_norm(f, WeightSpec("poly", r)) for f in snaps)
+    out["lambda8"] = max(weighted_norm(f, WeightSpec("exp", b)) for f in snaps)
     if "lambda3" in out:
         out["Lambda"] = sum(out[f"lambda{i}"] for i in range(1, 6))
         if "lambda6" in out:
