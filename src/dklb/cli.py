@@ -8,12 +8,16 @@ content hash and the subcommand name.  Feeding that manifest back through
 
 Exit codes: 0 success, 1 numerical failure (divergence, overflow, boundary
 leakage), 2 validation failure (bad config or violated precondition).
+Each key's own domain is checked by the config parser on every
+subcommand; a rule that spans keys is checked by the subcommand that reads
+them, and names them.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -67,6 +71,17 @@ def _prepare(config_path, overrides, subcommand: str):
     return cfg, outdir
 
 
+@contextmanager
+def _fields(*keys: str):
+    """Name the config keys behind a library precondition that spans them."""
+    try:
+        yield
+    except DklbError:  # LeakageError is a ValueError too, but numerical
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{'/'.join(keys)}: {exc}") from exc
+
+
 def _subcommand(name: str):
     """Config/override options plus the exit-code policy, shared by all."""
 
@@ -112,14 +127,19 @@ def simulate(cfg: ExperimentConfig, outdir: Path) -> int:
     u0 = cfg.build_data(grid)
     method = cfg.get("solver", "method")
     T = cfg.get("solver", "t")
+    step_key = "solver.dt" if cfg.get("solver", "dt") else "solver.nt"
     dt = cfg.get("solver", "dt") or T / cfg.get("solver", "nt")
     s = cfg.get("solver", "s")
-    weights = cfg.weight_specs()
-    traj = etdrk4_solve(u0, phase, T, dt, nonlinear=(method != "linear"),
-                        snapshot_stride=cfg.get("solver", "snapshot_stride"))
+    weights = cfg.get("weights", "list") or []
+    with _fields("weights.list", "grid.l"):
+        for w in weights:
+            w.values(grid)  # an exp weight must stay representable on the grid
+    with _fields("solver.t", step_key):
+        traj = etdrk4_solve(u0, phase, T, dt, nonlinear=(method != "linear"),
+                            snapshot_stride=cfg.get("solver", "snapshot_stride"))
     header = ["step", "t", "l2", "hs"] + [w.label for w in weights]
     rows = []
-    formats = cfg.formats()
+    formats = cfg.get("output", "formats")
     for t, snap in zip(traj.times, traj.snapshots):
         step = int(round(t / dt))
         row = [step, float(t), l2_norm(snap), hs_norm(snap, s)]
@@ -143,10 +163,11 @@ def picard(cfg: ExperimentConfig, outdir: Path) -> int:
     phase = cfg.build_phase()
     grid = cfg.build_grid()
     u0 = cfg.build_data(grid)
-    traj, report = picard_solve(
-        u0, phase, cfg.get("solver", "t"), nt=cfg.get("solver", "nt"),
-        tol=cfg.get("solver", "tol"), max_iter=cfg.get("solver", "max_iter"),
-        s=cfg.get("solver", "s"), cstar=cfg.get("solver", "cstar"))
+    with _fields("solver.nt"):  # Simpson's rule takes an even step count
+        traj, report = picard_solve(
+            u0, phase, cfg.get("solver", "t"), nt=cfg.get("solver", "nt"),
+            tol=cfg.get("solver", "tol"), max_iter=cfg.get("solver", "max_iter"),
+            s=cfg.get("solver", "s"), cstar=cfg.get("solver", "cstar"))
     lambda_keys = list(report.lambda_values[0])
     header = ["iterate", "distance", "ratio"] + lambda_keys
     ratios = [""] + [repr(r) for r in report.distance_ratios]
@@ -155,7 +176,7 @@ def picard(cfg: ExperimentConfig, outdir: Path) -> int:
                                              report.lambda_values))]
     csv_path = outdir / "picard.csv"
     _write_csv(csv_path, header, rows)
-    if "snapshots" in cfg.formats():
+    if "snapshots" in cfg.get("output", "formats"):
         write_snapshot(outdir / "picard-final.dklb", traj.final, traj.times[-1])
     click.echo(f"wrote {csv_path}")
     if not report.converged:
@@ -203,20 +224,21 @@ def verify_bracket(cfg: ExperimentConfig, outdir: Path) -> int:
 def verify_smoothing_cmd(cfg: ExperimentConfig, outdir: Path) -> int:
     """Measure one linear smoothing bound over a seeded random ensemble."""
     phase = cfg.build_phase()
-    report = verify_smoothing(
-        cfg.get("smoothing", "check"), phase, grid=cfg.build_grid(),
-        T=cfg.get("smoothing", "t"), size=cfg.get("ensemble", "size"),
-        seed=cfg.get("ensemble", "seed"), nt=cfg.get("smoothing", "nt"),
-        s=cfg.get("smoothing", "s"), a=cfg.get("smoothing", "a"),
-        b=cfg.get("smoothing", "b"), q=cfg.get("smoothing", "q"))
-    if not np.all(np.isfinite(report.ratios)):
-        raise NumericalError(f"non-finite ratios in check {report.check}")
+    # each check's hypotheses, and alpha > 0, relate its exponents to p
+    with _fields("smoothing.check", "smoothing.s", "smoothing.a", "smoothing.b",
+                 "smoothing.q", "model"):
+        report = verify_smoothing(
+            cfg.get("smoothing", "check"), phase, grid=cfg.build_grid(),
+            T=cfg.get("smoothing", "t"), size=cfg.get("ensemble", "size"),
+            seed=cfg.get("ensemble", "seed"), nt=cfg.get("smoothing", "nt"),
+            s=cfg.get("smoothing", "s"), a=cfg.get("smoothing", "a"),
+            b=cfg.get("smoothing", "b"), q=cfg.get("smoothing", "q"))
     header = ["sample_id", "ratio"]
     rows = [[i, float(r)] for i, r in enumerate(report.ratios)]
     rows.append(["max", report.max_ratio])
     csv_path = outdir / "verify-smoothing.csv"
     _write_csv(csv_path, header, rows)
-    if "svg" in cfg.formats():
+    if "svg" in cfg.get("output", "formats"):
         emit_plot(csv_path, "histogram")
     click.echo(f"wrote {csv_path}")
     click.echo(f"check {report.check}: {report.sample_count} samples, "
@@ -231,17 +253,16 @@ def conjugate_check(cfg: ExperimentConfig, outdir: Path) -> int:
     grid = cfg.build_grid()
     f = cfg.build_data(grid)
     phase = cfg.build_phase()
-    try:
+    with _fields("model"):
         operator_polynomial(phase)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
     header = ["b", "t", "rel_error", "bound_ratio", "delta", "mu",
               "boundary_leakage"]
     rows = []
     for b in cfg.get("conjugation", "b"):
         for t in cfg.get("conjugation", "t"):
-            r = conjugation_check(f, phase, b, t,
-                                  max_leakage=cfg.get("conjugation", "max_leakage"))
+            with _fields("conjugation.b", "grid.l"):  # |b|*L/2 <= EXP_WEIGHT_CAP
+                r = conjugation_check(
+                    f, phase, b, t, max_leakage=cfg.get("conjugation", "max_leakage"))
             rows.append([b, t, r.rel_error, r.bound_ratio, r.delta, r.mu,
                          r.boundary_leakage])
     csv_path = outdir / "conjugate-check.csv"
@@ -267,7 +288,7 @@ def decay_experiment(cfg: ExperimentConfig, outdir: Path) -> int:
              report.fitted_rates[row["sigma"]]] for row in report.rows]
     csv_path = outdir / "decay-experiment.csv"
     _write_csv(csv_path, header, rows)
-    if "svg" in cfg.formats():
+    if "svg" in cfg.get("output", "formats"):
         emit_plot(csv_path, "timeseries")
     click.echo(f"wrote {csv_path}")
     rates = ", ".join(f"sigma={s!r}: {r!r}"
@@ -286,8 +307,9 @@ def existence_time_cmd(cfg: ExperimentConfig, outdir: Path) -> int:
     rows = []
     for u0_norm in cfg.get("existence", "norms"):
         for cstar in cfg.get("existence", "cstars"):
-            t0, z0 = existence_time(u0_norm, phase, s=s, cstar=cstar)
-            a_sum = norms.A2(phase, t0) + norms.A3(phase, s, t0)
+            with _fields("solver.s", "model"):  # alpha(2, 4, s, p) > 0
+                t0, z0 = existence_time(u0_norm, phase, s=s, cstar=cstar)
+                a_sum = norms.A2(phase, t0) + norms.A3(phase, s, t0)
             threshold = contraction_threshold(cstar, z0)
             rows.append([u0_norm, cstar, t0, a_sum, threshold])
     csv_path = outdir / "existence-time.csv"

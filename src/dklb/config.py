@@ -14,9 +14,11 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import symbols
+import numpy as np
+
+from . import brackets, fields, norms, symbols
 from .errors import ConfigError
-from .grid import SpectralGrid, WeightSpec, parse_weight
+from .grid import SpectralField, SpectralGrid, WeightSpec, parse_weight
 
 
 def _int(text: str) -> int:
@@ -39,100 +41,138 @@ def _str(text: str) -> str:
     return text.strip()
 
 
-def _floats(text: str) -> list[float]:
-    return [_float(tok) for tok in text.split()]
-
-
-def _strs(text: str) -> list[str]:
-    return text.split()
+def _list(parse):
+    def parse_each(text):
+        return [parse(tok) for tok in text.split()]
+    return parse_each
 
 
 def _choice(*options):
+    canonical = {option.lower(): option for option in options}
+
     def parse(text):
         val = text.strip().lower()
-        if val not in options:
+        if val not in canonical:
             raise ValueError(f"must be one of {', '.join(options)}; got {text!r}")
-        return val
+        return canonical[val]
     return parse
+
+
+def _bounded(parse, lo, *, strict=False, hi=None):
+    """parse, then hold the value, or each element of a list, to lo (strict
+    or not) and, when given, to hi."""
+    if lo == 0:
+        floor = "positive" if strict else "nonnegative"
+    else:
+        floor = f"{'>' if strict else '>='} {lo}"
+
+    def parse_bounded(text):
+        val = parse(text)
+        for v in val if isinstance(val, list) else (val,):
+            if v < lo or (strict and v == lo):
+                raise ValueError(f"must be {floor}, got {v}")
+            if hi is not None and v > hi:
+                raise ValueError(f"must be <= {hi}, got {v}")
+        return val
+    return parse_bounded
+
+
+def _weight(text: str) -> WeightSpec:
+    spec = parse_weight(text)
+    if not math.isfinite(spec.param):
+        raise ValueError(f"weight parameters must be finite, got {text.strip()!r}")
+    return spec
+
+
+def _grid_size(text: str) -> int:
+    n = _int(text)
+    if n < 16 or n & (n - 1):
+        raise ValueError(f"must be a power of two >= 16, got {n}")
+    return n
 
 
 _METHODS = ("etdrk4", "linear")
 _DATA_KINDS = ("gaussian", "spectral-gaussian", "mixture", "cusp", "zero")
 _FORMATS = ("csv", "svg", "snapshots")
+_positive = _bounded(_float, 0, strict=True)
+_nonnegative = _bounded(_float, 0)
 
-# section -> key -> (parser, default-as-text).  An empty default marks an
-# optional key, read as None when left empty; every other key needs a value.
+# section -> key -> (parser, default-as-text).  Each parser holds its key to
+# the key's own domain; a rule that spans keys is checked where they are
+# read.  An empty default marks an optional key, read as None when left
+# empty; every other key needs a value.
 _SCHEMA = {
     "model": {
         "preset": (_str, "kdvks"),
-        "eta": (_float, "1.0"),
-        "p": (_float, ""),
+        "eta": (_positive, "1.0"),
+        "p": (_positive, ""),
         "terms": (_str, ""),
     },
     "grid": {
-        "n": (_int, "256"),
-        "l": (_float, "40.0"),
-        "dealias": (_float, repr(2.0 / 3.0)),
+        "n": (_grid_size, "256"),
+        "l": (_positive, "40.0"),
+        "dealias": (_bounded(_float, 0, strict=True, hi=1), repr(2.0 / 3.0)),
     },
     "solver": {
         "method": (_choice(*_METHODS), "etdrk4"),
-        "t": (_float, "1.0"),
-        "dt": (_float, ""),
-        "nt": (_int, "64"),
-        "tol": (_float, "1e-8"),
-        "max_iter": (_int, "25"),
-        "s": (_float, "0.0"),
-        "cstar": (_float, "1.0"),
-        "snapshot_stride": (_int, "1"),
+        "t": (_positive, "1.0"),
+        "dt": (_positive, ""),
+        "nt": (_bounded(_int, 2), "64"),
+        "tol": (_positive, "1e-8"),
+        "max_iter": (_bounded(_int, 1), "25"),
+        "s": (_nonnegative, "0.0"),
+        "cstar": (_positive, "1.0"),
+        "snapshot_stride": (_bounded(_int, 1), "1"),
     },
     "data": {
         "kind": (_choice(*_DATA_KINDS), "gaussian"),
         "center": (_float, "0.0"),
-        "width": (_float, "1.0"),
+        "width": (_positive, "1.0"),
         "amplitude": (_float, "1.0"),
-        "l2": (_float, ""),
+        "l2": (_nonnegative, ""),
     },
     "weights": {
-        "list": (_strs, ""),
+        "list": (_list(_weight), ""),
     },
     "ensemble": {
-        "size": (_int, "100"),
-        "seed": (_int, "2024"),
+        "size": (_bounded(_int, 1), "100"),
+        "seed": (_bounded(_int, 0), "2024"),
     },
     "output": {
         "dir": (_str, "out"),
-        "formats": (_strs, "csv"),
+        "formats": (_list(_choice(*_FORMATS)), "csv"),
     },
     "conjugation": {
-        "b": (_floats, "0.25 0.5"),
-        "t": (_floats, "0.05 0.1"),
-        "max_leakage": (_float, "1e-8"),
+        "b": (_list(_float), "0.25 0.5"),
+        "t": (_bounded(_list(_float), 0), "0.05 0.1"),
+        "max_leakage": (_nonnegative, "1e-8"),
     },
     "smoothing": {
-        "check": (_str, "C2"),
-        "t": (_float, "1.0"),
-        "nt": (_int, "48"),
-        "s": (_float, "0.0"),
-        "a": (_exponent, "2.0"),
-        "b": (_exponent, "4.0"),
-        "q": (_float, "1.0"),
+        "check": (_choice(*norms.SMOOTHING_CHECKS), "C2"),
+        "t": (_positive, "1.0"),
+        "nt": (_bounded(_int, 1), "48"),
+        "s": (_nonnegative, "0.0"),
+        "a": (_bounded(_exponent, 1), "2.0"),
+        "b": (_bounded(_exponent, 1), "4.0"),
+        "q": (_nonnegative, "1.0"),
     },
     "brackets": {
-        "max_n": (_int, "6"),
-        "max_a": (_int, "3"),
-        "pairs": (_int, "3"),
-        "tol": (_float, "1e-8"),
+        # verify-bracket must check at least one reduction against a real bound
+        "max_n": (_bounded(_int, 1), "6"),
+        "max_a": (_bounded(_int, 0), "3"),
+        "pairs": (_bounded(_int, 1, hi=len(brackets.standard_pairs())), "3"),
+        "tol": (_positive, "1e-8"),
     },
     "existence": {
-        "norms": (_floats, "0.01 0.1 1.0"),
-        "cstars": (_floats, "0.5 1.0 2.0"),
+        "norms": (_bounded(_list(_float), 0), "0.01 0.1 1.0"),
+        "cstars": (_bounded(_list(_float), 0, strict=True), "0.5 1.0 2.0"),
     },
     "decay": {
-        "k": (_int, "2"),
-        "sigmas": (_floats, "0.0 0.25 0.5"),
-        "t": (_floats, "0.1 0.2 0.4"),
+        "k": (_bounded(_int, 2), "2"),
+        "sigmas": (_bounded(_list(_float), 0), "0.0 0.25 0.5"),
+        "t": (_bounded(_list(_float), 0, strict=True), "0.1 0.2 0.4"),
         "gamma": (_float, "0.5"),
-        "h": (_float, "0.05"),
+        "h": (_positive, "0.05"),
     },
 }
 
@@ -209,108 +249,36 @@ class ExperimentConfig:
             raise ConfigError(f"model: {exc}") from exc
 
     def build_grid(self) -> SpectralGrid:
-        try:
-            return SpectralGrid(self.get("grid", "n"), self.get("grid", "l"),
-                                self.get("grid", "dealias"))
-        except ValueError as exc:
-            raise ConfigError(f"grid.n/grid.l/grid.dealias: {exc}") from exc
+        return SpectralGrid(self.get("grid", "n"), self.get("grid", "l"),
+                            self.get("grid", "dealias"))
 
-    def build_data(self, grid: SpectralGrid):
-        # imported here to keep config importable from low-level modules
-        from . import fields
-        from .grid import SpectralField
-        import numpy as np
-
+    def build_data(self, grid: SpectralGrid) -> SpectralField:
         kind = self.get("data", "kind")
         center = self.get("data", "center")
         width = self.get("data", "width")
         amplitude = self.get("data", "amplitude")
-        try:
-            if kind == "gaussian":
-                f = fields.gaussian(grid, center, width, amplitude)
-            elif kind == "spectral-gaussian":
-                f = fields.gaussian_spectral(grid, center, width, amplitude)
-            elif kind == "mixture":
-                rng = np.random.default_rng(self.get("ensemble", "seed"))
-                f = fields.random_mixture(grid, rng) * amplitude
-            elif kind == "cusp":
-                f = fields.mollified_cusp(grid, self.get("decay", "gamma"),
-                                          self.get("decay", "h"))
-            else:
-                f = SpectralField(grid, np.zeros(grid.n, dtype=complex), True)
-        except ValueError as exc:
-            raise ConfigError(f"data: {exc}") from exc
+        if kind == "gaussian":
+            f = fields.gaussian(grid, center, width, amplitude)
+        elif kind == "spectral-gaussian":
+            f = fields.gaussian_spectral(grid, center, width, amplitude)
+        elif kind == "mixture":
+            rng = np.random.default_rng(self.get("ensemble", "seed"))
+            f = fields.random_mixture(grid, rng) * amplitude
+        elif kind == "cusp":
+            f = fields.mollified_cusp(grid, self.get("decay", "gamma"),
+                                      self.get("decay", "h"))
+        else:
+            f = SpectralField(grid, np.zeros(grid.n, dtype=complex), True)
         target = self.get("data", "l2")
         if target is not None:
             f = fields.normalize_l2(f, target)
         return f
 
-    def weight_specs(self) -> list[WeightSpec]:
-        specs = []
-        for label in self.get("weights", "list") or []:
-            try:
-                spec = parse_weight(label)
-            except ValueError as exc:
-                raise ConfigError(f"weights.list: {exc}") from exc
-            specs.append(spec)
-        return specs
-
-    def formats(self) -> list[str]:
-        fmts = self.get("output", "formats")
-        for fmt in fmts:
-            if fmt not in _FORMATS:
-                raise ConfigError(
-                    f"output.formats: unknown format {fmt!r}; "
-                    f"choose from {', '.join(_FORMATS)}")
-        return fmts
-
     def validate(self) -> None:
-        """Eagerly parse every key and check cross-field constraints."""
+        """Parse every key against its domain and build the symbol."""
         for section, keys in _SCHEMA.items():
             for key in keys:
                 self.get(section, key)
-        n = self.get("grid", "n")
-        if n < 16 or (n & (n - 1)) != 0:
-            raise ConfigError(f"grid.n: must be a power of two >= 16, got {n}")
-        if self.get("grid", "l") <= 0:
-            raise ConfigError(f"grid.l: must be positive, got {self.get('grid', 'l')}")
-        if self.get("solver", "t") <= 0:
-            raise ConfigError(f"solver.t: must be positive, got {self.get('solver', 't')}")
-        dt = self.get("solver", "dt")
-        if dt is not None and dt <= 0:
-            raise ConfigError(f"solver.dt: must be positive, got {dt}")
-        if self.get("solver", "nt") < 2:
-            raise ConfigError(f"solver.nt: must be >= 2, got {self.get('solver', 'nt')}")
-        if self.get("solver", "tol") <= 0:
-            raise ConfigError(
-                f"solver.tol: must be positive, got {self.get('solver', 'tol')}")
-        if self.get("solver", "max_iter") < 1:
-            raise ConfigError(
-                f"solver.max_iter: must be >= 1, got {self.get('solver', 'max_iter')}")
-        if self.get("ensemble", "size") < 1:
-            raise ConfigError(
-                f"ensemble.size: must be >= 1, got {self.get('ensemble', 'size')}")
-        # verify-bracket must check at least one reduction against a real bound
-        for key, floor in (("max_n", 1), ("pairs", 1), ("max_a", 0)):
-            if self.get("brackets", key) < floor:
-                raise ConfigError(f"brackets.{key}: must be >= {floor}, got "
-                                  f"{self.get('brackets', key)}")
-        if self.get("brackets", "tol") <= 0:
-            raise ConfigError(
-                f"brackets.tol: must be positive, got {self.get('brackets', 'tol')}")
-        if any(t < 0 for t in self.get("conjugation", "t")):
-            raise ConfigError(
-                f"conjugation.t: times must be nonnegative, got "
-                f"{self.get('conjugation', 't')}")
-        if self.get("conjugation", "max_leakage") < 0:
-            raise ConfigError(
-                f"conjugation.max_leakage: must be nonnegative, got "
-                f"{self.get('conjugation', 'max_leakage')}")
-        if self.get("data", "width") <= 0:
-            raise ConfigError(
-                f"data.width: must be positive, got {self.get('data', 'width')}")
-        self.formats()
-        self.weight_specs()
         self.build_phase()
 
 

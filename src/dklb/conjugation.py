@@ -230,14 +230,15 @@ class ExchangeReport:
 def exchange_ensemble(phi: symbols.PhaseFunction, r: float, s: float,
                       t_values, size: int = 50, seed: int = 2024,
                       grid: SpectralGrid | None = None) -> ExchangeReport:
-    """weight_exchange_check over a random ensemble; ratios must stay finite."""
+    """weight_exchange_check over a random ensemble; NumericalError unless
+    every ratio is finite."""
     if grid is None:
         grid = SpectralGrid(256, 40.0)
     t_values = tuple(float(t) for t in t_values)
     ratios = np.array([[weight_exchange_check(u0, phi, r, s, t) for t in t_values]
                        for u0 in sample_ensemble(grid, size, seed)])
     if not np.all(np.isfinite(ratios)):
-        raise ValueError("non-finite persistence ratio in ensemble")
+        raise NumericalError("non-finite persistence ratio in ensemble")
     return ExchangeReport(r, s, t_values, size, seed, ratios,
                           float(np.max(ratios)) if ratios.size else 0.0)
 

@@ -313,7 +313,8 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
       C4     ||D^s V u0||_{L2_T L2_x}    vs  A(2,2,s)(T)   ||u0||_{L2}
       P_inf  ||D^q V u0||_{Linf_x L2_T}  vs  ||u0||_{L2}   (fitted constant)
 
-    Parameters outside an inequality's hypothesis range raise ValueError.
+    Parameters outside an inequality's hypothesis range raise ValueError;
+    a ratio that is not finite raises NumericalError.
     Ratios use constant 1 on the right, so the fitted constant is simply the
     ensemble maximum.
 
@@ -378,6 +379,6 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
     ratios = np.array(ratios)
 
     if not np.all(np.isfinite(ratios)):
-        raise ValueError("non-finite bound ratio in ensemble")
+        raise NumericalError("non-finite bound ratio in ensemble")
     mx = float(np.max(ratios)) if len(ratios) else 0.0
     return NormEnsembleReport(check, size, seed, T, used, ratios, mx, mx)

@@ -131,6 +131,8 @@ def test_negative_n_exits_2_and_names_the_field(runner, tmp_path):
     ("verify-smoothing", "grid.l=inf"),
     ("simulate", "solver.t=nan"),
     ("existence-time", "existence.norms=0.1 nan"),
+    ("simulate", "weights.list=poly:1 exp:nan"),
+    ("simulate", "weights.list=poly:inf"),
 ])
 def test_non_finite_number_exits_2_and_names_the_field(runner, tmp_path,
                                                        command, override):
@@ -178,6 +180,15 @@ def _hostile_cases():
             yield pytest.param(("verify-smoothing", "-D", "ensemble.size=4"),
                                f"{section}.{key}",
                                id=f"verify-smoothing:{section}.{key}")
+    # the decay probe on a small grid, and the bracket verifier on few brackets
+    for section in ("model", "grid", "decay"):
+        for key in _SCHEMA[section]:
+            yield pytest.param(("decay-experiment", "-D", "grid.n=64"),
+                               f"{section}.{key}",
+                               id=f"decay-experiment:{section}.{key}")
+    for key in _SCHEMA["brackets"]:
+        yield pytest.param(("verify-bracket", "-D", "brackets.max_n=2"),
+                           f"brackets.{key}", id=f"verify-bracket:brackets.{key}")
 
 
 @pytest.mark.parametrize("value", HOSTILE_VALUES)
@@ -189,6 +200,8 @@ def test_hostile_value_ends_in_an_exit_code(runner, tmp_path, command, key,
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), \
         repr(result.exception)
+    if result.exit_code == 2:
+        assert key in result.output, result.output
 
 
 def test_overflowing_custom_terms_exit_2_and_name_the_model(runner, tmp_path):
@@ -306,6 +319,18 @@ def test_verify_bracket_without_pairs_exits_2(runner, tmp_path):
     assert "brackets.pairs" in result.output
 
 
+@pytest.mark.parametrize("pairs", ["4", "9"])
+def test_verify_bracket_beyond_the_standard_pairs_exits_2(runner, tmp_path,
+                                                          pairs):
+    # only three standard pairs exist; the manifest must not claim more
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["verify-bracket", "-D", f"brackets.pairs={pairs}",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 2, result.output
+    assert "brackets.pairs: must be <= 3" in result.output
+    assert not (out / "verify-bracket.csv").exists()
+
+
 @pytest.mark.parametrize("override", ["brackets.max_n=0", "brackets.max_a=-1",
                                       "brackets.tol=0", "brackets.tol=-1e-8"])
 def test_verify_bracket_that_would_check_nothing_exits_2(runner, tmp_path,
@@ -316,6 +341,70 @@ def test_verify_bracket_that_would_check_nothing_exits_2(runner, tmp_path,
     assert result.exit_code == 2, result.output
     assert f"{override.split('=')[0]}: " in result.output
     assert not (out / "verify-bracket.csv").exists()
+
+
+def test_negative_l2_target_exits_2_and_names_the_field(runner, tmp_path):
+    # a negative target would flip the sign of the data
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["simulate", "-D", "data.l2=-1",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 2, result.output
+    assert "data.l2: must be nonnegative, got -1.0" in result.output
+    assert not (out / "simulate.csv").exists()
+
+
+def test_domains_hold_each_element_of_a_list():
+    for override, message in [("existence.norms=0.1 -1", "must be nonnegative"),
+                              ("existence.cstars=1 0", "must be positive"),
+                              ("decay.t=0.1 0", "must be positive"),
+                              ("decay.sigmas=0 -0.5", "must be nonnegative")]:
+        key = override.split("=")[0]
+        with pytest.raises(ConfigError, match=f"{key}: {message}"):
+            load_config(None, (override,))
+
+
+def test_choices_return_their_canonical_spelling():
+    cfg = load_config(None, ("smoothing.check=p_inf", "output.formats=CSV svg",
+                             "solver.method=Linear"))
+    assert cfg.get("smoothing", "check") == "P_inf"
+    assert cfg.get("output", "formats") == ["csv", "svg"]
+    assert cfg.get("solver", "method") == "linear"
+    with pytest.raises(ConfigError, match="smoothing.check: must be one of"):
+        load_config(None, ("smoothing.check=C5",))
+
+
+@pytest.mark.parametrize("command, overrides, keys", [
+    ("simulate", ("solver.dt=0.3",), ("solver.t", "solver.dt")),
+    ("simulate", ("solver.t=1e-320",), ("solver.t", "solver.nt")),
+    ("simulate", ("weights.list=exp:10", "grid.l=80"), ("weights.list", "grid.l")),
+    ("picard", ("solver.nt=7",), ("solver.nt",)),
+    ("conjugate-check", ("conjugation.b=10", "grid.l=80"),
+     ("conjugation.b", "grid.l")),
+    ("existence-time", ("model.preset=kdvb", "solver.s=1"), ("solver.s", "model")),
+    ("verify-smoothing", ("smoothing.b=1.5", "ensemble.size=4"),
+     ("smoothing.check", "smoothing.b")),
+    ("verify-smoothing", ("smoothing.check=P_inf", "smoothing.q=2",
+                          "ensemble.size=4"), ("smoothing.q", "model")),
+])
+def test_rule_across_keys_exits_2_and_names_every_key(runner, tmp_path, command,
+                                                      overrides, keys):
+    flags = [arg for item in overrides for arg in ("-D", item)]
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, *flags, "-D", f"output.dir={out}"])
+    assert result.exit_code == 2, result.output
+    for key in keys:
+        assert key in result.output
+    assert not (out / f"{command}.csv").exists()
+
+
+def test_non_finite_smoothing_ratio_exits_1(runner, tmp_path):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["verify-smoothing", "-D", "smoothing.t=1e308",
+                                  "-D", "ensemble.size=4",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 1, result.output
+    assert "numerical failure: non-finite bound ratio" in result.output
+    assert not (out / "verify-smoothing.csv").exists()
 
 
 def test_missing_config_file_exits_2(runner, tmp_path):
