@@ -25,7 +25,6 @@ from .conjugation import (
     ProbeReport,
     conjugation_check,
     exchange_ensemble,
-    expanded_multiplier,
     operator_polynomial,
     regularity_gain_probe,
     shifted_multiplier,
@@ -54,9 +53,7 @@ from .grid import (
     apply_multiplier,
     boundary_leakage,
     dealiased_product,
-    derivative,
     fractional_D,
-    from_coeffs,
     from_values,
     l2_norm,
     parse_weight,

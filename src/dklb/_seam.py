@@ -101,9 +101,6 @@ def dd_value(a):
     return a[0] + a[1]
 
 
-_INV_FACT = []
-
-
 def _build_inv_fact(count=32):
     inv = (np.float64(1.0), np.float64(0.0))
     out = [inv]
@@ -212,9 +209,9 @@ def _bit_reversal(n: int) -> np.ndarray:
     return rev
 
 
-def seam_indices(grid, b: float, cut: float = 5.0) -> np.ndarray:
-    """Grid indices where exp(b*x) exceeds e^cut (rounding there is leveraged)."""
-    return np.nonzero(b * grid.x > cut)[0]
+def seam_indices(grid, b: float) -> np.ndarray:
+    """Grid indices where exp(b*x) exceeds e^5 (rounding there is leveraged)."""
+    return np.nonzero(b * grid.x > 5.0)[0]
 
 
 def dd_semigroup_multiplier(poly: np.ndarray, t: float, grid):

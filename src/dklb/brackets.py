@@ -54,9 +54,6 @@ class Bracket:
     def is_diagonal(self) -> bool:
         return self.n == self.m
 
-    def __str__(self) -> str:
-        return f"<{self.n},{self.m},{self.a}>"
-
 
 @dataclass(frozen=True)
 class BracketExpression:
@@ -67,10 +64,6 @@ class BracketExpression:
     @staticmethod
     def of(br: Bracket, coeff: Fraction = Fraction(1)) -> "BracketExpression":
         return BracketExpression(((br, coeff),))
-
-    @staticmethod
-    def zero() -> "BracketExpression":
-        return BracketExpression(())
 
     def __add__(self, other: "BracketExpression") -> "BracketExpression":
         acc: dict[Bracket, Fraction] = {}
@@ -83,23 +76,6 @@ class BracketExpression:
         return BracketExpression(tuple((br, q * c) for br, q in self.terms if q * c != 0))
 
     __rmul__ = __mul__
-
-    def coefficient(self, br: Bracket) -> Fraction:
-        for b, c in self.terms:
-            if b == br:
-                return c
-        return Fraction(0)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for i, (br, c) in enumerate(self.terms):
-            sign = "-" if c < 0 else ("+" if i else "")
-            mag = abs(c)
-            lead = f"{sign} " if i else sign
-            parts.append(f"{lead}{mag}*{br}")
-        return " ".join(parts)
 
 
 def _sorted_terms(acc: dict[Bracket, Fraction]) -> tuple[tuple[Bracket, Fraction], ...]:
@@ -202,7 +178,7 @@ def standard_pairs() -> tuple[tuple[GaussPoly, GaussPoly], ...]:
     """Three fixed, independent (u, rho) pairs for reduction spot checks.
 
     u decays like a Gaussian so every bracket integral converges on the
-    default quadrature window; rho ranges over a polynomial, a shifted
+    quadrature window of eval_bracket; rho ranges over a polynomial, a shifted
     polynomial, and a slowly decaying Gaussian envelope.
     """
     return (
@@ -215,36 +191,26 @@ def standard_pairs() -> tuple[tuple[GaussPoly, GaussPoly], ...]:
     )
 
 
-def eval_bracket(br: Bracket, u, rho, domain: tuple[float, float] = (-30.0, 30.0),
-                 samples: int = 8193) -> float:
-    """Evaluate <n, m, a> by dense trapezoid quadrature.
+def eval_bracket(br: Bracket, u, rho) -> float:
+    """Evaluate <n, m, a> by trapezoid quadrature on 8193 nodes of [-30, 30].
 
     u and rho must expose derivative(order) returning a callable; the
     integrand decays like the test function, so trapezoid on a wide window
-    converges spectrally.  samples must be >= 4096.
+    converges spectrally.
     """
-    if samples < 4096:
-        raise ValueError(f"need at least 4096 quadrature samples, got {samples}")
-    xs = np.linspace(domain[0], domain[1], samples)
+    xs = np.linspace(-30.0, 30.0, 8193)
     un = u.derivative(br.n)(xs)
     um = un if br.m == br.n else u.derivative(br.m)(xs)
     ra = rho.derivative(br.a)(xs)
     return float(np.trapezoid(un * um * ra, xs))
 
 
-def eval_expression(expr: BracketExpression, u, rho,
-                    domain: tuple[float, float] = (-30.0, 30.0),
-                    samples: int = 8193) -> float:
-    return sum(
-        float(coeff) * eval_bracket(br, u, rho, domain, samples)
-        for br, coeff in expr.terms
-    )
+def eval_expression(expr: BracketExpression, u, rho) -> float:
+    return sum(float(coeff) * eval_bracket(br, u, rho) for br, coeff in expr.terms)
 
 
-def reduction_residual(br: Bracket, u, rho,
-                       domain: tuple[float, float] = (-30.0, 30.0),
-                       samples: int = 8193) -> tuple[float, float, float]:
+def reduction_residual(br: Bracket, u, rho) -> tuple[float, float, float]:
     """(lhs, rhs, |lhs - rhs|) comparing a bracket against its reduction."""
-    lhs = eval_bracket(br, u, rho, domain, samples)
-    rhs = eval_expression(reduce_bracket(br), u, rho, domain, samples)
+    lhs = eval_bracket(br, u, rho)
+    rhs = eval_expression(reduce_bracket(br), u, rho)
     return lhs, rhs, abs(lhs - rhs)

@@ -283,8 +283,8 @@ def decay_experiment(cfg: ExperimentConfig, outdir: Path) -> int:
         cfg.get("decay", "t"), eta=cfg.get("model", "eta"),
         grid=cfg.build_grid(), gamma=cfg.get("decay", "gamma"),
         h=cfg.get("decay", "h"))
-    header = ["sigma", "t", "norm", "fitted_rate"]
-    rows = [[row["sigma"], row["t"], row["norm"],
+    header = ["sigma", "t", "norm", "mult_bound", "fitted_rate"]
+    rows = [[row["sigma"], row["t"], row["norm"], row["mult_bound"],
              report.fitted_rates[row["sigma"]]] for row in report.rows]
     csv_path = outdir / "decay-experiment.csv"
     _write_csv(csv_path, header, rows)

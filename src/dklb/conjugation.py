@@ -91,23 +91,6 @@ def shifted_multiplier(phi: symbols.PhaseFunction, b: float, t: float, xi
     return np.exp(ex)
 
 
-def expanded_multiplier(b: float, eta: float, t: float, xi) -> np.ndarray:
-    """The fourth-order conjugated multiplier from its expanded split form.
-
-    Written out from the binomial expansion of S(i*xi - b) for the kdvks
-    symbol -xi^4 + xi^2; must agree with shifted_multiplier to rounding.  The
-    real part of the exponent splits as theta(xi) + delta with
-    theta(xi) = eta*xi^4 + (3b - eta - 6*eta*b^2)*xi^2 and
-    delta = eta*(b^2 + b^4) - b^3.
-    """
-    xi = np.asarray(xi, dtype=float)
-    re = (3.0 * b * xi**2 - b**3
-          + eta * (-(xi**2) + b**2 + xi**4 - 6.0 * b**2 * xi**2 + b**4))
-    im = (-(xi**3) + 3.0 * b**2 * xi
-          + eta * (-2.0 * b * xi + 4.0 * b * xi**3 - 4.0 * b**3 * xi))
-    return np.exp(-t * re - 1j * t * im)
-
-
 @dataclass
 class ConjugationResult:
     """Outcome of one weight-then-flow versus flow-then-weight comparison."""
@@ -259,17 +242,19 @@ class ProbeReport:
 
 def regularity_gain_probe(k: int, sigmas, t_values, *, eta: float = 1.0,
                           grid: SpectralGrid | None = None, gamma: float = 0.5,
-                          h: float = 0.05, decay: float = 2.0) -> ProbeReport:
+                          h: float = 0.05) -> ProbeReport:
     """Tabulate ||D^sigma V(t) u0|| for mollified-cusp data under optimality:k.
 
+    The data decays like |x|^(gamma-2) (mollified_cusp's default decay).
     Also records the spectral envelope sup |xi|^sigma * exp(eta*t*Phi), which
     dominates each norm row (with ||u0|| = 1), and per-sigma fitted decay
-    rates of the norm in t.  Diagnostic: nothing is asserted here.
+    rates of the norm in t.  Diagnostic: nothing is asserted here, but a
+    norm or an envelope that is not finite raises NumericalError.
     """
     if grid is None:
         grid = SpectralGrid(512, 40.0)
     phi = symbols.optimality(k, eta).phase
-    u0 = mollified_cusp(grid, gamma, h, decay)
+    u0 = mollified_cusp(grid, gamma, h)
     sigmas = tuple(float(s) for s in sigmas)
     t_values = tuple(float(t) for t in t_values)
     rows = []
@@ -280,6 +265,9 @@ def regularity_gain_probe(k: int, sigmas, t_values, *, eta: float = 1.0,
             vt = apply_semigroup(phi, t, u0)
             nrm = l2_norm(fractional_D(vt, sigma))
             bound = math.sqrt(symbols.weighted_multiplier_sup(phi, sigma, t))
+            if not (math.isfinite(nrm) and math.isfinite(bound)):
+                raise NumericalError(f"decay probe norm {nrm} and envelope {bound} "
+                                     f"at sigma={sigma!r}, t={t!r}: not both finite")
             rows.append({"sigma": sigma, "t": t, "norm": nrm, "mult_bound": bound})
             norms_t.append(nrm)
         norms_arr = np.asarray(norms_t)

@@ -8,14 +8,16 @@ Conventions, fixed once for the whole package:
   * the L2 quadrature weight is L/N, hence ||u||_{L2}^2 = L * sum_k |c_k|^2.
 
 A field whose is_real flag is set must have Hermitian coefficients,
-c_{-k} = conj(c_k), within 1e-12 relative to the largest coefficient.
-Realness is a static fact of the multiplier, stated by its caller, never
-measured: derivatives and |xi|^s keep real fields real, and so does the flow
-of a damping symbol exactly when the symbol is even.  The rule holds on
-every grid because odd terms (odd derivatives, the dispersive phase
-t*xi^3) are evaluated at SpectralGrid.xi_odd, which is zero at the unpaired
-Nyquist mode k = -N/2: the convention of Trefethen, Spectral Methods in
-MATLAB (2000), ch. 3.
+c_{-k} = conj(c_k).  Realness is a static fact, never measured: from_values
+reads it from the dtype of the values, and apply_multiplier takes it from
+its caller.  The derivative multipliers (i*xi)^k and |xi|^s keep real
+fields real, and so does the flow of a damping symbol exactly when the
+symbol is even.  The rule holds on every grid because odd terms (odd
+derivatives, the dispersive phase t*xi^3) are evaluated at
+SpectralGrid.xi_odd, which is zero at the unpaired Nyquist mode k = -N/2:
+the convention of Trefethen, Spectral Methods in MATLAB (2000), ch. 3.
+multiplier_preserves_real checks the condition behind the rule,
+m(-xi) = conj(m(xi)), on a given multiplier.
 """
 
 from __future__ import annotations
@@ -99,11 +101,6 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy(), self.is_real)
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs,
-                             self.is_real and other.is_real)
-
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self, other)
         return SpectralField(self.grid, self.coeffs - other.coeffs,
@@ -122,49 +119,19 @@ def _check_same_grid(f: SpectralField, g: SpectralField) -> None:
         raise ValueError("fields live on different grids")
 
 
-def from_values(grid: SpectralGrid, values, is_real: bool | None = None) -> SpectralField:
-    """Build a field from nodal values; realness is detected unless forced."""
+def from_values(grid: SpectralGrid, values) -> SpectralField:
+    """Build a field from nodal values; it is real exactly when their dtype is."""
     values = np.asarray(values)
     if values.shape != (grid.n,):
         raise ValueError(f"expected {grid.n} nodal values, got shape {values.shape}")
-    if is_real is None:
-        is_real = not np.iscomplexobj(values)
     coeffs = np.fft.fft(values) / grid.n
-    return SpectralField(grid, coeffs, bool(is_real))
-
-
-def from_coeffs(grid: SpectralGrid, coeffs, is_real: bool | None = None) -> SpectralField:
-    """Build a field from Fourier coefficients in FFT order.
-
-    With is_real=None the flag is set when the coefficients are Hermitian
-    within HERMITIAN_TOL; forcing is_real=True on non-Hermitian data raises.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (grid.n,):
-        raise ValueError(f"expected {grid.n} coefficients, got shape {coeffs.shape}")
-    defect = hermitian_defect_of(coeffs)
-    if is_real is None:
-        is_real = defect <= HERMITIAN_TOL
-    elif is_real and defect > HERMITIAN_TOL:
-        raise ValueError(
-            f"coefficients are not Hermitian (defect {defect:.3e}); cannot mark real"
-        )
-    return SpectralField(grid, coeffs, bool(is_real))
+    return SpectralField(grid, coeffs, not np.iscomplexobj(values))
 
 
 def to_values(f: SpectralField) -> np.ndarray:
     """Nodal values; real dtype when the field is flagged real."""
     vals = np.fft.ifft(f.coeffs) * f.grid.n
     return vals.real if f.is_real else vals
-
-
-def hermitian_defect_of(coeffs: np.ndarray) -> float:
-    """max |c_{-k} - conj(c_k)| relative to the largest |c_k| (0 for the zero field)."""
-    scale = float(np.max(np.abs(coeffs)))
-    if scale == 0.0:
-        return 0.0
-    flipped = coeffs[_flip_index(len(coeffs))]
-    return float(np.max(np.abs(flipped - np.conj(coeffs)))) / scale
 
 
 def _flip_index(n: int) -> np.ndarray:
@@ -193,16 +160,6 @@ def apply_multiplier(f: SpectralField, m, keeps_real: bool) -> SpectralField:
     if m.shape != (f.grid.n,):
         raise ValueError(f"multiplier shape {m.shape} does not match grid")
     return SpectralField(f.grid, f.coeffs * m, f.is_real and keeps_real)
-
-
-def derivative(f: SpectralField, order: int = 1) -> SpectralField:
-    """Spectral derivative of the given order; odd orders zero the Nyquist mode."""
-    if order < 0 or int(order) != order:
-        raise ValueError(f"derivative order must be a nonnegative integer, got {order}")
-    if order == 0:
-        return f.copy()
-    xi = f.grid.xi_odd if order % 2 else f.grid.xi
-    return apply_multiplier(f, (1j * xi) ** order, True)
 
 
 def fractional_D(f: SpectralField, s: float) -> SpectralField:
@@ -240,8 +197,8 @@ def l2_norm(f: SpectralField) -> float:
     return float(np.sqrt(f.grid.length) * np.linalg.norm(f.coeffs))
 
 
-def boundary_leakage(f: SpectralField, strip_fraction: float = 0.05) -> float:
-    """Share of the |u|^2 mass lying in the outer strip_fraction of the domain.
+def boundary_leakage(f: SpectralField) -> float:
+    """Share of the |u|^2 mass lying in the outer 5% of the domain.
 
     The strip straddles the periodic seam at +-L/2 (half its width on each
     side).  Returns 0 for the zero field.
@@ -250,7 +207,7 @@ def boundary_leakage(f: SpectralField, strip_fraction: float = 0.05) -> float:
     total = float(np.sum(vals))
     if total == 0.0:
         return 0.0
-    half_strip = strip_fraction / 2.0 * f.grid.length
+    half_strip = 0.025 * f.grid.length
     x = f.grid.x
     in_strip = (x < -f.grid.length / 2 + half_strip) | (x >= f.grid.length / 2 - half_strip)
     return float(np.sum(vals[in_strip])) / total
@@ -362,9 +319,9 @@ def write_snapshot(path, f: SpectralField, t: float) -> None:
     Path(path).write_bytes(header + body.tobytes())
 
 
-def read_snapshot(path, dealias_fraction: float = DEFAULT_DEALIAS
-                  ) -> tuple[SpectralField, float]:
-    """Read a binary snapshot; returns (field, t)."""
+def read_snapshot(path) -> tuple[SpectralField, float]:
+    """Read a binary snapshot; returns (field, t) on a grid with the default
+    dealias fraction, which the format does not record."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"snapshot file {path} is truncated")
@@ -378,5 +335,5 @@ def read_snapshot(path, dealias_fraction: float = DEFAULT_DEALIAS
         raise ValueError(f"snapshot file {path} has {len(raw)} bytes, expected {expected}")
     body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     coeffs = body[0::2] + 1j * body[1::2]
-    grid = SpectralGrid(int(n), float(length), dealias_fraction)
+    grid = SpectralGrid(int(n), float(length))
     return SpectralField(grid, coeffs, bool(is_real)), float(t)

@@ -147,10 +147,13 @@ def lp_norm(f: SpectralField, p: float) -> float:
 
 
 def weighted_norm(f: SpectralField, w: WeightSpec) -> float:
-    """||w(x) * u||_{L2} at the nodes."""
+    """||w(x) * u||_{L2} at the nodes; NumericalError if not finite."""
     wv = w.values(f.grid)
     vals = np.abs(to_values(f))
-    return float(np.sqrt(np.sum((wv * vals) ** 2) * f.grid.dx))
+    norm = float(np.sqrt(np.sum((wv * vals) ** 2) * f.grid.dx))
+    if not math.isfinite(norm):
+        raise NumericalError(f"{w.label}-weighted norm is not finite ({norm!r})")
+    return norm
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:

@@ -139,7 +139,7 @@ class ContractionReport:
 
 def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
                  nt: int = 64, tol: float = 1e-8, max_iter: int = 25,
-                 s: float = 0.0, nonlinear: bool = True, cstar: float = 1.0,
+                 s: float = 0.0, cstar: float = 1.0,
                  weight_r: float | None = None, weight_b: float | None = None
                  ) -> tuple[Trajectory, ContractionReport]:
     """Solve the integral form by successive substitution on a stored grid.
@@ -203,8 +203,6 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     def duhamel(iterate: np.ndarray) -> np.ndarray:
         # full spectra of the iterate in, kept modes of its image out
         out = linear.copy()
-        if not nonlinear:
-            return out
         for row, term in zip(iterate, nl):
             advect(row[keep], term)
         add(out[1], trapezoid, nl[:2])
@@ -261,18 +259,18 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 # --- ETDRK4 on the differential form ----------------------------------------
 
 
-def _etdrk4_coeffs(z: np.ndarray, dt: float, contour_points: int = 32):
+def _etdrk4_coeffs(z: np.ndarray, dt: float):
     """Exponential-integrator coefficients Q, f1, f2, f3 for nodes z = dt*c.
 
-    Entire functions of z evaluated by averaging over a unit circle around
-    each node (full circle: the symbol is complex, so conjugate symmetry may
-    not be assumed); a Taylor series takes over for |z| < 1e-4 where the
-    direct formulas cancel catastrophically.
+    Entire functions of z evaluated by averaging over 32 points of a unit
+    circle around each node (full circle: the symbol is complex, so
+    conjugate symmetry may not be assumed); a Taylor series takes over for
+    |z| < 1e-4 where the direct formulas cancel catastrophically.
     """
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 1e-4
     zs = np.where(small, 1.0, z)  # placeholder values, overwritten below
-    theta = 2.0 * np.pi * (np.arange(contour_points) + 0.5) / contour_points
+    theta = 2.0 * np.pi * (np.arange(32) + 0.5) / 32
     r = zs[:, None] + np.exp(1j * theta)[None, :]
     er = np.exp(r)
     Q = dt * np.mean((np.exp(r / 2.0) - 1.0) / r, axis=1)
@@ -289,8 +287,8 @@ def _etdrk4_coeffs(z: np.ndarray, dt: float, contour_points: int = 32):
 
 
 def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
-                 dt: float, nonlinear: bool = True, snapshot_stride: int = 1,
-                 contour_points: int = 32) -> Trajectory:
+                 dt: float, nonlinear: bool = True, snapshot_stride: int = 1
+                 ) -> Trajectory:
     """Fourth-order exponential time differencing on the differential form.
 
     T must be an integer multiple of dt.  With nonlinear=False each step is
@@ -322,7 +320,7 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     E2 = symbols.flow_multiplier(phi, dt / 2.0, grid)[keep]
     c = 1j * grid.xi_odd[keep]**3 + phi.eta * symbols.phase_eval(phi, grid.xi[keep])
     z = np.minimum(c.real * dt, symbols.EXP_REAL_CAP) + 1j * c.imag * dt
-    Q, f1, f2, f3 = _etdrk4_coeffs(z, dt, contour_points)
+    Q, f1, f2, f3 = _etdrk4_coeffs(z, dt)
     twice_f2 = 2.0 * f2
 
     def N(v, out):

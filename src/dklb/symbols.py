@@ -97,9 +97,6 @@ class PhaseFunction:
         """True when Phi(-xi) == Phi(xi), i.e. every signed power is even."""
         return all(t.m % 2 == 0 for t in self.terms)
 
-    def __call__(self, xi):
-        return phase_eval(self, xi)
-
 
 def phi1_eval(phi: PhaseFunction, xi):
     """Correction part Phi1(xi) = sum_i c_i xi**m_i |xi|**n_i."""
@@ -250,9 +247,8 @@ def _flow(phi: PhaseFunction, t, xi, xi_odd):
     return np.exp(re + 1j * t * np.asarray(xi_odd, dtype=float) ** 3)
 
 
-def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float,
-                            samples: int = 20001) -> float:
-    """sup over xi of |xi|**(2q) * exp(2*eta*t*Phi(xi)), by dense scan.
+def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float) -> float:
+    """sup over xi of |xi|**(2q) * exp(2*eta*t*Phi(xi)), by a 20001-point scan.
 
     Finite for every t > 0 because the symbol decays like -|xi|**p in the
     tail; the scan window covers both the low-frequency maximizer and the
@@ -265,7 +261,7 @@ def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float,
     xi_star = (max(2.0 * q, 1.0) / (phi.eta * t * phi.p)) ** (1.0 / phi.p)
     xi_max = max(10.0, 4.0 * phi.M, 4.0 * xi_star,
                  (200.0 / (phi.eta * t)) ** (1.0 / phi.p))
-    xs = np.linspace(-xi_max, xi_max, samples)
+    xs = np.linspace(-xi_max, xi_max, 20001)
     vals = np.abs(xs) ** (2.0 * q) * np.exp(
         np.minimum(2.0 * phi.eta * t * phase_eval(phi, xs), EXP_REAL_CAP)
     )

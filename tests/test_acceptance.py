@@ -23,7 +23,6 @@ from dklb.cli import main
 from dklb.conjugation import (
     conjugation_check,
     exchange_ensemble,
-    expanded_multiplier,
     shifted_multiplier,
     weight_exchange_check,
 )
@@ -38,6 +37,9 @@ from dklb.solver import (
     linear_trajectory,
     picard_solve,
 )
+
+from conftest import expanded_multiplier
+
 
 PRESETS = ("kdvb", "ost", "kdvks", "optimality:2", "optimality:3")
 

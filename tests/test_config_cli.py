@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from dklb.cli import main
 from dklb.config import _SCHEMA, load_config
 from dklb.errors import ConfigError
+from dklb.symbols import phase_eval
 
 
 @pytest.fixture
@@ -86,7 +87,7 @@ def test_custom_phase_from_config():
     phase = cfg.build_phase()
     assert cfg.build_phase() is phase  # built once; construction runs find_M
     assert phase.p == 4.0
-    assert phase(2.0) == pytest.approx(-12.0)
+    assert phase_eval(phase, 2.0) == pytest.approx(-12.0)
     with pytest.raises(ConfigError, match="model.p"):
         load_config(None, ("model.preset=custom",)).build_phase()
     with pytest.raises(ConfigError, match="model.terms"):
@@ -167,11 +168,12 @@ def _hostile_cases():
         for key in _SCHEMA[section]:
             yield pytest.param(("conjugate-check",), f"{section}.{key}",
                                id=f"conjugate-check:{section}.{key}")
-    # both solver routes, on kdvb's real flow
-    for command in ("simulate", "picard"):
+    # both solver routes, on kdvb's real flow; simulate with a weighted column
+    for command, extra in (("simulate", ("-D", "weights.list=poly:1")),
+                           ("picard", ())):
         for section in ("model", "grid", "data", "solver"):
             for key in _SCHEMA[section]:
-                yield pytest.param((command, "-D", "model.preset=kdvb"),
+                yield pytest.param((command, "-D", "model.preset=kdvb", *extra),
                                    f"{section}.{key}",
                                    id=f"{command}:{section}.{key}")
     # the ensemble verifier, on a small ensemble
@@ -191,6 +193,17 @@ def _hostile_cases():
                            f"brackets.{key}", id=f"verify-bracket:brackets.{key}")
 
 
+def _norm_columns(path):
+    # decay-experiment's norm and its envelope; simulate's weighted norms,
+    # every column after hs
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    if path.name == "decay-experiment.csv":
+        cols = [header.index("norm"), header.index("mult_bound")]
+    else:
+        cols = range(header.index("hs") + 1, len(header))
+    return [float(row[i]) for row in rows for i in cols]
+
+
 @pytest.mark.parametrize("value", HOSTILE_VALUES)
 @pytest.mark.parametrize("command, key", _hostile_cases())
 def test_hostile_value_ends_in_an_exit_code(runner, tmp_path, command, key,
@@ -202,6 +215,10 @@ def test_hostile_value_ends_in_an_exit_code(runner, tmp_path, command, key,
         repr(result.exception)
     if result.exit_code == 2:
         assert key in result.output, result.output
+    for name in ("decay-experiment.csv", "simulate.csv"):
+        if result.exit_code == 0 and (tmp_path / name).exists():
+            values = _norm_columns(tmp_path / name)
+            assert all(map(math.isfinite, values)), (name, values)
 
 
 def test_overflowing_custom_terms_exit_2_and_name_the_model(runner, tmp_path):
@@ -407,6 +424,24 @@ def test_non_finite_smoothing_ratio_exits_1(runner, tmp_path):
     assert not (out / "verify-smoothing.csv").exists()
 
 
+@pytest.mark.parametrize("command, overrides, message", [
+    # a finite exponent, but |x|^400 overflows on a domain of length 40
+    ("simulate", ("weights.list=poly:400", "grid.n=64", "solver.t=0.1"),
+     "poly:400-weighted norm is not finite"),
+    ("decay-experiment", ("grid.n=64", "decay.t=1e308"), "decay probe norm"),
+])
+def test_non_finite_norm_exits_1_and_writes_no_csv(runner, tmp_path, command,
+                                                   overrides, message):
+    out = tmp_path / "out"
+    args = [command, "-D", f"output.dir={out}"]
+    for override in overrides:
+        args += ["-D", override]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert f"numerical failure: {message}" in result.output
+    assert not (out / f"{command}.csv").exists()
+
+
 def test_missing_config_file_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["simulate", "--config",
                                   str(tmp_path / "nope.ini")])
@@ -575,7 +610,7 @@ def test_decay_experiment_smoke(runner, tmp_path):
                                   "-D", f"output.dir={out}"])
     assert result.exit_code == 0, result.output
     lines = (out / "decay-experiment.csv").read_text().splitlines()
-    assert lines[0] == "sigma,t,norm,fitted_rate"
+    assert lines[0] == "sigma,t,norm,mult_bound,fitted_rate"
     assert len(lines) == 1 + 4
 
 

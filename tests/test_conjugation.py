@@ -7,7 +7,6 @@ from dklb import symbols
 from dklb.conjugation import (
     conjugation_check,
     exchange_ensemble,
-    expanded_multiplier,
     operator_polynomial,
     regularity_gain_probe,
     shifted_multiplier,
@@ -16,12 +15,14 @@ from dklb.conjugation import (
 from dklb.errors import LeakageError
 from dklb.fields import gaussian, gaussian_spectral, normalize_l2, sample_ensemble
 from dklb.grid import (
+    SpectralField,
     SpectralGrid,
     apply_multiplier,
-    from_coeffs,
     to_values,
 )
 from dklb.symbols import semigroup_multiplier
+
+from conftest import expanded_multiplier
 
 
 KDVKS = symbols.kdvks().phase
@@ -187,7 +188,7 @@ def test_conjugated_packet_transports(wide_grid):
 def test_weight_exchange_basic_properties(grid256):
     phi = symbols.kdvks().phase
     u0 = normalize_l2(gaussian(grid256, width=1.5))
-    z = from_coeffs(grid256, np.zeros(grid256.n, dtype=complex))
+    z = SpectralField(grid256, np.zeros(grid256.n, dtype=complex), True)
     assert weight_exchange_check(z, phi, 0.5, 1.5, 0.5) == 0.0
     r0 = weight_exchange_check(u0, phi, 0.5, 1.5, 0.0)
     assert 0 < r0 <= 1.0

@@ -14,7 +14,6 @@ from dklb.grid import (
     SpectralGrid,
     Trajectory,
     WeightSpec,
-    derivative,
     fractional_D,
     from_values,
     l2_norm,
@@ -37,6 +36,8 @@ from dklb.norms import (
     weighted_norm,
 )
 from dklb.norms import _mixed_norm_of
+
+from conftest import derivative
 
 
 def test_alpha_anchor_values():
