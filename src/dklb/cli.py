@@ -46,9 +46,7 @@ OK, NUMERICAL, VALIDATION = 0, 1, 2
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -131,9 +129,10 @@ def simulate(cfg: ExperimentConfig, outdir: Path) -> int:
     dt = cfg.get("solver", "dt") or T / cfg.get("solver", "nt")
     s = cfg.get("solver", "s")
     weights = cfg.get("weights", "list") or []
-    with _fields("weights.list", "grid.l"):
-        for w in weights:
-            w.values(grid)  # an exp weight must stay representable on the grid
+    with _fields("weights.list", "grid.l"):  # an exp weight must stay representable
+        wvals = [w.values(grid) for w in weights]
+    for w, wv in zip(weights, wvals):  # an overflowing |x|^r fails here, before the solve
+        weighted_norm(u0, w, wv)
     with _fields("solver.t", step_key):
         traj = etdrk4_solve(u0, phase, T, dt, nonlinear=(method != "linear"),
                             snapshot_stride=cfg.get("solver", "snapshot_stride"))
@@ -143,7 +142,7 @@ def simulate(cfg: ExperimentConfig, outdir: Path) -> int:
     for t, snap in zip(traj.times, traj.snapshots):
         step = int(round(t / dt))
         row = [step, float(t), l2_norm(snap), hs_norm(snap, s)]
-        row += [weighted_norm(snap, w) for w in weights]
+        row += [weighted_norm(snap, w, wv) for w, wv in zip(weights, wvals)]
         rows.append(row)
         if "snapshots" in formats:
             write_snapshot(outdir / f"simulate-{step:06d}.dklb", snap, float(t))

@@ -21,10 +21,6 @@ from .errors import ConfigError
 from .grid import SpectralField, SpectralGrid, WeightSpec, parse_weight
 
 
-def _int(text: str) -> int:
-    return int(text)
-
-
 def _float(text: str) -> float:
     val = float(text)
     if not math.isfinite(val):
@@ -85,7 +81,7 @@ def _weight(text: str) -> WeightSpec:
 
 
 def _grid_size(text: str) -> int:
-    n = _int(text)
+    n = int(text)
     if n < 16 or n & (n - 1):
         raise ValueError(f"must be a power of two >= 16, got {n}")
     return n
@@ -117,12 +113,12 @@ _SCHEMA = {
         "method": (_choice(*_METHODS), "etdrk4"),
         "t": (_positive, "1.0"),
         "dt": (_positive, ""),
-        "nt": (_bounded(_int, 2), "64"),
+        "nt": (_bounded(int, 2), "64"),
         "tol": (_positive, "1e-8"),
-        "max_iter": (_bounded(_int, 1), "25"),
+        "max_iter": (_bounded(int, 1), "25"),
         "s": (_nonnegative, "0.0"),
         "cstar": (_positive, "1.0"),
-        "snapshot_stride": (_bounded(_int, 1), "1"),
+        "snapshot_stride": (_bounded(int, 1), "1"),
     },
     "data": {
         "kind": (_choice(*_DATA_KINDS), "gaussian"),
@@ -135,8 +131,8 @@ _SCHEMA = {
         "list": (_list(_weight), ""),
     },
     "ensemble": {
-        "size": (_bounded(_int, 1), "100"),
-        "seed": (_bounded(_int, 0), "2024"),
+        "size": (_bounded(int, 1), "100"),
+        "seed": (_bounded(int, 0), "2024"),
     },
     "output": {
         "dir": (_str, "out"),
@@ -150,7 +146,7 @@ _SCHEMA = {
     "smoothing": {
         "check": (_choice(*norms.SMOOTHING_CHECKS), "C2"),
         "t": (_positive, "1.0"),
-        "nt": (_bounded(_int, 1), "48"),
+        "nt": (_bounded(int, 1), "48"),
         "s": (_nonnegative, "0.0"),
         "a": (_bounded(_exponent, 1), "2.0"),
         "b": (_bounded(_exponent, 1), "4.0"),
@@ -158,9 +154,9 @@ _SCHEMA = {
     },
     "brackets": {
         # verify-bracket must check at least one reduction against a real bound
-        "max_n": (_bounded(_int, 1), "6"),
-        "max_a": (_bounded(_int, 0), "3"),
-        "pairs": (_bounded(_int, 1, hi=len(brackets.standard_pairs())), "3"),
+        "max_n": (_bounded(int, 1), "6"),
+        "max_a": (_bounded(int, 0), "3"),
+        "pairs": (_bounded(int, 1, hi=len(brackets.standard_pairs())), "3"),
         "tol": (_positive, "1e-8"),
     },
     "existence": {
@@ -168,7 +164,7 @@ _SCHEMA = {
         "cstars": (_bounded(_list(_float), 0, strict=True), "0.5 1.0 2.0"),
     },
     "decay": {
-        "k": (_bounded(_int, 2), "2"),
+        "k": (_bounded(int, 2), "2"),
         "sigmas": (_bounded(_list(_float), 0), "0.0 0.25 0.5"),
         "t": (_bounded(_list(_float), 0, strict=True), "0.1 0.2 0.4"),
         "gamma": (_float, "0.5"),

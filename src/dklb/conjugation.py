@@ -180,6 +180,17 @@ def weight_exchange_check(u0: SpectralField, phi: symbols.PhaseFunction,
     decay, so r may not exceed s/(p-1); violating that is a usage error.
     Returns 0 for zero data.
     """
+    w = _persistence_weight(phi, r, s)
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    denom = (1.0 + t) * hs_norm(u0, s) + weighted_norm(u0, w)
+    if denom == 0.0:
+        return 0.0
+    return weighted_norm(apply_semigroup(phi, t, u0), w) / denom
+
+
+def _persistence_weight(phi: symbols.PhaseFunction, r: float, s: float) -> WeightSpec:
+    # |x|^r, once r and s meet the persistence hypotheses
     if r < 0 or s < 0:
         raise ValueError(f"r and s must be nonnegative, got r={r}, s={s}")
     K = phi.p - 1.0
@@ -188,13 +199,7 @@ def weight_exchange_check(u0: SpectralField, phi: symbols.PhaseFunction,
             f"decay order r={r} exceeds s/(p-1) = {s / K:g}; the persistence "
             "mechanism cannot pay for that much weight"
         )
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    w = WeightSpec("poly", r)
-    denom = (1.0 + t) * hs_norm(u0, s) + weighted_norm(u0, w)
-    if denom == 0.0:
-        return 0.0
-    return weighted_norm(apply_semigroup(phi, t, u0), w) / denom
+    return WeightSpec("poly", r)
 
 
 @dataclass
@@ -213,13 +218,21 @@ class ExchangeReport:
 def exchange_ensemble(phi: symbols.PhaseFunction, r: float, s: float,
                       t_values, size: int = 50, seed: int = 2024,
                       grid: SpectralGrid | None = None) -> ExchangeReport:
-    """weight_exchange_check over a random ensemble; NumericalError unless
-    every ratio is finite."""
+    """weight_exchange_check over a random ensemble, drawn lazily, with one
+    flow table over t_values (row k of u0 times it is V(t_k)u0 bit for bit);
+    NumericalError unless every ratio is finite."""
     if grid is None:
         grid = SpectralGrid(256, 40.0)
+    w = _persistence_weight(phi, r, s)
     t_values = tuple(float(t) for t in t_values)
-    ratios = np.array([[weight_exchange_check(u0, phi, r, s, t) for t in t_values]
-                       for u0 in sample_ensemble(grid, size, seed)])
+    table, wv = symbols.flow_multiplier(phi, t_values, grid), w.values(grid)
+    ratios = np.empty((size, len(t_values)))
+    for i, u0 in enumerate(sample_ensemble(grid, size, seed)):
+        # u0 first, as in apply_multiplier: complex products do not commute bitwise
+        moved = [weighted_norm(SpectralField(grid, c, u0.is_real and phi.is_even), w, wv)
+                 for c in u0.coeffs * table]
+        ratios[i] = moved / ((1.0 + np.array(t_values)) * hs_norm(u0, s)
+                             + weighted_norm(u0, w, wv))
     if not np.all(np.isfinite(ratios)):
         raise NumericalError("non-finite persistence ratio in ensemble")
     return ExchangeReport(r, s, t_values, size, seed, ratios,

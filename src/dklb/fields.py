@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .errors import NumericalError
@@ -72,14 +74,16 @@ def random_mixture(grid: SpectralGrid, rng: np.random.Generator) -> SpectralFiel
         f"l={grid.length!r}: 100 draws all had L2 norm <= 1e-8")
 
 
-def sample_ensemble(grid: SpectralGrid, size: int, seed: int) -> list[SpectralField]:
-    """Deterministic ensemble of random mixtures.
+def sample_ensemble(grid: SpectralGrid, size: int, seed: int) -> Iterator[SpectralField]:
+    """Deterministic ensemble of random mixtures, drawn lazily.
 
-    Each sample has its own PRNG stream spawned from the root seed, so the
-    ensemble is reproducible regardless of evaluation order.
+    Sample k has its own PRNG stream, child k of the root seed, so the
+    ensemble is reproducible regardless of evaluation order; the iterator
+    draws one sample per step and holds none, so memory stays flat in size.
     """
-    streams = np.random.SeedSequence(seed).spawn(size)
-    return [random_mixture(grid, np.random.default_rng(s)) for s in streams]
+    root = np.random.SeedSequence(seed)
+    for _ in range(size):  # spawning one at a time yields spawn(size)'s children
+        yield random_mixture(grid, np.random.default_rng(root.spawn(1)[0]))
 
 
 def mollified_cusp(grid: SpectralGrid, gamma: float = 0.5, h: float = 0.05,

@@ -108,8 +108,7 @@ class SpectralField:
 
     def __mul__(self, scalar) -> "SpectralField":
         c = complex(scalar)
-        real_scalar = c.imag == 0.0
-        return SpectralField(self.grid, self.coeffs * c, self.is_real and real_scalar)
+        return SpectralField(self.grid, self.coeffs * c, self.is_real and c.imag == 0.0)
 
     __rmul__ = __mul__
 

@@ -442,6 +442,23 @@ def test_non_finite_norm_exits_1_and_writes_no_csv(runner, tmp_path, command,
     assert not (out / f"{command}.csv").exists()
 
 
+@pytest.mark.parametrize("weight", ["poly:400", "bracket:800"])
+def test_overflowing_weight_is_refused_before_the_solve(runner, tmp_path,
+                                                        monkeypatch, weight):
+    import dklb.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("etdrk4_solve reached")
+
+    monkeypatch.setattr(dklb.cli, "etdrk4_solve", never)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["simulate", "-D", f"weights.list={weight}",
+                                  "-D", "grid.n=64", "-D", f"output.dir={out}"])
+    assert result.exit_code == 1, result.output
+    assert f"numerical failure: {weight}-weighted norm is not finite" in result.output
+    assert not (out / "simulate.csv").exists()
+
+
 def test_missing_config_file_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["simulate", "--config",
                                   str(tmp_path / "nope.ini")])

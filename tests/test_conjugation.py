@@ -233,6 +233,30 @@ def test_exchange_ensemble_matches_weight_exchange_check(name):
     assert np.array_equal(rep.ratios, np.array(expected))
 
 
+def test_exchange_ensemble_builds_one_flow_table(monkeypatch):
+    # one table over the t-list serves every sample: no per-(sample, t)
+    # multiplier builds, and so no apply_semigroup calls either
+    calls = []
+    flow = symbols.flow_multiplier
+
+    def counting(phi, t, grid):
+        calls.append(np.shape(t))
+        return flow(phi, t, grid)
+
+    monkeypatch.setattr(symbols, "flow_multiplier", counting)
+    rep = exchange_ensemble(KDVKS, 0.5, 1.5, (0.1, 0.5, 1.0), size=7, seed=2,
+                            grid=SpectralGrid(128, 40.0))
+    assert rep.ratios.shape == (7, 3)
+    assert calls == [(3,)]
+
+
+def test_exchange_ensemble_refuses_bad_exponents_before_drawing():
+    with pytest.raises(ValueError, match="exceeds"):
+        exchange_ensemble(KDVKS, 0.55, 1.5, (0.1,), size=0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        exchange_ensemble(KDVKS, -0.1, 1.5, (0.1,), size=0)
+
+
 def test_regularity_gain_probe_rows():
     rep = regularity_gain_probe(2, sigmas=(0.0, 0.5), t_values=(0.1, 0.2, 0.4),
                                 grid=SpectralGrid(256, 40.0))

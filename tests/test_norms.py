@@ -1,13 +1,14 @@
 """Norm functionals, smoothing constants, and the ensemble verifier."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dklb import solver, symbols
+from dklb import fields, solver, symbols
 from dklb.errors import NumericalError
 from dklb.fields import gaussian, normalize_l2, random_mixture, sample_ensemble
 from dklb.grid import (
@@ -35,7 +36,7 @@ from dklb.norms import (
     verify_smoothing,
     weighted_norm,
 )
-from dklb.norms import _mixed_norm_of
+from dklb.norms import _mixed_norm_of, _pnorm, _trapezoid_weights
 
 from conftest import derivative
 
@@ -286,14 +287,25 @@ def test_verify_smoothing_is_deterministic(kdvks_phi):
     assert np.array_equal(r1.ratios, r2.ratios)
 
 
-def _reference_ratios(check, phi, grid, T, size, seed, nt, s, q):
+def _snapshot_magnitudes(f, half_spectrum):
+    # a real snapshot through irfft of its own half spectrum, as
+    # norms._magnitudes reads it; otherwise through to_values (a full ifft)
+    if half_spectrum and f.is_real:
+        n = f.grid.n
+        return np.abs(np.fft.irfft(f.coeffs[:n // 2 + 1], n, norm="forward"))
+    return np.abs(to_values(f))
+
+
+def _reference_ratios(check, phi, grid, T, size, seed, nt, s, q,
+                      half_spectrum=True):
     """verify_smoothing's ratios, one linear trajectory per sample and one
     inverse transform per snapshot."""
 
     def lhs(traj, gain, outer, inner, order="t_outer_x_inner"):
-        mags = np.stack([np.abs(to_values(fractional_D(f, gain)))
+        mags = np.stack([_snapshot_magnitudes(fractional_D(f, gain), half_spectrum)
                          for f in traj.snapshots])
-        return _mixed_norm_of(mags, traj.times, grid.dx, outer, inner, order)
+        return _mixed_norm_of(mags, _trapezoid_weights(traj.times), grid.dx,
+                              outer, inner, order)
 
     ratios = []
     for u0 in sample_ensemble(grid, size, seed):
@@ -329,6 +341,17 @@ def test_verify_smoothing_matches_per_sample_trajectories(name, check):
     assert np.array_equal(rep.ratios, _reference_ratios(check, phi, grid, **kw))
 
 
+@pytest.mark.parametrize("check", ["C1", "C2", "C3", "C4", "P_inf"])
+def test_real_flow_ratios_match_the_complex_route(kdvks_phi, check):
+    # the half-spectrum irfft route of a real flow stays pinned to the full
+    # complex ifft route it replaced
+    grid = SpectralGrid(128, 40.0)
+    kw = dict(T=0.5, size=5, seed=11, nt=12, s=0.5, q=1.0)
+    rep = verify_smoothing(check, kdvks_phi, grid=grid, **kw)
+    ref = _reference_ratios(check, kdvks_phi, grid, **kw, half_spectrum=False)
+    assert np.max(np.abs(rep.ratios - ref) / ref) <= 1e-15
+
+
 def test_verify_smoothing_ratios_stable_as_T_shrinks(kdvks_phi):
     # the bound's T-dependence lives in A(T); the measured constants must
     # not blow up as the horizon shrinks
@@ -345,6 +368,54 @@ def test_verify_smoothing_rejects_bad_hypotheses(kdvks_phi):
         verify_smoothing("C3", kdvks_phi, s=1.5)
     with pytest.raises(ValueError):
         verify_smoothing("C9", kdvks_phi)
+
+
+def test_sample_ensemble_draws_child_k_for_sample_k(grid256):
+    streams = np.random.SeedSequence(5).spawn(7)
+    samples = list(sample_ensemble(grid256, 7, 5))
+    assert len(samples) == 7
+    for stream, f in zip(streams, samples):
+        g = random_mixture(grid256, np.random.default_rng(stream))
+        assert np.array_equal(f.coeffs, g.coeffs) and f.is_real == g.is_real
+
+
+def test_sample_ensemble_draws_lazily(grid256, monkeypatch):
+    draws = []
+
+    def counting(grid, rng):
+        draws.append(rng)
+        return random_mixture(grid, rng)
+
+    monkeypatch.setattr(fields, "random_mixture", counting)
+    samples = sample_ensemble(grid256, 5, 3)
+    assert draws == []
+    next(samples)
+    next(samples)
+    assert len(draws) == 2
+
+
+def test_verify_smoothing_memory_is_flat_in_size(kdvks_phi):
+    # samples are drawn lazily into fixed buffers; holding them all in a
+    # list peaked about 30 MiB higher at size 2000 than at size 200
+    grid = SpectralGrid(1024, 40.0)
+    peaks = []
+    for size in (200, 2000):
+        tracemalloc.start()
+        try:
+            verify_smoothing("C2", kdvks_phi, grid=grid, size=size)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2 * 2**20, [p / 2**20 for p in peaks]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_pnorm_integer_powers_agree_with_pow(rng, p):
+    vals = rng.uniform(0.0, 3.0, (64, 256)) * 10.0 ** rng.integers(-6, 7, (64, 1))
+    weights = rng.uniform(0.5, 2.0, (64, 1))
+    got = _pnorm(vals, weights, p, axis=1)
+    ref = np.sum(weights * vals**p, axis=1) ** (1.0 / p)
+    assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
 
 
 def test_random_mixture_normalization(grid256, rng):
