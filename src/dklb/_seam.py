@@ -131,21 +131,32 @@ def dd_exp(a):
     return hi, lo
 
 
-def _trig_taylor(r, odd: int):
-    # the 15-term Taylor series of sin (odd = 1) or cos (odd = 0)
+def _sin_taylor(r):
     r2 = dd_mul(r, r)
     acc = dd(np.zeros_like(r[0]))
     for m in range(14, -1, -1):
-        c = _INV_FACT[2 * m + odd]
-        acc = dd_add(dd_mul(acc, r2), c if m % 2 == 0 else dd_neg(c))
-    return dd_mul(acc, r) if odd else acc
+        c = _INV_FACT[2 * m + 1]
+        term = (c[0], c[1]) if m % 2 == 0 else dd_neg(c)
+        acc = dd_add(dd_mul(acc, r2), term)
+    return dd_mul(acc, r)
+
+
+def _cos_taylor(r):
+    r2 = dd_mul(r, r)
+    acc = dd(np.zeros_like(r[0]))
+    for m in range(14, -1, -1):
+        c = _INV_FACT[2 * m]
+        term = (c[0], c[1]) if m % 2 == 0 else dd_neg(c)
+        acc = dd_add(dd_mul(acc, r2), term)
+    return acc
 
 
 def dd_sincos(a):
     """(sin, cos) of a double-double, elementwise, via pi/2 reduction."""
     n = np.round((a[0] + a[1]) / HALF_PI[0])
     r = dd_sub(a, dd_mul_d(HALF_PI, n))
-    s, c = _trig_taylor(r, 1), _trig_taylor(r, 0)
+    s = _sin_taylor(r)
+    c = _cos_taylor(r)
     q = n.astype(np.int64) % 4
     sin_h = np.select([q == 0, q == 1, q == 2], [s[0], c[0], -s[0]], -c[0])
     sin_l = np.select([q == 0, q == 1, q == 2], [s[1], c[1], -s[1]], -c[1])
@@ -219,8 +230,10 @@ def dd_semigroup_multiplier(poly: np.ndarray, t: float, grid):
         acc = cdd_mul(acc, z)
         acc = (dd_add(acc[0], dd(np.full_like(modes, c.real))),
                dd_add(acc[1], dd(np.full_like(modes, c.imag))))
-    mag = dd_exp(dd_mul_d(acc[0], -t))
-    s, c = dd_sincos(dd_mul_d(acc[1], -t))
+    ex_re = dd_mul_d(acc[0], -t)
+    ex_im = dd_mul_d(acc[1], -t)
+    mag = dd_exp(ex_re)
+    s, c = dd_sincos(ex_im)
     return dd_mul(mag, c), dd_mul(mag, s)
 
 

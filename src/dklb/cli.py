@@ -46,7 +46,9 @@ OK, NUMERICAL, VALIDATION = 0, 1, 2
 
 
 def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:

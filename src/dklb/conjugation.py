@@ -183,10 +183,8 @@ def weight_exchange_check(u0: SpectralField, phi: symbols.PhaseFunction,
     w = _persistence_weight(phi, r, s)
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    denom = (1.0 + t) * hs_norm(u0, s) + weighted_norm(u0, w)
-    if denom == 0.0:
-        return 0.0
-    return weighted_norm(apply_semigroup(phi, t, u0), w) / denom
+    table = symbols.flow_multiplier(phi, (t,), u0.grid)
+    return float(_persistence_ratios(u0, phi, w, w.values(u0.grid), s, (t,), table)[0])
 
 
 def _persistence_weight(phi: symbols.PhaseFunction, r: float, s: float) -> WeightSpec:
@@ -200,6 +198,18 @@ def _persistence_weight(phi: symbols.PhaseFunction, r: float, s: float) -> Weigh
             "mechanism cannot pay for that much weight"
         )
     return WeightSpec("poly", r)
+
+
+def _persistence_ratios(u0: SpectralField, phi: symbols.PhaseFunction, w: WeightSpec,
+                        wv: np.ndarray, s: float, t_values, table) -> np.ndarray:
+    # ||w V(t)u0|| / ((1+t)||u0||_{H^s} + ||w u0||) per t, row k of table being
+    # the flow multiplier at t_values[k]; 0 where the denominator vanishes (zero data)
+    real = u0.is_real and phi.is_even
+    # u0 first, as in apply_multiplier: complex products do not commute bitwise
+    moved = np.array([weighted_norm(SpectralField(u0.grid, c, real), w, wv)
+                      for c in u0.coeffs * table])
+    denom = (1.0 + np.asarray(t_values)) * hs_norm(u0, s) + weighted_norm(u0, w, wv)
+    return np.divide(moved, denom, out=np.zeros_like(denom), where=denom != 0.0)
 
 
 @dataclass
@@ -219,8 +229,7 @@ def exchange_ensemble(phi: symbols.PhaseFunction, r: float, s: float,
                       t_values, size: int = 50, seed: int = 2024,
                       grid: SpectralGrid | None = None) -> ExchangeReport:
     """weight_exchange_check over a random ensemble, drawn lazily, with one
-    flow table over t_values (row k of u0 times it is V(t_k)u0 bit for bit);
-    NumericalError unless every ratio is finite."""
+    flow table over t_values; NumericalError unless every ratio is finite."""
     if grid is None:
         grid = SpectralGrid(256, 40.0)
     w = _persistence_weight(phi, r, s)
@@ -228,11 +237,7 @@ def exchange_ensemble(phi: symbols.PhaseFunction, r: float, s: float,
     table, wv = symbols.flow_multiplier(phi, t_values, grid), w.values(grid)
     ratios = np.empty((size, len(t_values)))
     for i, u0 in enumerate(sample_ensemble(grid, size, seed)):
-        # u0 first, as in apply_multiplier: complex products do not commute bitwise
-        moved = [weighted_norm(SpectralField(grid, c, u0.is_real and phi.is_even), w, wv)
-                 for c in u0.coeffs * table]
-        ratios[i] = moved / ((1.0 + np.array(t_values)) * hs_norm(u0, s)
-                             + weighted_norm(u0, w, wv))
+        ratios[i] = _persistence_ratios(u0, phi, w, wv, s, t_values, table)
     if not np.all(np.isfinite(ratios)):
         raise NumericalError("non-finite persistence ratio in ensemble")
     return ExchangeReport(r, s, t_values, size, seed, ratios,
@@ -270,12 +275,14 @@ def regularity_gain_probe(k: int, sigmas, t_values, *, eta: float = 1.0,
     u0 = mollified_cusp(grid, gamma, h)
     sigmas = tuple(float(s) for s in sigmas)
     t_values = tuple(float(t) for t in t_values)
+    # one flow table over t_values serves every sigma; row k is V(t_k)u0
+    moved = [SpectralField(grid, c, u0.is_real and phi.is_even)
+             for c in u0.coeffs * symbols.flow_multiplier(phi, t_values, grid)]
     rows = []
     rates = {}
     for sigma in sigmas:
         norms_t = []
-        for t in t_values:
-            vt = apply_semigroup(phi, t, u0)
+        for t, vt in zip(t_values, moved):
             nrm = l2_norm(fractional_D(vt, sigma))
             bound = math.sqrt(symbols.weighted_multiplier_sup(phi, sigma, t))
             if not (math.isfinite(nrm) and math.isfinite(bound)):

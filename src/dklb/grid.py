@@ -108,7 +108,8 @@ class SpectralField:
 
     def __mul__(self, scalar) -> "SpectralField":
         c = complex(scalar)
-        return SpectralField(self.grid, self.coeffs * c, self.is_real and c.imag == 0.0)
+        real_scalar = c.imag == 0.0
+        return SpectralField(self.grid, self.coeffs * c, self.is_real and real_scalar)
 
     __rmul__ = __mul__
 

@@ -164,15 +164,20 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     d = np.diff(t)
     if np.any(d <= 0):
         raise ValueError("trajectory times must be strictly increasing")
-    return np.concatenate((d / 2.0, [0.0])) + np.concatenate(([0.0], d / 2.0))
+    w = np.zeros(len(t))
+    w[:-1] += d / 2.0
+    w[1:] += d / 2.0
+    return w
 
 
 def _pnorm(vals: np.ndarray, weights, p: float, axis=None):
     if p == INF:
         return np.max(vals, axis=axis)
-    power = vals * vals if p in (3.0, 4.0) else vals**p
-    if p in (3.0, 4.0):  # products: within 2 ulp of pow(), at a fraction of its cost
-        power *= power if p == 4.0 else vals
+    if p == 4.0:  # two products: within 2 ulp of pow(), at a fraction of its cost
+        power = vals * vals
+        power *= power
+    else:
+        power = vals**p
     power *= weights
     return np.sum(power, axis=axis) ** (1.0 / p)
 

@@ -119,7 +119,9 @@ def _dominance_holds(phi: PhaseFunction, x: float) -> bool:
     for xi in (x, -x):
         half = abs(xi) ** phi.p / 2.0
         p1 = float(phi1_eval(phi, xi))
-        if p1 > half or abs(float(phase_eval(phi, xi))) < half:
+        if p1 > half:
+            return False
+        if abs(float(phase_eval(phi, xi))) < half:
             return False
     return True
 
@@ -307,8 +309,12 @@ def optimality(k: int, eta: float = 1.0) -> ModelPreset:
 def preset(name: str, eta: float = 1.0) -> ModelPreset:
     """Look up a preset by name; 'optimality:k' selects the k-th family member."""
     key = name.strip().lower()
-    if key in ("kdvb", "ost", "kdvks"):
-        return {"kdvb": kdvb, "ost": ost, "kdvks": kdvks}[key](eta)
+    if key == "kdvb":
+        return kdvb(eta)
+    if key == "ost":
+        return ost(eta)
+    if key == "kdvks":
+        return kdvks(eta)
     if key.startswith("optimality:"):
         try:
             k = int(key.split(":", 1)[1])

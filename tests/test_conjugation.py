@@ -13,13 +13,24 @@ from dklb.conjugation import (
     weight_exchange_check,
 )
 from dklb.errors import LeakageError
-from dklb.fields import gaussian, gaussian_spectral, normalize_l2, sample_ensemble
+from dklb.fields import (
+    gaussian,
+    gaussian_spectral,
+    mollified_cusp,
+    normalize_l2,
+    sample_ensemble,
+)
 from dklb.grid import (
     SpectralField,
     SpectralGrid,
+    WeightSpec,
     apply_multiplier,
+    fractional_D,
+    l2_norm,
     to_values,
 )
+from dklb.norms import hs_norm, weighted_norm
+from dklb.solver import apply_semigroup
 from dklb.symbols import semigroup_multiplier
 
 from conftest import expanded_multiplier
@@ -233,6 +244,19 @@ def test_exchange_ensemble_matches_weight_exchange_check(name):
     assert np.array_equal(rep.ratios, np.array(expected))
 
 
+@pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
+def test_weight_exchange_check_is_the_semigroup_formula(name):
+    # the ratio, bit for bit, as the semigroup applied at one time gives it
+    phi = symbols.preset(name).phase
+    grid = SpectralGrid(128, 40.0)
+    w = WeightSpec("poly", 0.5)
+    for u0 in sample_ensemble(grid, 4, 5):
+        for t in (0.0, 0.1, 0.5):
+            denom = (1.0 + t) * hs_norm(u0, 1.5) + weighted_norm(u0, w)
+            expected = weighted_norm(apply_semigroup(phi, t, u0), w) / denom
+            assert weight_exchange_check(u0, phi, 0.5, 1.5, t) == expected
+
+
 def test_exchange_ensemble_builds_one_flow_table(monkeypatch):
     # one table over the t-list serves every sample: no per-(sample, t)
     # multiplier builds, and so no apply_semigroup calls either
@@ -269,6 +293,28 @@ def test_regularity_gain_probe_rows():
         assert row["norm"] <= row["mult_bound"] * (1 + 1e-9)
     assert set(rep.fitted_rates) == {0.0, 0.5}
     assert all(np.isfinite(v) for v in rep.fitted_rates.values())
+
+
+def test_regularity_gain_probe_builds_one_flow_table(monkeypatch):
+    # one table over the times serves every sigma, and each norm is the one
+    # the semigroup applied at that time gives
+    grid = SpectralGrid(128, 40.0)
+    calls = []
+    flow = symbols.flow_multiplier
+
+    def counting(phi, t, grid):
+        calls.append(np.shape(t))
+        return flow(phi, t, grid)
+
+    monkeypatch.setattr(symbols, "flow_multiplier", counting)
+    rep = regularity_gain_probe(2, sigmas=(0.0, 0.5), t_values=(0.1, 0.2, 0.4),
+                                grid=grid)
+    assert calls == [(3,)]
+    monkeypatch.setattr(symbols, "flow_multiplier", flow)
+    phi, u0 = symbols.optimality(2).phase, mollified_cusp(grid)
+    for row in rep.rows:
+        vt = apply_semigroup(phi, row["t"], u0)
+        assert row["norm"] == l2_norm(fractional_D(vt, row["sigma"]))
 
 
 def test_theta_profile_positive_for_small_b(wide_grid):

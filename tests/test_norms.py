@@ -396,20 +396,19 @@ def test_sample_ensemble_draws_lazily(grid256, monkeypatch):
 
 def test_verify_smoothing_memory_is_flat_in_size(kdvks_phi):
     # samples are drawn lazily into fixed buffers; holding them all in a
-    # list peaked about 30 MiB higher at size 2000 than at size 200
-    grid = SpectralGrid(1024, 40.0)
+    # list peaked about 7 MiB higher at size 2000 than at size 200
     peaks = []
     for size in (200, 2000):
         tracemalloc.start()
         try:
-            verify_smoothing("C2", kdvks_phi, grid=grid, size=size)
+            verify_smoothing("C2", kdvks_phi, size=size)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 2 * 2**20, [p / 2**20 for p in peaks]
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("p", [2.0, 4.0])
 def test_pnorm_integer_powers_agree_with_pow(rng, p):
     vals = rng.uniform(0.0, 3.0, (64, 256)) * 10.0 ** rng.integers(-6, 7, (64, 1))
     weights = rng.uniform(0.5, 2.0, (64, 1))
