@@ -171,9 +171,6 @@ class GaussPoly:
         return val * np.exp(-self.a * y**2)
 
 
-ONE = GaussPoly(poly=(1.0,), a=0.0)
-
-
 def standard_pairs() -> tuple[tuple[GaussPoly, GaussPoly], ...]:
     """Three fixed, independent (u, rho) pairs for reduction spot checks.
 

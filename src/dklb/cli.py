@@ -7,7 +7,8 @@ content hash and the subcommand name.  Feeding that manifest back through
 --config replays the run byte-identically.
 
 Exit codes: 0 success, 1 numerical failure (divergence, overflow, boundary
-leakage), 2 validation failure (bad config or violated precondition).
+leakage) or an allocation the machine refuses, 2 validation failure (bad
+config or violated precondition).
 Each key's own domain is checked by the config parser on every
 subcommand; a rule that spans keys is checked by the subcommand that reads
 them, and names them.
@@ -100,6 +101,10 @@ def _subcommand(name: str):
             except (NumericalError, LeakageError, ArithmeticError) as exc:
                 click.echo(f"numerical failure: {exc}", err=True)
                 sys.exit(NUMERICAL)
+            except MemoryError as exc:  # a grid or ensemble too large to hold
+                click.echo(f"out of memory: {exc}" if str(exc) else "out of memory",
+                           err=True)
+                sys.exit(NUMERICAL)
             except (ConfigError, ValueError) as exc:
                 click.echo(f"validation error: {exc}", err=True)
                 sys.exit(VALIDATION)
@@ -168,7 +173,7 @@ def picard(cfg: ExperimentConfig, outdir: Path) -> int:
         traj, report = picard_solve(
             u0, phase, cfg.get("solver", "t"), nt=cfg.get("solver", "nt"),
             tol=cfg.get("solver", "tol"), max_iter=cfg.get("solver", "max_iter"),
-            s=cfg.get("solver", "s"), cstar=cfg.get("solver", "cstar"))
+            s=cfg.get("solver", "s"))
     lambda_keys = list(report.lambda_values[0])
     header = ["iterate", "distance", "ratio"] + lambda_keys
     ratios = [""] + [repr(r) for r in report.distance_ratios]
@@ -243,7 +248,7 @@ def verify_smoothing_cmd(cfg: ExperimentConfig, outdir: Path) -> int:
         emit_plot(csv_path, "histogram")
     click.echo(f"wrote {csv_path}")
     click.echo(f"check {report.check}: {report.sample_count} samples, "
-               f"fitted constant {report.fitted_constant!r}")
+               f"fitted constant {report.max_ratio!r}")
     return OK
 
 

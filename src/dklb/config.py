@@ -117,7 +117,6 @@ _SCHEMA = {
         "tol": (_positive, "1e-8"),
         "max_iter": (_bounded(int, 1), "25"),
         "s": (_nonnegative, "0.0"),
-        "cstar": (_positive, "1.0"),
         "snapshot_stride": (_bounded(int, 1), "1"),
     },
     "data": {
@@ -221,7 +220,7 @@ class ExperimentConfig:
         eta = self.get("model", "eta")
         if name != "custom":
             try:
-                return symbols.preset(name, eta).phase
+                return symbols.preset(name, eta)
             except ValueError as exc:
                 raise ConfigError(f"model.preset: {exc}") from exc
         p = self.get("model", "p")

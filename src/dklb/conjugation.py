@@ -271,7 +271,7 @@ def regularity_gain_probe(k: int, sigmas, t_values, *, eta: float = 1.0,
     """
     if grid is None:
         grid = SpectralGrid(512, 40.0)
-    phi = symbols.optimality(k, eta).phase
+    phi = symbols.optimality(k, eta)
     u0 = mollified_cusp(grid, gamma, h)
     sigmas = tuple(float(s) for s in sigmas)
     t_values = tuple(float(t) for t in t_values)

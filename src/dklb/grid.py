@@ -271,7 +271,6 @@ class Trajectory:
     times: np.ndarray
     coeffs: np.ndarray
     is_real: bool
-    method: str
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

@@ -18,7 +18,7 @@ seeded random ensembles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,36 +59,21 @@ def alpha(a: float, b: float, s: float, p: float) -> float:
     return inv_a - s / p - (inv_a1 - inv_b) / p
 
 
-@dataclass(frozen=True)
-class SmoothingParams:
-    """Exponent bundle (a, b, s) for one smoothing bound on a given symbol."""
-
-    a: float
-    b: float
-    s: float
-    p: float
-    eta: float
-    alpha: float = field(init=False)
-
-    def __post_init__(self):
-        if self.s < 0:
-            raise ValueError(f"derivative gain s must be >= 0, got {self.s}")
-        object.__setattr__(self, "alpha", alpha(self.a, self.b, self.s, self.p))
-        if self.alpha <= 0:
-            raise ValueError(
-                f"alpha(a={self.a}, b={self.b}, s={self.s}) = {self.alpha:g} <= 0 "
-                f"for p={self.p}; the bound constant is infinite"
-            )
-
-
 def smoothing_A(a: float, b: float, s: float, phi: symbols.PhaseFunction,
                 T: float) -> float:
-    """Bound constant exp(eta*T)*T^(1/a) + (a*alpha)^(-1/a) * T^alpha."""
-    params = SmoothingParams(a, b, s, phi.p, phi.eta)
+    """Bound constant exp(eta*T)*T^(1/a) + (a*alpha)^(-1/a) * T^alpha.
+
+    ValueError when s < 0, or when alpha <= 0 and the constant is infinite.
+    """
+    if s < 0:
+        raise ValueError(f"derivative gain s must be >= 0, got {s}")
+    al = alpha(a, b, s, phi.p)
+    if al <= 0:
+        raise ValueError(f"alpha(a={a}, b={b}, s={s}) = {al:g} <= 0 "
+                         f"for p={phi.p}; the bound constant is infinite")
     if T < 0:
         raise ValueError(f"horizon T must be >= 0, got {T}")
     inv_a = 0.0 if a == INF else 1.0 / a
-    al = params.alpha
     try:
         growth = math.exp(phi.eta * T)
     except OverflowError:  # eta*T past the largest exponent: no finite bound
@@ -308,10 +293,8 @@ class NormEnsembleReport:
     sample_count: int
     seed: int
     T: float
-    params: dict
     ratios: np.ndarray
     max_ratio: float
-    fitted_constant: float
 
 
 def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
@@ -331,7 +314,7 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
     Parameters outside an inequality's hypothesis range raise ValueError;
     a ratio that is not finite raises NumericalError.
     Ratios use constant 1 on the right, so the fitted constant is simply the
-    ensemble maximum.
+    ensemble maximum, max_ratio.
 
     The flow multipliers at the nt+1 times form one (times, modes) table,
     half spectra only for a real flow (phi.is_even).  Samples are drawn
@@ -358,22 +341,19 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
         raise ValueError(f"P_inf requires p > 2q, got p={p}, q={q}")
     # Per check: outer and inner exponents, nesting and derivative order of
     # the left-hand mixed norm; the (a, b, s) of the bound constant (None for
-    # the fitted constant 1); the right-hand norm of u0; the reported params.
+    # the fitted constant 1); the right-hand norm of u0.
     tx, xt = "t_outer_x_inner", "x_outer_t_inner"
-    outer, inner, order, gain_order, bound, rhs_norm, used = {
+    outer, inner, order, gain_order, bound, rhs_norm = {
         "C1": (a, INF, tx, s, (a, INF, s),
-               lambda u0: lp_norm(u0, conjugate_exponent(a)), {"a": a, "s": s}),
-        "C2": (2.0, b, tx, s, (2.0, b, s), l2_norm, {"b": b, "s": s}),
+               lambda u0: lp_norm(u0, conjugate_exponent(a))),
+        "C2": (2.0, b, tx, s, (2.0, b, s), l2_norm),
         "C3": (2.0, b, tx, 1.0, (2.0, b, 1.0 - s),
-               lambda u0: l2_norm(fractional_D(u0, s)), {"b": b, "s": s}),
-        "C4": (2.0, 2.0, tx, s, (2.0, 2.0, s), l2_norm, {"s": s}),
-        "P_inf": (INF, 2.0, xt, q, None, l2_norm, {"q": q}),
+               lambda u0: l2_norm(fractional_D(u0, s))),
+        "C4": (2.0, 2.0, tx, s, (2.0, 2.0, s), l2_norm),
+        "P_inf": (INF, 2.0, xt, q, None, l2_norm),
     }[check]
-    const = 1.0
-    if bound is not None:
-        # SmoothingParams validates alpha > 0
-        used["alpha"] = SmoothingParams(*bound, p, phi.eta).alpha
-        const = smoothing_A(*bound, phi, T)
+    # smoothing_A validates alpha > 0
+    const = 1.0 if bound is None else smoothing_A(*bound, phi, T)
 
     real = phi.is_even  # mixtures are real, and |xi|^s keeps real fields real
     keep = grid.n // 2 + 1 if real else grid.n
@@ -397,4 +377,4 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
     if not np.all(np.isfinite(ratios)):
         raise NumericalError("non-finite bound ratio in ensemble")
     mx = float(np.max(ratios)) if len(ratios) else 0.0
-    return NormEnsembleReport(check, size, seed, T, used, ratios, mx, mx)
+    return NormEnsembleReport(check, size, seed, T, ratios, mx)

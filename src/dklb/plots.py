@@ -1,14 +1,16 @@
 """Deterministic SVG plots from CSV artifacts.
 
 Two kinds cover the package's outputs: 'timeseries' (columns vs t) and
-'histogram' (distribution of a ratio column).  Output is a pure function of
-the CSV bytes: fixed 800x600 canvas, fixed palette, no timestamps, so identical
-input yields byte-identical SVG.
+'histogram' (distribution of the ratio column over the numbered samples).
+Only finite numbers are drawn: a column holding nan or inf is left out.
+Output is a pure function of the CSV bytes: fixed 800x600 canvas, fixed
+palette, no timestamps, so identical input yields byte-identical SVG.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 WIDTH, HEIGHT = 800, 600
@@ -144,17 +146,19 @@ def _timeseries(header, rows, canvas, csv_path):
 
 
 def _is_number(text: str) -> bool:
+    """True for a finite number: nan and inf have no place on a canvas."""
     try:
-        float(text)
+        return math.isfinite(float(text))
     except ValueError:
         return False
-    return True
 
 
 def _histogram(header, rows, canvas, csv_path, bins: int = 20):
-    _require_columns(header, ["ratio"], csv_path)
-    vals = [float(r[header.index("ratio")]) for r in rows
-            if _is_number(r[header.index("ratio")])]
+    _require_columns(header, ["sample_id", "ratio"], csv_path)
+    sample, ratio = header.index("sample_id"), header.index("ratio")
+    # a summary row, such as verify-smoothing's max, names no sample
+    vals = [float(r[ratio]) for r in rows
+            if _is_number(r[sample]) and _is_number(r[ratio])]
     if not vals:
         canvas.no_data()
         return

@@ -51,7 +51,7 @@ def linear_trajectory(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     times = np.linspace(0.0, T, nt + 1)
     return Trajectory(u0.grid, phi, times,
                       u0.coeffs * symbols.flow_multiplier(phi, times, u0.grid),
-                      u0.is_real and phi.is_even, "linear")
+                      u0.is_real and phi.is_even)
 
 
 def _advection(grid: SpectralGrid, real: bool):
@@ -126,8 +126,6 @@ class ContractionReport:
     iterations: int
     iterate_distances: list[float]
     lambda_values: list[dict[str, float]]
-    z_bound: float
-    T_used: float
     tol: float
     notes: list[str] = field(default_factory=list)
 
@@ -139,7 +137,7 @@ class ContractionReport:
 
 def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
                  nt: int = 64, tol: float = 1e-8, max_iter: int = 25,
-                 s: float = 0.0, cstar: float = 1.0,
+                 s: float = 0.0,
                  weight_r: float | None = None, weight_b: float | None = None
                  ) -> tuple[Trajectory, ContractionReport]:
     """Solve the integral form by successive substitution on a stored grid.
@@ -176,8 +174,6 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         raise ValueError(f"nt must be a positive even integer, got {nt}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if cstar <= 0:
-        raise ValueError(f"cstar must be positive, got {cstar}")
     grid = u0.grid
     dt = T / nt
     times = np.linspace(0.0, T, nt + 1)
@@ -223,7 +219,6 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             "their validity range; diagnostics only"
         )
 
-    z_bound = 2.0 * cstar * norms.hs_norm(u0, s)
     current = _full_spectrum(linear, grid.n, is_real)
     distances: list[float] = []
     lambdas: list[dict[str, float]] = []
@@ -239,7 +234,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         new = _full_spectrum(new, grid.n, is_real)
         dist = norms.sup_hs_norm(grid, new - current, s)
         distances.append(dist)
-        traj = Trajectory(grid, phi, times, new, is_real, "picard")
+        traj = Trajectory(grid, phi, times, new, is_real)
         lambdas.append(norms.lambda_diagnostics(traj, s, weight_r, weight_b))
         current = new
         if dist <= tol:
@@ -251,8 +246,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             f"no fixed point after {iterations} iterations: last distance "
             f"{distances[-1]:.3e} above tol {tol:g}; partial trajectory returned"
         )
-    report = ContractionReport(converged, iterations, distances, lambdas,
-                               z_bound, T, tol, notes)
+    report = ContractionReport(converged, iterations, distances, lambdas, tol, notes)
     return traj, report
 
 
@@ -264,25 +258,16 @@ def _etdrk4_coeffs(z: np.ndarray, dt: float):
 
     Entire functions of z evaluated by averaging over 32 points of a unit
     circle around each node (full circle: the symbol is complex, so
-    conjugate symmetry may not be assumed); a Taylor series takes over for
-    |z| < 1e-4 where the direct formulas cancel catastrophically.
+    conjugate symmetry may not be assumed).
     """
     z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, 1.0, z)  # placeholder values, overwritten below
     theta = 2.0 * np.pi * (np.arange(32) + 0.5) / 32
-    r = zs[:, None] + np.exp(1j * theta)[None, :]
+    r = z[:, None] + np.exp(1j * theta)[None, :]
     er = np.exp(r)
     Q = dt * np.mean((np.exp(r / 2.0) - 1.0) / r, axis=1)
     f1 = dt * np.mean((-4.0 - r + er * (4.0 - 3.0 * r + r**2)) / r**3, axis=1)
     f2 = dt * np.mean((2.0 + r + er * (-2.0 + r)) / r**3, axis=1)
     f3 = dt * np.mean((-4.0 - 3.0 * r - r**2 + er * (4.0 - r)) / r**3, axis=1)
-    if np.any(small):
-        zz = z[small]
-        Q[small] = dt * (0.5 + zz / 8.0 + zz**2 / 48.0 + zz**3 / 384.0)
-        f1[small] = dt * (1.0 / 6.0 + zz / 6.0 + 3.0 * zz**2 / 40.0 + zz**3 / 45.0)
-        f2[small] = dt * (1.0 / 6.0 + zz / 12.0 + zz**2 / 40.0 + zz**3 / 180.0)
-        f3[small] = dt * (1.0 / 6.0 + 0.0 * zz - zz**2 / 120.0 - zz**3 / 360.0)
     return Q, f1, f2, f3
 
 
@@ -361,7 +346,7 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     coeffs = np.empty((len(times), grid.n), dtype=complex)
     coeffs[0] = u0.coeffs
     coeffs[1:] = _full_spectrum(kept, grid.n, is_real)
-    return Trajectory(grid, phi, np.array(times), coeffs, is_real, "etdrk4")
+    return Trajectory(grid, phi, np.array(times), coeffs, is_real)
 
 
 def dissipation_residuals(traj: Trajectory) -> np.ndarray:

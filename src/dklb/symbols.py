@@ -268,30 +268,22 @@ def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float) -> float:
     return float(np.max(vals))
 
 
-@dataclass(frozen=True)
-class ModelPreset:
-    """A named damping symbol."""
-
-    name: str
-    phase: PhaseFunction
-
-
-def kdvb(eta: float = 1.0) -> ModelPreset:
+def kdvb(eta: float = 1.0) -> PhaseFunction:
     """Second-order damping: Phi(xi) = -xi**2 (Burgers-type dissipation)."""
-    return ModelPreset("kdvb", PhaseFunction(p=2.0, terms=(), eta=eta))
+    return PhaseFunction(p=2.0, terms=(), eta=eta)
 
 
-def ost(eta: float = 1.0) -> ModelPreset:
+def ost(eta: float = 1.0) -> PhaseFunction:
     """Phi(xi) = -|xi|**3 + |xi|, the fully nonlocal third-order damping."""
-    return ModelPreset("ost", PhaseFunction(p=3.0, terms=(PhaseTerm(1.0, 0, 1.0),), eta=eta))
+    return PhaseFunction(p=3.0, terms=(PhaseTerm(1.0, 0, 1.0),), eta=eta)
 
 
-def kdvks(eta: float = 1.0) -> ModelPreset:
+def kdvks(eta: float = 1.0) -> PhaseFunction:
     """Phi(xi) = -xi**4 + xi**2, fourth-order damping with an unstable band."""
-    return ModelPreset("kdvks", PhaseFunction(p=4.0, terms=(PhaseTerm(1.0, 0, 2.0),), eta=eta))
+    return PhaseFunction(p=4.0, terms=(PhaseTerm(1.0, 0, 2.0),), eta=eta)
 
 
-def optimality(k: int, eta: float = 1.0) -> ModelPreset:
+def optimality(k: int, eta: float = 1.0) -> PhaseFunction:
     """Phi(xi) = -|xi|**(2k) + xi**(2k-3)*|xi|**2, odd in its correction.
 
     The correction term carries an odd signed power, so the symbol is not
@@ -300,13 +292,10 @@ def optimality(k: int, eta: float = 1.0) -> ModelPreset:
     if int(k) != k or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k}")
     k = int(k)
-    return ModelPreset(
-        f"optimality:{k}",
-        PhaseFunction(p=2.0 * k, terms=(PhaseTerm(1.0, 2 * k - 3, 2.0),), eta=eta),
-    )
+    return PhaseFunction(p=2.0 * k, terms=(PhaseTerm(1.0, 2 * k - 3, 2.0),), eta=eta)
 
 
-def preset(name: str, eta: float = 1.0) -> ModelPreset:
+def preset(name: str, eta: float = 1.0) -> PhaseFunction:
     """Look up a preset by name; 'optimality:k' selects the k-th family member."""
     key = name.strip().lower()
     if key == "kdvb":

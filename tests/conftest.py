@@ -33,12 +33,12 @@ def grid512():
 
 @pytest.fixture
 def kdvks_phi():
-    return symbols.kdvks(eta=1.0).phase
+    return symbols.kdvks(eta=1.0)
 
 
 @pytest.fixture
 def kdvb_phi():
-    return symbols.kdvb(eta=1.0).phase
+    return symbols.kdvb(eta=1.0)
 
 
 @pytest.fixture

@@ -46,7 +46,7 @@ PRESETS = ("kdvb", "ost", "kdvks", "optimality:2", "optimality:3")
 
 @pytest.fixture(scope="module")
 def kdvks_phase():
-    return symbols.kdvks(1.0).phase
+    return symbols.kdvks(1.0)
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +108,8 @@ def test_criterion_02_bracket_engine():
 def test_criterion_03_multiplier_bounds():
     checked, violations, worst = 0, 0, 0.0
     for name in PRESETS:
-        model = symbols.preset(name, 1.0)
-        ph, M = model.phase, symbols.find_M(model.phase)
+        ph = symbols.preset(name, 1.0)
+        M = symbols.find_M(ph)
         for grid in (SpectralGrid(256, 40.0), SpectralGrid(1024, 80.0)):
             xi = grid.xi
             sel = (np.abs(xi) >= M) & (np.abs(xi) > 0)
@@ -164,7 +164,7 @@ def test_criterion_05_etdrk4_self_convergence(kdvks_phase, grid256):
 
 
 def test_criterion_06_kdvb_dissipation_identity(grid256):
-    phase = symbols.kdvb(1.0).phase
+    phase = symbols.kdvb(1.0)
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.5)
     traj = etdrk4_solve(u0, phase, 1.0, 0.01)
     res = float(np.max(dissipation_residuals(traj)))
@@ -180,9 +180,9 @@ def test_criterion_07_smoothing_ratio_stability(kdvks_phase, grid256):
                               nt=48, s=0.5, q=1.0)
         r2 = verify_smoothing(check, kdvks_phase, T=1.0, size=100, seed=31,
                               nt=48, s=0.5, q=1.0)
-        hi = max(r1.fitted_constant, r2.fitted_constant)
-        lo = min(r1.fitted_constant, r2.fitted_constant)
-        assert hi <= 1.2 * lo, (check, r1.fitted_constant, r2.fitted_constant)
+        hi = max(r1.max_ratio, r2.max_ratio)
+        lo = min(r1.max_ratio, r2.max_ratio)
+        assert hi <= 1.2 * lo, (check, r1.max_ratio, r2.max_ratio)
         worst_gap = max(worst_gap, hi / lo - 1.0)
     # the measured ratio is exactly scale-free in the data
     u0 = random_mixture(grid256, np.random.default_rng(5))

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dklb.brackets import (
-    ONE,
     Bracket,
     GaussPoly,
     eval_bracket,
@@ -19,6 +18,9 @@ from dklb.brackets import (
     reduction_residual,
     standard_pairs,
 )
+
+# the constant weight rho = 1
+ONE = GaussPoly(poly=(1.0,), a=0.0)
 
 
 def test_bracket_canonical_order():

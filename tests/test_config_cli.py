@@ -459,6 +459,25 @@ def test_overflowing_weight_is_refused_before_the_solve(runner, tmp_path,
     assert not (out / "simulate.csv").exists()
 
 
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 64.0 GiB for an "
+                                             "array with shape (4294967296,)"),
+                                 MemoryError()])
+def test_failed_allocation_exits_1_with_one_line(runner, tmp_path, monkeypatch,
+                                                 exc):
+    import dklb.cli
+
+    def refuse(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(dklb.cli, "etdrk4_solve", refuse)
+    result = runner.invoke(main, ["simulate", "-D", "grid.n=64",
+                                  "-D", f"output.dir={tmp_path}"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.output.splitlines() == [f"out of memory: {exc}" if str(exc)
+                                          else "out of memory"]
+
+
 def test_missing_config_file_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["simulate", "--config",
                                   str(tmp_path / "nope.ini")])
@@ -676,6 +695,39 @@ def test_verify_bracket_replays_byte_identically_from_its_manifest(runner,
                                   str(out / "verify-bracket-manifest.ini")])
     assert replay.exit_code == 0, replay.output
     assert (out / "verify-bracket.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("conjugate-check", ("conjugation.b=0.25", "conjugation.t=0.05")),
+    ("decay-experiment", ("grid.n=64",)),
+    ("existence-time", ("existence.norms=0.1 1.0",)),
+])
+def test_subcommand_replays_byte_identically_from_its_manifest(runner, tmp_path,
+                                                               command,
+                                                               overrides):
+    out = tmp_path / "out"
+    args = [command, *(arg for o in overrides for arg in ("-D", o)),
+            "-D", f"output.dir={out}"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    csv, manifest = out / f"{command}.csv", out / f"{command}-manifest.ini"
+    first, first_manifest = csv.read_bytes(), manifest.read_bytes()
+    csv.unlink()
+    replay = runner.invoke(main, [command, "--config", str(manifest)])
+    assert replay.exit_code == 0, replay.output
+    assert csv.read_bytes() == first
+    assert manifest.read_bytes() == first_manifest
+
+
+def test_manifest_with_a_removed_key_exits_2_and_names_it(runner, tmp_path):
+    # manifests written while solver.cstar existed are not replayable
+    old = tmp_path / "picard-manifest.ini"
+    old.write_text("[solver]\nt = 0.1\ncstar = 1.0\n"
+                   "[manifest]\nsubcommand = picard\n")
+    result = runner.invoke(main, ["picard", "--config", str(old),
+                                  "-D", f"output.dir={tmp_path / 'out'}"])
+    assert result.exit_code == 2, result.output
+    assert "unknown config key solver.cstar" in result.output
 
 
 def test_manifest_records_subcommand_seed_and_hash(runner, tmp_path):

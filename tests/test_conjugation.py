@@ -36,7 +36,7 @@ from dklb.symbols import semigroup_multiplier
 from conftest import expanded_multiplier
 
 
-KDVKS = symbols.kdvks().phase
+KDVKS = symbols.kdvks()
 
 
 # kdvks closed forms of the conjugation constants, S(z) = z^3 + eta*(z^2 + z^4):
@@ -59,7 +59,7 @@ def wide_grid():
 
 
 def test_operator_polynomial_fourth_order():
-    phi = symbols.kdvks(eta=1.0).phase
+    phi = symbols.kdvks(eta=1.0)
     poly = operator_polynomial(phi)
     assert np.allclose(poly, [0.0, 0.0, 1.0, 1.0, 1.0], atol=1e-15)
 
@@ -67,7 +67,7 @@ def test_operator_polynomial_fourth_order():
 def test_operator_polynomial_matches_symbol(grid256):
     # S(i*xi) must reproduce -(i*xi^3 + eta*Phi(xi)) on the whole mode set
     for eta in (0.5, 1.0, 2.0):
-        phi = symbols.kdvks(eta).phase
+        phi = symbols.kdvks(eta)
         poly = operator_polynomial(phi)
         xi = grid256.xi
         s_of_ixi = np.polynomial.polynomial.polyval(1j * xi, poly)
@@ -77,7 +77,7 @@ def test_operator_polynomial_matches_symbol(grid256):
 
 def test_operator_polynomial_rejects_nonpolynomial_symbols():
     with pytest.raises(ValueError):
-        operator_polynomial(symbols.ost().phase)  # |xi| is not polynomial
+        operator_polynomial(symbols.ost())  # |xi| is not polynomial
     phi = symbols.PhaseFunction(p=4.0, terms=(symbols.PhaseTerm(1.0, 0, 1.0),),
                                 eta=1.0)
     with pytest.raises(ValueError):
@@ -85,7 +85,7 @@ def test_operator_polynomial_rejects_nonpolynomial_symbols():
 
 
 def test_shift_zero_reduces_to_semigroup(grid256):
-    phi = symbols.kdvks().phase
+    phi = symbols.kdvks()
     for t in (0.05, 0.3):
         shifted = shifted_multiplier(phi, 0.0, t, grid256.xi)
         plain = semigroup_multiplier(phi, t, grid256.xi)
@@ -96,7 +96,7 @@ def test_expanded_form_matches_direct(wide_grid):
     for b in (0.25, 0.5):
         for t in (0.05, 0.1):
             for eta in (1.0, 2.0):
-                phi = symbols.kdvks(eta).phase
+                phi = symbols.kdvks(eta)
                 direct = shifted_multiplier(phi, b, t, wide_grid.xi)
                 expanded = expanded_multiplier(b, eta, t, wide_grid.xi)
                 scale = np.max(np.abs(direct))
@@ -106,7 +106,7 @@ def test_expanded_form_matches_direct(wide_grid):
 def test_multiplier_magnitude_factorizes(wide_grid):
     # |exp(-t S(i xi - b))| = exp(-t (theta(xi) + delta))
     b, eta, t = 0.4, 1.0, 0.08
-    phi = symbols.kdvks(eta).phase
+    phi = symbols.kdvks(eta)
     mags = np.abs(shifted_multiplier(phi, b, t, wide_grid.xi))
     expect = np.exp(-t * (_theta(wide_grid.xi, b, eta) + _delta(b, eta)))
     assert np.max(np.abs(mags - expect)) <= 1e-12 * np.max(expect)
@@ -126,7 +126,7 @@ def test_decay_shift_and_transport_values(wide_grid):
 @pytest.mark.parametrize("b", [0.25, 0.5])
 def test_delta_and_mu_are_the_kdvks_closed_forms(wide_grid, b, eta):
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
-    res = conjugation_check(f, symbols.kdvks(eta).phase, b, 0.1)
+    res = conjugation_check(f, symbols.kdvks(eta), b, 0.1)
     assert res.delta == _delta(b, eta)
     assert res.mu == _mu(b, eta)
 
@@ -197,7 +197,7 @@ def test_conjugated_packet_transports(wide_grid):
 
 
 def test_weight_exchange_basic_properties(grid256):
-    phi = symbols.kdvks().phase
+    phi = symbols.kdvks()
     u0 = normalize_l2(gaussian(grid256, width=1.5))
     z = SpectralField(grid256, np.zeros(grid256.n, dtype=complex), True)
     assert weight_exchange_check(z, phi, 0.5, 1.5, 0.5) == 0.0
@@ -209,7 +209,7 @@ def test_weight_exchange_basic_properties(grid256):
 
 
 def test_weight_exchange_enforces_precondition(grid256):
-    phi = symbols.kdvks().phase  # p = 4, so r may not exceed s/3
+    phi = symbols.kdvks()  # p = 4, so r may not exceed s/3
     u0 = gaussian(grid256)
     with pytest.raises(ValueError, match="exceeds"):
         weight_exchange_check(u0, phi, 0.6, 1.5, 0.1)
@@ -220,7 +220,7 @@ def test_weight_exchange_enforces_precondition(grid256):
 
 
 def test_exchange_ensemble_stability():
-    phi = symbols.kdvks().phase
+    phi = symbols.kdvks()
     grid = SpectralGrid(128, 40.0)
     t_values = (0.1, 0.5, 1.0)
     rep1 = exchange_ensemble(phi, 0.5, 1.5, t_values, size=12, seed=7, grid=grid)
@@ -235,7 +235,7 @@ def test_exchange_ensemble_stability():
 
 @pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
 def test_exchange_ensemble_matches_weight_exchange_check(name):
-    phi = symbols.preset(name).phase
+    phi = symbols.preset(name)
     grid = SpectralGrid(128, 40.0)
     t_values = (0.0, 0.1, 0.5)
     rep = exchange_ensemble(phi, 0.5, 1.5, t_values, size=6, seed=3, grid=grid)
@@ -247,7 +247,7 @@ def test_exchange_ensemble_matches_weight_exchange_check(name):
 @pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
 def test_weight_exchange_check_is_the_semigroup_formula(name):
     # the ratio, bit for bit, as the semigroup applied at one time gives it
-    phi = symbols.preset(name).phase
+    phi = symbols.preset(name)
     grid = SpectralGrid(128, 40.0)
     w = WeightSpec("poly", 0.5)
     for u0 in sample_ensemble(grid, 4, 5):
@@ -311,7 +311,7 @@ def test_regularity_gain_probe_builds_one_flow_table(monkeypatch):
                                 grid=grid)
     assert calls == [(3,)]
     monkeypatch.setattr(symbols, "flow_multiplier", flow)
-    phi, u0 = symbols.optimality(2).phase, mollified_cusp(grid)
+    phi, u0 = symbols.optimality(2), mollified_cusp(grid)
     for row in rep.rows:
         vt = apply_semigroup(phi, row["t"], u0)
         assert row["norm"] == l2_norm(fractional_D(vt, row["sigma"]))
@@ -334,7 +334,7 @@ def test_theta_profile_positive_for_small_b(wide_grid):
                                       ("optimality:3", (0.25,))])
 def test_conjugation_identity_on_every_polynomial_symbol(wide_grid, name, bs):
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
-    phi = symbols.preset(name).phase
+    phi = symbols.preset(name)
     S = np.polynomial.Polynomial(operator_polynomial(phi))
     for b in bs:
         for t in (0.05, 0.1):
@@ -347,7 +347,7 @@ def test_conjugation_identity_on_every_polynomial_symbol(wide_grid, name, bs):
 def test_conjugation_check_rejects_non_polynomial_symbols(wide_grid):
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
     odd_p = symbols.PhaseFunction(p=3.0, terms=(symbols.PhaseTerm(1.0, 0, 2.0),))
-    for phi in (symbols.ost().phase, odd_p):
+    for phi in (symbols.ost(), odd_p):
         with pytest.raises(ValueError, match="not a differential-operator"):
             conjugation_check(f, phi, 0.25, 0.1)
 

@@ -24,7 +24,6 @@ from dklb.norms import (
     A2,
     A3,
     A6,
-    SmoothingParams,
     alpha,
     conjugate_exponent,
     hs_norm,
@@ -67,11 +66,11 @@ def test_conjugate_exponent():
     assert conjugate_exponent(4.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
 
 
-def test_smoothing_params_reject_nonpositive_alpha():
+def test_smoothing_params_reject_nonpositive_alpha(kdvks_phi):
     with pytest.raises(ValueError):
-        SmoothingParams(2.0, 2.0, 3.0, 4.0, 1.0)  # alpha(2,2,3) = -1/4 for p=4
+        smoothing_A(2.0, 2.0, 3.0, kdvks_phi, 1.0)  # alpha(2,2,3) = -1/4 for p=4
     with pytest.raises(ValueError):
-        SmoothingParams(2.0, 2.0, -0.5, 4.0, 1.0)
+        smoothing_A(2.0, 2.0, -0.5, kdvks_phi, 1.0)
 
 
 def test_smoothing_A_limits(kdvks_phi):
@@ -159,7 +158,7 @@ def test_mixed_norm_constant_trajectory_collapses(grid256, kdvks_phi):
     T = 0.8
     times = np.linspace(0.0, T, 33)
     traj = Trajectory(grid256, kdvks_phi, times, np.tile(f.coeffs, (len(times), 1)),
-                      f.is_real, "linear")
+                      f.is_real)
     val = mixed_norm(traj, 2.0, 2.0)
     assert val == pytest.approx(math.sqrt(T) * l2_norm(f), rel=1e-12)
 
@@ -175,7 +174,7 @@ def test_mixed_norm_fubini(grid256, kdvks_phi):
 
 def test_mixed_norm_rejects_empty_and_bad_order(grid256, kdvks_phi):
     traj = Trajectory(grid256, kdvks_phi, np.array([]),
-                      np.empty((0, grid256.n), dtype=complex), True, "linear")
+                      np.empty((0, grid256.n), dtype=complex), True)
     with pytest.raises(ValueError, match="empty"):
         mixed_norm(traj, 2.0, 2.0)
     full = solver.linear_trajectory(gaussian(grid256), kdvks_phi, 0.1, 4)
@@ -242,7 +241,7 @@ def _reference_lambdas(traj, s, r, b):
 def test_lambda_diagnostics_match_a_per_snapshot_reference(grid256, name, data, s):
     # the batched transforms (half spectra for a real flow) against one
     # field per snapshot; kdvb drops lambda3 at s = 1 and always lambda6
-    phi = symbols.preset(name).phase
+    phi = symbols.preset(name)
     u0 = normalize_l2(gaussian(grid256, width=1.2), 0.1)
     if data == "complex":
         u0 = from_values(grid256, to_values(u0) * np.exp(1j * grid256.x))
@@ -277,7 +276,6 @@ def test_verify_smoothing_smoke_all_checks(kdvks_phi):
         assert rep.ratios.shape == (8,)
         assert np.all(np.isfinite(rep.ratios)) and np.all(rep.ratios > 0)
         assert rep.max_ratio == pytest.approx(np.max(rep.ratios))
-        assert rep.fitted_constant == rep.max_ratio
 
 
 def test_verify_smoothing_is_deterministic(kdvks_phi):
@@ -334,7 +332,7 @@ def _reference_ratios(check, phi, grid, T, size, seed, nt, s, q,
 def test_verify_smoothing_matches_per_sample_trajectories(name, check):
     # the batched flow table must reproduce the per-sample trajectory route
     # bit for bit, on a real flow (kdvks) and a complex one (optimality:2)
-    phi = symbols.preset(name).phase
+    phi = symbols.preset(name)
     grid = SpectralGrid(128, 40.0)
     kw = dict(T=0.5, size=5, seed=11, nt=12, s=0.5, q=1.0)
     rep = verify_smoothing(check, phi, grid=grid, **kw)

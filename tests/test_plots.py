@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from dklb.plots import emit_plot
+from dklb.plots import HEIGHT, MARGIN_B, MARGIN_T, PALETTE, emit_plot
 
 
 def _write(tmp_path, name, text):
@@ -64,10 +66,31 @@ def test_histogram_structure(tmp_path):
     assert ">ratio<" in text
 
 
+def _bin_counts(svg):
+    # bar heights in units of the y axis, which runs from 0 to the top count
+    heights = re.findall(rf'height="([0-9.]+)" fill="{PALETTE[0]}"', svg)
+    top = max(float(t) for t in re.findall(r'text-anchor="end">([^<]+)<', svg))
+    return [round(float(h) / (HEIGHT - MARGIN_T - MARGIN_B) * top) for h in heights]
+
+
 def test_histogram_skips_non_numeric_rows(tmp_path):
     body = "sample_id,ratio\n0,0.5\n1,0.75\nmax,0.75\n"
     out = emit_plot(_write(tmp_path, "h.csv", body), "histogram")
-    assert "no data" not in out.read_text()
+    text = out.read_text()
+    assert "no data" not in text
+    assert sum(_bin_counts(text)) == 2  # two samples; the max row is none
+
+
+def test_svg_coordinates_are_finite(tmp_path):
+    # a column holding nan or inf is left out rather than drawn at nan
+    body = "t,l2,rate,blowup\n0.0,1.0,nan,1.0\n0.5,0.9,nan,inf\n1.0,0.8,nan,2.0\n"
+    ts = emit_plot(_write(tmp_path, "ts.csv", body), "timeseries").read_text()
+    assert ts.count("<polyline") == 1 and ">l2<" in ts
+    body = "sample_id,ratio\n0,0.5\n1,inf\n2,nan\n3,0.75\n"
+    hist = emit_plot(_write(tmp_path, "h.csv", body), "histogram").read_text()
+    assert sum(_bin_counts(hist)) == 2
+    for text in (ts, hist):
+        assert not re.search(r"nan|inf", text, re.IGNORECASE), text
 
 
 def test_explicit_output_path(tmp_path):

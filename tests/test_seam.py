@@ -160,7 +160,7 @@ def test_dd_field_values_match_ifft_in_the_bulk():
 
 def test_dd_semigroup_multiplier_matches_double():
     grid = SpectralGrid(1024, 80.0)
-    phi = kdvks().phase
+    phi = kdvks()
     poly = operator_polynomial(phi)
     t = 0.1
     pairs = dd_semigroup_multiplier(poly, t, grid)
@@ -177,7 +177,7 @@ def test_dd_semigroup_multiplier_matches_double():
 
 def test_dd_semigroup_multiplier_time_zero_is_exact():
     grid = SpectralGrid(256, 40.0)
-    poly = operator_polynomial(kdvks().phase)
+    poly = operator_polynomial(kdvks())
     (re_h, re_l), (im_h, im_l) = dd_semigroup_multiplier(poly, 0.0, grid)
     assert np.all(re_h == 1.0) and np.all(re_l == 0.0)
     assert np.all(im_h == 0.0) and np.all(im_l == 0.0)
@@ -186,7 +186,7 @@ def test_dd_semigroup_multiplier_time_zero_is_exact():
 def test_dd_field_values_with_multiplier_match_double_flow():
     grid = SpectralGrid(512, 40.0)
     f = gaussian_spectral(grid, center=0.0, width=1.5)
-    phi = kdvks().phase
+    phi = kdvks()
     poly = operator_polynomial(phi)
     t = 0.05
     idx = np.arange(0, grid.n, 29)
@@ -228,7 +228,7 @@ def test_dd_field_values_against_an_exact_dft(flow):
     mult = None
     plain = f.coeffs
     if flow:
-        mult = dd_semigroup_multiplier(operator_polynomial(kdvks().phase),
+        mult = dd_semigroup_multiplier(operator_polynomial(kdvks()),
                                        0.1, grid)
         (re_h, re_l), (im_h, im_l) = mult
         m = [(_as_frac((re_h[k], re_l[k])), _as_frac((im_h[k], im_l[k])))
@@ -262,7 +262,7 @@ def test_dd_field_values_memory_stays_small():
     f = gaussian_spectral(grid, center=-20.0, width=3.0)
     idx = seam_indices(grid, 0.25)
     assert idx.size == 6143
-    mult = dd_semigroup_multiplier(operator_polynomial(kdvks().phase), 0.1, grid)
+    mult = dd_semigroup_multiplier(operator_polynomial(kdvks()), 0.1, grid)
     dd_field_values(f.coeffs, grid, idx, mult)  # fill the per-n caches
     tracemalloc.start()
     try:

@@ -208,7 +208,7 @@ def test_picard_sweep_matches_the_loop_reference(grid256, name):
     # on full spectra with grid.dealiased_product and the exact multiplier
     # of every node separation, against max_iter=1; nt = 2 has no odd node,
     # and node 3 is a 3/8 tail with an empty Simpson head
-    phi = symbols.preset(name).phase
+    phi = symbols.preset(name)
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.5)
     T = 0.1
     # the sums run in another order and compound the multipliers, and the
@@ -270,7 +270,7 @@ def _allocating_etdrk4(u0, phi, T, dt, nonlinear):
 @pytest.mark.parametrize("name, nonlinear", [("kdvks", True), ("optimality:2", True),
                                              ("kdvb", True), ("kdvks", False)])
 def test_etdrk4_is_bitwise_the_allocating_stepper(grid256, name, nonlinear):
-    phi = symbols.preset(name).phase
+    phi = symbols.preset(name)
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.5)
     ref = _allocating_etdrk4(u0, phi, 0.05, 0.0025, nonlinear)
     traj = etdrk4_solve(u0, phi, T=0.05, dt=0.0025, nonlinear=nonlinear)
@@ -279,6 +279,21 @@ def test_etdrk4_is_bitwise_the_allocating_stepper(grid256, name, nonlinear):
     strided = etdrk4_solve(u0, phi, T=0.05, dt=0.0025, nonlinear=nonlinear,
                            snapshot_stride=3)
     assert np.array_equal(strided.coeffs, ref[[0, 3, 6, 9, 12, 15, 18, 20]])
+
+
+def test_etdrk4_coeffs_match_their_taylor_series_near_zero():
+    # the contour means need no small-|z| branch: where the direct formulas
+    # cancel, they agree with the 4-term Taylor series to rounding
+    z = np.concatenate([[0.0], np.linspace(-1e-4, 1e-4, 20),
+                        1e-4 * np.linspace(0.05, 1.0, 20)
+                        * np.exp(2j * np.pi * np.arange(20) / 20)])
+    dt = 0.01
+    taylor = (dt * (0.5 + z / 8.0 + z**2 / 48.0 + z**3 / 384.0),
+              dt * (1.0 / 6.0 + z / 6.0 + 3.0 * z**2 / 40.0 + z**3 / 45.0),
+              dt * (1.0 / 6.0 + z / 12.0 + z**2 / 40.0 + z**3 / 180.0),
+              dt * (1.0 / 6.0 - z**2 / 120.0 - z**3 / 360.0))
+    for got, want in zip(_etdrk4_coeffs(z, dt), taylor):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 4e-15
 
 
 def test_picard_rejects_no_iterations(grid256, kdvks_phi):
@@ -327,7 +342,7 @@ def test_picard_matches_etdrk4(grid256, kdvks_phi):
 def test_picard_matches_etdrk4_on_more_symbols(grid256, name):
     # criterion 04's comparison on the real path (kdvb, ost) and the complex
     # path (optimality:2) of the advection kernel
-    phi = symbols.preset(name).phase
+    phi = symbols.preset(name)
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
     traj, report = picard_solve(u0, phi, 0.1, nt=64, tol=1e-8)
     assert report.converged
@@ -362,7 +377,6 @@ def test_trajectory_time_grid(grid256, kdvks_phi):
     assert traj.times[0] == 0.0
     assert len(traj.times) == len(traj.snapshots) == 5
     assert np.allclose(np.diff(traj.times), 0.025, atol=1e-15)
-    assert traj.method == "etdrk4"
 
 
 def test_etdrk4_requires_integral_step_count(grid256, kdvks_phi):
@@ -456,7 +470,7 @@ def test_flow_keeps_real_iff_symbol_is_even():
     # at n = 256) and where it is damped least (n = 64).  At t = 0 every flow
     # is the identity, so the times start after it.
     for name in ("kdvb", "ost", "kdvks", "optimality:2"):
-        phi = symbols.preset(name).phase
+        phi = symbols.preset(name)
         for n in (64, 256, 1024):
             grid = SpectralGrid(n, 40.0)
             for t in np.linspace(0.0, 1.0, 49)[1:]:
@@ -481,7 +495,7 @@ def test_real_data_stays_real_under_flow(grid256, kdvks_phi):
 
 
 def test_complex_evolution_permitted(grid256):
-    phi = symbols.preset("optimality:2").phase
+    phi = symbols.preset("optimality:2")
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
     traj = etdrk4_solve(u0, phi, T=0.02, dt=0.005)
     assert not traj.final.is_real

@@ -27,18 +27,18 @@ PRESET_NAMES = ("kdvb", "ost", "kdvks", "optimality:2", "optimality:3")
 
 
 def test_preset_anchor_values():
-    kdvks = preset("kdvks").phase
+    kdvks = preset("kdvks")
     assert phase_eval(kdvks, 1.0) == pytest.approx(0.0, abs=1e-15)
     assert phase_eval(kdvks, 2.0) == pytest.approx(-12.0, rel=1e-14)
-    ost = preset("ost").phase
+    ost = preset("ost")
     assert phase_eval(ost, 2.0) == pytest.approx(-6.0, rel=1e-14)
-    kdvb = preset("kdvb").phase
+    kdvb = preset("kdvb")
     assert phase_eval(kdvb, 1.0) == pytest.approx(-1.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_phase_vanishes_at_origin(name):
-    assert phase_eval(preset(name).phase, 0.0) == 0.0
+    assert phase_eval(preset(name), 0.0) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -47,7 +47,7 @@ def test_phase_vanishes_at_origin(name):
      ("optimality:2", 2.0)],
 )
 def test_dominance_threshold_values(name, expected):
-    assert find_M(preset(name).phase) == pytest.approx(expected, rel=1e-6, abs=1e-9)
+    assert find_M(preset(name)) == pytest.approx(expected, rel=1e-6, abs=1e-9)
 
 
 def _dominates(phi, x):
@@ -63,7 +63,7 @@ def _dominates(phi, x):
 
 @pytest.mark.parametrize("name", ["ost", "kdvks", "optimality:2"])
 def test_threshold_is_sharp(name):
-    phi = preset(name).phase
+    phi = preset(name)
     M = find_M(phi)
     assert _dominates(phi, M)
     assert not _dominates(phi, 0.99 * M)
@@ -71,7 +71,7 @@ def test_threshold_is_sharp(name):
 
 @pytest.mark.parametrize("name", ["ost", "kdvks"])
 def test_threshold_is_root_two_to_the_last_bits(name):
-    M = find_M(preset(name).phase)
+    M = find_M(preset(name))
     assert abs(M - math.sqrt(2)) <= 4 * math.ulp(math.sqrt(2))
 
 
@@ -133,7 +133,7 @@ def test_threshold_with_an_exponent_gap_below_one():
 
 def test_multiplier_at_time_zero_is_one():
     for name in PRESET_NAMES:
-        phi = preset(name).phase
+        phi = preset(name)
         xi = np.linspace(-30.0, 30.0, 101)
         assert np.all(semigroup_multiplier(phi, 0.0, xi) == 1.0)
 
@@ -142,7 +142,7 @@ def test_multiplier_at_time_zero_is_one():
 def test_flow_multiplier_drops_only_the_nyquist_phase(name):
     # on a grid the dispersive phase is zero at the unpaired Nyquist mode;
     # every other mode, and the damping everywhere, match the bare multiplier
-    phi = preset(name).phase
+    phi = preset(name)
     grid = SpectralGrid(64, 40.0)
     nyq = grid.nyquist_index
     m = flow_multiplier(phi, 1e-3, grid)
@@ -155,13 +155,13 @@ def test_flow_multiplier_drops_only_the_nyquist_phase(name):
 
 
 def test_kdvks_multiplier_magnitude_anchor():
-    phi = preset("kdvks", eta=1.0).phase
+    phi = preset("kdvks", eta=1.0)
     m = semigroup_multiplier(phi, 1.0, np.array([2.0]))
     assert abs(m[0]) == pytest.approx(math.exp(-12.0), rel=1e-12)
 
 
 def test_kdvb_pure_mode_decay_rate():
-    phi = preset("kdvb", eta=1.0).phase
+    phi = preset("kdvb", eta=1.0)
     for t in (0.1, 0.5, 1.0):
         m = semigroup_multiplier(phi, t, np.array([1.0]))
         assert abs(m[0]) == pytest.approx(math.exp(-t), rel=1e-12)
@@ -171,7 +171,7 @@ def test_kdvb_pure_mode_decay_rate():
 @pytest.mark.parametrize("t", [0.01, 0.1, 1.0])
 def test_multiplier_bound_beyond_threshold(name, t):
     # |multiplier| <= exp(-eta*t*|xi|^p/2) for every mode past the threshold
-    phi = preset(name).phase
+    phi = preset(name)
     M = find_M(phi)
     xi = np.linspace(-40.0, 40.0, 4001)
     xi = xi[np.abs(xi) >= M]
@@ -184,7 +184,7 @@ def test_multiplier_bound_beyond_threshold(name, t):
 def test_weighted_sup_follows_smoothing_envelope(name):
     # sup |xi|^{2q} e^{2 eta t Phi} <= c (1 + t^{-2q/p}) with one c stable
     # over three decades of t; the fitted c never drifts by more than 4x.
-    phi = preset(name).phase
+    phi = preset(name)
     q = phi.p / 4.0
     ts = [1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0]
     ratios = [weighted_multiplier_sup(phi, q, t) / (1.0 + t ** (-2 * q / phi.p))
@@ -194,7 +194,7 @@ def test_weighted_sup_follows_smoothing_envelope(name):
 
 
 def test_weighted_sup_rejects_bad_arguments():
-    phi = preset("kdvks").phase
+    phi = preset("kdvks")
     with pytest.raises(ValueError):
         weighted_multiplier_sup(phi, 1.0, 0.0)
     with pytest.raises(ValueError):
@@ -202,21 +202,21 @@ def test_weighted_sup_rejects_bad_arguments():
 
 
 def test_evenness_flags():
-    assert preset("kdvb").phase.is_even
-    assert preset("kdvks").phase.is_even
-    assert preset("ost").phase.is_even
-    assert not preset("optimality:2").phase.is_even
+    assert preset("kdvb").is_even
+    assert preset("kdvks").is_even
+    assert preset("ost").is_even
+    assert not preset("optimality:2").is_even
 
 
 def test_optimality_phase_is_odd_at_one():
-    phi = preset("optimality:2").phase
+    phi = preset("optimality:2")
     assert phase_eval(phi, 1.0) != phase_eval(phi, -1.0)
 
 
 @given(st.floats(-20.0, 20.0))
 def test_even_presets_are_even_functions(xi):
     for name in ("kdvb", "ost", "kdvks"):
-        phi = preset(name).phase
+        phi = preset(name)
         assert phase_eval(phi, xi) == phase_eval(phi, -xi)
 
 
@@ -236,14 +236,14 @@ def test_preset_rejects_unknown_name():
 
 def test_term_degrees_below_leading_order():
     for name in PRESET_NAMES:
-        phi = preset(name).phase
+        phi = preset(name)
         for term in phi.terms:
             assert term.degree < phi.p
 
 
 def test_eta_scales_dissipation():
-    phi1 = preset("kdvks", eta=1.0).phase
-    phi3 = preset("kdvks", eta=3.0).phase
+    phi1 = preset("kdvks", eta=1.0)
+    phi3 = preset("kdvks", eta=3.0)
     m1 = semigroup_multiplier(phi1, 1.0, np.array([2.0]))
     m3 = semigroup_multiplier(phi3, 1.0, np.array([2.0]))
     assert abs(m3[0]) == pytest.approx(abs(m1[0]) ** 3, rel=1e-9)
