@@ -1,17 +1,20 @@
 """Command-line entry points: reproducible experiment runs with artifacts.
 
-Every subcommand reads one INI config (all values overridable with
--D section.key=value), writes its CSV artifacts into the configured output
-directory, and drops a manifest file first: the resolved config echo plus a
-content hash and the subcommand name.  Feeding that manifest back through
---config replays the run byte-identically.
+Every subcommand has one run shape.  It reads one INI config (all values
+overridable with -D section.key=value), writes `<name>-manifest.ini` into
+the configured output directory (the resolved config echo plus the
+subcommand name, seed and content hash), runs, and writes `<name>.csv`;
+with `svg` in output.formats, simulate, verify-smoothing and
+decay-experiment also draw it as `<name>.svg`.  A run that fails its own
+check (picard not converged, verify-bracket over tolerance) writes both
+files first, then exits 1.  Feeding the manifest back through --config
+replays the run byte-identically.
 
 Exit codes: 0 success, 1 numerical failure (divergence, overflow, boundary
 leakage) or an allocation the machine refuses, 2 validation failure (bad
-config or violated precondition).
-Each key's own domain is checked by the config parser on every
-subcommand; a rule that spans keys is checked by the subcommand that reads
-them, and names them.
+config or violated precondition).  Each key's own domain, model.terms
+included, is checked once, at load, on every subcommand; a rule that spans
+keys is checked by the subcommand that reads them, and names them.
 """
 
 from __future__ import annotations
@@ -45,31 +48,8 @@ from .solver import (
 # exit codes
 OK, NUMERICAL, VALIDATION = 0, 1, 2
 
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _prepare(config_path, overrides, subcommand: str):
-    cfg = load_config(config_path, tuple(overrides))
-    outdir = Path(cfg.get("output", "dir"))
-    outdir.mkdir(parents=True, exist_ok=True)
-    manifest = cfg.echo() + (
-        "[manifest]\n"
-        f"subcommand = {subcommand}\n"
-        f"seed = {cfg.get('ensemble', 'seed')}\n"
-        f"hash = {cfg.content_hash()}\n"
-    )
-    (outdir / f"{subcommand}-manifest.ini").write_text(manifest)
-    return cfg, outdir
+# a body returns its CSV header, rows, summary lines, and a failure message or None
+Run = tuple[list[str], list[list], list[str], str | None]
 
 
 @contextmanager
@@ -83,8 +63,9 @@ def _fields(*keys: str):
         raise ConfigError(f"{'/'.join(keys)}: {exc}") from exc
 
 
-def _subcommand(name: str):
-    """Config/override options plus the exit-code policy, shared by all."""
+def _subcommand(name: str, plot: str | None = None):
+    """Config/override options, the run shape of the module docstring (a
+    `plot` kind draws the CSV) and the exit-code policy, shared by all."""
 
     def decorate(fn):
         @click.option("--config", "-c", "config_path", default=None,
@@ -96,8 +77,27 @@ def _subcommand(name: str):
         @functools.wraps(fn)
         def wrapper(config_path, overrides):
             try:
-                cfg, outdir = _prepare(config_path, overrides, name)
-                code = fn(cfg, outdir)
+                cfg = load_config(config_path, tuple(overrides))
+                outdir = Path(cfg.get("output", "dir"))
+                outdir.mkdir(parents=True, exist_ok=True)
+                (outdir / f"{name}-manifest.ini").write_text(
+                    f"{cfg.echo()}[manifest]\nsubcommand = {name}\n"
+                    f"seed = {cfg.get('ensemble', 'seed')}\n"
+                    f"hash = {cfg.content_hash()}\n")
+                # every non-finite result meets a guard that names it, so
+                # numpy's own floating-point warnings would only repeat it
+                with np.errstate(all="ignore"):
+                    header, rows, summary, failure = fn(cfg, outdir)
+                csv_path = outdir / f"{name}.csv"
+                csv_path.write_text("".join(
+                    ",".join(repr(v) if isinstance(v, float) else str(v)
+                             for v in row) + "\n"
+                    for row in [header, *rows]))
+                if plot and "svg" in cfg.get("output", "formats"):
+                    emit_plot(csv_path, plot)
+                click.echo("\n".join([f"wrote {csv_path}", *summary]))
+                if failure:  # the run failed its own check, after writing
+                    raise NumericalError(failure)
             except (NumericalError, LeakageError, ArithmeticError) as exc:
                 click.echo(f"numerical failure: {exc}", err=True)
                 sys.exit(NUMERICAL)
@@ -108,10 +108,7 @@ def _subcommand(name: str):
             except (ConfigError, ValueError) as exc:
                 click.echo(f"validation error: {exc}", err=True)
                 sys.exit(VALIDATION)
-            except DklbError as exc:
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(NUMERICAL)
-            sys.exit(code or OK)
+            sys.exit(OK)
 
         return wrapper
 
@@ -124,8 +121,8 @@ def main():
 
 
 @main.command()
-@_subcommand("simulate")
-def simulate(cfg: ExperimentConfig, outdir: Path) -> int:
+@_subcommand("simulate", plot="timeseries")
+def simulate(cfg: ExperimentConfig, outdir: Path) -> Run:
     """Run ETDRK4 (or linear flow) and write a norm-vs-time CSV index."""
     phase = cfg.build_phase()
     grid = cfg.build_grid()
@@ -145,26 +142,20 @@ def simulate(cfg: ExperimentConfig, outdir: Path) -> int:
                             snapshot_stride=cfg.get("solver", "snapshot_stride"))
     header = ["step", "t", "l2", "hs"] + [w.label for w in weights]
     rows = []
-    formats = cfg.get("output", "formats")
     for t, snap in zip(traj.times, traj.snapshots):
         step = int(round(t / dt))
         row = [step, float(t), l2_norm(snap), hs_norm(snap, s)]
         row += [weighted_norm(snap, w, wv) for w, wv in zip(weights, wvals)]
         rows.append(row)
-        if "snapshots" in formats:
+        if "snapshots" in cfg.get("output", "formats"):
             write_snapshot(outdir / f"simulate-{step:06d}.dklb", snap, float(t))
-    csv_path = outdir / "simulate.csv"
-    _write_csv(csv_path, header, rows)
-    if "svg" in formats:
-        emit_plot(csv_path, "timeseries")
-    click.echo(f"simulate: {len(traj)} snapshots, final l2={l2_norm(traj.final)!r}")
-    click.echo(f"wrote {csv_path}")
-    return OK
+    return header, rows, [f"simulate: {len(traj)} snapshots, "
+                          f"final l2={l2_norm(traj.final)!r}"], None
 
 
 @main.command()
 @_subcommand("picard")
-def picard(cfg: ExperimentConfig, outdir: Path) -> int:
+def picard(cfg: ExperimentConfig, outdir: Path) -> Run:
     """Solve the integral form by successive substitution; report contraction."""
     phase = cfg.build_phase()
     grid = cfg.build_grid()
@@ -176,38 +167,30 @@ def picard(cfg: ExperimentConfig, outdir: Path) -> int:
             s=cfg.get("solver", "s"))
     lambda_keys = list(report.lambda_values[0])
     header = ["iterate", "distance", "ratio"] + lambda_keys
-    ratios = [""] + [repr(r) for r in report.distance_ratios]
+    ratios = ["", *report.distance_ratios]
     rows = [[i + 1, d, ratios[i]] + [lam[k] for k in lambda_keys]
             for i, (d, lam) in enumerate(zip(report.iterate_distances,
                                              report.lambda_values))]
-    csv_path = outdir / "picard.csv"
-    _write_csv(csv_path, header, rows)
     if "snapshots" in cfg.get("output", "formats"):
         write_snapshot(outdir / "picard-final.dklb", traj.final, traj.times[-1])
-    click.echo(f"wrote {csv_path}")
     if not report.converged:
-        click.echo(
+        return header, rows, [], (
             f"not converged after {report.iterations} iterations "
-            f"(last distance {report.iterate_distances[-1]!r}, tol {report.tol!r})",
-            err=True)
-        return NUMERICAL
-    click.echo(f"converged iterations={report.iterations}")
-    return OK
+            f"(last distance {report.iterate_distances[-1]!r}, tol {report.tol!r})")
+    return header, rows, [f"converged iterations={report.iterations}"], None
 
 
 @main.command(name="verify-bracket")
 @_subcommand("verify-bracket")
-def verify_bracket(cfg: ExperimentConfig, outdir: Path) -> int:
+def verify_bracket(cfg: ExperimentConfig, outdir: Path) -> Run:
     """Check quadrature values of <n,m,a> against their exact reductions."""
-    max_n = cfg.get("brackets", "max_n")
-    max_a = cfg.get("brackets", "max_a")
     tol = cfg.get("brackets", "tol")
     pairs = brackets.standard_pairs()[: cfg.get("brackets", "pairs")]
     header = ["n", "m", "a", "residual", "bound"]
     rows, failures = [], 0
-    for n in range(1, max_n + 1):
+    for n in range(1, cfg.get("brackets", "max_n") + 1):
         for m in range(n):
-            for a in range(max_a + 1):
+            for a in range(cfg.get("brackets", "max_a") + 1):
                 worst, bound = 0.0, tol
                 for u, rho in pairs:
                     lhs, _, resid = brackets.reduction_residual(
@@ -216,18 +199,14 @@ def verify_bracket(cfg: ExperimentConfig, outdir: Path) -> int:
                     bound = max(bound, tol * max(1.0, abs(lhs)))
                 rows.append([n, m, a, worst, bound])
                 failures += worst > bound
-    csv_path = outdir / "verify-bracket.csv"
-    _write_csv(csv_path, header, rows)
-    click.echo(f"wrote {csv_path}")
-    click.echo(f"{len(rows)} reductions checked, {failures} over tolerance")
-    if failures:
-        raise NumericalError(f"{failures} bracket reductions exceed tolerance {tol}")
-    return OK
+    summary = [f"{len(rows)} reductions checked, {failures} over tolerance"]
+    return header, rows, summary, (
+        f"{failures} bracket reductions exceed tolerance {tol}" if failures else None)
 
 
 @main.command(name="verify-smoothing")
-@_subcommand("verify-smoothing")
-def verify_smoothing_cmd(cfg: ExperimentConfig, outdir: Path) -> int:
+@_subcommand("verify-smoothing", plot="histogram")
+def verify_smoothing_cmd(cfg: ExperimentConfig, outdir: Path) -> Run:
     """Measure one linear smoothing bound over a seeded random ensemble."""
     phase = cfg.build_phase()
     # each check's hypotheses, and alpha > 0, relate its exponents to p
@@ -239,22 +218,16 @@ def verify_smoothing_cmd(cfg: ExperimentConfig, outdir: Path) -> int:
             seed=cfg.get("ensemble", "seed"), nt=cfg.get("smoothing", "nt"),
             s=cfg.get("smoothing", "s"), a=cfg.get("smoothing", "a"),
             b=cfg.get("smoothing", "b"), q=cfg.get("smoothing", "q"))
-    header = ["sample_id", "ratio"]
     rows = [[i, float(r)] for i, r in enumerate(report.ratios)]
     rows.append(["max", report.max_ratio])
-    csv_path = outdir / "verify-smoothing.csv"
-    _write_csv(csv_path, header, rows)
-    if "svg" in cfg.get("output", "formats"):
-        emit_plot(csv_path, "histogram")
-    click.echo(f"wrote {csv_path}")
-    click.echo(f"check {report.check}: {report.sample_count} samples, "
-               f"fitted constant {report.max_ratio!r}")
-    return OK
+    return ["sample_id", "ratio"], rows, [
+        f"check {report.check}: {report.sample_count} samples, "
+        f"fitted constant {report.max_ratio!r}"], None
 
 
 @main.command(name="conjugate-check")
 @_subcommand("conjugate-check")
-def conjugate_check(cfg: ExperimentConfig, outdir: Path) -> int:
+def conjugate_check(cfg: ExperimentConfig, outdir: Path) -> Run:
     """Exponential-weight conjugation identity across (b, t) cells."""
     grid = cfg.build_grid()
     f = cfg.build_data(grid)
@@ -271,18 +244,14 @@ def conjugate_check(cfg: ExperimentConfig, outdir: Path) -> int:
                     f, phase, b, t, max_leakage=cfg.get("conjugation", "max_leakage"))
             rows.append([b, t, r.rel_error, r.bound_ratio, r.delta, r.mu,
                          r.boundary_leakage])
-    csv_path = outdir / "conjugate-check.csv"
-    _write_csv(csv_path, header, rows)
     # np.max propagates NaN; max() drops it unless it comes first
     worst = float(np.max([row[2] for row in rows]))
-    click.echo(f"wrote {csv_path}")
-    click.echo(f"{len(rows)} cells, worst rel_error {worst!r}")
-    return OK
+    return header, rows, [f"{len(rows)} cells, worst rel_error {worst!r}"], None
 
 
 @main.command(name="decay-experiment")
-@_subcommand("decay-experiment")
-def decay_experiment(cfg: ExperimentConfig, outdir: Path) -> int:
+@_subcommand("decay-experiment", plot="timeseries")
+def decay_experiment(cfg: ExperimentConfig, outdir: Path) -> Run:
     """Weighted-derivative growth of the flow on mollified cusp data."""
     report = regularity_gain_probe(
         cfg.get("decay", "k"), cfg.get("decay", "sigmas"),
@@ -292,20 +261,14 @@ def decay_experiment(cfg: ExperimentConfig, outdir: Path) -> int:
     header = ["sigma", "t", "norm", "mult_bound", "fitted_rate"]
     rows = [[row["sigma"], row["t"], row["norm"], row["mult_bound"],
              report.fitted_rates[row["sigma"]]] for row in report.rows]
-    csv_path = outdir / "decay-experiment.csv"
-    _write_csv(csv_path, header, rows)
-    if "svg" in cfg.get("output", "formats"):
-        emit_plot(csv_path, "timeseries")
-    click.echo(f"wrote {csv_path}")
     rates = ", ".join(f"sigma={s!r}: {r!r}"
                       for s, r in sorted(report.fitted_rates.items()))
-    click.echo(f"fitted rates: {rates}")
-    return OK
+    return header, rows, [f"fitted rates: {rates}"], None
 
 
 @main.command(name="existence-time")
 @_subcommand("existence-time")
-def existence_time_cmd(cfg: ExperimentConfig, outdir: Path) -> int:
+def existence_time_cmd(cfg: ExperimentConfig, outdir: Path) -> Run:
     """Certified contraction horizons over a sweep of data sizes and cstar."""
     phase = cfg.build_phase()
     s = cfg.get("solver", "s")
@@ -318,11 +281,8 @@ def existence_time_cmd(cfg: ExperimentConfig, outdir: Path) -> int:
                 a_sum = norms.A2(phase, t0) + norms.A3(phase, s, t0)
             threshold = contraction_threshold(cstar, z0)
             rows.append([u0_norm, cstar, t0, a_sum, threshold])
-    csv_path = outdir / "existence-time.csv"
-    _write_csv(csv_path, header, rows)
-    click.echo(f"wrote {csv_path}")
-    click.echo(f"{len(rows)} sweep points, min T0 {min(r[2] for r in rows)!r}")
-    return OK
+    return header, rows, [f"{len(rows)} sweep points, "
+                          f"min T0 {min(r[2] for r in rows)!r}"], None
 
 
 if __name__ == "__main__":

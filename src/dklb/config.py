@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +31,6 @@ def _float(text: str) -> float:
 def _exponent(text: str) -> float:
     """A Lebesgue exponent: a finite number, or inf for a supremum norm."""
     return math.inf if text.strip().lower() == "inf" else _float(text)
-
-
-def _str(text: str) -> str:
-    return text.strip()
 
 
 def _list(parse):
@@ -80,6 +76,18 @@ def _weight(text: str) -> WeightSpec:
     return spec
 
 
+def _terms(text: str) -> list[symbols.PhaseTerm]:
+    """Correction terms 'coeff m n', separated by ';'."""
+    terms = []
+    for chunk in filter(None, (part.strip() for part in text.split(";"))):
+        tokens = chunk.split()
+        if len(tokens) != 3:
+            raise ValueError(f"each term needs 'coeff m n', got {chunk!r}")
+        terms.append(symbols.PhaseTerm(float(tokens[0]), int(tokens[1]),
+                                       float(tokens[2])))
+    return terms
+
+
 def _grid_size(text: str) -> int:
     n = int(text)
     if n < 16 or n & (n - 1):
@@ -99,10 +107,10 @@ _nonnegative = _bounded(_float, 0)
 # empty; every other key needs a value.
 _SCHEMA = {
     "model": {
-        "preset": (_str, "kdvks"),
+        "preset": (str, "kdvks"),
         "eta": (_positive, "1.0"),
         "p": (_positive, ""),
-        "terms": (_str, ""),
+        "terms": (_terms, ""),
     },
     "grid": {
         "n": (_grid_size, "256"),
@@ -134,7 +142,7 @@ _SCHEMA = {
         "seed": (_bounded(int, 0), "2024"),
     },
     "output": {
-        "dir": (_str, "out"),
+        "dir": (str, "out"),
         "formats": (_list(_choice(*_FORMATS)), "csv"),
     },
     "conjugation": {
@@ -172,36 +180,54 @@ _SCHEMA = {
 }
 
 
+def _parse(section: str, key: str, text: str):
+    parser, default = _SCHEMA[section][key]
+    if text == "":
+        if default:
+            raise ConfigError(f"{section}.{key}: needs a value")
+        return None
+    try:
+        return parser(text)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{key}: {exc}") from exc
+
+
+def _make_phase(values: dict) -> symbols.PhaseFunction:
+    name, eta = values[("model", "preset")], values[("model", "eta")]
+    if name != "custom":
+        try:
+            return symbols.preset(name, eta)
+        except ValueError as exc:
+            raise ConfigError(f"model.preset: {exc}") from exc
+    p = values[("model", "p")]
+    if p is None:
+        raise ConfigError("model.p: required when model.preset = custom")
+    terms = tuple(values[("model", "terms")] or ())
+    try:
+        return symbols.PhaseFunction(p=p, terms=terms, eta=eta)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"model: {exc}") from exc
+
+
 @dataclass
 class ExperimentConfig:
-    """Validated configuration; raw text values keyed by (section, key)."""
+    """A validated configuration: each key's text as given (echoed, hashed),
+    its parsed value, and the symbol, all fixed at load."""
 
     raw: dict[tuple[str, str], str]
-    _phase: symbols.PhaseFunction | None = field(default=None, init=False,
-                                                 repr=False, compare=False)
+    values: dict[tuple[str, str], object]
+    phase: symbols.PhaseFunction
 
     def get(self, section: str, key: str):
-        parser, default = _SCHEMA[section][key]
-        text = self.raw[(section, key)]
-        if text == "":
-            if default:
-                raise ConfigError(f"{section}.{key}: needs a value")
-            return None
-        try:
-            return parser(text)
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key}: {exc}") from exc
+        return self.values[(section, key)]
 
     # --- canonical text form (manifest echo, hashing, replay) ---------------
 
     def echo(self) -> str:
-        lines = []
-        for section, keys in _SCHEMA.items():
-            lines.append(f"[{section}]")
-            for key in keys:
-                lines.append(f"{key} = {self.raw[(section, key)]}")
-            lines.append("")
-        return "\n".join(lines)
+        return "\n".join(
+            f"[{section}]\n" + "".join(f"{key} = {self.raw[(section, key)]}\n"
+                                       for key in keys)
+            for section, keys in _SCHEMA.items())
 
     def content_hash(self) -> str:
         body = self.echo().encode()
@@ -210,48 +236,16 @@ class ExperimentConfig:
     # --- builders ------------------------------------------------------------
 
     def build_phase(self) -> symbols.PhaseFunction:
-        """The configured symbol, built once: construction runs find_M."""
-        if self._phase is None:
-            self._phase = self._make_phase()
-        return self._phase
-
-    def _make_phase(self) -> symbols.PhaseFunction:
-        name = self.get("model", "preset")
-        eta = self.get("model", "eta")
-        if name != "custom":
-            try:
-                return symbols.preset(name, eta)
-            except ValueError as exc:
-                raise ConfigError(f"model.preset: {exc}") from exc
-        p = self.get("model", "p")
-        if p is None:
-            raise ConfigError("model.p: required when model.preset = custom")
-        terms = []
-        text = self.raw[("model", "terms")]
-        for chunk in filter(None, (part.strip() for part in text.split(";"))):
-            tokens = chunk.split()
-            if len(tokens) != 3:
-                raise ConfigError(
-                    f"model.terms: each term needs 'coeff m n', got {chunk!r}")
-            try:
-                terms.append(symbols.PhaseTerm(float(tokens[0]),
-                                               int(tokens[1]), float(tokens[2])))
-            except ValueError as exc:
-                raise ConfigError(f"model.terms: {exc}") from exc
-        try:
-            return symbols.PhaseFunction(p=p, terms=tuple(terms), eta=eta)
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"model: {exc}") from exc
+        """The configured symbol, built once at load (construction runs find_M)."""
+        return self.phase
 
     def build_grid(self) -> SpectralGrid:
         return SpectralGrid(self.get("grid", "n"), self.get("grid", "l"),
                             self.get("grid", "dealias"))
 
     def build_data(self, grid: SpectralGrid) -> SpectralField:
-        kind = self.get("data", "kind")
-        center = self.get("data", "center")
-        width = self.get("data", "width")
-        amplitude = self.get("data", "amplitude")
+        kind, center, width, amplitude = (
+            self.get("data", key) for key in ("kind", "center", "width", "amplitude"))
         if kind == "gaussian":
             f = fields.gaussian(grid, center, width, amplitude)
         elif kind == "spectral-gaussian":
@@ -268,13 +262,6 @@ class ExperimentConfig:
         if target is not None:
             f = fields.normalize_l2(f, target)
         return f
-
-    def validate(self) -> None:
-        """Parse every key against its domain and build the symbol."""
-        for section, keys in _SCHEMA.items():
-            for key in keys:
-                self.get(section, key)
-        self.build_phase()
 
 
 def load_config(path: str | Path | None = None,
@@ -310,6 +297,7 @@ def load_config(path: str | Path | None = None,
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ConfigError(f"unknown config key {section}.{key}")
         raw[(section, key)] = value.strip()
-    cfg = ExperimentConfig(raw)
-    cfg.validate()
-    return cfg
+    # raw keeps _SCHEMA's order, so the first bad key is the one reported
+    values = {(section, key): _parse(section, key, text)
+              for (section, key), text in raw.items()}
+    return ExperimentConfig(raw, values, _make_phase(values))

@@ -291,7 +291,8 @@ def regularity_gain_probe(k: int, sigmas, t_values, *, eta: float = 1.0,
             rows.append({"sigma": sigma, "t": t, "norm": nrm, "mult_bound": bound})
             norms_t.append(nrm)
         norms_arr = np.asarray(norms_t)
-        if np.all(norms_arr > 0) and len(t_values) > 1:
+        # a slope needs two distinct times; repeats of one time fit nothing
+        if np.all(norms_arr > 0) and len(set(t_values)) > 1:
             slope = np.polyfit(np.log(t_values), np.log(norms_arr), 1)[0]
         else:
             slope = float("nan")

@@ -1,9 +1,13 @@
 import math
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import dklb
 from dklb.cli import main
 from dklb.config import _SCHEMA, load_config
 from dklb.errors import ConfigError
@@ -193,15 +197,28 @@ def _hostile_cases():
                            f"brackets.{key}", id=f"verify-bracket:brackets.{key}")
 
 
-def _norm_columns(path):
-    # decay-experiment's norm and its envelope; simulate's weighted norms,
-    # every column after hs
+def _non_finite_cells(path):
+    # every numeric cell of a CSV must be finite, with two exceptions: the
+    # contraction threshold is +inf when z0 is zero or underflows, and a
+    # fitted decay rate is nan without two distinct times or with a zero norm
     header, *rows = [line.split(",") for line in path.read_text().splitlines()]
-    if path.name == "decay-experiment.csv":
-        cols = [header.index("norm"), header.index("mult_bound")]
-    else:
-        cols = range(header.index("hs") + 1, len(header))
-    return [float(row[i]) for row in rows for i in cols]
+    bad = []
+    for row in rows:
+        for column, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except ValueError:  # verify-smoothing's "max", picard's first ratio
+                continue
+            if math.isfinite(value):
+                continue
+            if (path.name, column) == ("existence-time.csv", "threshold"):
+                if value == math.inf:
+                    continue
+            elif (path.name, column) == ("decay-experiment.csv", "fitted_rate"):
+                if math.isnan(value):
+                    continue
+            bad.append((column, cell))
+    return bad
 
 
 @pytest.mark.parametrize("value", HOSTILE_VALUES)
@@ -215,10 +232,9 @@ def test_hostile_value_ends_in_an_exit_code(runner, tmp_path, command, key,
         repr(result.exception)
     if result.exit_code == 2:
         assert key in result.output, result.output
-    for name in ("decay-experiment.csv", "simulate.csv"):
-        if result.exit_code == 0 and (tmp_path / name).exists():
-            values = _norm_columns(tmp_path / name)
-            assert all(map(math.isfinite, values)), (name, values)
+    if result.exit_code == 0:
+        for path in tmp_path.glob("*.csv"):
+            assert _non_finite_cells(path) == [], path.name
 
 
 def test_overflowing_custom_terms_exit_2_and_name_the_model(runner, tmp_path):
@@ -478,6 +494,53 @@ def test_failed_allocation_exits_1_with_one_line(runner, tmp_path, monkeypatch,
                                           else "out of memory"]
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("simulate", ("solver.s=1e308",)),
+    ("picard", ("solver.s=1e308",)),
+    ("simulate", ("weights.list=poly:400", "grid.n=64")),
+])
+def test_numerical_failure_is_one_line_on_stderr(tmp_path, command, overrides):
+    # in a fresh interpreter, where numpy's floating-point warnings would
+    # print source excerpts ahead of the one-line message
+    args = [sys.executable, "-m", "dklb.cli", command,
+            "-D", f"output.dir={tmp_path}"]
+    for override in overrides:
+        args += ["-D", override]
+    paths = [str(Path(dklb.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run(args, capture_output=True, text=True, env=env)
+    assert result.returncode == 1, result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stderr.startswith("numerical failure: "), result.stderr
+
+
+@pytest.mark.parametrize("command, overrides, rows, lines", [
+    ("picard", ("data.amplitude=50.0", "grid.n=64", "solver.t=1.0",
+                "solver.nt=8", "solver.max_iter=3"), 3,
+     ["numerical failure: not converged after 3 iterations"]),
+    ("verify-bracket", ("brackets.tol=1e-300", "brackets.max_n=2"), 12,
+     ["12 reductions checked, 12 over tolerance",
+      "numerical failure: 12 bracket reductions exceed tolerance 1e-300"]),
+])
+def test_run_that_fails_its_check_writes_its_csv_and_exits_1(runner, tmp_path,
+                                                            command, overrides,
+                                                            rows, lines):
+    out = tmp_path / "out"
+    args = [command, "-D", f"output.dir={out}"]
+    for override in overrides:
+        args += ["-D", override]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert (out / f"{command}-manifest.ini").exists()
+    csv = (out / f"{command}.csv").read_text().splitlines()
+    assert len(csv) == 1 + rows
+    assert f"wrote {out / f'{command}.csv'}" in result.output
+    for line in lines:
+        assert line in result.output, result.output
+
+
 def test_missing_config_file_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["simulate", "--config",
                                   str(tmp_path / "nope.ini")])
@@ -701,6 +764,7 @@ def test_verify_bracket_replays_byte_identically_from_its_manifest(runner,
     ("conjugate-check", ("conjugation.b=0.25", "conjugation.t=0.05")),
     ("decay-experiment", ("grid.n=64",)),
     ("existence-time", ("existence.norms=0.1 1.0",)),
+    ("verify-bracket", ("brackets.max_n=2", "brackets.max_a=1")),
 ])
 def test_subcommand_replays_byte_identically_from_its_manifest(runner, tmp_path,
                                                                command,

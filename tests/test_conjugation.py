@@ -1,5 +1,7 @@
 """Exponential-weight conjugation: multiplier identity, transport, exchange."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,21 @@ def test_regularity_gain_probe_rows():
         # the spectral envelope dominates each measured norm
         assert row["norm"] <= row["mult_bound"] * (1 + 1e-9)
     assert set(rep.fitted_rates) == {0.0, 0.5}
+    assert all(np.isfinite(v) for v in rep.fitted_rates.values())
+
+
+def test_regularity_gain_probe_fits_no_rate_through_one_repeated_time():
+    # a slope through one abscissa is no rate; numpy's polyfit would return
+    # one with a RankWarning
+    grid = SpectralGrid(64, 40.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = regularity_gain_probe(2, sigmas=(0.0, 0.5), t_values=(0.1, 0.1),
+                                    grid=grid)
+    assert len(rep.rows) == 4
+    assert all(np.isnan(v) for v in rep.fitted_rates.values())
+    rep = regularity_gain_probe(2, sigmas=(0.0, 0.5), t_values=(0.1, 0.1, 0.2),
+                                grid=grid)
     assert all(np.isfinite(v) for v in rep.fitted_rates.values())
 
 
