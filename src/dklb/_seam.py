@@ -12,6 +12,11 @@ true tiny tails instead of amplified rounding noise.  Field values come from
 one full-length inverse DFT in complex double-double: an iterative radix-2
 decimation-in-time FFT (Cooley & Tukey, 1965), O(n log n) in the grid size,
 whose twiddles are the double-double roots of unity of _roots_of_unity.
+The semigroup multiplier is one table over a list of times, from one
+evaluation of S(i*xi), and runs its Taylor exp and sincos only on the
+entries whose exponent does not underflow; the rest are exact zeros.  A
+conjugation check transforms f once per weight and the flowed spectrum once
+per time.
 
 A double-double is a pair (hi, lo) of float64 arrays with value hi + lo and
 |lo| <= ulp(hi)/2.  The primitives are the classical error-free transforms
@@ -214,12 +219,18 @@ def seam_indices(grid, b: float) -> np.ndarray:
     return np.nonzero(b * grid.x > 5.0)[0]
 
 
-def dd_semigroup_multiplier(poly: np.ndarray, t: float, grid):
+def dd_semigroup_multiplier(poly: np.ndarray, t, grid):
     """exp(-t*S(i*xi)) per mode as a complex double-double.
 
     poly holds the ascending coefficients of the operator polynomial S (the
     same array the double route evaluates); its entries are taken as exact.
+    A vector of times t gives (times, n) arrays, row k bitwise the multiplier
+    at t[k], from one evaluation of S(i*xi).  The Taylor exp and sincos run
+    only where the real exponent does not underflow (dd_exp's -745 rule);
+    every other entry is an exact zero, which is what the product there
+    would round to.
     """
+    times = np.asarray(t, dtype=float)
     modes = grid.modes.astype(float)
     xi = dd_div_d(dd_mul_d(TWO_PI, modes), grid.length)
     zero = np.zeros_like(modes)
@@ -230,11 +241,20 @@ def dd_semigroup_multiplier(poly: np.ndarray, t: float, grid):
         acc = cdd_mul(acc, z)
         acc = (dd_add(acc[0], dd(np.full_like(modes, c.real))),
                dd_add(acc[1], dd(np.full_like(modes, c.imag))))
-    ex_re = dd_mul_d(acc[0], -t)
-    ex_im = dd_mul_d(acc[1], -t)
-    mag = dd_exp(ex_re)
-    s, c = dd_sincos(ex_im)
-    return dd_mul(mag, c), dd_mul(mag, s)
+    # per time (re/im, hi/lo, mode); one time at a time keeps temporaries n long
+    out = np.zeros((times.size, 2, 2, grid.n))
+    for row, tk in zip(out, times.flat):
+        ex_re = dd_mul_d(acc[0], -tk)
+        ex_im = dd_mul_d(acc[1], -tk)
+        # NaN is not below -745, so a NaN exponent still reaches dd_exp
+        live = ~(ex_re[0] < -745.0)
+        mag = dd_exp((ex_re[0][live], ex_re[1][live]))
+        s, c = dd_sincos((ex_im[0][live], ex_im[1][live]))
+        row[0][:, live] = dd_mul(mag, c)
+        row[1][:, live] = dd_mul(mag, s)
+    out = out.reshape(*times.shape, 2, 2, grid.n)
+    return ((out[..., 0, 0, :], out[..., 0, 1, :]),
+            (out[..., 1, 0, :], out[..., 1, 1, :]))
 
 
 def dd_field_values(coeffs: np.ndarray, grid, idx: np.ndarray,

@@ -12,9 +12,10 @@ replays the run byte-identically.
 
 Exit codes: 0 success, 1 numerical failure (divergence, overflow, boundary
 leakage) or an allocation the machine refuses, 2 validation failure (bad
-config or violated precondition).  Each key's own domain, model.terms
-included, is checked once, at load, on every subcommand; a rule that spans
-keys is checked by the subcommand that reads them, and names them.
+config, violated precondition, or an output.dir that cannot be created or
+written).  Each key's own domain, model.terms included, is checked once, at
+load, on every subcommand; a rule that spans keys is checked by the
+subcommand that reads them, and names them.
 """
 
 from __future__ import annotations
@@ -107,6 +108,10 @@ def _subcommand(name: str, plot: str | None = None):
                 sys.exit(NUMERICAL)
             except (ConfigError, ValueError) as exc:
                 click.echo(f"validation error: {exc}", err=True)
+                sys.exit(VALIDATION)
+            except OSError as exc:  # load_config maps its own read failures
+                click.echo(f"validation error: output.dir: cannot write "
+                           f"{exc.filename}: {exc.strerror}", err=True)
                 sys.exit(VALIDATION)
             sys.exit(OK)
 
@@ -237,13 +242,13 @@ def conjugate_check(cfg: ExperimentConfig, outdir: Path) -> Run:
     header = ["b", "t", "rel_error", "bound_ratio", "delta", "mu",
               "boundary_leakage"]
     rows = []
+    t_values = cfg.get("conjugation", "t")
     for b in cfg.get("conjugation", "b"):
-        for t in cfg.get("conjugation", "t"):
-            with _fields("conjugation.b", "grid.l"):  # |b|*L/2 <= EXP_WEIGHT_CAP
-                r = conjugation_check(
-                    f, phase, b, t, max_leakage=cfg.get("conjugation", "max_leakage"))
-            rows.append([b, t, r.rel_error, r.bound_ratio, r.delta, r.mu,
-                         r.boundary_leakage])
+        with _fields("conjugation.b", "grid.l"):  # |b|*L/2 <= EXP_WEIGHT_CAP
+            cells = conjugation_check(f, phase, b, t_values,
+                                      cfg.get("conjugation", "max_leakage"))
+        rows += [[b, t, r.rel_error, r.bound_ratio, r.delta, r.mu, r.boundary_leakage]
+                 for t, r in zip(t_values, cells)]
     # np.max propagates NaN; max() drops it unless it comes first
     worst = float(np.max([row[2] for row in rows]))
     return header, rows, [f"{len(rows)} cells, worst rel_error {worst!r}"], None

@@ -42,7 +42,6 @@ from .grid import (
     to_values,
 )
 from .norms import hs_norm, weighted_norm
-from .solver import apply_semigroup
 
 
 def operator_polynomial(phi: symbols.PhaseFunction) -> np.ndarray:
@@ -103,27 +102,32 @@ class ConjugationResult:
 
 
 def conjugation_check(f: SpectralField, phi: symbols.PhaseFunction, b: float,
-                      t: float, max_leakage: float | None = 1e-8
-                      ) -> ConjugationResult:
+                      t_values, max_leakage: float | None = 1e-8
+                      ) -> list[ConjugationResult]:
     """Compare exp(b*x) * V(t) f against the conjugated propagator on exp(b*x) f.
 
-    phi may be any symbol that operator_polynomial accepts; any other raises
-    its ValueError.  delta = Re S(-b) and mu = Re S'(-b) come from the
-    operator polynomial S (the real parts, when S is complex).
+    One ConjugationResult per time in t_values, in order.  phi may be any
+    symbol that operator_polynomial accepts; any other raises its
+    ValueError.  delta = Re S(-b) and mu = Re S'(-b) come from the operator
+    polynomial S (the real parts, when S is complex).
 
     The identity is exact on the line; on the periodic grid it holds to
     rounding only while the weighted field stays away from the boundary, so
     the check refuses (LeakageError) when either weighted field puts more
     than max_leakage of its mass in the outer 5% of the domain, or when a
     leakage is not finite, whatever max_leakage is.  A rel_error that is not
-    finite raises NumericalError.
+    finite raises NumericalError.  Times are checked in order, and the first
+    that fails raises.
 
     Node values of f and V(t) f under the seam (where exp(b*x) amplifies by
     more than e^5) are recomputed in double-double, because an inverse FFT
     only delivers them to 1e-16 * max|u| and the weight turns that absolute
     rounding floor into the dominant error of the whole comparison.  Each
     strip keeps the realness of its own field: V(t) f is real only when f is
-    and phi is even.
+    and phi is even.  Everything that depends on b alone (the weighted f,
+    its double-double strip, its leakage and norm, delta and mu) is computed
+    once; the flow and its double-double multiplier are one table over
+    t_values, and each time then costs one double-double transform.
 
     bound_ratio measures ||exp(b*x) V(t) f|| against
     exp(-t*delta) * (1 + e^t) * ||exp(b*x) f||, the persistence bound shape
@@ -132,41 +136,60 @@ def conjugation_check(f: SpectralField, phi: symbols.PhaseFunction, b: float,
     S = np.polynomial.Polynomial(operator_polynomial(phi))
     grid = f.grid
     wv = WeightSpec("exp", b).values(grid)
-    v = apply_semigroup(phi, t, f)
-    fv = to_values(f)
-    vvals = to_values(v)
     idx = seam_indices(grid, b)
-    if idx.size:
-        strip_f = dd_field_values(f.coeffs, grid, idx)
-        mult = dd_semigroup_multiplier(S.coef, t, grid)
-        strip_v = dd_field_values(f.coeffs, grid, idx, mult)
-        fv[idx] = strip_f.real if f.is_real else strip_f
-        vvals[idx] = strip_v.real if v.is_real else strip_v
-    g = from_values(grid, fv * wv)
-    a_side = from_values(grid, vvals * wv)
-    leaks = (boundary_leakage(g), boundary_leakage(a_side))
-    if not all(map(math.isfinite, leaks)):
-        raise LeakageError(
-            f"weighted field leakage is {leaks[0]} and {leaks[1]}; the weighted "
-            "values are not finite"
-        )
-    leakage = max(leaks)
-    if max_leakage is not None and leakage > max_leakage:
-        raise LeakageError(
-            f"weighted field leans on the boundary (leakage {leakage:.3e} > "
-            f"{max_leakage:.3e}); widen the domain or recentre the data"
-        )
-    # not Hermitian: the Nyquist entry exp(-t*S(i*xi_N - b)) is complex
-    b_side = apply_multiplier(g, shifted_multiplier(phi, b, t, grid.xi), False)
-    na = l2_norm(a_side)
-    rel = l2_norm(a_side - b_side) / na if na else 0.0
-    if not math.isfinite(rel):
-        raise NumericalError(f"conjugation rel_error is {rel} at b={b:g}, t={t:g}")
+    g = _weighted(f, f.coeffs, f.is_real, idx, wv)
+    g_leak = boundary_leakage(g)
     ng = l2_norm(g)
     delta = float(S(-b).real)
-    denom = math.exp(-t * delta) * (1.0 + math.exp(t)) * ng
-    ratio = na / denom if denom else 0.0
-    return ConjugationResult(rel, ratio, leakage, delta, float(S.deriv()(-b).real))
+    mu = float(S.deriv()(-b).real)
+    t_values = tuple(float(t) for t in t_values)
+    table = symbols.flow_multiplier(phi, t_values, grid)
+    mults = [None] * len(t_values)
+    if idx.size:
+        (re_h, re_l), (im_h, im_l) = dd_semigroup_multiplier(S.coef, t_values, grid)
+        mults = list(zip(zip(re_h, re_l), zip(im_h, im_l)))
+
+    def cell(t: float, a_side: SpectralField) -> ConjugationResult:
+        leaks = (g_leak, boundary_leakage(a_side))
+        if not all(map(math.isfinite, leaks)):
+            raise LeakageError(
+                f"weighted field leakage is {leaks[0]} and {leaks[1]}; the "
+                "weighted values are not finite"
+            )
+        leakage = max(leaks)
+        if max_leakage is not None and leakage > max_leakage:
+            raise LeakageError(
+                f"weighted field leans on the boundary (leakage {leakage:.3e} > "
+                f"{max_leakage:.3e}); widen the domain or recentre the data"
+            )
+        # not Hermitian: the Nyquist entry exp(-t*S(i*xi_N - b)) is complex
+        b_side = apply_multiplier(g, shifted_multiplier(phi, b, t, grid.xi), False)
+        na = l2_norm(a_side)
+        rel = l2_norm(a_side - b_side) / na if na else 0.0
+        if not math.isfinite(rel):
+            raise NumericalError(f"conjugation rel_error is {rel} at b={b:g}, t={t:g}")
+        denom = math.exp(-t * delta) * (1.0 + math.exp(t)) * ng
+        ratio = na / denom if denom else 0.0
+        return ConjugationResult(rel, ratio, leakage, delta, mu)
+
+    # a cell's fields die with it, so one time's fields are not held through
+    # the next time's double-double transform; f first, as in apply_multiplier:
+    # complex products do not commute bitwise
+    real = f.is_real and phi.is_even
+    return [cell(t, _weighted(f, f.coeffs * row, real, idx, wv, mult))
+            for t, row, mult in zip(t_values, table, mults)]
+
+
+def _weighted(f: SpectralField, coeffs: np.ndarray, real: bool, idx: np.ndarray,
+              wv: np.ndarray, mult=None) -> SpectralField:
+    # wv times the field with spectrum coeffs, which is f's spectrum times the
+    # flow whose double-double multiplier is mult (f's own without one); the
+    # node values at idx are recomputed from f.coeffs and mult in double-double
+    vals = to_values(SpectralField(f.grid, coeffs, real))
+    if idx.size:
+        strip = dd_field_values(f.coeffs, f.grid, idx, mult)
+        vals[idx] = strip.real if real else strip
+    return from_values(f.grid, vals * wv)
 
 
 # --- polynomial-weight persistence -------------------------------------------

@@ -59,8 +59,8 @@ def test_criterion_01_conjugation_identity(kdvks_phase):
     f = gaussian_spectral(grid, center=-10.0, width=3.0)
     worst_rel = 0.0
     for b in (0.25, 0.5):
-        for t in (0.05, 0.1):
-            r = conjugation_check(f, kdvks_phase, b, t)
+        cells = conjugation_check(f, kdvks_phase, b, (0.05, 0.1))
+        for t, r in zip((0.05, 0.1), cells):
             assert r.rel_error <= 1e-7, (b, t, r.rel_error)
             worst_rel = max(worst_rel, r.rel_error)
     worst_mult = 0.0

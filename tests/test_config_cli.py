@@ -161,8 +161,9 @@ HOSTILE_VALUES = ("", "0", "-1", "nan", "inf", "1e308", "1e-320", "abc")
 
 
 def _hostile_cases():
-    # every key through existence-time on kdvb; the keys conjugate-check
-    # reads through it, on the default kdvks symbol
+    # every key through existence-time on kdvb (output.dir, whose hostile
+    # value is a path under a regular file, has its own test below); the keys
+    # conjugate-check reads through it, on the default kdvks symbol
     for section, keys in _SCHEMA.items():
         for key in keys:
             if (section, key) != ("output", "dir"):
@@ -235,6 +236,25 @@ def test_hostile_value_ends_in_an_exit_code(runner, tmp_path, command, key,
     if result.exit_code == 0:
         for path in tmp_path.glob("*.csv"):
             assert _non_finite_cells(path) == [], path.name
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_uncreatable_output_dir_exits_2_and_names_it(runner, tmp_path, command):
+    # the sweep's output.dir case: a directory whose parent is a regular file
+    parent = tmp_path / "afile"
+    parent.write_text("")
+    result = runner.invoke(main, [command, "-D", f"output.dir={parent / 'sub'}"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "output.dir" in result.output, result.output
+
+
+def test_unwritable_artifact_exits_2_and_names_the_output_dir(runner, tmp_path):
+    (tmp_path / "existence-time.csv").mkdir()
+    result = runner.invoke(main, ["existence-time", "-D", f"output.dir={tmp_path}"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "output.dir" in result.output and "existence-time.csv" in result.output
 
 
 def test_overflowing_custom_terms_exit_2_and_name_the_model(runner, tmp_path):
@@ -745,23 +765,13 @@ def test_manifest_replays_run_byte_identically(runner, tmp_path):
     assert (out / "verify-smoothing.csv").read_bytes() == first
 
 
-def test_verify_bracket_replays_byte_identically_from_its_manifest(runner,
-                                                                   tmp_path):
-    out = tmp_path / "out"
-    result = runner.invoke(main, ["verify-bracket", "-D", "brackets.max_n=2",
-                                  "-D", "brackets.max_a=1",
-                                  "-D", f"output.dir={out}"])
-    assert result.exit_code == 0, result.output
-    first = (out / "verify-bracket.csv").read_bytes()
-    assert len(first.decode().splitlines()) == 1 + (1 + 2) * 2
-    replay = runner.invoke(main, ["verify-bracket", "--config",
-                                  str(out / "verify-bracket-manifest.ini")])
-    assert replay.exit_code == 0, replay.output
-    assert (out / "verify-bracket.csv").read_bytes() == first
+# data rows the replayed CSVs must hold, where the overrides fix them: one
+# b times two t, and the brackets n = 1..2, m < n, a = 0..1
+REPLAY_ROWS = {"conjugate-check": 2, "verify-bracket": (1 + 2) * 2}
 
 
 @pytest.mark.parametrize("command, overrides", [
-    ("conjugate-check", ("conjugation.b=0.25", "conjugation.t=0.05")),
+    ("conjugate-check", ("conjugation.b=0.25", "conjugation.t=0.05 0.1")),
     ("decay-experiment", ("grid.n=64",)),
     ("existence-time", ("existence.norms=0.1 1.0",)),
     ("verify-bracket", ("brackets.max_n=2", "brackets.max_a=1")),
@@ -776,6 +786,8 @@ def test_subcommand_replays_byte_identically_from_its_manifest(runner, tmp_path,
     assert result.exit_code == 0, result.output
     csv, manifest = out / f"{command}.csv", out / f"{command}-manifest.ini"
     first, first_manifest = csv.read_bytes(), manifest.read_bytes()
+    if command in REPLAY_ROWS:
+        assert len(first.decode().splitlines()) == 1 + REPLAY_ROWS[command]
     csv.unlink()
     replay = runner.invoke(main, [command, "--config", str(manifest)])
     assert replay.exit_code == 0, replay.output

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dklb import symbols
+from dklb import conjugation, symbols
 from dklb.conjugation import (
     conjugation_check,
     exchange_ensemble,
@@ -116,8 +116,8 @@ def test_multiplier_magnitude_factorizes(wide_grid):
 
 def test_decay_shift_and_transport_values(wide_grid):
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
-    r1 = conjugation_check(f, KDVKS, 0.25, 0.0)
-    r2 = conjugation_check(f, KDVKS, 0.5, 0.0)
+    [r1] = conjugation_check(f, KDVKS, 0.25, (0.0,))
+    [r2] = conjugation_check(f, KDVKS, 0.5, (0.0,))
     assert r1.delta == (0.0625 + 0.00390625) - 0.015625
     assert r2.delta == 0.25 + 0.0625 - 0.125
     assert r1.mu == -0.375
@@ -128,26 +128,26 @@ def test_decay_shift_and_transport_values(wide_grid):
 @pytest.mark.parametrize("b", [0.25, 0.5])
 def test_delta_and_mu_are_the_kdvks_closed_forms(wide_grid, b, eta):
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
-    res = conjugation_check(f, symbols.kdvks(eta), b, 0.1)
+    [res] = conjugation_check(f, symbols.kdvks(eta), b, (0.1,))
     assert res.delta == _delta(b, eta)
     assert res.mu == _mu(b, eta)
 
 
 def test_conjugation_identity_at_time_zero(wide_grid):
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
-    res = conjugation_check(f, KDVKS, b=0.5, t=0.0)
+    [res] = conjugation_check(f, KDVKS, b=0.5, t_values=(0.0,))
     assert res.rel_error == 0.0
 
 
 def test_conjugation_identity_unweighted_limit(wide_grid):
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
-    res = conjugation_check(f, KDVKS, b=0.0, t=0.1)
+    [res] = conjugation_check(f, KDVKS, b=0.0, t_values=(0.1,))
     assert res.rel_error <= 1e-12
 
 
 def test_conjugation_identity_moderate_weight(wide_grid):
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
-    res = conjugation_check(f, KDVKS, b=0.25, t=0.1)
+    [res] = conjugation_check(f, KDVKS, b=0.25, t_values=(0.1,))
     assert res.rel_error <= 1e-9
     assert res.boundary_leakage <= 1e-8
     assert res.delta == _delta(0.25, 1.0)
@@ -157,8 +157,8 @@ def test_conjugation_identity_moderate_weight(wide_grid):
 
 def test_conjugation_bound_ratio_scale_invariant(wide_grid):
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
-    r1 = conjugation_check(f, KDVKS, 0.25, 0.1, max_leakage=None)
-    r2 = conjugation_check(f * 5.0, KDVKS, 0.25, 0.1, max_leakage=None)
+    [r1] = conjugation_check(f, KDVKS, 0.25, (0.1,), max_leakage=None)
+    [r2] = conjugation_check(f * 5.0, KDVKS, 0.25, (0.1,), max_leakage=None)
     assert r1.bound_ratio == pytest.approx(r2.bound_ratio, rel=1e-12)
     assert r1.rel_error == pytest.approx(r2.rel_error, rel=1e-9)
 
@@ -166,7 +166,7 @@ def test_conjugation_bound_ratio_scale_invariant(wide_grid):
 def test_conjugation_refuses_boundary_leaners(wide_grid):
     f = gaussian_spectral(wide_grid, center=25.0, width=4.0)
     with pytest.raises(LeakageError):
-        conjugation_check(f, KDVKS, b=0.5, t=0.1)
+        conjugation_check(f, KDVKS, b=0.5, t_values=(0.1,))
 
 
 def test_conjugation_error_grows_with_leakage(wide_grid):
@@ -175,8 +175,8 @@ def test_conjugation_error_grows_with_leakage(wide_grid):
     prev_leak = prev_err = -1.0
     for center in (16.0, 20.0, 24.0, 28.0):
         f = gaussian_spectral(wide_grid, center=center, width=2.0)
-        res = conjugation_check(f, KDVKS, b=0.25, t=0.1,
-                                max_leakage=None)
+        [res] = conjugation_check(f, KDVKS, b=0.25, t_values=(0.1,),
+                                  max_leakage=None)
         assert res.boundary_leakage > prev_leak
         assert res.rel_error > prev_err
         prev_leak, prev_err = res.boundary_leakage, res.rel_error
@@ -354,8 +354,8 @@ def test_conjugation_identity_on_every_polynomial_symbol(wide_grid, name, bs):
     phi = symbols.preset(name)
     S = np.polynomial.Polynomial(operator_polynomial(phi))
     for b in bs:
-        for t in (0.05, 0.1):
-            res = conjugation_check(f, phi, b, t)
+        cells = conjugation_check(f, phi, b, (0.05, 0.1))
+        for t, res in zip((0.05, 0.1), cells):
             assert res.rel_error <= 1e-7, (b, t, res.rel_error)
             assert res.delta == S(-b).real and res.mu == S.deriv()(-b).real
             assert 0 < res.bound_ratio <= 1.0
@@ -366,10 +366,47 @@ def test_conjugation_check_rejects_non_polynomial_symbols(wide_grid):
     odd_p = symbols.PhaseFunction(p=3.0, terms=(symbols.PhaseTerm(1.0, 0, 2.0),))
     for phi in (symbols.ost(), odd_p):
         with pytest.raises(ValueError, match="not a differential-operator"):
-            conjugation_check(f, phi, 0.25, 0.1)
+            conjugation_check(f, phi, 0.25, (0.1,))
 
 
 def test_conjugation_check_rejects_negative_time(wide_grid):
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
     with pytest.raises(ValueError):
-        conjugation_check(f, KDVKS, 0.25, -0.1)
+        conjugation_check(f, KDVKS, 0.25, (0.05, -0.1))
+
+
+@pytest.mark.parametrize("name, data", [("kdvks", "gaussian"),
+                                        ("optimality:2", "gaussian"),
+                                        ("kdvb", "complex")])
+def test_conjugation_check_over_times_is_the_per_time_calls(wide_grid, name, data):
+    # the b-only work done once changes no bit of any cell
+    f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
+    if data == "complex":
+        f = SpectralField(wide_grid, f.coeffs * np.exp(0.3j * wide_grid.xi), False)
+    phi = symbols.preset(name)
+    t_values = (0.0, 0.05, 0.1, 0.05)
+    for b in (0.0, 0.25, 0.5):
+        cells = conjugation_check(f, phi, b, t_values, max_leakage=None)
+        assert len(cells) == len(t_values)
+        for t, cell in zip(t_values, cells):
+            [single] = conjugation_check(f, phi, b, (t,), max_leakage=None)
+            assert cell == single, (b, t)
+
+
+def test_conjugation_check_does_its_b_only_work_once(wide_grid, monkeypatch):
+    # one strip of f, one flowed transform per time, one multiplier table
+    calls = {"dd_field_values": 0, "dd_semigroup_multiplier": 0}
+    for fname in calls:
+        original = getattr(conjugation, fname)
+
+        def counting(*args, _fn=original, _name=fname, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(conjugation, fname, counting)
+    f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
+    t_values = (0.05, 0.1, 0.2)
+    cells = conjugation_check(f, KDVKS, 0.25, t_values)
+    assert len(cells) == 3
+    assert calls == {"dd_field_values": 1 + len(t_values),
+                     "dd_semigroup_multiplier": 1}

@@ -17,11 +17,14 @@ from dklb._seam import (
     HALF_PI,
     LN2,
     TWO_PI,
+    cdd_mul,
     dd,
     dd_add,
+    dd_div_d,
     dd_exp,
     dd_field_values,
     dd_mul,
+    dd_mul_d,
     dd_semigroup_multiplier,
     dd_sincos,
     dd_value,
@@ -30,7 +33,7 @@ from dklb._seam import (
 from dklb.conjugation import operator_polynomial
 from dklb.fields import gaussian_spectral
 from dklb.grid import SpectralGrid
-from dklb.symbols import kdvks, semigroup_multiplier
+from dklb.symbols import kdvks, preset, semigroup_multiplier
 
 
 def _atan_frac(inv_x: int, terms: int = 60) -> Fraction:
@@ -181,6 +184,63 @@ def test_dd_semigroup_multiplier_time_zero_is_exact():
     (re_h, re_l), (im_h, im_l) = dd_semigroup_multiplier(poly, 0.0, grid)
     assert np.all(re_h == 1.0) and np.all(re_l == 0.0)
     assert np.all(im_h == 0.0) and np.all(im_l == 0.0)
+
+
+def _all_modes_multiplier(poly, t, grid):
+    # exp(-t*S(i*xi)) with the Taylor exp and sincos run on every mode, and
+    # dd_exp's own underflow rule zeroing the dead ones
+    modes = grid.modes.astype(float)
+    xi = dd_div_d(dd_mul_d(TWO_PI, modes), grid.length)
+    acc = (dd(np.full_like(modes, poly[-1].real)),
+           dd(np.full_like(modes, poly[-1].imag)))
+    for c in poly[-2::-1]:
+        acc = cdd_mul(acc, (dd(np.zeros_like(modes)), xi))
+        acc = (dd_add(acc[0], dd(np.full_like(modes, c.real))),
+               dd_add(acc[1], dd(np.full_like(modes, c.imag))))
+    mag = dd_exp(dd_mul_d(acc[0], -t))
+    s, c = dd_sincos(dd_mul_d(acc[1], -t))
+    return dd_mul(mag, c), dd_mul(mag, s)
+
+
+def _bits(mult):
+    return [np.asarray(part).tobytes() for pair in mult for part in pair]
+
+
+@pytest.mark.parametrize("name", ["kdvks", "kdvb", "optimality:2"])
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.05, 0.1, 2.0, math.nan])
+def test_dd_semigroup_multiplier_is_the_all_modes_formula(name, t):
+    # evaluating exp and sincos only off the underflow changes no bit: the
+    # dead modes are the exact zeros the all-modes product rounds to, and a
+    # NaN time is NaN everywhere
+    grid = SpectralGrid(1024, 80.0)
+    poly = operator_polynomial(preset(name))
+    with np.errstate(all="ignore"):  # the NaN time casts NaN to int
+        got = dd_semigroup_multiplier(poly, t, grid)
+        want = _all_modes_multiplier(poly, t, grid)
+    assert _bits(got) == _bits(want)
+    if math.isnan(t):
+        assert all(np.all(np.isnan(part)) for pair in got for part in pair)
+    # clear of the -745 edge, where the double exponent might round across it
+    dead = -t * np.polynomial.polynomial.polyval(1j * grid.xi, poly).real < -750.0
+    if t >= 2.0 or (t >= 0.05 and name != "kdvb"):  # kdvb damps only like xi^2
+        assert np.any(dead)
+    for pair in got:
+        for part in pair:
+            assert np.all(part[dead] == 0.0) and not np.any(np.signbit(part[dead]))
+
+
+@pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
+def test_dd_semigroup_multiplier_rows_are_the_per_time_calls(name):
+    grid = SpectralGrid(512, 40.0)
+    poly = operator_polynomial(preset(name))
+    t_values = (0.0, 0.05, 0.1, 0.05, 3.0)
+    table = dd_semigroup_multiplier(poly, t_values, grid)
+    for pair in table:
+        for part in pair:
+            assert part.shape == (len(t_values), grid.n)
+    for k, t in enumerate(t_values):
+        row = [(re[k], im[k]) for re, im in table]
+        assert _bits(row) == _bits(dd_semigroup_multiplier(poly, t, grid))
 
 
 def test_dd_field_values_with_multiplier_match_double_flow():
