@@ -271,23 +271,21 @@ def _etdrk4_coeffs(z: np.ndarray, dt: float):
     return Q, f1, f2, f3
 
 
-def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
-                 dt: float, nonlinear: bool = True, snapshot_stride: int = 1
-                 ) -> Trajectory:
+def etdrk4_steps(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
+                 dt: float, nonlinear: bool = True, snapshot_stride: int = 1):
     """Fourth-order exponential time differencing on the differential form.
 
-    T must be an integer multiple of dt.  With nonlinear=False each step is
-    exactly the flow multiplier, reproducing apply_semigroup.  NaN or
-    overflow aborts with the offending step index.
+    Checks T (an integer multiple of dt), dt and the stride at the call, then
+    yields (step, t, field) at step 0 (a copy of u0), every snapshot_stride-th
+    step and the last, each a fresh full spectrum.  With nonlinear=False each
+    step is exactly the flow multiplier; NaN or overflow aborts at its step.
 
     The stages run on the kept modes of _advection, with the multipliers
     and coefficients sliced to them once: modes 0..N/2 through irfft/rfft
     for a real flow, every mode through ifft/fft for a complex one.  They
     run in preallocated buffers, E2*v and 2*f2 computed once, with every
     product and sum in the operand order of the plain formulas, so the
-    trajectory is bitwise that of the allocating scheme.  Each stored
-    snapshot after the first is extended to a full spectrum; the first is a
-    copy of u0.
+    trajectory is bitwise that of the allocating scheme.
     """
     if dt <= 0 or T <= 0:
         raise ValueError("T and dt must be positive")
@@ -312,41 +310,46 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         # the advection term into out, or zero for the linear flow
         return advect(v, out) if nonlinear else out.fill(0.0)
 
-    v = u0.coeffs[keep].copy()
-    E2v, a, b, cc, Nv, Na, Nb, Nc, tmp = np.empty((9, len(v)), dtype=complex)
-    finite = np.empty(len(v), dtype=bool)
-    kept = np.empty(((steps + snapshot_stride - 1) // snapshot_stride, len(v)),
-                    dtype=complex)
-    times = [0.0]
-    for step in range(1, steps + 1):
-        # the four stages in the order of Cox & Matthews, each in its buffer
-        N(v, Nv)
-        np.multiply(E2, v, out=E2v)
-        np.multiply(Q, Nv, out=a)
-        a += E2v
-        N(a, Na)
-        np.multiply(Q, Na, out=b)
-        b += E2v
-        N(b, Nb)
-        np.multiply(2.0, Nb, out=cc)
-        cc -= Nv
-        np.multiply(Q, cc, out=cc)
-        cc += np.multiply(E2, a, out=tmp)
-        N(cc, Nc)
-        np.multiply(E, v, out=v)
-        v += np.multiply(f1, Nv, out=tmp)
-        np.add(Na, Nb, out=tmp)
-        v += np.multiply(twice_f2, tmp, out=tmp)
-        v += np.multiply(f3, Nc, out=tmp)
-        if not np.isfinite(v, out=finite).all():
-            raise NumericalError(f"ETDRK4 lost finiteness at step {step}")
-        if step % snapshot_stride == 0 or step == steps:
-            kept[len(times) - 1] = v
-            times.append(step * dt)
-    coeffs = np.empty((len(times), grid.n), dtype=complex)
-    coeffs[0] = u0.coeffs
-    coeffs[1:] = _full_spectrum(kept, grid.n, is_real)
-    return Trajectory(grid, phi, np.array(times), coeffs, is_real)
+    def rows():
+        yield 0, 0.0, SpectralField(grid, u0.coeffs.copy(), is_real)
+        v = u0.coeffs[keep].copy()
+        E2v, a, b, cc, Nv, Na, Nb, Nc, tmp = np.empty((9, len(v)), dtype=complex)
+        finite = np.empty(len(v), dtype=bool)
+        for step in range(1, steps + 1):
+            # the four stages in the order of Cox & Matthews, each in its buffer
+            N(v, Nv)
+            np.multiply(E2, v, out=E2v)
+            np.multiply(Q, Nv, out=a)
+            a += E2v
+            N(a, Na)
+            np.multiply(Q, Na, out=b)
+            b += E2v
+            N(b, Nb)
+            np.multiply(2.0, Nb, out=cc)
+            cc -= Nv
+            np.multiply(Q, cc, out=cc)
+            cc += np.multiply(E2, a, out=tmp)
+            N(cc, Nc)
+            np.multiply(E, v, out=v)
+            v += np.multiply(f1, Nv, out=tmp)
+            np.add(Na, Nb, out=tmp)
+            v += np.multiply(twice_f2, tmp, out=tmp)
+            v += np.multiply(f3, Nc, out=tmp)
+            if not np.isfinite(v, out=finite).all():
+                raise NumericalError(f"ETDRK4 lost finiteness at step {step}")
+            if step % snapshot_stride == 0 or step == steps:  # v is live: copy it
+                row = _full_spectrum(v, grid.n, True) if is_real else v.copy()
+                yield step, step * dt, SpectralField(grid, row, is_real)
+
+    return rows()
+
+
+def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
+                 dt: float, nonlinear: bool = True, snapshot_stride: int = 1
+                 ) -> Trajectory:
+    """The rows of etdrk4_steps, held together as one Trajectory."""
+    _, times, rows = zip(*etdrk4_steps(u0, phi, T, dt, nonlinear, snapshot_stride))
+    return Trajectory(u0.grid, phi, times, [f.coeffs for f in rows], rows[0].is_real)
 
 
 def dissipation_residuals(traj: Trajectory) -> np.ndarray:

@@ -142,16 +142,7 @@ def find_M(phi: PhaseFunction) -> float:
     M then steps up with math.nextafter, the step doubling, until
     _dominance_holds, so the returned M satisfies both conditions itself.
     """
-    # Tail bound: sum_i |c_i| x**deg_i <= x**p / 2 holds term-wise once
-    # |c_i| x**deg_i <= x**p / (2k) for each of the k terms.
-    k = len(phi.terms)
-    tail = 1.0
-    for t in phi.terms:
-        if t.coeff == 0.0:
-            continue
-        tail = max(tail, (2.0 * k * abs(t.coeff)) ** (1.0 / (phi.p - t.degree)))
-    tail *= 1.25  # safety margin against rounding of the bound itself
-
+    tail = _tail([(t.degree, t.coeff) for t in phi.terms], 0.5, phi.p)
     M = 0.0
     for s in (1.0, -1.0):
         poly = {phi.p: 0.5}
@@ -164,6 +155,20 @@ def find_M(phi: PhaseFunction) -> float:
         M = math.nextafter(M + gap, math.inf)
         gap = 2.0 * gap or math.ulp(M)
     return M
+
+
+def _tail(lower, lead: float, p: float) -> float:
+    """A point past which lead * x**p exceeds sum |a| * x**e over the (e, a)
+    pairs of lower, every e < p.
+
+    The bound is term-wise: |a| x**e <= lead * x**p / k for each of the k
+    pairs, with a margin against rounding of the bound itself.
+    """
+    tail = 1.0
+    for e, a in lower:
+        if a != 0.0:
+            tail = max(tail, (len(lower) * abs(a) / lead) ** (1.0 / (p - e)))
+    return 1.25 * tail
 
 
 def _sign_changes(poly, hi: float) -> list[float]:
@@ -248,23 +253,36 @@ def _flow(phi: PhaseFunction, t, xi, xi_odd):
 
 
 def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float) -> float:
-    """sup over xi of |xi|**(2q) * exp(2*eta*t*Phi(xi)), by a 20001-point scan.
+    """sup over xi of |xi|**(2q) * exp(2*eta*t*Phi(xi)), at its stationary points.
 
-    Finite for every t > 0 because the symbol decays like -|xi|**p in the
-    tail; the scan window covers both the low-frequency maximizer and the
-    onset of tail decay.
+    On each half-line xi = s*x, x > 0, x/2 times the derivative of the
+    logarithm is the sum of real powers
+
+        h_s(x) = q - eta*t*p*x**p + sum_i eta*t*c_i*s**m_i*(m_i+n_i)*x**(m_i+n_i),
+
+    negative past a term-wise tail bound because every correction degree is
+    < p.  The sup is the largest value at the sign changes of h_s, pinned to
+    adjacent floats by _sign_changes, and at xi = 0, its limit there.  The
+    exponent is not clamped, so the sup also bounds the clamped flow
+    multiplier; it is inf where it overflows a double.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     if q < 0:
         raise ValueError("q must be nonnegative")
-    xi_star = (max(2.0 * q, 1.0) / (phi.eta * t * phi.p)) ** (1.0 / phi.p)
-    xi_max = max(10.0, 4.0 * phi.M, 4.0 * xi_star,
-                 (200.0 / (phi.eta * t)) ** (1.0 / phi.p))
-    xs = np.linspace(-xi_max, xi_max, 20001)
-    vals = np.abs(xs) ** (2.0 * q) * np.exp(
-        np.minimum(2.0 * phi.eta * t * phase_eval(phi, xs), EXP_REAL_CAP)
-    )
+    ts = phi.eta * t
+    lead = ts * phi.p
+    xs = [0.0]
+    for s in (1.0, -1.0):
+        lower = {0.0: q}
+        for term in phi.terms:  # terms sharing a degree merge into one
+            lower[term.degree] = lower.get(term.degree, 0.0) + (
+                ts * term.coeff * s**term.m * term.degree)
+        poly = sorted((e, a) for e, a in [*lower.items(), (phi.p, -lead)] if a != 0.0)
+        tail = _tail(list(lower.items()), lead, phi.p)
+        xs += [s * x for x in _sign_changes(poly, tail)]
+    xs = np.array(xs)
+    vals = np.abs(xs) ** (2.0 * q) * np.exp(2.0 * phi.eta * t * phase_eval(phi, xs))
     return float(np.max(vals))
 
 

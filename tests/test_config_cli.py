@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -481,12 +482,18 @@ def test_non_finite_norm_exits_1_and_writes_no_csv(runner, tmp_path, command,
 @pytest.mark.parametrize("weight", ["poly:400", "bracket:800"])
 def test_overflowing_weight_is_refused_before_the_solve(runner, tmp_path,
                                                         monkeypatch, weight):
-    import dklb.cli
+    import dklb.solver
+    advection = dklb.solver._advection
 
-    def never(*args, **kwargs):
-        raise AssertionError("etdrk4_solve reached")
+    def no_step(grid, real):  # the kernel runs in every nonlinear ETDRK4 step
+        keep, _ = advection(grid, real)
 
-    monkeypatch.setattr(dklb.cli, "etdrk4_solve", never)
+        def never(v, out):
+            raise AssertionError("an ETDRK4 step ran")
+
+        return keep, never
+
+    monkeypatch.setattr(dklb.solver, "_advection", no_step)
     out = tmp_path / "out"
     result = runner.invoke(main, ["simulate", "-D", f"weights.list={weight}",
                                   "-D", "grid.n=64", "-D", f"output.dir={out}"])
@@ -505,7 +512,7 @@ def test_failed_allocation_exits_1_with_one_line(runner, tmp_path, monkeypatch,
     def refuse(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(dklb.cli, "etdrk4_solve", refuse)
+    monkeypatch.setattr(dklb.cli, "etdrk4_steps", refuse)
     result = runner.invoke(main, ["simulate", "-D", "grid.n=64",
                                   "-D", f"output.dir={tmp_path}"])
     assert result.exit_code == 1, result.output
@@ -578,6 +585,15 @@ def test_picard_zero_data_converges_immediately(runner, tmp_path):
     assert "converged iterations=1" in result.output
     assert (out / "picard.csv").exists()
     assert (out / "picard-manifest.ini").exists()
+
+
+def test_picard_prints_the_contraction_caveat_of_a_low_order_symbol(runner, tmp_path):
+    result = runner.invoke(main, ["picard", "-D", "model.preset=kdvb",
+                                  "-D", "grid.n=64", "-D", f"output.dir={tmp_path}"])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[-1] == (
+        "p=2 <= 5/2: the layered contraction norms are outside their validity "
+        "range; diagnostics only")
 
 
 def test_picard_nonconvergence_exits_1(runner, tmp_path):
@@ -703,6 +719,25 @@ def test_simulate_writes_norm_index_and_snapshots(runner, tmp_path):
     assert lines[1].startswith("0,0.0,")
     snaps = sorted(out.glob("simulate-*.dklb"))
     assert len(snaps) == 9
+
+
+def test_simulate_memory_is_flat_in_the_snapshot_count(runner, tmp_path):
+    # simulate holds one row of the solver's stream at a time; reading the
+    # rows back from a Trajectory of every snapshot peaked 18 MiB higher at
+    # stride 1 than at stride 400
+    peaks = []
+    for stride in (1, 400):
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["simulate", "-D", "grid.n=1024",
+                                          "-D", "solver.t=0.4", "-D", "solver.dt=1e-3",
+                                          "-D", f"solver.snapshot_stride={stride}",
+                                          "-D", f"output.dir={tmp_path}"])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+    assert peaks[0] - peaks[1] < 2**20, [p / 2**20 for p in peaks]
 
 
 def test_existence_time_sweep_table(runner, tmp_path):

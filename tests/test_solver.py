@@ -26,6 +26,7 @@ from dklb.solver import (
     apply_semigroup,
     dissipation_residuals,
     etdrk4_solve,
+    etdrk4_steps,
     existence_time,
     linear_trajectory,
     nonlinearity,
@@ -279,6 +280,26 @@ def test_etdrk4_is_bitwise_the_allocating_stepper(grid256, name, nonlinear):
     strided = etdrk4_solve(u0, phi, T=0.05, dt=0.0025, nonlinear=nonlinear,
                            snapshot_stride=3)
     assert np.array_equal(strided.coeffs, ref[[0, 3, 6, 9, 12, 15, 18, 20]])
+
+
+@pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_etdrk4_stream_rows_are_the_trajectory_rows(grid256, name, stride):
+    # each row is copied while the stream runs on, so a row that shares the
+    # stepping buffer shows up as a trajectory of last steps
+    phi = symbols.preset(name)
+    u0 = normalize_l2(gaussian(grid256, width=1.5), 0.5)
+    rows = [(step, t, f.coeffs.copy(), f.is_real)
+            for step, t, f in etdrk4_steps(u0, phi, 0.05, 0.0025,
+                                           snapshot_stride=stride)]
+    traj = etdrk4_solve(u0, phi, T=0.05, dt=0.0025, snapshot_stride=stride)
+    steps, times, coeffs, real = zip(*rows)
+    # 20 steps: stride 3 does not divide them, so the last step is added
+    assert list(steps) == sorted({*range(0, 20, stride), 20})
+    assert times == tuple(k * 0.0025 for k in steps)
+    assert np.array_equal(np.array(times), traj.times)
+    assert np.array_equal(np.array(coeffs), traj.coeffs)
+    assert list(real) == [phi.is_even] * len(traj) and traj.is_real == phi.is_even
 
 
 def test_etdrk4_coeffs_match_their_taylor_series_near_zero():
