@@ -21,14 +21,13 @@ smoothing-versus-decay trade of the linear flow.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import symbols
 from ._seam import dd_field_values, dd_semigroup_multiplier, seam_indices
-from .errors import LeakageError, NumericalError, OverflowGuardWarning
+from .errors import LeakageError, NumericalError
 from .fields import mollified_cusp, sample_ensemble
 from .grid import (
     SpectralField,
@@ -79,15 +78,7 @@ def shifted_multiplier(phi: symbols.PhaseFunction, b: float, t: float, xi
     coeffs = operator_polynomial(phi)
     z = 1j * np.asarray(xi, dtype=float) - b
     Sz = np.polynomial.polynomial.polyval(z, coeffs)
-    ex = -t * Sz
-    if np.any(ex.real > symbols.EXP_REAL_CAP):
-        warnings.warn(
-            f"conjugated exponent clamped at +{symbols.EXP_REAL_CAP:g}",
-            OverflowGuardWarning,
-            stacklevel=2,
-        )
-        ex = np.minimum(ex.real, symbols.EXP_REAL_CAP) + 1j * ex.imag
-    return np.exp(ex)
+    return np.exp(-t * Sz)
 
 
 @dataclass
@@ -239,11 +230,6 @@ def _persistence_ratios(u0: SpectralField, phi: symbols.PhaseFunction, w: Weight
 class ExchangeReport:
     """Weighted-persistence ratios over a seeded ensemble and a time grid."""
 
-    r: float
-    s: float
-    t_values: tuple[float, ...]
-    sample_count: int
-    seed: int
     ratios: np.ndarray  # shape (samples, len(t_values))
     max_ratio: float
 
@@ -263,8 +249,7 @@ def exchange_ensemble(phi: symbols.PhaseFunction, r: float, s: float,
         ratios[i] = _persistence_ratios(u0, phi, w, wv, s, t_values, table)
     if not np.all(np.isfinite(ratios)):
         raise NumericalError("non-finite persistence ratio in ensemble")
-    return ExchangeReport(r, s, t_values, size, seed, ratios,
-                          float(np.max(ratios)) if ratios.size else 0.0)
+    return ExchangeReport(ratios, float(np.max(ratios)) if ratios.size else 0.0)
 
 
 # --- smoothing-versus-decay probe --------------------------------------------
@@ -274,9 +259,6 @@ def exchange_ensemble(phi: symbols.PhaseFunction, r: float, s: float,
 class ProbeReport:
     """Derivative-norm growth of rough, decaying data under one preset flow."""
 
-    k: int
-    sigmas: tuple[float, ...]
-    t_values: tuple[float, ...]
     rows: list[dict]          # sigma, t, norm, mult_bound
     fitted_rates: dict        # sigma -> least-squares slope of log norm vs log t
 
@@ -320,4 +302,4 @@ def regularity_gain_probe(k: int, sigmas, t_values, *, eta: float = 1.0,
         else:
             slope = float("nan")
         rates[sigma] = float(slope)
-    return ProbeReport(int(k), sigmas, t_values, rows, rates)
+    return ProbeReport(rows, rates)

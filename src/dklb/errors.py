@@ -1,4 +1,4 @@
-"""Shared exception and warning types."""
+"""Shared exception types."""
 
 
 class DklbError(Exception):
@@ -15,7 +15,3 @@ class NumericalError(DklbError, RuntimeError):
 
 class LeakageError(DklbError, ValueError):
     """Field mass near the domain boundary exceeds the allowed threshold."""
-
-
-class OverflowGuardWarning(RuntimeWarning):
-    """A growing exponent was clamped to keep the computation finite."""

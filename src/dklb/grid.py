@@ -31,8 +31,9 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-12
 DEFAULT_DEALIAS = 2.0 / 3.0
-# exp(300) is close to the largest double; exponential weights beyond that
-# cannot be represented on the grid at all.
+# exp(300) ~ 1.9e130 is far below the largest double, ~exp(709.8); the cap is
+# set by weighted norms, which square the weight: exp(600) ~ 3.8e260 leaves
+# about e^109 for the field's own magnitude and the sum over the grid.
 EXP_WEIGHT_CAP = 300.0
 
 

@@ -291,8 +291,6 @@ class NormEnsembleReport:
 
     check: str
     sample_count: int
-    seed: int
-    T: float
     ratios: np.ndarray
     max_ratio: float
 
@@ -377,4 +375,4 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
     if not np.all(np.isfinite(ratios)):
         raise NumericalError("non-finite bound ratio in ensemble")
     mx = float(np.max(ratios)) if len(ratios) else 0.0
-    return NormEnsembleReport(check, size, seed, T, ratios, mx)
+    return NormEnsembleReport(check, size, ratios, mx)

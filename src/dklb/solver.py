@@ -302,7 +302,7 @@ def etdrk4_steps(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     E = symbols.flow_multiplier(phi, dt, grid)[keep]
     E2 = symbols.flow_multiplier(phi, dt / 2.0, grid)[keep]
     c = 1j * grid.xi_odd[keep]**3 + phi.eta * symbols.phase_eval(phi, grid.xi[keep])
-    z = np.minimum(c.real * dt, symbols.EXP_REAL_CAP) + 1j * c.imag * dt
+    z = c.real * dt + 1j * c.imag * dt
     Q, f1, f2, f3 = _etdrk4_coeffs(z, dt)
     twice_f2 = 2.0 * f2
 

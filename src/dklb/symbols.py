@@ -16,16 +16,9 @@ leading -|xi|**p term dominates the corrections, and the solution multiplier.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import OverflowGuardWarning
-
-# Real exponents above this are clamped so exp() stays finite for pathological
-# user symbols; a warning is recorded whenever the clamp fires.
-EXP_REAL_CAP = 50.0
 
 
 @dataclass(frozen=True)
@@ -212,8 +205,7 @@ def semigroup_multiplier(phi: PhaseFunction, t: float, xi):
     """Multiplier exp(i*t*xi**3 + eta*t*Phi(xi)) of the linear flow at time t.
 
     xi is a bare array of wavenumbers; on a grid use flow_multiplier.  The
-    real part of the exponent is clamped at EXP_REAL_CAP (with a recorded
-    warning) so pathological symbols cannot overflow exp().
+    exponent is exact, so a mode whose growth overflows a double is inf.
     """
     return _flow(phi, t, xi, xi)
 
@@ -232,8 +224,8 @@ def flow_multiplier(phi: PhaseFunction, t, grid):
 
 
 def _flow(phi: PhaseFunction, t, xi, xi_odd):
-    # exp(i*t*xi_odd**3 + eta*t*Phi(xi)), the real part clamped; a vector
-    # of times becomes a column, one row per time
+    # exp(i*t*xi_odd**3 + eta*t*Phi(xi)); a vector of times becomes a
+    # column, one row per time
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError(f"time must be nonnegative, got {t}")
@@ -241,14 +233,6 @@ def _flow(phi: PhaseFunction, t, xi, xi_odd):
         t = t[:, None]
     xi = np.asarray(xi, dtype=float)
     re = phi.eta * t * phase_eval(phi, xi)
-    if np.any(re > EXP_REAL_CAP):
-        warnings.warn(
-            f"semigroup exponent clamped at +{EXP_REAL_CAP:g}; the symbol grows "
-            "faster than the guard allows",
-            OverflowGuardWarning,
-            stacklevel=3,
-        )
-        re = np.minimum(re, EXP_REAL_CAP)
     return np.exp(re + 1j * t * np.asarray(xi_odd, dtype=float) ** 3)
 
 
@@ -262,9 +246,8 @@ def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float) -> float:
 
     negative past a term-wise tail bound because every correction degree is
     < p.  The sup is the largest value at the sign changes of h_s, pinned to
-    adjacent floats by _sign_changes, and at xi = 0, its limit there.  The
-    exponent is not clamped, so the sup also bounds the clamped flow
-    multiplier; it is inf where it overflows a double.
+    adjacent floats by _sign_changes, and at xi = 0, its limit there.  It is
+    inf where it overflows a double.
     """
     if t <= 0:
         raise ValueError("t must be positive")

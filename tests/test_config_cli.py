@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -12,7 +13,9 @@ import dklb
 from dklb.cli import main
 from dklb.config import _SCHEMA, load_config
 from dklb.errors import ConfigError
-from dklb.symbols import phase_eval
+from dklb.fields import mollified_cusp
+from dklb.grid import SpectralGrid
+from dklb.symbols import optimality, phase_eval
 
 
 @pytest.fixture
@@ -459,6 +462,35 @@ def test_non_finite_smoothing_ratio_exits_1(runner, tmp_path):
     assert result.exit_code == 1, result.output
     assert "numerical failure: non-finite bound ratio" in result.output
     assert not (out / "verify-smoothing.csv").exists()
+
+
+def test_overflowing_flow_exits_1_and_writes_no_csv(runner, tmp_path):
+    # eta*t*Phi overflows a double on the unstable band, so no ratio is finite
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["verify-smoothing", "-D", "model.eta=1e308",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 1, result.output
+    assert "numerical failure: non-finite bound ratio" in result.output
+    assert not (out / "verify-smoothing.csv").exists()
+
+
+def test_decay_norms_are_the_exact_flow_at_long_times(runner, tmp_path):
+    # optimality:2 grows like exp(0.105*t): at t = 1000 the norm is about 1.6e44
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["decay-experiment", "-D", "decay.t=100 500 1000",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 0, result.output
+    grid = SpectralGrid(256, 40.0)
+    u0 = mollified_cusp(grid, 0.5, 0.05).coeffs
+    phi = optimality(2)
+    lines = (out / "decay-experiment.csv").read_text().splitlines()[1:]
+    assert len(lines) == 9
+    for line in lines:
+        sigma, t, norm = map(float, line.split(",")[:3])
+        flow = np.exp(t * phase_eval(phi, grid.xi) + 1j * t * grid.xi_odd**3)
+        exact = math.sqrt(grid.length) * np.linalg.norm(
+            np.abs(grid.xi) ** sigma * flow * u0)
+        assert norm == pytest.approx(exact, rel=1e-12), (sigma, t)
 
 
 @pytest.mark.parametrize("command, overrides, message", [

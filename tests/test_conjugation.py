@@ -286,7 +286,6 @@ def test_exchange_ensemble_refuses_bad_exponents_before_drawing():
 def test_regularity_gain_probe_rows():
     rep = regularity_gain_probe(2, sigmas=(0.0, 0.5), t_values=(0.1, 0.2, 0.4),
                                 grid=SpectralGrid(256, 40.0))
-    assert rep.k == 2
     assert len(rep.rows) == 6
     for row in rep.rows:
         assert set(row) == {"sigma", "t", "norm", "mult_bound"}

@@ -8,10 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dklb import symbols
-from dklb.errors import OverflowGuardWarning
 from dklb.grid import SpectralGrid
 from dklb.symbols import (
-    EXP_REAL_CAP,
     PhaseFunction,
     PhaseTerm,
     find_M,
@@ -197,8 +195,8 @@ def test_weighted_sup_bounds_every_grid_mode():
     # the decay probe's envelope over optimality:2..4 on three grids, q in
     # 0:0.25:3 and 25 log-spaced t in [1e-4, 10]: a 20001-point scan fell
     # short of a grid mode in 21 of these 2925 cells, by up to 3.3e-7
-    # relative.  At t = 300 it clamped the exponent at EXP_REAL_CAP and fell
-    # short in 39 of 117 cells, by up to a factor of 2.4e5.
+    # relative.  At t = 300 it clamped the exponent at 50 and fell short in
+    # 39 of 117 cells, by up to a factor of 2.4e5.
     for k in (2, 3, 4):
         phi = symbols.optimality(k)
         for n, length in ((512, 40.0), (1024, 80.0), (4096, 40.0)):
@@ -238,13 +236,25 @@ def test_even_presets_are_even_functions(xi):
         assert phase_eval(phi, xi) == phase_eval(phi, -xi)
 
 
-def test_growth_clamp_warns_and_caps():
-    # a symbol with a huge positive correction pushes the exponent past the
-    # cap; the multiplier must clamp with an audible warning, not overflow
-    phi = PhaseFunction(p=4.0, terms=(PhaseTerm(100.0, 2, 0.0),), eta=1.0)
-    with pytest.warns(OverflowGuardWarning):
-        m = semigroup_multiplier(phi, 1.0, np.array([2.0]))
-    assert abs(m[0]) == pytest.approx(math.exp(EXP_REAL_CAP), rel=1e-12)
+def test_growing_multiplier_is_exp_of_its_exact_exponent():
+    # kdvks grows like exp(eta*t/4) near |xi| = 1/sqrt(2): at t = 250 the
+    # exponent reaches 62.5 and max|flow| 8.7e25; at t = 4000 it passes
+    # exp's range (~709.8), where the mode is inf
+    phi = preset("kdvks")
+    grid = SpectralGrid(256, 40.0)
+    for t in (250.0, 4000.0):
+        re = phi.eta * t * phase_eval(phi, grid.xi)
+        with np.errstate(over="ignore"):
+            m = flow_multiplier(phi, t, grid)
+            expected = np.exp(re + 1j * t * grid.xi_odd**3)
+        assert np.array_equal(m, expected)
+        assert np.all(np.isinf(m[re > 710.0]))
+        assert np.all(np.isfinite(m[re < 709.0]))
+    assert np.max(np.abs(flow_multiplier(phi, 250.0, grid))) > 8e25
+    # a custom symbol with exponent 384 at xi = 2, bare wavenumbers
+    custom = PhaseFunction(p=4.0, terms=(PhaseTerm(100.0, 2, 0.0),), eta=1.0)
+    m = semigroup_multiplier(custom, 1.0, np.array([2.0]))
+    assert abs(m[0]) == pytest.approx(math.exp(384.0), rel=1e-12)
 
 
 def test_preset_rejects_unknown_name():
