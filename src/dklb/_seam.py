@@ -28,6 +28,7 @@ reduction.  Everything is numpy-vectorized; scalars broadcast.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -106,26 +107,36 @@ def dd_value(a):
     return a[0] + a[1]
 
 
-def _build_inv_fact(count=32):
-    inv = (np.float64(1.0), np.float64(0.0))
-    out = [inv]
-    for n in range(1, count):
-        inv = dd_div_d(inv, float(n))
-        out.append(inv)
-    return out
+# 1/n! for n = 0..31, each by one more double-double division
+_INV_FACT = list(accumulate(range(1, 32), lambda inv, n: dd_div_d(inv, float(n)),
+                            initial=(np.float64(1.0), np.float64(0.0))))
 
 
-_INV_FACT = _build_inv_fact()
+def _reduce(a, c):
+    """(k, a - k*c) with k the integer nearest a/c, for a constant pair c."""
+    k = np.round((a[0] + a[1]) / c[0])
+    return k, dd_sub(a, dd_mul_d(c, k))
+
+
+def _horner(x, coeffs):
+    """The polynomial in x whose double-double coefficients are coeffs,
+    highest power first."""
+    acc = dd(np.zeros_like(x[0]))
+    for c in coeffs:
+        acc = dd_add(dd_mul(acc, x), c)
+    return acc
+
+
+# sin(r)/r and cos(r) as series in r^2: (-1)^m / (2m+1)! and (-1)^m / (2m)!,
+# m = 14..0
+_SIN, _COS = ([dd_neg(_INV_FACT[2 * m + j]) if m % 2 else _INV_FACT[2 * m + j]
+               for m in range(14, -1, -1)] for j in (1, 0))
 
 
 def dd_exp(a):
     """exp of a double-double, elementwise; underflows cleanly to zero."""
-    k = np.round((a[0] + a[1]) / LN2[0])
-    r = dd_sub(a, dd_mul_d(LN2, k))
-    acc = dd(np.zeros_like(a[0]))
-    acc = dd_add(acc, _INV_FACT[26])
-    for n in range(25, -1, -1):
-        acc = dd_add(dd_mul(acc, r), _INV_FACT[n])
+    k, r = _reduce(a, LN2)
+    acc = _horner(r, _INV_FACT[26::-1])
     ik = k.astype(np.int64)
     hi = np.ldexp(acc[0], ik)
     lo = np.ldexp(acc[1], ik)
@@ -136,38 +147,17 @@ def dd_exp(a):
     return hi, lo
 
 
-def _sin_taylor(r):
-    r2 = dd_mul(r, r)
-    acc = dd(np.zeros_like(r[0]))
-    for m in range(14, -1, -1):
-        c = _INV_FACT[2 * m + 1]
-        term = (c[0], c[1]) if m % 2 == 0 else dd_neg(c)
-        acc = dd_add(dd_mul(acc, r2), term)
-    return dd_mul(acc, r)
-
-
-def _cos_taylor(r):
-    r2 = dd_mul(r, r)
-    acc = dd(np.zeros_like(r[0]))
-    for m in range(14, -1, -1):
-        c = _INV_FACT[2 * m]
-        term = (c[0], c[1]) if m % 2 == 0 else dd_neg(c)
-        acc = dd_add(dd_mul(acc, r2), term)
-    return acc
-
-
 def dd_sincos(a):
     """(sin, cos) of a double-double, elementwise, via pi/2 reduction."""
-    n = np.round((a[0] + a[1]) / HALF_PI[0])
-    r = dd_sub(a, dd_mul_d(HALF_PI, n))
-    s = _sin_taylor(r)
-    c = _cos_taylor(r)
+    n, r = _reduce(a, HALF_PI)
+    r2 = dd_mul(r, r)
+    # each as one stacked (hi, lo) array
+    s = np.asarray(dd_mul(_horner(r2, _SIN), r))
+    c = np.asarray(_horner(r2, _COS))
     q = n.astype(np.int64) % 4
-    sin_h = np.select([q == 0, q == 1, q == 2], [s[0], c[0], -s[0]], -c[0])
-    sin_l = np.select([q == 0, q == 1, q == 2], [s[1], c[1], -s[1]], -c[1])
-    cos_h = np.select([q == 0, q == 1, q == 2], [c[0], -s[0], -c[0]], s[0])
-    cos_l = np.select([q == 0, q == 1, q == 2], [c[1], -s[1], -c[1]], s[1])
-    return (sin_h, sin_l), (cos_h, cos_l)
+    quadrant = [q == 0, q == 1, q == 2]
+    return (np.select(quadrant, [s, c, -s], -c),
+            np.select(quadrant, [c, -s, -c], s))
 
 
 # --- complex double-double: ((re_hi, re_lo), (im_hi, im_lo)) ------------------
@@ -224,8 +214,9 @@ def dd_semigroup_multiplier(poly: np.ndarray, t, grid):
 
     poly holds the ascending coefficients of the operator polynomial S (the
     same array the double route evaluates); its entries are taken as exact.
-    A vector of times t gives (times, n) arrays, row k bitwise the multiplier
-    at t[k], from one evaluation of S(i*xi).  The Taylor exp and sincos run
+    The result is one (re/im, hi/lo, mode) array for a scalar t; a vector of
+    times gives a (times, 2, 2, n) array, row k bitwise the multiplier at
+    t[k], from one evaluation of S(i*xi).  The Taylor exp and sincos run
     only where the real exponent does not underflow (dd_exp's -745 rule);
     every other entry is an exact zero, which is what the product there
     would round to.
@@ -233,14 +224,12 @@ def dd_semigroup_multiplier(poly: np.ndarray, t, grid):
     times = np.asarray(t, dtype=float)
     modes = grid.modes.astype(float)
     xi = dd_div_d(dd_mul_d(TWO_PI, modes), grid.length)
-    zero = np.zeros_like(modes)
-    acc = (dd(np.full_like(modes, poly[-1].real)),
-           dd(np.full_like(modes, poly[-1].imag)))
-    z = (dd(zero), xi)  # i*xi
+    # scalar coefficient pairs broadcast against the modes
+    acc = (dd(poly[-1].real), dd(poly[-1].imag))
+    z = (dd(np.zeros_like(modes)), xi)  # i*xi
     for c in poly[-2::-1]:
         acc = cdd_mul(acc, z)
-        acc = (dd_add(acc[0], dd(np.full_like(modes, c.real))),
-               dd_add(acc[1], dd(np.full_like(modes, c.imag))))
+        acc = (dd_add(acc[0], (c.real, 0.0)), dd_add(acc[1], (c.imag, 0.0)))
     # per time (re/im, hi/lo, mode); one time at a time keeps temporaries n long
     out = np.zeros((times.size, 2, 2, grid.n))
     for row, tk in zip(out, times.flat):
@@ -252,9 +241,7 @@ def dd_semigroup_multiplier(poly: np.ndarray, t, grid):
         s, c = dd_sincos((ex_im[0][live], ex_im[1][live]))
         row[0][:, live] = dd_mul(mag, c)
         row[1][:, live] = dd_mul(mag, s)
-    out = out.reshape(*times.shape, 2, 2, grid.n)
-    return ((out[..., 0, 0, :], out[..., 0, 1, :]),
-            (out[..., 1, 0, :], out[..., 1, 1, :]))
+    return out.reshape(*times.shape, 2, 2, grid.n)
 
 
 def dd_field_values(coeffs: np.ndarray, grid, idx: np.ndarray,

@@ -35,7 +35,7 @@ from .conjugation import (
     operator_polynomial,
     regularity_gain_probe,
 )
-from .errors import ConfigError, DklbError, LeakageError, NumericalError
+from .errors import ConfigError, NumericalError
 from .grid import l2_norm, write_snapshot
 from .norms import hs_norm, verify_smoothing, weighted_norm
 from .plots import emit_plot
@@ -58,8 +58,6 @@ def _fields(*keys: str):
     """Name the config keys behind a library precondition that spans them."""
     try:
         yield
-    except DklbError:  # LeakageError is a ValueError too, but numerical
-        raise
     except ValueError as exc:
         raise ConfigError(f"{'/'.join(keys)}: {exc}") from exc
 
@@ -99,7 +97,7 @@ def _subcommand(name: str, plot: str | None = None):
                 click.echo("\n".join([f"wrote {csv_path}", *summary]))
                 if failure:  # the run failed its own check, after writing
                     raise NumericalError(failure)
-            except (NumericalError, LeakageError, ArithmeticError) as exc:
+            except (NumericalError, ArithmeticError) as exc:
                 click.echo(f"numerical failure: {exc}", err=True)
                 sys.exit(NUMERICAL)
             except MemoryError as exc:  # a grid or ensemble too large to hold
@@ -162,10 +160,11 @@ def picard(cfg: ExperimentConfig, outdir: Path) -> Run:
     phase = cfg.build_phase()
     grid = cfg.build_grid()
     u0 = cfg.build_data(grid)
+    tol = cfg.get("solver", "tol")
     with _fields("solver.nt"):  # Simpson's rule takes an even step count
         traj, report = picard_solve(
             u0, phase, cfg.get("solver", "t"), nt=cfg.get("solver", "nt"),
-            tol=cfg.get("solver", "tol"), max_iter=cfg.get("solver", "max_iter"),
+            tol=tol, max_iter=cfg.get("solver", "max_iter"),
             s=cfg.get("solver", "s"))
     lambda_keys = list(report.lambda_values[0])
     header = ["iterate", "distance", "ratio"] + lambda_keys
@@ -178,7 +177,7 @@ def picard(cfg: ExperimentConfig, outdir: Path) -> Run:
     if not report.converged:
         return header, rows, [], (
             f"not converged after {report.iterations} iterations "
-            f"(last distance {report.iterate_distances[-1]!r}, tol {report.tol!r})")
+            f"(last distance {report.iterate_distances[-1]!r}, tol {tol!r})")
     return header, rows, [f"converged iterations={report.iterations}", *report.notes], None
 
 

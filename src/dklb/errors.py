@@ -1,17 +1,13 @@
 """Shared exception types."""
 
 
-class DklbError(Exception):
-    """Base class for package-specific errors."""
-
-
-class ConfigError(DklbError, ValueError):
+class ConfigError(ValueError):
     """Malformed or invalid configuration input."""
 
 
-class NumericalError(DklbError, RuntimeError):
+class NumericalError(RuntimeError):
     """Numerical failure: NaN/overflow abort, divergence, lost convergence."""
 
 
-class LeakageError(DklbError, ValueError):
+class LeakageError(NumericalError):
     """Field mass near the domain boundary exceeds the allowed threshold."""

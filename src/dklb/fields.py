@@ -86,16 +86,16 @@ def sample_ensemble(grid: SpectralGrid, size: int, seed: int) -> Iterator[Spectr
         yield random_mixture(grid, np.random.default_rng(root.spawn(1)[0]))
 
 
-def mollified_cusp(grid: SpectralGrid, gamma: float = 0.5, h: float = 0.05,
-                   decay: float = 2.0) -> SpectralField:
+def mollified_cusp(grid: SpectralGrid, gamma: float = 0.5,
+                   h: float = 0.05) -> SpectralField:
     """Limited-smoothness probe data: a cusp |x|^gamma mollified at scale h.
 
-    (x^2 + h^2)^(gamma/2) * (1 + x^2)^(-decay/2), L2-normalized.  The cusp
-    controls the high-frequency tail; the bracket factor sets the prescribed
-    spatial decay.
+    (x^2 + h^2)^(gamma/2) / (1 + x^2), L2-normalized.  The cusp controls the
+    high-frequency tail; the bracket factor sets the spatial decay, so the
+    data decays like |x|^(gamma-2).
     """
     if h <= 0:
         raise ValueError(f"mollification scale must be positive, got {h}")
     x = grid.x
-    vals = (x**2 + h**2) ** (gamma / 2.0) * (1.0 + x**2) ** (-decay / 2.0)
+    vals = (x**2 + h**2) ** (gamma / 2.0) * (1.0 + x**2) ** -1.0
     return normalize_l2(from_values(grid, vals))

@@ -211,9 +211,8 @@ def _mixed_norm_of(V: np.ndarray, tw: np.ndarray, dx: float, outer: float,
     return float(_pnorm(_pnorm(V, tw[:, None], inner, axis=0), dx, outer))
 
 
-def lambda_diagnostics(traj: Trajectory, s: float = 0.0, r: float | None = None,
-                       b: float | None = None) -> dict[str, float]:
-    """The layered trajectory diagnostics lambda1..lambda8 (those defined).
+def lambda_diagnostics(traj: Trajectory, s: float = 0.0) -> dict[str, float]:
+    """The layered trajectory diagnostics lambda1..lambda6 (those defined).
 
     lambda1  sup-in-time H^s norm
     lambda2  A2(T)^-1 ||u||_{L2_T L4_x}
@@ -221,15 +220,13 @@ def lambda_diagnostics(traj: Trajectory, s: float = 0.0, r: float | None = None,
     lambda4  ||D^s du/dx||_{L2_T L4_x}               (deliberately unnormalized)
     lambda5  ||du/dx||_{L2_T L4_x}                   (deliberately unnormalized)
     lambda6  A6(T)^-1 ||du/dx||_{L2_T Linf_x}        (needs alpha(2,inf,1) > 0)
-    lambda7  sup-in-time |||x|^r u||_{L2}, when r is given
-    lambda8  sup-in-time ||exp(b x) u||_{L2}, when b is given
 
-    Aggregates: Lambda = lambda1+..+lambda5, Omega = Lambda+lambda6+lambda7,
-    Theta = Lambda+lambda6+lambda8, reported when their parts are defined.
+    Aggregate: Lambda = lambda1+..+lambda5, reported when lambda3 is defined.
 
     All of it is read from traj.coeffs, with one batched transform per
-    multiplier (see mixed_norm): |u| serves lambda2, 7 and 8, |du/dx| serves
-    lambda5 and 6, and at s = 0 they serve lambda3 and 4 too.
+    multiplier (see mixed_norm): |u| serves lambda2, |du/dx| serves lambda5
+    and 6, and at s = 0 they serve lambda3 and 4 too.  Weighted norms are
+    not among them: simulate's weights.list writes those per snapshot.
     """
     if s < 0:
         raise ValueError(f"fractional derivative order must be >= 0, got {s}")
@@ -247,16 +244,11 @@ def lambda_diagnostics(traj: Trajectory, s: float = 0.0, r: float | None = None,
     def l2_t(mags, inner):
         return _mixed_norm_of(mags, tw, grid.dx, 2.0, inner, "t_outer_x_inner")
 
-    def sup_weighted(mags, w):
-        return float(np.sqrt(np.max(np.sum((w.values(grid) * mags) ** 2, axis=1))
-                             * grid.dx))
-
     lambda1 = sup_hs_norm(grid, traj.coeffs, s)
     gain = np.abs(grid.xi) ** s if s else None
     ddx = 1j * grid.xi_odd
-    u = mags_of()
+    plain = l2_t(mags_of(), 4.0)
     u_x = mags_of(ddx)
-    plain = l2_t(u, 4.0)
     out: dict[str, float] = {"lambda1": lambda1, "lambda2": plain / A2(phi, T)}
     if alpha(2.0, 4.0, s, phi.p) > 0:
         gained = plain if gain is None else l2_t(mags_of(gain), 4.0)
@@ -266,17 +258,9 @@ def lambda_diagnostics(traj: Trajectory, s: float = 0.0, r: float | None = None,
     out["lambda5"] = lambda5
     if alpha(2.0, INF, 1.0, phi.p) > 0:
         out["lambda6"] = l2_t(u_x, INF) / A6(phi, T)
-    if r is not None:
-        out["lambda7"] = sup_weighted(u, WeightSpec("poly", r))
-    if b is not None:
-        out["lambda8"] = sup_weighted(u, WeightSpec("exp", b))
     if "lambda3" in out:
         out["Lambda"] = sum(out[k] for k in
                             ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5"))
-        if "lambda6" in out and "lambda7" in out:
-            out["Omega"] = out["Lambda"] + out["lambda6"] + out["lambda7"]
-        if "lambda6" in out and "lambda8" in out:
-            out["Theta"] = out["Lambda"] + out["lambda6"] + out["lambda8"]
     return out
 
 

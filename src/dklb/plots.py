@@ -16,6 +16,7 @@ from pathlib import Path
 WIDTH, HEIGHT = 800, 600
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 30, 40, 50
 PALETTE = ("#1f6fb2", "#c23b22", "#2a9d58", "#8c5aa8", "#c98a1b", "#3b3b3b")
+TICKS, BINS = 5, 20  # ticks per axis, histogram bins
 
 KINDS = ("timeseries", "histogram")
 
@@ -39,10 +40,10 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [lo + (hi - lo) * i / (TICKS - 1) for i in range(TICKS)]
 
 
 class _Canvas:
@@ -153,7 +154,7 @@ def _is_number(text: str) -> bool:
         return False
 
 
-def _histogram(header, rows, canvas, csv_path, bins: int = 20):
+def _histogram(header, rows, canvas, csv_path):
     _require_columns(header, ["sample_id", "ratio"], csv_path)
     sample, ratio = header.index("sample_id"), header.index("ratio")
     # a summary row, such as verify-smoothing's max, names no sample
@@ -165,12 +166,12 @@ def _histogram(header, rows, canvas, csv_path, bins: int = 20):
     lo, hi = min(vals), max(vals)
     if hi == lo:
         hi = lo + 1.0
-    counts = [0] * bins
+    counts = [0] * BINS
     for v in vals:
-        counts[min(int((v - lo) / (hi - lo) * bins), bins - 1)] += 1
+        counts[min(int((v - lo) / (hi - lo) * BINS), BINS - 1)] += 1
     canvas.set_scales(lo, hi, 0.0, float(max(counts)))
     canvas.axes("ratio", "count")
-    width = (hi - lo) / bins
+    width = (hi - lo) / BINS
     for i, c in enumerate(counts):
         x = canvas.px(lo + i * width)
         x2 = canvas.px(lo + (i + 1) * width)

@@ -126,7 +126,6 @@ class ContractionReport:
     iterations: int
     iterate_distances: list[float]
     lambda_values: list[dict[str, float]]
-    tol: float
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -137,9 +136,7 @@ class ContractionReport:
 
 def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
                  nt: int = 64, tol: float = 1e-8, max_iter: int = 25,
-                 s: float = 0.0,
-                 weight_r: float | None = None, weight_b: float | None = None
-                 ) -> tuple[Trajectory, ContractionReport]:
+                 s: float = 0.0) -> tuple[Trajectory, ContractionReport]:
     """Solve the integral form by successive substitution on a stored grid.
 
     The Duhamel map is w -> V(t)u0 + int_0^t V(t-t') N(w(t')) dt' with
@@ -165,8 +162,10 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     Trajectory, for the diagnostics, and the last one is returned.
 
     Returns the last iterate as a trajectory plus a ContractionReport with
-    per-iterate distances and layered norm diagnostics.  Non-convergence is
-    reported, not raised; NaN/overflow aborts with NumericalError.
+    per-iterate distances and the layered diagnostics of each iterate
+    (norms.lambda_diagnostics at s: lambda1..lambda6 and Lambda, those
+    defined).  Non-convergence is reported, not raised; NaN/overflow aborts
+    with NumericalError.
     """
     if T <= 0:
         raise ValueError(f"horizon T must be positive, got {T}")
@@ -235,7 +234,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         dist = norms.sup_hs_norm(grid, new - current, s)
         distances.append(dist)
         traj = Trajectory(grid, phi, times, new, is_real)
-        lambdas.append(norms.lambda_diagnostics(traj, s, weight_r, weight_b))
+        lambdas.append(norms.lambda_diagnostics(traj, s))
         current = new
         if dist <= tol:
             converged = True
@@ -246,7 +245,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             f"no fixed point after {iterations} iterations: last distance "
             f"{distances[-1]:.3e} above tol {tol:g}; partial trajectory returned"
         )
-    report = ContractionReport(converged, iterations, distances, lambdas, tol, notes)
+    report = ContractionReport(converged, iterations, distances, lambdas, notes)
     return traj, report
 
 

@@ -246,27 +246,46 @@ def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float) -> float:
 
     negative past a term-wise tail bound because every correction degree is
     < p.  The sup is the largest value at the sign changes of h_s, pinned to
-    adjacent floats by _sign_changes, and at xi = 0, its limit there.  It is
-    inf where it overflows a double.
+    adjacent floats by _sign_changes, and at xi = 0, its limit there.  Where
+    a coefficient of h_s overflows, the sign changes are those of h_s/(eta*t).
+    It is inf where it overflows a double, and never nan.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     if q < 0:
         raise ValueError("q must be nonnegative")
     ts = phi.eta * t
+    xs = _stationary_points(phi, q, ts)
+    if xs is None:
+        xs = _stationary_points(phi, q / ts, 1.0)
+    xs = np.array([0.0, *xs])
+    phase = phase_eval(phi, xs)
+    # a zero of Phi, xi = 0 among them, is exp(0) = 1 however large eta*t is
+    expo = np.zeros_like(phase)
+    np.multiply(2.0 * ts, phase, out=expo, where=phase != 0.0)
+    vals = np.abs(xs) ** (2.0 * q) * np.exp(expo)
+    # inf * 0, where the power overflows and the exponential underflows: in logs
+    lost = np.isnan(vals)
+    vals[lost] = np.exp(q * np.log(xs[lost] ** 2) + expo[lost])
+    return float(np.max(vals))
+
+
+def _stationary_points(phi: PhaseFunction, q: float, ts: float) -> list[float] | None:
+    # the sign changes of h_s over both half-lines, signed; None when a
+    # coefficient of h_s is not finite
     lead = ts * phi.p
-    xs = [0.0]
+    xs = []
     for s in (1.0, -1.0):
         lower = {0.0: q}
         for term in phi.terms:  # terms sharing a degree merge into one
             lower[term.degree] = lower.get(term.degree, 0.0) + (
                 ts * term.coeff * s**term.m * term.degree)
+        if not all(map(math.isfinite, [lead, *lower.values()])):
+            return None
         poly = sorted((e, a) for e, a in [*lower.items(), (phi.p, -lead)] if a != 0.0)
         tail = _tail(list(lower.items()), lead, phi.p)
         xs += [s * x for x in _sign_changes(poly, tail)]
-    xs = np.array(xs)
-    vals = np.abs(xs) ** (2.0 * q) * np.exp(2.0 * phi.eta * t * phase_eval(phi, xs))
-    return float(np.max(vals))
+    return xs
 
 
 def kdvb(eta: float = 1.0) -> PhaseFunction:

@@ -694,6 +694,31 @@ def test_conjugate_check_leakage_exits_1(runner, tmp_path):
     assert "numerical failure" in result.output
 
 
+def test_conjugate_check_bound_ratio_past_the_exp_range(runner, tmp_path):
+    # e^720 overflows a double, but the bound's two exponentials taken as one
+    # do not, and the ratio itself is representable
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["conjugate-check", "-D", "conjugation.t=720",
+                                  "-D", "conjugation.max_leakage=1",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 0, result.output
+    rows = (out / "conjugate-check.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    for row in rows:
+        ratio = float(row.split(",")[3])
+        assert math.isfinite(ratio) and ratio > 0.0, row
+
+
+def test_decay_experiment_reports_an_infinite_envelope(runner, tmp_path):
+    # eta*t*Phi overflows on the unstable band: the envelope is inf, not nan
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["decay-experiment", "-D", "model.eta=1e308",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 1, result.output
+    assert "envelope inf at sigma=0.0, t=0.1" in result.output
+    assert not (out / "decay-experiment.csv").exists()
+
+
 def test_conjugate_check_writes_cell_table(runner, tmp_path):
     out = tmp_path / "out"
     result = runner.invoke(main, ["conjugate-check", "-D", "grid.n=256",

@@ -1,5 +1,6 @@
 """Exponential-weight conjugation: multiplier identity, transport, exchange."""
 
+import math
 import warnings
 
 import numpy as np
@@ -157,8 +158,8 @@ def test_conjugation_identity_moderate_weight(wide_grid):
 
 def test_conjugation_bound_ratio_scale_invariant(wide_grid):
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
-    [r1] = conjugation_check(f, KDVKS, 0.25, (0.1,), max_leakage=None)
-    [r2] = conjugation_check(f * 5.0, KDVKS, 0.25, (0.1,), max_leakage=None)
+    [r1] = conjugation_check(f, KDVKS, 0.25, (0.1,), max_leakage=math.inf)
+    [r2] = conjugation_check(f * 5.0, KDVKS, 0.25, (0.1,), max_leakage=math.inf)
     assert r1.bound_ratio == pytest.approx(r2.bound_ratio, rel=1e-12)
     assert r1.rel_error == pytest.approx(r2.rel_error, rel=1e-9)
 
@@ -176,7 +177,7 @@ def test_conjugation_error_grows_with_leakage(wide_grid):
     for center in (16.0, 20.0, 24.0, 28.0):
         f = gaussian_spectral(wide_grid, center=center, width=2.0)
         [res] = conjugation_check(f, KDVKS, b=0.25, t_values=(0.1,),
-                                  max_leakage=None)
+                                  max_leakage=math.inf)
         assert res.boundary_leakage > prev_leak
         assert res.rel_error > prev_err
         prev_leak, prev_err = res.boundary_leakage, res.rel_error
@@ -385,10 +386,10 @@ def test_conjugation_check_over_times_is_the_per_time_calls(wide_grid, name, dat
     phi = symbols.preset(name)
     t_values = (0.0, 0.05, 0.1, 0.05)
     for b in (0.0, 0.25, 0.5):
-        cells = conjugation_check(f, phi, b, t_values, max_leakage=None)
+        cells = conjugation_check(f, phi, b, t_values, max_leakage=math.inf)
         assert len(cells) == len(t_values)
         for t, cell in zip(t_values, cells):
-            [single] = conjugation_check(f, phi, b, (t,), max_leakage=None)
+            [single] = conjugation_check(f, phi, b, (t,), max_leakage=math.inf)
             assert cell == single, (b, t)
 
 

@@ -235,11 +235,8 @@ def test_dd_semigroup_multiplier_rows_are_the_per_time_calls(name):
     poly = operator_polynomial(preset(name))
     t_values = (0.0, 0.05, 0.1, 0.05, 3.0)
     table = dd_semigroup_multiplier(poly, t_values, grid)
-    for pair in table:
-        for part in pair:
-            assert part.shape == (len(t_values), grid.n)
-    for k, t in enumerate(t_values):
-        row = [(re[k], im[k]) for re, im in table]
+    assert table.shape == (len(t_values), 2, 2, grid.n)
+    for row, t in zip(table, t_values):
         assert _bits(row) == _bits(dd_semigroup_multiplier(poly, t, grid))
 
 

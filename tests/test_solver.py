@@ -355,7 +355,7 @@ def test_picard_contraction_on_small_data(grid256, kdvks_phi):
     assert rep.iterations <= 20
     ratios = rep.distance_ratios
     assert all(r <= 0.9 for r in ratios[1:])
-    assert rep.iterate_distances[-1] <= rep.tol
+    assert rep.iterate_distances[-1] <= 1e-8
     # diagnostics recorded per iterate
     assert len(rep.lambda_values) == rep.iterations
     assert all(np.isfinite(list(d.values())).all() for d in rep.lambda_values)
@@ -542,12 +542,3 @@ def test_linear_trajectory_matches_semigroup(grid256, kdvks_phi):
         ref = apply_semigroup(kdvks_phi, float(t), u0)
         assert np.max(np.abs(f.coeffs - ref.coeffs)) <= 1e-14
 
-
-def test_picard_weighted_diagnostics(grid256, kdvks_phi):
-    u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
-    traj, rep = picard_solve(u0, kdvks_phi, T=0.1, nt=16, weight_r=1.0,
-                             weight_b=0.25)
-    assert rep.converged
-    last = rep.lambda_values[-1]
-    assert "lambda7" in last and "lambda8" in last
-    assert "Omega" in last and "Theta" in last

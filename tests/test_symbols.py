@@ -209,6 +209,20 @@ def test_weighted_sup_bounds_every_grid_mode():
                     assert np.max(modes) <= sup, (k, n, q, t)
 
 
+@pytest.mark.parametrize("make, want", [
+    (symbols.kdvb, 1.0),  # at q = 0, exp(0) at xi = 0
+    (symbols.kdvks, math.inf),
+    (lambda eta: symbols.optimality(2, eta), math.inf),
+])
+@pytest.mark.parametrize("t", [0.1, 10.0])
+def test_weighted_sup_is_not_nan_where_eta_t_overflows(make, want, t):
+    # at eta = 1e308, 2*eta*t overflows at t = 0.1 and eta*t itself at t = 10
+    phi = make(1e308)
+    with np.errstate(over="ignore"):
+        assert weighted_multiplier_sup(phi, 0.0, t) == want
+        assert not math.isnan(weighted_multiplier_sup(phi, 0.5, t))
+
+
 def test_weighted_sup_rejects_bad_arguments():
     phi = preset("kdvks")
     with pytest.raises(ValueError):
