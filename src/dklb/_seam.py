@@ -9,14 +9,21 @@ field values there are far smaller.  The helpers here evaluate seam values
 of spectral fields, and the semigroup multiplier feeding them, in
 double-double arithmetic (~31 significant digits), so the seam carries the
 true tiny tails instead of amplified rounding noise.  Field values come from
-one full-length inverse DFT in complex double-double: an iterative radix-2
+one inverse DFT in complex double-double: an iterative radix-2
 decimation-in-time FFT (Cooley & Tukey, 1965), O(n log n) in the grid size,
-whose twiddles are the double-double roots of unity of _roots_of_unity.
-The semigroup multiplier is one table over a list of times, from one
-evaluation of S(i*xi), and runs its Taylor exp and sincos only on the
-entries whose exponent does not underflow; the rest are exact zeros.  A
-conjugation check transforms f once per weight and the flowed spectrum once
-per time.
+whose twiddles are the double-double roots of unity of _roots_of_unity.  A
+complex field is its full spectrum and takes a length-n transform.  A real
+field is its half spectrum, modes 0..n/2, read as irfft reads it (modes 0
+and n/2 by their real parts, so a complex Nyquist multiplier is projected
+onto the real field), and takes one length-n/2 transform of the packed
+spectrum (Cooley, Lewis & Welch, 1970).  Both lengths run one butterfly
+loop, which splits each high word once per product of complex numbers and
+writes each level into the other of two buffers, allocated once per
+transform.  The semigroup multiplier is one table over a list of times,
+from one evaluation of S(i*xi), on the modes its field holds; it runs its
+Taylor exp and sincos only on the entries whose exponent does not
+underflow; the rest are exact zeros.  A conjugation check transforms f
+once per weight and the flowed spectrum once per time.
 
 A double-double is a pair (hi, lo) of float64 arrays with value hi + lo and
 |lo| <= ulp(hi)/2.  The primitives are the classical error-free transforms
@@ -46,20 +53,25 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _quick_two_sum(a, b):
-    # requires |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
+def _quick_two_sum(a, b, out=(None, None)):
+    # requires |a| >= |b|; out, when given, receives the (hi, lo) words
+    s = np.add(a, b, out=out[0])
+    return s, np.subtract(b, s - a, out=out[1])
 
 
-def _two_prod(a, b):
+def _split(a):
+    """Dekker's split of a into halves of 26 bits each, hi + lo == a."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b, a_split=None, b_split=None):
+    # a*b and its rounding error; a_split and b_split are the _split of a
+    # and of b where the caller has them already
     p = a * b
-    ca = _SPLITTER * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLITTER * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
+    ahi, alo = _split(a) if a_split is None else a_split
+    bhi, blo = _split(b) if b_split is None else b_split
     err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
     return p, err
 
@@ -70,22 +82,22 @@ def dd(x):
     return x, np.zeros_like(x)
 
 
-def dd_add(a, b):
+def dd_add(a, b, out=(None, None)):
     s, e = _two_sum(a[0], b[0])
     e = e + a[1] + b[1]
-    return _quick_two_sum(s, e)
+    return _quick_two_sum(s, e, out)
 
 
 def dd_neg(a):
     return -a[0], -a[1]
 
 
-def dd_sub(a, b):
-    return dd_add(a, dd_neg(b))
+def dd_sub(a, b, out=(None, None)):
+    return dd_add(a, dd_neg(b), out)
 
 
-def dd_mul(a, b):
-    p, e = _two_prod(a[0], b[0])
+def dd_mul(a, b, a_split=None, b_split=None):
+    p, e = _two_prod(a[0], b[0], a_split, b_split)
     e = e + (a[0] * b[1] + a[1] * b[0]) + a[1] * b[1]
     return _quick_two_sum(p, e)
 
@@ -164,10 +176,12 @@ def dd_sincos(a):
 
 
 def cdd_mul(a, b):
-    ar, ai = a
-    br, bi = b
-    re = dd_sub(dd_mul(ar, br), dd_mul(ai, bi))
-    im = dd_add(dd_mul(ar, bi), dd_mul(ai, br))
+    """The product a*b, splitting each high word of a and of b once for the
+    four real products; bitwise the same as splitting it in each of them."""
+    (ar, ai), (br, bi) = a, b
+    sr, si, tr, ti = (_split(part[0]) for part in (ar, ai, br, bi))
+    re = dd_sub(dd_mul(ar, br, sr, tr), dd_mul(ai, bi, si, ti))
+    im = dd_add(dd_mul(ar, bi, sr, ti), dd_mul(ai, br, si, tr))
     return re, im
 
 
@@ -180,14 +194,11 @@ def cdd_mul_complex(a, z):
     return re, im
 
 
-def cdd_add(a, b):
-    return dd_add(a[0], b[0]), dd_add(a[1], b[1])
-
-
 @lru_cache(maxsize=8)
 def _roots_of_unity(n: int):
-    """exp(2*pi*i*m/n) for m = 0..n-1 as one (re/im, hi/lo, m) array."""
-    m = np.arange(n, dtype=float)
+    """exp(2*pi*i*m/n) for m = 0..n/2-1, every twiddle of a length-n or
+    length-n/2 transform, as one (re/im, hi/lo, m) array."""
+    m = np.arange(n // 2, dtype=float)
     theta = dd_div_d(dd_mul_d(TWO_PI, m), float(n))
     s, c = dd_sincos(theta)
     return np.asarray((c, s))
@@ -209,20 +220,23 @@ def seam_indices(grid, b: float) -> np.ndarray:
     return np.nonzero(b * grid.x > 5.0)[0]
 
 
-def dd_semigroup_multiplier(poly: np.ndarray, t, grid):
+def dd_semigroup_multiplier(poly: np.ndarray, t, grid, real: bool = False):
     """exp(-t*S(i*xi)) per mode as a complex double-double.
 
     poly holds the ascending coefficients of the operator polynomial S (the
     same array the double route evaluates); its entries are taken as exact.
     The result is one (re/im, hi/lo, mode) array for a scalar t; a vector of
-    times gives a (times, 2, 2, n) array, row k bitwise the multiplier at
-    t[k], from one evaluation of S(i*xi).  The Taylor exp and sincos run
-    only where the real exponent does not underflow (dd_exp's -745 rule);
-    every other entry is an exact zero, which is what the product there
-    would round to.
+    times gives a (times, 2, 2, modes) array, row k bitwise the multiplier at
+    t[k], from one evaluation of S(i*xi).  Every mode of the grid is
+    evaluated, in FFT order, unless real is set: then only modes 0..n/2,
+    the half spectrum that dd_field_values reads as a real field, each entry
+    bitwise the one of the full table.  The Taylor exp and sincos run only
+    where the real exponent does not underflow (dd_exp's -745 rule); every
+    other entry is an exact zero, which is what the product there would
+    round to.
     """
     times = np.asarray(t, dtype=float)
-    modes = grid.modes.astype(float)
+    modes = grid.modes[: grid.n // 2 + 1 if real else grid.n].astype(float)
     xi = dd_div_d(dd_mul_d(TWO_PI, modes), grid.length)
     # scalar coefficient pairs broadcast against the modes
     acc = (dd(poly[-1].real), dd(poly[-1].imag))
@@ -230,8 +244,8 @@ def dd_semigroup_multiplier(poly: np.ndarray, t, grid):
     for c in poly[-2::-1]:
         acc = cdd_mul(acc, z)
         acc = (dd_add(acc[0], (c.real, 0.0)), dd_add(acc[1], (c.imag, 0.0)))
-    # per time (re/im, hi/lo, mode); one time at a time keeps temporaries n long
-    out = np.zeros((times.size, 2, 2, grid.n))
+    # per time (re/im, hi/lo, mode); one time at a time keeps temporaries short
+    out = np.zeros((times.size, 2, 2, modes.size))
     for row, tk in zip(out, times.flat):
         ex_re = dd_mul_d(acc[0], -tk)
         ex_im = dd_mul_d(acc[1], -tk)
@@ -241,7 +255,7 @@ def dd_semigroup_multiplier(poly: np.ndarray, t, grid):
         s, c = dd_sincos((ex_im[0][live], ex_im[1][live]))
         row[0][:, live] = dd_mul(mag, c)
         row[1][:, live] = dd_mul(mag, s)
-    return out.reshape(*times.shape, 2, 2, grid.n)
+    return out.reshape(*times.shape, 2, 2, modes.size)
 
 
 def dd_field_values(coeffs: np.ndarray, grid, idx: np.ndarray,
@@ -251,13 +265,19 @@ def dd_field_values(coeffs: np.ndarray, grid, idx: np.ndarray,
     Matches the inverse-FFT convention of SpectralField values but carries
     the whole transform in double-double: the spectrum c_k * mult_k is
     formed in double-double (c_k lifted exactly when there is no
-    multiplier), then an iterative radix-2 decimation-in-time FFT, O(n log n)
-    for n = grid.n a power of two, runs one vectorised butterfly stage per
-    level h = 1, 2, ..., n/2 with twiddles taken from _roots_of_unity(n) at
-    stride n/(2h).  Results are accurate in absolute terms far below the
-    1e-16 * max|u| floor of a standard inverse FFT.  Returns complex128 at
-    idx (the true values near a weight seam are tiny but well inside double
-    range).
+    multiplier), then transformed by _dd_fft, O(n log n) for n = grid.n a
+    power of two.  coeffs (and mult, with the same length) hold either all
+    n modes in FFT order, and complex128 values are returned, or the half
+    spectrum of modes 0..n/2 of a real field, and float64 values are
+    returned.  A half spectrum is read as irfft reads it: the negative modes
+    are the conjugates of the positive ones, and modes 0 and n/2 are taken
+    by their real parts, so a Nyquist multiplier that is complex is
+    projected onto the real field.  Its n real values come from one
+    length-n/2 complex transform of
+    Z_k = (X_k + X_{k+n/2}) + i*w^k*(X_k - X_{k+n/2}), w = e^{2*pi*i/n}, as
+    x_{2m} = Re z_m and x_{2m+1} = Im z_m (Cooley, Lewis & Welch, 1970).
+    Results are accurate in absolute terms far below the 1e-16 * max|u|
+    floor of a standard inverse FFT.
     """
     n = grid.n
     if mult is None:
@@ -265,16 +285,69 @@ def dd_field_values(coeffs: np.ndarray, grid, idx: np.ndarray,
     else:
         spec = cdd_mul_complex(mult, coeffs)
     # a complex double-double as one (re/im, hi/lo, ...) array
-    a = np.asarray(spec)[..., _bit_reversal(n)]
+    spec = np.asarray(spec)
+    if spec.shape[-1] == n:
+        z = _dd_fft(spec, n)
+        return dd_value(z[0][:, idx]) + 1j * dd_value(z[1][:, idx])
+    z = _dd_fft(_packed_half_spectrum(spec, n), n)
+    return dd_value(np.moveaxis(z[idx % 2, :, idx // 2], -1, 0))
+
+
+def _packed_half_spectrum(x, n: int):
+    # Z_k for k = 0..n/2-1 from the half spectrum x of a real field, with
+    # X_{k+n/2} = conj X_{n/2-k}; modes 0 and n/2 lose their imaginary parts
+    x[1, :, [0, n // 2]] = 0.0
+    low = x[..., : n // 2]
+    high = (x[0, :, n // 2 : 0 : -1], dd_neg(x[1, :, n // 2 : 0 : -1]))
+    s = (dd_add(low[0], high[0]), dd_add(low[1], high[1]))
+    d = cdd_mul((dd_sub(low[0], high[0]), dd_sub(low[1], high[1])),
+                _roots_of_unity(n))
+    return np.asarray((dd_sub(s[0], d[1]), dd_add(s[1], d[0])))
+
+
+def _dd_fft(a, n: int):
+    """The inverse DFT z_j = sum_k a_k e^{2*pi*i*k*j/m} of a (re/im, hi/lo, m)
+    complex double-double array, m = n or n/2, consuming a.
+
+    An iterative radix-2 decimation-in-time FFT (Cooley & Tukey, 1965):
+    level h = 1, 2, ..., m/2 joins pairs of length-h transforms with the
+    twiddles of _roots_of_unity(n) at stride n/(2h).  Each level is one
+    vectorised _butterfly from one buffer into the other.  While a level has
+    fewer twiddles than transforms, the transforms are columns (natural
+    input order, long rows per twiddle); the bit-reversal permutation then
+    turns them into contiguous blocks for the remaining levels.  Every
+    butterfly is the same arithmetic in either layout.
+    """
+    m = a.shape[-1]
     roots = _roots_of_unity(n)
+    buf = np.empty_like(a)
     h = 1
-    while h < n:
-        pairs = a.reshape(2, 2, n // (2 * h), 2, h)
-        u, v = pairs[:, :, :, 0], pairs[:, :, :, 1]
-        t = cdd_mul(v, roots[..., : n // 2 : n // (2 * h)])
-        out = np.empty_like(pairs)
-        out[:, :, :, 0] = cdd_add(u, t)
-        out[:, :, :, 1] = (dd_sub(u[0], t[0]), dd_sub(u[1], t[1]))
-        a = out.reshape(2, 2, n)
+    while h < m // (2 * h):
+        # column c holds the length-h transform of a_c, a_{c+cols}, ...
+        cols = m // h
+        x = a.reshape(2, 2, h, cols)
+        y = buf.reshape(2, 2, 2, h, cols // 2)
+        _butterfly(x[..., : cols // 2], x[..., cols // 2:],
+                   roots[..., : n // 2 : n // (2 * h), None], y[:, :, 0], y[:, :, 1])
+        a, buf = buf, a
         h *= 2
-    return dd_value(a[0][:, idx]) + 1j * dd_value(a[1][:, idx])
+    cols = m // h
+    buf.reshape(2, 2, cols, h)[...] = (
+        a.reshape(2, 2, h, cols)[..., _bit_reversal(cols)].swapaxes(-1, -2))
+    a, buf = buf, a
+    while h < m:
+        pairs = a.reshape(2, 2, m // (2 * h), 2, h)
+        out = buf.reshape(2, 2, m // (2 * h), 2, h)
+        _butterfly(pairs[:, :, :, 0], pairs[:, :, :, 1],
+                   roots[..., : n // 2 : n // (2 * h)], out[:, :, :, 0], out[:, :, :, 1])
+        a, buf = buf, a
+        h *= 2
+    return a
+
+
+def _butterfly(u, v, w, plus, minus):
+    # plus = u + v*w and minus = u - v*w, written into the given views
+    t = cdd_mul(v, w)
+    for c in range(2):
+        dd_add(u[c], t[c], plus[c])
+        dd_sub(u[c], t[c], minus[c])

@@ -115,10 +115,12 @@ def conjugation_check(f: SpectralField, phi: symbols.PhaseFunction, b: float,
     only delivers them to 1e-16 * max|u| and the weight turns that absolute
     rounding floor into the dominant error of the whole comparison.  Each
     strip keeps the realness of its own field: V(t) f is real only when f is
-    and phi is even.  Everything that depends on b alone (the weighted f,
-    its double-double strip, its leakage and norm, delta and mu) is computed
-    once; the flow and its double-double multiplier are one table over
-    t_values, and each time then costs one double-double transform.
+    and phi is even, and a real field's strip (with its multiplier) is
+    evaluated from its half spectrum, modes 0..n/2.  Everything that depends
+    on b alone (the weighted f, its double-double strip, its leakage and
+    norm, delta and mu) is computed once; the flow and its double-double
+    multiplier are one table over t_values, and each time then costs one
+    double-double transform.
 
     bound_ratio measures ||exp(b*x) V(t) f|| against
     exp(-t*delta) * (1 + e^t) * ||exp(b*x) f||, the persistence bound shape
@@ -137,9 +139,10 @@ def conjugation_check(f: SpectralField, phi: symbols.PhaseFunction, b: float,
     mu = float(S.deriv()(-b).real)
     t_values = tuple(float(t) for t in t_values)
     table = symbols.flow_multiplier(phi, t_values, grid)
+    real = f.is_real and phi.is_even
     mults = [None] * len(t_values)
     if idx.size:
-        mults = dd_semigroup_multiplier(S.coef, t_values, grid)
+        mults = dd_semigroup_multiplier(S.coef, t_values, grid, real)
 
     def cell(t: float, a_side: SpectralField) -> ConjugationResult:
         leaks = (g_leak, boundary_leakage(a_side))
@@ -168,7 +171,6 @@ def conjugation_check(f: SpectralField, phi: symbols.PhaseFunction, b: float,
     # a cell's fields die with it, so one time's fields are not held through
     # the next time's double-double transform; f first, as in apply_multiplier:
     # complex products do not commute bitwise
-    real = f.is_real and phi.is_even
     return [cell(t, _weighted(f, f.coeffs * row, real, idx, wv, mult))
             for t, row, mult in zip(t_values, table, mults)]
 
@@ -177,11 +179,12 @@ def _weighted(f: SpectralField, coeffs: np.ndarray, real: bool, idx: np.ndarray,
               wv: np.ndarray, mult=None) -> SpectralField:
     # wv times the field with spectrum coeffs, which is f's spectrum times the
     # flow whose double-double multiplier is mult (f's own without one); the
-    # node values at idx are recomputed from f.coeffs and mult in double-double
+    # node values at idx are recomputed from f.coeffs and mult in double-double,
+    # from the half spectrum when the field is real
     vals = to_values(SpectralField(f.grid, coeffs, real))
     if idx.size:
-        strip = dd_field_values(f.coeffs, f.grid, idx, mult)
-        vals[idx] = strip.real if real else strip
+        keep = slice(f.grid.n // 2 + 1 if real else None)
+        vals[idx] = dd_field_values(f.coeffs[keep], f.grid, idx, mult)
     return from_values(f.grid, vals * wv)
 
 

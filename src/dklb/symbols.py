@@ -16,6 +16,7 @@ leading -|xi|**p term dominates the corrections, and the solution multiplier.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,13 +249,24 @@ def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float) -> float:
     < p.  The sup is the largest value at the sign changes of h_s, pinned to
     adjacent floats by _sign_changes, and at xi = 0, its limit there.  Where
     a coefficient of h_s overflows, the sign changes are those of h_s/(eta*t).
-    It is inf where it overflows a double, and never nan.
+    Where eta*t underflows (is not a normal double), xi = (eta*t)**(-1/p) * u
+    turns eta*t*Phi(xi) into the symbol of u whose correction terms of
+    degree d carry the factor (eta*t)**(1-d/p), all taken from
+    log(eta) + log(t), and the sup is that symbol's at t = 1 times
+    (eta*t)**(-2q/p).  It is inf where it overflows a double, and never nan.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     if q < 0:
         raise ValueError("q must be nonnegative")
     ts = phi.eta * t
+    if ts < sys.float_info.min:
+        log_ts = math.log(phi.eta) + math.log(t)
+        scaled = PhaseFunction(phi.p, tuple(
+            PhaseTerm(term.coeff * math.exp((1.0 - term.degree / phi.p) * log_ts),
+                      term.m, term.n) for term in phi.terms))
+        log_sup = math.log(weighted_multiplier_sup(scaled, q, 1.0))
+        return float(np.exp(log_sup - 2.0 * q * log_ts / phi.p))
     xs = _stationary_points(phi, q, ts)
     if xs is None:
         xs = _stationary_points(phi, q / ts, 1.0)

@@ -719,6 +719,23 @@ def test_decay_experiment_reports_an_infinite_envelope(runner, tmp_path):
     assert not (out / "decay-experiment.csv").exists()
 
 
+def test_decay_experiment_where_eta_t_underflows(runner, tmp_path):
+    # eta*t = 1e-330 and 1e-320: the envelope is finite and bounds every mode
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["decay-experiment", "-D", "model.eta=1e-300",
+                                  "-D", "decay.t=1e-30 1e-20",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 0, result.output
+    grid = SpectralGrid(256, 40.0)
+    phi = optimality(2, 1e-300)
+    lines = (out / "decay-experiment.csv").read_text().splitlines()[1:]
+    assert len(lines) == 6
+    for line in lines:
+        sigma, t, _, bound = map(float, line.split(",")[:4])
+        modes = np.abs(grid.xi) ** sigma * np.exp(phi.eta * t * phase_eval(phi, grid.xi))
+        assert math.isfinite(bound) and np.max(modes) <= bound, line
+
+
 def test_conjugate_check_writes_cell_table(runner, tmp_path):
     out = tmp_path / "out"
     result = runner.invoke(main, ["conjugate-check", "-D", "grid.n=256",

@@ -410,3 +410,29 @@ def test_conjugation_check_does_its_b_only_work_once(wide_grid, monkeypatch):
     assert len(cells) == 3
     assert calls == {"dd_field_values": 1 + len(t_values),
                      "dd_semigroup_multiplier": 1}
+
+
+@pytest.mark.parametrize("name, data, want", [
+    ("kdvks", "real", ["half", "half", "half"]),
+    ("optimality:2", "real", ["half", "full", "full"]),
+    ("kdvks", "complex", ["full", "full", "full"]),
+])
+def test_conjugation_check_reads_real_fields_from_half_spectra(
+        wide_grid, monkeypatch, name, data, want):
+    # f's strip, then one per time; a multiplier always matches its spectrum
+    lengths = {wide_grid.n // 2 + 1: "half", wide_grid.n: "full"}
+    seen = []
+    original = conjugation.dd_field_values
+
+    def recording(coeffs, grid, idx, mult=None):
+        if mult is not None:
+            assert mult.shape[-1] == coeffs.shape[-1]
+        seen.append(lengths[coeffs.shape[-1]])
+        return original(coeffs, grid, idx, mult)
+
+    monkeypatch.setattr(conjugation, "dd_field_values", recording)
+    f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
+    if data == "complex":
+        f = SpectralField(wide_grid, f.coeffs * np.exp(0.3j * wide_grid.xi), False)
+    conjugation_check(f, symbols.preset(name), 0.25, (0.05, 0.1), max_leakage=math.inf)
+    assert seen == want

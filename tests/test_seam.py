@@ -17,7 +17,10 @@ from dklb._seam import (
     HALF_PI,
     LN2,
     TWO_PI,
+    _bit_reversal,
+    _roots_of_unity,
     cdd_mul,
+    cdd_mul_complex,
     dd,
     dd_add,
     dd_div_d,
@@ -27,6 +30,7 @@ from dklb._seam import (
     dd_mul_d,
     dd_semigroup_multiplier,
     dd_sincos,
+    dd_sub,
     dd_value,
     seam_indices,
 )
@@ -240,6 +244,76 @@ def test_dd_semigroup_multiplier_rows_are_the_per_time_calls(name):
         assert _bits(row) == _bits(dd_semigroup_multiplier(poly, t, grid))
 
 
+@pytest.mark.parametrize("name", ["kdvks", "kdvb", "optimality:2"])
+def test_dd_semigroup_multiplier_of_a_real_field_is_the_half_table(name):
+    # modes 0..n/2 only, each entry bitwise that of the full table
+    grid = SpectralGrid(512, 40.0)
+    poly = operator_polynomial(preset(name))
+    for t in (0.05, (0.0, 0.05, 3.0)):
+        full = dd_semigroup_multiplier(poly, t, grid)
+        half = dd_semigroup_multiplier(poly, t, grid, real=True)
+        assert half.shape == full.shape[:-1] + (grid.n // 2 + 1,)
+        first = np.ascontiguousarray(full[..., : grid.n // 2 + 1])
+        assert half.tobytes() == first.tobytes()
+
+
+def _cdd_mul_each(a, b):
+    # the complex product with every real product splitting its own operands
+    (ar, ai), (br, bi) = a, b
+    return (dd_sub(dd_mul(ar, br), dd_mul(ai, bi)),
+            dd_add(dd_mul(ar, bi), dd_mul(ai, br)))
+
+
+def test_cdd_mul_splits_each_high_word_once_bitwise():
+    rng = np.random.default_rng(5)
+    a, b = (np.asarray(dd_mul(dd(rng.standard_normal((2, 257))),
+                              dd(rng.standard_normal((2, 257))))) for _ in range(2))
+    a[:, :, :40] = 0.0
+    a[:, :, 40:60] = -0.0
+    b[:, :, 50:80] *= 1e-300
+    assert np.asarray(cdd_mul(a, b)).tobytes() == np.asarray(_cdd_mul_each(a, b)).tobytes()
+
+
+def _allocating_dd_field_values(coeffs, grid, idx, mult=None):
+    # the complex route as it was before the stage buffers: bit-reversed
+    # input, one fresh (2, 2, n) array per stage, products split per product
+    n = grid.n
+    if mult is None:
+        spec = (dd(coeffs.real), dd(coeffs.imag))
+    else:
+        spec = cdd_mul_complex(mult, coeffs)
+    a = np.asarray(spec)[..., _bit_reversal(n)]
+    roots = _roots_of_unity(n)
+    h = 1
+    while h < n:
+        pairs = a.reshape(2, 2, n // (2 * h), 2, h)
+        u, v = pairs[:, :, :, 0], pairs[:, :, :, 1]
+        t = _cdd_mul_each(v, roots[..., : n // 2 : n // (2 * h)])
+        out = np.empty_like(pairs)
+        out[:, :, :, 0] = (dd_add(u[0], t[0]), dd_add(u[1], t[1]))
+        out[:, :, :, 1] = (dd_sub(u[0], t[0]), dd_sub(u[1], t[1]))
+        a = out.reshape(2, 2, n)
+        h *= 2
+    return dd_value(a[0][:, idx]) + 1j * dd_value(a[1][:, idx])
+
+
+@pytest.mark.parametrize("name", ["optimality:2", "kdvb"])
+@pytest.mark.parametrize("n", [16, 64, 1024])
+def test_complex_dd_field_values_are_the_allocating_loop_bitwise(name, n):
+    # the column stages, the block stages and the buffers change no bit of a
+    # complex field's values, zero and negative-zero coefficients included
+    grid = SpectralGrid(n, 40.0)
+    f = gaussian_spectral(grid, center=-5.0, width=2.0)
+    coeffs = f.coeffs * np.exp(1j * np.arange(n))
+    coeffs[3], coeffs[5] = 0.0, complex(-0.0, -0.0)
+    mult = dd_semigroup_multiplier(operator_polynomial(preset(name)), 0.05, grid)
+    idx = np.arange(n)
+    for m in (None, mult):
+        got = dd_field_values(coeffs, grid, idx, m)
+        assert got.dtype == complex
+        assert got.tobytes() == _allocating_dd_field_values(coeffs, grid, idx, m).tobytes()
+
+
 def test_dd_field_values_with_multiplier_match_double_flow():
     grid = SpectralGrid(512, 40.0)
     f = gaussian_spectral(grid, center=0.0, width=1.5)
@@ -273,43 +347,90 @@ def _roots_frac(n: int, digits: int = 40):
     return roots
 
 
-@pytest.mark.parametrize("flow", [False, True])
-def test_dd_field_values_against_an_exact_dft(flow):
-    # sum_k c_k m_k e^{2*pi*i*k*j/n} at every node, in rational arithmetic;
-    # beyond the final rounding to complex128, the transform may lose at
-    # most 1e-30 * sum_k |c_k m_k| anywhere, tails included
-    n = 64
-    grid = SpectralGrid(n, 40.0)
-    f = gaussian_spectral(grid, center=-10.0, width=2.0)
-    spec = [(Fraction(float(c.real)), Fraction(float(c.imag))) for c in f.coeffs]
-    mult = None
-    plain = f.coeffs
-    if flow:
-        mult = dd_semigroup_multiplier(operator_polynomial(kdvks()),
-                                       0.1, grid)
-        (re_h, re_l), (im_h, im_l) = mult
-        m = [(_as_frac((re_h[k], re_l[k])), _as_frac((im_h[k], im_l[k])))
-             for k in range(n)]
-        spec = [(a * c - b * d, a * d + b * c) for (a, b), (c, d) in zip(spec, m)]
-        plain = f.coeffs * (re_h + re_l + 1j * (im_h + im_l))
-    tol = Fraction(1e-30 * sum(abs(complex(float(a), float(b))) for a, b in spec))
+def _exact_values(spec, n):
+    # sum_k c_k e^{2*pi*i*k*j/n} at every node j, in rational arithmetic
     roots = _roots_frac(n)
     exact = []
     for j in range(n):
         w = [roots[k * j % n] for k in range(n)]
         exact.append((sum(a * c - b * d for (a, b), (c, d) in zip(spec, w)),
                       sum(a * d + b * c for (a, b), (c, d) in zip(spec, w))))
+    return exact
 
-    def excess(values):
-        # largest error beyond half an ulp of the exact value plus tol
-        return max(abs(Fraction(float(part)) - want)
-                   - Fraction(math.ulp(float(want)) / 2) - tol
-                   for v, pair in zip(values, exact)
-                   for part, want in zip((v.real, v.imag), pair))
 
-    assert excess(dd_field_values(f.coeffs, grid, np.arange(n), mult)) <= 0
+def _excess(values, exact, tol):
+    # largest error beyond half an ulp of the exact value plus tol
+    return max(abs(Fraction(float(part)) - want)
+               - Fraction(math.ulp(float(want)) / 2) - tol
+               for v, pair in zip(values, exact)
+               for part, want in zip((v.real, v.imag), pair))
+
+
+@pytest.mark.parametrize("flow", [False, True])
+def test_dd_field_values_against_an_exact_dft(flow):
+    # beyond the final rounding to complex128, the transform may lose at
+    # most 1e-30 * sum_k |c_k m_k| anywhere, tails included
+    _check_against_an_exact_dft(flow, half=False)
+
+
+@pytest.mark.parametrize("flow", [False, True])
+def test_half_spectrum_dd_field_values_against_an_exact_dft(flow):
+    # a half spectrum is the real field whose negative modes are the
+    # conjugates of its modes 1..n/2-1, and whose modes 0 and n/2 are real:
+    # its exact values are those of that full spectrum, under the same bound
+    _check_against_an_exact_dft(flow, half=True)
+
+
+def _check_against_an_exact_dft(flow, half):
+    n = 64
+    grid = SpectralGrid(n, 40.0)
+    f = gaussian_spectral(grid, center=-10.0, width=2.0)
+    keep = n // 2 + 1 if half else n
+    spec = [(Fraction(float(c.real)), Fraction(float(c.imag))) for c in f.coeffs[:keep]]
+    mult = None
+    plain = f.coeffs[:keep]
+    if flow:
+        mult = dd_semigroup_multiplier(operator_polynomial(kdvks()), 0.1, grid, half)
+        (re_h, re_l), (im_h, im_l) = mult
+        m = [(_as_frac((re_h[k], re_l[k])), _as_frac((im_h[k], im_l[k])))
+             for k in range(keep)]
+        spec = [(a * c - b * d, a * d + b * c) for (a, b), (c, d) in zip(spec, m)]
+        plain = plain * (re_h + re_l + 1j * (im_h + im_l))
+    if half:
+        spec[0] = (spec[0][0], Fraction(0))
+        spec[-1] = (spec[-1][0], Fraction(0))
+        spec += [(a, -b) for a, b in spec[-2:0:-1]]
+    tol = Fraction(1e-30 * sum(abs(complex(float(a), float(b))) for a, b in spec))
+    exact = _exact_values(spec, n)
+    got = dd_field_values(f.coeffs[:keep], grid, np.arange(n), mult)
+    assert got.dtype == (float if half else complex)
+    assert _excess(got, exact, tol) <= 0
     # the bound bites: a double-precision inverse FFT misses it
-    assert excess(np.fft.ifft(plain * n)) > 0
+    plain_values = np.fft.irfft(plain * n, n) if half else np.fft.ifft(plain * n)
+    assert _excess(plain_values, exact, tol) > 0
+
+
+def test_half_spectrum_projects_a_complex_nyquist_multiplier():
+    # kdvb damps only like xi^2, so at t = 0.05 on 64 modes the Nyquist
+    # multiplier exp(-t*S(i*xi_N)) is live and complex; the real field of
+    # the half spectrum is the real part of the full complex route
+    n = 64
+    grid = SpectralGrid(n, 40.0)
+    f = gaussian_spectral(grid, center=-10.0, width=2.0)
+    poly = operator_polynomial(preset("kdvb"))
+    mult = dd_semigroup_multiplier(poly, 0.05, grid)
+    nyquist = mult[:, 0, n // 2]
+    assert nyquist[0] != 0.0 and nyquist[1] != 0.0
+    idx = np.arange(n)
+    full = dd_field_values(f.coeffs, grid, idx, mult)
+    half = dd_field_values(f.coeffs[: n // 2 + 1], grid, idx,
+                           dd_semigroup_multiplier(poly, 0.05, grid, real=True))
+    spec = f.coeffs * (mult[0, 0] + mult[0, 1] + 1j * (mult[1, 0] + mult[1, 1]))
+    tol = 1e-30 * np.sum(np.abs(spec))
+    assert np.max(np.abs(half - full.real)) <= tol
+    # what the projection drops, the Nyquist term's imaginary part, is far
+    # above the bound
+    assert np.max(np.abs(full.imag)) > 1e4 * tol
 
 
 def test_dd_field_values_memory_stays_small():
@@ -319,12 +440,16 @@ def test_dd_field_values_memory_stays_small():
     f = gaussian_spectral(grid, center=-20.0, width=3.0)
     idx = seam_indices(grid, 0.25)
     assert idx.size == 6143
-    mult = dd_semigroup_multiplier(operator_polynomial(kdvks()), 0.1, grid)
-    dd_field_values(f.coeffs, grid, idx, mult)  # fill the per-n caches
-    tracemalloc.start()
-    try:
-        dd_field_values(f.coeffs, grid, idx, mult)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    poly = operator_polynomial(kdvks())
+    half = grid.n // 2 + 1
+    calls = [(f.coeffs, dd_semigroup_multiplier(poly, 0.1, grid)),
+             (f.coeffs[:half], dd_semigroup_multiplier(poly, 0.1, grid, real=True))]
+    for coeffs, mult in calls:
+        dd_field_values(coeffs, grid, idx, mult)  # fill the per-n caches
+        tracemalloc.start()
+        try:
+            dd_field_values(coeffs, grid, idx, mult)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, coeffs.size

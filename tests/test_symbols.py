@@ -223,6 +223,22 @@ def test_weighted_sup_is_not_nan_where_eta_t_overflows(make, want, t):
         assert not math.isnan(weighted_multiplier_sup(phi, 0.5, t))
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("eta, t", [(1e-300, 1e-30), (1e-300, 1e-20), (1e-300, 1e-9)])
+def test_weighted_sup_where_eta_t_underflows(k, eta, t):
+    # eta*t is 0 or subnormal; the stationary point sits near
+    # (q/(p*eta*t))**(1/p), where the correction terms weigh about
+    # (eta*t)**(1/p) relative to the leading one, so the sup is the leading
+    # term's (q/(p*eta*t))**(2q/p) * e^(-2q/p), taken in logs
+    phi = symbols.optimality(k, eta)
+    assert eta * t < np.finfo(float).tiny
+    assert weighted_multiplier_sup(phi, 0.0, t) == 1.0
+    log_ts = math.log(eta) + math.log(t)
+    for q in (0.25, 0.5, 1.0):
+        want = math.exp(2.0 * q / phi.p * (math.log(q / phi.p) - log_ts - 1.0))
+        assert weighted_multiplier_sup(phi, q, t) == pytest.approx(want, rel=1e-12)
+
+
 def test_weighted_sup_rejects_bad_arguments():
     phi = preset("kdvks")
     with pytest.raises(ValueError):
