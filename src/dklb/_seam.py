@@ -53,8 +53,11 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _quick_two_sum(a, b, out=(None, None)):
+def _quick_two_sum(a, b, out=None):
     # requires |a| >= |b|; out, when given, receives the (hi, lo) words
+    if out is None:
+        s = a + b
+        return s, b - (s - a)
     s = np.add(a, b, out=out[0])
     return s, np.subtract(b, s - a, out=out[1])
 
@@ -82,7 +85,7 @@ def dd(x):
     return x, np.zeros_like(x)
 
 
-def dd_add(a, b, out=(None, None)):
+def dd_add(a, b, out=None):
     s, e = _two_sum(a[0], b[0])
     e = e + a[1] + b[1]
     return _quick_two_sum(s, e, out)
@@ -92,7 +95,7 @@ def dd_neg(a):
     return -a[0], -a[1]
 
 
-def dd_sub(a, b, out=(None, None)):
+def dd_sub(a, b, out=None):
     return dd_add(a, dd_neg(b), out)
 
 
@@ -276,7 +279,8 @@ def dd_field_values(coeffs: np.ndarray, grid, idx: np.ndarray,
     length-n/2 complex transform of
     Z_k = (X_k + X_{k+n/2}) + i*w^k*(X_k - X_{k+n/2}), w = e^{2*pi*i/n}, as
     x_{2m} = Re z_m and x_{2m+1} = Im z_m (Cooley, Lewis & Welch, 1970).
-    Results are accurate in absolute terms far below the 1e-16 * max|u|
+    The transform runs in the spectrum's own array and one more of its
+    size, each level written into the other.  Results are accurate in absolute terms far below the 1e-16 * max|u|
     floor of a standard inverse FFT.
     """
     n = grid.n
