@@ -3,12 +3,14 @@
 Every subcommand has one run shape.  It reads one INI config (all values
 overridable with -D section.key=value), writes `<name>-manifest.ini` into
 the configured output directory (the resolved config echo plus the
-subcommand name, seed and content hash), runs, and writes `<name>.csv`;
-with `svg` in output.formats, simulate, verify-smoothing and
-decay-experiment also draw it as `<name>.svg`.  A run that fails its own
-check (picard not converged, verify-bracket over tolerance) writes both
-files first, then exits 1.  Feeding the manifest back through --config
-replays the run byte-identically.
+subcommand name, seed and content hash), runs, and writes `<name>.csv`.
+The rows reach the file as the run yields them, into a temporary file in
+the output directory that replaces `<name>.csv` once the run is done, so a
+run that raises leaves no CSV.  With `svg` in output.formats, simulate,
+verify-smoothing and decay-experiment also draw it as `<name>.svg`.  A run
+that fails its own check (picard not converged, verify-bracket over
+tolerance) writes both files first, then exits 1.  Feeding the manifest
+back through --config replays the run byte-identically.
 
 Exit codes: 0 success, 1 numerical failure (divergence, overflow, boundary
 leakage) or an allocation the machine refuses, 2 validation failure (bad
@@ -21,7 +23,9 @@ subcommand that reads them, and names them.
 from __future__ import annotations
 
 import functools
+import os
 import sys
+from collections.abc import Generator
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -49,8 +53,9 @@ from .solver import (
 # exit codes
 OK, NUMERICAL, VALIDATION = 0, 1, 2
 
-# a body returns its CSV header, rows, summary lines, and a failure message or None
-Run = tuple[list[str], list[list], list[str], str | None]
+# a body yields its CSV header, then its rows, and returns its summary lines
+# and a failure message or None
+Run = Generator[list, None, tuple[list[str], str | None]]
 
 
 @contextmanager
@@ -83,15 +88,16 @@ def _subcommand(name: str, plot: str | None = None):
                     f"{cfg.echo()}[manifest]\nsubcommand = {name}\n"
                     f"seed = {cfg.get('ensemble', 'seed')}\n"
                     f"hash = {cfg.content_hash()}\n")
-                # every non-finite result meets a guard that names it, so
-                # numpy's own floating-point warnings would only repeat it
-                with np.errstate(all="ignore"):
-                    header, rows, summary, failure = fn(cfg, outdir)
                 csv_path = outdir / f"{name}.csv"
-                csv_path.write_text("".join(
-                    ",".join(repr(v) if isinstance(v, float) else str(v)
-                             for v in row) + "\n"
-                    for row in [header, *rows]))
+                partial = outdir / f".{name}.csv.partial"
+                try:
+                    # every non-finite result meets a guard that names it, so
+                    # numpy's own floating-point warnings would only repeat it
+                    with np.errstate(all="ignore"), open(partial, "w") as handle:
+                        summary, failure = _write_rows(fn(cfg, outdir), handle)
+                    os.replace(partial, csv_path)
+                finally:
+                    partial.unlink(missing_ok=True)
                 if plot and "svg" in cfg.get("output", "formats"):
                     emit_plot(csv_path, plot)
                 click.echo("\n".join([f"wrote {csv_path}", *summary]))
@@ -118,6 +124,17 @@ def _subcommand(name: str, plot: str | None = None):
     return decorate
 
 
+def _write_rows(run: Run, handle) -> tuple[list[str], str | None]:
+    """Write each row a body yields as one CSV line; return what it returns."""
+    while True:
+        try:
+            row = next(run)
+        except StopIteration as done:
+            return done.value
+        handle.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
 @click.group()
 def main():
     """Spectral experiments for a dissipative third-order model family."""
@@ -141,16 +158,16 @@ def simulate(cfg: ExperimentConfig, outdir: Path) -> Run:
     with _fields("solver.t", step_key):
         stream = etdrk4_steps(u0, phase, T, dt, nonlinear=(method != "linear"),
                               snapshot_stride=cfg.get("solver", "snapshot_stride"))
-    header = ["step", "t", "l2", "hs"] + [w.label for w in weights]
-    rows = []
+    yield ["step", "t", "l2", "hs"] + [w.label for w in weights]
+    count = 0
     for step, t, snap in stream:  # row 0 is u0: an overflowing |x|^r fails before step 1
         row = [step, t, l2_norm(snap), hs_norm(snap, s)]
         row += [weighted_norm(snap, w, wv) for w, wv in zip(weights, wvals)]
-        rows.append(row)
+        yield row
+        count += 1
         if "snapshots" in cfg.get("output", "formats"):
             write_snapshot(outdir / f"simulate-{step:06d}.dklb", snap, t)
-    return header, rows, [f"simulate: {len(rows)} snapshots, "
-                          f"final l2={rows[-1][2]!r}"], None
+    return [f"simulate: {count} snapshots, final l2={row[2]!r}"], None
 
 
 @main.command()
@@ -167,18 +184,17 @@ def picard(cfg: ExperimentConfig, outdir: Path) -> Run:
             tol=tol, max_iter=cfg.get("solver", "max_iter"),
             s=cfg.get("solver", "s"))
     lambda_keys = list(report.lambda_values[0])
-    header = ["iterate", "distance", "ratio"] + lambda_keys
+    yield ["iterate", "distance", "ratio"] + lambda_keys
     ratios = ["", *report.distance_ratios]
-    rows = [[i + 1, d, ratios[i]] + [lam[k] for k in lambda_keys]
-            for i, (d, lam) in enumerate(zip(report.iterate_distances,
-                                             report.lambda_values))]
+    for i, (d, lam) in enumerate(zip(report.iterate_distances, report.lambda_values)):
+        yield [i + 1, d, ratios[i]] + [lam[k] for k in lambda_keys]
     if "snapshots" in cfg.get("output", "formats"):
         write_snapshot(outdir / "picard-final.dklb", traj.final, traj.times[-1])
     if not report.converged:
-        return header, rows, [], (
+        return [], (
             f"not converged after {report.iterations} iterations "
             f"(last distance {report.iterate_distances[-1]!r}, tol {tol!r})")
-    return header, rows, [f"converged iterations={report.iterations}", *report.notes], None
+    return [f"converged iterations={report.iterations}", *report.notes], None
 
 
 @main.command(name="verify-bracket")
@@ -187,8 +203,8 @@ def verify_bracket(cfg: ExperimentConfig, outdir: Path) -> Run:
     """Check quadrature values of <n,m,a> against their exact reductions."""
     tol = cfg.get("brackets", "tol")
     pairs = brackets.standard_pairs()[: cfg.get("brackets", "pairs")]
-    header = ["n", "m", "a", "residual", "bound"]
-    rows, failures = [], 0
+    yield ["n", "m", "a", "residual", "bound"]
+    checked, failures = 0, 0
     for n in range(1, cfg.get("brackets", "max_n") + 1):
         for m in range(n):
             for a in range(cfg.get("brackets", "max_a") + 1):
@@ -198,10 +214,11 @@ def verify_bracket(cfg: ExperimentConfig, outdir: Path) -> Run:
                         brackets.Bracket(n, m, a), u, rho)
                     worst = max(worst, resid)
                     bound = max(bound, tol * max(1.0, abs(lhs)))
-                rows.append([n, m, a, worst, bound])
+                yield [n, m, a, worst, bound]
+                checked += 1
                 failures += worst > bound
-    summary = [f"{len(rows)} reductions checked, {failures} over tolerance"]
-    return header, rows, summary, (
+    summary = [f"{checked} reductions checked, {failures} over tolerance"]
+    return summary, (
         f"{failures} bracket reductions exceed tolerance {tol}" if failures else None)
 
 
@@ -219,11 +236,12 @@ def verify_smoothing_cmd(cfg: ExperimentConfig, outdir: Path) -> Run:
             seed=cfg.get("ensemble", "seed"), nt=cfg.get("smoothing", "nt"),
             s=cfg.get("smoothing", "s"), a=cfg.get("smoothing", "a"),
             b=cfg.get("smoothing", "b"), q=cfg.get("smoothing", "q"))
-    rows = [[i, float(r)] for i, r in enumerate(report.ratios)]
-    rows.append(["max", report.max_ratio])
-    return ["sample_id", "ratio"], rows, [
-        f"check {report.check}: {report.sample_count} samples, "
-        f"fitted constant {report.max_ratio!r}"], None
+    yield ["sample_id", "ratio"]
+    for i, r in enumerate(report.ratios):
+        yield [i, float(r)]
+    yield ["max", report.max_ratio]
+    return [f"check {report.check}: {report.sample_count} samples, "
+            f"fitted constant {report.max_ratio!r}"], None
 
 
 @main.command(name="conjugate-check")
@@ -235,8 +253,7 @@ def conjugate_check(cfg: ExperimentConfig, outdir: Path) -> Run:
     phase = cfg.build_phase()
     with _fields("model"):
         operator_polynomial(phase)
-    header = ["b", "t", "rel_error", "bound_ratio", "delta", "mu",
-              "boundary_leakage"]
+    yield ["b", "t", "rel_error", "bound_ratio", "delta", "mu", "boundary_leakage"]
     rows = []
     t_values = cfg.get("conjugation", "t")
     for b in cfg.get("conjugation", "b"):
@@ -247,7 +264,8 @@ def conjugate_check(cfg: ExperimentConfig, outdir: Path) -> Run:
                  for t, r in zip(t_values, cells)]
     # np.max propagates NaN; max() drops it unless it comes first
     worst = float(np.max([row[2] for row in rows]))
-    return header, rows, [f"{len(rows)} cells, worst rel_error {worst!r}"], None
+    yield from rows
+    return [f"{len(rows)} cells, worst rel_error {worst!r}"], None
 
 
 @main.command(name="decay-experiment")
@@ -259,12 +277,13 @@ def decay_experiment(cfg: ExperimentConfig, outdir: Path) -> Run:
         cfg.get("decay", "t"), eta=cfg.get("model", "eta"),
         grid=cfg.build_grid(), gamma=cfg.get("decay", "gamma"),
         h=cfg.get("decay", "h"))
-    header = ["sigma", "t", "norm", "mult_bound", "fitted_rate"]
-    rows = [[row["sigma"], row["t"], row["norm"], row["mult_bound"],
-             report.fitted_rates[row["sigma"]]] for row in report.rows]
+    yield ["sigma", "t", "norm", "mult_bound", "fitted_rate"]
+    for row in report.rows:
+        yield [row["sigma"], row["t"], row["norm"], row["mult_bound"],
+               report.fitted_rates[row["sigma"]]]
     rates = ", ".join(f"sigma={s!r}: {r!r}"
                       for s, r in sorted(report.fitted_rates.items()))
-    return header, rows, [f"fitted rates: {rates}"], None
+    return [f"fitted rates: {rates}"], None
 
 
 @main.command(name="existence-time")
@@ -273,17 +292,17 @@ def existence_time_cmd(cfg: ExperimentConfig, outdir: Path) -> Run:
     """Certified contraction horizons over a sweep of data sizes and cstar."""
     phase = cfg.build_phase()
     s = cfg.get("solver", "s")
-    header = ["u0_norm", "cstar", "t0", "a_sum", "threshold"]
-    rows = []
+    yield ["u0_norm", "cstar", "t0", "a_sum", "threshold"]
+    t0s = []
     for u0_norm in cfg.get("existence", "norms"):
         for cstar in cfg.get("existence", "cstars"):
             with _fields("solver.s", "model"):  # alpha(2, 4, s, p) > 0
                 t0, z0 = existence_time(u0_norm, phase, s=s, cstar=cstar)
                 a_sum = norms.A2(phase, t0) + norms.A3(phase, s, t0)
             threshold = contraction_threshold(cstar, z0)
-            rows.append([u0_norm, cstar, t0, a_sum, threshold])
-    return header, rows, [f"{len(rows)} sweep points, "
-                          f"min T0 {min(r[2] for r in rows)!r}"], None
+            yield [u0_norm, cstar, t0, a_sum, threshold]
+            t0s.append(t0)
+    return [f"{len(t0s)} sweep points, min T0 {min(t0s)!r}"], None
 
 
 if __name__ == "__main__":

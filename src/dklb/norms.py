@@ -109,13 +109,25 @@ def hs_norm(f: SpectralField, s: float = 0.0) -> float:
 
 
 def sup_hs_norm(grid: SpectralGrid, coeffs: np.ndarray, s: float = 0.0) -> float:
-    """The largest H^s norm among the rows of (rows, N) FFT-order spectra.
+    """The largest H^s norm among the rows of (rows, modes) spectra.
 
-    One array expression over all rows; NumericalError if the result is not
-    finite.
+    A row of N entries is an FFT-order spectrum; a row of N/2+1 entries is
+    the half spectrum (modes 0..N/2) of a real field, whose modes 1..N/2-1
+    stand for their conjugates too and count twice.  A half row is summed
+    as the two halves of its FFT-order row: modes 0..N/2-1, then the
+    Nyquist mode and modes N/2-1..1 read backwards, the order in which the
+    full row lists them.  One array expression over all rows;
+    NumericalError if the result is not finite.
     """
-    rows = np.abs(coeffs) * (1.0 + grid.xi**2) ** (s / 2.0)
-    norm = float(np.sqrt(grid.length * np.max(np.sum(rows * rows, axis=1))))
+    keep = coeffs.shape[-1]
+    rows = np.abs(coeffs) * (1.0 + grid.xi[:keep] ** 2) ** (s / 2.0)
+    rows *= rows
+    if keep < grid.n:
+        power = np.sum(rows[:, :grid.n // 2], axis=1)
+        power += np.sum(rows[:, :0:-1], axis=1)
+    else:
+        power = np.sum(rows, axis=1)
+    norm = float(np.sqrt(grid.length * np.max(power)))
     if not math.isfinite(norm):
         raise NumericalError(f"H^s norm at s={s!r} is not finite ({norm!r})")
     return norm
@@ -211,7 +223,9 @@ def _mixed_norm_of(V: np.ndarray, tw: np.ndarray, dx: float, outer: float,
     return float(_pnorm(_pnorm(V, tw[:, None], inner, axis=0), dx, outer))
 
 
-def lambda_diagnostics(traj: Trajectory, s: float = 0.0) -> dict[str, float]:
+def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
+                       times: np.ndarray, coeffs: np.ndarray,
+                       s: float = 0.0) -> dict[str, float]:
     """The layered trajectory diagnostics lambda1..lambda6 (those defined).
 
     lambda1  sup-in-time H^s norm
@@ -223,28 +237,30 @@ def lambda_diagnostics(traj: Trajectory, s: float = 0.0) -> dict[str, float]:
 
     Aggregate: Lambda = lambda1+..+lambda5, reported when lambda3 is defined.
 
-    All of it is read from traj.coeffs, with one batched transform per
-    multiplier (see mixed_norm): |u| serves lambda2, |du/dx| serves lambda5
-    and 6, and at s = 0 they serve lambda3 and 4 too.  Weighted norms are
-    not among them: simulate's weights.list writes those per snapshot.
+    Row k of coeffs is the field at times[k]: the half spectrum (modes
+    0..N/2) of a real field, as sup_hs_norm reads it, or the FFT-order
+    spectrum of a complex one.  All of it is read from coeffs, with one
+    batched transform per multiplier (see mixed_norm): |u| serves lambda2,
+    |du/dx| serves lambda5 and 6, and at s = 0 they serve lambda3 and 4 too.
+    Weighted norms are not among them: simulate's weights.list writes those
+    per snapshot.
     """
     if s < 0:
         raise ValueError(f"fractional derivative order must be >= 0, got {s}")
-    phi = traj.phase
-    grid = traj.grid
-    T = float(traj.times[-1])
+    T = float(times[-1])
     if T <= 0:
         raise ValueError("trajectory horizon must be positive")
 
-    tw = _trapezoid_weights(traj.times)
+    tw = _trapezoid_weights(times)
+    real = coeffs.shape[-1] < grid.n
 
     def mags_of(multiplier=None):
-        return _magnitudes(traj.coeffs, grid.n, traj.is_real, multiplier)
+        return _magnitudes(coeffs, grid.n, real, multiplier)
 
     def l2_t(mags, inner):
         return _mixed_norm_of(mags, tw, grid.dx, 2.0, inner, "t_outer_x_inner")
 
-    lambda1 = sup_hs_norm(grid, traj.coeffs, s)
+    lambda1 = sup_hs_norm(grid, coeffs, s)
     gain = np.abs(grid.xi) ** s if s else None
     ddx = 1j * grid.xi_odd
     plain = l2_t(mags_of(), 4.0)
@@ -341,7 +357,7 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
     keep = grid.n // 2 + 1 if real else grid.n
     times = np.linspace(0.0, T, nt + 1)
     tw = _trapezoid_weights(times)
-    flow = np.ascontiguousarray(symbols.flow_multiplier(phi, times, grid)[:, :keep])
+    flow = symbols.flow_multiplier(phi, times, grid, real)
     gain = (np.abs(grid.xi[:keep]) ** gain_order).astype(complex) if gain_order else None
     vals = np.empty_like(flow)
     mags = np.empty((nt + 1, grid.n))

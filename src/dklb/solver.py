@@ -54,37 +54,43 @@ def linear_trajectory(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
                       u0.is_real and phi.is_even)
 
 
-def _advection(grid: SpectralGrid, real: bool):
+def _advection(grid: SpectralGrid, real: bool, rows: tuple[int, ...] = ()):
     """The kept modes and an in-place advection kernel on them.
 
     The kernel advect(v, out) writes -1/2 d/dx P(u^2) for the kept
-    coefficients v into out and returns out.  P is the dealias truncation,
-    applied to u before squaring and to the square after.  A real field
-    keeps modes 0..N/2 and transforms with irfft/rfft; a complex field keeps
-    every mode and uses ifft/fft.  The masked input and the node values live
-    in two buffers of the kernel, so a call allocates nothing; the inverse
-    transform runs unnormalised (norm="forward"), which is u at the nodes
-    exactly because N is a power of two.  Returns (keep, advect): keep slices
-    the kept modes out of an FFT-order spectrum.
+    coefficients v, of shape rows + (kept modes,), into out and returns out;
+    all rows go through one batched transform pair along the last axis.  P
+    is the dealias truncation, applied to u before squaring and to the
+    square after.  A real field keeps modes 0..N/2 and transforms with
+    irfft/rfft: its band is a prefix of the kept modes, which irfft reads
+    as it stands and zero-pads, and its node values live in a buffer of the
+    kernel.  A complex field keeps every mode and uses ifft/fft in place in
+    out, masked to the band there.  So a call allocates nothing; the
+    inverse transform runs unnormalised (norm="forward"), which is u at the
+    nodes exactly because N is a power of two.  Returns (keep, advect): keep
+    slices the kept modes out of an FFT-order spectrum.
     """
     n = grid.n
-    if real:
-        keep = slice(0, n // 2 + 1)
-        to_nodes, to_modes = np.fft.irfft, np.fft.rfft
-    else:
-        keep = slice(0, n)
-        to_nodes, to_modes = np.fft.ifft, np.fft.fft
+    keep = slice(0, n // 2 + 1 if real else n)
     mask = grid.dealias_mask[keep]
     gain = mask * (-0.5j * grid.xi_odd[keep]) / n
-    masked = np.zeros(mask.shape, dtype=complex)  # zero outside the band for good
-    nodes = np.empty(n, dtype=float if real else complex)
+    if real:
+        band = int(np.count_nonzero(mask))  # modes 0..band-1
+        nodes = np.empty(rows + (n,))
 
-    def advect(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.copyto(masked, v, where=mask)
-        to_nodes(masked, n, norm="forward", out=nodes)
-        np.multiply(nodes, nodes, out=nodes)
-        to_modes(nodes, out=out)
-        return np.multiply(gain, out, out=out)
+        def advect(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.fft.irfft(v[..., :band], n, norm="forward", out=nodes)
+            np.multiply(nodes, nodes, out=nodes)
+            np.fft.rfft(nodes, out=out)
+            return np.multiply(gain, out, out=out)
+    else:
+        def advect(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+            out.fill(0.0)
+            np.copyto(out, v, where=mask)
+            np.fft.ifft(out, norm="forward", out=out)
+            np.multiply(out, out, out=out)
+            np.fft.fft(out, out=out)
+            return np.multiply(gain, out, out=out)
 
     return keep, advect
 
@@ -100,7 +106,7 @@ def _full_spectrum(v: np.ndarray, n: int, real: bool) -> np.ndarray:
         return v
     full = np.empty(v.shape[:-1] + (n,), dtype=complex)
     full[..., : n // 2 + 1] = v
-    full[..., n // 2 + 1:] = np.conj(v[..., n // 2 - 1:0:-1])
+    np.conjugate(v[..., n // 2 - 1:0:-1], out=full[..., n // 2 + 1:])
     return full
 
 
@@ -177,11 +183,11 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     dt = T / nt
     times = np.linspace(0.0, T, nt + 1)
     is_real = u0.is_real and phi.is_even
-    keep, advect = _advection(grid, is_real)
+    keep, advect = _advection(grid, is_real, (nt + 1,))
 
     linear = u0.coeffs[keep] * symbols.flow_multiplier(
-        phi, np.arange(nt + 1) * dt, grid)[:, keep]
-    M1, M2, M3 = symbols.flow_multiplier(phi, np.arange(1, 4) * dt, grid)[:, keep]
+        phi, np.arange(nt + 1) * dt, grid, is_real)
+    M1, M2, M3 = symbols.flow_multiplier(phi, np.arange(1, 4) * dt, grid, is_real)
     trapezoid = (dt / 2.0 * M1, dt / 2.0)
     simpson = (dt / 3.0 * M2, 4.0 * dt / 3.0 * M1, dt / 3.0)
     three_eighths = (3.0 * dt / 8.0 * M3, 9.0 * dt / 8.0 * M2,
@@ -195,11 +201,10 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         for w, row in zip(weights, rows):
             acc += np.multiply(w, row, out=tmp)
 
-    def duhamel(iterate: np.ndarray) -> np.ndarray:
-        # full spectra of the iterate in, kept modes of its image out
-        out = linear.copy()
-        for row, term in zip(iterate, nl):
-            advect(row[keep], term)
+    def duhamel(iterate: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # the image of the iterate into out, both on the kept modes
+        advect(iterate, nl)
+        np.copyto(out, linear)
         add(out[1], trapezoid, nl[:2])
         run.fill(0.0)
         for m in range(0, nt, 2):
@@ -218,24 +223,23 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             "their validity range; diagnostics only"
         )
 
-    current = _full_spectrum(linear, grid.n, is_real)
+    current, new = linear.copy(), np.empty_like(linear)
     distances: list[float] = []
     lambdas: list[dict[str, float]] = []
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        new = duhamel(current)
+        duhamel(current, new)
         iterations += 1
         if not np.all(np.isfinite(new)):
             raise NumericalError(
                 f"Picard iterate {iterations} lost finiteness (NaN/overflow)"
             )
-        new = _full_spectrum(new, grid.n, is_real)
-        dist = norms.sup_hs_norm(grid, new - current, s)
+        # the step new - current overwrites current, which is not read again
+        dist = norms.sup_hs_norm(grid, np.subtract(new, current, out=current), s)
         distances.append(dist)
-        traj = Trajectory(grid, phi, times, new, is_real)
-        lambdas.append(norms.lambda_diagnostics(traj, s))
-        current = new
+        lambdas.append(norms.lambda_diagnostics(grid, phi, times, new, s))
+        current, new = new, current
         if dist <= tol:
             converged = True
             break
@@ -246,7 +250,8 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             f"{distances[-1]:.3e} above tol {tol:g}; partial trajectory returned"
         )
     report = ContractionReport(converged, iterations, distances, lambdas, notes)
-    return traj, report
+    return Trajectory(grid, phi, times, _full_spectrum(current, grid.n, is_real),
+                      is_real), report
 
 
 # --- ETDRK4 on the differential form ----------------------------------------
@@ -298,8 +303,8 @@ def etdrk4_steps(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     grid = u0.grid
     is_real = u0.is_real and phi.is_even
     keep, advect = _advection(grid, is_real)
-    E = symbols.flow_multiplier(phi, dt, grid)[keep]
-    E2 = symbols.flow_multiplier(phi, dt / 2.0, grid)[keep]
+    E = symbols.flow_multiplier(phi, dt, grid, is_real)
+    E2 = symbols.flow_multiplier(phi, dt / 2.0, grid, is_real)
     c = 1j * grid.xi_odd[keep]**3 + phi.eta * symbols.phase_eval(phi, grid.xi[keep])
     z = c.real * dt + 1j * c.imag * dt
     Q, f1, f2, f3 = _etdrk4_coeffs(z, dt)

@@ -211,17 +211,21 @@ def semigroup_multiplier(phi: PhaseFunction, t: float, xi):
     return _flow(phi, t, xi, xi)
 
 
-def flow_multiplier(phi: PhaseFunction, t, grid):
+def flow_multiplier(phi: PhaseFunction, t, grid, real: bool = False):
     """The flow multiplier on a grid, its dispersive phase zero at the Nyquist mode.
 
     A vector of times t gives the (times, N) table, row k bitwise the
-    multiplier at t[k].  The phase t*xi**3 is odd, so it is evaluated at
-    grid.xi_odd; the multiplier then keeps real fields real exactly when
-    phi.is_even.  Odd damping terms (optimality:k) keep the full Nyquist
-    wavenumber: such a flow is complex for all data, so no realness rests
-    on it, and moving it would change every optimality:k result.
+    multiplier at t[k].  Every mode is evaluated, in FFT order, unless real
+    is set: then only modes 0..N/2, the half spectrum a real flow keeps,
+    each entry bitwise the one of the full table.  The phase t*xi**3 is
+    odd, so it is evaluated at grid.xi_odd; the multiplier then keeps real
+    fields real exactly when phi.is_even.  Odd damping terms (optimality:k)
+    keep the full Nyquist wavenumber: such a flow is complex for all data,
+    so no realness rests on it, and moving it would change every
+    optimality:k result.
     """
-    return _flow(phi, t, grid.xi, grid.xi_odd)
+    keep = grid.n // 2 + 1 if real else grid.n
+    return _flow(phi, t, grid.xi[:keep], grid.xi_odd[:keep])
 
 
 def _flow(phi: PhaseFunction, t, xi, xi_odd):

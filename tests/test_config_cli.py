@@ -798,20 +798,26 @@ def test_simulate_writes_norm_index_and_snapshots(runner, tmp_path):
 def test_simulate_memory_is_flat_in_the_snapshot_count(runner, tmp_path):
     # simulate holds one row of the solver's stream at a time; reading the
     # rows back from a Trajectory of every snapshot peaked 18 MiB higher at
-    # stride 1 than at stride 400
-    peaks = []
-    for stride in (1, 400):
+    # stride 1 than at stride 400.  Each CSV row is written as it comes:
+    # holding the rows and joining the CSV peaked 395 KiB higher at 1500
+    # rows than at 300 (n = 64), the streamed CSV less than 1 KiB higher
+    def peak(n, T, stride):
         tracemalloc.start()
         try:
-            result = runner.invoke(main, ["simulate", "-D", "grid.n=1024",
-                                          "-D", "solver.t=0.4", "-D", "solver.dt=1e-3",
+            result = runner.invoke(main, ["simulate", "-D", f"grid.n={n}",
+                                          "-D", f"solver.t={T}", "-D", "solver.dt=1e-3",
                                           "-D", f"solver.snapshot_stride={stride}",
                                           "-D", f"output.dir={tmp_path}"])
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            traced = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert result.exit_code == 0, result.output
-    assert peaks[0] - peaks[1] < 2**20, [p / 2**20 for p in peaks]
+        return traced
+
+    strides = [peak(1024, 0.4, stride) for stride in (1, 400)]
+    assert strides[0] - strides[1] < 2**20, [p / 2**20 for p in strides]
+    steps = [peak(64, T, 1) for T in (0.3, 1.5)]
+    assert steps[1] - steps[0] < 128 * 2**10, [p / 2**10 for p in steps]
 
 
 def test_existence_time_sweep_table(runner, tmp_path):
@@ -874,24 +880,9 @@ def test_manifest_replays_run_byte_identically(runner, tmp_path):
     assert (out / "verify-smoothing.csv").read_bytes() == first
 
 
-def test_verify_bracket_replays_byte_identically_from_its_manifest(runner,
-                                                                   tmp_path):
-    out = tmp_path / "out"
-    result = runner.invoke(main, ["verify-bracket", "-D", "brackets.max_n=2",
-                                  "-D", "brackets.max_a=1",
-                                  "-D", f"output.dir={out}"])
-    assert result.exit_code == 0, result.output
-    first = (out / "verify-bracket.csv").read_bytes()
-    assert len(first.decode().splitlines()) == 1 + (1 + 2) * 2
-    replay = runner.invoke(main, ["verify-bracket", "--config",
-                                  str(out / "verify-bracket-manifest.ini")])
-    assert replay.exit_code == 0, replay.output
-    assert (out / "verify-bracket.csv").read_bytes() == first
-
-
 # data rows the replayed CSVs must hold, where the overrides fix them: one
-# b times two t
-REPLAY_ROWS = {"conjugate-check": 2}
+# b times two t; (1 + 2) (n, m) pairs times two a; nine Picard iterates
+REPLAY_ROWS = {"conjugate-check": 2, "verify-bracket": 6, "picard": 9}
 
 
 @pytest.mark.parametrize("command, overrides", [
@@ -899,6 +890,8 @@ REPLAY_ROWS = {"conjugate-check": 2}
     ("decay-experiment", ("grid.n=64",)),
     ("existence-time", ("existence.norms=0.1 1.0",)),
     ("verify-bracket", ("brackets.max_n=2", "brackets.max_a=1")),
+    # the complex flow, whose Picard iterate keeps every mode
+    ("picard", ("model.preset=optimality:3",)),
 ])
 def test_subcommand_replays_byte_identically_from_its_manifest(runner, tmp_path,
                                                                command,

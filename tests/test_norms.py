@@ -124,6 +124,20 @@ def test_sup_hs_norm_is_the_largest_row_norm(grid256, rng):
         sup_hs_norm(grid256, coeffs, 1e308)
 
 
+@pytest.mark.parametrize("n", [16, 256, 2048])
+def test_sup_hs_norm_of_half_spectra_is_the_full_spectra_norm(rng, n):
+    # the half spectrum of a real field counts modes 1..N/2-1 twice
+    grid = SpectralGrid(n, 40.0)
+    coeffs = np.fft.fft(rng.standard_normal((5, n))) / n
+    half = coeffs[:, : n // 2 + 1]
+    for s in (0.0, 0.5, 2.0):
+        assert sup_hs_norm(grid, half, s) == pytest.approx(
+            sup_hs_norm(grid, coeffs, s), rel=1e-14, abs=0.0)
+    with (np.errstate(over="ignore", invalid="ignore"),
+          pytest.raises(NumericalError, match="not finite")):
+        sup_hs_norm(grid, half, 1e308)
+
+
 def test_random_mixture_on_a_degenerate_grid_raises_numerical_error():
     # bumps of width >= 0.5 fall between nodes spaced 1e306 apart
     with (np.errstate(over="ignore", invalid="ignore"),
@@ -197,7 +211,7 @@ def test_mixed_norm_fine_grid_oracle(grid256, kdvks_phi):
 def test_lambda_diagnostics_keys(grid256, kdvks_phi):
     u0 = normalize_l2(gaussian(grid256, width=1.2), 0.1)
     traj = solver.linear_trajectory(u0, kdvks_phi, 0.2, 16)
-    d = lambda_diagnostics(traj, s=1.0)
+    d = lambda_diagnostics(grid256, kdvks_phi, traj.times, _kept(traj), s=1.0)
     assert list(d) == ["lambda1", "lambda2", "lambda3", "lambda4", "lambda5",
                        "lambda6", "Lambda"]
     for key in d:
@@ -205,6 +219,11 @@ def test_lambda_diagnostics_keys(grid256, kdvks_phi):
         assert np.isfinite(d[key]) and d[key] >= 0
     assert d["Lambda"] == pytest.approx(
         sum(d[f"lambda{i}"] for i in range(1, 6)), rel=1e-12)
+
+
+def _kept(traj):
+    # the kept modes of a trajectory: half spectra for a real flow
+    return traj.coeffs[:, : traj.grid.n // 2 + 1] if traj.is_real else traj.coeffs
 
 
 def _reference_lambdas(traj, s):
@@ -246,7 +265,7 @@ def test_lambda_diagnostics_match_a_per_snapshot_reference(grid256, name, data, 
         u0 = from_values(grid256, to_values(u0) * np.exp(1j * grid256.x))
     traj = solver.linear_trajectory(u0, phi, 0.2, 16)
     assert traj.is_real == (data == "real" and phi.is_even)
-    got = lambda_diagnostics(traj, s=s)
+    got = lambda_diagnostics(grid256, phi, traj.times, _kept(traj), s=s)
     want = _reference_lambdas(traj, s)
     assert list(got) == list(want)
     for key in want:

@@ -152,6 +152,19 @@ def test_flow_multiplier_drops_only_the_nyquist_phase(name):
     assert bare[nyq].imag != 0.0
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("n", [16, 256, 2048])
+def test_flow_multiplier_on_the_kept_modes_is_the_full_tables_prefix(name, n):
+    # a real flow keeps modes 0..N/2; evaluating only those must not move a bit
+    phi = preset(name)
+    grid = SpectralGrid(n, 40.0)
+    for t in (1e-3, 0.7, np.arange(129) * (0.1 / 128), np.linspace(0.0, 1.0, 49)):
+        full = flow_multiplier(phi, t, grid)
+        half = flow_multiplier(phi, t, grid, real=True)
+        assert half.shape == full.shape[:-1] + (n // 2 + 1,)
+        assert np.array_equal(half, full[..., : n // 2 + 1])
+
+
 def test_kdvks_multiplier_magnitude_anchor():
     phi = preset("kdvks", eta=1.0)
     m = semigroup_multiplier(phi, 1.0, np.array([2.0]))
