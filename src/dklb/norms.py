@@ -113,21 +113,20 @@ def sup_hs_norm(grid: SpectralGrid, coeffs: np.ndarray, s: float = 0.0) -> float
 
     A row of N entries is an FFT-order spectrum; a row of N/2+1 entries is
     the half spectrum (modes 0..N/2) of a real field, whose modes 1..N/2-1
-    stand for their conjugates too and count twice.  A half row is summed
-    as the two halves of its FFT-order row: modes 0..N/2-1, then the
-    Nyquist mode and modes N/2-1..1 read backwards, the order in which the
-    full row lists them.  One array expression over all rows;
-    NumericalError if the result is not finite.
+    stand for their conjugates too and count twice: the weighted power of
+    the half row is mirrored into the places of the conjugates, so that
+    each row sums the power of its FFT-order spectrum in the same order and
+    to the same bit.  One array expression over all rows; NumericalError if
+    the result is not finite.
     """
-    keep = coeffs.shape[-1]
-    rows = np.abs(coeffs) * (1.0 + grid.xi[:keep] ** 2) ** (s / 2.0)
+    n, keep = grid.n, coeffs.shape[-1]
+    power = np.empty(coeffs.shape[:-1] + (n,))
+    rows = np.abs(coeffs, out=power[:, :keep])
+    rows *= (1.0 + grid.xi[:keep] ** 2) ** (s / 2.0)
     rows *= rows
-    if keep < grid.n:
-        power = np.sum(rows[:, :grid.n // 2], axis=1)
-        power += np.sum(rows[:, :0:-1], axis=1)
-    else:
-        power = np.sum(rows, axis=1)
-    norm = float(np.sqrt(grid.length * np.max(power)))
+    if keep < n:
+        power[:, keep:] = power[:, n // 2 - 1:0:-1]
+    norm = float(np.sqrt(grid.length * np.max(np.sum(power, axis=1))))
     if not math.isfinite(norm):
         raise NumericalError(f"H^s norm at s={s!r} is not finite ({norm!r})")
     return norm

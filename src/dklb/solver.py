@@ -13,13 +13,15 @@ call the other.
 
 Both routes run on the coefficients of the kept modes and evaluate the
 advection term through one in-place kernel, _advection, whose calls
-allocate nothing.  A real flow
-(real data and an even symbol) keeps modes 0..N/2, a half spectrum, and
-transforms with irfft/rfft; a complex flow keeps every mode and uses
-ifft/fft.  Full spectra, with the negative modes filled in as conjugates,
-are built only where a Trajectory or SpectralField is returned or measured.
-The inner loops are linear in time: ETDRK4 runs its stages in preallocated
-buffers, and Picard's Duhamel sweep runs its quadrature sums forward by the
+allocate nothing and which works along the last axis: ETDRK4 passes it one
+row per stage, Picard all of its nodes at once.  A real flow (real data and
+an even symbol) keeps modes 0..N/2, a half spectrum, and transforms with
+irfft/rfft; a complex flow keeps every mode and uses ifft/fft.  Flow tables
+are evaluated on the kept modes only, and the norms read half spectra as
+they stand.  Full spectra, with the negative modes filled in as conjugates,
+are built only where a Trajectory or SpectralField is returned.  The inner
+loops are linear in time: ETDRK4 runs its stages in preallocated buffers,
+and Picard's Duhamel sweep runs its quadrature sums forward by the
 semigroup law instead of summing over every pair of nodes.
 """
 
@@ -151,21 +153,22 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     Iterates start from the linear flow; convergence is sup-in-time H^s
     distance <= tol between successive iterates.
 
-    The sweep runs on the kept modes of _advection (0..N/2 for a real flow,
-    all of them for a complex one) and is linear in nt.  The kernel writes
-    each node's advection term into its row, and the quadrature sums run
-    forward by the semigroup law M_{a+b} = M_a M_b: with R_m the Simpson
-    sum at an even node m,
+    The iteration runs on the kept modes of _advection (0..N/2 for a real
+    flow, all of them for a complex one), and each sweep is linear in nt.
+    One batched call of the kernel writes the advection term of every node
+    into its row, and the quadrature sums run forward by the semigroup law
+    M_{a+b} = M_a M_b: with R_m the Simpson sum at an even node m,
 
         R_{m+2}  = M2 R_m + dt/3 (M2 N_m + 4 M1 N_{m+1} + N_{m+2}),
         S_{m+3}  = M3 R_m + 3dt/8 (M3 N_m + 3 M2 N_{m+1} + 3 M1 N_{m+2} + N_{m+3}),
 
     where M1, M2 and M3 are the flow multipliers at dt, 2dt and 3dt.  The
     linear part takes the flow multiplier at every node, but the sums
-    compound M1..M3, so their rounding grows like nt ulps.  Only the current
-    and the new iterate are held as full spectra, (nt+1, N) arrays; the new
-    one is measured for the distances and, as the coefficient array of a
-    Trajectory, for the diagnostics, and the last one is returned.
+    compound M1..M3, so their rounding grows like nt ulps.  The linear part,
+    the advection terms and two iterates are (nt+1, kept modes) arrays
+    allocated once; the new iterate is measured on them for the distance and
+    the diagnostics, the step overwriting the old iterate, and only the last
+    one is extended to full spectra, for the returned Trajectory.
 
     Returns the last iterate as a trajectory plus a ContractionReport with
     per-iterate distances and the layered diagnostics of each iterate
@@ -201,7 +204,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         for w, row in zip(weights, rows):
             acc += np.multiply(w, row, out=tmp)
 
-    def duhamel(iterate: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def duhamel(iterate: np.ndarray, out: np.ndarray) -> None:
         # the image of the iterate into out, both on the kept modes
         advect(iterate, nl)
         np.copyto(out, linear)
@@ -214,7 +217,6 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             np.multiply(M2, run, out=run)
             add(run, simpson, nl[m:m + 3])
             out[m + 2] += run
-        return out
 
     notes: list[str] = []
     if phi.p <= 2.5:
