@@ -21,9 +21,9 @@ loop, which splits each high word once per product of complex numbers and
 writes each level into the other of two buffers, allocated once per
 transform.  The semigroup multiplier is one table over a list of times,
 from one evaluation of S(i*xi), on the modes its field holds; it runs its
-Taylor exp and sincos only on the entries whose exponent does not
-underflow; the rest are exact zeros.  A conjugation check transforms f
-once per weight and the flowed spectrum once per time.
+Taylor exp and sincos once for all times, only on the entries whose
+exponent does not underflow; the rest are exact zeros.  A conjugation check
+transforms f once per weight and the flowed spectrum once per time.
 
 A double-double is a pair (hi, lo) of float64 arrays with value hi + lo and
 |lo| <= ulp(hi)/2.  The primitives are the classical error-free transforms
@@ -233,10 +233,11 @@ def dd_semigroup_multiplier(poly: np.ndarray, t, grid, real: bool = False):
     t[k], from one evaluation of S(i*xi).  Every mode of the grid is
     evaluated, in FFT order, unless real is set: then only modes 0..n/2,
     the half spectrum that dd_field_values reads as a real field, each entry
-    bitwise the one of the full table.  The Taylor exp and sincos run only
-    where the real exponent does not underflow (dd_exp's -745 rule); every
-    other entry is an exact zero, which is what the product there would
-    round to.
+    bitwise the one of the full table.  The Taylor exp and sincos run once,
+    on the entries of all times together, and only where the real exponent
+    does not underflow (dd_exp's -745 rule); every other entry is an exact
+    zero, which is what the product there would round to.  Every step is
+    elementwise, so each row is bitwise the one a single time would give.
     """
     times = np.asarray(t, dtype=float)
     modes = grid.modes[: grid.n // 2 + 1 if real else grid.n].astype(float)
@@ -247,17 +248,21 @@ def dd_semigroup_multiplier(poly: np.ndarray, t, grid, real: bool = False):
     for c in poly[-2::-1]:
         acc = cdd_mul(acc, z)
         acc = (dd_add(acc[0], (c.real, 0.0)), dd_add(acc[1], (c.imag, 0.0)))
-    # per time (re/im, hi/lo, mode); one time at a time keeps temporaries short
+    # the exponents of every (time, mode) entry, each time a row; one Taylor
+    # pass over the live entries of all of them, each entry elementwise
+    neg_t = -times.reshape(-1, 1)
+    ex_re = dd_mul_d(acc[0], neg_t)
+    ex_im = dd_mul_d(acc[1], neg_t)
+    # NaN is not below -745, so a NaN exponent still reaches dd_exp
+    live = ~(ex_re[0] < -745.0)
+    mag = dd_exp((ex_re[0][live], ex_re[1][live]))
+    s, c = dd_sincos((ex_im[0][live], ex_im[1][live]))
+    # (time, re/im, hi/lo, mode), written through its (re/im, hi/lo, time,
+    # mode) view
     out = np.zeros((times.size, 2, 2, modes.size))
-    for row, tk in zip(out, times.flat):
-        ex_re = dd_mul_d(acc[0], -tk)
-        ex_im = dd_mul_d(acc[1], -tk)
-        # NaN is not below -745, so a NaN exponent still reaches dd_exp
-        live = ~(ex_re[0] < -745.0)
-        mag = dd_exp((ex_re[0][live], ex_re[1][live]))
-        s, c = dd_sincos((ex_im[0][live], ex_im[1][live]))
-        row[0][:, live] = dd_mul(mag, c)
-        row[1][:, live] = dd_mul(mag, s)
+    parts = np.moveaxis(out, 0, 2)
+    parts[0][:, live] = dd_mul(mag, c)
+    parts[1][:, live] = dd_mul(mag, s)
     return out.reshape(*times.shape, 2, 2, modes.size)
 
 

@@ -40,10 +40,11 @@ from .conjugation import (
     regularity_gain_probe,
 )
 from .errors import ConfigError, NumericalError
-from .grid import l2_norm, write_snapshot
+from .grid import SpectralField, l2_norm, write_snapshot
 from .norms import hs_norm, verify_smoothing, weighted_norm
 from .plots import emit_plot
 from .solver import (
+    _full_spectrum,
     contraction_threshold,
     etdrk4_steps,
     existence_time,
@@ -179,7 +180,7 @@ def picard(cfg: ExperimentConfig, outdir: Path) -> Run:
     u0 = cfg.build_data(grid)
     tol = cfg.get("solver", "tol")
     with _fields("solver.nt"):  # Simpson's rule takes an even step count
-        traj, report = picard_solve(
+        nodes, report = picard_solve(
             u0, phase, cfg.get("solver", "t"), nt=cfg.get("solver", "nt"),
             tol=tol, max_iter=cfg.get("solver", "max_iter"),
             s=cfg.get("solver", "s"))
@@ -188,8 +189,10 @@ def picard(cfg: ExperimentConfig, outdir: Path) -> Run:
     ratios = ["", *report.distance_ratios]
     for i, (d, lam) in enumerate(zip(report.iterate_distances, report.lambda_values)):
         yield [i + 1, d, ratios[i]] + [lam[k] for k in lambda_keys]
-    if "snapshots" in cfg.get("output", "formats"):
-        write_snapshot(outdir / "picard-final.dklb", traj.final, traj.times[-1])
+    if "snapshots" in cfg.get("output", "formats"):  # the last node, whole
+        real = nodes.shape[-1] < grid.n
+        final = SpectralField(grid, _full_spectrum(nodes[-1], grid.n, real), real)
+        write_snapshot(outdir / "picard-final.dklb", final, cfg.get("solver", "t"))
     if not report.converged:
         return [], (
             f"not converged after {report.iterations} iterations "

@@ -37,6 +37,16 @@ from .grid import (
 
 INF = math.inf
 
+# Rows per block: Picard's advection sweep and the trajectory diagnostics
+# walk their (rows, modes) arrays this many rows at a time, so that their
+# transform buffers stay this size whatever the number of time nodes.
+ROW_BLOCK = 16
+
+
+def _row_blocks(rows: int) -> list[slice]:
+    """Consecutive blocks of at most ROW_BLOCK of rows 0..rows-1."""
+    return [slice(b, min(b + ROW_BLOCK, rows)) for b in range(0, rows, ROW_BLOCK)]
+
 
 def conjugate_exponent(a: float) -> float:
     """a1 with 1/a + 1/a1 = 1 (a=1 -> inf, a=inf -> 1)."""
@@ -116,17 +126,23 @@ def sup_hs_norm(grid: SpectralGrid, coeffs: np.ndarray, s: float = 0.0) -> float
     stand for their conjugates too and count twice: the weighted power of
     the half row is mirrored into the places of the conjugates, so that
     each row sums the power of its FFT-order spectrum in the same order and
-    to the same bit.  One array expression over all rows; NumericalError if
-    the result is not finite.
+    to the same bit.  The rows are walked in blocks of ROW_BLOCK, each
+    summed in one buffer of that many rows; NumericalError if the result is
+    not finite.
     """
     n, keep = grid.n, coeffs.shape[-1]
-    power = np.empty(coeffs.shape[:-1] + (n,))
-    rows = np.abs(coeffs, out=power[:, :keep])
-    rows *= (1.0 + grid.xi[:keep] ** 2) ** (s / 2.0)
-    rows *= rows
-    if keep < n:
-        power[:, keep:] = power[:, n // 2 - 1:0:-1]
-    norm = float(np.sqrt(grid.length * np.max(np.sum(power, axis=1))))
+    weight = (1.0 + grid.xi[:keep] ** 2) ** (s / 2.0)
+    power = np.empty((min(ROW_BLOCK, len(coeffs)), n))
+    sums = np.empty(len(coeffs))
+    for rows in _row_blocks(len(coeffs)):
+        block = power[: rows.stop - rows.start]
+        half = np.abs(coeffs[rows], out=block[:, :keep])
+        half *= weight
+        half *= half
+        if keep < n:
+            block[:, keep:] = block[:, n // 2 - 1:0:-1]
+        np.sum(block, axis=1, out=sums[rows])
+    norm = float(np.sqrt(grid.length * np.max(sums)))
     if not math.isfinite(norm):
         raise NumericalError(f"H^s norm at s={s!r} is not finite ({norm!r})")
     return norm
@@ -238,9 +254,12 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
 
     Row k of coeffs is the field at times[k]: the half spectrum (modes
     0..N/2) of a real field, as sup_hs_norm reads it, or the FFT-order
-    spectrum of a complex one.  All of it is read from coeffs, with one
-    batched transform per multiplier (see mixed_norm): |u| serves lambda2,
-    |du/dx| serves lambda5 and 6, and at s = 0 they serve lambda3 and 4 too.
+    spectrum of a complex one.  All of it is read from coeffs, in blocks of
+    ROW_BLOCK rows held in two block-sized buffers: per block, one batched
+    transform per multiplier gives the per-row x-norms, |u| for lambda2,
+    |du/dx| for lambda5 and 6, and at s = 0 they serve lambda3 and 4 too.
+    The L2 norm in time runs over the collected per-row norms, so every
+    value is bitwise that of mixed_norm's quadrature on the whole array.
     Weighted norms are not among them: simulate's weights.list writes those
     per snapshot.
     """
@@ -251,28 +270,51 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
         raise ValueError("trajectory horizon must be positive")
 
     tw = _trapezoid_weights(times)
-    real = coeffs.shape[-1] < grid.n
-
-    def mags_of(multiplier=None):
-        return _magnitudes(coeffs, grid.n, real, multiplier)
-
-    def l2_t(mags, inner):
-        return _mixed_norm_of(mags, tw, grid.dx, 2.0, inner, "t_outer_x_inner")
-
+    rows, kept = coeffs.shape
+    real = kept < grid.n
     lambda1 = sup_hs_norm(grid, coeffs, s)
     gain = np.abs(grid.xi) ** s if s else None
     ddx = 1j * grid.xi_odd
-    plain = l2_t(mags_of(), 4.0)
-    u_x = mags_of(ddx)
+    with_lambda3 = alpha(2.0, 4.0, s, phi.p) > 0
+    # the multiplier of each map whose per-row L4_x norms are needed
+    maps = {"u": None, "u_x": ddx[:kept]}
+    if gain is not None:
+        if with_lambda3:
+            maps["gained"] = gain[:kept]
+        maps["gained_x"] = (gain * ddx)[:kept]
+    l4 = {key: np.empty(rows) for key in maps}
+    sup_u_x = np.empty(rows)
+    spectra = np.empty((min(ROW_BLOCK, rows), kept), dtype=complex)
+    mags = np.empty((len(spectra), grid.n))
+    for block in _row_blocks(rows):
+        c = coeffs[block]
+        k = len(c)
+        for key, multiplier in maps.items():
+            if multiplier is not None:
+                v = np.multiply(c, multiplier, out=spectra[:k])
+            elif real:  # irfft leaves its input as it is
+                v = c
+            else:  # the complex transform runs in place: not in coeffs
+                v = spectra[:k]
+                v[...] = c
+            vals = _magnitudes(v, grid.n, real, out=mags[:k])
+            l4[key][block] = _pnorm(vals, grid.dx, 4.0, axis=1)
+            if key == "u_x":
+                sup_u_x[block] = _pnorm(vals, grid.dx, INF, axis=1)
+
+    def l2_t(per_row):
+        return float(_pnorm(per_row, tw, 2.0))
+
+    plain = l2_t(l4["u"])
     out: dict[str, float] = {"lambda1": lambda1, "lambda2": plain / A2(phi, T)}
-    if alpha(2.0, 4.0, s, phi.p) > 0:
-        gained = plain if gain is None else l2_t(mags_of(gain), 4.0)
+    if with_lambda3:
+        gained = plain if gain is None else l2_t(l4["gained"])
         out["lambda3"] = gained / A3(phi, s, T)
-    lambda5 = l2_t(u_x, 4.0)
-    out["lambda4"] = lambda5 if gain is None else l2_t(mags_of(gain * ddx), 4.0)
+    lambda5 = l2_t(l4["u_x"])
+    out["lambda4"] = lambda5 if gain is None else l2_t(l4["gained_x"])
     out["lambda5"] = lambda5
     if alpha(2.0, INF, 1.0, phi.p) > 0:
-        out["lambda6"] = l2_t(u_x, INF) / A6(phi, T)
+        out["lambda6"] = l2_t(sup_u_x) / A6(phi, T)
     if "lambda3" in out:
         out["Lambda"] = sum(out[k] for k in
                             ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5"))

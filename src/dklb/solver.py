@@ -14,12 +14,13 @@ call the other.
 Both routes run on the coefficients of the kept modes and evaluate the
 advection term through one in-place kernel, _advection, whose calls
 allocate nothing and which works along the last axis: ETDRK4 passes it one
-row per stage, Picard all of its nodes at once.  A real flow (real data and
-an even symbol) keeps modes 0..N/2, a half spectrum, and transforms with
-irfft/rfft; a complex flow keeps every mode and uses ifft/fft.  Flow tables
-are evaluated on the kept modes only, and the norms read half spectra as
-they stand.  Full spectra, with the negative modes filled in as conjugates,
-are built only where a Trajectory or SpectralField is returned.  The inner
+row per stage, Picard its nodes in blocks of norms.ROW_BLOCK rows.  A real
+flow (real data and an even symbol) keeps modes 0..N/2, a half spectrum,
+and transforms with irfft/rfft; a complex flow keeps every mode and uses
+ifft/fft.  Flow tables are evaluated on the kept modes only, and the norms
+read half spectra as they stand.  Picard returns its nodes on the kept
+modes; full spectra, with the negative modes filled in as conjugates, are
+built only where a Trajectory or SpectralField is returned.  The inner
 loops are linear in time: ETDRK4 runs its stages in preallocated buffers,
 and Picard's Duhamel sweep runs its quadrature sums forward by the
 semigroup law instead of summing over every pair of nodes.
@@ -61,7 +62,9 @@ def _advection(grid: SpectralGrid, real: bool, rows: tuple[int, ...] = ()):
 
     The kernel advect(v, out) writes -1/2 d/dx P(u^2) for the kept
     coefficients v, of shape rows + (kept modes,), into out and returns out;
-    all rows go through one batched transform pair along the last axis.  P
+    all rows go through one batched transform pair along the last axis.
+    With rows = (k,), v may also hold fewer than k rows: a block of rows
+    that ends an array, as Picard's sweep passes them.  P
     is the dealias truncation, applied to u before squaring and to the
     square after.  A real field keeps modes 0..N/2 and transforms with
     irfft/rfft: its band is a prefix of the kept modes, which irfft reads
@@ -81,9 +84,10 @@ def _advection(grid: SpectralGrid, real: bool, rows: tuple[int, ...] = ()):
         nodes = np.empty(rows + (n,))
 
         def advect(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-            np.fft.irfft(v[..., :band], n, norm="forward", out=nodes)
-            np.multiply(nodes, nodes, out=nodes)
-            np.fft.rfft(nodes, out=out)
+            u = nodes[:len(v)] if rows else nodes
+            np.fft.irfft(v[..., :band], n, norm="forward", out=u)
+            np.multiply(u, u, out=u)
+            np.fft.rfft(u, out=out)
             return np.multiply(gain, out, out=out)
     else:
         def advect(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -144,7 +148,7 @@ class ContractionReport:
 
 def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
                  nt: int = 64, tol: float = 1e-8, max_iter: int = 25,
-                 s: float = 0.0) -> tuple[Trajectory, ContractionReport]:
+                 s: float = 0.0) -> tuple[np.ndarray, ContractionReport]:
     """Solve the integral form by successive substitution on a stored grid.
 
     The Duhamel map is w -> V(t)u0 + int_0^t V(t-t') N(w(t')) dt' with
@@ -155,8 +159,9 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 
     The iteration runs on the kept modes of _advection (0..N/2 for a real
     flow, all of them for a complex one), and each sweep is linear in nt.
-    One batched call of the kernel writes the advection term of every node
-    into its row, and the quadrature sums run forward by the semigroup law
+    The kernel writes the advection term of every node into its row, one
+    batched call per block of norms.ROW_BLOCK nodes, so its node buffer
+    holds one block, and the quadrature sums run forward by the semigroup law
     M_{a+b} = M_a M_b: with R_m the Simpson sum at an even node m,
 
         R_{m+2}  = M2 R_m + dt/3 (M2 N_m + 4 M1 N_{m+1} + N_{m+2}),
@@ -166,12 +171,16 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     linear part takes the flow multiplier at every node, but the sums
     compound M1..M3, so their rounding grows like nt ulps.  The linear part,
     the advection terms and two iterates are (nt+1, kept modes) arrays
-    allocated once; the new iterate is measured on them for the distance and
-    the diagnostics, the step overwriting the old iterate, and only the last
-    one is extended to full spectra, for the returned Trajectory.
+    allocated once, and they are the state: the new iterate is measured on
+    them for the distance and the diagnostics, which walk the rows in the
+    same blocks, the step overwriting the old iterate.
 
-    Returns the last iterate as a trajectory plus a ContractionReport with
-    per-iterate distances and the layered diagnostics of each iterate
+    Returns (nodes, report).  nodes is the last iterate on the kept modes,
+    one row per node times[k] = k*T/nt: an (nt+1, N/2+1) array of half
+    spectra for a real flow (real data and phi.is_even), (nt+1, N) FFT-order
+    spectra for a complex one; _full_spectrum extends the rows a caller
+    needs whole.  report is a ContractionReport with per-iterate distances
+    and the layered diagnostics of each iterate
     (norms.lambda_diagnostics at s: lambda1..lambda6 and Lambda, those
     defined).  Non-convergence is reported, not raised; NaN/overflow aborts
     with NumericalError.
@@ -186,7 +195,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     dt = T / nt
     times = np.linspace(0.0, T, nt + 1)
     is_real = u0.is_real and phi.is_even
-    keep, advect = _advection(grid, is_real, (nt + 1,))
+    keep, advect = _advection(grid, is_real, (norms.ROW_BLOCK,))
 
     linear = u0.coeffs[keep] * symbols.flow_multiplier(
         phi, np.arange(nt + 1) * dt, grid, is_real)
@@ -206,7 +215,8 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 
     def duhamel(iterate: np.ndarray, out: np.ndarray) -> None:
         # the image of the iterate into out, both on the kept modes
-        advect(iterate, nl)
+        for rows in norms._row_blocks(nt + 1):
+            advect(iterate[rows], nl[rows])
         np.copyto(out, linear)
         add(out[1], trapezoid, nl[:2])
         run.fill(0.0)
@@ -249,14 +259,16 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     if not converged:
         notes.append(
             f"no fixed point after {iterations} iterations: last distance "
-            f"{distances[-1]:.3e} above tol {tol:g}; partial trajectory returned"
+            f"{distances[-1]:.3e} above tol {tol:g}; the last iterate is returned"
         )
-    report = ContractionReport(converged, iterations, distances, lambdas, notes)
-    return Trajectory(grid, phi, times, _full_spectrum(current, grid.n, is_real),
-                      is_real), report
+    return current, ContractionReport(converged, iterations, distances, lambdas, notes)
 
 
 # --- ETDRK4 on the differential form ----------------------------------------
+
+
+# modes per block of the contour means in _etdrk4_coeffs
+COEFF_BLOCK = 1024
 
 
 def _etdrk4_coeffs(z: np.ndarray, dt: float):
@@ -264,17 +276,23 @@ def _etdrk4_coeffs(z: np.ndarray, dt: float):
 
     Entire functions of z evaluated by averaging over 32 points of a unit
     circle around each node (full circle: the symbol is complex, so
-    conjugate symmetry may not be assumed).
+    conjugate symmetry may not be assumed).  Each node's mean is its own, so
+    they are taken over blocks of COEFF_BLOCK nodes and concatenated: the
+    (nodes, 32) temporaries stay one block in size.
     """
     z = np.asarray(z, dtype=complex)
     theta = 2.0 * np.pi * (np.arange(32) + 0.5) / 32
-    r = z[:, None] + np.exp(1j * theta)[None, :]
-    er = np.exp(r)
-    Q = dt * np.mean((np.exp(r / 2.0) - 1.0) / r, axis=1)
-    f1 = dt * np.mean((-4.0 - r + er * (4.0 - 3.0 * r + r**2)) / r**3, axis=1)
-    f2 = dt * np.mean((2.0 + r + er * (-2.0 + r)) / r**3, axis=1)
-    f3 = dt * np.mean((-4.0 - 3.0 * r - r**2 + er * (4.0 - r)) / r**3, axis=1)
-    return Q, f1, f2, f3
+    circle = np.exp(1j * theta)[None, :]
+    blocks = []
+    for b in range(0, len(z), COEFF_BLOCK):
+        r = z[b:b + COEFF_BLOCK, None] + circle
+        er = np.exp(r)
+        blocks.append((
+            dt * np.mean((np.exp(r / 2.0) - 1.0) / r, axis=1),
+            dt * np.mean((-4.0 - r + er * (4.0 - 3.0 * r + r**2)) / r**3, axis=1),
+            dt * np.mean((2.0 + r + er * (-2.0 + r)) / r**3, axis=1),
+            dt * np.mean((-4.0 - 3.0 * r - r**2 + er * (4.0 - r)) / r**3, axis=1)))
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def etdrk4_steps(u0: SpectralField, phi: symbols.PhaseFunction, T: float,

@@ -35,7 +35,7 @@ from dklb.norms import (
     verify_smoothing,
     weighted_norm,
 )
-from dklb.norms import _mixed_norm_of, _pnorm, _trapezoid_weights
+from dklb.norms import ROW_BLOCK, _mixed_norm_of, _pnorm, _trapezoid_weights
 
 from conftest import derivative
 
@@ -265,6 +265,80 @@ def test_lambda_diagnostics_match_a_per_snapshot_reference(grid256, name, data, 
     assert list(got) == list(want)
     for key in want:
         assert got[key] == pytest.approx(want[key], rel=1e-14, abs=0.0), key
+
+
+def _whole_sup_hs_norm(grid, coeffs, s):
+    # sup_hs_norm as one array expression over all rows: the oracle for its
+    # row blocks
+    n, keep = grid.n, coeffs.shape[-1]
+    power = np.empty(coeffs.shape[:-1] + (n,))
+    rows = np.abs(coeffs, out=power[:, :keep])
+    rows *= (1.0 + grid.xi[:keep] ** 2) ** (s / 2.0)
+    rows *= rows
+    if keep < n:
+        power[:, keep:] = power[:, n // 2 - 1:0:-1]
+    return float(np.sqrt(grid.length * np.max(np.sum(power, axis=1))))
+
+
+def _whole_lambda_diagnostics(grid, phi, times, coeffs, s):
+    # lambda_diagnostics with one transform of all rows per multiplier and
+    # the mixed-norm quadrature on the whole (rows, nodes) array: the oracle
+    # for its row blocks
+    T = float(times[-1])
+    tw = _trapezoid_weights(times)
+    real = coeffs.shape[-1] < grid.n
+
+    def mags_of(multiplier=None):
+        c = coeffs if multiplier is None else coeffs * multiplier[:coeffs.shape[-1]]
+        return np.abs(np.fft.irfft(c, grid.n, norm="forward") if real
+                      else np.fft.ifft(c, norm="forward"))
+
+    def l2_t(mags, inner):
+        return _mixed_norm_of(mags, tw, grid.dx, 2.0, inner, "t_outer_x_inner")
+
+    gain = np.abs(grid.xi) ** s if s else None
+    ddx = 1j * grid.xi_odd
+    plain = l2_t(mags_of(), 4.0)
+    u_x = mags_of(ddx)
+    out = {"lambda1": _whole_sup_hs_norm(grid, coeffs, s),
+           "lambda2": plain / A2(phi, T)}
+    if alpha(2.0, 4.0, s, phi.p) > 0:
+        gained = plain if gain is None else l2_t(mags_of(gain), 4.0)
+        out["lambda3"] = gained / A3(phi, s, T)
+    lambda5 = l2_t(u_x, 4.0)
+    out["lambda4"] = lambda5 if gain is None else l2_t(mags_of(gain * ddx), 4.0)
+    out["lambda5"] = lambda5
+    if alpha(2.0, math.inf, 1.0, phi.p) > 0:
+        out["lambda6"] = l2_t(u_x, math.inf) / A6(phi, T)
+    if "lambda3" in out:
+        out["Lambda"] = sum(out[f"lambda{i}"] for i in range(1, 6))
+    return out
+
+
+@pytest.mark.parametrize("rows", [3, 16, 17, 35, 129])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("s", [0.0, 1.0])
+def test_row_blocked_norms_are_bitwise_the_whole_array_formulas(grid256, rng, rows,
+                                                                 real, s):
+    # sup_hs_norm and lambda_diagnostics walk the rows in blocks of
+    # ROW_BLOCK = 16: one partial block, one full one, a full one and one
+    # row, and ends of 3 and 1 rows; half spectra of real fields and full
+    # spectra of complex ones.  kdvb has no lambda6, nor lambda3 at s = 1
+    assert ROW_BLOCK == 16
+    n = grid256.n
+    x = rng.standard_normal((rows, n))
+    coeffs = (np.fft.rfft(x) if real
+              else np.fft.fft(x + 1j * rng.standard_normal((rows, n)))) / n
+    times = np.linspace(0.0, 0.2, rows)
+    assert sup_hs_norm(grid256, coeffs, s) == _whole_sup_hs_norm(grid256, coeffs, s)
+    for name in ("kdvks", "kdvb"):
+        phi = symbols.preset(name)
+        got = lambda_diagnostics(grid256, phi, times, coeffs, s)
+        want = _whole_lambda_diagnostics(grid256, phi, times, coeffs, s)
+        assert list(got) == list(want) and got == want, (name, got, want)
+    with (np.errstate(over="ignore", invalid="ignore"),
+          pytest.raises(NumericalError, match="not finite")):
+        sup_hs_norm(grid256, coeffs, 1e308)
 
 
 def test_smoothing_ratio_scale_invariance(grid256, kdvks_phi):

@@ -162,11 +162,13 @@ def test_nonlinearity_matches_the_dealiased_product(rng, fraction):
 
 def test_picard_memory_stays_small(kdvks_phi):
     # the two-routes benchmark problem.  A real flow's iterate stays on modes
-    # 0..N/2: four (nt+1, N/2+1) complex arrays (linear part, advection
-    # term, two iterates) of 2.0 MiB each, the kernel's (nt+1, N) node
-    # values, 2.0 MiB, and the returned full spectra, 4.0 MiB, peak at
-    # 14.6 MiB with the diagnostics' transients; full spectra in the loop
-    # peaked at 20.6 MiB, and one-row sweeps over full spectra at 26.5 MiB
+    # 0..N/2, and four (nt+1, N/2+1) complex arrays of 2.0 MiB each (linear
+    # part, advection term, two iterates) are the state; the kernel's node
+    # values and the diagnostics' buffers hold blocks of 16 rows, and the
+    # nodes are returned as they are: 9.35 MiB at the peak.  A (nt+1, N)
+    # node buffer, whole-array diagnostics and full spectra returned peaked
+    # at 14.6 MiB, full spectra in the loop at 20.6 MiB, and one-row sweeps
+    # over full spectra at 26.5 MiB
     grid = SpectralGrid(2048, 40.0)
     u0 = normalize_l2(random_mixture(grid, np.random.default_rng(1)), 0.1)
     tracemalloc.start()
@@ -176,7 +178,15 @@ def test_picard_memory_stays_small(kdvks_phi):
     finally:
         tracemalloc.stop()
     assert rep.iterations == 3
-    assert peak < 16 * 2**20, peak / 2**20
+    assert peak < 10 * 2**20, peak / 2**20
+
+
+def _picard_fields(nodes, grid):
+    # Picard's kept-mode nodes as fields: half spectra are a real flow's,
+    # extended to full spectra
+    real = nodes.shape[-1] < grid.n
+    return [SpectralField(grid, row, real)
+            for row in _full_spectrum(nodes, grid.n, real)]
 
 
 def _row_advection(grid, real):
@@ -197,15 +207,16 @@ def _row_advection(grid, real):
 
 @pytest.mark.parametrize("name", ["kdvks", "optimality:3"])
 def test_batched_sweep_is_bitwise_the_per_row_kernel(grid256, monkeypatch, name):
-    # Picard's sweep transforms all nt+1 nodes at once; with the one-row
-    # kernel called node by node every iterate, distance and diagnostic
-    # must be the same to the bit, on the real route (kdvks) and the
-    # complex one (optimality:3)
+    # Picard's sweep transforms its nodes in blocks of ROW_BLOCK rows; with
+    # the one-row kernel called node by node every iterate, distance and
+    # diagnostic must be the same to the bit, on the real route (kdvks) and
+    # the complex one (optimality:3), with 17 and 35 nodes, whose last
+    # blocks hold 1 and 3 rows
     import dklb.solver
 
     phi = symbols.preset(name)
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.5)
-    batched, report = picard_solve(u0, phi, 0.1, nt=16, max_iter=3)
+    runs = {nt: picard_solve(u0, phi, 0.1, nt=nt, max_iter=3) for nt in (16, 34)}
     advection = dklb.solver._advection
 
     def per_row(grid, real, rows=()):
@@ -220,11 +231,13 @@ def test_batched_sweep_is_bitwise_the_per_row_kernel(grid256, monkeypatch, name)
         return keep, each
 
     monkeypatch.setattr(dklb.solver, "_advection", per_row)
-    oracle, oracle_report = picard_solve(u0, phi, 0.1, nt=16, max_iter=3)
-    assert batched.is_real == (name == "kdvks")
-    assert np.array_equal(batched.coeffs, oracle.coeffs)
-    assert report.iterate_distances == oracle_report.iterate_distances
-    assert report.lambda_values == oracle_report.lambda_values
+    for nt, (blocked, report) in runs.items():
+        oracle, oracle_report = picard_solve(u0, phi, 0.1, nt=nt, max_iter=3)
+        kept = grid256.n // 2 + 1 if name == "kdvks" else grid256.n
+        assert blocked.shape == (nt + 1, kept)
+        assert np.array_equal(blocked, oracle)
+        assert report.iterate_distances == oracle_report.iterate_distances
+        assert report.lambda_values == oracle_report.lambda_values
 
 
 def _simpson_weights(i: int, dt: float) -> np.ndarray:
@@ -269,17 +282,18 @@ def test_picard_sweep_matches_the_loop_reference(grid256, name):
     floor = 1e-14 * np.max(np.abs(u0.coeffs))
     for nt in (2, 4, 6, 16):
         dt = T / nt
-        traj, _ = picard_solve(u0, phi, T, nt=nt, max_iter=1)
+        nodes, _ = picard_solve(u0, phi, T, nt=nt, max_iter=1)
+        snapshots = _picard_fields(nodes, grid256)
         mults = [symbols.flow_multiplier(phi, k * dt, grid256) for k in range(nt + 1)]
         linear = [u0.coeffs * m for m in mults]
         nl = [-0.5 * derivative(dealiased_product(f, f)).coeffs
-              for f in (SpectralField(grid256, c, traj.final.is_real) for c in linear)]
+              for f in (SpectralField(grid256, c, snapshots[0].is_real) for c in linear)]
         for i in range(nt + 1):
             w = _simpson_weights(i, dt)
             ref = np.zeros(grid256.n, dtype=complex)
             for j in range(i + 1):
                 ref += w[j] * mults[i - j] * nl[j]
-            got = traj.snapshots[i].coeffs - linear[i]
+            got = snapshots[i].coeffs - linear[i]
             assert (np.max(np.abs(got - ref))
                     <= floor + 1e-12 * np.max(np.abs(ref))), (name, nt, i)
 
@@ -381,6 +395,56 @@ def test_etdrk4_coeffs_match_their_taylor_series_near_zero():
         assert np.max(np.abs(got - want) / np.abs(want)) <= 4e-15
 
 
+def _whole_etdrk4_coeffs(z, dt):
+    # the contour means on one (nodes, 32) array: the oracle for their blocks
+    z = np.asarray(z, dtype=complex)
+    theta = 2.0 * np.pi * (np.arange(32) + 0.5) / 32
+    r = z[:, None] + np.exp(1j * theta)[None, :]
+    er = np.exp(r)
+    Q = dt * np.mean((np.exp(r / 2.0) - 1.0) / r, axis=1)
+    f1 = dt * np.mean((-4.0 - r + er * (4.0 - 3.0 * r + r**2)) / r**3, axis=1)
+    f2 = dt * np.mean((2.0 + r + er * (-2.0 + r)) / r**3, axis=1)
+    f3 = dt * np.mean((-4.0 - 3.0 * r - r**2 + er * (4.0 - r)) / r**3, axis=1)
+    return Q, f1, f2, f3
+
+
+def _etdrk4_nodes(phi, n, dt):
+    # z = dt*c on the kept modes of a flow of real data, as etdrk4_steps
+    # forms it: modes 0..N/2 for an even symbol, every mode otherwise
+    grid = SpectralGrid(n, 40.0)
+    keep = slice(0, n // 2 + 1 if phi.is_even else n)
+    c = 1j * grid.xi_odd[keep]**3 + phi.eta * symbols.phase_eval(phi, grid.xi[keep])
+    return c.real * dt + 1j * c.imag * dt
+
+
+@pytest.mark.parametrize("n", [64, 2048, 4096])
+def test_blocked_etdrk4_coeffs_are_bitwise_the_whole_array(kdvks_phi, n):
+    # kdvks keeps 33, 1025 and 2049 modes: one partial block of 1024, then
+    # a full block and one mode, then two full blocks and one mode; the
+    # complex flow of optimality:2 keeps all 64, 2048 and 4096
+    for z in (_etdrk4_nodes(kdvks_phi, n, 1e-3),
+              _etdrk4_nodes(symbols.preset("optimality:2"), n, 1e-3)):
+        got = _etdrk4_coeffs(z, 1e-3)
+        want = _whole_etdrk4_coeffs(z, 1e-3)
+        assert len(got) == 4
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_etdrk4_coeffs_memory_stays_one_block(kdvks_phi):
+    # at n = 16384 the 8193 kept modes took several (8193, 32) complex
+    # temporaries at once, 20.1 MiB traced; blocks of 1024 modes peak at
+    # 2.96 MiB
+    z = _etdrk4_nodes(kdvks_phi, 16384, 1e-4)
+    tracemalloc.start()
+    try:
+        _etdrk4_coeffs(z, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak / 2**20
+
+
 def test_picard_rejects_no_iterations(grid256, kdvks_phi):
     u0 = gaussian(grid256)
     for max_iter in (0, -1):
@@ -395,14 +459,14 @@ def test_nonlinearity_has_zero_mean(grid256, rng):
 
 def test_picard_zero_data_converges_immediately(grid256, kdvks_phi):
     z = SpectralField(grid256, np.zeros(grid256.n, dtype=complex), True)
-    traj, rep = picard_solve(z, kdvks_phi, T=0.1, nt=8)
+    nodes, rep = picard_solve(z, kdvks_phi, T=0.1, nt=8)
     assert rep.converged and rep.iterations == 1
-    assert all(np.max(np.abs(f.coeffs)) == 0.0 for f in traj.snapshots)
+    assert nodes.shape == (9, grid256.n // 2 + 1) and np.max(np.abs(nodes)) == 0.0
 
 
 def test_picard_contraction_on_small_data(grid256, kdvks_phi):
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
-    traj, rep = picard_solve(u0, kdvks_phi, T=0.1, nt=64, tol=1e-8)
+    _, rep = picard_solve(u0, kdvks_phi, T=0.1, nt=64, tol=1e-8)
     assert rep.converged
     assert rep.iterations <= 20
     ratios = rep.distance_ratios
@@ -415,11 +479,11 @@ def test_picard_contraction_on_small_data(grid256, kdvks_phi):
 
 def test_picard_matches_etdrk4(grid256, kdvks_phi):
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
-    traj_p, rep = picard_solve(u0, kdvks_phi, T=0.1, nt=40, tol=1e-10)
+    nodes, rep = picard_solve(u0, kdvks_phi, T=0.1, nt=40, tol=1e-10)
     assert rep.converged
     traj_e = etdrk4_solve(u0, kdvks_phi, T=0.1, dt=0.1 / 40)
-    sup = max(
-        l2_norm(a - b) for a, b in zip(traj_p.snapshots, traj_e.snapshots))
+    sup = max(l2_norm(a - b) for a, b in zip(_picard_fields(nodes, grid256),
+                                             traj_e.snapshots, strict=True))
     assert sup <= 1e-6
 
 
@@ -429,24 +493,26 @@ def test_picard_matches_etdrk4_on_more_symbols(grid256, name):
     # path (optimality:2) of the advection kernel
     phi = symbols.preset(name)
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
-    traj, report = picard_solve(u0, phi, 0.1, nt=64, tol=1e-8)
+    nodes, report = picard_solve(u0, phi, 0.1, nt=64, tol=1e-8)
     assert report.converged
     ref = etdrk4_solve(u0, phi, 0.1, 1e-3, snapshot_stride=25)
-    assert traj.final.is_real == ref.final.is_real == phi.is_even
+    snapshots = _picard_fields(nodes, grid256)
+    assert snapshots[-1].is_real == ref.final.is_real == phi.is_even
+    times = np.linspace(0.0, 0.1, 65)
     sup = 0.0
     for k, t in enumerate(ref.times):
         i = int(round(t / (0.1 / 64)))
-        assert abs(traj.times[i] - t) < 1e-12
-        sup = max(sup, l2_norm(traj.snapshots[i] - ref.snapshots[k]))
+        assert abs(times[i] - t) < 1e-12
+        sup = max(sup, l2_norm(snapshots[i] - ref.snapshots[k]))
     assert sup <= 1e-10
 
 
 def test_picard_reports_nonconvergence(grid256, kdvks_phi):
     u0 = normalize_l2(gaussian(grid256, width=1.0), 40.0)
-    traj, rep = picard_solve(u0, kdvks_phi, T=0.5, nt=16, max_iter=3)
+    nodes, rep = picard_solve(u0, kdvks_phi, T=0.5, nt=16, max_iter=3)
     assert not rep.converged
     assert rep.iterations == 3
-    assert traj.snapshots  # partial trajectory still returned
+    assert nodes.shape == (17, grid256.n // 2 + 1)  # the last iterate still returned
     assert rep.notes
 
 
@@ -567,8 +633,8 @@ def test_flow_keeps_real_iff_symbol_is_even():
                 assert apply_semigroup(phi, 0.5, u0).is_real == expect
                 traj = etdrk4_solve(u0, phi, T=0.01, dt=0.005)
                 assert [f.is_real for f in traj.snapshots[1:]] == [expect] * 2
-                traj, _ = picard_solve(u0, phi, T=0.01, nt=2)
-                assert [f.is_real for f in traj.snapshots] == [expect] * 3
+                nodes, _ = picard_solve(u0, phi, T=0.01, nt=2)
+                assert nodes.shape == (3, n // 2 + 1 if expect else n)
 
 
 def test_real_data_stays_real_under_flow(grid256, kdvks_phi):
