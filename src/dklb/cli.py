@@ -46,7 +46,7 @@ from .plots import emit_plot
 from .solver import (
     _full_spectrum,
     contraction_threshold,
-    etdrk4_steps,
+    etdrk4_solve,
     existence_time,
     picard_solve,
 )
@@ -157,7 +157,7 @@ def simulate(cfg: ExperimentConfig, outdir: Path) -> Run:
     with _fields("weights.list", "grid.l"):  # an exp weight must stay representable
         wvals = [w.values(grid) for w in weights]
     with _fields("solver.t", step_key):
-        stream = etdrk4_steps(u0, phase, T, dt, nonlinear=(method != "linear"),
+        stream = etdrk4_solve(u0, phase, T, dt, nonlinear=(method != "linear"),
                               snapshot_stride=cfg.get("solver", "snapshot_stride"))
     yield ["step", "t", "l2", "hs"] + [w.label for w in weights]
     count = 0

@@ -258,45 +258,6 @@ def parse_weight(text: str) -> WeightSpec:
     return WeightSpec(kind.strip(), float(param))
 
 
-# --- trajectories ---------------------------------------------------------
-
-@dataclass
-class Trajectory:
-    """A field at increasing times: row k of the (times, N) array coeffs holds
-    the FFT-order coefficients at times[k], and is_real (u0.is_real and
-    phi.is_even for a flow) states that every row is a real field's.
-    snapshots and final are read-only SpectralField views of the rows."""
-
-    grid: SpectralGrid
-    phase: object
-    times: np.ndarray
-    coeffs: np.ndarray
-    is_real: bool
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (len(self.times), self.grid.n):
-            raise ValueError(f"coefficients of shape {self.coeffs.shape} do not "
-                             f"match {len(self.times)} times of {self.grid.n} modes")
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @property
-    def snapshots(self) -> list[SpectralField]:
-        return [self._row(k) for k in range(len(self))]
-
-    @property
-    def final(self) -> SpectralField:
-        return self._row(-1)
-
-    def _row(self, k: int) -> SpectralField:
-        row = self.coeffs[k]  # a view, read-only: the array stays the record
-        row.flags.writeable = False
-        return SpectralField(self.grid, row, self.is_real)
-
-
 # --- binary snapshots -----------------------------------------------------
 
 SNAPSHOT_MAGIC = b"DKLB"

@@ -10,9 +10,10 @@ and every time-local bound in the package has the shape
     A(a, b, s)(T) = exp(eta*T) * T**(1/a) + (a*alpha)**(-1/a) * T**alpha,
 
 finite exactly when alpha > 0.  Mixed space-time Lebesgue norms are computed
-on discrete trajectories (trapezoid in time, grid quadrature in space, in the
-stated nesting order), and verify_* routines measure bound ratios over
-seeded random ensembles.
+by one quadrature, mixed_norm, on the magnitudes of a flow at a grid of
+times (trapezoid in time, grid quadrature in space, in the stated nesting
+order), and verify_* routines measure bound ratios over seeded random
+ensembles.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .fields import sample_ensemble
 from .grid import (
     SpectralField,
     SpectralGrid,
-    Trajectory,
     WeightSpec,
     fractional_D,
     l2_norm,
@@ -194,48 +194,32 @@ def _pnorm(vals: np.ndarray, weights, p: float, axis=None):
     return np.sum(power, axis=axis) ** (1.0 / p)
 
 
-def mixed_norm(traj: Trajectory, outer: float, inner: float,
-               order: str = "t_outer_x_inner", multiplier=None) -> float:
-    """Mixed space-time norm of a trajectory.
-
-    order='t_outer_x_inner' computes (int_0^T (int |u|^inner dx)^(outer/inner)
-    dt)^(1/outer); 'x_outer_t_inner' nests the other way around.  inf
-    exponents take grid maxima.  multiplier, an FFT-order spectral multiplier
-    (a derivative, |xi|^s), maps every snapshot first; it must keep real
-    fields real, since a real trajectory is transformed from its half spectra
-    by one batched irfft (a complex one by one batched ifft).
-    """
-    if order not in ("t_outer_x_inner", "x_outer_t_inner"):
-        raise ValueError(f"unknown nesting order {order!r}")
-    if not len(traj):
-        raise ValueError("cannot take a mixed norm of an empty trajectory")
-    mags = _magnitudes(traj.coeffs, traj.grid.n, traj.is_real, multiplier)
-    return _mixed_norm_of(mags, _trapezoid_weights(traj.times), traj.grid.dx, outer,
-                          inner, order)
-
-
-def _magnitudes(c: np.ndarray, n: int, real: bool, multiplier=None,
-                out=None) -> np.ndarray:
-    """|values| at the n nodes of the FFT-order spectra along c's last axis,
-    after the multiplier: irfft of the half spectra (modes 0..n/2, all that
-    is read) for a real field, ifft for a complex one, both unnormalised.
-    With out, they land there and a complex c is transformed in place."""
-    c = c[..., :n // 2 + 1] if real else c
-    if multiplier is not None:
-        c = c * np.asarray(multiplier)[:c.shape[-1]]
+def _magnitudes(c: np.ndarray, n: int, real: bool, out: np.ndarray) -> np.ndarray:
+    """|values| at the n nodes of the spectra along c's last axis, into out:
+    irfft of the half spectra (modes 0..n/2) of a real field, or ifft, in
+    place in c, of the FFT-order spectra of a complex one; both unnormalised."""
     if real:
         vals = np.fft.irfft(c, n, axis=-1, norm="forward", out=out)
         return np.abs(vals, out=vals)
-    vals = np.fft.ifft(c, n, axis=-1, norm="forward", out=None if out is None else c)
-    return np.abs(vals, out=out)
+    return np.abs(np.fft.ifft(c, n, axis=-1, norm="forward", out=c), out=out)
 
 
-def _mixed_norm_of(V: np.ndarray, tw: np.ndarray, dx: float, outer: float,
-                   inner: float, order: str) -> float:
-    """mixed_norm's quadrature of (times, nodes) magnitudes; tw: trapezoid weights."""
+def mixed_norm(V: np.ndarray, tw: np.ndarray, dx: float, outer: float,
+               inner: float, order: str = "t_outer_x_inner") -> float:
+    """Mixed space-time norm of (times, nodes) magnitudes V.
+
+    tw holds the trapezoid weights of the times (_trapezoid_weights) and dx
+    the grid's quadrature weight.  order='t_outer_x_inner' computes
+    (int_0^T (int |u|^inner dx)^(outer/inner) dt)^(1/outer);
+    'x_outer_t_inner' nests the other way around.  inf exponents take the
+    maxima.  verify_smoothing takes V by _magnitudes from a flow table, with
+    any derivative or |xi|^s multiplier applied to the table first.
+    """
     if order == "t_outer_x_inner":
         return float(_pnorm(_pnorm(V, dx, inner, axis=1), tw, outer))
-    return float(_pnorm(_pnorm(V, tw[:, None], inner, axis=0), dx, outer))
+    if order == "x_outer_t_inner":
+        return float(_pnorm(_pnorm(V, tw[:, None], inner, axis=0), dx, outer))
+    raise ValueError(f"unknown nesting order {order!r}")
 
 
 def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
@@ -408,8 +392,8 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
         np.multiply(u0.coeffs[:keep], flow, out=vals)
         if gain is not None:
             vals *= gain
-        lhs = _mixed_norm_of(_magnitudes(vals, grid.n, real, out=mags), tw,
-                             grid.dx, outer, inner, order)
+        lhs = mixed_norm(_magnitudes(vals, grid.n, real, out=mags), tw, grid.dx,
+                         outer, inner, order)
         r = const * rhs_norm(u0)
         ratios[i] = lhs / r if r else 0.0
 

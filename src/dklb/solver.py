@@ -1,15 +1,16 @@
-"""Time evolution: linear flow, Picard iteration, ETDRK4, existence horizon.
+"""Time evolution: Picard iteration, ETDRK4, existence horizon.
 
 The equation integrated here is
 
     u_t + u_xxx + eta*L*u + u*u_x = 0,      (L u)^(xi) = -Phi(xi) u^(xi),
 
-whose linear part is the diagonal multiplier exp(i*t*xi^3 + eta*t*Phi(xi)).
-Two independent routes to the same solution are kept deliberately separate:
-the Picard iteration solves the integral (Duhamel) form on a coarse stored
-time grid, while ETDRK4 steps the differential form with exponential
-integrator coefficients.  Cross-checking them is the point, so neither may
-call the other.
+whose linear part is the diagonal multiplier exp(i*t*xi^3 + eta*t*Phi(xi)),
+symbols.flow_multiplier: the one linear flow of the package, which both
+routes read.  Two independent routes to the same solution are kept
+deliberately separate: the Picard iteration solves the integral (Duhamel)
+form on a coarse stored time grid, while ETDRK4 steps the differential form
+with exponential integrator coefficients.  Cross-checking them is the point,
+so neither may call the other.
 
 Both routes run on the coefficients of the kept modes and evaluate the
 advection term through one in-place kernel, _advection, whose calls
@@ -19,11 +20,13 @@ flow (real data and an even symbol) keeps modes 0..N/2, a half spectrum,
 and transforms with irfft/rfft; a complex flow keeps every mode and uses
 ifft/fft.  Flow tables are evaluated on the kept modes only, and the norms
 read half spectra as they stand.  Picard returns its nodes on the kept
-modes; full spectra, with the negative modes filled in as conjugates, are
-built only where a Trajectory or SpectralField is returned.  The inner
-loops are linear in time: ETDRK4 runs its stages in preallocated buffers,
-and Picard's Duhamel sweep runs its quadrature sums forward by the
-semigroup law instead of summing over every pair of nodes.
+modes, one (nt+1, kept) array; etdrk4_solve yields its rows one at a time
+as (step, t, field), and nothing gathers them.  Full spectra, with the
+negative modes filled in as conjugates, are built only for the fields
+ETDRK4 yields and the Picard rows a caller extends.  The inner loops are
+linear in time: ETDRK4 runs its stages in preallocated buffers, and
+Picard's Duhamel sweep runs its quadrature sums forward by the semigroup
+law instead of summing over every pair of nodes.
 """
 
 from __future__ import annotations
@@ -34,27 +37,7 @@ import numpy as np
 
 from . import norms, symbols
 from .errors import NumericalError
-from .grid import (
-    SpectralField,
-    SpectralGrid,
-    Trajectory,
-    apply_multiplier,
-)
-
-
-def apply_semigroup(phi: symbols.PhaseFunction, t: float,
-                    f: SpectralField) -> SpectralField:
-    """Evolve a field by the linear flow for time t >= 0."""
-    return apply_multiplier(f, symbols.flow_multiplier(phi, t, f.grid), phi.is_even)
-
-
-def linear_trajectory(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
-                      nt: int) -> Trajectory:
-    """Linear flow on nt+1 uniform time nodes: u0 times the flow table."""
-    times = np.linspace(0.0, T, nt + 1)
-    return Trajectory(u0.grid, phi, times,
-                      u0.coeffs * symbols.flow_multiplier(phi, times, u0.grid),
-                      u0.is_real and phi.is_even)
+from .grid import SpectralField, SpectralGrid
 
 
 def _advection(grid: SpectralGrid, real: bool, rows: tuple[int, ...] = ()):
@@ -182,8 +165,9 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     needs whole.  report is a ContractionReport with per-iterate distances
     and the layered diagnostics of each iterate
     (norms.lambda_diagnostics at s: lambda1..lambda6 and Lambda, those
-    defined).  Non-convergence is reported, not raised; NaN/overflow aborts
-    with NumericalError.
+    defined).  Non-convergence is reported, not raised; an iterate whose
+    distance to the last one is not finite (NaN or overflow in either)
+    aborts with a NumericalError that names it as diverged.
     """
     if T <= 0:
         raise ValueError(f"horizon T must be positive, got {T}")
@@ -235,6 +219,8 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             "their validity range; diagnostics only"
         )
 
+    # data without a finite H^s norm fail here, not as a diverged iterate
+    norms.sup_hs_norm(grid, linear[:1], s)
     current, new = linear.copy(), np.empty_like(linear)
     distances: list[float] = []
     lambdas: list[dict[str, float]] = []
@@ -243,12 +229,13 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     for _ in range(max_iter):
         duhamel(current, new)
         iterations += 1
-        if not np.all(np.isfinite(new)):
+        # the step new - current overwrites current, which is not read again;
+        # it is not finite where the new iterate is not
+        try:
+            dist = norms.sup_hs_norm(grid, np.subtract(new, current, out=current), s)
+        except NumericalError as exc:
             raise NumericalError(
-                f"Picard iterate {iterations} lost finiteness (NaN/overflow)"
-            )
-        # the step new - current overwrites current, which is not read again
-        dist = norms.sup_hs_norm(grid, np.subtract(new, current, out=current), s)
+                f"Picard iterate {iterations} diverged: {exc}") from None
         distances.append(dist)
         lambdas.append(norms.lambda_diagnostics(grid, phi, times, new, s))
         current, new = new, current
@@ -295,14 +282,16 @@ def _etdrk4_coeffs(z: np.ndarray, dt: float):
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def etdrk4_steps(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
+def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
                  dt: float, nonlinear: bool = True, snapshot_stride: int = 1):
     """Fourth-order exponential time differencing on the differential form.
 
-    Checks T (an integer multiple of dt), dt and the stride at the call, then
-    yields (step, t, field) at step 0 (a copy of u0), every snapshot_stride-th
-    step and the last, each a fresh full spectrum.  With nonlinear=False each
-    step is exactly the flow multiplier; NaN or overflow aborts at its step.
+    Checks T (an integer multiple of dt), dt and the stride and sets up the
+    coefficients at the call, then returns a stream that yields
+    (step, t, field) at step 0 (a copy of u0), every snapshot_stride-th step
+    and the last, each a fresh full spectrum that the caller may keep.  With
+    nonlinear=False each step is exactly the flow multiplier; NaN or
+    overflow aborts at its step.
 
     The stages run on the kept modes of _advection, with the multipliers
     and coefficients sliced to them once: modes 0..N/2 through irfft/rfft
@@ -368,32 +357,32 @@ def etdrk4_steps(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     return rows()
 
 
-def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
-                 dt: float, nonlinear: bool = True, snapshot_stride: int = 1
-                 ) -> Trajectory:
-    """The rows of etdrk4_steps, held together as one Trajectory."""
-    _, times, rows = zip(*etdrk4_steps(u0, phi, T, dt, nonlinear, snapshot_stride))
-    return Trajectory(u0.grid, phi, times, [f.coeffs for f in rows], rows[0].is_real)
-
-
-def dissipation_residuals(traj: Trajectory) -> np.ndarray:
+def dissipation_residuals(rows, eta: float) -> np.ndarray:
     """Per-step residual of the energy balance for the Burgers-type symbol.
 
     For Phi(xi) = -xi^2 the exact semi-discrete identity is
     d/dt ||u||^2 = -2*eta*||u_x||^2 (the advection term is a total
-    derivative and drops out).  Returned is, for each step,
+    derivative and drops out).  rows are (step, t, field) rows, as
+    etdrk4_solve yields them; returned is, for each step between two rows,
 
         | (E_{n+1} - E_n)/dt + eta*(D_n + D_{n+1}) | / E_n
 
-    with E = ||u||^2 and D = ||u_x||^2 (trapezoid in time on D).
+    with E = ||u||^2 and D = ||u_x||^2 (trapezoid in time on D).  Each row
+    is reduced to its E and D as it arrives, so the rows are read as a
+    stream and only the previous row's t, E and D are held.
     """
-    eta = traj.phase.eta
-    power = np.abs(traj.coeffs) ** 2
-    E = traj.grid.length * np.sum(power, axis=1)
-    D = traj.grid.length * (power @ traj.grid.xi_odd**2)
-    dts = np.diff(traj.times)
-    res = np.abs((E[1:] - E[:-1]) / dts + eta * (D[:-1] + D[1:]))
-    return np.where(E[:-1] > 0, res / np.where(E[:-1] > 0, E[:-1], 1.0), 0.0)
+    residuals = []
+    previous = None
+    for _, t, f in rows:
+        power = np.abs(f.coeffs) ** 2
+        E = f.grid.length * np.sum(power)
+        D = f.grid.length * (power @ f.grid.xi_odd**2)
+        if previous is not None:
+            t0, E0, D0 = previous
+            res = abs((E - E0) / (t - t0) + eta * (D0 + D))
+            residuals.append(res / E0 if E0 > 0 else 0.0)
+        previous = t, E, D
+    return np.array(residuals)
 
 
 # --- the existence horizon from the contraction bookkeeping ------------------

@@ -230,7 +230,9 @@ def flow_multiplier(phi: PhaseFunction, t, grid, real: bool = False):
 
 def _flow(phi: PhaseFunction, t, xi, xi_odd):
     # exp(i*t*xi_odd**3 + eta*t*Phi(xi)); a vector of times becomes a
-    # column, one row per time
+    # column, one row per time.  The exponential of an array is taken in
+    # place in the complex exponent, so the real exponent is the one other
+    # table-sized array alive at np.exp; a scalar xi gives a scalar
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError(f"time must be nonnegative, got {t}")
@@ -238,7 +240,9 @@ def _flow(phi: PhaseFunction, t, xi, xi_odd):
         t = t[:, None]
     xi = np.asarray(xi, dtype=float)
     re = phi.eta * t * phase_eval(phi, xi)
-    return np.exp(re + 1j * t * np.asarray(xi_odd, dtype=float) ** 3)
+    z = 1j * t * np.asarray(xi_odd, dtype=float) ** 3
+    z += re
+    return np.exp(z, out=z) if z.ndim else np.exp(z)
 
 
 def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float) -> float:

@@ -1,5 +1,7 @@
 """Shared fixtures (small grids, the standard symbols, seeded RNG) and oracles."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -81,3 +83,20 @@ def expanded_multiplier(b, eta, t, xi):
     im = (-(xi**3) + 3.0 * b**2 * xi
           + eta * (-2.0 * b * xi + 4.0 * b * xi**3 - 4.0 * b**3 * xi))
     return np.exp(-t * re - 1j * t * im)
+
+
+def flow_table(u0, phi, t):
+    """u0 under the linear flow: the FFT-order spectrum at time t, or one row
+    per time for a vector of times."""
+    return u0.coeffs * symbols.flow_multiplier(phi, t, u0.grid)
+
+
+def flowed(u0, phi, t):
+    """u0 under the linear flow at one time t, as a field."""
+    return grid_mod.SpectralField(u0.grid, flow_table(u0, phi, t),
+                                  u0.is_real and phi.is_even)
+
+
+def final_field(rows):
+    """The field of the last (step, t, field) row of a solver stream."""
+    return deque(rows, maxlen=1)[0][2]

@@ -544,7 +544,7 @@ def test_failed_allocation_exits_1_with_one_line(runner, tmp_path, monkeypatch,
     def refuse(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(dklb.cli, "etdrk4_steps", refuse)
+    monkeypatch.setattr(dklb.cli, "etdrk4_solve", refuse)
     result = runner.invoke(main, ["simulate", "-D", "grid.n=64",
                                   "-D", f"output.dir={tmp_path}"])
     assert result.exit_code == 1, result.output
@@ -635,6 +635,21 @@ def test_picard_nonconvergence_exits_1(runner, tmp_path):
                                   "-D", f"output.dir={tmp_path / 'out'}"])
     assert result.exit_code == 1
     assert "not converged" in result.output
+
+
+def test_picard_divergence_exits_1_and_names_the_iterate(runner, tmp_path):
+    # at T = 16 the default kdvks problem has no fixed point on 64 nodes: the
+    # distance between iterates overflows at iterate 10, and the message says
+    # that Picard diverged there rather than only that a norm is not finite
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["picard", "-D", "solver.t=16",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.output.splitlines() == [
+        "numerical failure: Picard iterate 10 diverged: "
+        "H^s norm at s=0.0 is not finite (inf)"]
+    assert not (out / "picard.csv").exists()
 
 
 def test_picard_csv_has_the_lambda_columns_and_replays_byte_identically(runner,
@@ -796,11 +811,10 @@ def test_simulate_writes_norm_index_and_snapshots(runner, tmp_path):
 
 
 def test_simulate_memory_is_flat_in_the_snapshot_count(runner, tmp_path):
-    # simulate holds one row of the solver's stream at a time; reading the
-    # rows back from a Trajectory of every snapshot peaked 18 MiB higher at
-    # stride 1 than at stride 400.  Each CSV row is written as it comes:
-    # holding the rows and joining the CSV peaked 395 KiB higher at 1500
-    # rows than at 300 (n = 64), the streamed CSV less than 1 KiB higher
+    # simulate holds one row of the solver's stream at a time, so its peak
+    # does not grow with the snapshot count.  Each CSV row is written as it
+    # comes: holding the rows and joining the CSV peaked 395 KiB higher at
+    # 1500 rows than at 300 (n = 64), the streamed CSV less than 1 KiB higher
     def peak(n, T, stride):
         tracemalloc.start()
         try:

@@ -33,10 +33,9 @@ from dklb.grid import (
     to_values,
 )
 from dklb.norms import hs_norm, weighted_norm
-from dklb.solver import apply_semigroup
 from dklb.symbols import semigroup_multiplier
 
-from conftest import expanded_multiplier
+from conftest import expanded_multiplier, flowed
 
 
 KDVKS = symbols.kdvks()
@@ -249,20 +248,20 @@ def test_exchange_ensemble_matches_weight_exchange_check(name):
 
 @pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
 def test_weight_exchange_check_is_the_semigroup_formula(name):
-    # the ratio, bit for bit, as the semigroup applied at one time gives it
+    # the ratio, bit for bit, as the flow applied at one time gives it
     phi = symbols.preset(name)
     grid = SpectralGrid(128, 40.0)
     w = WeightSpec("poly", 0.5)
     for u0 in sample_ensemble(grid, 4, 5):
         for t in (0.0, 0.1, 0.5):
             denom = (1.0 + t) * hs_norm(u0, 1.5) + weighted_norm(u0, w)
-            expected = weighted_norm(apply_semigroup(phi, t, u0), w) / denom
+            expected = weighted_norm(flowed(u0, phi, t), w) / denom
             assert weight_exchange_check(u0, phi, 0.5, 1.5, t) == expected
 
 
 def test_exchange_ensemble_builds_one_flow_table(monkeypatch):
     # one table over the t-list serves every sample: no per-(sample, t)
-    # multiplier builds, and so no apply_semigroup calls either
+    # multiplier builds
     calls = []
     flow = symbols.flow_multiplier
 
@@ -314,7 +313,7 @@ def test_regularity_gain_probe_fits_no_rate_through_one_repeated_time():
 
 def test_regularity_gain_probe_builds_one_flow_table(monkeypatch):
     # one table over the times serves every sigma, and each norm is the one
-    # the semigroup applied at that time gives
+    # the flow applied at that time gives
     grid = SpectralGrid(128, 40.0)
     calls = []
     flow = symbols.flow_multiplier
@@ -330,7 +329,7 @@ def test_regularity_gain_probe_builds_one_flow_table(monkeypatch):
     monkeypatch.setattr(symbols, "flow_multiplier", flow)
     phi, u0 = symbols.optimality(2), mollified_cusp(grid)
     for row in rep.rows:
-        vt = apply_semigroup(phi, row["t"], u0)
+        vt = flowed(u0, phi, row["t"])
         assert row["norm"] == l2_norm(fractional_D(vt, row["sigma"]))
 
 

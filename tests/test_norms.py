@@ -12,8 +12,8 @@ from dklb import fields, solver, symbols
 from dklb.errors import NumericalError
 from dklb.fields import gaussian, normalize_l2, random_mixture, sample_ensemble
 from dklb.grid import (
+    SpectralField,
     SpectralGrid,
-    Trajectory,
     WeightSpec,
     fractional_D,
     from_values,
@@ -35,9 +35,19 @@ from dklb.norms import (
     verify_smoothing,
     weighted_norm,
 )
-from dklb.norms import ROW_BLOCK, _mixed_norm_of, _pnorm, _trapezoid_weights
+from dklb.norms import ROW_BLOCK, _magnitudes, _pnorm, _trapezoid_weights
 
-from conftest import derivative
+from conftest import derivative, flow_table
+
+
+def _flow_mags(u0, phi, times):
+    # |u| at the nodes of u0 under the linear flow, one row per time: a real
+    # flow through irfft of the half spectra of its table
+    real = u0.is_real and phi.is_even
+    table = flow_table(u0, phi, times)
+    if real:
+        table = table[:, : u0.grid.n // 2 + 1]
+    return _magnitudes(table, u0.grid.n, real, np.empty((len(times), u0.grid.n)))
 
 
 def test_alpha_anchor_values():
@@ -165,48 +175,53 @@ def test_lp_norm_special_cases(grid256, rng):
                                                  rel=1e-12)
 
 
-def test_mixed_norm_constant_trajectory_collapses(grid256, kdvks_phi):
+def test_mixed_norm_constant_trajectory_collapses(grid256):
     f = gaussian(grid256, width=1.0)
     T = 0.8
     times = np.linspace(0.0, T, 33)
-    traj = Trajectory(grid256, kdvks_phi, times, np.tile(f.coeffs, (len(times), 1)),
-                      f.is_real)
-    val = mixed_norm(traj, 2.0, 2.0)
+    mags = np.tile(np.abs(to_values(f)), (len(times), 1))
+    val = mixed_norm(mags, _trapezoid_weights(times), grid256.dx, 2.0, 2.0)
     assert val == pytest.approx(math.sqrt(T) * l2_norm(f), rel=1e-12)
 
 
 def test_mixed_norm_fubini(grid256, kdvks_phi):
     u0 = normalize_l2(gaussian(grid256, width=1.5))
-    traj = solver.linear_trajectory(u0, kdvks_phi, 0.5, 16)
+    times = np.linspace(0.0, 0.5, 17)
+    mags, tw = _flow_mags(u0, kdvks_phi, times), _trapezoid_weights(times)
     for p in (2.0, 4.0):
-        a = mixed_norm(traj, p, p, order="t_outer_x_inner")
-        b = mixed_norm(traj, p, p, order="x_outer_t_inner")
+        a = mixed_norm(mags, tw, grid256.dx, p, p, order="t_outer_x_inner")
+        b = mixed_norm(mags, tw, grid256.dx, p, p, order="x_outer_t_inner")
         assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_mixed_norm_rejects_empty_and_bad_order(grid256, kdvks_phi):
-    traj = Trajectory(grid256, kdvks_phi, np.array([]),
-                      np.empty((0, grid256.n), dtype=complex), True)
-    with pytest.raises(ValueError, match="empty"):
-        mixed_norm(traj, 2.0, 2.0)
-    full = solver.linear_trajectory(gaussian(grid256), kdvks_phi, 0.1, 4)
+    with pytest.raises(ValueError, match="two time samples"):
+        _trapezoid_weights(np.array([]))
+    times = np.linspace(0.0, 0.1, 5)
+    mags = _flow_mags(gaussian(grid256), kdvks_phi, times)
     with pytest.raises(ValueError, match="order"):
-        mixed_norm(full, 2.0, 2.0, order="sideways")
+        mixed_norm(mags, _trapezoid_weights(times), grid256.dx, 2.0, 2.0,
+                   order="sideways")
 
 
 def test_mixed_norm_fine_grid_oracle(grid256, kdvks_phi):
     # trapezoid at nt=96 agrees with a 16x refined quadrature of the same
     # linear flow to 1e-6: the time integrand is smooth
     u0 = normalize_l2(gaussian(grid256, width=1.5))
-    coarse = mixed_norm(solver.linear_trajectory(u0, kdvks_phi, 0.5, 96), 2.0, 4.0)
-    fine = mixed_norm(solver.linear_trajectory(u0, kdvks_phi, 0.5, 1536), 2.0, 4.0)
-    assert coarse == pytest.approx(fine, rel=1e-6)
+
+    def l2_l4(nt):
+        times = np.linspace(0.0, 0.5, nt + 1)
+        return mixed_norm(_flow_mags(u0, kdvks_phi, times), _trapezoid_weights(times),
+                          grid256.dx, 2.0, 4.0)
+
+    assert l2_l4(96) == pytest.approx(l2_l4(1536), rel=1e-6)
 
 
 def test_lambda_diagnostics_keys(grid256, kdvks_phi):
     u0 = normalize_l2(gaussian(grid256, width=1.2), 0.1)
-    traj = solver.linear_trajectory(u0, kdvks_phi, 0.2, 16)
-    d = lambda_diagnostics(grid256, kdvks_phi, traj.times, _kept(traj), s=1.0)
+    times = np.linspace(0.0, 0.2, 17)
+    kept = flow_table(u0, kdvks_phi, times)[:, : grid256.n // 2 + 1]
+    d = lambda_diagnostics(grid256, kdvks_phi, times, kept, s=1.0)
     assert list(d) == ["lambda1", "lambda2", "lambda3", "lambda4", "lambda5",
                        "lambda6", "Lambda"]
     for key in d:
@@ -216,16 +231,10 @@ def test_lambda_diagnostics_keys(grid256, kdvks_phi):
         sum(d[f"lambda{i}"] for i in range(1, 6)), rel=1e-12)
 
 
-def _kept(traj):
-    # the kept modes of a trajectory: half spectra for a real flow
-    return traj.coeffs[:, : traj.grid.n // 2 + 1] if traj.is_real else traj.coeffs
-
-
-def _reference_lambdas(traj, s):
+def _reference_lambdas(phi, times, snaps, s):
     """lambda_diagnostics rebuilt from per-snapshot fields, one inverse
     transform per snapshot and map, trapezoid in time."""
-    phi, T, dx = traj.phase, float(traj.times[-1]), traj.grid.dx
-    snaps = traj.snapshots
+    T, dx = float(times[-1]), snaps[0].grid.dx
 
     def l2_t(op, inner):
         per_time = []
@@ -233,7 +242,7 @@ def _reference_lambdas(traj, s):
             v = np.abs(to_values(op(f)))
             per_time.append(np.max(v) if inner == math.inf
                             else (np.sum(v**inner) * dx) ** (1.0 / inner))
-        return math.sqrt(np.trapezoid(np.square(per_time), traj.times))
+        return math.sqrt(np.trapezoid(np.square(per_time), times))
 
     out = {"lambda1": max(hs_norm(f, s) for f in snaps),
            "lambda2": l2_t(lambda f: f, 4.0) / A2(phi, T)}
@@ -258,10 +267,14 @@ def test_lambda_diagnostics_match_a_per_snapshot_reference(grid256, name, data, 
     u0 = normalize_l2(gaussian(grid256, width=1.2), 0.1)
     if data == "complex":
         u0 = from_values(grid256, to_values(u0) * np.exp(1j * grid256.x))
-    traj = solver.linear_trajectory(u0, phi, 0.2, 16)
-    assert traj.is_real == (data == "real" and phi.is_even)
-    got = lambda_diagnostics(grid256, phi, traj.times, _kept(traj), s=s)
-    want = _reference_lambdas(traj, s)
+    assert u0.is_real == (data == "real")
+    real = u0.is_real and phi.is_even
+    times = np.linspace(0.0, 0.2, 17)
+    table = flow_table(u0, phi, times)
+    snaps = [SpectralField(grid256, row, real) for row in table]
+    kept = table[:, : grid256.n // 2 + 1] if real else table
+    got = lambda_diagnostics(grid256, phi, times, kept, s=s)
+    want = _reference_lambdas(phi, times, snaps, s)
     assert list(got) == list(want)
     for key in want:
         assert got[key] == pytest.approx(want[key], rel=1e-14, abs=0.0), key
@@ -294,7 +307,7 @@ def _whole_lambda_diagnostics(grid, phi, times, coeffs, s):
                       else np.fft.ifft(c, norm="forward"))
 
     def l2_t(mags, inner):
-        return _mixed_norm_of(mags, tw, grid.dx, 2.0, inner, "t_outer_x_inner")
+        return mixed_norm(mags, tw, grid.dx, 2.0, inner, "t_outer_x_inner")
 
     gain = np.abs(grid.xi) ** s if s else None
     ddx = 1j * grid.xi_odd
@@ -347,9 +360,12 @@ def test_smoothing_ratio_scale_invariance(grid256, kdvks_phi):
     T = 0.5
     const = smoothing_A(2.0, 4.0, 0.0, kdvks_phi, T)
 
+    times = np.linspace(0.0, T, 33)
+
     def ratio(f):
-        traj = solver.linear_trajectory(f, kdvks_phi, T, 32)
-        return mixed_norm(traj, 2.0, 4.0) / (const * l2_norm(f))
+        lhs = mixed_norm(_flow_mags(f, kdvks_phi, times), _trapezoid_weights(times),
+                         grid256.dx, 2.0, 4.0)
+        return lhs / (const * l2_norm(f))
 
     assert ratio(u0) == pytest.approx(ratio(u0 * 37.5), rel=1e-12)
 
@@ -383,32 +399,34 @@ def _snapshot_magnitudes(f, half_spectrum):
 
 def _reference_ratios(check, phi, grid, T, size, seed, nt, s, q,
                       half_spectrum=True):
-    """verify_smoothing's ratios, one linear trajectory per sample and one
-    inverse transform per snapshot."""
+    """verify_smoothing's ratios, one field per sample and time and one
+    inverse transform per field."""
+    times = np.linspace(0.0, T, nt + 1)
 
-    def lhs(traj, gain, outer, inner, order="t_outer_x_inner"):
+    def lhs(snaps, gain, outer, inner, order="t_outer_x_inner"):
         mags = np.stack([_snapshot_magnitudes(fractional_D(f, gain), half_spectrum)
-                         for f in traj.snapshots])
-        return _mixed_norm_of(mags, _trapezoid_weights(traj.times), grid.dx,
-                              outer, inner, order)
+                         for f in snaps])
+        return mixed_norm(mags, _trapezoid_weights(times), grid.dx,
+                          outer, inner, order)
 
     ratios = []
     for u0 in sample_ensemble(grid, size, seed):
-        traj = solver.linear_trajectory(u0, phi, T, nt)
+        snaps = [SpectralField(grid, row, u0.is_real and phi.is_even)
+                 for row in flow_table(u0, phi, times)]
         if check == "C1":
-            num = lhs(traj, s, 2.0, math.inf)
+            num = lhs(snaps, s, 2.0, math.inf)
             rhs = smoothing_A(2.0, math.inf, s, phi, T) * lp_norm(u0, 2.0)
         elif check == "C2":
-            num = lhs(traj, s, 2.0, 4.0)
+            num = lhs(snaps, s, 2.0, 4.0)
             rhs = smoothing_A(2.0, 4.0, s, phi, T) * l2_norm(u0)
         elif check == "C3":
-            num = lhs(traj, 1.0, 2.0, 4.0)
+            num = lhs(snaps, 1.0, 2.0, 4.0)
             rhs = smoothing_A(2.0, 4.0, 1.0 - s, phi, T) * l2_norm(fractional_D(u0, s))
         elif check == "C4":
-            num = lhs(traj, s, 2.0, 2.0)
+            num = lhs(snaps, s, 2.0, 2.0)
             rhs = smoothing_A(2.0, 2.0, s, phi, T) * l2_norm(u0)
         else:
-            num = lhs(traj, q, math.inf, 2.0, order="x_outer_t_inner")
+            num = lhs(snaps, q, math.inf, 2.0, order="x_outer_t_inner")
             rhs = l2_norm(u0)
         ratios.append(num / rhs)
     return np.array(ratios)

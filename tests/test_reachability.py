@@ -108,7 +108,7 @@ def test_every_public_function_is_reached_or_allowed(tmp_path):
     functions = dict(_public_functions())
     reached = {name for name, code in functions.items() if code in called}
     # the trace sees each subcommand's library entry point
-    assert {"solver.etdrk4_steps", "solver.picard_solve", "brackets.reduce_bracket",
+    assert {"solver.etdrk4_solve", "solver.picard_solve", "brackets.reduce_bracket",
             "norms.verify_smoothing", "conjugation.conjugation_check",
             "conjugation.regularity_gain_probe", "solver.existence_time"} <= reached
     stray = set(functions) - reached - _allowed()

@@ -23,29 +23,37 @@ from dklb.solver import (
     _advection,
     _etdrk4_coeffs,
     _full_spectrum,
-    apply_semigroup,
     dissipation_residuals,
     etdrk4_solve,
-    etdrk4_steps,
     existence_time,
-    linear_trajectory,
     nonlinearity,
     picard_solve,
 )
 
-from conftest import derivative, hermitian_defect
+from conftest import (
+    derivative,
+    final_field,
+    flow_table,
+    flowed,
+    hermitian_defect,
+)
+
+
+def _coeffs(rows):
+    # the spectra of gathered (step, t, field) rows as one (rows, N) array
+    return np.array([f.coeffs for _, _, f in rows])
 
 
 def test_semigroup_at_zero_is_identity(grid256, kdvks_phi, rng):
     f = from_values(grid256, rng.standard_normal(grid256.n))
-    g = apply_semigroup(kdvks_phi, 0.0, f)
+    g = flowed(f, kdvks_phi, 0.0)
     assert np.array_equal(g.coeffs, f.coeffs)
 
 
 def test_semigroup_law(grid256, kdvks_phi, rng):
     f = from_values(grid256, rng.standard_normal(grid256.n))
-    ab = apply_semigroup(kdvks_phi, 0.1, apply_semigroup(kdvks_phi, 0.2, f))
-    direct = apply_semigroup(kdvks_phi, 0.3, f)
+    ab = flowed(flowed(f, kdvks_phi, 0.2), kdvks_phi, 0.1)
+    direct = flowed(f, kdvks_phi, 0.3)
     num = np.max(np.abs(ab.coeffs - direct.coeffs))
     assert num <= 1e-12 * max(1.0, np.max(np.abs(direct.coeffs)))
 
@@ -56,15 +64,14 @@ def test_semigroup_pure_mode_decay(grid256, kdvb_phi):
         grid256.modes == -1, 0.5, 0.0)
     f = SpectralField(grid256, mode.astype(complex), True)
     for t in (0.2, 1.0):
-        g = apply_semigroup(kdvb_phi, t, f)
+        g = flowed(f, kdvb_phi, t)
         assert l2_norm(g) == pytest.approx(
             l2_norm(f) * math.exp(-t * k**2), rel=1e-12)
 
 
 def test_semigroup_rejects_negative_time(grid256, kdvks_phi):
-    f = gaussian(grid256)
     with pytest.raises(ValueError):
-        apply_semigroup(kdvks_phi, -0.1, f)
+        symbols.flow_multiplier(kdvks_phi, -0.1, grid256)
 
 
 def test_nonlinearity_of_zero(grid256):
@@ -340,9 +347,9 @@ def test_linear_etdrk4_is_the_flow_over_long_horizons(grid256, kdvks_phi, T):
     # by at most exp(0.125), while the flow at T grows by exp(62.5) or exp(250)
     u0 = gaussian(grid256, width=1.2, amplitude=2.0)
     dt = 0.5
-    lin = etdrk4_solve(u0, kdvks_phi, T, dt, nonlinear=False,
-                       snapshot_stride=int(T / dt)).final
-    exact = apply_semigroup(kdvks_phi, T, u0)
+    lin = final_field(etdrk4_solve(u0, kdvks_phi, T, dt, nonlinear=False,
+                                   snapshot_stride=int(T / dt)))
+    exact = flowed(u0, kdvks_phi, T)
     assert l2_norm(lin - exact) <= 1e-12 * l2_norm(exact)
 
 
@@ -352,32 +359,30 @@ def test_etdrk4_is_bitwise_the_allocating_stepper(grid256, name, nonlinear):
     phi = symbols.preset(name)
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.5)
     ref = _allocating_etdrk4(u0, phi, 0.05, 0.0025, nonlinear)
-    traj = etdrk4_solve(u0, phi, T=0.05, dt=0.0025, nonlinear=nonlinear)
-    assert np.array_equal(traj.coeffs, ref)
-    # 20 steps at stride 3 store steps 3, 6, ..., 18 and the last one
-    strided = etdrk4_solve(u0, phi, T=0.05, dt=0.0025, nonlinear=nonlinear,
-                           snapshot_stride=3)
-    assert np.array_equal(strided.coeffs, ref[[0, 3, 6, 9, 12, 15, 18, 20]])
+    rows = list(etdrk4_solve(u0, phi, T=0.05, dt=0.0025, nonlinear=nonlinear))
+    assert np.array_equal(_coeffs(rows), ref)
+    # 20 steps at stride 3 yield steps 3, 6, ..., 18 and the last one
+    strided = list(etdrk4_solve(u0, phi, T=0.05, dt=0.0025, nonlinear=nonlinear,
+                                snapshot_stride=3))
+    assert np.array_equal(_coeffs(strided), ref[[0, 3, 6, 9, 12, 15, 18, 20]])
 
 
 @pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
 @pytest.mark.parametrize("stride", [1, 3])
 def test_etdrk4_stream_rows_are_the_trajectory_rows(grid256, name, stride):
-    # each row is copied while the stream runs on, so a row that shares the
-    # stepping buffer shows up as a trajectory of last steps
+    # each row is a fresh array while the stream runs on, so rows held until
+    # the stream ends are still the steps they were yielded at; a row that
+    # shared the stepping buffer would show up as a trajectory of last steps
     phi = symbols.preset(name)
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.5)
-    rows = [(step, t, f.coeffs.copy(), f.is_real)
-            for step, t, f in etdrk4_steps(u0, phi, 0.05, 0.0025,
-                                           snapshot_stride=stride)]
-    traj = etdrk4_solve(u0, phi, T=0.05, dt=0.0025, snapshot_stride=stride)
-    steps, times, coeffs, real = zip(*rows)
+    rows = list(etdrk4_solve(u0, phi, 0.05, 0.0025, snapshot_stride=stride))
+    steps, times, fields = zip(*rows)
     # 20 steps: stride 3 does not divide them, so the last step is added
     assert list(steps) == sorted({*range(0, 20, stride), 20})
     assert times == tuple(k * 0.0025 for k in steps)
-    assert np.array_equal(np.array(times), traj.times)
-    assert np.array_equal(np.array(coeffs), traj.coeffs)
-    assert list(real) == [phi.is_even] * len(traj) and traj.is_real == phi.is_even
+    ref = _allocating_etdrk4(u0, phi, 0.05, 0.0025, True)
+    assert np.array_equal(_coeffs(rows), ref[list(steps)])
+    assert [f.is_real for f in fields] == [phi.is_even] * len(rows)
 
 
 def test_etdrk4_coeffs_match_their_taylor_series_near_zero():
@@ -409,7 +414,7 @@ def _whole_etdrk4_coeffs(z, dt):
 
 
 def _etdrk4_nodes(phi, n, dt):
-    # z = dt*c on the kept modes of a flow of real data, as etdrk4_steps
+    # z = dt*c on the kept modes of a flow of real data, as etdrk4_solve
     # forms it: modes 0..N/2 for an even symbol, every mode otherwise
     grid = SpectralGrid(n, 40.0)
     keep = slice(0, n // 2 + 1 if phi.is_even else n)
@@ -481,9 +486,9 @@ def test_picard_matches_etdrk4(grid256, kdvks_phi):
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
     nodes, rep = picard_solve(u0, kdvks_phi, T=0.1, nt=40, tol=1e-10)
     assert rep.converged
-    traj_e = etdrk4_solve(u0, kdvks_phi, T=0.1, dt=0.1 / 40)
-    sup = max(l2_norm(a - b) for a, b in zip(_picard_fields(nodes, grid256),
-                                             traj_e.snapshots, strict=True))
+    rows = etdrk4_solve(u0, kdvks_phi, T=0.1, dt=0.1 / 40)
+    sup = max(l2_norm(a - b) for a, (_, _, b) in zip(_picard_fields(nodes, grid256),
+                                                    rows, strict=True))
     assert sup <= 1e-6
 
 
@@ -495,15 +500,14 @@ def test_picard_matches_etdrk4_on_more_symbols(grid256, name):
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
     nodes, report = picard_solve(u0, phi, 0.1, nt=64, tol=1e-8)
     assert report.converged
-    ref = etdrk4_solve(u0, phi, 0.1, 1e-3, snapshot_stride=25)
     snapshots = _picard_fields(nodes, grid256)
-    assert snapshots[-1].is_real == ref.final.is_real == phi.is_even
     times = np.linspace(0.0, 0.1, 65)
     sup = 0.0
-    for k, t in enumerate(ref.times):
+    for _, t, f in etdrk4_solve(u0, phi, 0.1, 1e-3, snapshot_stride=25):
         i = int(round(t / (0.1 / 64)))
         assert abs(times[i] - t) < 1e-12
-        sup = max(sup, l2_norm(snapshots[i] - ref.snapshots[k]))
+        assert snapshots[i].is_real == f.is_real == phi.is_even
+        sup = max(sup, l2_norm(snapshots[i] - f))
     assert sup <= 1e-10
 
 
@@ -516,6 +520,40 @@ def test_picard_reports_nonconvergence(grid256, kdvks_phi):
     assert rep.notes
 
 
+def test_picard_divergence_names_the_iterate(grid256, kdvks_phi, monkeypatch):
+    # a distance between iterates that overflows, or an iterate that does
+    # (nan or inf in it makes the distance so too), is Picard's divergence;
+    # data whose H^s norm is not finite fail before any iterate
+    import dklb.solver
+
+    u0 = normalize_l2(gaussian(grid256, width=1.0), 1e100)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError, match=r"^Picard iterate 1 diverged: H\^s"):
+            picard_solve(u0, kdvks_phi, T=0.5, nt=16)
+        with pytest.raises(NumericalError, match=r"^H\^s norm at s=1e\+308"):
+            picard_solve(gaussian(grid256), kdvks_phi, T=0.1, nt=4, s=1e308)
+    advection = dklb.solver._advection
+
+    def poisoned(grid, real, rows=()):
+        # the advection term of the third iterate's last node is nan
+        keep, advect = advection(grid, real, rows)
+        calls = []
+
+        def nan_at_the_third_sweep(v, out):
+            advect(v, out)
+            calls.append(len(v))
+            if len(calls) == 3:
+                out[-1, 7] = np.nan
+            return out
+
+        return keep, nan_at_the_third_sweep
+
+    monkeypatch.setattr(dklb.solver, "_advection", poisoned)
+    u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
+    with pytest.raises(NumericalError, match=r"^Picard iterate 3 diverged: .*\(nan\)"):
+        picard_solve(u0, kdvks_phi, T=0.1, nt=8, tol=0.0, max_iter=5)
+
+
 def test_picard_rejects_odd_quadrature(grid256, kdvks_phi):
     u0 = gaussian(grid256)
     with pytest.raises(ValueError):
@@ -524,10 +562,10 @@ def test_picard_rejects_odd_quadrature(grid256, kdvks_phi):
 
 def test_trajectory_time_grid(grid256, kdvks_phi):
     u0 = normalize_l2(gaussian(grid256), 0.1)
-    traj = etdrk4_solve(u0, kdvks_phi, T=0.1, dt=0.025)
-    assert traj.times[0] == 0.0
-    assert len(traj.times) == len(traj.snapshots) == 5
-    assert np.allclose(np.diff(traj.times), 0.025, atol=1e-15)
+    times = [t for _, t, _ in etdrk4_solve(u0, kdvks_phi, T=0.1, dt=0.025)]
+    assert times[0] == 0.0
+    assert len(times) == 5
+    assert np.allclose(np.diff(times), 0.025, atol=1e-15)
 
 
 def test_etdrk4_requires_integral_step_count(grid256, kdvks_phi):
@@ -538,55 +576,83 @@ def test_etdrk4_requires_integral_step_count(grid256, kdvks_phi):
 
 def test_etdrk4_linear_mode_is_exact(grid256, kdvks_phi):
     u0 = normalize_l2(gaussian(grid256, width=1.2))
-    traj = etdrk4_solve(u0, kdvks_phi, T=0.2, dt=0.01, nonlinear=False)
-    ref = apply_semigroup(kdvks_phi, 0.2, u0)
-    rel = l2_norm(traj.final - ref) / l2_norm(ref)
+    lin = final_field(etdrk4_solve(u0, kdvks_phi, T=0.2, dt=0.01, nonlinear=False))
+    ref = flowed(u0, kdvks_phi, 0.2)
+    rel = l2_norm(lin - ref) / l2_norm(ref)
     assert rel <= 1e-10
 
 
 def test_etdrk4_self_convergence_order(kdvks_phi):
     grid = SpectralGrid(128, 40.0)
     u0 = gaussian(grid, width=1.2, amplitude=2.0)
-    ref = etdrk4_solve(u0, kdvks_phi, T=0.1, dt=2.5e-4).final
+    ref = final_field(etdrk4_solve(u0, kdvks_phi, T=0.1, dt=2.5e-4))
     errs = []
     for dt in (4e-3, 2e-3):
-        traj = etdrk4_solve(u0, kdvks_phi, T=0.1, dt=dt)
-        errs.append(l2_norm(traj.final - ref))
+        errs.append(l2_norm(final_field(etdrk4_solve(u0, kdvks_phi, T=0.1, dt=dt))
+                            - ref))
     order = math.log2(errs[0] / errs[1])
     assert order >= 3.0
 
 
 def test_etdrk4_snapshot_stride(grid256, kdvks_phi):
     u0 = normalize_l2(gaussian(grid256), 0.1)
-    dense = etdrk4_solve(u0, kdvks_phi, T=0.1, dt=0.0125)
-    strided = etdrk4_solve(u0, kdvks_phi, T=0.1, dt=0.0125, snapshot_stride=2)
-    assert len(strided.snapshots) == 5
-    assert np.allclose(strided.times, dense.times[::2], atol=1e-15)
-    assert np.array_equal(strided.final.coeffs, dense.final.coeffs)
+    dense = list(etdrk4_solve(u0, kdvks_phi, T=0.1, dt=0.0125))
+    strided = list(etdrk4_solve(u0, kdvks_phi, T=0.1, dt=0.0125, snapshot_stride=2))
+    assert len(strided) == 5
+    assert np.allclose([t for _, t, _ in strided], [t for _, t, _ in dense[::2]],
+                       atol=1e-15)
+    assert np.array_equal(strided[-1][2].coeffs, dense[-1][2].coeffs)
 
 
 def test_etdrk4_aborts_on_overflow(grid256, kdvks_phi):
     u0 = gaussian(grid256, width=0.5, amplitude=1e150)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="step"):
-            etdrk4_solve(u0, kdvks_phi, T=0.1, dt=0.025)
+            final_field(etdrk4_solve(u0, kdvks_phi, T=0.1, dt=0.025))
 
 
 def test_kdvb_dissipation_identity(grid256, kdvb_phi):
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.5)
-    traj = etdrk4_solve(u0, kdvb_phi, T=1.0, dt=0.01)
-    res = dissipation_residuals(traj)
-    norms_sq = np.array([l2_norm(f) ** 2 for f in traj.snapshots])
+    rows = list(etdrk4_solve(u0, kdvb_phi, T=1.0, dt=0.01))
+    res = dissipation_residuals(rows, kdvb_phi.eta)
+    norms_sq = np.array([l2_norm(f) ** 2 for _, _, f in rows])
     assert np.all(res <= 1e-4 * norms_sq[1:])
     # second-order damping never creates mass
     assert np.all(np.diff(norms_sq) <= 1e-12)
+
+
+def _whole_dissipation_residuals(coeffs, times, grid, eta):
+    # the energy balance on the whole (rows, N) array, one matrix-vector
+    # product for every D: the oracle for the streamed residuals
+    power = np.abs(coeffs) ** 2
+    E = grid.length * np.sum(power, axis=1)
+    D = grid.length * (power @ grid.xi_odd**2)
+    res = np.abs((E[1:] - E[:-1]) / np.diff(times) + eta * (D[:-1] + D[1:]))
+    return np.where(E[:-1] > 0, res / np.where(E[:-1] > 0, E[:-1], 1.0), 0.0)
+
+
+def test_streamed_dissipation_residuals_are_the_whole_array_formula(grid256, kdvb_phi):
+    # criterion 06's problem.  Each row's D is one dot product, which BLAS
+    # sums in another order than the rows of a matrix-vector product, so D
+    # moves by a few ulps and the residual by a few ulps of eta*D/E (about
+    # 0.2 here): 40 of the 100 residuals differ, by at most 1.2e-16, which
+    # is 3.1e-11 of the residual, as E's difference cancels most of D.  E,
+    # a pairwise sum either way, is the same to the bit
+    u0 = normalize_l2(gaussian(grid256, width=1.5), 0.5)
+    rows = list(etdrk4_solve(u0, kdvb_phi, 1.0, 0.01))
+    got = dissipation_residuals(iter(rows), kdvb_phi.eta)
+    want = _whole_dissipation_residuals(_coeffs(rows), [t for _, t, _ in rows],
+                                        grid256, kdvb_phi.eta)
+    assert got.shape == want.shape == (100,)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert len(dissipation_residuals(iter(rows[:1]), kdvb_phi.eta)) == 0
 
 
 def test_linear_flow_norm_bound(grid256, kdvks_phi, rng):
     # max of Phi on the grid is 1/4 (attained near |xi| = 1/sqrt(2))
     u0 = from_values(grid256, rng.standard_normal(grid256.n))
     t = 1.0
-    g = apply_semigroup(kdvks_phi, t, u0)
+    g = flowed(u0, kdvks_phi, t)
     bound = math.exp(kdvks_phi.eta * t * 0.25) * l2_norm(u0)
     assert l2_norm(g) <= bound * (1 + 1e-12)
 
@@ -630,17 +696,15 @@ def test_flow_keeps_real_iff_symbol_is_even():
             real = normalize_l2(gaussian(grid, width=1.5), 0.1)
             for u0 in (real, real * 1j):
                 expect = u0.is_real and phi.is_even
-                assert apply_semigroup(phi, 0.5, u0).is_real == expect
-                traj = etdrk4_solve(u0, phi, T=0.01, dt=0.005)
-                assert [f.is_real for f in traj.snapshots[1:]] == [expect] * 2
+                rows = etdrk4_solve(u0, phi, T=0.01, dt=0.005)
+                assert [f.is_real for _, _, f in rows][1:] == [expect] * 2
                 nodes, _ = picard_solve(u0, phi, T=0.01, nt=2)
                 assert nodes.shape == (3, n // 2 + 1 if expect else n)
 
 
 def test_real_data_stays_real_under_flow(grid256, kdvks_phi):
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
-    traj = etdrk4_solve(u0, kdvks_phi, T=0.05, dt=0.0125)
-    for f in traj.snapshots:
+    for _, _, f in etdrk4_solve(u0, kdvks_phi, T=0.05, dt=0.0125):
         assert f.is_real
         assert np.isrealobj(to_values(f))
 
@@ -648,15 +712,23 @@ def test_real_data_stays_real_under_flow(grid256, kdvks_phi):
 def test_complex_evolution_permitted(grid256):
     phi = symbols.preset("optimality:2")
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
-    traj = etdrk4_solve(u0, phi, T=0.02, dt=0.005)
-    assert not traj.final.is_real
-    assert np.all(np.isfinite(traj.final.coeffs))
+    final = final_field(etdrk4_solve(u0, phi, T=0.02, dt=0.005))
+    assert not final.is_real
+    assert np.all(np.isfinite(final.coeffs))
 
 
-def test_linear_trajectory_matches_semigroup(grid256, kdvks_phi):
+@pytest.mark.parametrize("name", ["kdvks", "kdvb", "optimality:2"])
+def test_linear_etdrk4_rows_are_the_flow_table(grid256, name):
+    # with nonlinear=False, every streamed row is u0 under the flow at its
+    # time: step k applies the multiplier at dt k times, where the table
+    # takes the exponential at k*dt once, so they differ by rounding that
+    # grows with k (at most 0.76 ulp of max|u0| per step on these symbols)
+    phi = symbols.preset(name)
     u0 = normalize_l2(gaussian(grid256), 0.3)
-    traj = linear_trajectory(u0, kdvks_phi, 0.2, 8)
-    for t, f in zip(traj.times, traj.snapshots):
-        ref = apply_semigroup(kdvks_phi, float(t), u0)
-        assert np.max(np.abs(f.coeffs - ref.coeffs)) <= 1e-14
-
+    rows = list(etdrk4_solve(u0, phi, 0.2, 0.025, nonlinear=False))
+    times = [t for _, t, _ in rows]
+    assert times == [k * 0.025 for k in range(9)]
+    gap = np.max(np.abs(_coeffs(rows) - flow_table(u0, phi, times)), axis=1)
+    ulp = np.finfo(float).eps * np.max(np.abs(u0.coeffs))
+    assert np.all(gap <= 2 * np.arange(9) * ulp), gap / ulp
+    assert [f.is_real for _, _, f in rows] == [phi.is_even] * 9
