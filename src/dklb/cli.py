@@ -9,7 +9,8 @@ the output directory that replaces `<name>.csv` once the run is done, so a
 run that raises leaves no CSV.  With `svg` in output.formats, simulate,
 verify-smoothing and decay-experiment also draw it as `<name>.svg`.  A run
 that fails its own check (picard not converged, verify-bracket over
-tolerance) writes both files first, then exits 1.  Feeding the manifest
+tolerance, a decay-experiment norm over its envelope) writes both files
+first, then exits 1.  Feeding the manifest
 back through --config replays the run byte-identically.
 
 Exit codes: 0 success, 1 numerical failure (divergence, overflow, boundary
@@ -286,7 +287,11 @@ def decay_experiment(cfg: ExperimentConfig, outdir: Path) -> Run:
                report.fitted_rates[row["sigma"]]]
     rates = ", ".join(f"sigma={s!r}: {r!r}"
                       for s, r in sorted(report.fitted_rates.items()))
-    return [f"fitted rates: {rates}"], None
+    over = report.over_envelope
+    return [f"fitted rates: {rates}"], (
+        f"{len(over)} norms exceed their envelope beyond rounding, the first "
+        f"at sigma={over[0]['sigma']!r}, t={over[0]['t']!r}: norm "
+        f"{over[0]['norm']!r} > mult_bound {over[0]['mult_bound']!r}" if over else None)
 
 
 @main.command(name="existence-time")

@@ -266,6 +266,7 @@ class ProbeReport:
 
     rows: list[dict]          # sigma, t, norm, mult_bound
     fitted_rates: dict        # sigma -> least-squares slope of log norm vs log t
+    over_envelope: list[dict]  # the rows whose norm exceeds its envelope
 
 
 def regularity_gain_probe(k: int, sigmas, t_values, *, eta: float = 1.0,
@@ -274,10 +275,23 @@ def regularity_gain_probe(k: int, sigmas, t_values, *, eta: float = 1.0,
     """Tabulate ||D^sigma V(t) u0|| for mollified-cusp data under optimality:k.
 
     The data decays like |x|^(gamma-2), as mollified_cusp builds it.
-    Also records the spectral envelope sup |xi|^sigma * exp(eta*t*Phi), which
-    dominates each norm row (with ||u0|| = 1), and per-sigma fitted decay
-    rates of the norm in t.  Diagnostic: nothing is asserted here, but a
+    Also records the spectral envelope mult_bound = sup |xi|^sigma *
+    exp(eta*t*Phi), and per-sigma fitted decay rates of the norm in t.  A
     norm or an envelope that is not finite raises NumericalError.
+
+    By Parseval, norm <= mult_bound * ||u0|| with ||u0|| = 1, so a computed
+    norm exceeds its envelope only by rounding.  A row whose norm exceeds
+    mult_bound * (1 + eps*(n + 16R + 16)) is listed in over_envelope, where
+    eps is the double epsilon and R, the largest eta*t*(|xi|^p + sum_i
+    |c_i| |xi|^d_i) over the modes whose real exponent eta*t*Phi is at least
+    -746 (below it exp is 0, and a mode adds nothing), bounds the terms of
+    the real exponent wherever a mode counts.  The terms: n for the two
+    sums of n squared moduli, the norm's and that of the normalisation of
+    u0 (each at most n/2 ulps after its square root); 8R for the argument
+    of exp in the flow table, formed in at most 8 roundings of terms of
+    size at most R, and 8R for the envelope's (its exponent 2*eta*t*Phi,
+    halved by the square root); 16 for the fixed number of other roundings
+    (products, powers, exp, cos and sin, square roots).
     """
     if grid is None:
         grid = SpectralGrid(512, 40.0)
@@ -288,17 +302,30 @@ def regularity_gain_probe(k: int, sigmas, t_values, *, eta: float = 1.0,
     # one flow table over t_values serves every sigma; row k is V(t_k)u0
     moved = [SpectralField(grid, c, u0.is_real and phi.is_even)
              for c in u0.coeffs * symbols.flow_multiplier(phi, t_values, grid)]
+    x = np.abs(grid.xi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sizes = x ** phi.p + sum(abs(term.coeff) * x ** term.degree
+                                 for term in phi.terms)
+        phase = symbols.phase_eval(phi, grid.xi)
+        allowances = []
+        for t in t_values:
+            counted = eta * t * phase >= -746.0  # exp is 0 below
+            R = eta * t * float(np.max(sizes[counted]))
+            allowances.append(math.ulp(1.0) * (grid.n + 16.0 * R + 16.0))
     rows = []
+    over = []
     rates = {}
     for sigma in sigmas:
         norms_t = []
-        for t, vt in zip(t_values, moved):
+        for t, vt, allowance in zip(t_values, moved, allowances):
             nrm = l2_norm(fractional_D(vt, sigma))
             bound = math.sqrt(symbols.weighted_multiplier_sup(phi, sigma, t))
             if not (math.isfinite(nrm) and math.isfinite(bound)):
                 raise NumericalError(f"decay probe norm {nrm} and envelope {bound} "
                                      f"at sigma={sigma!r}, t={t!r}: not both finite")
             rows.append({"sigma": sigma, "t": t, "norm": nrm, "mult_bound": bound})
+            if nrm > bound * (1.0 + allowance):
+                over.append(rows[-1])
             norms_t.append(nrm)
         norms_arr = np.asarray(norms_t)
         # a slope needs two distinct times; repeats of one time fit nothing
@@ -307,4 +334,4 @@ def regularity_gain_probe(k: int, sigmas, t_values, *, eta: float = 1.0,
         else:
             slope = float("nan")
         rates[sigma] = float(slope)
-    return ProbeReport(rows, rates)
+    return ProbeReport(rows, rates, over)

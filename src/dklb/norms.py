@@ -118,34 +118,55 @@ def hs_norm(f: SpectralField, s: float = 0.0) -> float:
     return norm
 
 
-def sup_hs_norm(grid: SpectralGrid, coeffs: np.ndarray, s: float = 0.0) -> float:
-    """The largest H^s norm among the rows of (rows, modes) spectra.
+def _hs_powers(grid: SpectralGrid, keep: int, rows: int, s: float):
+    """The H^s power of each row of (rows, keep) spectra, summed block by block.
 
-    A row of N entries is an FFT-order spectrum; a row of N/2+1 entries is
-    the half spectrum (modes 0..N/2) of a real field, whose modes 1..N/2-1
-    stand for their conjugates too and count twice: the weighted power of
-    the half row is mirrored into the places of the conjugates, so that
-    each row sums the power of its FFT-order spectrum in the same order and
-    to the same bit.  The rows are walked in blocks of ROW_BLOCK, each
-    summed in one buffer of that many rows; NumericalError if the result is
-    not finite.
+    Returns (add, sup).  add(coeffs, block) sums the weighted power of each
+    row of coeffs, at most ROW_BLOCK rows that are the rows `block` of the
+    whole array, into the sums of those rows; sup() gives the largest H^s
+    norm among the rows, NumericalError if it is not finite.  A row of N
+    entries is an FFT-order spectrum; a row of N/2+1 entries is the half
+    spectrum (modes 0..N/2) of a real field, whose modes 1..N/2-1 stand for
+    their conjugates too and count twice: the weighted power of the half
+    row is mirrored into the places of the conjugates, so that each row
+    sums the power of its FFT-order spectrum in the same order and to the
+    same bit.
     """
-    n, keep = grid.n, coeffs.shape[-1]
+    n = grid.n
     weight = (1.0 + grid.xi[:keep] ** 2) ** (s / 2.0)
-    power = np.empty((min(ROW_BLOCK, len(coeffs)), n))
-    sums = np.empty(len(coeffs))
-    for rows in _row_blocks(len(coeffs)):
-        block = power[: rows.stop - rows.start]
-        half = np.abs(coeffs[rows], out=block[:, :keep])
+    power = np.empty((min(ROW_BLOCK, rows), n))
+    sums = np.empty(rows)
+
+    def add(coeffs: np.ndarray, block: slice) -> None:
+        summed = power[: len(coeffs)]
+        half = np.abs(coeffs, out=summed[:, :keep])
         half *= weight
         half *= half
         if keep < n:
-            block[:, keep:] = block[:, n // 2 - 1:0:-1]
-        np.sum(block, axis=1, out=sums[rows])
-    norm = float(np.sqrt(grid.length * np.max(sums)))
-    if not math.isfinite(norm):
-        raise NumericalError(f"H^s norm at s={s!r} is not finite ({norm!r})")
-    return norm
+            summed[:, keep:] = summed[:, n // 2 - 1:0:-1]
+        np.sum(summed, axis=1, out=sums[block])
+
+    def sup() -> float:
+        norm = float(np.sqrt(grid.length * np.max(sums)))
+        if not math.isfinite(norm):
+            raise NumericalError(f"H^s norm at s={s!r} is not finite ({norm!r})")
+        return norm
+
+    return add, sup
+
+
+def sup_hs_norm(grid: SpectralGrid, coeffs: np.ndarray, s: float = 0.0) -> float:
+    """The largest H^s norm among the rows of (rows, modes) spectra.
+
+    Rows of N entries are FFT-order spectra, rows of N/2+1 the half spectra
+    of real fields (_hs_powers).  The rows are walked in blocks of
+    ROW_BLOCK, each summed in one buffer of that many rows; NumericalError
+    if the result is not finite.
+    """
+    add, sup = _hs_powers(grid, coeffs.shape[-1], len(coeffs), s)
+    for rows in _row_blocks(len(coeffs)):
+        add(coeffs[rows], rows)
+    return sup()
 
 
 def lp_norm(f: SpectralField, p: float) -> float:

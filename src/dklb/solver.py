@@ -19,14 +19,15 @@ row per stage, Picard its nodes in blocks of norms.ROW_BLOCK rows.  A real
 flow (real data and an even symbol) keeps modes 0..N/2, a half spectrum,
 and transforms with irfft/rfft; a complex flow keeps every mode and uses
 ifft/fft.  Flow tables are evaluated on the kept modes only, and the norms
-read half spectra as they stand.  Picard returns its nodes on the kept
-modes, one (nt+1, kept) array; etdrk4_solve yields its rows one at a time
-as (step, t, field), and nothing gathers them.  Full spectra, with the
-negative modes filled in as conjugates, are built only for the fields
-ETDRK4 yields and the Picard rows a caller extends.  The inner loops are
-linear in time: ETDRK4 runs its stages in preallocated buffers, and
-Picard's Duhamel sweep runs its quadrature sums forward by the semigroup
-law instead of summing over every pair of nodes.
+read half spectra as they stand.  Picard holds two (nt+1, kept) arrays,
+its linear part and one iterate, which each sweep overwrites in place
+block by block, and returns that iterate as its nodes; etdrk4_solve yields
+its rows one at a time as (step, t, field), and nothing gathers them.
+Full spectra, with the negative modes filled in as conjugates, are built
+only for the fields ETDRK4 yields and the Picard rows a caller extends.
+The inner loops are linear in time: ETDRK4 runs its stages in
+preallocated buffers, and Picard's Duhamel sweep runs its quadrature sums
+forward by the semigroup law instead of summing over every pair of nodes.
 """
 
 from __future__ import annotations
@@ -142,21 +143,31 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 
     The iteration runs on the kept modes of _advection (0..N/2 for a real
     flow, all of them for a complex one), and each sweep is linear in nt.
-    The kernel writes the advection term of every node into its row, one
-    batched call per block of norms.ROW_BLOCK nodes, so its node buffer
-    holds one block, and the quadrature sums run forward by the semigroup law
-    M_{a+b} = M_a M_b: with R_m the Simpson sum at an even node m,
+    The quadrature sums run forward by the semigroup law M_{a+b} = M_a M_b:
+    with R_m the Simpson sum at an even node m,
 
         R_{m+2}  = M2 R_m + dt/3 (M2 N_m + 4 M1 N_{m+1} + N_{m+2}),
         S_{m+3}  = M3 R_m + 3dt/8 (M3 N_m + 3 M2 N_{m+1} + 3 M1 N_{m+2} + N_{m+3}),
 
     where M1, M2 and M3 are the flow multipliers at dt, 2dt and 3dt.  The
     linear part takes the flow multiplier at every node, but the sums
-    compound M1..M3, so their rounding grows like nt ulps.  The linear part,
-    the advection terms and two iterates are (nt+1, kept modes) arrays
-    allocated once, and they are the state: the new iterate is measured on
-    them for the distance and the diagnostics, which walk the rows in the
-    same blocks, the step overwriting the old iterate.
+    compound M1..M3, so their rounding grows like nt ulps.
+
+    The state is two (nt+1, kept modes) arrays: the linear part, formed in
+    the flow table's own storage, and one iterate, which each sweep
+    overwrites in place.  That is safe because the step from node m writes
+    nodes m+2 and m+3 and reads only the advection terms of nodes m..m+3,
+    all taken from old rows: the sweep walks the nodes in blocks of
+    norms.ROW_BLOCK, and one batched kernel call writes the terms of a
+    block's old rows, after those of the two nodes before the block, before
+    any of its rows is overwritten.  The block's new rows are formed in a
+    block-sized buffer, each in the operand order of a whole-array sweep
+    (the linear part, then M3 R_m, then the weighted terms); once the block
+    is complete, the H^s power of each row's step (new - old) is summed by
+    the body of norms.sup_hs_norm and the new rows overwrite the old.  The
+    distance between iterates is the largest of those norms, bitwise
+    sup_hs_norm of the whole step; the diagnostics then walk the new
+    iterate in the same blocks.
 
     Returns (nodes, report).  nodes is the last iterate on the kept modes,
     one row per node times[k] = k*T/nt: an (nt+1, N/2+1) array of half
@@ -181,36 +192,56 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     is_real = u0.is_real and phi.is_even
     keep, advect = _advection(grid, is_real, (norms.ROW_BLOCK,))
 
-    linear = u0.coeffs[keep] * symbols.flow_multiplier(
-        phi, np.arange(nt + 1) * dt, grid, is_real)
+    # the linear part, formed in the storage of the flow table
+    linear = symbols.flow_multiplier(phi, np.arange(nt + 1) * dt, grid, is_real)
+    np.multiply(u0.coeffs[keep], linear, out=linear)
+    # data without a finite H^s norm fail here, not as a diverged iterate
+    norms.sup_hs_norm(grid, linear[:1], s)
+    add_power, distance = norms._hs_powers(grid, keep.stop, nt + 1, s)
+
     M1, M2, M3 = symbols.flow_multiplier(phi, np.arange(1, 4) * dt, grid, is_real)
     trapezoid = (dt / 2.0 * M1, dt / 2.0)
     simpson = (dt / 3.0 * M2, 4.0 * dt / 3.0 * M1, dt / 3.0)
     three_eighths = (3.0 * dt / 8.0 * M3, 9.0 * dt / 8.0 * M2,
                      9.0 * dt / 8.0 * M1, 3.0 * dt / 8.0)
-    nl = np.empty_like(linear)  # the advection term at every node
-    run = np.empty_like(linear[0])  # R_m
-    tmp = np.empty_like(linear[0])
+    blocks = norms._row_blocks(nt + 1)
+    size = blocks[0].stop  # rows in a block
+    # the advection terms of the block's nodes, after those of the two
+    # nodes before it, and the block's new rows
+    terms = np.empty((size + 2, keep.stop), dtype=complex)
+    stage = np.empty((size, keep.stop), dtype=complex)
+    run = np.empty(keep.stop, dtype=complex)  # R_m
+    tmp = np.empty_like(run)
 
     def add(acc, weights, rows):
         # acc += sum_k weights[k] * rows[k], in place
         for w, row in zip(weights, rows):
             acc += np.multiply(w, row, out=tmp)
 
-    def duhamel(iterate: np.ndarray, out: np.ndarray) -> None:
-        # the image of the iterate into out, both on the kept modes
-        for rows in norms._row_blocks(nt + 1):
-            advect(iterate[rows], nl[rows])
-        np.copyto(out, linear)
-        add(out[1], trapezoid, nl[:2])
+    def duhamel(iterate: np.ndarray) -> None:
+        # the image of the iterate overwrites it, block by block, and the
+        # H^s power of each row's step goes to add_power
         run.fill(0.0)
-        for m in range(0, nt, 2):
-            if m + 3 <= nt:
-                out[m + 3] += np.multiply(M3, run, out=tmp)
-                add(out[m + 3], three_eighths, nl[m:m + 4])
-            np.multiply(M2, run, out=run)
-            add(run, simpson, nl[m:m + 3])
-            out[m + 2] += run
+        for rows in blocks:
+            old, new = iterate[rows], stage[: rows.stop - rows.start]
+            k = len(new)
+            if rows.start:  # keep the terms of the two nodes before the block
+                terms[:2] = terms[-2:]
+            advect(old, terms[2:k + 2])
+            np.copyto(new, linear[rows])
+            if not rows.start:
+                add(new[1], trapezoid, terms[2:4])
+            # row i of the block is node m+2, and terms[i:i+4] hold N_m..N_{m+3}
+            for i in range(0 if rows.start else 2, k, 2):
+                window = terms[i:i + 4]
+                if i + 1 < k:  # node m+3 <= nt lies in the same block
+                    new[i + 1] += np.multiply(M3, run, out=tmp)
+                    add(new[i + 1], three_eighths, window)
+                np.multiply(M2, run, out=run)
+                add(run, simpson, window)
+                new[i] += run
+            add_power(np.subtract(new, old, out=old), rows)
+            np.copyto(old, new)
 
     notes: list[str] = []
     if phi.p <= 2.5:
@@ -219,26 +250,22 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             "their validity range; diagnostics only"
         )
 
-    # data without a finite H^s norm fail here, not as a diverged iterate
-    norms.sup_hs_norm(grid, linear[:1], s)
-    current, new = linear.copy(), np.empty_like(linear)
+    iterate = linear.copy()
     distances: list[float] = []
     lambdas: list[dict[str, float]] = []
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        duhamel(current, new)
+        duhamel(iterate)
         iterations += 1
-        # the step new - current overwrites current, which is not read again;
-        # it is not finite where the new iterate is not
+        # the step is not finite where the new iterate is not
         try:
-            dist = norms.sup_hs_norm(grid, np.subtract(new, current, out=current), s)
+            dist = distance()
         except NumericalError as exc:
             raise NumericalError(
                 f"Picard iterate {iterations} diverged: {exc}") from None
         distances.append(dist)
-        lambdas.append(norms.lambda_diagnostics(grid, phi, times, new, s))
-        current, new = new, current
+        lambdas.append(norms.lambda_diagnostics(grid, phi, times, iterate, s))
         if dist <= tol:
             converged = True
             break
@@ -248,7 +275,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             f"no fixed point after {iterations} iterations: last distance "
             f"{distances[-1]:.3e} above tol {tol:g}; the last iterate is returned"
         )
-    return current, ContractionReport(converged, iterations, distances, lambdas, notes)
+    return iterate, ContractionReport(converged, iterations, distances, lambdas, notes)
 
 
 # --- ETDRK4 on the differential form ----------------------------------------

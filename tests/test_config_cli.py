@@ -751,6 +751,27 @@ def test_decay_experiment_where_eta_t_underflows(runner, tmp_path):
         assert math.isfinite(bound) and np.max(modes) <= bound, line
 
 
+def test_decay_experiment_over_its_envelope_writes_the_csv_and_exits_1(
+        runner, tmp_path, monkeypatch):
+    # a doubled flow table doubles every norm; at sigma = 0 the envelope is
+    # within 3% of the norm at t = 0.1, so that row breaks it
+    from dklb import symbols
+
+    flow = symbols.flow_multiplier
+    monkeypatch.setattr(symbols, "flow_multiplier",
+                        lambda phi, t, grid: 2.0 * flow(phi, t, grid))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["decay-experiment", "-D", f"output.dir={out}"])
+    assert result.exit_code == 1, result.output
+    assert "numerical failure: " in result.output
+    assert "exceed their envelope beyond rounding, the first at sigma=0.0, t=0.1" \
+        in result.output
+    lines = (out / "decay-experiment.csv").read_text().splitlines()[1:]
+    assert len(lines) == 9
+    _, _, norm, bound = map(float, lines[0].split(",")[:4])
+    assert norm > bound
+
+
 def test_conjugate_check_writes_cell_table(runner, tmp_path):
     out = tmp_path / "out"
     result = runner.invoke(main, ["conjugate-check", "-D", "grid.n=256",
