@@ -83,8 +83,8 @@ def _terms(text: str) -> list[symbols.PhaseTerm]:
         tokens = chunk.split()
         if len(tokens) != 3:
             raise ValueError(f"each term needs 'coeff m n', got {chunk!r}")
-        terms.append(symbols.PhaseTerm(float(tokens[0]), int(tokens[1]),
-                                       float(tokens[2])))
+        terms.append(symbols.PhaseTerm(_float(tokens[0]), int(tokens[1]),
+                                       _float(tokens[2])))
     return terms
 
 
@@ -205,7 +205,7 @@ def _make_phase(values: dict) -> symbols.PhaseFunction:
     terms = tuple(values[("model", "terms")] or ())
     try:
         return symbols.PhaseFunction(p=p, terms=terms, eta=eta)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
 
@@ -236,7 +236,7 @@ class ExperimentConfig:
     # --- builders ------------------------------------------------------------
 
     def build_phase(self) -> symbols.PhaseFunction:
-        """The configured symbol, built once at load (construction runs find_M)."""
+        """The configured symbol, built once at load and validated there."""
         return self.phase
 
     def build_grid(self) -> SpectralGrid:

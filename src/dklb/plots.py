@@ -182,7 +182,7 @@ def _histogram(header, rows, canvas, csv_path):
             f'stroke="white" stroke-width="0.5"/>')
 
 
-def emit_plot(csv_path, kind: str, out_path=None) -> Path:
+def emit_plot(csv_path, kind: str) -> Path:
     """Render a CSV artifact to a deterministic SVG next to it."""
     if kind not in KINDS:
         raise ValueError(f"unknown plot kind {kind!r}; choose from {KINDS}")
@@ -193,6 +193,6 @@ def emit_plot(csv_path, kind: str, out_path=None) -> Path:
         _timeseries(header, rows, canvas, csv_path)
     else:
         _histogram(header, rows, canvas, csv_path)
-    out = Path(out_path) if out_path else csv_path.with_suffix(".svg")
+    out = csv_path.with_suffix(".svg")
     out.write_text(canvas.render())
     return out

@@ -9,15 +9,16 @@ where each correction term has strictly lower degree m_i + n_i < p.  The
 linearized equation u_t + u_xxx + eta*L*u = 0 with (L u)^(xi) = -Phi(xi)*u^(xi)
 is solved mode-by-mode by the multiplier exp(i*t*xi**3 + eta*t*Phi(xi)).
 
-This module owns the symbol description, the threshold M beyond which the
-leading -|xi|**p term dominates the corrections, and the solution multiplier.
+This module owns the symbol description, the solution multiplier, and
+find_M, the threshold beyond which the leading -|xi|**p term dominates the
+corrections (criterion 03 reads it; building a symbol does not compute it).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,18 +56,15 @@ class PhaseFunction:
     """Damping symbol Phi(xi) = -|xi|**p + Phi1(xi), Phi1 of lower degree.
 
     eta > 0 is the dissipation strength multiplying the symbol in the
-    evolution.  M is the smallest threshold such that for all |xi| >= M the
-    leading term dominates:  Phi1(xi) <= |xi|**p / 2  and  |Phi(xi)| >=
-    |xi|**p / 2.  It is computed once, at construction, by find_M: the
-    largest positive root of x**p/2 - Phi1(+-x), found by Rolle recursion
-    and bisection and then stepped up with math.nextafter until both
-    conditions hold at M itself.
+    evolution.  Construction only checks p, eta and the term degrees; it
+    evaluates nothing, so a symbol builds however large its coefficients
+    are, and a flow that overflows meets the guard of whatever evaluates it.
+    The dominance threshold is find_M(phi), computed where it is read.
     """
 
     p: float
     terms: tuple[PhaseTerm, ...] = ()
     eta: float = 1.0
-    M: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -79,12 +77,6 @@ class PhaseFunction:
                 raise ValueError(
                     f"correction term degree m+n={t.degree} must be < p={self.p}"
                 )
-        try:
-            M = find_M(self)
-        except OverflowError as exc:  # float ** raises a bare errno tuple
-            raise OverflowError("the damping symbol overflows a double while "
-                                "its dominance threshold is located") from exc
-        object.__setattr__(self, "M", M)
 
     @property
     def is_even(self) -> bool:

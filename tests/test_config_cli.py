@@ -93,7 +93,7 @@ def test_custom_phase_from_config():
     cfg = load_config(None, ("model.preset=custom", "model.p=4",
                              "model.terms=1.0 0 2.0"))
     phase = cfg.build_phase()
-    assert cfg.build_phase() is phase  # built once; construction runs find_M
+    assert cfg.build_phase() is phase  # built once, at load; nothing is computed
     assert phase.p == 4.0
     assert phase_eval(phase, 2.0) == pytest.approx(-12.0)
     with pytest.raises(ConfigError, match="model.p"):
@@ -161,6 +161,15 @@ def test_empty_required_value_exits_2_and_names_the_field(runner, tmp_path, key)
     assert f"{key}: needs a value" in result.output
 
 
+def _fresh_cli(*args):
+    # the CLI in a fresh interpreter, outside pytest's warning filters
+    paths = [str(Path(dklb.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, "-m", "dklb.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
 HOSTILE_VALUES = ("", "0", "-1", "nan", "inf", "1e308", "1e-320", "abc")
 
 
@@ -226,20 +235,45 @@ def _non_finite_cells(path):
     return bad
 
 
+def _assert_ends_in_an_exit_code(result, tmp_path, *names):
+    # exit 0, 1 or 2, never a traceback; a refusal names one of names, and a
+    # run that succeeds writes only finite cells
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        repr(result.exception)
+    if result.exit_code == 2:
+        assert any(name in result.output for name in names), result.output
+    if result.exit_code == 0:
+        for path in tmp_path.glob("*.csv"):
+            assert _non_finite_cells(path) == [], path.name
+
+
 @pytest.mark.parametrize("value", HOSTILE_VALUES)
 @pytest.mark.parametrize("command, key", _hostile_cases())
 def test_hostile_value_ends_in_an_exit_code(runner, tmp_path, command, key,
                                             value):
     result = runner.invoke(main, [*command, "-D", f"{key}={value}",
                                   "-D", f"output.dir={tmp_path}"])
-    assert result.exit_code in (0, 1, 2), result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit), \
-        repr(result.exception)
-    if result.exit_code == 2:
-        assert key in result.output, result.output
-    if result.exit_code == 0:
-        for path in tmp_path.glob("*.csv"):
-            assert _non_finite_cells(path) == [], path.name
+    _assert_ends_in_an_exit_code(result, tmp_path, key)
+
+
+@pytest.mark.parametrize("value", HOSTILE_VALUES)
+@pytest.mark.parametrize("key, template, other", [
+    ("model.p", "{}", "model.terms=1 0 2"),
+    ("model.terms", "{} 0 2", "model.p=4"),
+    ("model.terms", "1 0 {}", "model.p=4"),
+], ids=["p", "coeff", "power"])
+@pytest.mark.parametrize("command", ["existence-time", "simulate"])
+def test_hostile_custom_symbol_ends_in_an_exit_code(runner, tmp_path, command,
+                                                    key, template, other, value):
+    # a preset ignores model.p and model.terms, so the sweep above never
+    # builds a custom symbol; "model:" is the rule that spans both keys, a
+    # correction degree of at least p
+    result = runner.invoke(main, [command, "-D", "model.preset=custom",
+                                  "-D", other, "-D", "grid.n=64",
+                                  "-D", f"{key}={template.format(value)}",
+                                  "-D", f"output.dir={tmp_path}"])
+    _assert_ends_in_an_exit_code(result, tmp_path, key, "model:")
 
 
 @pytest.mark.parametrize("command", sorted(main.commands))
@@ -261,15 +295,69 @@ def test_unwritable_artifact_exits_2_and_names_the_output_dir(runner, tmp_path):
     assert "output.dir" in result.output and "existence-time.csv" in result.output
 
 
-def test_overflowing_custom_terms_exit_2_and_name_the_model(runner, tmp_path):
-    result = runner.invoke(main, ["existence-time", "-D", "model.preset=custom",
-                                  "-D", "model.p=4", "-D", "model.terms=1e300 0 2",
+_HUGE_TERMS = ("-D", "model.preset=custom", "-D", "model.p=4",
+               "-D", "model.terms=1e300 0 2", "-D", "grid.n=64")
+
+
+def test_finite_custom_terms_build_however_large(runner, tmp_path):
+    # existence-time reads only p and eta, so the bytes are those of kdvks
+    out = {}
+    for name, symbol in (("huge", _HUGE_TERMS), ("kdvks", ("-D", "grid.n=64"))):
+        out[name] = tmp_path / name
+        result = runner.invoke(main, ["existence-time", *symbol,
+                                      "-D", f"output.dir={out[name]}"])
+        assert result.exit_code == 0, result.output
+    assert ((out["huge"] / "existence-time.csv").read_bytes()
+            == (out["kdvks"] / "existence-time.csv").read_bytes())
+
+
+def test_overflowing_custom_terms_meet_the_solver_guard(runner, tmp_path):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["simulate", *_HUGE_TERMS,
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "ETDRK4 lost finiteness at step 1" in result.output
+    assert not (out / "simulate.csv").exists()
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+@pytest.mark.parametrize("preset", ["custom", "kdvks"])
+@pytest.mark.parametrize("terms", ["nan 0 2", "inf 0 2", "1 0 nan", "1 0 inf"])
+def test_non_finite_terms_exit_2_and_name_the_field(runner, tmp_path, command,
+                                                    preset, terms):
+    result = runner.invoke(main, [command, "-D", f"model.preset={preset}",
+                                  "-D", "model.p=4", "-D", f"model.terms={terms}",
                                   "-D", f"output.dir={tmp_path}"])
     assert result.exit_code == 2, result.output
-    assert "model:" in result.output
-    assert ("overflows a double while its dominance threshold is located"
-            in result.output)
-    assert "(34," not in result.output
+    bad = next(tok for tok in terms.split() if tok in ("nan", "inf"))
+    assert result.output.splitlines() == [
+        f"validation error: model.terms: must be a finite number, got '{bad}'"]
+
+
+def test_non_finite_terms_refusal_is_one_line_on_stderr(tmp_path):
+    # refused at parsing, before any evaluation of the symbol could print a
+    # numpy warning ahead of the message
+    result = _fresh_cli("existence-time", "-D", "model.preset=custom",
+                        "-D", "model.p=4", "-D", "model.terms=inf 0 2",
+                        "-D", f"output.dir={tmp_path}")
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.splitlines() == [
+        "validation error: model.terms: must be a finite number, got 'inf'"], \
+        result.stderr
+
+
+def test_no_symbol_build_runs_find_m(monkeypatch):
+    import dklb.symbols
+
+    def refuse(phi):
+        raise AssertionError("find_M ran while a symbol was built")
+
+    monkeypatch.setattr(dklb.symbols, "find_M", refuse)
+    load_config(None, ("model.preset=custom", "model.p=4",
+                       "model.terms=1 0 2; -3 1 1.5"))
+    for name in ("kdvb", "ost", "kdvks", "optimality:2", "optimality:5"):
+        load_config(None, (f"model.preset={name}",))
 
 
 @pytest.mark.parametrize("override", ["conjugation.t=0.05 -1",
@@ -561,14 +649,8 @@ def test_failed_allocation_exits_1_with_one_line(runner, tmp_path, monkeypatch,
 def test_numerical_failure_is_one_line_on_stderr(tmp_path, command, overrides):
     # in a fresh interpreter, where numpy's floating-point warnings would
     # print source excerpts ahead of the one-line message
-    args = [sys.executable, "-m", "dklb.cli", command,
-            "-D", f"output.dir={tmp_path}"]
-    for override in overrides:
-        args += ["-D", override]
-    paths = [str(Path(dklb.__file__).resolve().parents[1]),
-             os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    result = subprocess.run(args, capture_output=True, text=True, env=env)
+    result = _fresh_cli(command, "-D", f"output.dir={tmp_path}",
+                        *(arg for override in overrides for arg in ("-D", override)))
     assert result.returncode == 1, result.stderr
     assert len(result.stderr.splitlines()) == 1, result.stderr
     assert result.stderr.startswith("numerical failure: "), result.stderr

@@ -93,13 +93,6 @@ def test_svg_coordinates_are_finite(tmp_path):
         assert not re.search(r"nan|inf", text, re.IGNORECASE), text
 
 
-def test_explicit_output_path(tmp_path):
-    p = _write(tmp_path, "named.csv", "t,l2\n0.0,1.0\n1.0,0.5\n")
-    target = tmp_path / "elsewhere.svg"
-    out = emit_plot(p, "timeseries", target)
-    assert out == target and target.exists()
-
-
 def test_no_timestamps_or_environment_leaks(tmp_path):
     p = _write(tmp_path, "clean.csv", "t,l2\n0.0,1.0\n1.0,0.5\n")
     text = emit_plot(p, "timeseries").read_text()
