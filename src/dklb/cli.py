@@ -14,7 +14,8 @@ first, then exits 1.  Feeding the manifest
 back through --config replays the run byte-identically.
 
 Exit codes: 0 success, 1 numerical failure (divergence, overflow, boundary
-leakage) or an allocation the machine refuses, 2 validation failure (bad
+leakage, a smoothing exponent at which a norm of nonzero data rounds to 0 or
+overflows) or an allocation the machine refuses, 2 validation failure (bad
 config, violated precondition, or an output.dir that cannot be created or
 written).  Each key's own domain, model.terms included, is checked once, at
 load, on every subcommand; a rule that spans keys is checked by the
@@ -33,17 +34,16 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import brackets, norms
+from . import norms
 from .config import ExperimentConfig, load_config
 from .conjugation import (
     conjugation_check,
     operator_polynomial,
     regularity_gain_probe,
 )
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, ExponentError, NumericalError
 from .grid import SpectralField, l2_norm, write_snapshot
 from .norms import hs_norm, verify_smoothing, weighted_norm
-from .plots import emit_plot
 from .solver import (
     _full_spectrum,
     contraction_threshold,
@@ -101,6 +101,7 @@ def _subcommand(name: str, plot: str | None = None):
                 finally:
                     partial.unlink(missing_ok=True)
                 if plot and "svg" in cfg.get("output", "formats"):
+                    from .plots import emit_plot  # csv is loaded for svg only
                     emit_plot(csv_path, plot)
                 click.echo("\n".join([f"wrote {csv_path}", *summary]))
                 if failure:  # the run failed its own check, after writing
@@ -205,6 +206,8 @@ def picard(cfg: ExperimentConfig, outdir: Path) -> Run:
 @_subcommand("verify-bracket")
 def verify_bracket(cfg: ExperimentConfig, outdir: Path) -> Run:
     """Check quadrature values of <n,m,a> against their exact reductions."""
+    from . import brackets  # with fractions, loaded by this subcommand only
+
     tol = cfg.get("brackets", "tol")
     pairs = brackets.standard_pairs()[: cfg.get("brackets", "pairs")]
     yield ["n", "m", "a", "residual", "bound"]
@@ -234,12 +237,15 @@ def verify_smoothing_cmd(cfg: ExperimentConfig, outdir: Path) -> Run:
     # each check's hypotheses, and alpha > 0, relate its exponents to p
     with _fields("smoothing.check", "smoothing.s", "smoothing.a", "smoothing.b",
                  "smoothing.q", "model"):
-        report = verify_smoothing(
-            cfg.get("smoothing", "check"), phase, grid=cfg.build_grid(),
-            T=cfg.get("smoothing", "t"), size=cfg.get("ensemble", "size"),
-            seed=cfg.get("ensemble", "seed"), nt=cfg.get("smoothing", "nt"),
-            s=cfg.get("smoothing", "s"), a=cfg.get("smoothing", "a"),
-            b=cfg.get("smoothing", "b"), q=cfg.get("smoothing", "q"))
+        try:
+            report = verify_smoothing(
+                cfg.get("smoothing", "check"), phase, grid=cfg.build_grid(),
+                T=cfg.get("smoothing", "t"), size=cfg.get("ensemble", "size"),
+                seed=cfg.get("ensemble", "seed"), nt=cfg.get("smoothing", "nt"),
+                s=cfg.get("smoothing", "s"), a=cfg.get("smoothing", "a"),
+                b=cfg.get("smoothing", "b"), q=cfg.get("smoothing", "q"))
+        except ExponentError as exc:  # its parameters are named as the keys
+            raise ExponentError(f"smoothing.{exc.name}", exc.detail) from exc
     yield ["sample_id", "ratio"]
     for i, r in enumerate(report.ratios):
         yield [i, float(r)]

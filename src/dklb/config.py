@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import brackets, fields, norms, symbols
+from . import fields, norms, symbols
 from .errors import ConfigError
 from .grid import SpectralField, SpectralGrid, WeightSpec, parse_weight
 
@@ -98,6 +98,9 @@ def _grid_size(text: str) -> int:
 _METHODS = ("etdrk4", "linear")
 _DATA_KINDS = ("gaussian", "spectral-gaussian", "mixture", "cusp", "zero")
 _FORMATS = ("csv", "svg", "snapshots")
+# brackets.standard_pairs() has this many pairs; brackets, with fractions,
+# is loaded by verify-bracket only
+_BRACKET_PAIRS = 3
 _positive = _bounded(_float, 0, strict=True)
 _nonnegative = _bounded(_float, 0)
 
@@ -163,7 +166,7 @@ _SCHEMA = {
         # verify-bracket must check at least one reduction against a real bound
         "max_n": (_bounded(int, 1), "6"),
         "max_a": (_bounded(int, 0), "3"),
-        "pairs": (_bounded(int, 1, hi=len(brackets.standard_pairs())), "3"),
+        "pairs": (_bounded(int, 1, hi=_BRACKET_PAIRS), str(_BRACKET_PAIRS)),
         "tol": (_positive, "1e-8"),
     },
     "existence": {

@@ -11,3 +11,13 @@ class NumericalError(RuntimeError):
 
 class LeakageError(NumericalError):
     """Field mass near the domain boundary exceeds the allowed threshold."""
+
+
+class ExponentError(NumericalError):
+    """A norm of finite magnitudes, not all zero, that rounds to 0 or
+    overflows at its Lebesgue exponent; `name` is the parameter that holds
+    the exponent."""
+
+    def __init__(self, name: str, detail: str):
+        super().__init__(f"{name}: {detail}")
+        self.name, self.detail = name, detail

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbols
-from .errors import NumericalError
+from .errors import ExponentError, NumericalError
 from .fields import sample_ensemble
 from .grid import (
     SpectralField,
@@ -37,9 +37,10 @@ from .grid import (
 
 INF = math.inf
 
-# Rows per block: Picard's advection sweep and the trajectory diagnostics
-# walk their (rows, modes) arrays this many rows at a time, so that their
-# transform buffers stay this size whatever the number of time nodes.
+# Rows per block: Picard's advection sweep, the trajectory diagnostics and
+# the ensemble checks walk their (rows, modes) arrays this many rows at a
+# time, so that their transform buffers stay this size whatever the number
+# of time nodes.
 ROW_BLOCK = 16
 
 
@@ -203,16 +204,37 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def _pnorm(vals: np.ndarray, weights, p: float, axis=None):
-    if p == INF:
-        return np.max(vals, axis=axis)
+def _power(vals: np.ndarray, weights, p: float) -> np.ndarray:
+    """weights * vals**p, in a new array."""
     if p == 4.0:  # two products: within 2 ulp of pow(), at a fraction of its cost
         power = vals * vals
         power *= power
     else:
         power = vals**p
     power *= weights
-    return np.sum(power, axis=axis) ** (1.0 / p)
+    return power
+
+
+def _pnorm(vals: np.ndarray, weights, p: float, axis=None):
+    if p == INF:
+        return np.maximum.reduce(vals, axis=axis)
+    return np.add.reduce(_power(vals, weights, p), axis=axis) ** (1.0 / p)
+
+
+def _in_range(norms, peaks, p: float, name: str):
+    """norms, L^p norms of magnitudes whose maxima peaks() gives, entry for
+    entry: ExponentError naming `name` when a norm of finite magnitudes, not
+    all zero, has rounded to 0 or overflowed."""
+    if p == INF or (np.minimum.reduce(norms, axis=None) > 0
+                    and np.maximum.reduce(norms, axis=None) < INF):
+        return norms  # a maximum is exact, and no norm is 0 or inf
+    peak = peaks()
+    finite = (peak > 0) & (peak < INF)
+    for lost, way in ((0.0, "rounds to 0"), (INF, "overflows")):
+        if np.any(finite & (norms == lost)):
+            raise ExponentError(name, f"the L^{p!r} norm of finite magnitudes, "
+                                      f"not all zero, {way}")
+    return norms
 
 
 def _magnitudes(c: np.ndarray, n: int, real: bool, out: np.ndarray) -> np.ndarray:
@@ -225,22 +247,57 @@ def _magnitudes(c: np.ndarray, n: int, real: bool, out: np.ndarray) -> np.ndarra
     return np.abs(np.fft.ifft(c, n, axis=-1, norm="forward", out=c), out=out)
 
 
-def mixed_norm(V: np.ndarray, tw: np.ndarray, dx: float, outer: float,
-               inner: float, order: str = "t_outer_x_inner") -> float:
+def mixed_norm(V, tw: np.ndarray, dx: float, outer: float, inner: float,
+               order: str = "t_outer_x_inner") -> float:
     """Mixed space-time norm of (times, nodes) magnitudes V.
 
-    tw holds the trapezoid weights of the times (_trapezoid_weights) and dx
-    the grid's quadrature weight.  order='t_outer_x_inner' computes
+    V is one array, or an iterable of arrays that are its consecutive row
+    blocks; each block is read once, before the next is drawn, so that the
+    blocks may share one buffer.  tw holds the trapezoid weights of the
+    times (_trapezoid_weights) and dx the grid's quadrature weight.
+    order='t_outer_x_inner' computes
     (int_0^T (int |u|^inner dx)^(outer/inner) dt)^(1/outer);
     'x_outer_t_inner' nests the other way around.  inf exponents take the
-    maxima.  verify_smoothing takes V by _magnitudes from a flow table, with
-    any derivative or |xi|^s multiplier applied to the table first.
+    maxima.  The value does not depend on the blocks: each row's space norm
+    is its own, and the time sums of 'x_outer_t_inner' run on in row order,
+    as a sum over the whole array's first axis does.
+
+    ExponentError, naming 'inner' or 'outer', when a norm of finite
+    magnitudes, not all zero, rounds to 0 or overflows at its exponent.
+    verify_smoothing streams V block by block from a flow table, with any
+    derivative or |xi|^s multiplier applied to each block first.
     """
+    if order not in ("t_outer_x_inner", "x_outer_t_inner"):
+        raise ValueError(f"unknown nesting order {order!r}")
+    blocks = [V] if isinstance(V, np.ndarray) else V
+    start = 0
     if order == "t_outer_x_inner":
-        return float(_pnorm(_pnorm(V, dx, inner, axis=1), tw, outer))
-    if order == "x_outer_t_inner":
-        return float(_pnorm(_pnorm(V, tw[:, None], inner, axis=0), dx, outer))
-    raise ValueError(f"unknown nesting order {order!r}")
+        per_row = np.empty(len(tw))
+        for block in blocks:
+            rows = slice(start, start + len(block))
+            per_row[rows] = _in_range(_pnorm(block, dx, inner, axis=1),
+                                      lambda: block.max(axis=1), inner, "inner")
+            start = rows.stop
+        weights = tw
+    else:
+        peak = sums = None
+        for block in blocks:
+            rows = slice(start, start + len(block))
+            top = block.max(axis=0)
+            peak = top if peak is None else np.maximum(peak, top, out=peak)
+            if inner != INF:
+                power = _power(block, tw[rows, None], inner)
+                if sums is not None:  # the sums run on in row order
+                    power[0] += sums
+                sums = power.sum(axis=0, out=sums)
+            start = rows.stop
+        per_row = peak if inner == INF else _in_range(
+            sums ** (1.0 / inner), lambda: peak, inner, "inner")
+        weights = dx
+    if start != len(tw):
+        raise ValueError(f"magnitudes at {start} times, weights at {len(tw)}")
+    norm = _in_range(_pnorm(per_row, weights, outer), per_row.max, outer, "outer")
+    return float(norm)
 
 
 def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
@@ -356,14 +413,19 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
       P_inf  ||D^q V u0||_{Linf_x L2_T}  vs  ||u0||_{L2}   (fitted constant)
 
     Parameters outside an inequality's hypothesis range raise ValueError;
-    a ratio that is not finite raises NumericalError.
-    Ratios use constant 1 on the right, so the fitted constant is simply the
-    ensemble maximum, max_ratio.
+    a ratio that is not finite raises NumericalError, and an exponent a or
+    b at which a norm of finite, nonzero magnitudes rounds to 0 or
+    overflows raises ExponentError naming it, since its ratios would be
+    vacuous.  Ratios use constant 1 on the right, so the fitted constant is
+    simply the ensemble maximum, max_ratio.
 
     The flow multipliers at the nt+1 times form one (times, modes) table,
-    half spectra only for a real flow (phi.is_even).  Samples are drawn
-    lazily; each is one product into one buffer, one in-place transform
-    (irfft or ifft) and magnitudes into another, so memory is flat in size.
+    half spectra only for a real flow (phi.is_even), and the table is the
+    state.  Samples are drawn lazily, and each is streamed to mixed_norm in
+    blocks of ROW_BLOCK rows: per block, one product into one block buffer,
+    one in-place transform (irfft or ifft) and magnitudes into another, so
+    memory is flat in size and in nt beyond the table.  The ratios are
+    bitwise those of the whole (nt+1, n) array.
     """
     if check not in SMOOTHING_CHECKS:
         raise ValueError(f"unknown check {check!r}; choose from {SMOOTHING_CHECKS}")
@@ -385,16 +447,17 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
         raise ValueError(f"P_inf requires p > 2q, got p={p}, q={q}")
     # Per check: outer and inner exponents, nesting and derivative order of
     # the left-hand mixed norm; the (a, b, s) of the bound constant (None for
-    # the fitted constant 1); the right-hand norm of u0.
+    # the fitted constant 1); the right-hand norm of u0; the parameter that
+    # holds each exponent that is not fixed.
     tx, xt = "t_outer_x_inner", "x_outer_t_inner"
-    outer, inner, order, gain_order, bound, rhs_norm = {
+    outer, inner, order, gain_order, bound, rhs_norm, names = {
         "C1": (a, INF, tx, s, (a, INF, s),
-               lambda u0: lp_norm(u0, conjugate_exponent(a))),
-        "C2": (2.0, b, tx, s, (2.0, b, s), l2_norm),
+               lambda u0: lp_norm(u0, conjugate_exponent(a)), {"outer": "a"}),
+        "C2": (2.0, b, tx, s, (2.0, b, s), l2_norm, {"inner": "b"}),
         "C3": (2.0, b, tx, 1.0, (2.0, b, 1.0 - s),
-               lambda u0: l2_norm(fractional_D(u0, s))),
-        "C4": (2.0, 2.0, tx, s, (2.0, 2.0, s), l2_norm),
-        "P_inf": (INF, 2.0, xt, q, None, l2_norm),
+               lambda u0: l2_norm(fractional_D(u0, s)), {"inner": "b"}),
+        "C4": (2.0, 2.0, tx, s, (2.0, 2.0, s), l2_norm, {}),
+        "P_inf": (INF, 2.0, xt, q, None, l2_norm, {}),
     }[check]
     # smoothing_A validates alpha > 0
     const = 1.0 if bound is None else smoothing_A(*bound, phi, T)
@@ -405,16 +468,30 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
     tw = _trapezoid_weights(times)
     flow = symbols.flow_multiplier(phi, times, grid, real)
     gain = (np.abs(grid.xi[:keep]) ** gain_order).astype(complex) if gain_order else None
-    vals = np.empty_like(flow)
-    mags = np.empty((nt + 1, grid.n))
+    spectra = np.empty((min(ROW_BLOCK, nt + 1), keep), dtype=complex)
+    mags = np.empty((len(spectra), grid.n))
+    # per block of rows: its part of the table and the two buffers' views
+    views = [(flow[rows], spectra[: rows.stop - rows.start],
+              mags[: rows.stop - rows.start]) for rows in _row_blocks(nt + 1)]
+
+    def magnitudes(coeffs: np.ndarray):
+        # |values| of the flow of coeffs, one block of rows at a time
+        for table, spectrum, magnitude in views:
+            # operand order matters: complex products are not bitwise commutative
+            vals = np.multiply(coeffs, table, out=spectrum)
+            if gain is not None:
+                vals *= gain
+            yield _magnitudes(vals, grid.n, real, out=magnitude)
+
     ratios = np.empty(size)
     for i, u0 in enumerate(sample_ensemble(grid, size, seed)):
-        # operand order matters: complex products are not bitwise commutative
-        np.multiply(u0.coeffs[:keep], flow, out=vals)
-        if gain is not None:
-            vals *= gain
-        lhs = mixed_norm(_magnitudes(vals, grid.n, real, out=mags), tw, grid.dx,
-                         outer, inner, order)
+        try:
+            lhs = mixed_norm(magnitudes(u0.coeffs[:keep]), tw, grid.dx,
+                             outer, inner, order)
+        except ExponentError as exc:  # the side's exponent is fixed unless named
+            if exc.name not in names:
+                raise NumericalError(exc.detail) from exc
+            raise ExponentError(names[exc.name], exc.detail) from exc
         r = const * rhs_norm(u0)
         ratios[i] = lhs / r if r else 0.0
 

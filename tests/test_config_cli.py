@@ -161,13 +161,36 @@ def test_empty_required_value_exits_2_and_names_the_field(runner, tmp_path, key)
     assert f"{key}: needs a value" in result.output
 
 
-def _fresh_cli(*args):
-    # the CLI in a fresh interpreter, outside pytest's warning filters
+def _fresh_python(*args):
+    # a fresh interpreter that imports this dklb, outside pytest's warning
+    # filters and with none of the modules the tests have loaded
     paths = [str(Path(dklb.__file__).resolve().parents[1]),
              os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    return subprocess.run([sys.executable, "-m", "dklb.cli", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env)
+
+
+def _fresh_cli(*args):
+    return _fresh_python("-m", "dklb.cli", *args)
+
+
+def test_the_cli_loads_brackets_and_plots_only_for_the_runs_that_use_them():
+    # verify-bracket alone reads brackets (and fractions), the svg format
+    # alone plots (and csv); the other runs do not load them
+    unused = ("dklb.brackets", "fractions", "dklb.plots", "csv")
+    result = _fresh_python("-c", "import sys, dklb.cli, dklb.config; "
+                           "dklb.config.load_config(); "
+                           f"print([m for m in {unused!r} if m in sys.modules])")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_the_bracket_pairs_bound_is_the_number_of_standard_pairs():
+    from dklb import brackets, config
+
+    assert config._BRACKET_PAIRS == len(brackets.standard_pairs())
+    assert _SCHEMA["brackets"]["pairs"][1] == str(config._BRACKET_PAIRS)
 
 
 HOSTILE_VALUES = ("", "0", "-1", "nan", "inf", "1e308", "1e-320", "abc")
@@ -559,6 +582,27 @@ def test_overflowing_flow_exits_1_and_writes_no_csv(runner, tmp_path):
                                   "-D", f"output.dir={out}"])
     assert result.exit_code == 1, result.output
     assert "numerical failure: non-finite bound ratio" in result.output
+    assert not (out / "verify-smoothing.csv").exists()
+
+
+@pytest.mark.parametrize("overrides, key", [
+    # every row's L^b_x norm rounds to 0 (unchecked: ratios 0.0, constant 0.066)
+    (("smoothing.b=2000",), "smoothing.b"),
+    # the L^a_T norm of the rows' sup norms rounds to 0; alpha(a, inf, 0) > 0
+    # needs a < p + 1, and p = 3000 keeps |xi|^p finite on 16 modes
+    (("smoothing.check=C1", "smoothing.a=2500", "model.preset=custom",
+      "model.p=3000", "grid.n=16"), "smoothing.a"),
+])
+def test_an_exponent_that_makes_the_ratios_vacuous_exits_1(runner, tmp_path,
+                                                          overrides, key):
+    out = tmp_path / "out"
+    args = ["verify-smoothing", "-D", "ensemble.size=4", "-D", f"output.dir={out}"]
+    for override in overrides:
+        args += ["-D", override]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert f"numerical failure: {key}: the L^" in result.output
+    assert "rounds to 0" in result.output
     assert not (out / "verify-smoothing.csv").exists()
 
 

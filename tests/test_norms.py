@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dklb import fields, solver, symbols
-from dklb.errors import NumericalError
+from dklb.errors import ExponentError, NumericalError
 from dklb.fields import gaussian, normalize_l2, random_mixture, sample_ensemble
 from dklb.grid import (
     SpectralField,
@@ -35,7 +35,7 @@ from dklb.norms import (
     verify_smoothing,
     weighted_norm,
 )
-from dklb.norms import ROW_BLOCK, _magnitudes, _pnorm, _trapezoid_weights
+from dklb.norms import ROW_BLOCK, _magnitudes, _pnorm, _row_blocks, _trapezoid_weights
 
 from conftest import derivative, flow_table
 
@@ -455,6 +455,120 @@ def test_real_flow_ratios_match_the_complex_route(kdvks_phi, check):
     assert np.max(np.abs(rep.ratios - ref) / ref) <= 1e-15
 
 
+def _whole_array_mixed_norm(V, tw, dx, outer, inner, order):
+    # both norms over the whole (times, nodes) array at once
+    if order == "t_outer_x_inner":
+        return float(_pnorm(_pnorm(V, dx, inner, axis=1), tw, outer))
+    return float(_pnorm(_pnorm(V, tw[:, None], inner, axis=0), dx, outer))
+
+
+def _whole_array_ratios(check, phi, grid, T, size, seed, nt, s, a, b, q):
+    """verify_smoothing's ratios with each sample's whole (nt+1, n) flow
+    table formed, and its magnitudes taken, at once."""
+    inf, tx, xt = math.inf, "t_outer_x_inner", "x_outer_t_inner"
+    outer, inner, order, gain_order, bound, rhs_norm = {
+        "C1": (a, inf, tx, s, (a, inf, s),
+               lambda u0: lp_norm(u0, conjugate_exponent(a))),
+        "C2": (2.0, b, tx, s, (2.0, b, s), l2_norm),
+        "C3": (2.0, b, tx, 1.0, (2.0, b, 1.0 - s),
+               lambda u0: l2_norm(fractional_D(u0, s))),
+        "C4": (2.0, 2.0, tx, s, (2.0, 2.0, s), l2_norm),
+        "P_inf": (inf, 2.0, xt, q, None, l2_norm),
+    }[check]
+    const = 1.0 if bound is None else smoothing_A(*bound, phi, T)
+    real = phi.is_even
+    keep = grid.n // 2 + 1 if real else grid.n
+    times = np.linspace(0.0, T, nt + 1)
+    tw = _trapezoid_weights(times)
+    flow = symbols.flow_multiplier(phi, times, grid, real)
+    gain = (np.abs(grid.xi[:keep]) ** gain_order).astype(complex) if gain_order else None
+    ratios = []
+    for u0 in sample_ensemble(grid, size, seed):
+        vals = u0.coeffs[:keep] * flow
+        if gain is not None:
+            vals *= gain
+        mags = _magnitudes(vals, grid.n, real, np.empty((nt + 1, grid.n)))
+        lhs = _whole_array_mixed_norm(mags, tw, grid.dx, outer, inner, order)
+        ratios.append(lhs / (const * rhs_norm(u0)))
+    return np.array(ratios)
+
+
+@pytest.mark.parametrize("nt", [16, 34, 48])
+@pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
+@pytest.mark.parametrize("check", ["C1", "C2", "C3", "C4", "P_inf"])
+def test_row_blocked_ratios_are_bitwise_the_whole_array_ratios(check, name, nt):
+    # verify_smoothing streams each sample through blocks of ROW_BLOCK rows:
+    # 17 rows end in a block of one, 35 in one of 3, 49 in one of 1 after
+    # three full ones; a real flow (kdvks) and a complex one (optimality:2)
+    assert ROW_BLOCK == 16
+    phi = symbols.preset(name)
+    grid = SpectralGrid(128, 40.0)
+    kw = dict(T=0.5, size=4, seed=5, nt=nt, s=0.5, a=3.0, b=6.0, q=1.0)
+    rep = verify_smoothing(check, phi, grid=grid, **kw)
+    want = _whole_array_ratios(check, phi, grid, **kw)
+    assert np.array_equal(rep.ratios, want), (rep.ratios, want)
+
+
+@pytest.mark.parametrize("rows", [2, 16, 17, 35, 49])
+@pytest.mark.parametrize("order", ["t_outer_x_inner", "x_outer_t_inner"])
+@pytest.mark.parametrize("outer, inner", [(2.0, 4.0), (3.0, math.inf),
+                                          (math.inf, 2.0), (2.5, 3.5)])
+def test_mixed_norm_of_row_blocks_is_bitwise_its_whole_array_value(rng, rows, order,
+                                                                   outer, inner):
+    # the same magnitudes as one array and as blocks that share one buffer
+    mags = rng.uniform(0.0, 2.0, (rows, 64)) * 10.0 ** rng.integers(-3, 4, (rows, 64))
+    tw = rng.uniform(0.5, 1.5, rows)
+    buffer = np.empty((ROW_BLOCK, 64))
+
+    def blocks():
+        for block in _row_blocks(rows):
+            view = buffer[: block.stop - block.start]
+            view[...] = mags[block]
+            yield view
+
+    want = _whole_array_mixed_norm(mags, tw, 0.25, outer, inner, order)
+    assert mixed_norm(mags, tw, 0.25, outer, inner, order) == want
+    assert mixed_norm(blocks(), tw, 0.25, outer, inner, order) == want
+    with pytest.raises(ValueError, match="times"):
+        mixed_norm(mags[:-1], tw, 0.25, outer, inner, order)
+
+
+@pytest.mark.parametrize("order", ["t_outer_x_inner", "x_outer_t_inner"])
+def test_mixed_norm_refuses_an_exponent_that_loses_nonzero_magnitudes(order):
+    mags = np.full((5, 8), 0.5)
+    mags[2] = 0.0  # a zero row or column has norm 0 at any exponent
+    mags[:, 3] = 0.0
+    tw = np.ones(5)
+    assert mixed_norm(mags, tw, 1.0, 2.0, 1000.0, order) > 0.0
+    with pytest.raises(ExponentError, match="^inner: .*rounds to 0") as info:
+        mixed_norm(mags, tw, 1.0, 2.0, 2000.0, order)
+    assert info.value.name == "inner"
+    with pytest.raises(ExponentError, match="^outer: .*rounds to 0"):
+        mixed_norm(mags * 0.2, tw, 1.0, 2000.0, 2.0, order)
+    with (np.errstate(over="ignore"),
+          pytest.raises(ExponentError, match="^inner: .*overflows")):
+        mixed_norm(mags * 8.0, tw, 1.0, 2.0, 1000.0, order)
+    # non-finite magnitudes are not the exponent's doing: their norm stands
+    mags[0, 0] = math.inf
+    assert mixed_norm(mags, tw, 1.0, 2.0, 2.0, order) == math.inf
+    assert mixed_norm(np.zeros((5, 8)), tw, 1.0, 2000.0, 2000.0, order) == 0.0
+
+
+def test_vacuous_ratios_name_the_exponent_behind_them():
+    # b = 2000 takes every row's L^b_x norm to 0; unchecked, the ratios are
+    # 0.0 and the fitted constant 0.066.  C1's L^a_T norm over a flow of
+    # large p does the same at a = 2500, where alpha(a, inf, 0) > 0 needs
+    # a < p + 1
+    grid = SpectralGrid(256, 40.0)
+    with pytest.raises(ExponentError, match="^b: the L\\^2000.0 norm") as info:
+        verify_smoothing("C2", symbols.preset("kdvks"), grid=grid, size=3, b=2000.0)
+    assert info.value.name == "b"
+    phi = symbols.PhaseFunction(p=3000.0, terms=(), eta=1.0)
+    with pytest.raises(ExponentError, match="^a: the L\\^2500.0 norm") as info:
+        verify_smoothing("C1", phi, grid=SpectralGrid(16, 40.0), size=3, a=2500.0)
+    assert info.value.name == "a"
+
+
 def test_verify_smoothing_ratios_stable_as_T_shrinks(kdvks_phi):
     # the bound's T-dependence lives in A(T); the measured constants must
     # not blow up as the horizon shrinks
@@ -509,6 +623,23 @@ def test_verify_smoothing_memory_is_flat_in_size(kdvks_phi):
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 2 * 2**20, [p / 2**20 for p in peaks]
+
+
+def test_verify_smoothing_peak_is_its_flow_table():
+    # the state is the (49, 1024) complex flow table, 0.77 MiB, and blocks of
+    # ROW_BLOCK rows; the peak, 1.43-1.51 MiB over the five checks, is the
+    # table's own build.  Whole (49, 1024) products and magnitudes per
+    # sample peaked at 2.06-2.40 MiB
+    phi, grid = symbols.preset("optimality:2"), SpectralGrid(1024, 40.0)
+    verify_smoothing("C2", phi, grid=grid, size=1)  # transform plans are cached
+    for check in ("C1", "C2", "C3", "C4", "P_inf"):
+        tracemalloc.start()
+        try:
+            verify_smoothing(check, phi, grid=grid, size=10, s=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * 2**20, (check, peak / 2**20)
 
 
 @pytest.mark.parametrize("p", [2.0, 4.0])
