@@ -15,7 +15,8 @@ back through --config replays the run byte-identically.
 
 Exit codes: 0 success, 1 numerical failure (divergence, overflow, boundary
 leakage, a smoothing exponent at which a norm of nonzero data rounds to 0 or
-overflows) or an allocation the machine refuses, 2 validation failure (bad
+overflows, a smoothing bound constant that is not finite and positive) or an
+allocation the machine refuses, 2 validation failure (bad
 config, violated precondition, or an output.dir that cannot be created or
 written).  Each key's own domain, model.terms included, is checked once, at
 load, on every subcommand; a rule that spans keys is checked by the
@@ -41,7 +42,7 @@ from .conjugation import (
     operator_polynomial,
     regularity_gain_probe,
 )
-from .errors import ConfigError, ExponentError, NumericalError
+from .errors import BoundError, ConfigError, ExponentError, NumericalError
 from .grid import SpectralField, l2_norm, write_snapshot
 from .norms import hs_norm, verify_smoothing, weighted_norm
 from .solver import (
@@ -246,6 +247,8 @@ def verify_smoothing_cmd(cfg: ExperimentConfig, outdir: Path) -> Run:
                 b=cfg.get("smoothing", "b"), q=cfg.get("smoothing", "q"))
         except ExponentError as exc:  # its parameters are named as the keys
             raise ExponentError(f"smoothing.{exc.name}", exc.detail) from exc
+        except BoundError as exc:  # the constant grows like exp(eta*T)
+            raise NumericalError(f"model.eta/smoothing.t: {exc}") from exc
     yield ["sample_id", "ratio"]
     for i, r in enumerate(report.ratios):
         yield [i, float(r)]
@@ -283,8 +286,7 @@ def conjugate_check(cfg: ExperimentConfig, outdir: Path) -> Run:
 def decay_experiment(cfg: ExperimentConfig, outdir: Path) -> Run:
     """Weighted-derivative growth of the flow on mollified cusp data."""
     report = regularity_gain_probe(
-        cfg.get("decay", "k"), cfg.get("decay", "sigmas"),
-        cfg.get("decay", "t"), eta=cfg.get("model", "eta"),
+        cfg.build_phase(), cfg.get("decay", "sigmas"), cfg.get("decay", "t"),
         grid=cfg.build_grid(), gamma=cfg.get("decay", "gamma"),
         h=cfg.get("decay", "h"))
     yield ["sigma", "t", "norm", "mult_bound", "fitted_rate"]

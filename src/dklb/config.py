@@ -118,7 +118,6 @@ _SCHEMA = {
     "grid": {
         "n": (_grid_size, "256"),
         "l": (_positive, "40.0"),
-        "dealias": (_bounded(_float, 0, strict=True, hi=1), repr(2.0 / 3.0)),
     },
     "solver": {
         "method": (_choice(*_METHODS), "etdrk4"),
@@ -174,7 +173,6 @@ _SCHEMA = {
         "cstars": (_bounded(_list(_float), 0, strict=True), "0.5 1.0 2.0"),
     },
     "decay": {
-        "k": (_bounded(int, 2), "2"),
         "sigmas": (_bounded(_list(_float), 0), "0.0 0.25 0.5"),
         "t": (_bounded(_list(_float), 0, strict=True), "0.1 0.2 0.4"),
         "gamma": (_float, "0.5"),
@@ -243,8 +241,7 @@ class ExperimentConfig:
         return self.phase
 
     def build_grid(self) -> SpectralGrid:
-        return SpectralGrid(self.get("grid", "n"), self.get("grid", "l"),
-                            self.get("grid", "dealias"))
+        return SpectralGrid(self.get("grid", "n"), self.get("grid", "l"))
 
     def build_data(self, grid: SpectralGrid) -> SpectralField:
         kind, center, width, amplitude = (

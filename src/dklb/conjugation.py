@@ -262,17 +262,17 @@ def exchange_ensemble(phi: symbols.PhaseFunction, r: float, s: float,
 
 @dataclass
 class ProbeReport:
-    """Derivative-norm growth of rough, decaying data under one preset flow."""
+    """Derivative-norm growth of rough, decaying data under one linear flow."""
 
     rows: list[dict]          # sigma, t, norm, mult_bound
     fitted_rates: dict        # sigma -> least-squares slope of log norm vs log t
     over_envelope: list[dict]  # the rows whose norm exceeds its envelope
 
 
-def regularity_gain_probe(k: int, sigmas, t_values, *, eta: float = 1.0,
+def regularity_gain_probe(phi: symbols.PhaseFunction, sigmas, t_values, *,
                           grid: SpectralGrid | None = None, gamma: float = 0.5,
                           h: float = 0.05) -> ProbeReport:
-    """Tabulate ||D^sigma V(t) u0|| for mollified-cusp data under optimality:k.
+    """Tabulate ||D^sigma V(t) u0|| for mollified-cusp data under the flow of phi.
 
     The data decays like |x|^(gamma-2), as mollified_cusp builds it.
     Also records the spectral envelope mult_bound = sup |xi|^sigma *
@@ -295,7 +295,6 @@ def regularity_gain_probe(k: int, sigmas, t_values, *, eta: float = 1.0,
     """
     if grid is None:
         grid = SpectralGrid(512, 40.0)
-    phi = symbols.optimality(k, eta)
     u0 = mollified_cusp(grid, gamma, h)
     sigmas = tuple(float(s) for s in sigmas)
     t_values = tuple(float(t) for t in t_values)
@@ -309,8 +308,8 @@ def regularity_gain_probe(k: int, sigmas, t_values, *, eta: float = 1.0,
         phase = symbols.phase_eval(phi, grid.xi)
         allowances = []
         for t in t_values:
-            counted = eta * t * phase >= -746.0  # exp is 0 below
-            R = eta * t * float(np.max(sizes[counted]))
+            counted = phi.eta * t * phase >= -746.0  # exp is 0 below
+            R = phi.eta * t * float(np.max(sizes[counted]))
             allowances.append(math.ulp(1.0) * (grid.n + 16.0 * R + 16.0))
     rows = []
     over = []

@@ -21,3 +21,8 @@ class ExponentError(NumericalError):
     def __init__(self, name: str, detail: str):
         super().__init__(f"{name}: {detail}")
         self.name, self.detail = name, detail
+
+
+class BoundError(NumericalError):
+    """A bound constant that is not finite and positive, against which every
+    ratio would be vacuous."""

@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-DEFAULT_DEALIAS = 2.0 / 3.0
+# the 2/3 rule: products keep the modes |k| <= DEALIAS * N/2
+DEALIAS = 2.0 / 3.0
 # exp(300) ~ 1.9e130 is far below the largest double, ~exp(709.8); the cap is
 # set by weighted norms, which square the weight: exp(600) ~ 3.8e260 leaves
 # about e^109 for the field's own magnitude and the sum over the grid.
@@ -43,17 +44,12 @@ class SpectralGrid:
 
     n: int
     length: float
-    dealias_fraction: float = DEFAULT_DEALIAS
 
     def __post_init__(self):
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"N must be a power of two >= 16, got {self.n}")
         if not self.length > 0:
             raise ValueError(f"domain length must be positive, got {self.length}")
-        if not 0 < self.dealias_fraction <= 1:
-            raise ValueError(
-                f"dealias fraction must lie in (0, 1], got {self.dealias_fraction}"
-            )
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -79,8 +75,8 @@ class SpectralGrid:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """True on modes kept by the dealias cutoff |k| <= fraction * N/2."""
-        return np.abs(self.modes) <= self.dealias_fraction * (self.n // 2)
+        """True on modes kept by the dealias cutoff |k| <= DEALIAS * N/2."""
+        return np.abs(self.modes) <= DEALIAS * (self.n // 2)
 
     @property
     def dx(self) -> float:
@@ -281,8 +277,7 @@ def write_snapshot(path, f: SpectralField, t: float) -> None:
 
 
 def read_snapshot(path) -> tuple[SpectralField, float]:
-    """Read a binary snapshot; returns (field, t) on a grid with the default
-    dealias fraction, which the format does not record."""
+    """Read a binary snapshot; returns (field, t)."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"snapshot file {path} is truncated")

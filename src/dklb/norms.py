@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbols
-from .errors import ExponentError, NumericalError
+from .errors import BoundError, ExponentError, NumericalError
 from .fields import sample_ensemble
 from .grid import (
     SpectralField,
@@ -306,7 +306,7 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
     """The layered trajectory diagnostics lambda1..lambda6 (those defined).
 
     lambda1  sup-in-time H^s norm
-    lambda2  A2(T)^-1 ||u||_{L2_T L4_x}
+    lambda2  A2(T)^-1 ||u||_{L2_T L4_x}              (needs alpha(2,4,0) > 0)
     lambda3  A3(T)^-1 ||D^s u||_{L2_T L4_x}          (needs alpha(2,4,s) > 0)
     lambda4  ||D^s du/dx||_{L2_T L4_x}               (deliberately unnormalized)
     lambda5  ||du/dx||_{L2_T L4_x}                   (deliberately unnormalized)
@@ -368,7 +368,9 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
         return float(_pnorm(per_row, tw, 2.0))
 
     plain = l2_t(l4["u"])
-    out: dict[str, float] = {"lambda1": lambda1, "lambda2": plain / A2(phi, T)}
+    out: dict[str, float] = {"lambda1": lambda1}
+    if alpha(2.0, 4.0, 0.0, phi.p) > 0:  # implied by alpha(2,4,s) > 0
+        out["lambda2"] = plain / A2(phi, T)
     if with_lambda3:
         gained = plain if gain is None else l2_t(l4["gained"])
         out["lambda3"] = gained / A3(phi, s, T)
@@ -416,8 +418,9 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
     a ratio that is not finite raises NumericalError, and an exponent a or
     b at which a norm of finite, nonzero magnitudes rounds to 0 or
     overflows raises ExponentError naming it, since its ratios would be
-    vacuous.  Ratios use constant 1 on the right, so the fitted constant is
-    simply the ensemble maximum, max_ratio.
+    vacuous; so would those against a bound constant that is not finite and
+    positive, which raises BoundError.  Ratios use constant 1 on the right,
+    so the fitted constant is simply the ensemble maximum, max_ratio.
 
     The flow multipliers at the nt+1 times form one (times, modes) table,
     half spectra only for a real flow (phi.is_even), and the table is the
@@ -461,6 +464,10 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
     }[check]
     # smoothing_A validates alpha > 0
     const = 1.0 if bound is None else smoothing_A(*bound, phi, T)
+    if not 0.0 < const < INF:  # exp(eta*T) overflows: every ratio would be 0
+        raise BoundError(f"the bound constant A{bound}(T) = {const!r} at "
+                         f"eta={phi.eta!r}, T={T!r} is not finite and positive, "
+                         f"so every ratio against it would be vacuous")
 
     real = phi.is_even  # mixtures are real, and |xi|^s keeps real fields real
     keep = grid.n // 2 + 1 if real else grid.n

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
+
 
 @dataclass(frozen=True)
 class PhaseTerm:
@@ -253,7 +255,10 @@ def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float) -> float:
     turns eta*t*Phi(xi) into the symbol of u whose correction terms of
     degree d carry the factor (eta*t)**(1-d/p), all taken from
     log(eta) + log(t), and the sup is that symbol's at t = 1 times
-    (eta*t)**(-2q/p).  It is inf where it overflows a double, and never nan.
+    (eta*t)**(-2q/p).  It is inf where it overflows a double, and never nan:
+    where the root search leaves the doubles (an extreme leading power p), or
+    the symbol's terms overflow with opposite signs at a stationary point,
+    it raises NumericalError naming p.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -272,6 +277,9 @@ def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float) -> float:
         xs = _stationary_points(phi, q / ts, 1.0)
     xs = np.array([0.0, *xs])
     phase = phase_eval(phi, xs)
+    if np.isnan(phase).any():  # terms of opposite sign overflow: inf - inf
+        raise NumericalError(f"the envelope's symbol leaves the doubles at a "
+                             f"stationary point, leading power p={phi.p!r}")
     # a zero of Phi, xi = 0 among them, is exp(0) = 1 however large eta*t is
     expo = np.zeros_like(phase)
     np.multiply(2.0 * ts, phase, out=expo, where=phase != 0.0)
@@ -295,8 +303,16 @@ def _stationary_points(phi: PhaseFunction, q: float, ts: float) -> list[float] |
         if not all(map(math.isfinite, [lead, *lower.values()])):
             return None
         poly = sorted((e, a) for e, a in [*lower.items(), (phi.p, -lead)] if a != 0.0)
-        tail = _tail(list(lower.items()), lead, phi.p)
-        xs += [s * x for x in _sign_changes(poly, tail)]
+        try:  # Python floats raise where numpy's give inf (or lead is 0)
+            tail = _tail(list(lower.items()), lead, phi.p)
+            roots = _sign_changes(poly, tail) if tail < math.inf else None
+        except ArithmeticError:
+            roots = None
+        if roots is None:
+            raise NumericalError(
+                f"the envelope's root search leaves the doubles at leading "
+                f"power p={phi.p!r}")
+        xs += [s * x for x in roots]
     return xs
 
 

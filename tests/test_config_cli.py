@@ -12,10 +12,11 @@ from click.testing import CliRunner
 import dklb
 from dklb.cli import main
 from dklb.config import _SCHEMA, load_config
+from dklb.conjugation import regularity_gain_probe
 from dklb.errors import ConfigError
 from dklb.fields import mollified_cusp
 from dklb.grid import SpectralGrid
-from dklb.symbols import optimality, phase_eval
+from dklb.symbols import kdvks, optimality, phase_eval, preset
 
 
 @pytest.fixture
@@ -223,12 +224,18 @@ def _hostile_cases():
             yield pytest.param(("verify-smoothing", "-D", "ensemble.size=4"),
                                f"{section}.{key}",
                                id=f"verify-smoothing:{section}.{key}")
-    # the decay probe on a small grid, and the bracket verifier on few brackets
+    # the decay probe on a small grid, its model keys also on a custom symbol
+    # (a preset ignores model.p and model.terms), and the bracket verifier on
+    # few brackets
     for section in ("model", "grid", "decay"):
         for key in _SCHEMA[section]:
             yield pytest.param(("decay-experiment", "-D", "grid.n=64"),
                                f"{section}.{key}",
                                id=f"decay-experiment:{section}.{key}")
+    for key in _SCHEMA["model"]:
+        yield pytest.param(("decay-experiment", "-D", "grid.n=64",
+                            "-D", "model.preset=custom", "-D", "model.p=4"),
+                           f"model.{key}", id=f"decay-experiment:custom:model.{key}")
     for key in _SCHEMA["brackets"]:
         yield pytest.param(("verify-bracket", "-D", "brackets.max_n=2"),
                            f"brackets.{key}", id=f"verify-bracket:brackets.{key}")
@@ -286,12 +293,13 @@ def test_hostile_value_ends_in_an_exit_code(runner, tmp_path, command, key,
     ("model.terms", "{} 0 2", "model.p=4"),
     ("model.terms", "1 0 {}", "model.p=4"),
 ], ids=["p", "coeff", "power"])
-@pytest.mark.parametrize("command", ["existence-time", "simulate"])
+@pytest.mark.parametrize("command", ["existence-time", "simulate", "decay-experiment"])
 def test_hostile_custom_symbol_ends_in_an_exit_code(runner, tmp_path, command,
                                                     key, template, other, value):
-    # a preset ignores model.p and model.terms, so the sweep above never
-    # builds a custom symbol; "model:" is the rule that spans both keys, a
-    # correction degree of at least p
+    # a preset ignores model.p and model.terms, so the sweep above builds a
+    # custom symbol only for decay-experiment, where a terms value is never
+    # three numbers; "model:" is the rule that spans both keys, a correction
+    # degree of at least p
     result = runner.invoke(main, [command, "-D", "model.preset=custom",
                                   "-D", other, "-D", "grid.n=64",
                                   "-D", f"{key}={template.format(value)}",
@@ -566,8 +574,11 @@ def test_rule_across_keys_exits_2_and_names_every_key(runner, tmp_path, command,
 
 
 def test_non_finite_smoothing_ratio_exits_1(runner, tmp_path):
+    # P_inf, whose constant is 1: for the other checks exp(eta*T) overflows
+    # their constant first
     out = tmp_path / "out"
     result = runner.invoke(main, ["verify-smoothing", "-D", "smoothing.t=1e308",
+                                  "-D", "smoothing.check=P_inf",
                                   "-D", "ensemble.size=4",
                                   "-D", f"output.dir={out}"])
     assert result.exit_code == 1, result.output
@@ -576,9 +587,11 @@ def test_non_finite_smoothing_ratio_exits_1(runner, tmp_path):
 
 
 def test_overflowing_flow_exits_1_and_writes_no_csv(runner, tmp_path):
-    # eta*t*Phi overflows a double on the unstable band, so no ratio is finite
+    # eta*t*Phi overflows a double on the unstable band, so no ratio is
+    # finite; P_inf, as exp(eta*T) overflows the other checks' constant first
     out = tmp_path / "out"
     result = runner.invoke(main, ["verify-smoothing", "-D", "model.eta=1e308",
+                                  "-D", "smoothing.check=P_inf",
                                   "-D", f"output.dir={out}"])
     assert result.exit_code == 1, result.output
     assert "numerical failure: non-finite bound ratio" in result.output
@@ -610,6 +623,7 @@ def test_decay_norms_are_the_exact_flow_at_long_times(runner, tmp_path):
     # optimality:2 grows like exp(0.105*t): at t = 1000 the norm is about 1.6e44
     out = tmp_path / "out"
     result = runner.invoke(main, ["decay-experiment", "-D", "decay.t=100 500 1000",
+                                  "-D", "model.preset=optimality:2",
                                   "-D", f"output.dir={out}"])
     assert result.exit_code == 0, result.output
     grid = SpectralGrid(256, 40.0)
@@ -868,7 +882,7 @@ def test_decay_experiment_where_eta_t_underflows(runner, tmp_path):
                                   "-D", f"output.dir={out}"])
     assert result.exit_code == 0, result.output
     grid = SpectralGrid(256, 40.0)
-    phi = optimality(2, 1e-300)
+    phi = kdvks(1e-300)
     lines = (out / "decay-experiment.csv").read_text().splitlines()[1:]
     assert len(lines) == 6
     for line in lines:
@@ -880,7 +894,7 @@ def test_decay_experiment_where_eta_t_underflows(runner, tmp_path):
 def test_decay_experiment_over_its_envelope_writes_the_csv_and_exits_1(
         runner, tmp_path, monkeypatch):
     # a doubled flow table doubles every norm; at sigma = 0 the envelope is
-    # within 3% of the norm at t = 0.1, so that row breaks it
+    # within 4% of the norm at t = 0.1, so that row breaks it
     from dklb import symbols
 
     flow = symbols.flow_multiplier
@@ -937,6 +951,26 @@ def test_verify_smoothing_smoke(runner, tmp_path):
     assert lines[0] == "sample_id,ratio"
     assert len(lines) == 1 + 4 + 1  # samples plus the max row
     assert lines[-1].startswith("max,")
+
+
+@pytest.mark.parametrize("overrides", [("model.preset=kdvb", "model.eta=710"),
+                                       ("smoothing.t=800",)])
+def test_an_infinite_bound_constant_exits_1_and_names_its_keys(runner, tmp_path,
+                                                              overrides):
+    # exp(eta*T) overflows, so every ratio against A would read 0.0
+    out = tmp_path / "out"
+    args = ["verify-smoothing", "-D", "ensemble.size=4", "-D", f"output.dir={out}"]
+    for override in overrides:
+        args += ["-D", override]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert "numerical failure: model.eta/smoothing.t: the bound constant" \
+        in result.output
+    assert not (out / "verify-smoothing.csv").exists()
+    # P_inf's constant is 1
+    result = runner.invoke(main, [*args, "-D", "smoothing.check=P_inf",
+                                  "-D", "smoothing.q=0.5"])
+    assert result.exit_code == 0, result.output
 
 
 def test_simulate_writes_norm_index_and_snapshots(runner, tmp_path):
@@ -1009,6 +1043,53 @@ def test_decay_experiment_smoke(runner, tmp_path):
     assert len(lines) == 1 + 4
 
 
+def test_decay_experiment_probes_the_model_symbol(runner, tmp_path):
+    # the rows are the probe's under the [model] symbol, so two presets write
+    # two different tables
+    cfg = load_config(None, ("grid.n=64",))
+    tables = {}
+    for name in ("kdvb", "optimality:2"):
+        report = regularity_gain_probe(
+            preset(name), cfg.get("decay", "sigmas"), cfg.get("decay", "t"),
+            grid=cfg.build_grid(), gamma=cfg.get("decay", "gamma"),
+            h=cfg.get("decay", "h"))
+        out = tmp_path / name.replace(":", "")
+        result = runner.invoke(main, ["decay-experiment", "-D", "grid.n=64",
+                                      "-D", f"model.preset={name}",
+                                      "-D", f"output.dir={out}"])
+        assert result.exit_code == 0, result.output
+        tables[name] = (out / "decay-experiment.csv").read_text().splitlines()[1:]
+        assert tables[name] == [
+            f"{r['sigma']!r},{r['t']!r},{r['norm']!r},{r['mult_bound']!r},"
+            f"{report.fitted_rates[r['sigma']]!r}" for r in report.rows]
+    assert tables["kdvb"] != tables["optimality:2"]
+
+
+@pytest.mark.parametrize("p", ["1e308", "1e-320"])
+def test_decay_experiment_whose_envelope_leaves_the_doubles_exits_1(runner,
+                                                                    tmp_path, p):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["decay-experiment", "-D", "grid.n=64",
+                                  "-D", "model.preset=custom", "-D", f"model.p={p}",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 1, result.output
+    assert ("numerical failure: the envelope's root search leaves the doubles "
+            f"at leading power p={float(p)!r}") in result.output
+    assert not (out / "decay-experiment.csv").exists()
+
+
+@pytest.mark.parametrize("p", ["0.5", "0.3"])
+def test_picard_omits_lambda2_where_its_constant_is_infinite(runner, tmp_path, p):
+    # alpha(2, 4, 0) <= 0 for p <= 1/2: lambda2 is undefined, not a reason to
+    # refuse solver.nt
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["picard", "-D", "model.preset=custom",
+                                  "-D", f"model.p={p}", "-D", f"output.dir={out}"])
+    assert result.exit_code == 0, result.output
+    lines = (out / "picard.csv").read_text().splitlines()
+    assert lines[0] == "iterate,distance,ratio,lambda1,lambda4,lambda5"
+
+
 # --- replay determinism ------------------------------------------------------
 
 
@@ -1073,15 +1154,20 @@ def test_subcommand_replays_byte_identically_from_its_manifest(runner, tmp_path,
     assert manifest.read_bytes() == first_manifest
 
 
-def test_manifest_with_a_removed_key_exits_2_and_names_it(runner, tmp_path):
-    # manifests written while solver.cstar existed are not replayable
-    old = tmp_path / "picard-manifest.ini"
-    old.write_text("[solver]\nt = 0.1\ncstar = 1.0\n"
-                   "[manifest]\nsubcommand = picard\n")
-    result = runner.invoke(main, ["picard", "--config", str(old),
+@pytest.mark.parametrize("command, text, name", [
+    ("picard", "[solver]\nt = 0.1\ncstar = 1.0\n", "solver.cstar"),
+    ("simulate", "[grid]\nn = 64\ndealias = 0.6666666666666666\n", "grid.dealias"),
+    ("decay-experiment", "[decay]\nk = 2\n", "decay.k"),
+], ids=["solver.cstar", "grid.dealias", "decay.k"])
+def test_manifest_with_a_removed_key_exits_2_and_names_it(runner, tmp_path,
+                                                          command, text, name):
+    # manifests written while one of these keys existed are not replayable
+    old = tmp_path / f"{command}-manifest.ini"
+    old.write_text(f"{text}[manifest]\nsubcommand = {command}\n")
+    result = runner.invoke(main, [command, "--config", str(old),
                                   "-D", f"output.dir={tmp_path / 'out'}"])
     assert result.exit_code == 2, result.output
-    assert "unknown config key solver.cstar" in result.output
+    assert f"unknown config key {name}" in result.output
 
 
 def test_manifest_records_subcommand_seed_and_hash(runner, tmp_path):

@@ -39,6 +39,7 @@ from conftest import expanded_multiplier, flowed
 
 
 KDVKS = symbols.kdvks()
+OPT2 = symbols.optimality(2)
 
 
 # kdvks closed forms of the conjugation constants, S(z) = z^3 + eta*(z^2 + z^4):
@@ -284,7 +285,7 @@ def test_exchange_ensemble_refuses_bad_exponents_before_drawing():
 
 
 def test_regularity_gain_probe_rows():
-    rep = regularity_gain_probe(2, sigmas=(0.0, 0.5), t_values=(0.1, 0.2, 0.4),
+    rep = regularity_gain_probe(OPT2, sigmas=(0.0, 0.5), t_values=(0.1, 0.2, 0.4),
                                 grid=SpectralGrid(256, 40.0))
     assert len(rep.rows) == 6
     for row in rep.rows:
@@ -302,11 +303,11 @@ def test_regularity_gain_probe_fits_no_rate_through_one_repeated_time():
     grid = SpectralGrid(64, 40.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = regularity_gain_probe(2, sigmas=(0.0, 0.5), t_values=(0.1, 0.1),
+        rep = regularity_gain_probe(OPT2, sigmas=(0.0, 0.5), t_values=(0.1, 0.1),
                                     grid=grid)
     assert len(rep.rows) == 4
     assert all(np.isnan(v) for v in rep.fitted_rates.values())
-    rep = regularity_gain_probe(2, sigmas=(0.0, 0.5), t_values=(0.1, 0.1, 0.2),
+    rep = regularity_gain_probe(OPT2, sigmas=(0.0, 0.5), t_values=(0.1, 0.1, 0.2),
                                 grid=grid)
     assert all(np.isfinite(v) for v in rep.fitted_rates.values())
 
@@ -323,13 +324,13 @@ def test_regularity_gain_probe_builds_one_flow_table(monkeypatch):
         return flow(phi, t, grid)
 
     monkeypatch.setattr(symbols, "flow_multiplier", counting)
-    rep = regularity_gain_probe(2, sigmas=(0.0, 0.5), t_values=(0.1, 0.2, 0.4),
+    rep = regularity_gain_probe(OPT2, sigmas=(0.0, 0.5), t_values=(0.1, 0.2, 0.4),
                                 grid=grid)
     assert calls == [(3,)]
     monkeypatch.setattr(symbols, "flow_multiplier", flow)
-    phi, u0 = symbols.optimality(2), mollified_cusp(grid)
+    u0 = mollified_cusp(grid)
     for row in rep.rows:
-        vt = flowed(u0, phi, row["t"])
+        vt = flowed(u0, OPT2, row["t"])
         assert row["norm"] == l2_norm(fractional_D(vt, row["sigma"]))
 
 

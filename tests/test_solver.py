@@ -160,11 +160,10 @@ def test_full_spectrum_extends_half_spectra_exactly(grid256, rng):
     assert _full_spectrum(c, grid256.n, False) is c
 
 
-@pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
-def test_nonlinearity_matches_the_dealiased_product(rng, fraction):
+def test_nonlinearity_matches_the_dealiased_product(rng):
     # the kernel against -1/2 d/dx of grid.dealiased_product on full-band
-    # data, real and complex, with and without a live Nyquist mode
-    grid = SpectralGrid(256, 40.0, fraction)
+    # data, real and complex
+    grid = SpectralGrid(256, 40.0)
     f = from_values(grid, rng.standard_normal(grid.n))
     for u in (f, from_values(grid, rng.standard_normal(grid.n)
                              + 1j * rng.standard_normal(grid.n))):

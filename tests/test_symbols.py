@@ -1,6 +1,7 @@
 """Symbol table: preset values, dominance thresholds, multiplier bounds."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dklb import symbols
+from dklb.errors import NumericalError
 from dklb.grid import SpectralGrid
 from dklb.symbols import (
     PhaseFunction,
@@ -290,6 +292,21 @@ def test_weighted_sup_where_eta_t_underflows(k, eta, t):
     for q in (0.25, 0.5, 1.0):
         want = math.exp(2.0 * q / phi.p * (math.log(q / phi.p) - log_ts - 1.0))
         assert weighted_multiplier_sup(phi, q, t) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1e-320, 1e-5, 1e-3, 1e4, 1e6, 1e308])
+def test_weighted_sup_refuses_a_root_search_that_leaves_the_doubles(p):
+    # the tail bound (q/(eta*t*p))**(1/p) or a power x**p of the search
+    # overflows, or the tail is inf because 1/p is
+    with pytest.raises(NumericalError, match=re.escape(f"leading power p={p!r}")):
+        weighted_multiplier_sup(symbols.PhaseFunction(p), 0.25, 0.1)
+
+
+def test_weighted_sup_refuses_a_symbol_that_is_inf_minus_inf():
+    # at the stationary point xi**2 ~ 5e307 both -xi**4 and 1e308*xi**2 overflow
+    phi = symbols.PhaseFunction(4.0, (symbols.PhaseTerm(1e308, 0, 2.0),))
+    with pytest.raises(NumericalError, match=re.escape("leading power p=4.0")):
+        weighted_multiplier_sup(phi, 0.25, 0.1)
 
 
 def test_weighted_sup_rejects_bad_arguments():
