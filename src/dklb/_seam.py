@@ -16,12 +16,17 @@ complex field is its full spectrum and takes a length-n transform.  A real
 field is its half spectrum, modes 0..n/2, read as irfft reads it (modes 0
 and n/2 by their real parts, so a complex Nyquist multiplier is projected
 onto the real field), and takes one length-n/2 transform of the packed
-spectrum (Cooley, Lewis & Welch, 1970).  Both lengths run one butterfly
-loop, which splits each high word once per product of complex numbers and
-writes each level into the other of two buffers, allocated once per
-transform.  The semigroup multiplier is one table over a list of times,
-from one evaluation of S(i*xi), on the modes its field holds; it runs its
-Taylor exp and sincos once for all times, only on the entries whose
+spectrum (Cooley, Lewis & Welch, 1970).  Only the live band is lifted and
+packed, the modes up to the last where the spectrum (times its multiplier)
+is nonzero; the rest is exact zeros.  Both lengths run one butterfly loop,
+which writes each level into the other of two buffers.  A complex
+double-double is one (re/im, hi/lo, ...) array whose (re, im) words share
+each real operation: a complex product is one dd_mul by (b, i*b) and one
+dd_add, a butterfly forms u + v*w and u - v*w in one dd_add, and the first
+level (twiddle 1 + 0i) takes no product.  The semigroup multiplier is one
+table over a list of times, from one evaluation of S(i*xi) on the modes a
+double-precision prefilter keeps; it runs its Taylor exp and sincos (one
+loop for both series) once for all times, only on the entries whose
 exponent does not underflow; the rest are exact zeros.  A conjugation check
 transforms f once per weight and the flowed spectrum once per time.
 
@@ -135,17 +140,18 @@ def _reduce(a, c):
 
 def _horner(x, coeffs):
     """The polynomial in x whose double-double coefficients are coeffs,
-    highest power first."""
+    highest power first; x's high word is split once for every product."""
     acc = dd(np.zeros_like(x[0]))
+    x_split = _split(x[0])
     for c in coeffs:
-        acc = dd_add(dd_mul(acc, x), c)
+        acc = dd_add(dd_mul(acc, x, None, x_split), c)
     return acc
 
 
-# sin(r)/r and cos(r) as series in r^2: (-1)^m / (2m+1)! and (-1)^m / (2m)!,
-# m = 14..0
-_SIN, _COS = ([dd_neg(_INV_FACT[2 * m + j]) if m % 2 else _INV_FACT[2 * m + j]
-               for m in range(14, -1, -1)] for j in (1, 0))
+# sin(r)/r and cos(r) as series in r^2, one (hi/lo, sin/cos) array per
+# power: (-1)^m / (2m+1)! and (-1)^m / (2m)!, m = 14..0
+_SINCOS = [(-1.0) ** m * np.array([_INV_FACT[2 * m + 1], _INV_FACT[2 * m]]).T
+           for m in range(14, -1, -1)]
 
 
 def dd_exp(a):
@@ -165,36 +171,44 @@ def dd_exp(a):
 def dd_sincos(a):
     """(sin, cos) of a double-double, elementwise, via pi/2 reduction."""
     n, r = _reduce(a, HALF_PI)
+    # both series in one Horner loop along a last axis, each then (hi, lo)
     r2 = dd_mul(r, r)
-    # each as one stacked (hi, lo) array
-    s = np.asarray(dd_mul(_horner(r2, _SIN), r))
-    c = np.asarray(_horner(r2, _COS))
+    sc = np.asarray(_horner((r2[0][..., None], r2[1][..., None]), _SINCOS))
+    s = np.asarray(dd_mul(sc[..., 0], r))
+    c = sc[..., 1]
     q = n.astype(np.int64) % 4
     quadrant = [q == 0, q == 1, q == 2]
     return (np.select(quadrant, [s, c, -s], -c),
             np.select(quadrant, [c, -s, -c], s))
 
 
-# --- complex double-double: ((re_hi, re_lo), (im_hi, im_lo)) ------------------
+# --- complex double-double: one (re/im, hi/lo, ...) array ---------------------
+
+
+def _pair(x):
+    # a complex double-double as one double-double of stacked (re, im) words
+    return x[:, 0], x[:, 1]
 
 
 def cdd_mul(a, b):
-    """The product a*b, splitting each high word of a and of b once for the
-    four real products; bitwise the same as splitting it in each of them."""
-    (ar, ai), (br, bi) = a, b
-    sr, si, tr, ti = (_split(part[0]) for part in (ar, ai, br, bi))
-    re = dd_sub(dd_mul(ar, br, sr, tr), dd_mul(ai, bi, si, ti))
-    im = dd_add(dd_mul(ar, bi, sr, ti), dd_mul(ai, br, si, tr))
-    return re, im
+    """a*b as the stacked sum of a_re*(b_re, b_im) and a_im*(-b_im, b_re),
+    all four real products in one dd_mul.  A sign folded into a product
+    negates its words exactly but for the sign of a zero, which dd_add never
+    reads, so this is bitwise the four products, their difference and sum."""
+    a = np.asarray(a)
+    b = np.asarray(b)[[0, 1, 1, 0]]  # (b, i*b) once its third row is negated
+    b[2] *= -1.0
+    b = b.reshape(2, 2, *b.shape[1:])
+    hi, lo = dd_mul((a[:, 0, None], a[:, 1, None]), (b[:, :, 0], b[:, :, 1]))
+    out = np.empty((2, 2, *hi.shape[2:]))
+    dd_add((hi[0], lo[0]), (hi[1], lo[1]), _pair(out))
+    return out
 
 
 def cdd_mul_complex(a, z):
     """Multiply a complex double-double by an exact complex128 array."""
-    ar, ai = a
-    zr, zi = np.real(z), np.imag(z)
-    re = dd_sub(dd_mul_d(ar, zr), dd_mul_d(ai, zi))
-    im = dd_add(dd_mul_d(ar, zi), dd_mul_d(ai, zr))
-    return re, im
+    z = np.asarray(z)
+    return cdd_mul(a, np.stack((dd(z.real), dd(z.imag))))
 
 
 @lru_cache(maxsize=8)
@@ -233,36 +247,42 @@ def dd_semigroup_multiplier(poly: np.ndarray, t, grid, real: bool = False):
     t[k], from one evaluation of S(i*xi).  Every mode of the grid is
     evaluated, in FFT order, unless real is set: then only modes 0..n/2,
     the half spectrum that dd_field_values reads as a real field, each entry
-    bitwise the one of the full table.  The Taylor exp and sincos run once,
-    on the entries of all times together, and only where the real exponent
-    does not underflow (dd_exp's -745 rule); every other entry is an exact
-    zero, which is what the product there would round to.  Every step is
-    elementwise, so each row is bitwise the one a single time would give.
+    bitwise the one of the full table.  S is evaluated only on the modes a
+    double prefilter keeps, and the Taylor exp and sincos run once, on the
+    entries of all times together, only where the real exponent does not
+    underflow (dd_exp's -745 rule); every other entry is an exact zero, what
+    the product there would round to.  Every step is elementwise, so each
+    row is bitwise the one a single time would give.
     """
     times = np.asarray(t, dtype=float)
+    neg_t = -times.reshape(-1, 1)
     modes = grid.modes[: grid.n // 2 + 1 if real else grid.n].astype(float)
-    xi = dd_div_d(dd_mul_d(TWO_PI, modes), grid.length)
-    # scalar coefficient pairs broadcast against the modes
-    acc = (dd(poly[-1].real), dd(poly[-1].imag))
-    z = (dd(np.zeros_like(modes)), xi)  # i*xi
+    xi = np.asarray(dd_div_d(dd_mul_d(TWO_PI, modes), grid.length))
+    # a mode is dropped where every time's double exponent -t*Re S(i*xi) is
+    # below -745 by over 1e-6 of B >= |t| sum |c_k| |xi|^k, far above its
+    # rounding, and B < 1e290, where no word overflows into NaN; NaN stays
+    polyval = np.polynomial.polynomial.polyval  # numpy loads it on first use
+    with np.errstate(all="ignore"):
+        big = np.maximum(np.abs(xi[0]), 1.0)
+        bound = np.maximum(np.abs(neg_t), 1.0) * big * polyval(big, np.abs(poly))
+        dead = ((neg_t * polyval(1j * xi[0], poly).real + 1e-6 * bound < -745.0)
+                & (bound < 1e290))
+    keep = np.flatnonzero(~np.all(dead, axis=0))
+    z = np.stack((np.zeros((2, keep.size)), xi[:, keep]))  # i*xi
+    acc = np.array([[[poly[-1].real], [0.0]], [[poly[-1].imag], [0.0]]])
     for c in poly[-2::-1]:
         acc = cdd_mul(acc, z)
-        acc = (dd_add(acc[0], (c.real, 0.0)), dd_add(acc[1], (c.imag, 0.0)))
-    # the exponents of every (time, mode) entry, each time a row; one Taylor
-    # pass over the live entries of all of them, each entry elementwise
-    neg_t = -times.reshape(-1, 1)
-    ex_re = dd_mul_d(acc[0], neg_t)
-    ex_im = dd_mul_d(acc[1], neg_t)
-    # NaN is not below -745, so a NaN exponent still reaches dd_exp
-    live = ~(ex_re[0] < -745.0)
-    mag = dd_exp((ex_re[0][live], ex_re[1][live]))
-    s, c = dd_sincos((ex_im[0][live], ex_im[1][live]))
-    # (time, re/im, hi/lo, mode), written through its (re/im, hi/lo, time,
-    # mode) view
+        dd_add(_pair(acc), ([[c.real], [c.imag]], 0.0), _pair(acc))
+    # the (time, re/im, mode) exponents; NaN is not below -745, so a NaN
+    # exponent still reaches dd_exp
+    hi, lo = dd_mul_d(_pair(acc), neg_t[:, None])
+    live = ~(hi[:, 0] < -745.0)
+    mag = dd_exp((hi[:, 0][live], lo[:, 0][live]))
+    s, c = dd_sincos((hi[:, 1][live], lo[:, 1][live]))
     out = np.zeros((times.size, 2, 2, modes.size))
-    parts = np.moveaxis(out, 0, 2)
-    parts[0][:, live] = dd_mul(mag, c)
-    parts[1][:, live] = dd_mul(mag, s)
+    rows, cols = np.nonzero(live)
+    # mag*cos and mag*sin as one product, written as (entry, re/im, hi/lo)
+    out[rows, :, :, keep[cols]] = np.transpose(dd_mul(mag, np.stack((c, s), 1)))
     return out.reshape(*times.shape, 2, 2, modes.size)
 
 
@@ -273,8 +293,9 @@ def dd_field_values(coeffs: np.ndarray, grid, idx: np.ndarray,
     Matches the inverse-FFT convention of SpectralField values but carries
     the whole transform in double-double: the spectrum c_k * mult_k is
     formed in double-double (c_k lifted exactly when there is no
-    multiplier), then transformed by _dd_fft, O(n log n) for n = grid.n a
-    power of two.  coeffs (and mult, with the same length) hold either all
+    multiplier) on the live band, the modes up to the last one where it is
+    nonzero, then transformed by _dd_fft, O(n log n) for n = grid.n a power
+    of two.  coeffs (and mult, with the same length) hold either all
     n modes in FFT order, and complex128 values are returned, or the half
     spectrum of modes 0..n/2 of a real field, and float64 values are
     returned.  A half spectrum is read as irfft reads it: the negative modes
@@ -284,34 +305,43 @@ def dd_field_values(coeffs: np.ndarray, grid, idx: np.ndarray,
     length-n/2 complex transform of
     Z_k = (X_k + X_{k+n/2}) + i*w^k*(X_k - X_{k+n/2}), w = e^{2*pi*i/n}, as
     x_{2m} = Re z_m and x_{2m+1} = Im z_m (Cooley, Lewis & Welch, 1970).
-    The transform runs in the spectrum's own array and one more of its
-    size, each level written into the other.  Results are accurate in absolute terms far below the 1e-16 * max|u|
-    floor of a standard inverse FFT.
+    The transform runs in the spectrum's own array and one more of its size,
+    each level written into the other.  Results are accurate in absolute
+    terms far below the 1e-16 * max|u| floor of a standard inverse FFT.
     """
     n = grid.n
+    live = coeffs != 0
+    if mult is not None:  # c*m is an exact zero where one factor is zero and
+        # the other's words lie below 1e300, where Dekker's split is exact
+        safe = np.all(np.abs(mult[:, 0]) < 1e300, axis=0)
+        m_zero = np.all(mult[:, 0] == 0, axis=0)
+        live = ~((~live & safe) | (m_zero & (np.abs(coeffs) < 1e300)))
+    band = live.size - np.argmax(live[::-1]) if live.any() else 0
+    spec = np.zeros((2, 2, coeffs.size))
     if mult is None:
-        spec = (dd(coeffs.real), dd(coeffs.imag))
+        spec[:, 0, :band] = coeffs[:band].real, coeffs[:band].imag
     else:
-        spec = cdd_mul_complex(mult, coeffs)
-    # a complex double-double as one (re/im, hi/lo, ...) array
-    spec = np.asarray(spec)
-    if spec.shape[-1] == n:
+        spec[..., :band] = cdd_mul_complex(mult[..., :band], coeffs[:band])
+    if coeffs.size == n:
         z = _dd_fft(spec, n)
         return dd_value(z[0][:, idx]) + 1j * dd_value(z[1][:, idx])
-    z = _dd_fft(_packed_half_spectrum(spec, n), n)
+    z = _dd_fft(_packed_half_spectrum(spec, n, band), n)
     return dd_value(np.moveaxis(z[idx % 2, :, idx // 2], -1, 0))
 
 
-def _packed_half_spectrum(x, n: int):
-    # Z_k for k = 0..n/2-1 from the half spectrum x of a real field, with
-    # X_{k+n/2} = conj X_{n/2-k}; modes 0 and n/2 lose their imaginary parts
+def _packed_half_spectrum(x, n: int, band: int):
+    # Z_k, k < n/2, from the half spectrum x of a real field, X_{k+n/2} =
+    # conj X_{n/2-k}, modes 0 and n/2 by their real parts; formed only where
+    # X_k or X_{n/2-k} is in the live band, every other Z_k an exact zero
     x[1, :, [0, n // 2]] = 0.0
-    low = x[..., : n // 2]
-    high = (x[0, :, n // 2 : 0 : -1], dd_neg(x[1, :, n // 2 : 0 : -1]))
-    s = (dd_add(low[0], high[0]), dd_add(low[1], high[1]))
-    d = cdd_mul((dd_sub(low[0], high[0]), dd_sub(low[1], high[1])),
-                _roots_of_unity(n))
-    return np.asarray((dd_sub(s[0], d[1]), dd_add(s[1], d[0])))
+    k = np.r_[: min(band, n // 2), max(band, n // 2 - band + 1) : n // 2]
+    low, high = _pair(x[..., k]), _pair(x[..., n // 2 - k] * [[[1.0]], [[-1.0]]])
+    wd = cdd_mul(np.swapaxes(dd_sub(low, high), 0, 1), _roots_of_unity(n)[..., k])
+    # (low + high) + i*wd as one stacked sum, i*wd = (-wd_im, wd_re) exactly
+    z = np.zeros((2, 2, n // 2))
+    z[..., k] = np.swapaxes(
+        dd_add(dd_add(low, high), _pair(wd[[1, 0]] * [[[-1.0]], [[1.0]]])), 0, 1)
+    return z
 
 
 def _dd_fft(a, n: int):
@@ -320,8 +350,9 @@ def _dd_fft(a, n: int):
 
     An iterative radix-2 decimation-in-time FFT (Cooley & Tukey, 1965):
     level h = 1, 2, ..., m/2 joins pairs of length-h transforms with the
-    twiddles of _roots_of_unity(n) at stride n/(2h).  Each level is one
-    vectorised _butterfly from one buffer into the other.  While a level has
+    twiddles of _roots_of_unity(n) at stride n/(2h); level 1, whose only
+    twiddle is 1 + 0i, takes no product.  Each level is one vectorised
+    _butterfly from one buffer into the other.  While a level has
     fewer twiddles than transforms, the transforms are columns (natural
     input order, long rows per twiddle); the bit-reversal permutation then
     turns them into contiguous blocks for the remaining levels.  Every
@@ -334,10 +365,9 @@ def _dd_fft(a, n: int):
     while h < m // (2 * h):
         # column c holds the length-h transform of a_c, a_{c+cols}, ...
         cols = m // h
-        x = a.reshape(2, 2, h, cols)
-        y = buf.reshape(2, 2, 2, h, cols // 2)
-        _butterfly(x[..., : cols // 2], x[..., cols // 2:],
-                   roots[..., : n // 2 : n // (2 * h), None], y[:, :, 0], y[:, :, 1])
+        _butterfly(a.reshape(2, 2, h, 2, cols // 2),
+                   roots[..., : n // 2 : n // (2 * h), None],
+                   buf.reshape(2, 2, 2, h, cols // 2).swapaxes(2, 3))
         a, buf = buf, a
         h *= 2
     cols = m // h
@@ -345,18 +375,19 @@ def _dd_fft(a, n: int):
         a.reshape(2, 2, h, cols)[..., _bit_reversal(cols)].swapaxes(-1, -2))
     a, buf = buf, a
     while h < m:
-        pairs = a.reshape(2, 2, m // (2 * h), 2, h)
-        out = buf.reshape(2, 2, m // (2 * h), 2, h)
-        _butterfly(pairs[:, :, :, 0], pairs[:, :, :, 1],
-                   roots[..., : n // 2 : n // (2 * h)], out[:, :, :, 0], out[:, :, :, 1])
+        _butterfly(a.reshape(2, 2, m // (2 * h), 2, h),
+                   roots[:, :, None, : n // 2 : n // (2 * h)],
+                   buf.reshape(2, 2, m // (2 * h), 2, h))
         a, buf = buf, a
         h *= 2
     return a
 
 
-def _butterfly(u, v, w, plus, minus):
-    # plus = u + v*w and minus = u - v*w, written into the given views
-    t = cdd_mul(v, w)
-    for c in range(2):
-        dd_add(u[c], t[c], plus[c])
-        dd_sub(u[c], t[c], minus[c])
+def _butterfly(pairs, w, out):
+    # u + v*w and u - v*w for the pairs (u, v) along axis -2 of pairs, written
+    # along that axis of out as one stacked sum; a w of one twiddle (level 1)
+    # is 1 + 0i, where v*w would round to v itself
+    v = pairs[..., 1, :]
+    t = v if w.size == 4 else cdd_mul(v, w)
+    dd_add(_pair(pairs[..., :1, :]), _pair(t[..., None, :] * [[1.0], [-1.0]]),
+           _pair(out))

@@ -120,7 +120,9 @@ def conjugation_check(f: SpectralField, phi: symbols.PhaseFunction, b: float,
     on b alone (the weighted f, its double-double strip, its leakage and
     norm, delta and mu) is computed once; the flow and its double-double
     multiplier are one table over t_values, and each time then costs one
-    double-double transform.
+    double-double transform, which runs its (re, im) words stacked, takes no
+    product on its first level (twiddle 1) and lifts and packs only the live
+    band, the modes up to the last where the spectrum is nonzero.
 
     bound_ratio measures ||exp(b*x) V(t) f|| against
     exp(-t*delta) * (1 + e^t) * ||exp(b*x) f||, the persistence bound shape

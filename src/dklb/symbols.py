@@ -255,10 +255,12 @@ def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float) -> float:
     turns eta*t*Phi(xi) into the symbol of u whose correction terms of
     degree d carry the factor (eta*t)**(1-d/p), all taken from
     log(eta) + log(t), and the sup is that symbol's at t = 1 times
-    (eta*t)**(-2q/p).  It is inf where it overflows a double, and never nan:
-    where the root search leaves the doubles (an extreme leading power p), or
-    the symbol's terms overflow with opposite signs at a stationary point,
-    it raises NumericalError naming p.
+    (eta*t)**(-2q/p).  The search ends where x**p reaches e^709 if the tail
+    bound holds there, so a large p (1e4, 1e6) keeps x**p a double.  It is
+    inf where it overflows a double, and never nan: where the root search
+    leaves the doubles (an extreme leading power p), or the symbol's terms
+    overflow with opposite signs at a stationary point, it raises
+    NumericalError naming p.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -305,6 +307,10 @@ def _stationary_points(phi: PhaseFunction, q: float, ts: float) -> list[float] |
         poly = sorted((e, a) for e, a in [*lower.items(), (phi.p, -lead)] if a != 0.0)
         try:  # Python floats raise where numpy's give inf (or lead is 0)
             tail = _tail(list(lower.items()), lead, phi.p)
+            if phi.p * math.log(tail) > 709.0:  # x**p would leave the doubles
+                cap = math.exp(709.0 / phi.p)
+                # end at x**p = e^709 if the term-wise bound 0.8*tail holds there
+                tail = cap if 0.8 * tail * (1.0 + 1e-9) <= cap else math.inf
             roots = _sign_changes(poly, tail) if tail < math.inf else None
         except ArithmeticError:
             roots = None

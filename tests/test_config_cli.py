@@ -1065,6 +1065,18 @@ def test_decay_experiment_probes_the_model_symbol(runner, tmp_path):
     assert tables["kdvb"] != tables["optimality:2"]
 
 
+def test_decay_experiment_at_a_large_leading_power_exits_0(runner, tmp_path):
+    # the envelope's stationary point (q/(eta*t*p))**(1/p) lies just below 1,
+    # where the search ends before x**p leaves the doubles
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["decay-experiment", "-D", "grid.n=64",
+                                  "-D", "model.preset=custom", "-D", "model.p=1e4",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 0, result.output
+    rows = (out / "decay-experiment.csv").read_text().splitlines()[1:]
+    assert rows and all(math.isfinite(float(r.split(",")[3])) for r in rows)
+
+
 @pytest.mark.parametrize("p", ["1e308", "1e-320"])
 def test_decay_experiment_whose_envelope_leaves_the_doubles_exits_1(runner,
                                                                     tmp_path, p):

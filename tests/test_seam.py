@@ -28,6 +28,7 @@ from dklb._seam import (
     dd_field_values,
     dd_mul,
     dd_mul_d,
+    dd_neg,
     dd_semigroup_multiplier,
     dd_sincos,
     dd_sub,
@@ -35,7 +36,7 @@ from dklb._seam import (
     seam_indices,
 )
 from dklb.conjugation import operator_polynomial
-from dklb.fields import gaussian_spectral
+from dklb.fields import gaussian, gaussian_spectral
 from dklb.grid import SpectralGrid
 from dklb.symbols import kdvks, preset, semigroup_multiplier
 
@@ -257,6 +258,69 @@ def test_dd_semigroup_multiplier_of_a_real_field_is_the_half_table(name):
         assert half.tobytes() == first.tobytes()
 
 
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("name", ["kdvks", "kdvb", "optimality:2"])
+def test_dd_semigroup_multiplier_table_is_the_all_modes_formula(name, real):
+    # every row of a table over several times is the all-modes formula at
+    # its time: t = 0 keeps every mode live and t = 2 leaves a band of them,
+    # each bitwise; a NaN time makes every exponent of its row NaN, and every
+    # entry of the row stays NaN (its sign bits are not compared)
+    grid = SpectralGrid(1024, 80.0)
+    poly = operator_polynomial(preset(name))
+    t_values = (0.0, 0.05, 2.0, math.nan)
+    keep = grid.n // 2 + 1 if real else grid.n
+    with np.errstate(all="ignore"):  # the NaN time casts NaN to int
+        table = dd_semigroup_multiplier(poly, t_values, grid, real)
+        for row, t in zip(table[:3], t_values):
+            want = np.asarray(_all_modes_multiplier(poly, t, grid))[..., :keep]
+            assert row.tobytes() == np.ascontiguousarray(want).tobytes(), t
+    assert np.all(table[0, 0, 0] == 1.0)
+    assert np.all(np.isnan(table[3]))
+
+
+def test_dd_semigroup_multiplier_where_only_mode_zero_survives():
+    # kdvb damps mode 1 by exp(-t*xi_1**2) = exp(-6168.5) at t = 1e6; mode 0
+    # keeps exp(0) = 1 and every other entry is an exact zero
+    grid = SpectralGrid(1024, 80.0)
+    poly = operator_polynomial(preset("kdvb"))
+    for t in (1e6, (0.05, 1e6)):
+        got = dd_semigroup_multiplier(poly, t, grid)
+        row = got[-1] if np.ndim(t) else got
+        assert _bits(row) == _bits(_all_modes_multiplier(poly, 1e6, grid))
+        assert row[0, 0, 0] == 1.0
+        assert np.count_nonzero(row) == 1 and not np.any(np.signbit(row))
+
+
+@pytest.mark.parametrize("k", [55, 79])
+def test_dd_semigroup_multiplier_at_the_underflow_edge(k):
+    # times within a few ulps of -t*Re S(i*xi_k) = -745, where the double
+    # exponent and the double-double one may fall on either side of -745:
+    # the prefilter's margin keeps mode k, and each multiplier is bitwise the
+    # all-modes formula
+    grid = SpectralGrid(256, 40.0)
+    poly = operator_polynomial(kdvks())
+    edge = 745.0 / np.polynomial.polynomial.polyval(1j * grid.xi[k], poly).real
+    for t in edge + np.arange(-6, 6) * math.ulp(edge):
+        got = dd_semigroup_multiplier(poly, t, grid)
+        assert got.tobytes() == np.asarray(_all_modes_multiplier(poly, t, grid)).tobytes()
+
+
+def test_dd_semigroup_multiplier_keeps_modes_whose_words_overflow():
+    # at eta = 1e300 the double exponent -t*eta*xi**2 of every mode past 0 is
+    # far below -745, but from |xi| of about 1.2 on, S(i*xi) leaves the range
+    # of Dekker's split and the double-double exponent is NaN there: those
+    # modes are evaluated, and are NaN as in the all-modes formula
+    grid = SpectralGrid(256, 40.0)
+    poly = operator_polynomial(preset("kdvb", eta=1e300))
+    with np.errstate(all="ignore"):
+        got = dd_semigroup_multiplier(poly, 0.05, grid)
+        want = np.asarray(_all_modes_multiplier(poly, 0.05, grid))
+    nan = np.isnan(want[0, 0])
+    assert 0 < np.count_nonzero(nan) < grid.n - 1
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert got[..., ~nan].tobytes() == want[..., ~nan].tobytes()
+
+
 def _cdd_mul_each(a, b):
     # the complex product with every real product splitting its own operands
     (ar, ai), (br, bi) = a, b
@@ -312,6 +376,129 @@ def test_complex_dd_field_values_are_the_allocating_loop_bitwise(name, n):
         got = dd_field_values(coeffs, grid, idx, m)
         assert got.dtype == complex
         assert got.tobytes() == _allocating_dd_field_values(coeffs, grid, idx, m).tobytes()
+
+
+def _lift_each(coeffs, mult):
+    # c_k * m_k with every real product on its own, c_k lifted exactly
+    # without a multiplier
+    if mult is None:
+        return np.asarray((dd(coeffs.real), dd(coeffs.imag)))
+    (ar, ai), zr, zi = mult, coeffs.real, coeffs.imag
+    return np.asarray((dd_sub(dd_mul_d(ar, zr), dd_mul_d(ai, zi)),
+                       dd_add(dd_mul_d(ar, zi), dd_mul_d(ai, zr))))
+
+
+def _allocating_dd_fft(a, n):
+    # the inverse DFT of a length-m (re/im, hi/lo, m) array, m = n or n/2:
+    # bit-reversed input, one fresh array per level, products split per product
+    m = a.shape[-1]
+    a = a[..., _bit_reversal(m)]
+    roots = _roots_of_unity(n)
+    h = 1
+    while h < m:
+        pairs = a.reshape(2, 2, m // (2 * h), 2, h)
+        u, v = pairs[:, :, :, 0], pairs[:, :, :, 1]
+        t = _cdd_mul_each(v, roots[..., : n // 2 : n // (2 * h)])
+        out = np.empty_like(pairs)
+        out[:, :, :, 0] = (dd_add(u[0], t[0]), dd_add(u[1], t[1]))
+        out[:, :, :, 1] = (dd_sub(u[0], t[0]), dd_sub(u[1], t[1]))
+        a = out.reshape(2, 2, m)
+        h *= 2
+    return a
+
+
+def _allocating_half_dd_field_values(coeffs, grid, idx, mult=None):
+    # the real route with every mode lifted and packed: modes 0 and n/2 lose
+    # their imaginary parts, Z_k = (X_k + X_{k+n/2}) + i*w^k*(X_k - X_{k+n/2})
+    # with X_{k+n/2} = conj X_{n/2-k}, one length-n/2 allocating transform,
+    # and x_{2m} = Re z_m, x_{2m+1} = Im z_m
+    n = grid.n
+    x = _lift_each(coeffs, mult)
+    x[1, :, [0, n // 2]] = 0.0
+    lr, li = x[0, :, : n // 2], x[1, :, : n // 2]
+    hr, hi = x[0, :, n // 2 : 0 : -1], dd_neg(x[1, :, n // 2 : 0 : -1])
+    s = (dd_add(lr, hr), dd_add(li, hi))
+    d = _cdd_mul_each((dd_sub(lr, hr), dd_sub(li, hi)), _roots_of_unity(n))
+    z = _allocating_dd_fft(np.asarray((dd_sub(s[0], d[1]), dd_add(s[1], d[0]))), n)
+    vals = np.empty(n)
+    vals[0::2], vals[1::2] = dd_value(z[0]), dd_value(z[1])
+    return vals[idx]
+
+
+def _half_spectrum(kind, grid):
+    # modes 0..n/2 of a real field
+    n = grid.n
+    if kind == "sampled-gaussian":
+        return gaussian(grid, center=-5.0, width=2.0).coeffs[: n // 2 + 1]
+    c = gaussian_spectral(grid, center=-5.0, width=2.0).coeffs[: n // 2 + 1]
+    if kind == "signed-zeros":
+        c[[1, 4]] = 0.0
+        c[[2, 7, n // 2]] = complex(-0.0, -0.0)
+        c[5] = complex(0.0, -0.0)
+    elif kind == "ends-at-mode-1":
+        c[2:] = 0.0
+    elif kind == "ends-at-nyquist":
+        c[n // 2] = complex(3e-3, 2e-3)
+    elif kind == "zero":
+        c[:] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("name", ["kdvks", "kdvb"])
+@pytest.mark.parametrize("kind", ["spectral-gaussian", "sampled-gaussian",
+                                  "signed-zeros", "ends-at-mode-1",
+                                  "ends-at-nyquist", "zero"])
+@pytest.mark.parametrize("n", [16, 1024])
+def test_half_spectrum_dd_field_values_are_the_allocating_loop_bitwise(n, kind, name):
+    # the real route over every mode, with and without a flow (kdvb keeps
+    # a complex Nyquist multiplier live), zero and negative-zero
+    # coefficients included
+    grid = SpectralGrid(n, 40.0)
+    coeffs = _half_spectrum(kind, grid)
+    if kind == "spectral-gaussian":
+        assert (coeffs[-1] == 0.0) == (n == 1024)
+    if kind == "sampled-gaussian":
+        assert np.all(coeffs != 0.0)
+    mult = dd_semigroup_multiplier(operator_polynomial(preset(name)), 0.05, grid,
+                                   real=True)
+    idx = np.arange(n)
+    for m in (None, mult):
+        got = dd_field_values(coeffs.copy(), grid, idx, m)
+        assert got.dtype == float
+        want = _allocating_half_dd_field_values(coeffs.copy(), grid, idx, m)
+        assert got.tobytes() == want.tobytes()
+    if kind == "zero":
+        assert got.tobytes() == np.zeros(n).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e305])
+def test_live_band_keeps_products_that_are_not_exact_zeros(bad):
+    # past the last nonzero coefficient a multiplier word that is not finite,
+    # or too large for Dekker's split, makes 0 * m a NaN, as it does over
+    # every mode: such a mode stays in the band
+    grid = SpectralGrid(64, 40.0)
+    coeffs = _half_spectrum("ends-at-mode-1", grid)
+    mult = dd_semigroup_multiplier(operator_polynomial(kdvks()), 0.05, grid, real=True)
+    mult[0, 0, 20] = bad
+    idx = np.arange(grid.n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = dd_field_values(coeffs.copy(), grid, idx, mult)
+        want = _allocating_half_dd_field_values(coeffs.copy(), grid, idx, mult)
+    assert np.all(np.isnan(got)) and np.all(np.isnan(want))
+
+
+def test_seam_problem_dd_field_values_are_the_allocating_loops_bitwise():
+    # the benchmark's seam cells: f and its flows at t = 0.05 and 0.1, from
+    # the half spectrum, whose tail is exact zeros, at the seam nodes
+    grid = SpectralGrid(8192, 160.0)
+    half = gaussian_spectral(grid, center=-20.0, width=3.0).coeffs[: grid.n // 2 + 1]
+    assert np.count_nonzero(half) < half.size // 4
+    idx = seam_indices(grid, 0.25)
+    mults = dd_semigroup_multiplier(operator_polynomial(kdvks()), (0.05, 0.1),
+                                    grid, real=True)
+    for m in (None, *mults):
+        got = dd_field_values(half, grid, idx, m)
+        assert got.tobytes() == _allocating_half_dd_field_values(half, grid, idx, m).tobytes()
 
 
 def test_dd_field_values_with_multiplier_match_double_flow():
