@@ -78,6 +78,18 @@ class SpectralGrid:
         """True on modes kept by the dealias cutoff |k| <= DEALIAS * N/2."""
         return np.abs(self.modes) <= DEALIAS * (self.n // 2)
 
+    def dealias_tail(self, real: bool) -> slice:
+        """The kept modes above the dealias band, one slice of a kept row.
+
+        A real flow keeps modes 0..N/2, a complex one all N in FFT order.
+        With K the top band mode, the modes above the band are K+1..N/2 of
+        the half spectrum, or the FFT-order entries K+1..N-K-1 of the full
+        one: contiguous either way, so the kept row without them is the
+        band, modes 0..K and then, for a complex flow, -K..-1.
+        """
+        top = int(np.count_nonzero(self.dealias_mask[: self.n // 2 + 1]))  # K+1
+        return slice(top, self.n // 2 + 1 if real else self.n - top + 1)
+
     @property
     def dx(self) -> float:
         return self.length / self.n

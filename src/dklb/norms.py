@@ -131,16 +131,27 @@ def _hs_powers(grid: SpectralGrid, keep: int, rows: int, s: float):
     their conjugates too and count twice: the weighted power of the half
     row is mirrored into the places of the conjugates, so that each row
     sums the power of its FFT-order spectrum in the same order and to the
-    same bit.
+    same bit.  add also takes the band of such rows, the kept row without
+    its SpectralGrid.dealias_tail, as Picard's steps are: the modes above
+    the band are zero in the buffer, so the sum is that of the kept row
+    whose tail is zero, to the bit.
     """
     n = grid.n
+    tail = grid.dealias_tail(keep < n)
     weight = (1.0 + grid.xi[:keep] ** 2) ** (s / 2.0)
     power = np.empty((min(ROW_BLOCK, rows), n))
     sums = np.empty(rows)
 
     def add(coeffs: np.ndarray, block: slice) -> None:
         summed = power[: len(coeffs)]
-        half = np.abs(coeffs, out=summed[:, :keep])
+        half = summed[:, :keep]
+        if coeffs.shape[-1] == keep:
+            np.abs(coeffs, out=half)
+        else:  # the band: each piece into its place, and zeros above it
+            head = tail.start
+            np.abs(coeffs[:, :head], out=half[:, :head])
+            np.abs(coeffs[:, head:], out=half[:, tail.stop:])
+            half[:, tail] = 0.0
         half *= weight
         half *= half
         if keep < n:
@@ -204,21 +215,24 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def _power(vals: np.ndarray, weights, p: float) -> np.ndarray:
-    """weights * vals**p, in a new array."""
+def _power(vals: np.ndarray, weights, p: float, out=None) -> np.ndarray:
+    """weights * vals**p, in out (vals itself, say) or else a new array."""
     if p == 4.0:  # two products: within 2 ulp of pow(), at a fraction of its cost
-        power = vals * vals
+        power = np.multiply(vals, vals, out=out)
         power *= power
-    else:
+    elif out is None:
         power = vals**p
+    else:
+        power = np.power(vals, p, out=out)
     power *= weights
     return power
 
 
-def _pnorm(vals: np.ndarray, weights, p: float, axis=None):
+def _pnorm(vals: np.ndarray, weights, p: float, axis=None, out=None):
+    # out, if given, takes the powers of vals
     if p == INF:
         return np.maximum.reduce(vals, axis=axis)
-    return np.add.reduce(_power(vals, weights, p), axis=axis) ** (1.0 / p)
+    return np.add.reduce(_power(vals, weights, p, out), axis=axis) ** (1.0 / p)
 
 
 def _in_range(norms, peaks, p: float, name: str):
@@ -320,6 +334,8 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
     ROW_BLOCK rows held in two block-sized buffers: per block, one batched
     transform per multiplier gives the per-row x-norms, |u| for lambda2,
     |du/dx| for lambda5 and 6, and at s = 0 they serve lambda3 and 4 too.
+    Each row's sup is taken first, and the fourth powers of the L4 norms
+    are then formed in the magnitudes' own buffer.
     The L2 norm in time runs over the collected per-row norms, so every
     value is bitwise that of mixed_norm's quadrature on the whole array.
     Weighted norms are not among them: simulate's weights.list writes those
@@ -360,9 +376,9 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
                 v = spectra[:k]
                 v[...] = c
             vals = _magnitudes(v, grid.n, real, out=mags[:k])
-            l4[key][block] = _pnorm(vals, grid.dx, 4.0, axis=1)
-            if key == "u_x":
+            if key == "u_x":  # before the powers overwrite the magnitudes
                 sup_u_x[block] = _pnorm(vals, grid.dx, INF, axis=1)
+            l4[key][block] = _pnorm(vals, grid.dx, 4.0, axis=1, out=vals)
 
     def l2_t(per_row):
         return float(_pnorm(per_row, tw, 2.0))

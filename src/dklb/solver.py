@@ -12,22 +12,28 @@ form on a coarse stored time grid, while ETDRK4 steps the differential form
 with exponential integrator coefficients.  Cross-checking them is the point,
 so neither may call the other.
 
-Both routes run on the coefficients of the kept modes and evaluate the
-advection term through one in-place kernel, _advection, whose calls
-allocate nothing and which works along the last axis: ETDRK4 passes it one
-row per stage, Picard its nodes in blocks of norms.ROW_BLOCK rows.  A real
-flow (real data and an even symbol) keeps modes 0..N/2, a half spectrum,
-and transforms with irfft/rfft; a complex flow keeps every mode and uses
+Both routes run on the coefficients of the kept modes: a real flow (real
+data and an even symbol) keeps modes 0..N/2, a half spectrum, and
+transforms with irfft/rfft; a complex flow keeps every mode and uses
 ifft/fft.  Flow tables are evaluated on the kept modes only, and the norms
-read half spectra as they stand.  Picard holds two (nt+1, kept) arrays,
-its linear part and one iterate, which each sweep overwrites in place
-block by block, and returns that iterate as its nodes; etdrk4_solve yields
-its rows one at a time as (step, t, field), and nothing gathers them.
-Full spectra, with the negative modes filled in as conjugates, are built
-only for the fields ETDRK4 yields and the Picard rows a caller extends.
-The inner loops are linear in time: ETDRK4 runs its stages in
-preallocated buffers, and Picard's Duhamel sweep runs its quadrature sums
-forward by the semigroup law instead of summing over every pair of nodes.
+read half spectra as they stand.  The advection term is dealiased by the
+2/3 rule, so it is zero above the band |k| <= N/3
+(SpectralGrid.dealias_tail), where every mode follows the linear flow
+exactly: both routes do their nonlinear work on the band only, through one
+in-place kernel, _advection, which works along the last axis of band-width
+rows.  ETDRK4 passes it one row per stage and multiplies the modes above
+the band by the step's flow multiplier alone.  Picard passes it its nodes
+in blocks of norms.ROW_BLOCK rows; it holds one (nt+1, kept) iterate, whose
+modes above the band are the linear flow's, written once, and its linear
+part on the band only, and each sweep overwrites the iterate's band in
+place block by block.  Picard returns that iterate as its nodes;
+etdrk4_solve yields its rows one at a time as (step, t, field), and nothing
+gathers them.  Full spectra, with the negative modes filled in as
+conjugates, are built only for the fields ETDRK4 yields and the Picard rows
+a caller extends.  The inner loops are linear in time: ETDRK4 runs its
+stages in preallocated buffers, and Picard's Duhamel sweep runs its
+quadrature sums forward by the semigroup law instead of summing over every
+pair of nodes.
 """
 
 from __future__ import annotations
@@ -42,47 +48,71 @@ from .grid import SpectralField, SpectralGrid
 
 
 def _advection(grid: SpectralGrid, real: bool, rows: tuple[int, ...] = ()):
-    """The kept modes and an in-place advection kernel on them.
+    """The kept modes, the modes above the band and an advection kernel.
 
-    The kernel advect(v, out) writes -1/2 d/dx P(u^2) for the kept
-    coefficients v, of shape rows + (kept modes,), into out and returns out;
+    The kernel advect(v, out) writes -1/2 d/dx P(u^2) for the band v, of
+    shape rows + (band modes,), into out of the same shape and returns out;
     all rows go through one batched transform pair along the last axis.
     With rows = (k,), v may also hold fewer than k rows: a block of rows
-    that ends an array, as Picard's sweep passes them.  P
-    is the dealias truncation, applied to u before squaring and to the
-    square after.  A real field keeps modes 0..N/2 and transforms with
-    irfft/rfft: its band is a prefix of the kept modes, which irfft reads
-    as it stands and zero-pads, and its node values live in a buffer of the
-    kernel.  A complex field keeps every mode and uses ifft/fft in place in
-    out, masked to the band there.  So a call allocates nothing; the
-    inverse transform runs unnormalised (norm="forward"), which is u at the
-    nodes exactly because N is a power of two.  Returns (keep, advect): keep
-    slices the kept modes out of an FFT-order spectrum.
+    that ends an array, as Picard's sweep passes them.  P is the dealias
+    truncation, applied to u before squaring and to the square after, so
+    the term is zero above the band and the kernel never forms it there.
+    The band is the kept row without its dealias tail
+    (SpectralGrid.dealias_tail): a real field keeps modes 0..N/2 and
+    transforms with irfft/rfft, its band a prefix that irfft reads as it
+    stands and zero-pads; a complex field keeps every mode and uses
+    ifft/fft, its band spliced into a zeroed spectrum.  The node values and
+    the spectra live in buffers of the kernel, so a call creates no array;
+    the inverse transform runs unnormalised (norm="forward"), which is u at
+    the nodes exactly because N is a power of two.  Returns (keep, tail,
+    advect): keep slices the kept modes out of an FFT-order spectrum, and
+    tail the modes above the band out of a kept row.
     """
     n = grid.n
     keep = slice(0, n // 2 + 1 if real else n)
+    tail = grid.dealias_tail(real)
     mask = grid.dealias_mask[keep]
     gain = mask * (-0.5j * grid.xi_odd[keep]) / n
-    if real:
-        band = int(np.count_nonzero(mask))  # modes 0..band-1
-        nodes = np.empty(rows + (n,))
+    head, low_gain, high_gain = tail.start, gain[:tail.start], gain[tail.stop:]
+    spectra = np.empty(rows + (keep.stop,), dtype=complex)
+    nodes = np.empty(rows + (n,)) if real else None
 
-        def advect(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def advect(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        w = spectra[:len(v)] if rows else spectra
+        if real:
             u = nodes[:len(v)] if rows else nodes
-            np.fft.irfft(v[..., :band], n, norm="forward", out=u)
+            np.fft.irfft(v, n, norm="forward", out=u)
             np.multiply(u, u, out=u)
-            np.fft.rfft(u, out=out)
-            return np.multiply(gain, out, out=out)
-    else:
-        def advect(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-            out.fill(0.0)
-            np.copyto(out, v, where=mask)
-            np.fft.ifft(out, norm="forward", out=out)
-            np.multiply(out, out, out=out)
-            np.fft.fft(out, out=out)
-            return np.multiply(gain, out, out=out)
+            np.fft.rfft(u, out=w)
+        else:
+            _splice(v, tail, w)
+            w[..., tail] = 0.0
+            np.fft.ifft(w, norm="forward", out=w)
+            np.multiply(w, w, out=w)
+            np.fft.fft(w, out=w)
+        # the band of the square's spectrum, times the gain, into out
+        np.multiply(low_gain, w[..., :head], out=out[..., :head])
+        if high_gain.size:  # modes -K..-1, kept by a complex flow
+            np.multiply(high_gain, w[..., tail.stop:], out=out[..., head:])
+        return out
 
-    return keep, advect
+    return keep, tail, advect
+
+
+def _cut(rows: np.ndarray, tail: slice, out: np.ndarray) -> np.ndarray:
+    """The band of kept rows, their last axis without the entries tail, into out."""
+    head = tail.start
+    np.copyto(out[..., :head], rows[..., :head])
+    np.copyto(out[..., head:], rows[..., tail.stop:])
+    return out
+
+
+def _splice(band: np.ndarray, tail: slice, rows: np.ndarray) -> np.ndarray:
+    """The inverse of _cut: band into kept rows around their entries tail."""
+    head = tail.start
+    np.copyto(rows[..., :head], band[..., :head])
+    np.copyto(rows[..., tail.stop:], band[..., head:])
+    return rows
 
 
 def _full_spectrum(v: np.ndarray, n: int, real: bool) -> np.ndarray:
@@ -104,10 +134,12 @@ def nonlinearity(f: SpectralField) -> SpectralField:
     """The advection term as fed to Duhamel: -1/2 d/dx of the dealiased square.
 
     Equals -u*u_x up to dealiasing; its zero mode vanishes identically
-    because it is a total derivative.
+    because it is a total derivative, and the modes above the band are zero.
     """
-    keep, advect = _advection(f.grid, f.is_real)
-    out = advect(f.coeffs[keep], np.empty(keep.stop, dtype=complex))
+    keep, tail, advect = _advection(f.grid, f.is_real)
+    band = np.delete(f.coeffs[keep], tail)
+    out = _splice(advect(band, np.empty_like(band)), tail,
+                  np.zeros(keep.stop, dtype=complex))
     return SpectralField(f.grid, _full_spectrum(out, f.grid.n, f.is_real), f.is_real)
 
 
@@ -143,31 +175,37 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 
     The iteration runs on the kept modes of _advection (0..N/2 for a real
     flow, all of them for a complex one), and each sweep is linear in nt.
-    The quadrature sums run forward by the semigroup law M_{a+b} = M_a M_b:
-    with R_m the Simpson sum at an even node m,
+    The advection term is zero above the dealias band, so there the Duhamel
+    integral is zero and every iterate is the linear flow; only the band is
+    swept.  The quadrature sums run forward by the semigroup law
+    M_{a+b} = M_a M_b: with R_m the Simpson sum at an even node m,
 
         R_{m+2}  = M2 R_m + dt/3 (M2 N_m + 4 M1 N_{m+1} + N_{m+2}),
         S_{m+3}  = M3 R_m + 3dt/8 (M3 N_m + 3 M2 N_{m+1} + 3 M1 N_{m+2} + N_{m+3}),
 
-    where M1, M2 and M3 are the flow multipliers at dt, 2dt and 3dt.  The
-    linear part takes the flow multiplier at every node, but the sums
-    compound M1..M3, so their rounding grows like nt ulps.
+    where M1, M2 and M3 are the flow multipliers at dt, 2dt and 3dt, taken
+    on the band.  The linear part takes the flow multiplier at every node,
+    but the sums compound M1..M3, so their rounding grows like nt ulps.
 
-    The state is two (nt+1, kept modes) arrays: the linear part, formed in
-    the flow table's own storage, and one iterate, which each sweep
-    overwrites in place.  That is safe because the step from node m writes
-    nodes m+2 and m+3 and reads only the advection terms of nodes m..m+3,
-    all taken from old rows: the sweep walks the nodes in blocks of
-    norms.ROW_BLOCK, and one batched kernel call writes the terms of a
-    block's old rows, after those of the two nodes before the block, before
-    any of its rows is overwritten.  The block's new rows are formed in a
-    block-sized buffer, each in the operand order of a whole-array sweep
-    (the linear part, then M3 R_m, then the weighted terms); once the block
-    is complete, the H^s power of each row's step (new - old) is summed by
-    the body of norms.sup_hs_norm and the new rows overwrite the old.  The
-    distance between iterates is the largest of those norms, bitwise
-    sup_hs_norm of the whole step; the diagnostics then walk the new
-    iterate in the same blocks.
+    The state is one (nt+1, kept modes) iterate, formed as the linear part
+    in the flow table's own storage, and the linear part's band, an
+    (nt+1, band modes) array; the iterate's modes above the band are
+    written there once and never swept, and the modes above the band of a
+    linear part that is not finite fail as the first iterate.  Each sweep
+    overwrites the iterate's band in place.  That is safe because the step
+    from node m writes nodes m+2 and m+3 and reads only the advection terms
+    of nodes m..m+3, all taken from old rows: the sweep walks the nodes in
+    blocks of norms.ROW_BLOCK, and one batched kernel call writes the terms
+    of a block's old rows, after those of the two nodes before the block,
+    before any of its rows is overwritten.  The block's new band rows are
+    formed in a block-sized buffer, each in the operand order of a
+    whole-array sweep (the linear part, then M3 R_m, then the weighted
+    terms); once the block is complete, the H^s power of each row's step
+    (new - old, zero above the band) is summed by the body of
+    norms.sup_hs_norm and the new rows overwrite the old.  The distance
+    between iterates is the largest of those norms, bitwise sup_hs_norm of
+    the whole step.  The sweep's buffers live for one sweep; the
+    diagnostics then walk the new iterate in blocks of their own.
 
     Returns (nodes, report).  nodes is the last iterate on the kept modes,
     one row per node times[k] = k*T/nt: an (nt+1, N/2+1) array of half
@@ -190,41 +228,51 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     dt = T / nt
     times = np.linspace(0.0, T, nt + 1)
     is_real = u0.is_real and phi.is_even
-    keep, advect = _advection(grid, is_real, (norms.ROW_BLOCK,))
+    keep = slice(0, grid.n // 2 + 1 if is_real else grid.n)
+    tail = grid.dealias_tail(is_real)
 
-    # the linear part, formed in the storage of the flow table
-    linear = symbols.flow_multiplier(phi, np.arange(nt + 1) * dt, grid, is_real)
-    np.multiply(u0.coeffs[keep], linear, out=linear)
+    # the first iterate is the linear part, formed in the flow table's own
+    # storage; above the band it is final, and its band is kept to sweep from
+    iterate = symbols.flow_multiplier(phi, np.arange(nt + 1) * dt, grid, is_real)
+    np.multiply(u0.coeffs[keep], iterate, out=iterate)
     # data without a finite H^s norm fail here, not as a diverged iterate
-    norms.sup_hs_norm(grid, linear[:1], s)
-    add_power, distance = norms._hs_powers(grid, keep.stop, nt + 1, s)
+    norms.sup_hs_norm(grid, iterate[:1], s)
+    if not np.isfinite(iterate[:, tail]).all():  # so would every iterate
+        raise NumericalError("Picard iterate 1 diverged: the linear flow above "
+                             "the dealias band is not finite")
+    linear = np.delete(iterate, tail, axis=1)
 
-    M1, M2, M3 = symbols.flow_multiplier(phi, np.arange(1, 4) * dt, grid, is_real)
+    M1, M2, M3 = np.delete(symbols.flow_multiplier(phi, np.arange(1, 4) * dt, grid,
+                                                   is_real), tail, axis=1)
     trapezoid = (dt / 2.0 * M1, dt / 2.0)
     simpson = (dt / 3.0 * M2, 4.0 * dt / 3.0 * M1, dt / 3.0)
     three_eighths = (3.0 * dt / 8.0 * M3, 9.0 * dt / 8.0 * M2,
                      9.0 * dt / 8.0 * M1, 3.0 * dt / 8.0)
     blocks = norms._row_blocks(nt + 1)
-    size = blocks[0].stop  # rows in a block
-    # the advection terms of the block's nodes, after those of the two
-    # nodes before it, and the block's new rows
-    terms = np.empty((size + 2, keep.stop), dtype=complex)
-    stage = np.empty((size, keep.stop), dtype=complex)
-    run = np.empty(keep.stop, dtype=complex)  # R_m
-    tmp = np.empty_like(run)
+    size, width = blocks[0].stop, linear.shape[1]  # rows in a block, band modes
 
-    def add(acc, weights, rows):
-        # acc += sum_k weights[k] * rows[k], in place
-        for w, row in zip(weights, rows):
-            acc += np.multiply(w, row, out=tmp)
+    def duhamel(iterate: np.ndarray) -> float:
+        # the image of the iterate overwrites its band, block by block, and
+        # the H^s power of each row's step goes to add_power; the buffers
+        # live for one sweep, so none is held while the diagnostics run
+        _, _, advect = _advection(grid, is_real, (size,))
+        add_power, distance = norms._hs_powers(grid, keep.stop, nt + 1, s)
+        # the band of the block's old rows, the advection terms of its nodes
+        # after those of the two nodes before it, and its new rows
+        held = np.empty((size, width), dtype=complex)
+        terms = np.empty((size + 2, width), dtype=complex)
+        stage = np.empty_like(held)
+        run = np.zeros(width, dtype=complex)  # R_m
+        tmp = np.empty_like(run)
 
-    def duhamel(iterate: np.ndarray) -> None:
-        # the image of the iterate overwrites it, block by block, and the
-        # H^s power of each row's step goes to add_power
-        run.fill(0.0)
+        def add(acc, weights, rows):
+            # acc += sum_k weights[k] * rows[k], in place
+            for w, row in zip(weights, rows):
+                acc += np.multiply(w, row, out=tmp)
+
         for rows in blocks:
-            old, new = iterate[rows], stage[: rows.stop - rows.start]
-            k = len(new)
+            k = rows.stop - rows.start
+            old, new = _cut(iterate[rows], tail, held[:k]), stage[:k]
             if rows.start:  # keep the terms of the two nodes before the block
                 terms[:2] = terms[-2:]
             advect(old, terms[2:k + 2])
@@ -241,7 +289,8 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
                 add(run, simpson, window)
                 new[i] += run
             add_power(np.subtract(new, old, out=old), rows)
-            np.copyto(old, new)
+            _splice(new, tail, iterate[rows])
+        return distance()
 
     notes: list[str] = []
     if phi.p <= 2.5:
@@ -250,17 +299,15 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             "their validity range; diagnostics only"
         )
 
-    iterate = linear.copy()
     distances: list[float] = []
     lambdas: list[dict[str, float]] = []
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        duhamel(iterate)
         iterations += 1
         # the step is not finite where the new iterate is not
         try:
-            dist = distance()
+            dist = duhamel(iterate)
         except NumericalError as exc:
             raise NumericalError(
                 f"Picard iterate {iterations} diverged: {exc}") from None
@@ -320,12 +367,17 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     nonlinear=False each step is exactly the flow multiplier; NaN or
     overflow aborts at its step.
 
-    The stages run on the kept modes of _advection, with the multipliers
-    and coefficients sliced to them once: modes 0..N/2 through irfft/rfft
-    for a real flow, every mode through ifft/fft for a complex one.  They
-    run in preallocated buffers, E2*v and 2*f2 computed once, with every
-    product and sum in the operand order of the plain formulas, so the
-    trajectory is bitwise that of the allocating scheme.
+    The state is the kept modes of _advection: modes 0..N/2 through
+    irfft/rfft for a real flow, every mode through ifft/fft for a complex
+    one.  The four stages run on the band only, with the multipliers cut to
+    it and Q, f1, f2, f3 and their contour means evaluated on it; above the
+    band the advection term is zero, so each step multiplies those modes by
+    E alone, and the finiteness check covers the whole kept row.  The
+    stages run in preallocated band-width buffers, E2*v and 2*f2 computed
+    once, with every product and sum in the operand order of the plain
+    formulas, so the band is bitwise that of the allocating full-width
+    scheme, and the modes above it are its values (its E*v + 0 may differ
+    in the sign of an exact zero).
     """
     if dt <= 0 or T <= 0:
         raise ValueError("T and dt must be positive")
@@ -338,10 +390,13 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 
     grid = u0.grid
     is_real = u0.is_real and phi.is_even
-    keep, advect = _advection(grid, is_real)
+    keep, tail, advect = _advection(grid, is_real)
     E = symbols.flow_multiplier(phi, dt, grid, is_real)
     E2 = symbols.flow_multiplier(phi, dt / 2.0, grid, is_real)
-    c = 1j * grid.xi_odd[keep]**3 + phi.eta * symbols.phase_eval(phi, grid.xi[keep])
+    E_tail = E[tail]
+    E, E2 = np.delete(E, tail), np.delete(E2, tail)
+    xi, xi_odd = np.delete(grid.xi[keep], tail), np.delete(grid.xi_odd[keep], tail)
+    c = 1j * xi_odd**3 + phi.eta * symbols.phase_eval(phi, xi)
     z = c.real * dt + 1j * c.imag * dt
     Q, f1, f2, f3 = _etdrk4_coeffs(z, dt)
     twice_f2 = 2.0 * f2
@@ -352,13 +407,17 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 
     def rows():
         yield 0, 0.0, SpectralField(grid, u0.coeffs.copy(), is_real)
-        v = u0.coeffs[keep].copy()
-        E2v, a, b, cc, Nv, Na, Nb, Nc, tmp = np.empty((9, len(v)), dtype=complex)
+        # the kept row as its band, then the modes above the band, which
+        # each step multiplies by E alone
+        kept = u0.coeffs[keep]
+        v = np.concatenate((np.delete(kept, tail), kept[tail]))
+        v_band, above = v[:len(E)], v[len(E):]
+        E2v, a, b, cc, Nv, Na, Nb, Nc, tmp = np.empty((9, len(E)), dtype=complex)
         finite = np.empty(len(v), dtype=bool)
         for step in range(1, steps + 1):
             # the four stages in the order of Cox & Matthews, each in its buffer
-            N(v, Nv)
-            np.multiply(E2, v, out=E2v)
+            N(v_band, Nv)
+            np.multiply(E2, v_band, out=E2v)
             np.multiply(Q, Nv, out=a)
             a += E2v
             N(a, Na)
@@ -370,16 +429,19 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             np.multiply(Q, cc, out=cc)
             cc += np.multiply(E2, a, out=tmp)
             N(cc, Nc)
-            np.multiply(E, v, out=v)
-            v += np.multiply(f1, Nv, out=tmp)
+            np.multiply(E, v_band, out=v_band)
+            v_band += np.multiply(f1, Nv, out=tmp)
             np.add(Na, Nb, out=tmp)
-            v += np.multiply(twice_f2, tmp, out=tmp)
-            v += np.multiply(f3, Nc, out=tmp)
+            v_band += np.multiply(twice_f2, tmp, out=tmp)
+            v_band += np.multiply(f3, Nc, out=tmp)
+            np.multiply(E_tail, above, out=above)
             if not np.isfinite(v, out=finite).all():
                 raise NumericalError(f"ETDRK4 lost finiteness at step {step}")
-            if step % snapshot_stride == 0 or step == steps:  # v is live: copy it
-                row = _full_spectrum(v, grid.n, True) if is_real else v.copy()
-                yield step, step * dt, SpectralField(grid, row, is_real)
+            if step % snapshot_stride == 0 or step == steps:  # a new row
+                row = _splice(v_band, tail, np.empty(keep.stop, dtype=complex))
+                row[tail] = above
+                yield step, step * dt, SpectralField(
+                    grid, _full_spectrum(row, grid.n, is_real), is_real)
 
     return rows()
 

@@ -180,6 +180,39 @@ def _sign_changes(poly, hi: float) -> list[float]:
         return (sum(a * x**e for e, a in poly) if x > 0.0 else poly[0][1]) < 0.0
 
     cuts = [0.0, *_sign_changes([(e - 1.0, a * e) for e, a in poly[1:]], hi), hi]
+    return _pinned(negative, cuts)
+
+
+def _log_sign_changes(poly, lo: float, hi: float) -> list[float]:
+    """_sign_changes in u = log x: points of [lo, hi] where the sum of
+    a * exp(e*u) turns negative or nonnegative, none of them left of lo.
+
+    Divided by exp(e*u) for its lowest e where u <= 0, and for its highest
+    where u > 0, the sum keeps its sign and no term exceeds its coefficient,
+    so x**p never has to be a double.  The derivative in u of the sum
+    divided by its lowest term has one term fewer, and the Rolle recursion
+    and the bisection are those of _sign_changes.  ArithmeticError when a
+    coefficient of the recursion is not finite.
+    """
+    low = poly[0][0]
+    poly = [(e - low, a) for e, a in poly]
+    if not all(map(math.isfinite, [lo, hi, *(a for _, a in poly)])):
+        raise ArithmeticError("the search leaves the doubles")
+    if len(poly) == 1:
+        return []
+    top = poly[-1][0]
+
+    def negative(u):
+        shift = top if u > 0.0 else 0.0
+        return sum(a * math.exp((e - shift) * u) for e, a in poly) < 0.0
+
+    cuts = [lo, *_log_sign_changes([(e, a * e) for e, a in poly[1:]], lo, hi), hi]
+    return _pinned(negative, cuts)
+
+
+def _pinned(negative, cuts) -> list[float]:
+    # the sign change on each piece between adjacent cuts that has one,
+    # pinned to adjacent floats by bisection: its nonnegative side
     roots = []
     for lo, up in zip(cuts, cuts[1:]):
         neg_lo = negative(lo)
@@ -255,12 +288,14 @@ def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float) -> float:
     turns eta*t*Phi(xi) into the symbol of u whose correction terms of
     degree d carry the factor (eta*t)**(1-d/p), all taken from
     log(eta) + log(t), and the sup is that symbol's at t = 1 times
-    (eta*t)**(-2q/p).  The search ends where x**p reaches e^709 if the tail
-    bound holds there, so a large p (1e4, 1e6) keeps x**p a double.  It is
-    inf where it overflows a double, and never nan: where the root search
-    leaves the doubles (an extreme leading power p), or the symbol's terms
-    overflow with opposite signs at a stationary point, it raises
-    NumericalError naming p.
+    (eta*t)**(-2q/p).  Where x**p would leave the doubles before the tail
+    bound, as for a large p (1e4, 1e12), the sign changes are searched in
+    log x by _log_sign_changes, well conditioned there: at p = 1e12 the
+    stationary point is log x ~ -2.7e-11.  It is inf where it overflows a
+    double, and never nan: where the root search leaves the doubles (an
+    extreme leading power p, whose stationary point as a double no longer
+    fixes x**p to within a factor e), or the symbol's terms overflow with
+    opposite signs at a stationary point, it raises NumericalError naming p.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -278,7 +313,8 @@ def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float) -> float:
     if xs is None:
         xs = _stationary_points(phi, q / ts, 1.0)
     xs = np.array([0.0, *xs])
-    phase = phase_eval(phi, xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # told apart below
+        phase = phase_eval(phi, xs)
     if np.isnan(phase).any():  # terms of opposite sign overflow: inf - inf
         raise NumericalError(f"the envelope's symbol leaves the doubles at a "
                              f"stationary point, leading power p={phi.p!r}")
@@ -307,11 +343,11 @@ def _stationary_points(phi: PhaseFunction, q: float, ts: float) -> list[float] |
         poly = sorted((e, a) for e, a in [*lower.items(), (phi.p, -lead)] if a != 0.0)
         try:  # Python floats raise where numpy's give inf (or lead is 0)
             tail = _tail(list(lower.items()), lead, phi.p)
-            if phi.p * math.log(tail) > 709.0:  # x**p would leave the doubles
-                cap = math.exp(709.0 / phi.p)
-                # end at x**p = e^709 if the term-wise bound 0.8*tail holds there
-                tail = cap if 0.8 * tail * (1.0 + 1e-9) <= cap else math.inf
-            roots = _sign_changes(poly, tail) if tail < math.inf else None
+            if phi.p * math.log(tail) <= 709.0:
+                roots = _sign_changes(poly, tail)
+            else:  # x**p would leave the doubles: search in u = log x
+                roots = [_resolved(u, phi.p) for u in _log_sign_changes(
+                    poly, _log_head(poly), math.log(tail))]
         except ArithmeticError:
             roots = None
         if roots is None:
@@ -320,6 +356,24 @@ def _stationary_points(phi: PhaseFunction, q: float, ts: float) -> list[float] |
                 f"power p={phi.p!r}")
         xs += [s * x for x in roots]
     return xs
+
+
+def _log_head(poly) -> float:
+    """A u left of every sign change of sum a * exp(e*u) over poly, as
+    _sign_changes lists it: one below the term-wise bound under which each
+    of the k higher terms is at most 1/k of the lowest."""
+    (low, a0), higher = poly[0], poly[1:]
+    return min([0.0, *((math.log(abs(a0)) - math.log(len(higher)) - math.log(abs(a)))
+                       / (e - low) for e, a in higher)]) - 1.0
+
+
+def _resolved(u: float, p: float) -> float:
+    """x = exp(u), ArithmeticError unless the double x fixes x**p to within
+    a factor e, as the sup is evaluated there."""
+    x = math.exp(u)
+    if not (x > 0.0 and p * abs(math.log(x) - u) <= 1.0):
+        raise ArithmeticError(f"exp({u!r}) does not resolve x**{p!r}")
+    return x
 
 
 def kdvb(eta: float = 1.0) -> PhaseFunction:

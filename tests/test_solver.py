@@ -128,9 +128,7 @@ def test_advection_conserves_l2(grid256, rng, real):
         c = _band_limited(grid256, rng)
         if not real:
             c = c * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        keep, advect = _advection(grid256, real)
-        nl = _full_spectrum(advect(c[keep], np.empty(keep.stop, dtype=complex)),
-                            grid256.n, real)
+        nl = nonlinearity(SpectralField(grid256, c, real)).coeffs
         inner = np.vdot(c, nl).real
         scale = (np.vdot(c, c).real * np.max(np.abs(grid256.xi))
                  * np.max(np.abs(np.fft.ifft(c) * grid256.n)))
@@ -176,13 +174,13 @@ def test_nonlinearity_matches_the_dealiased_product(rng):
 
 def test_picard_memory_stays_small(kdvks_phi):
     # the two-routes benchmark problem.  A real flow's iterate stays on modes
-    # 0..N/2, and two (nt+1, N/2+1) complex arrays of 2.0 MiB each, the
-    # linear part and the iterate the sweep overwrites, are the state; the
-    # advection terms, the new rows, the kernel's node values and the
-    # buffers of the distance and the diagnostics hold blocks of 16 rows, and
-    # the nodes are returned as they are: 6.11 MiB at the peak.  Four such
-    # arrays (a separate advection term and new iterate) peaked at 9.35 MiB,
-    # a (nt+1, N) node buffer, whole-array diagnostics and full spectra
+    # 0..N/2 and its linear part on the 683 band modes of the 1025, 3.4 MiB
+    # together; each sweep's block buffers of 16 rows live for that sweep
+    # and the diagnostics' for theirs, and the nodes are returned as they
+    # are: 5.06 MiB at the peak, in the sweep.  A full-width linear part
+    # with block buffers kept across sweeps peaked at 6.11 MiB, four whole
+    # arrays (a separate advection term and new iterate) at 9.35 MiB, a
+    # (nt+1, N) node buffer, whole-array diagnostics and full spectra
     # returned at 14.6 MiB, and one-row sweeps over full spectra at 26.5 MiB
     grid = SpectralGrid(2048, 40.0)
     u0 = normalize_l2(random_mixture(grid, np.random.default_rng(1)), 0.1)
@@ -193,7 +191,36 @@ def test_picard_memory_stays_small(kdvks_phi):
     finally:
         tracemalloc.stop()
     assert rep.iterations == 3
-    assert peak < 7 * 2**20, peak / 2**20
+    assert peak <= 5.2 * 2**20, peak / 2**20
+
+
+def test_picard_peak_is_bounded_by_its_arrays(kdvks_phi):
+    # at n = 4096 and nt = 64: the (nt+1, N/2+1) iterate, the (nt+1, band)
+    # linear part, and blocks of ROW_BLOCK rows: the sweep's old band, new
+    # rows and advection terms (two rows more), the kernel's spectra and
+    # node values and the distance's powers; the diagnostics' spectra and
+    # magnitudes.  Their sum bounds the traced peak, 6.57 MiB in the sweep,
+    # when the diagnostics' buffers are not alive.  A full-width linear part
+    # with the sweep's buffers held across sweeps peaked at 8.19 MiB
+    grid = SpectralGrid(4096, 40.0)
+    nt, rows = 64, ROW_BLOCK
+    u0 = normalize_l2(random_mixture(grid, np.random.default_rng(1)), 0.1)
+    kept = grid.n // 2 + 1
+    tail = grid.dealias_tail(True)
+    band = kept - (tail.stop - tail.start)
+    c, f = 16, 8  # bytes of a complex and of a float entry
+    bound = ((nt + 1) * (kept + band) * c
+             + (3 * rows + 2) * band * c
+             + rows * (kept * c + grid.n * f) + rows * grid.n * f
+             + rows * (kept * c + grid.n * f))
+    tracemalloc.start()
+    try:
+        _, rep = picard_solve(u0, kdvks_phi, T=0.1, nt=nt, tol=0.0, max_iter=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations == 3
+    assert peak <= bound, (peak / 2**20, bound / 2**20)
 
 
 def _picard_fields(nodes, grid):
@@ -204,9 +231,10 @@ def _picard_fields(nodes, grid):
             for row in _full_spectrum(nodes, grid.n, real)]
 
 
-def _row_advection(grid, real):
-    # the one-row kernel the batched sweep replaced: a masked copy of the
-    # row and one transform pair per call
+def _full_width_advection(grid, real):
+    # the kernel before the band: the band masked into a whole kept row, one
+    # transform pair along the last axis, and a gain that is zero above the
+    # band applied to every kept mode
     n = grid.n
     keep = n // 2 + 1 if real else n
     to_nodes, to_modes = (np.fft.irfft, np.fft.rfft) if real else (np.fft.ifft, np.fft.fft)
@@ -218,6 +246,22 @@ def _row_advection(grid, real):
         return gain * to_modes(u * u)
 
     return advect
+
+
+def _kept_rows(band, tail, kept):
+    # band rows widened to kept rows, zero at the entries tail
+    rows = np.zeros(band.shape[:-1] + (kept,), dtype=complex)
+    rows[..., np.delete(np.arange(kept), tail)] = band
+    return rows
+
+
+def _assert_band_bitwise(got, want, tail):
+    # the band to the bit; above it the values, where an exact zero's sign
+    # may differ (x + 0.0 and x + -0.0 differ only when x is a zero)
+    assert got.shape == want.shape
+    assert (np.delete(got, tail, axis=-1).tobytes()
+            == np.delete(want, tail, axis=-1).tobytes())
+    assert np.array_equal(got[..., tail], want[..., tail])
 
 
 @pytest.mark.parametrize("name", ["kdvks", "optimality:3"])
@@ -235,15 +279,15 @@ def test_batched_sweep_is_bitwise_the_per_row_kernel(grid256, monkeypatch, name)
     advection = dklb.solver._advection
 
     def per_row(grid, real, rows=()):
-        keep, _ = advection(grid, real)
-        advect = _row_advection(grid, real)
+        keep, tail, _ = advection(grid, real)
+        advect = _full_width_advection(grid, real)
 
         def each(v, out):
-            for row, term in zip(v, out):
-                term[...] = advect(row)
+            for band, term in zip(v, out):
+                term[...] = np.delete(advect(_kept_rows(band, tail, keep.stop)), tail)
             return out
 
-        return keep, each
+        return keep, tail, each
 
     monkeypatch.setattr(dklb.solver, "_advection", per_row)
     for nt, (blocked, report) in runs.items():
@@ -256,23 +300,24 @@ def test_batched_sweep_is_bitwise_the_per_row_kernel(grid256, monkeypatch, name)
 
 
 def _four_array_picard(u0, phi, T, nt, max_iter, s=0.0):
-    # the sweep the in-place one replaced: the linear part, the advection
-    # term of every node and two iterates, each a whole (nt+1, kept) array,
-    # and the distance the whole-array sup_hs_norm of their difference
+    # the sweep the banded in-place one replaced: the linear part, the
+    # advection term of every node and two iterates, each a whole
+    # (nt+1, kept) array in full-width arithmetic, and the distance the
+    # whole-array sup_hs_norm of their difference
     grid, dt = u0.grid, T / nt
     real = u0.is_real and phi.is_even
-    keep, advect = _advection(grid, real, (ROW_BLOCK,))
-    linear = u0.coeffs[keep] * symbols.flow_multiplier(
+    keep = grid.n // 2 + 1 if real else grid.n
+    advect = _full_width_advection(grid, real)
+    linear = u0.coeffs[:keep] * symbols.flow_multiplier(
         phi, np.arange(nt + 1) * dt, grid, real)
     M1, M2, M3 = symbols.flow_multiplier(phi, np.arange(1, 4) * dt, grid, real)
     simpson = (dt / 3.0 * M2, 4.0 * dt / 3.0 * M1, dt / 3.0)
     three_eighths = (3.0 * dt / 8.0 * M3, 9.0 * dt / 8.0 * M2,
                      9.0 * dt / 8.0 * M1, 3.0 * dt / 8.0)
-    current, nl = linear.copy(), np.empty_like(linear)
+    current = linear.copy()
     distances, lambdas = [], []
     for _ in range(max_iter):
-        for rows in _row_blocks(nt + 1):
-            advect(current[rows], nl[rows])
+        nl = advect(current)
         new = linear.copy()
         new[1] += dt / 2.0 * M1 * nl[0]
         new[1] += dt / 2.0 * nl[1]
@@ -294,19 +339,51 @@ def _four_array_picard(u0, phi, T, nt, max_iter, s=0.0):
 
 @pytest.mark.parametrize("name", ["kdvks", "optimality:3"])
 def test_in_place_sweep_is_bitwise_the_four_array_sweep(grid256, name):
-    # the sweep overwrites its iterate block by block; against whole arrays
-    # every node, distance and diagnostic is the same to the bit.  The node
-    # counts end in blocks of 3, 5, 15, 1, 3, 15, 1, 3 and 1 rows, and at
-    # nt = 64 the two rows of terms carried into a block are carried four times
+    # the sweep overwrites its iterate's band block by block; against whole
+    # arrays every node, distance and diagnostic is the same to the bit.
+    # The node counts end in blocks of 3, 5, 15, 1, 3, 15, 1, 3 and 1 rows,
+    # and at nt = 64 the two rows of terms carried into a block are carried
+    # four times
     phi = symbols.preset(name)
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.5)
+    tail = grid256.dealias_tail(phi.is_even)
     for nt in (2, 4, 14, 16, 18, 30, 32, 34, 64):
         nodes, report = picard_solve(u0, phi, 0.1, nt=nt, tol=0.0, max_iter=3)
         oracle, distances, lambdas = _four_array_picard(u0, phi, 0.1, nt, 3)
         assert report.iterations == 3
-        assert np.array_equal(nodes, oracle), nt
+        _assert_band_bitwise(nodes, oracle, tail)
         assert report.iterate_distances == distances, nt
         assert report.lambda_values == lambdas, nt
+
+
+# symbols and damping strengths whose flows the band is tried on: kdvb at
+# eta = 1e-3 keeps every mode above the band alive to the last step, and
+# optimality:2 is complex
+BAND_CASES = [("kdvks", 1.0), ("ost", 1.0), ("kdvb", 1e-3), ("optimality:2", 1.0)]
+
+
+def _rough_data(grid, rng):
+    # real data with every mode nonzero, the ones above the band included
+    return normalize_l2(from_values(grid, rng.standard_normal(grid.n)), 0.5)
+
+
+@pytest.mark.parametrize("name, eta", BAND_CASES)
+@pytest.mark.parametrize("nt", [128, 34, 16])
+def test_picard_on_the_band_is_bitwise_the_full_width_sweep(grid256, rng, name, eta, nt):
+    # the band is swept and the modes above it hold the linear flow; against
+    # the full-width sweep the band is the same to the bit, the modes above
+    # it the same values, and every distance and diagnostic the same to the
+    # bit.  129, 35 and 17 nodes end in blocks of 1, 3 and 1 rows
+    phi = symbols.preset(name, eta)
+    u0 = _rough_data(grid256, rng)
+    tail = grid256.dealias_tail(phi.is_even)
+    nodes, report = picard_solve(u0, phi, 0.1, nt=nt, tol=0.0, max_iter=3)
+    oracle, distances, lambdas = _four_array_picard(u0, phi, 0.1, nt, 3)
+    _assert_band_bitwise(nodes, oracle, tail)
+    if eta < 1.0:
+        assert np.all(nodes[-1, tail] != 0.0)
+    assert report.iterate_distances == distances
+    assert report.lambda_values == lambdas
 
 
 def _simpson_weights(i: int, dt: float) -> np.ndarray:
@@ -401,6 +478,23 @@ def _allocating_etdrk4(u0, phi, T, dt, nonlinear):
         v = E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
         rows.append(v)
     return np.vstack([u0.coeffs, _full_spectrum(np.array(rows), n, real)])
+
+
+@pytest.mark.parametrize("name, eta", BAND_CASES)
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_etdrk4_on_the_band_is_bitwise_the_full_width_stepper(grid256, rng, name,
+                                                              eta, nonlinear):
+    # the stages run on the band and the modes above it take the flow
+    # multiplier alone; against the full-width stepper every row is the same
+    # to the bit on the band and the same values above it
+    phi = symbols.preset(name, eta)
+    u0 = _rough_data(grid256, rng)
+    ref = _allocating_etdrk4(u0, phi, 0.05, 0.0025, nonlinear)
+    rows = _coeffs(etdrk4_solve(u0, phi, T=0.05, dt=0.0025, nonlinear=nonlinear))
+    tail = grid256.dealias_tail(False)  # the rows are full spectra
+    _assert_band_bitwise(rows, ref, tail)
+    if eta < 1.0:
+        assert np.all(rows[-1, tail] != 0.0)
 
 
 @pytest.mark.parametrize("T", [250.0, 1000.0])
@@ -595,11 +689,12 @@ def test_picard_divergence_names_the_iterate(grid256, kdvks_phi, monkeypatch):
         with pytest.raises(NumericalError, match=r"^H\^s norm at s=1e\+308"):
             picard_solve(gaussian(grid256), kdvks_phi, T=0.1, nt=4, s=1e308)
     advection = dklb.solver._advection
+    calls = []
 
     def poisoned(grid, real, rows=()):
-        # the advection term of the third iterate's last node is nan
-        keep, advect = advection(grid, real, rows)
-        calls = []
+        # the advection term of the third iterate's last node is nan; each
+        # sweep builds its kernel, so the calls are counted across kernels
+        keep, tail, advect = advection(grid, real, rows)
 
         def nan_at_the_third_sweep(v, out):
             advect(v, out)
@@ -608,12 +703,32 @@ def test_picard_divergence_names_the_iterate(grid256, kdvks_phi, monkeypatch):
                 out[-1, 7] = np.nan
             return out
 
-        return keep, nan_at_the_third_sweep
+        return keep, tail, nan_at_the_third_sweep
 
     monkeypatch.setattr(dklb.solver, "_advection", poisoned)
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
     with pytest.raises(NumericalError, match=r"^Picard iterate 3 diverged: .*\(nan\)"):
         picard_solve(u0, kdvks_phi, T=0.1, nt=8, tol=0.0, max_iter=5)
+
+
+def test_a_flow_that_overflows_above_the_band_only_fails_in_both_routes():
+    # Phi = -xi^2 (xi - 3.5)(xi - 5) is positive only on 3.5 < |xi| < 5,
+    # above the band of a 64-mode grid on L = 40, so the linear flow
+    # overflows there and nowhere else: ETDRK4's check of the whole row
+    # stops it at the step the full-width stepper stopped at, and Picard,
+    # whose modes above the band are never swept, fails as its first iterate
+    grid = SpectralGrid(64, 40.0)
+    phi = symbols.PhaseFunction(4.0, (symbols.PhaseTerm(8.5, 0, 3.0),
+                                      symbols.PhaseTerm(-17.5, 0, 2.0)))
+    tail = grid.dealias_tail(True)
+    assert symbols.phase_eval(phi, grid.xi[:tail.start]).max() <= 0.0
+    assert symbols.phase_eval(phi, grid.xi[tail]).max() > 10.0
+    u0 = normalize_l2(gaussian(grid, width=1.5), 0.1)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError, match="^ETDRK4 lost finiteness at step 141$"):
+            final_field(etdrk4_solve(u0, phi, 100.0, 0.5, snapshot_stride=1000))
+        with pytest.raises(NumericalError, match="^Picard iterate 1 diverged: "):
+            picard_solve(u0, phi, 100.0, nt=8)
 
 
 def test_picard_rejects_odd_quadrature(grid256, kdvks_phi):
