@@ -122,16 +122,15 @@ def hs_norm(f: SpectralField, s: float = 0.0) -> float:
 def _hs_powers(grid: SpectralGrid, keep: int, rows: int, s: float):
     """The H^s power of each row of (rows, keep) spectra, summed block by block.
 
-    Returns (add, sup).  add(coeffs, block) sums the weighted power of each
-    row of coeffs, at most ROW_BLOCK rows that are the rows `block` of the
-    whole array, into the sums of those rows; sup() gives the largest H^s
-    norm among the rows, NumericalError if it is not finite.  A row of N
-    entries is an FFT-order spectrum; a row of N/2+1 entries is the half
-    spectrum (modes 0..N/2) of a real field, whose modes 1..N/2-1 stand for
-    their conjugates too and count twice: the weighted power of the half
-    row is mirrored into the places of the conjugates, so that each row
-    sums the power of its FFT-order spectrum in the same order and to the
-    same bit.  add also takes the band of such rows, the kept row without
+    Returns (add, sup).  add(coeffs) sums the weighted power of each row of
+    coeffs, at most ROW_BLOCK rows, and keeps the largest sum so far; sup()
+    gives the largest H^s norm among the rows added, NumericalError if it is
+    not finite.  A row of N entries is an FFT-order spectrum; a row of N/2+1
+    entries is the half spectrum (modes 0..N/2) of a real field, whose modes
+    1..N/2-1 stand for their conjugates too and count twice: the weighted
+    power of the half row is mirrored into the places of the conjugates, so
+    that each row sums the power of its FFT-order spectrum in the same order
+    and to the same bit.  add also takes the band of such rows, the kept row without
     its SpectralGrid.dealias_tail, as Picard's steps are: the modes above
     the band are zero in the buffer, so the sum is that of the kept row
     whose tail is zero, to the bit.
@@ -140,9 +139,9 @@ def _hs_powers(grid: SpectralGrid, keep: int, rows: int, s: float):
     tail = grid.dealias_tail(keep < n)
     weight = (1.0 + grid.xi[:keep] ** 2) ** (s / 2.0)
     power = np.empty((min(ROW_BLOCK, rows), n))
-    sums = np.empty(rows)
+    top = np.zeros(())  # the largest row sum so far; np.maximum keeps a NaN
 
-    def add(coeffs: np.ndarray, block: slice) -> None:
+    def add(coeffs: np.ndarray) -> None:
         summed = power[: len(coeffs)]
         half = summed[:, :keep]
         if coeffs.shape[-1] == keep:
@@ -154,12 +153,13 @@ def _hs_powers(grid: SpectralGrid, keep: int, rows: int, s: float):
             half[:, tail] = 0.0
         half *= weight
         half *= half
-        if keep < n:
-            summed[:, keep:] = summed[:, n // 2 - 1:0:-1]
-        np.sum(summed, axis=1, out=sums[block])
+        if keep < n:  # row by row, where source and target do not overlap
+            for row in summed:
+                row[keep:] = row[n // 2 - 1:0:-1]
+        np.maximum(top, np.max(np.sum(summed, axis=1)), out=top)
 
     def sup() -> float:
-        norm = float(np.sqrt(grid.length * np.max(sums)))
+        norm = float(np.sqrt(grid.length * top))
         if not math.isfinite(norm):
             raise NumericalError(f"H^s norm at s={s!r} is not finite ({norm!r})")
         return norm
@@ -177,7 +177,7 @@ def sup_hs_norm(grid: SpectralGrid, coeffs: np.ndarray, s: float = 0.0) -> float
     """
     add, sup = _hs_powers(grid, coeffs.shape[-1], len(coeffs), s)
     for rows in _row_blocks(len(coeffs)):
-        add(coeffs[rows], rows)
+        add(coeffs[rows])
     return sup()
 
 
@@ -215,24 +215,21 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def _power(vals: np.ndarray, weights, p: float, out=None) -> np.ndarray:
-    """weights * vals**p, in out (vals itself, say) or else a new array."""
+def _power(vals: np.ndarray, weights, p: float) -> np.ndarray:
+    """weights * vals**p, in a new array."""
     if p == 4.0:  # two products: within 2 ulp of pow(), at a fraction of its cost
-        power = np.multiply(vals, vals, out=out)
+        power = vals * vals
         power *= power
-    elif out is None:
-        power = vals**p
     else:
-        power = np.power(vals, p, out=out)
+        power = vals**p
     power *= weights
     return power
 
 
-def _pnorm(vals: np.ndarray, weights, p: float, axis=None, out=None):
-    # out, if given, takes the powers of vals
+def _pnorm(vals: np.ndarray, weights, p: float, axis=None):
     if p == INF:
         return np.maximum.reduce(vals, axis=axis)
-    return np.add.reduce(_power(vals, weights, p, out), axis=axis) ** (1.0 / p)
+    return np.add.reduce(_power(vals, weights, p), axis=axis) ** (1.0 / p)
 
 
 def _in_range(norms, peaks, p: float, name: str):
@@ -261,6 +258,38 @@ def _magnitudes(c: np.ndarray, n: int, real: bool, out: np.ndarray) -> np.ndarra
     return np.abs(np.fft.ifft(c, n, axis=-1, norm="forward", out=c), out=out)
 
 
+def _block_reader(n: int, real: bool, rows: int, modes: int):
+    """Returns read(spectra, multiplier=None, gain=None), which yields the
+    |values| at the n nodes of (rows, modes) spectra * multiplier (* gain),
+    ROW_BLOCK rows at a time: each block's product, gained in place, in one
+    buffer and its transform (_magnitudes) in another; no multiplier, the
+    spectra as they are.  Either factor may be one row that all blocks
+    share.  The buffers, made once, serve every read: each block must be
+    read before the next is drawn, as mixed_norm does."""
+    spectrum = np.empty((min(ROW_BLOCK, rows), modes), dtype=complex)
+    magnitude = np.empty((len(spectrum), n))
+    blocks = [(b, spectrum[: b.stop - b.start], magnitude[: b.stop - b.start])
+              for b in _row_blocks(rows)]
+
+    def read(spectra: np.ndarray, multiplier=None, gain=None):
+        for block, buffer, out in blocks:
+            c = spectra[block] if spectra.ndim == 2 else spectra
+            m = multiplier[block] if np.ndim(multiplier) == 2 else multiplier
+            if m is not None:
+                # operand order matters: complex products are not bitwise commutative
+                vals = np.multiply(c, m, out=buffer)
+                if gain is not None:
+                    vals *= gain
+            elif real:  # irfft leaves its input as it is
+                vals = c
+            else:  # the complex transform runs in place: not in the caller's spectra
+                vals = buffer
+                vals[...] = c
+            yield _magnitudes(vals, n, real, out=out)
+
+    return read
+
+
 def mixed_norm(V, tw: np.ndarray, dx: float, outer: float, inner: float,
                order: str = "t_outer_x_inner") -> float:
     """Mixed space-time norm of (times, nodes) magnitudes V.
@@ -278,8 +307,8 @@ def mixed_norm(V, tw: np.ndarray, dx: float, outer: float, inner: float,
 
     ExponentError, naming 'inner' or 'outer', when a norm of finite
     magnitudes, not all zero, rounds to 0 or overflows at its exponent.
-    verify_smoothing streams V block by block from a flow table, with any
-    derivative or |xi|^s multiplier applied to each block first.
+    Its two streaming callers draw V from a _block_reader: verify_smoothing
+    one flow of each sample, lambda_diagnostics each map of an iterate.
     """
     if order not in ("t_outer_x_inner", "x_outer_t_inner"):
         raise ValueError(f"unknown nesting order {order!r}")
@@ -330,16 +359,11 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
 
     Row k of coeffs is the field at times[k]: the half spectrum (modes
     0..N/2) of a real field, as sup_hs_norm reads it, or the FFT-order
-    spectrum of a complex one.  All of it is read from coeffs, in blocks of
-    ROW_BLOCK rows held in two block-sized buffers: per block, one batched
-    transform per multiplier gives the per-row x-norms, |u| for lambda2,
-    |du/dx| for lambda5 and 6, and at s = 0 they serve lambda3 and 4 too.
-    Each row's sup is taken first, and the fourth powers of the L4 norms
-    are then formed in the magnitudes' own buffer.
-    The L2 norm in time runs over the collected per-row norms, so every
-    value is bitwise that of mixed_norm's quadrature on the whole array.
-    Weighted norms are not among them: simulate's weights.list writes those
-    per snapshot.
+    spectrum of a complex one.  lambda2..lambda6 are mixed_norms, each map
+    (u, du/dx, and at s > 0 their D^s) read once through one _block_reader;
+    lambda6's per-row sups are noted in the pass over du/dx.  A lambda that
+    mixed_norm refuses raises NumericalError naming it.  Weighted norms are
+    not among them: simulate's weights.list writes those per snapshot.
     """
     if s < 0:
         raise ValueError(f"fractional derivative order must be >= 0, got {s}")
@@ -348,53 +372,38 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
         raise ValueError("trajectory horizon must be positive")
 
     tw = _trapezoid_weights(times)
-    rows, kept = coeffs.shape
-    real = kept < grid.n
+    kept = coeffs.shape[-1]
     lambda1 = sup_hs_norm(grid, coeffs, s)
-    gain = np.abs(grid.xi) ** s if s else None
-    ddx = 1j * grid.xi_odd
-    with_lambda3 = alpha(2.0, 4.0, s, phi.p) > 0
-    # the multiplier of each map whose per-row L4_x norms are needed
-    maps = {"u": None, "u_x": ddx[:kept]}
-    if gain is not None:
-        if with_lambda3:
-            maps["gained"] = gain[:kept]
-        maps["gained_x"] = (gain * ddx)[:kept]
-    l4 = {key: np.empty(rows) for key in maps}
-    sup_u_x = np.empty(rows)
-    spectra = np.empty((min(ROW_BLOCK, rows), kept), dtype=complex)
-    mags = np.empty((len(spectra), grid.n))
-    for block in _row_blocks(rows):
-        c = coeffs[block]
-        k = len(c)
-        for key, multiplier in maps.items():
-            if multiplier is not None:
-                v = np.multiply(c, multiplier, out=spectra[:k])
-            elif real:  # irfft leaves its input as it is
-                v = c
-            else:  # the complex transform runs in place: not in coeffs
-                v = spectra[:k]
-                v[...] = c
-            vals = _magnitudes(v, grid.n, real, out=mags[:k])
-            if key == "u_x":  # before the powers overwrite the magnitudes
-                sup_u_x[block] = _pnorm(vals, grid.dx, INF, axis=1)
-            l4[key][block] = _pnorm(vals, grid.dx, 4.0, axis=1, out=vals)
+    gain = np.abs(grid.xi[:kept]) ** s if s else None
+    ddx = 1j * grid.xi_odd[:kept]
+    sups = np.empty(len(coeffs))
+    read = _block_reader(grid.n, kept < grid.n, len(coeffs), kept)
 
-    def l2_t(per_row):
-        return float(_pnorm(per_row, tw, 2.0))
+    def l2_t(name, V, inner=4.0):
+        # mixed_norm's L2_T L^inner_x, refused under the name of its lambda
+        try:
+            return mixed_norm(V, tw, grid.dx, 2.0, inner)
+        except ExponentError as exc:
+            raise NumericalError(f"{name}: {exc.detail}") from None
 
-    plain = l2_t(l4["u"])
+    def noting_sups(blocks):
+        # each row's sup of |du/dx| goes to sups as its block passes
+        for block, vals in zip(_row_blocks(len(sups)), blocks):
+            np.maximum.reduce(vals, axis=1, out=sups[block])
+            yield vals
+
+    plain = l2_t("lambda2", read(coeffs))
     out: dict[str, float] = {"lambda1": lambda1}
     if alpha(2.0, 4.0, 0.0, phi.p) > 0:  # implied by alpha(2,4,s) > 0
         out["lambda2"] = plain / A2(phi, T)
-    if with_lambda3:
-        gained = plain if gain is None else l2_t(l4["gained"])
+    if alpha(2.0, 4.0, s, phi.p) > 0:
+        gained = plain if gain is None else l2_t("lambda3", read(coeffs, gain))
         out["lambda3"] = gained / A3(phi, s, T)
-    lambda5 = l2_t(l4["u_x"])
-    out["lambda4"] = lambda5 if gain is None else l2_t(l4["gained_x"])
+    lambda5 = l2_t("lambda5", noting_sups(read(coeffs, ddx)))
+    out["lambda4"] = lambda5 if gain is None else l2_t("lambda4", read(coeffs, gain * ddx))
     out["lambda5"] = lambda5
     if alpha(2.0, INF, 1.0, phi.p) > 0:
-        out["lambda6"] = l2_t(sup_u_x) / A6(phi, T)
+        out["lambda6"] = l2_t("lambda6", sups[:, None], INF) / A6(phi, T)
     if "lambda3" in out:
         out["Lambda"] = sum(out[k] for k in
                             ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5"))
@@ -440,11 +449,10 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
 
     The flow multipliers at the nt+1 times form one (times, modes) table,
     half spectra only for a real flow (phi.is_even), and the table is the
-    state.  Samples are drawn lazily, and each is streamed to mixed_norm in
-    blocks of ROW_BLOCK rows: per block, one product into one block buffer,
-    one in-place transform (irfft or ifft) and magnitudes into another, so
-    memory is flat in size and in nt beyond the table.  The ratios are
-    bitwise those of the whole (nt+1, n) array.
+    state.  Samples are drawn lazily, and each sample's flow is streamed to
+    mixed_norm through one _block_reader, so memory is flat in size and in
+    nt beyond the table.  The ratios are bitwise those of the whole
+    (nt+1, n) array.
     """
     if check not in SMOOTHING_CHECKS:
         raise ValueError(f"unknown check {check!r}; choose from {SMOOTHING_CHECKS}")
@@ -491,25 +499,12 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
     tw = _trapezoid_weights(times)
     flow = symbols.flow_multiplier(phi, times, grid, real)
     gain = (np.abs(grid.xi[:keep]) ** gain_order).astype(complex) if gain_order else None
-    spectra = np.empty((min(ROW_BLOCK, nt + 1), keep), dtype=complex)
-    mags = np.empty((len(spectra), grid.n))
-    # per block of rows: its part of the table and the two buffers' views
-    views = [(flow[rows], spectra[: rows.stop - rows.start],
-              mags[: rows.stop - rows.start]) for rows in _row_blocks(nt + 1)]
-
-    def magnitudes(coeffs: np.ndarray):
-        # |values| of the flow of coeffs, one block of rows at a time
-        for table, spectrum, magnitude in views:
-            # operand order matters: complex products are not bitwise commutative
-            vals = np.multiply(coeffs, table, out=spectrum)
-            if gain is not None:
-                vals *= gain
-            yield _magnitudes(vals, grid.n, real, out=magnitude)
+    read = _block_reader(grid.n, real, nt + 1, keep)
 
     ratios = np.empty(size)
     for i, u0 in enumerate(sample_ensemble(grid, size, seed)):
         try:
-            lhs = mixed_norm(magnitudes(u0.coeffs[:keep]), tw, grid.dx,
+            lhs = mixed_norm(read(u0.coeffs[:keep], flow, gain), tw, grid.dx,
                              outer, inner, order)
         except ExponentError as exc:  # the side's exponent is fixed unless named
             if exc.name not in names:

@@ -216,7 +216,8 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     (norms.lambda_diagnostics at s: lambda1..lambda6 and Lambda, those
     defined).  Non-convergence is reported, not raised; an iterate whose
     distance to the last one is not finite (NaN or overflow in either)
-    aborts with a NumericalError that names it as diverged.
+    aborts with a NumericalError that names it as diverged; one whose
+    diagnostics refuse a lambda aborts with one that names both.
     """
     if T <= 0:
         raise ValueError(f"horizon T must be positive, got {T}")
@@ -288,7 +289,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
                 np.multiply(M2, run, out=run)
                 add(run, simpson, window)
                 new[i] += run
-            add_power(np.subtract(new, old, out=old), rows)
+            add_power(np.subtract(new, old, out=old))
             _splice(new, tail, iterate[rows])
         return distance()
 
@@ -312,7 +313,10 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             raise NumericalError(
                 f"Picard iterate {iterations} diverged: {exc}") from None
         distances.append(dist)
-        lambdas.append(norms.lambda_diagnostics(grid, phi, times, iterate, s))
+        try:
+            lambdas.append(norms.lambda_diagnostics(grid, phi, times, iterate, s))
+        except NumericalError as exc:  # names the lambda it refused
+            raise NumericalError(f"Picard iterate {iterations}: {exc}") from None
         if dist <= tol:
             converged = True
             break

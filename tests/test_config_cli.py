@@ -266,16 +266,16 @@ def _non_finite_cells(path):
 
 
 def _assert_ends_in_an_exit_code(result, tmp_path, *names):
-    # exit 0, 1 or 2, never a traceback; a refusal names one of names, and a
-    # run that succeeds writes only finite cells
+    # exit 0, 1 or 2, never a traceback; a refusal names one of names, and
+    # every CSV a run leaves holds only finite cells: a run that fails its
+    # own check (exit 1, a picard that does not converge, say) still writes one
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), \
         repr(result.exception)
     if result.exit_code == 2:
         assert any(name in result.output for name in names), result.output
-    if result.exit_code == 0:
-        for path in tmp_path.glob("*.csv"):
-            assert _non_finite_cells(path) == [], path.name
+    for path in tmp_path.glob("*.csv"):
+        assert _non_finite_cells(path) == [], path.name
 
 
 @pytest.mark.parametrize("value", HOSTILE_VALUES)
@@ -779,16 +779,40 @@ def test_picard_nonconvergence_exits_1(runner, tmp_path):
 
 def test_picard_divergence_exits_1_and_names_the_iterate(runner, tmp_path):
     # at T = 16 the default kdvks problem has no fixed point on 64 nodes: the
-    # distance between iterates overflows at iterate 10, and the message says
-    # that Picard diverged there rather than only that a norm is not finite
+    # L4 norms of iterate 9 overflow, before the distance between iterates
+    # does at iterate 10, and the message names the iterate and the lambda
+    # rather than only saying that a norm is not finite
     out = tmp_path / "out"
     result = runner.invoke(main, ["picard", "-D", "solver.t=16",
                                   "-D", f"output.dir={out}"])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit), repr(result.exception)
     assert result.output.splitlines() == [
-        "numerical failure: Picard iterate 10 diverged: "
-        "H^s norm at s=0.0 is not finite (inf)"]
+        "numerical failure: Picard iterate 9: lambda2: the L^4.0 norm of "
+        "finite magnitudes, not all zero, overflows"]
+    assert not (out / "picard.csv").exists()
+
+
+@pytest.mark.parametrize("overrides, line", [
+    # the last iterate allowed is the one whose lambdas overflow: no row of
+    # inf reaches the CSV of a run that stops there
+    (["solver.t=16", "solver.max_iter=9"],
+     "Picard iterate 9: lambda2: the L^4.0 norm of finite magnitudes, "
+     "not all zero, overflows"),
+    # nonzero data whose fourth powers underflow: no lambda of 0.0
+    (["model.preset=kdvb", "data.amplitude=1e-90"],
+     "Picard iterate 1: lambda2: the L^4.0 norm of finite magnitudes, "
+     "not all zero, rounds to 0"),
+], ids=["overflows", "rounds-to-0"])
+def test_picard_lambda_lost_at_its_exponent_exits_1(runner, tmp_path, overrides,
+                                                    line):
+    out = tmp_path / "out"
+    args = ["picard", "-D", f"output.dir={out}"]
+    for item in overrides:
+        args += ["-D", item]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines() == [f"numerical failure: {line}"]
     assert not (out / "picard.csv").exists()
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dklb import fields, solver, symbols
+from dklb import fields, norms, solver, symbols
 from dklb.errors import ExponentError, NumericalError
 from dklb.fields import gaussian, normalize_l2, random_mixture, sample_ensemble
 from dklb.grid import (
@@ -352,6 +352,31 @@ def test_row_blocked_norms_are_bitwise_the_whole_array_formulas(grid256, rng, ro
     with (np.errstate(over="ignore", invalid="ignore"),
           pytest.raises(NumericalError, match="not finite")):
         sup_hs_norm(grid256, coeffs, 1e308)
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("s, maps", [(0.0, 2), (0.5, 4)])
+def test_lambda_diagnostics_transform_each_map_once_per_block(grid256, rng,
+                                                              monkeypatch, real,
+                                                              s, maps):
+    # u and du/dx, and at s > 0 (lambda3 defined on kdvks) D^s u and
+    # D^s du/dx: one batched transform per map and block of ROW_BLOCK rows,
+    # so lambda5 and lambda6 share the pass over du/dx
+    rows, n = 35, grid256.n
+    x = rng.standard_normal((rows, n))
+    coeffs = (np.fft.rfft(x) if real
+              else np.fft.fft(x + 1j * rng.standard_normal((rows, n)))) / n
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return _magnitudes(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "_magnitudes", counted)
+    got = lambda_diagnostics(grid256, symbols.preset("kdvks"),
+                             np.linspace(0.0, 0.2, rows), coeffs, s)
+    assert "lambda3" in got and "lambda6" in got
+    assert sorted(calls) == sorted([16, 16, 3] * maps)  # 35 rows, 3 blocks
 
 
 def test_smoothing_ratio_scale_invariance(grid256, kdvks_phi):
