@@ -183,10 +183,13 @@ def picard(cfg: ExperimentConfig, outdir: Path) -> Run:
     u0 = cfg.build_data(grid)
     tol = cfg.get("solver", "tol")
     with _fields("solver.nt"):  # Simpson's rule takes an even step count
-        nodes, report = picard_solve(
-            u0, phase, cfg.get("solver", "t"), nt=cfg.get("solver", "nt"),
-            tol=tol, max_iter=cfg.get("solver", "max_iter"),
-            s=cfg.get("solver", "s"))
+        try:
+            nodes, report = picard_solve(
+                u0, phase, cfg.get("solver", "t"), nt=cfg.get("solver", "nt"),
+                tol=tol, max_iter=cfg.get("solver", "max_iter"),
+                s=cfg.get("solver", "s"))
+        except BoundError as exc:  # the lambda constants grow like exp(eta*T)
+            raise NumericalError(f"model.eta/solver.t: {exc}") from exc
     lambda_keys = list(report.lambda_values[0])
     yield ["iterate", "distance", "ratio"] + lambda_keys
     ratios = ["", *report.distance_ratios]

@@ -92,6 +92,18 @@ def smoothing_A(a: float, b: float, s: float, phi: symbols.PhaseFunction,
     return growth * T**inv_a + (a * al) ** (-inv_a) * T**al
 
 
+def _bound_constant(a: float, b: float, s: float, phi: symbols.PhaseFunction,
+                    T: float) -> float:
+    """smoothing_A as the right-hand constant of a ratio: BoundError unless it
+    is finite and positive, since every ratio against it would be vacuous."""
+    const = smoothing_A(a, b, s, phi, T)
+    if not 0.0 < const < INF:  # exp(eta*T) overflows: every ratio would be 0
+        raise BoundError(f"the bound constant A{(a, b, s)}(T) = {const!r} at "
+                         f"eta={phi.eta!r}, T={T!r} is not finite and positive, "
+                         f"so every ratio against it would be vacuous")
+    return const
+
+
 def A2(phi: symbols.PhaseFunction, T: float) -> float:
     """Constant for the plain L2_T L4_x bound (a=2, b=4, s=0)."""
     return smoothing_A(2.0, 4.0, 0.0, phi, T)
@@ -100,11 +112,6 @@ def A2(phi: symbols.PhaseFunction, T: float) -> float:
 def A3(phi: symbols.PhaseFunction, s: float, T: float) -> float:
     """Constant for the s-derivative L2_T L4_x bound (a=2, b=4)."""
     return smoothing_A(2.0, 4.0, s, phi, T)
-
-
-def A6(phi: symbols.PhaseFunction, T: float) -> float:
-    """Constant for the gradient sup-in-x bound (a=2, b=inf, s=1)."""
-    return smoothing_A(2.0, INF, 1.0, phi, T)
 
 
 # --- norms on fields and trajectories --------------------------------------
@@ -353,7 +360,7 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
     lambda3  A3(T)^-1 ||D^s u||_{L2_T L4_x}          (needs alpha(2,4,s) > 0)
     lambda4  ||D^s du/dx||_{L2_T L4_x}               (deliberately unnormalized)
     lambda5  ||du/dx||_{L2_T L4_x}                   (deliberately unnormalized)
-    lambda6  A6(T)^-1 ||du/dx||_{L2_T Linf_x}        (needs alpha(2,inf,1) > 0)
+    lambda6  A(2,inf,1)(T)^-1 ||du/dx||_{L2_T Linf_x} (needs alpha(2,inf,1) > 0)
 
     Aggregate: Lambda = lambda1+..+lambda5, reported when lambda3 is defined.
 
@@ -362,8 +369,11 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
     spectrum of a complex one.  lambda2..lambda6 are mixed_norms, each map
     (u, du/dx, and at s > 0 their D^s) read once through one _block_reader;
     lambda6's per-row sups are noted in the pass over du/dx.  A lambda that
-    mixed_norm refuses raises NumericalError naming it.  Weighted norms are
-    not among them: simulate's weights.list writes those per snapshot.
+    mixed_norm refuses raises NumericalError naming it.  The constants of
+    lambda2, lambda3 and lambda6 depend on phi, T and s alone; one that is
+    not finite and positive raises BoundError before any norm is taken.
+    Weighted norms are not among them: simulate's weights.list writes those
+    per snapshot.
     """
     if s < 0:
         raise ValueError(f"fractional derivative order must be >= 0, got {s}")
@@ -371,6 +381,10 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
     if T <= 0:
         raise ValueError("trajectory horizon must be positive")
 
+    bounds = {"lambda2": (2.0, 4.0, 0.0), "lambda3": (2.0, 4.0, s),
+              "lambda6": (2.0, INF, 1.0)}
+    consts = {name: _bound_constant(*bound, phi, T)
+              for name, bound in bounds.items() if alpha(*bound, phi.p) > 0}
     tw = _trapezoid_weights(times)
     kept = coeffs.shape[-1]
     lambda1 = sup_hs_norm(grid, coeffs, s)
@@ -394,16 +408,16 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
 
     plain = l2_t("lambda2", read(coeffs))
     out: dict[str, float] = {"lambda1": lambda1}
-    if alpha(2.0, 4.0, 0.0, phi.p) > 0:  # implied by alpha(2,4,s) > 0
-        out["lambda2"] = plain / A2(phi, T)
-    if alpha(2.0, 4.0, s, phi.p) > 0:
+    if "lambda2" in consts:  # implied by lambda3's
+        out["lambda2"] = plain / consts["lambda2"]
+    if "lambda3" in consts:
         gained = plain if gain is None else l2_t("lambda3", read(coeffs, gain))
-        out["lambda3"] = gained / A3(phi, s, T)
+        out["lambda3"] = gained / consts["lambda3"]
     lambda5 = l2_t("lambda5", noting_sups(read(coeffs, ddx)))
     out["lambda4"] = lambda5 if gain is None else l2_t("lambda4", read(coeffs, gain * ddx))
     out["lambda5"] = lambda5
-    if alpha(2.0, INF, 1.0, phi.p) > 0:
-        out["lambda6"] = l2_t("lambda6", sups[:, None], INF) / A6(phi, T)
+    if "lambda6" in consts:
+        out["lambda6"] = l2_t("lambda6", sups[:, None], INF) / consts["lambda6"]
     if "lambda3" in out:
         out["Lambda"] = sum(out[k] for k in
                             ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5"))
@@ -487,11 +501,7 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
         "P_inf": (INF, 2.0, xt, q, None, l2_norm, {}),
     }[check]
     # smoothing_A validates alpha > 0
-    const = 1.0 if bound is None else smoothing_A(*bound, phi, T)
-    if not 0.0 < const < INF:  # exp(eta*T) overflows: every ratio would be 0
-        raise BoundError(f"the bound constant A{bound}(T) = {const!r} at "
-                         f"eta={phi.eta!r}, T={T!r} is not finite and positive, "
-                         f"so every ratio against it would be vacuous")
+    const = 1.0 if bound is None else _bound_constant(*bound, phi, T)
 
     real = phi.is_even  # mixtures are real, and |xi|^s keeps real fields real
     keep = grid.n // 2 + 1 if real else grid.n

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import norms, symbols
-from .errors import NumericalError
+from .errors import BoundError, NumericalError
 from .grid import SpectralField, SpectralGrid
 
 
@@ -217,7 +217,9 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     defined).  Non-convergence is reported, not raised; an iterate whose
     distance to the last one is not finite (NaN or overflow in either)
     aborts with a NumericalError that names it as diverged; one whose
-    diagnostics refuse a lambda aborts with one that names both.
+    diagnostics refuse a lambda aborts with one that names both.  A lambda
+    constant that is not finite and positive raises the diagnostics'
+    BoundError as it is, for it depends on phi, T and s, not the iterate.
     """
     if T <= 0:
         raise ValueError(f"horizon T must be positive, got {T}")
@@ -315,6 +317,8 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         distances.append(dist)
         try:
             lambdas.append(norms.lambda_diagnostics(grid, phi, times, iterate, s))
+        except BoundError:  # a constant of phi, T and s, whatever the iterate
+            raise
         except NumericalError as exc:  # names the lambda it refused
             raise NumericalError(f"Picard iterate {iterations}: {exc}") from None
         if dist <= tol:

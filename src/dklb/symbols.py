@@ -9,9 +9,10 @@ where each correction term has strictly lower degree m_i + n_i < p.  The
 linearized equation u_t + u_xxx + eta*L*u = 0 with (L u)^(xi) = -Phi(xi)*u^(xi)
 is solved mode-by-mode by the multiplier exp(i*t*xi**3 + eta*t*Phi(xi)).
 
-This module owns the symbol description, the solution multiplier, and
-find_M, the threshold beyond which the leading -|xi|**p term dominates the
-corrections (criterion 03 reads it; building a symbol does not compute it).
+This module owns the symbol description, the solution multiplier, the
+smoothing envelope (one search, in log|xi|), and find_M, the threshold
+beyond which the leading -|xi|**p term dominates the corrections
+(criterion 03 reads it; building a symbol does not compute it).
 """
 
 from __future__ import annotations
@@ -185,29 +186,39 @@ def _sign_changes(poly, hi: float) -> list[float]:
 
 def _log_sign_changes(poly, lo: float, hi: float) -> list[float]:
     """_sign_changes in u = log x: points of [lo, hi] where the sum of
-    a * exp(e*u) turns negative or nonnegative, none of them left of lo.
-
-    Divided by exp(e*u) for its lowest e where u <= 0, and for its highest
-    where u > 0, the sum keeps its sign and no term exceeds its coefficient,
-    so x**p never has to be a double.  The derivative in u of the sum
-    divided by its lowest term has one term fewer, and the Rolle recursion
-    and the bisection are those of _sign_changes.  ArithmeticError when a
-    coefficient of the recursion is not finite.
+    sign * exp(l + e*u) over the (e, sign, l) of poly, by ascending e, turns
+    negative or nonnegative.  Each sum is taken relative to its largest
+    term, so none leaves the doubles; divided by its lowest exp(e*u), its
+    derivative in u has one term fewer, for the Rolle recursion and the
+    bisection of _sign_changes.  ArithmeticError unless lo, hi and every l
+    are finite.
     """
     low = poly[0][0]
-    poly = [(e - low, a) for e, a in poly]
-    if not all(map(math.isfinite, [lo, hi, *(a for _, a in poly)])):
+    poly = [(e - low, sg, l) for e, sg, l in poly]
+    if not all(map(math.isfinite, [lo, hi, *(l for _, _, l in poly)])):
         raise ArithmeticError("the search leaves the doubles")
     if len(poly) == 1:
         return []
-    top = poly[-1][0]
 
     def negative(u):
-        shift = top if u > 0.0 else 0.0
-        return sum(a * math.exp((e - shift) * u) for e, a in poly) < 0.0
+        z = [l + e * u for e, _, l in poly]
+        top = max(z)
+        return sum(sg * math.exp(zi - top) for (_, sg, _), zi in zip(poly, z)) < 0.0
 
-    cuts = [lo, *_log_sign_changes([(e, a * e) for e, a in poly[1:]], lo, hi), hi]
+    derivative = [(e, sg, l + math.log(e)) for e, sg, l in poly[1:]]
+    cuts = [lo, *_log_sign_changes(derivative, lo, hi), hi]
     return _pinned(negative, cuts)
+
+
+def _log_bounds(poly) -> tuple[float, float]:
+    """(head, tail) bracketing every sign change of poly's sum: each lies one
+    past the term-wise bound beyond which each of the k other terms is under
+    1/k of the lowest (head) or the highest (tail), and on its side of 0."""
+    (e0, _, l0), (e1, _, l1) = poly[0], poly[-1]
+    k = math.log(max(len(poly) - 1, 1))
+    head = min([0.0, *((l0 - k - l) / (e - e0) for e, _, l in poly[1:])])
+    tail = max([0.0, *((k + l - l1) / (e1 - e) for e, _, l in poly[:-1])])
+    return head - 1.0, tail + 1.0
 
 
 def _pinned(negative, cuts) -> list[float]:
@@ -278,93 +289,81 @@ def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float) -> float:
     On each half-line xi = s*x, x > 0, x/2 times the derivative of the
     logarithm is the sum of real powers
 
-        h_s(x) = q - eta*t*p*x**p + sum_i eta*t*c_i*s**m_i*(m_i+n_i)*x**(m_i+n_i),
+        h_s(x) = q - eta*t*p*x**p + sum_i eta*t*c_i*s**m_i*(m_i+n_i)*x**(m_i+n_i).
 
-    negative past a term-wise tail bound because every correction degree is
-    < p.  The sup is the largest value at the sign changes of h_s, pinned to
-    adjacent floats by _sign_changes, and at xi = 0, its limit there.  Where
-    a coefficient of h_s overflows, the sign changes are those of h_s/(eta*t).
-    Where eta*t underflows (is not a normal double), xi = (eta*t)**(-1/p) * u
-    turns eta*t*Phi(xi) into the symbol of u whose correction terms of
-    degree d carry the factor (eta*t)**(1-d/p), all taken from
-    log(eta) + log(t), and the sup is that symbol's at t = 1 times
-    (eta*t)**(-2q/p).  Where x**p would leave the doubles before the tail
-    bound, as for a large p (1e4, 1e12), the sign changes are searched in
-    log x by _log_sign_changes, well conditioned there: at p = 1e12 the
-    stationary point is log x ~ -2.7e-11.  It is inf where it overflows a
-    double, and never nan: where the root search leaves the doubles (an
-    extreme leading power p, whose stationary point as a double no longer
-    fixes x**p to within a factor e), or the symbol's terms overflow with
-    opposite signs at a stationary point, it raises NumericalError naming p.
+    One search finds its sign changes: each term is held as (degree, sign,
+    log of its size), log eta + log t added in all but q, and
+    _log_sign_changes pins them in u = log x between bounds taken in logs,
+    so no coefficient or power leaves the doubles, whatever eta*t or p (at
+    p = 1e12 the stationary point is u ~ -2.7e-11).  The sup is the largest
+    value there and at xi = 0, its limit there: the plain formula where
+    eta*t is a normal double, and term by term in logs where that formula
+    is inf * 0 or eta*t is not.  It is inf where it overflows a double, and
+    never nan: where the root search leaves the doubles (an extreme p, whose
+    stationary point as a double no longer fixes x**p to within a factor
+    e), or the symbol's terms overflow with opposite signs at a stationary
+    point, it raises NumericalError naming p.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     if q < 0:
         raise ValueError("q must be nonnegative")
+    log_ts = math.log(phi.eta) + math.log(t)
+    xs = np.array([0.0, *_stationary_points(phi, q, log_ts)])
     ts = phi.eta * t
-    if ts < sys.float_info.min:
-        log_ts = math.log(phi.eta) + math.log(t)
-        scaled = PhaseFunction(phi.p, tuple(
-            PhaseTerm(term.coeff * math.exp((1.0 - term.degree / phi.p) * log_ts),
-                      term.m, term.n) for term in phi.terms))
-        log_sup = math.log(weighted_multiplier_sup(scaled, q, 1.0))
-        return float(np.exp(log_sup - 2.0 * q * log_ts / phi.p))
-    xs = _stationary_points(phi, q, ts)
-    if xs is None:
-        xs = _stationary_points(phi, q / ts, 1.0)
-    xs = np.array([0.0, *xs])
+    normal = sys.float_info.min <= ts <= sys.float_info.max
     with np.errstate(over="ignore", invalid="ignore"):  # told apart below
         phase = phase_eval(phi, xs)
-    if np.isnan(phase).any():  # terms of opposite sign overflow: inf - inf
+        # a zero of Phi, xi = 0 among them, is exp(0) = 1 however large eta*t is
+        expo = np.zeros_like(phase)
+        np.multiply(2.0 * ts, phase, out=expo, where=phase != 0.0)
+        vals = np.abs(xs) ** (2.0 * q) * np.exp(expo)
+    if normal and np.isnan(phase).any():  # terms of opposite sign overflow: inf - inf
         raise NumericalError(f"the envelope's symbol leaves the doubles at a "
                              f"stationary point, leading power p={phi.p!r}")
-    # a zero of Phi, xi = 0 among them, is exp(0) = 1 however large eta*t is
-    expo = np.zeros_like(phase)
-    np.multiply(2.0 * ts, phase, out=expo, where=phase != 0.0)
-    vals = np.abs(xs) ** (2.0 * q) * np.exp(expo)
-    # inf * 0, where the power overflows and the exponential underflows: in logs
-    lost = np.isnan(vals)
-    vals[lost] = np.exp(q * np.log(xs[lost] ** 2) + expo[lost])
+    # in logs: inf * 0, where the power overflows and the exponential
+    # underflows, and every stationary point where eta*t is not normal
+    logs = np.isnan(vals) if normal else xs != 0.0
+    vals[logs] = _log_values(phi, q, log_ts, xs[logs])
     return float(np.max(vals))
 
 
-def _stationary_points(phi: PhaseFunction, q: float, ts: float) -> list[float] | None:
-    # the sign changes of h_s over both half-lines, signed; None when a
-    # coefficient of h_s is not finite
-    lead = ts * phi.p
+def _stationary_points(phi: PhaseFunction, q: float, log_ts: float) -> list[float]:
+    # the sign changes of h_s over both half-lines, signed
     xs = []
     for s in (1.0, -1.0):
-        lower = {0.0: q}
+        lower = {}
         for term in phi.terms:  # terms sharing a degree merge into one
-            lower[term.degree] = lower.get(term.degree, 0.0) + (
-                ts * term.coeff * s**term.m * term.degree)
-        if not all(map(math.isfinite, [lead, *lower.values()])):
-            return None
-        poly = sorted((e, a) for e, a in [*lower.items(), (phi.p, -lead)] if a != 0.0)
-        try:  # Python floats raise where numpy's give inf (or lead is 0)
-            tail = _tail(list(lower.items()), lead, phi.p)
-            if phi.p * math.log(tail) <= 709.0:
-                roots = _sign_changes(poly, tail)
-            else:  # x**p would leave the doubles: search in u = log x
-                roots = [_resolved(u, phi.p) for u in _log_sign_changes(
-                    poly, _log_head(poly), math.log(tail))]
+            lower[term.degree] = lower.get(term.degree, 0.0) + term.coeff * s**term.m
+        poly = [(0.0, 1.0, math.log(q))] if q > 0.0 else []
+        poly += [(d, math.copysign(1.0, a), math.log(abs(a)) + math.log(d) + log_ts)
+                 for d, a in sorted(lower.items()) if a != 0.0 and d > 0.0]
+        poly.append((phi.p, -1.0, math.log(phi.p) + log_ts))
+        try:
+            roots = [_resolved(u, phi.p)
+                     for u in _log_sign_changes(poly, *_log_bounds(poly))]
         except ArithmeticError:
-            roots = None
-        if roots is None:
             raise NumericalError(
                 f"the envelope's root search leaves the doubles at leading "
-                f"power p={phi.p!r}")
+                f"power p={phi.p!r}") from None
         xs += [s * x for x in roots]
     return xs
 
 
-def _log_head(poly) -> float:
-    """A u left of every sign change of sum a * exp(e*u) over poly, as
-    _sign_changes lists it: one below the term-wise bound under which each
-    of the k higher terms is at most 1/k of the lowest."""
-    (low, a0), higher = poly[0], poly[1:]
-    return min([0.0, *((math.log(abs(a0)) - math.log(len(higher)) - math.log(abs(a)))
-                       / (e - low) for e, a in higher)]) - 1.0
+def _log_values(phi: PhaseFunction, q: float, log_ts: float, xs):
+    # |xi|**(2q) * exp(2*eta*t*Phi(xi)) at nonzero xs in logs, 2*eta*t*Phi
+    # relative to its largest term; d*log|xi| + log_ts is summed first, as
+    # the two cancel near a stationary point
+    log_x = np.log(np.abs(xs))
+    terms = [(-1.0, 0, phi.p), *((c.coeff, c.m, c.degree) for c in phi.terms)]
+    with np.errstate(over="ignore", divide="ignore"):  # a zero term is exp(-inf)
+        z = np.array([(d * log_x + log_ts) + (math.log(2.0) + np.log(abs(c)))
+                      for c, _, d in terms])
+        signs = np.array([np.sign(c) * np.sign(xs) ** m for c, m, _ in terms])
+        top = z.max(axis=0)
+        rel = np.sum(signs * np.exp(z - top), axis=0)
+        expo = np.sign(rel) * np.exp(top + np.log(np.abs(rel)))
+        return np.exp(2.0 * q * log_x + expo)
 
 
 def _resolved(u: float, p: float) -> float:

@@ -816,6 +816,22 @@ def test_picard_lambda_lost_at_its_exponent_exits_1(runner, tmp_path, overrides,
     assert not (out / "picard.csv").exists()
 
 
+@pytest.mark.parametrize("overrides", [("model.preset=kdvb", "model.eta=710"),
+                                       ("model.preset=kdvb", "solver.t=800")])
+def test_picard_with_an_infinite_lambda_constant_exits_1_and_names_its_keys(
+        runner, tmp_path, overrides):
+    # exp(eta*T) overflows, so lambda2 and lambda3 would read 0.0
+    out = tmp_path / "out"
+    args = ["picard", "-D", "grid.n=64", "-D", "solver.nt=8", "-D", f"output.dir={out}"]
+    for override in overrides:
+        args += ["-D", override]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("numerical failure: model.eta/solver.t: "
+                                    "the bound constant A(2.0, 4.0, 0.0)(T) = inf")
+    assert not (out / "picard.csv").exists()
+
+
 def test_picard_csv_has_the_lambda_columns_and_replays_byte_identically(runner,
                                                                         tmp_path):
     out = tmp_path / "out"

@@ -1,6 +1,7 @@
 """Norm functionals, smoothing constants, and the ensemble verifier."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dklb import fields, norms, solver, symbols
-from dklb.errors import ExponentError, NumericalError
+from dklb.errors import BoundError, ExponentError, NumericalError
 from dklb.fields import gaussian, normalize_l2, random_mixture, sample_ensemble
 from dklb.grid import (
     SpectralField,
@@ -23,7 +24,6 @@ from dklb.grid import (
 from dklb.norms import (
     A2,
     A3,
-    A6,
     alpha,
     conjugate_exponent,
     hs_norm,
@@ -95,7 +95,6 @@ def test_named_accessors_match_general_form(kdvks_phi):
     s = 1.5
     assert A2(kdvks_phi, T) == smoothing_A(2.0, 4.0, 0.0, kdvks_phi, T)
     assert A3(kdvks_phi, s, T) == smoothing_A(2.0, 4.0, s, kdvks_phi, T)
-    assert A6(kdvks_phi, T) == smoothing_A(2.0, math.inf, 1.0, kdvks_phi, T)
 
 
 def test_exponent_and_constant_ordering(kdvks_phi):
@@ -104,7 +103,8 @@ def test_exponent_and_constant_ordering(kdvks_phi):
     # A(2,4,0) <= A(2,inf,1) pointwise
     assert alpha(2, math.inf, 1, 4) <= alpha(2, 4, 0, 4)
     for T in np.linspace(0.05, 1.0, 20):
-        assert A2(kdvks_phi, T) <= A6(kdvks_phi, T) * (1 + 1e-12)
+        A6 = smoothing_A(2.0, math.inf, 1.0, kdvks_phi, T)
+        assert A2(kdvks_phi, T) <= A6 * (1 + 1e-12)
 
 
 def test_hs_norm_at_zero_is_l2(random_real_field):
@@ -231,6 +231,17 @@ def test_lambda_diagnostics_keys(grid256, kdvks_phi):
         sum(d[f"lambda{i}"] for i in range(1, 6)), rel=1e-12)
 
 
+@pytest.mark.parametrize("eta, T", [(710.0, 1.0), (1.0, 800.0)])
+def test_lambda_diagnostics_refuse_an_infinite_constant(grid256, eta, T):
+    # exp(eta*T) overflows: lambda2, lambda3 and lambda6 would read 0.0
+    phi = symbols.kdvb(eta)
+    times = np.linspace(0.0, T, 9)
+    coeffs = np.zeros((len(times), grid256.n // 2 + 1), dtype=complex)
+    with pytest.raises(BoundError, match=re.escape(
+            f"A(2.0, 4.0, 0.0)(T) = inf at eta={eta!r}, T={T!r}")):
+        lambda_diagnostics(grid256, phi, times, coeffs)
+
+
 def _reference_lambdas(phi, times, snaps, s):
     """lambda_diagnostics rebuilt from per-snapshot fields, one inverse
     transform per snapshot and map, trapezoid in time."""
@@ -251,7 +262,8 @@ def _reference_lambdas(phi, times, snaps, s):
     out["lambda4"] = l2_t(lambda f: derivative(fractional_D(f, s)), 4.0)
     out["lambda5"] = l2_t(derivative, 4.0)
     if alpha(2.0, math.inf, 1.0, phi.p) > 0:
-        out["lambda6"] = l2_t(derivative, math.inf) / A6(phi, T)
+        out["lambda6"] = (l2_t(derivative, math.inf)
+                          / smoothing_A(2.0, math.inf, 1.0, phi, T))
     if "lambda3" in out:
         out["Lambda"] = sum(out[f"lambda{i}"] for i in range(1, 6))
     return out
@@ -322,7 +334,7 @@ def _whole_lambda_diagnostics(grid, phi, times, coeffs, s):
     out["lambda4"] = lambda5 if gain is None else l2_t(mags_of(gain * ddx), 4.0)
     out["lambda5"] = lambda5
     if alpha(2.0, math.inf, 1.0, phi.p) > 0:
-        out["lambda6"] = l2_t(u_x, math.inf) / A6(phi, T)
+        out["lambda6"] = l2_t(u_x, math.inf) / smoothing_A(2.0, math.inf, 1.0, phi, T)
     if "lambda3" in out:
         out["Lambda"] = sum(out[f"lambda{i}"] for i in range(1, 6))
     return out

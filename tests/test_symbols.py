@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dklb import symbols
@@ -251,9 +251,10 @@ def test_weighted_sup_bounds_every_grid_mode():
     # 0:0.25:3 and 25 log-spaced t in [1e-4, 10]: a 20001-point scan fell
     # short of a grid mode in 21 of these 2925 cells, by up to 3.3e-7
     # relative.  At t = 300 it clamped the exponent at 50 and fell short in
-    # 39 of 117 cells, by up to a factor of 2.4e5.
-    for k in (2, 3, 4):
-        phi = symbols.optimality(k)
+    # 39 of 117 cells, by up to a factor of 2.4e5.  kdvks and a symbol with
+    # a constant and an odd term take the same bar.
+    custom = PhaseFunction(4.0, (PhaseTerm(0.5, 0, 0.0), PhaseTerm(1.0, 1, 2.0)))
+    for phi in (*(symbols.optimality(k) for k in (2, 3, 4)), symbols.kdvks(), custom):
         for n, length in ((512, 40.0), (1024, 80.0), (4096, 40.0)):
             xi = SpectralGrid(n, length).xi
             for q in np.arange(0.0, 3.25, 0.25):
@@ -261,7 +262,7 @@ def test_weighted_sup_bounds_every_grid_mode():
                     modes = np.abs(xi) ** (2 * q) * np.exp(
                         2 * phi.eta * t * phase_eval(phi, xi))
                     sup = weighted_multiplier_sup(phi, float(q), float(t))
-                    assert np.max(modes) <= sup, (k, n, q, t)
+                    assert np.max(modes) <= sup, (phi, n, q, t)
 
 
 @pytest.mark.parametrize("make, want", [
@@ -303,19 +304,25 @@ def test_weighted_sup_refuses_a_root_search_that_leaves_the_doubles(p):
         weighted_multiplier_sup(symbols.PhaseFunction(p), 0.25, 0.1)
 
 
-@pytest.mark.parametrize("p", [1e4, 1e6, 1e12])
-def test_weighted_sup_at_large_leading_powers(p):
+@pytest.mark.parametrize("p, eta, t", [
+    (1e4, 1.0, 0.1), (1e6, 1.0, 0.1), (1e12, 1.0, 0.1),
+    # 1.25**p first overflows a double between these two
+    (3177.0, 1.0, 0.1), (3178.0, 1.0, 0.1),
+    # eta*t just above float_info.min, and subnormal
+    (1e4, 1.0, 2.3e-308), (1e4, 1e-300, 1e-20),
+])
+def test_weighted_sup_at_large_leading_powers(p, eta, t):
     # h(x) = q - eta*t*p*x**p has its one root at x* = (q/(eta*t*p))**(1/p),
-    # just below 1, where the search's tail 1.25 would take x**p out of the
-    # doubles, so it is searched in log x (at p = 1e12, log x* ~ -2.7e-11);
-    # the sup is x* ** (2q) * exp(-2q/p)
-    q, t = 0.25, 0.1
-    phi = symbols.PhaseFunction(p)
-    x_star = (q / (phi.eta * t * p)) ** (1.0 / p)
-    assert 0.999 < x_star < 1.0
-    got = symbols._stationary_points(phi, q, phi.eta * t)
+    # near 1, searched in u = log x (at p = 1e12, log x* ~ -2.7e-11); the
+    # sup is x* ** (2q) * exp(-2q/p), both taken in logs
+    q = 0.25
+    phi = symbols.PhaseFunction(p, eta=eta)
+    log_ts = math.log(eta) + math.log(t)
+    log_x = (math.log(q) - log_ts - math.log(p)) / p
+    x_star = math.exp(log_x)
+    got = symbols._stationary_points(phi, q, log_ts)
     assert got == [pytest.approx(x_star, rel=1e-15), pytest.approx(-x_star, rel=1e-15)]
-    want = x_star ** (2.0 * q) * math.exp(-2.0 * q / p)
+    want = math.exp(2.0 * q * (log_x - 1.0 / p))
     assert weighted_multiplier_sup(phi, q, t) == pytest.approx(want, rel=1e-15)
 
 
@@ -332,6 +339,34 @@ def test_weighted_sup_rejects_bad_arguments():
         weighted_multiplier_sup(phi, 1.0, 0.0)
     with pytest.raises(ValueError):
         weighted_multiplier_sup(phi, -1.0, 0.1)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, 32), st.sampled_from((-1.0, 1.0)),
+                          st.floats(-20.0, 20.0)),
+                min_size=2, max_size=4, unique_by=lambda term: term[0]))
+# (1 - y)(1 - 2y) and (1 - y)(1 - 2y)(1 - 4y) in y = exp(u): two and three roots
+@example([(0, 1.0, 0.0), (4, -1.0, math.log(3.0)), (8, 1.0, math.log(2.0))])
+@example([(0, 1.0, 0.0), (4, -1.0, math.log(7.0)), (8, 1.0, math.log(14.0)),
+          (12, -1.0, math.log(8.0))])
+def test_log_sign_changes_match_a_dense_scan(terms):
+    # sum of sign * exp(l + e*u), the exponents e in quarters: a scan in u,
+    # off the grid of simple floats and 3 past each end of the bracket,
+    # finds every sign change inside the bracket, and each scan cell holds
+    # an odd number of the returned roots exactly where its ends differ in
+    # sign (two roots closer than a cell share one)
+    poly = sorted((e / 4.0, sg, l) for e, sg, l in terms)
+    lo, hi = symbols._log_bounds(poly)
+    roots = np.array(symbols._log_sign_changes(poly, lo, hi))
+    assert np.all((lo <= roots) & (roots <= hi))
+    u = np.linspace(lo - 3.0 - 1e-3 * math.pi, hi + 3.0, 20001)
+    z = np.array([l + e * u for e, _, l in poly])
+    signs = np.array([sg for _, sg, _ in poly])[:, None]
+    negative = np.sum(signs * np.exp(z - z.max(axis=0)), axis=0) < 0.0
+    changed = negative[:-1] != negative[1:]
+    assert np.all(u[1:][changed] >= lo) and np.all(u[:-1][changed] <= hi)
+    held = np.bincount(np.searchsorted(u, roots), minlength=len(u) + 1)[1:-1]
+    assert np.array_equal(held % 2 == 1, changed)
 
 
 def test_evenness_flags():
