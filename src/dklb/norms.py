@@ -7,13 +7,22 @@ derivatives.  The bookkeeping exponent is
 
 and every time-local bound in the package has the shape
 
-    A(a, b, s)(T) = exp(eta*T) * T**(1/a) + (a*alpha)**(-1/a) * T**alpha,
+    A(a, b, s)(T) = exp(eta*T) * T**(1/a)
+                    + eta**(-(1/a - alpha)) * (a*alpha)**(-1/a) * T**alpha,
 
-finite exactly when alpha > 0.  Mixed space-time Lebesgue norms are computed
-by one quadrature, mixed_norm, on the magnitudes of a flow at a grid of
-times (trapezoid in time, grid quadrature in space, in the stated nesting
-order), and verify_* routines measure bound ratios over seeded random
-ensembles.
+finite exactly when alpha > 0.  The second term is the L^a_T norm of the
+kernel bound ||D^s exp(-eta*t*|D|^p)||_{L^a1 -> L^b} <= (eta*t)**(-g),
+g = (s + 1/a1 - 1/b)/p = 1/a - alpha: over 0 < t < T,
+
+    (int_0^T (eta*t)**(-a*g) dt)**(1/a) = eta**(-g) * (T**(a*alpha)/(a*alpha))**(1/a),
+
+since 1 - a*g = a*alpha.  Its factor eta**(-g) is 1 at eta = 1 and grows
+as eta -> 0, where the data meet little damping.
+
+Mixed space-time Lebesgue norms are computed by one quadrature, mixed_norm,
+on the magnitudes of a flow at a grid of times (trapezoid in time, grid
+quadrature in space, in the stated nesting order), and verify_* routines
+measure bound ratios over seeded random ensembles.
 """
 
 from __future__ import annotations
@@ -72,9 +81,18 @@ def alpha(a: float, b: float, s: float, p: float) -> float:
 
 def smoothing_A(a: float, b: float, s: float, phi: symbols.PhaseFunction,
                 T: float) -> float:
-    """Bound constant exp(eta*T)*T^(1/a) + (a*alpha)^(-1/a) * T^alpha.
+    """Bound constant exp(eta*T)*T^(1/a) + eta^(-g) * (a*alpha)^(-1/a) * T^alpha.
 
-    ValueError when s < 0, or when alpha <= 0 and the constant is infinite.
+    g = 1/a - alpha = (s + 1/a1 - 1/b)/p is the exponent of the kernel bound
+    ||D^s exp(-eta*t*|D|^p)||_{L^a1 -> L^b} <= (eta*t)^(-g), and the second
+    term is that bound's L^a norm over 0 < t < T:
+
+        (int_0^T (eta*t)^(-a*g) dt)^(1/a) = eta^(-g) * T^(1/a - g) / (1 - a*g)^(1/a)
+                                          = eta^(-g) * (a*alpha)^(-1/a) * T^alpha.
+
+    At eta = 1 the factor eta^(-g) is exactly 1.  ValueError when s < 0, or
+    when alpha <= 0 and the constant is infinite; inf when exp(eta*T) or
+    eta^(-g) overflows.
     """
     if s < 0:
         raise ValueError(f"derivative gain s must be >= 0, got {s}")
@@ -87,9 +105,10 @@ def smoothing_A(a: float, b: float, s: float, phi: symbols.PhaseFunction,
     inv_a = 0.0 if a == INF else 1.0 / a
     try:
         growth = math.exp(phi.eta * T)
-    except OverflowError:  # eta*T past the largest exponent: no finite bound
+        damping = phi.eta ** -(inv_a - al)
+    except OverflowError:  # eta*T past the largest exponent, or eta near 0
         return INF
-    return growth * T**inv_a + (a * al) ** (-inv_a) * T**al
+    return growth * T**inv_a + damping * (a * al) ** (-inv_a) * T**al
 
 
 def _bound_constant(a: float, b: float, s: float, phi: symbols.PhaseFunction,
@@ -102,6 +121,20 @@ def _bound_constant(a: float, b: float, s: float, phi: symbols.PhaseFunction,
                          f"eta={phi.eta!r}, T={T!r} is not finite and positive, "
                          f"so every ratio against it would be vacuous")
     return const
+
+
+def lambda_constants(phi: symbols.PhaseFunction, T: float,
+                     s: float = 0.0) -> dict[str, float]:
+    """The bound constants of lambda2, lambda3 and lambda6 at horizon T.
+
+    A(2,4,0), A(2,4,s) and A(2,inf,1), each where its alpha > 0.  They
+    depend on phi, T and s alone, so Picard takes them before any work, as
+    its guard; one that is not finite and positive raises BoundError.
+    """
+    bounds = {"lambda2": (2.0, 4.0, 0.0), "lambda3": (2.0, 4.0, s),
+              "lambda6": (2.0, INF, 1.0)}
+    return {name: _bound_constant(*bound, phi, T)
+            for name, bound in bounds.items() if alpha(*bound, phi.p) > 0}
 
 
 def A2(phi: symbols.PhaseFunction, T: float) -> float:
@@ -370,8 +403,9 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
     (u, du/dx, and at s > 0 their D^s) read once through one _block_reader;
     lambda6's per-row sups are noted in the pass over du/dx.  A lambda that
     mixed_norm refuses raises NumericalError naming it.  The constants of
-    lambda2, lambda3 and lambda6 depend on phi, T and s alone; one that is
-    not finite and positive raises BoundError before any norm is taken.
+    lambda2, lambda3 and lambda6 depend on phi, T and s alone
+    (lambda_constants); one that is not finite and positive raises
+    BoundError before any norm is taken.
     Weighted norms are not among them: simulate's weights.list writes those
     per snapshot.
     """
@@ -381,10 +415,7 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
     if T <= 0:
         raise ValueError("trajectory horizon must be positive")
 
-    bounds = {"lambda2": (2.0, 4.0, 0.0), "lambda3": (2.0, 4.0, s),
-              "lambda6": (2.0, INF, 1.0)}
-    consts = {name: _bound_constant(*bound, phi, T)
-              for name, bound in bounds.items() if alpha(*bound, phi.p) > 0}
+    consts = lambda_constants(phi, T, s)
     tw = _trapezoid_weights(times)
     kept = coeffs.shape[-1]
     lambda1 = sup_hs_norm(grid, coeffs, s)

@@ -23,17 +23,18 @@ exactly: both routes do their nonlinear work on the band only, through one
 in-place kernel, _advection, which works along the last axis of band-width
 rows.  ETDRK4 passes it one row per stage and multiplies the modes above
 the band by the step's flow multiplier alone.  Picard passes it its nodes
-in blocks of norms.ROW_BLOCK rows; it holds one (nt+1, kept) iterate, whose
-modes above the band are the linear flow's, written once, and its linear
-part on the band only, and each sweep overwrites the iterate's band in
-place block by block.  Picard returns that iterate as its nodes;
+in blocks of norms.ROW_BLOCK rows; its one (nt+1)-row array is the (nt+1,
+kept) iterate, whose modes above the band are the linear flow's, written
+once, and each sweep overwrites the iterate's band in place block by
+block, rebuilding the linear part's band one row at a time.  Picard
+returns that iterate as its nodes;
 etdrk4_solve yields its rows one at a time as (step, t, field), and nothing
 gathers them.  Full spectra, with the negative modes filled in as
 conjugates, are built only for the fields ETDRK4 yields and the Picard rows
 a caller extends.  The inner loops are linear in time: ETDRK4 runs its
 stages in preallocated buffers, and Picard's Duhamel sweep runs its
-quadrature sums forward by the semigroup law instead of summing over every
-pair of nodes.
+linear part and its quadrature sums forward by the semigroup law instead of
+evaluating the flow at every node and summing over every pair of nodes.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import norms, symbols
-from .errors import BoundError, NumericalError
+from .errors import NumericalError
 from .grid import SpectralField, SpectralGrid
 
 
@@ -184,14 +185,23 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         S_{m+3}  = M3 R_m + 3dt/8 (M3 N_m + 3 M2 N_{m+1} + 3 M1 N_{m+2} + N_{m+3}),
 
     where M1, M2 and M3 are the flow multipliers at dt, 2dt and 3dt, taken
-    on the band.  The linear part takes the flow multiplier at every node,
-    but the sums compound M1..M3, so their rounding grows like nt ulps.
+    on the band.  The linear part runs forward by the same law: node 0 is
+    u0's kept modes and node k is node k-1 times M1.  So, like the sums, it
+    compounds M1, and on damped flows it stays within about nt ulps of each
+    row's largest entry of u0 times the multiplier evaluated at each node's
+    time; both carry the rounding of the phase t*xi^3, which dominates
+    their difference where the damping is weak.
 
-    The state is one (nt+1, kept modes) iterate, formed as the linear part
-    in the flow table's own storage, and the linear part's band, an
-    (nt+1, band modes) array; the iterate's modes above the band are
-    written there once and never swept, and the modes above the band of a
-    linear part that is not finite fail as the first iterate.  Each sweep
+    The lambda constants (norms.lambda_constants) depend on phi, T and s
+    alone, so they are taken first: one that is not finite and positive
+    raises BoundError before any flow multiplier is built.  The state is
+    one (nt+1, kept modes) iterate, the only array with a row per node.
+    The first iterate is the linear part, formed node by node; its row 0
+    is checked to have a finite H^s norm first, its modes above the band
+    are final, and where they are not finite they fail as the first
+    iterate.  Each sweep rebuilds the linear part's band node by node from
+    row 0's band, which no sweep changes, by the same products in one row
+    buffer, so its rows are bitwise the band of the first iterate; and it
     overwrites the iterate's band in place.  That is safe because the step
     from node m writes nodes m+2 and m+3 and reads only the advection terms
     of nodes m..m+3, all taken from old rows: the sweep walks the nodes in
@@ -217,9 +227,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     defined).  Non-convergence is reported, not raised; an iterate whose
     distance to the last one is not finite (NaN or overflow in either)
     aborts with a NumericalError that names it as diverged; one whose
-    diagnostics refuse a lambda aborts with one that names both.  A lambda
-    constant that is not finite and positive raises the diagnostics'
-    BoundError as it is, for it depends on phi, T and s, not the iterate.
+    diagnostics refuse a lambda aborts with one that names both.
     """
     if T <= 0:
         raise ValueError(f"horizon T must be positive, got {T}")
@@ -230,29 +238,32 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     grid = u0.grid
     dt = T / nt
     times = np.linspace(0.0, T, nt + 1)
+    # the lambda constants depend on phi, T and s alone: refused before any work
+    norms.lambda_constants(phi, T, s)
     is_real = u0.is_real and phi.is_even
     keep = slice(0, grid.n // 2 + 1 if is_real else grid.n)
     tail = grid.dealias_tail(is_real)
 
-    # the first iterate is the linear part, formed in the flow table's own
-    # storage; above the band it is final, and its band is kept to sweep from
-    iterate = symbols.flow_multiplier(phi, np.arange(nt + 1) * dt, grid, is_real)
-    np.multiply(u0.coeffs[keep], iterate, out=iterate)
+    # the first iterate is the linear part, node by node by the semigroup law;
+    # above the band it is final
+    steps = symbols.flow_multiplier(phi, np.arange(1, 4) * dt, grid, is_real)
+    iterate = np.empty((nt + 1, keep.stop), dtype=complex)
+    iterate[0] = u0.coeffs[keep]
     # data without a finite H^s norm fail here, not as a diverged iterate
     norms.sup_hs_norm(grid, iterate[:1], s)
+    for k in range(1, nt + 1):
+        np.multiply(iterate[k - 1], steps[0], out=iterate[k])
     if not np.isfinite(iterate[:, tail]).all():  # so would every iterate
         raise NumericalError("Picard iterate 1 diverged: the linear flow above "
                              "the dealias band is not finite")
-    linear = np.delete(iterate, tail, axis=1)
 
-    M1, M2, M3 = np.delete(symbols.flow_multiplier(phi, np.arange(1, 4) * dt, grid,
-                                                   is_real), tail, axis=1)
+    M1, M2, M3 = np.delete(steps, tail, axis=1)
     trapezoid = (dt / 2.0 * M1, dt / 2.0)
     simpson = (dt / 3.0 * M2, 4.0 * dt / 3.0 * M1, dt / 3.0)
     three_eighths = (3.0 * dt / 8.0 * M3, 9.0 * dt / 8.0 * M2,
                      9.0 * dt / 8.0 * M1, 3.0 * dt / 8.0)
     blocks = norms._row_blocks(nt + 1)
-    size, width = blocks[0].stop, linear.shape[1]  # rows in a block, band modes
+    size, width = blocks[0].stop, len(M1)  # rows in a block, band modes
 
     def duhamel(iterate: np.ndarray) -> float:
         # the image of the iterate overwrites its band, block by block, and
@@ -267,6 +278,9 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         stage = np.empty_like(held)
         run = np.zeros(width, dtype=complex)  # R_m
         tmp = np.empty_like(run)
+        # the band of the linear part at the node last formed: node 0's is
+        # u0's, which no sweep changes
+        line = _cut(iterate[0], tail, np.empty_like(run))
 
         def add(acc, weights, rows):
             # acc += sum_k weights[k] * rows[k], in place
@@ -279,7 +293,10 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             if rows.start:  # keep the terms of the two nodes before the block
                 terms[:2] = terms[-2:]
             advect(old, terms[2:k + 2])
-            np.copyto(new, linear[rows])
+            for node, row in enumerate(new, rows.start):
+                if node:  # the first iterate's product, so its band to the bit
+                    np.multiply(line, M1, out=line)
+                np.copyto(row, line)
             if not rows.start:
                 add(new[1], trapezoid, terms[2:4])
             # row i of the block is node m+2, and terms[i:i+4] hold N_m..N_{m+3}
@@ -317,8 +334,6 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         distances.append(dist)
         try:
             lambdas.append(norms.lambda_diagnostics(grid, phi, times, iterate, s))
-        except BoundError:  # a constant of phi, T and s, whatever the iterate
-            raise
         except NumericalError as exc:  # names the lambda it refused
             raise NumericalError(f"Picard iterate {iterations}: {exc}") from None
         if dist <= tol:

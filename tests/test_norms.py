@@ -107,6 +107,41 @@ def test_exponent_and_constant_ordering(kdvks_phi):
         assert A2(kdvks_phi, T) <= A6 * (1 + 1e-12)
 
 
+def _undamped_A(a, b, s, phi, T):
+    # smoothing_A without the kernel bound's factor eta^(-(1/a - alpha))
+    al = alpha(a, b, s, phi.p)
+    return math.exp(phi.eta * T) * T ** (1.0 / a) + (a * al) ** (-1.0 / a) * T**al
+
+
+@pytest.mark.parametrize("name, mode, fixed, undamped", [("kdvb", 160, 0.4219, 1.5641),
+                                                         ("ost", 40, 0.4580, 1.0028)])
+def test_smoothing_A_carries_the_kernel_bounds_eta(monkeypatch, name, mode, fixed,
+                                                   undamped):
+    # one cosine (xi = 25.13 at mode 160, 6.28 at mode 40) meets little
+    # damping at eta = 1e-3: its C4 ratio at s = 0.5 stays under 1 against
+    # the constant with eta^(-(1/a - alpha)) in its alpha-term, and exceeds
+    # 1 against the one without; at eta = 1 the factor is exactly 1
+    grid = SpectralGrid(1024, 40.0)
+    u0 = from_values(grid, np.cos(grid.xi[mode] * grid.x))
+    monkeypatch.setattr(norms, "sample_ensemble", lambda grid, size, seed: iter([u0]))
+    phi = symbols.preset(name, 1e-3)
+    report = verify_smoothing("C4", phi, grid=grid, T=1.0, size=1, nt=48, s=0.5)
+    const = smoothing_A(2.0, 2.0, 0.5, phi, 1.0)
+    assert report.max_ratio == pytest.approx(fixed, abs=1e-4)
+    old = report.max_ratio * const / _undamped_A(2.0, 2.0, 0.5, phi, 1.0)
+    assert old == pytest.approx(undamped, abs=1e-4)
+    at_one = symbols.preset(name)
+    for a, b, s in ((2.0, 2.0, 0.5), (2.0, 4.0, 0.0), (2.0, 4.0, 0.5)):
+        assert smoothing_A(a, b, s, at_one, 0.3) == _undamped_A(a, b, s, at_one, 0.3)
+
+
+def test_smoothing_A_is_infinite_where_the_eta_factor_overflows():
+    # eta^(-(1/a - alpha)) at a = 1, alpha = 0.01 and a subnormal eta
+    phi = symbols.preset("kdvb", 1e-320)
+    assert alpha(1.0, math.inf, 1.98, phi.p) == pytest.approx(0.01)
+    assert smoothing_A(1.0, math.inf, 1.98, phi, 1.0) == math.inf
+
+
 def test_hs_norm_at_zero_is_l2(random_real_field):
     assert hs_norm(random_real_field, 0.0) == pytest.approx(
         l2_norm(random_real_field), rel=1e-14)
