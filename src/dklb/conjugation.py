@@ -15,7 +15,10 @@ S (odd signed powers, optimality:k) delta and mu are these real parts, and
 Im S'(-b) adds a damping or growth linear in xi instead of a transport.
 This module computes the conjugated propagator, checks the commutation
 identity on actual fields, and measures the weighted persistence and
-smoothing-versus-decay trade of the linear flow.
+smoothing-versus-decay trade of the linear flow.  The check takes every
+node value of both weighted fields in double-double (see _seam), so the
+weight never amplifies the rounding floor of a double-precision transform,
+and a real field has one reading, its half spectrum.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbols
-from ._seam import dd_field_values, dd_semigroup_multiplier, seam_indices
+from ._seam import dd_field_values, dd_semigroup_multiplier
 from .errors import LeakageError, NumericalError
 from .fields import mollified_cusp, sample_ensemble
 from .grid import (
@@ -38,7 +41,6 @@ from .grid import (
     fractional_D,
     from_values,
     l2_norm,
-    to_values,
 )
 from .norms import hs_norm, weighted_norm
 
@@ -110,19 +112,20 @@ def conjugation_check(f: SpectralField, phi: symbols.PhaseFunction, b: float,
     finite raises NumericalError.  Times are checked in order, and the first
     that fails raises.
 
-    Node values of f and V(t) f under the seam (where exp(b*x) amplifies by
-    more than e^5) are recomputed in double-double, because an inverse FFT
-    only delivers them to 1e-16 * max|u| and the weight turns that absolute
-    rounding floor into the dominant error of the whole comparison.  Each
-    strip keeps the realness of its own field: V(t) f is real only when f is
-    and phi is even, and a real field's strip (with its multiplier) is
-    evaluated from its half spectrum, modes 0..n/2.  Everything that depends
-    on b alone (the weighted f, its double-double strip, its leakage and
-    norm, delta and mu) is computed once; the flow and its double-double
-    multiplier are one table over t_values, and each time then costs one
-    double-double transform, which runs its (re, im) words stacked, takes no
-    product on its first level (twiddle 1) and lifts and packs only the live
-    band, the modes up to the last where the spectrum is nonzero.
+    Every node value of f and of V(t) f, whatever b is, comes from
+    dd_field_values in double-double on the kept modes, because an inverse
+    FFT only delivers node values to 1e-16 * max|u| and the weight turns
+    that absolute rounding floor into the dominant error of the comparison
+    wherever it is large.  Each field keeps its own realness: V(t) f is
+    real only when f is and phi is even, and a real field (with its
+    multiplier) is read from its half spectrum, modes 0..n/2.  Everything
+    that depends on b alone (the weighted f, its leakage and norm, delta
+    and mu) is computed once; the flow is one double-double multiplier
+    table over t_values, and each time then costs one double-double
+    transform, which runs its (re, im) words stacked, takes no product on
+    its first level (twiddle 1) and lifts and packs only the live band,
+    the modes up to the last where the spectrum is nonzero.  A negative
+    time raises ValueError before any of that work.
 
     bound_ratio measures ||exp(b*x) V(t) f|| against
     exp(-t*delta) * (1 + e^t) * ||exp(b*x) f||, the persistence bound shape
@@ -131,20 +134,18 @@ def conjugation_check(f: SpectralField, phi: symbols.PhaseFunction, b: float,
     itself overflows a double the ratio reads 0.0.
     """
     S = np.polynomial.Polynomial(operator_polynomial(phi))
+    t_values = tuple(float(t) for t in t_values)
+    if any(t < 0 for t in t_values):
+        raise ValueError(f"time must be nonnegative, got {t_values}")
     grid = f.grid
     wv = WeightSpec("exp", b).values(grid)
-    idx = seam_indices(grid, b)
-    g = _weighted(f, f.coeffs, f.is_real, idx, wv)
+    g = _weighted(f, f.is_real, wv)
     g_leak = boundary_leakage(g)
     ng = l2_norm(g)
     delta = float(S(-b).real)
     mu = float(S.deriv()(-b).real)
-    t_values = tuple(float(t) for t in t_values)
-    table = symbols.flow_multiplier(phi, t_values, grid)
     real = f.is_real and phi.is_even
-    mults = [None] * len(t_values)
-    if idx.size:
-        mults = dd_semigroup_multiplier(S.coef, t_values, grid, real)
+    mults = dd_semigroup_multiplier(S.coef, t_values, grid, real)
 
     def cell(t: float, a_side: SpectralField) -> ConjugationResult:
         leaks = (g_leak, boundary_leakage(a_side))
@@ -171,23 +172,17 @@ def conjugation_check(f: SpectralField, phi: symbols.PhaseFunction, b: float,
         return ConjugationResult(rel, ratio, leakage, delta, mu)
 
     # a cell's fields die with it, so one time's fields are not held through
-    # the next time's double-double transform; f first, as in apply_multiplier:
-    # complex products do not commute bitwise
-    return [cell(t, _weighted(f, f.coeffs * row, real, idx, wv, mult))
-            for t, row, mult in zip(t_values, table, mults)]
+    # the next time's double-double transform
+    return [cell(t, _weighted(f, real, wv, mult)) for t, mult in zip(t_values, mults)]
 
 
-def _weighted(f: SpectralField, coeffs: np.ndarray, real: bool, idx: np.ndarray,
-              wv: np.ndarray, mult=None) -> SpectralField:
-    # wv times the field with spectrum coeffs, which is f's spectrum times the
-    # flow whose double-double multiplier is mult (f's own without one); the
-    # node values at idx are recomputed from f.coeffs and mult in double-double,
-    # from the half spectrum when the field is real
-    vals = to_values(SpectralField(f.grid, coeffs, real))
-    if idx.size:
-        keep = slice(f.grid.n // 2 + 1 if real else None)
-        vals[idx] = dd_field_values(f.coeffs[keep], f.grid, idx, mult)
-    return from_values(f.grid, vals * wv)
+def _weighted(f: SpectralField, real: bool, wv: np.ndarray, mult=None) -> SpectralField:
+    # wv times the node values of f's spectrum under the double-double
+    # multiplier mult (f's own values without one), every node in
+    # double-double, from the half spectrum when the field is real
+    grid = f.grid
+    coeffs = f.coeffs[: grid.n // 2 + 1 if real else None]
+    return from_values(grid, dd_field_values(coeffs, grid, np.arange(grid.n), mult) * wv)
 
 
 # --- polynomial-weight persistence -------------------------------------------

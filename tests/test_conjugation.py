@@ -369,10 +369,17 @@ def test_conjugation_check_rejects_non_polynomial_symbols(wide_grid):
             conjugation_check(f, phi, 0.25, (0.1,))
 
 
-def test_conjugation_check_rejects_negative_time(wide_grid):
+def test_conjugation_check_rejects_negative_time(wide_grid, monkeypatch):
+    # before any double-double work, whatever b is
+    def never(*args, **kwargs):
+        raise AssertionError("double-double work before the time check")
+
+    monkeypatch.setattr(conjugation, "dd_semigroup_multiplier", never)
+    monkeypatch.setattr(conjugation, "dd_field_values", never)
     f = gaussian_spectral(wide_grid, center=-10.0, width=3.0)
-    with pytest.raises(ValueError):
-        conjugation_check(f, KDVKS, 0.25, (0.05, -0.1))
+    for b in (0.0, 0.25):
+        with pytest.raises(ValueError, match="nonnegative"):
+            conjugation_check(f, KDVKS, b, (0.05, -0.1))
 
 
 @pytest.mark.parametrize("name, data", [("kdvks", "gaussian"),
@@ -394,7 +401,7 @@ def test_conjugation_check_over_times_is_the_per_time_calls(wide_grid, name, dat
 
 
 def test_conjugation_check_does_its_b_only_work_once(wide_grid, monkeypatch):
-    # one strip of f, one flowed transform per time, one multiplier table
+    # f's values once, one flowed transform per time, one multiplier table
     calls = {"dd_field_values": 0, "dd_semigroup_multiplier": 0}
     for fname in calls:
         original = getattr(conjugation, fname)
@@ -419,7 +426,7 @@ def test_conjugation_check_does_its_b_only_work_once(wide_grid, monkeypatch):
 ])
 def test_conjugation_check_reads_real_fields_from_half_spectra(
         wide_grid, monkeypatch, name, data, want):
-    # f's strip, then one per time; a multiplier always matches its spectrum
+    # f's values, then one set per time; a multiplier always matches its spectrum
     lengths = {wide_grid.n // 2 + 1: "half", wide_grid.n: "full"}
     seen = []
     original = conjugation.dd_field_values
@@ -436,3 +443,25 @@ def test_conjugation_check_reads_real_fields_from_half_spectra(
         f = SpectralField(wide_grid, f.coeffs * np.exp(0.3j * wide_grid.xi), False)
     conjugation_check(f, symbols.preset(name), 0.25, (0.05, 0.1), max_leakage=math.inf)
     assert seen == want
+
+
+@pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
+def test_conjugation_check_takes_every_node_in_double_double(grid256, monkeypatch, name):
+    # f's values, then one set per time, each at every node, whatever b is:
+    # at L = 40 the weight stays below e^5 for |b| <= 0.25
+    idx_seen = []
+    original = conjugation.dd_field_values
+
+    def recording(coeffs, grid, idx, mult=None):
+        idx_seen.append(idx)
+        return original(coeffs, grid, idx, mult)
+
+    monkeypatch.setattr(conjugation, "dd_field_values", recording)
+    f = gaussian_spectral(grid256, center=-5.0, width=2.0)
+    t_values = (0.0, 0.05, 0.1)
+    for b in (0.0, 0.1, 0.25, 0.5):
+        idx_seen.clear()
+        conjugation_check(f, symbols.preset(name), b, t_values, max_leakage=math.inf)
+        assert len(idx_seen) == 1 + len(t_values), b
+        for idx in idx_seen:
+            assert np.array_equal(idx, np.arange(grid256.n)), b

@@ -33,7 +33,6 @@ from dklb._seam import (
     dd_sincos,
     dd_sub,
     dd_value,
-    seam_indices,
 )
 from dklb.conjugation import operator_polynomial
 from dklb.fields import gaussian, gaussian_spectral
@@ -145,15 +144,6 @@ def test_dd_exp_underflow_clamps_to_zero():
 def test_dd_value_collapses():
     assert dd_value(dd(1.5)) == 1.5
     assert dd_value(dd_add(dd(1.0), dd(2.0))) == 3.0
-
-
-def test_seam_indices_select_amplified_nodes():
-    grid = SpectralGrid(1024, 80.0)
-    idx = seam_indices(grid, 0.25)
-    assert np.all(0.25 * grid.x[idx] > 5.0)
-    others = np.setdiff1d(np.arange(grid.n), idx)
-    assert np.all(0.25 * grid.x[others] <= 5.0)
-    assert seam_indices(grid, 0.0).size == 0
 
 
 def test_dd_field_values_match_ifft_in_the_bulk():
@@ -493,7 +483,7 @@ def test_seam_problem_dd_field_values_are_the_allocating_loops_bitwise():
     grid = SpectralGrid(8192, 160.0)
     half = gaussian_spectral(grid, center=-20.0, width=3.0).coeffs[: grid.n // 2 + 1]
     assert np.count_nonzero(half) < half.size // 4
-    idx = seam_indices(grid, 0.25)
+    idx = np.nonzero(0.25 * grid.x > 5.0)[0]
     mults = dd_semigroup_multiplier(operator_polynomial(kdvks()), (0.05, 0.1),
                                     grid, real=True)
     for m in (None, *mults):
@@ -625,7 +615,7 @@ def test_dd_field_values_memory_stays_small():
     # held 32 MB in its first (seam, modes) array alone
     grid = SpectralGrid(16384, 160.0)
     f = gaussian_spectral(grid, center=-20.0, width=3.0)
-    idx = seam_indices(grid, 0.25)
+    idx = np.nonzero(0.25 * grid.x > 5.0)[0]
     assert idx.size == 6143
     poly = operator_polynomial(kdvks())
     half = grid.n // 2 + 1
