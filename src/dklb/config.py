@@ -9,15 +9,19 @@ as the config for a byte-identical replay.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+try:
+    from _sha1 import sha1
+except ImportError:  # a CPython built without its own hash modules
+    from hashlib import sha1
+
 from . import fields, norms, symbols
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .grid import SpectralField, SpectralGrid, WeightSpec, parse_weight
 
 
@@ -231,8 +235,15 @@ class ExperimentConfig:
             for section, keys in _SCHEMA.items())
 
     def content_hash(self) -> str:
+        """The git blob SHA-1 of `echo()`, as `git hash-object` gives it.
+
+        The digest comes from CPython's own `_sha1` module, because `hashlib`
+        loads OpenSSL's libcrypto, about 3.5 MiB of resident memory, to hash
+        these 1.5 KB once per run.  `hashlib.sha1` is the fallback for builds
+        without `_sha1`; both give the same digest.
+        """
         body = self.echo().encode()
-        return hashlib.sha1(b"blob %d\0" % len(body) + body).hexdigest()
+        return sha1(b"blob %d\0" % len(body) + body).hexdigest()
 
     # --- builders ------------------------------------------------------------
 
@@ -249,7 +260,10 @@ class ExperimentConfig:
         if kind == "gaussian":
             f = fields.gaussian(grid, center, width, amplitude)
         elif kind == "spectral-gaussian":
-            f = fields.gaussian_spectral(grid, center, width, amplitude)
+            try:
+                f = fields.gaussian_spectral(grid, center, width, amplitude)
+            except NumericalError as exc:  # only the width can overflow it
+                raise NumericalError(f"data.width: {exc}") from None
         elif kind == "mixture":
             rng = np.random.default_rng(self.get("ensemble", "seed"))
             f = fields.random_mixture(grid, rng) * amplitude

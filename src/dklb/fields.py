@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -28,15 +29,22 @@ def gaussian_spectral(grid: SpectralGrid, center: float = 0.0,
     of sampling and transforming, so the far tail of the coefficient array
     is exactly zero rather than FFT rounding residue.  That matters for
     weighted comparisons, where residue at high modes shows up at the
-    domain seam amplified by the weight.
+    domain seam amplified by the weight.  A width at which the normalizing
+    factor overflows raises NumericalError.
     """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
+    try:
+        scale = (4.0 * np.pi * width**2) ** 0.25 / grid.length
+    except OverflowError:  # width**2 leaves the doubles
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise NumericalError("the normalizing factor (4 pi width^2)^(1/4) "
+                             f"overflows at width {width!r}")
     xi = grid.xi
     # e^{-i xi L/2} realigns the analytic coefficients with FFT node order
     # (nodes start at x = -L/2, not 0)
-    c = ((4.0 * np.pi * width**2) ** 0.25 / grid.length
-         * np.exp(-0.5 * (xi * width) ** 2)
+    c = (scale * np.exp(-0.5 * (xi * width) ** 2)
          * np.exp(-1j * xi * (center + grid.length / 2.0)) * norm)
     return SpectralField(grid, c, True)
 

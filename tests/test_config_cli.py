@@ -127,6 +127,20 @@ def test_content_hash_is_git_blob_sha1():
     assert cfg.content_hash() != load_config(None, ("grid.n=512",)).content_hash()
 
 
+def test_content_hash_without_sha1_is_still_the_git_blob_sha1():
+    # a CPython built without its own _sha1 hashes through hashlib instead
+    result = _fresh_python("-c", "import sys; sys.modules['_sha1'] = None; "
+                           "from dklb.config import load_config; "
+                           "cfg = load_config(None); "
+                           "print('hashlib' in sys.modules, cfg.content_hash()); "
+                           "sys.stdout.write(cfg.echo())")
+    assert result.returncode == 0, result.stderr
+    first, body = result.stdout.split("\n", 1)
+    oracle = subprocess.run(["git", "hash-object", "--stdin"], input=body.encode(),
+                            capture_output=True, check=True)
+    assert first == f"True {oracle.stdout.decode().strip()}"
+
+
 # --- CLI exit codes and messages ---------------------------------------------
 
 
@@ -187,6 +201,25 @@ def test_the_cli_loads_brackets_and_plots_only_for_the_runs_that_use_them():
     assert result.stdout.strip() == "[]"
 
 
+def test_the_runs_that_draw_no_random_data_do_not_load_openssl(tmp_path):
+    # the manifest hash comes from CPython's own _sha1, so only a run that
+    # draws random data (numpy.random imports secrets, hence hashlib) loads
+    # OpenSSL's libcrypto through _hashlib
+    runs = ("simulate", "picard", "existence-time", "decay-experiment",
+            "verify-bracket", "conjugate-check")
+    result = _fresh_python("-c", "import sys\n"
+                           "from dklb.cli import main\n"
+                           f"for run in {runs!r}:\n"
+                           "    try:\n"
+                           f"        main([run, '-D', 'output.dir=' + {str(tmp_path)!r}])\n"
+                           "    except SystemExit as done:\n"
+                           "        assert done.code == 0, run\n"
+                           "print('_hashlib' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+    assert len(list(tmp_path.glob("*-manifest.ini"))) == len(runs)
+
+
 def test_the_bracket_pairs_bound_is_the_number_of_standard_pairs():
     from dklb import brackets, config
 
@@ -210,6 +243,10 @@ def _hostile_cases():
         for key in _SCHEMA[section]:
             yield pytest.param(("conjugate-check",), f"{section}.{key}",
                                id=f"conjugate-check:{section}.{key}")
+    for key in _SCHEMA["data"]:
+        yield pytest.param(("conjugate-check", "-D", "data.kind=spectral-gaussian"),
+                           f"data.{key}",
+                           id=f"conjugate-check:spectral-gaussian:data.{key}")
     # both solver routes, on kdvb's real flow; simulate with a weighted column
     for command, extra in (("simulate", ("-D", "weights.list=poly:1")),
                            ("picard", ())):
@@ -350,6 +387,19 @@ def test_overflowing_custom_terms_meet_the_solver_guard(runner, tmp_path):
     assert isinstance(result.exception, SystemExit), repr(result.exception)
     assert "ETDRK4 lost finiteness at step 1" in result.output
     assert not (out / "simulate.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["conjugate-check", "simulate", "picard"])
+def test_an_overflowing_spectral_gaussian_width_exits_1_naming_it(runner, tmp_path,
+                                                                 command):
+    # width**2 overflows in the normalizing factor (4 pi width^2)^(1/4)
+    result = runner.invoke(main, [command, "-D", "data.kind=spectral-gaussian",
+                                  "-D", "data.width=1e160",
+                                  "-D", f"output.dir={tmp_path}"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "data.width" in result.output, result.output
+    assert not (tmp_path / f"{command}.csv").exists()
 
 
 @pytest.mark.parametrize("command", sorted(main.commands))
