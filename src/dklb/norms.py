@@ -46,16 +46,27 @@ from .grid import (
 
 INF = math.inf
 
-# Rows per block: Picard's advection sweep, the trajectory diagnostics and
-# the ensemble checks walk their (rows, modes) arrays this many rows at a
-# time, so that their transform buffers stay this size whatever the number
-# of time nodes.
+# Row blocks: Picard's advection sweep, the trajectory diagnostics and the
+# ensemble checks walk their (rows, modes) arrays a block of rows at a time,
+# so that their buffers stay block-sized whatever the number of time nodes.
+# A block holds about 2**14 node values (128 KiB of doubles), between 4 and
+# ROW_BLOCK rows (_block_rows): 16 rows up to n = 1024, 8 at 2048 and 4 from
+# 4096.  Fewer rows add per-block work for little memory: 2-row blocks take
+# Picard's peak at n = 16384, nt = 128 from 19.5 to 18.7 MiB only.  The
+# heights are even, as n is a power of two, which the sweep's node pairs
+# need; no row's arithmetic depends on them.
 ROW_BLOCK = 16
 
 
-def _row_blocks(rows: int) -> list[slice]:
-    """Consecutive blocks of at most ROW_BLOCK of rows 0..rows-1."""
-    return [slice(b, min(b + ROW_BLOCK, rows)) for b in range(0, rows, ROW_BLOCK)]
+def _block_rows(n: int) -> int:
+    """Rows per block of fields on n nodes: min(ROW_BLOCK, max(4, 2**14 // n))."""
+    return min(ROW_BLOCK, max(4, 2**14 // n))
+
+
+def _row_blocks(rows: int, n: int) -> list[slice]:
+    """Consecutive blocks of _block_rows(n) of rows 0..rows-1, the last partial."""
+    height = _block_rows(n)
+    return [slice(b, min(b + height, rows)) for b in range(0, rows, height)]
 
 
 def conjugate_exponent(a: float) -> float:
@@ -159,26 +170,27 @@ def hs_norm(f: SpectralField, s: float = 0.0) -> float:
     return norm
 
 
-def _hs_powers(grid: SpectralGrid, keep: int, rows: int, s: float):
+def _hs_powers(grid: SpectralGrid, keep: int, s: float, power: np.ndarray):
     """The H^s power of each row of (rows, keep) spectra, summed block by block.
 
     Returns (add, sup).  add(coeffs) sums the weighted power of each row of
-    coeffs, at most ROW_BLOCK rows, and keeps the largest sum so far; sup()
-    gives the largest H^s norm among the rows added, NumericalError if it is
-    not finite.  A row of N entries is an FFT-order spectrum; a row of N/2+1
-    entries is the half spectrum (modes 0..N/2) of a real field, whose modes
-    1..N/2-1 stand for their conjugates too and count twice: the weighted
-    power of the half row is mirrored into the places of the conjugates, so
-    that each row sums the power of its FFT-order spectrum in the same order
-    and to the same bit.  add also takes the band of such rows, the kept row without
-    its SpectralGrid.dealias_tail, as Picard's steps are: the modes above
-    the band are zero in the buffer, so the sum is that of the kept row
-    whose tail is zero, to the bit.
+    coeffs, a block of rows, and keeps the largest sum so far; sup() gives
+    the largest H^s norm among the rows added, NumericalError if it is not
+    finite.  The powers are formed in power, a caller's buffer of (at least
+    a block of) rows of N doubles, whose rows need not be adjacent.  A row of
+    N entries is an FFT-order spectrum; a row of N/2+1 entries is the half
+    spectrum (modes 0..N/2) of a real field, whose modes 1..N/2-1 stand for
+    their conjugates too and count twice: the weighted power of the half row
+    is mirrored into the places of the conjugates, so that each row sums the
+    power of its FFT-order spectrum in the same order and to the same bit.
+    add also takes the band of such rows, the kept row without its
+    SpectralGrid.dealias_tail, as Picard's steps are: the modes above the
+    band are zero in the buffer, so the sum is that of the kept row whose
+    tail is zero, to the bit.
     """
     n = grid.n
     tail = grid.dealias_tail(keep < n)
     weight = (1.0 + grid.xi[:keep] ** 2) ** (s / 2.0)
-    power = np.empty((min(ROW_BLOCK, rows), n))
     top = np.zeros(())  # the largest row sum so far; np.maximum keeps a NaN
 
     def add(coeffs: np.ndarray) -> None:
@@ -212,11 +224,12 @@ def sup_hs_norm(grid: SpectralGrid, coeffs: np.ndarray, s: float = 0.0) -> float
 
     Rows of N entries are FFT-order spectra, rows of N/2+1 the half spectra
     of real fields (_hs_powers).  The rows are walked in blocks of
-    ROW_BLOCK, each summed in one buffer of that many rows; NumericalError
-    if the result is not finite.
+    _block_rows(N), each summed in one buffer of that many rows;
+    NumericalError if the result is not finite.
     """
-    add, sup = _hs_powers(grid, coeffs.shape[-1], len(coeffs), s)
-    for rows in _row_blocks(len(coeffs)):
+    power = np.empty((min(_block_rows(grid.n), len(coeffs)), grid.n))
+    add, sup = _hs_powers(grid, coeffs.shape[-1], s, power)
+    for rows in _row_blocks(len(coeffs), grid.n):
         add(coeffs[rows])
     return sup()
 
@@ -255,21 +268,21 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def _power(vals: np.ndarray, weights, p: float) -> np.ndarray:
-    """weights * vals**p, in a new array."""
+def _power(vals: np.ndarray, weights, p: float, out=None) -> np.ndarray:
+    """weights * vals**p, into out (which may be vals) or a new array."""
     if p == 4.0:  # two products: within 2 ulp of pow(), at a fraction of its cost
-        power = vals * vals
+        power = np.multiply(vals, vals, out=out)
         power *= power
     else:
-        power = vals**p
+        power = np.power(vals, p, out=out)
     power *= weights
     return power
 
 
-def _pnorm(vals: np.ndarray, weights, p: float, axis=None):
+def _pnorm(vals: np.ndarray, weights, p: float, axis=None, out=None):
     if p == INF:
         return np.maximum.reduce(vals, axis=axis)
-    return np.add.reduce(_power(vals, weights, p), axis=axis) ** (1.0 / p)
+    return np.add.reduce(_power(vals, weights, p, out), axis=axis) ** (1.0 / p)
 
 
 def _in_range(norms, peaks, p: float, name: str):
@@ -301,15 +314,16 @@ def _magnitudes(c: np.ndarray, n: int, real: bool, out: np.ndarray) -> np.ndarra
 def _block_reader(n: int, real: bool, rows: int, modes: int):
     """Returns read(spectra, multiplier=None, gain=None), which yields the
     |values| at the n nodes of (rows, modes) spectra * multiplier (* gain),
-    ROW_BLOCK rows at a time: each block's product, gained in place, in one
-    buffer and its transform (_magnitudes) in another; no multiplier, the
-    spectra as they are.  Either factor may be one row that all blocks
-    share.  The buffers, made once, serve every read: each block must be
-    read before the next is drawn, as mixed_norm does."""
-    spectrum = np.empty((min(ROW_BLOCK, rows), modes), dtype=complex)
+    _block_rows(n) rows at a time: each block's product, gained in place,
+    in one buffer and its transform (_magnitudes) in another; no
+    multiplier, the spectra as they are.  Either factor may be one row that
+    all blocks share.  The buffers, made once, serve every read: each block
+    must be read before the next is drawn, and may then be overwritten, as
+    mixed_norm does."""
+    spectrum = np.empty((min(_block_rows(n), rows), modes), dtype=complex)
     magnitude = np.empty((len(spectrum), n))
     blocks = [(b, spectrum[: b.stop - b.start], magnitude[: b.stop - b.start])
-              for b in _row_blocks(rows)]
+              for b in _row_blocks(rows, n)]
 
     def read(spectra: np.ndarray, multiplier=None, gain=None):
         for block, buffer, out in blocks:
@@ -336,8 +350,10 @@ def mixed_norm(V, tw: np.ndarray, dx: float, outer: float, inner: float,
 
     V is one array, or an iterable of arrays that are its consecutive row
     blocks; each block is read once, before the next is drawn, so that the
-    blocks may share one buffer.  tw holds the trapezoid weights of the
-    times (_trapezoid_weights) and dx the grid's quadrature weight.
+    blocks may share one buffer, and is then scratch: its powers are formed
+    over it, after its peaks are taken.  One array is left as it is.  tw
+    holds the trapezoid weights of the times (_trapezoid_weights) and dx
+    the grid's quadrature weight.
     order='t_outer_x_inner' computes
     (int_0^T (int |u|^inner dx)^(outer/inner) dt)^(1/outer);
     'x_outer_t_inner' nests the other way around.  inf exponents take the
@@ -353,13 +369,16 @@ def mixed_norm(V, tw: np.ndarray, dx: float, outer: float, inner: float,
     if order not in ("t_outer_x_inner", "x_outer_t_inner"):
         raise ValueError(f"unknown nesting order {order!r}")
     blocks = [V] if isinstance(V, np.ndarray) else V
+    scratch = blocks is V  # the blocks of an iterable take their own powers
     start = 0
     if order == "t_outer_x_inner":
         per_row = np.empty(len(tw))
         for block in blocks:
             rows = slice(start, start + len(block))
-            per_row[rows] = _in_range(_pnorm(block, dx, inner, axis=1),
-                                      lambda: block.max(axis=1), inner, "inner")
+            top = block.max(axis=1)  # the range check reads magnitudes
+            per_row[rows] = top if inner == INF else _in_range(
+                _pnorm(block, dx, inner, 1, block if scratch else None),
+                lambda: top, inner, "inner")
             start = rows.stop
         weights = tw
     else:
@@ -369,7 +388,8 @@ def mixed_norm(V, tw: np.ndarray, dx: float, outer: float, inner: float,
             top = block.max(axis=0)
             peak = top if peak is None else np.maximum(peak, top, out=peak)
             if inner != INF:
-                power = _power(block, tw[rows, None], inner)
+                power = _power(block, tw[rows, None], inner,
+                               block if scratch else None)
                 if sums is not None:  # the sums run on in row order
                     power[0] += sums
                 sums = power.sum(axis=0, out=sums)
@@ -433,7 +453,7 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
 
     def noting_sups(blocks):
         # each row's sup of |du/dx| goes to sups as its block passes
-        for block, vals in zip(_row_blocks(len(sups)), blocks):
+        for block, vals in zip(_row_blocks(len(sups), grid.n), blocks):
             np.maximum.reduce(vals, axis=1, out=sups[block])
             yield vals
 

@@ -23,10 +23,11 @@ exactly: both routes do their nonlinear work on the band only, through one
 in-place kernel, _advection, which works along the last axis of band-width
 rows.  ETDRK4 passes it one row per stage and multiplies the modes above
 the band by the step's flow multiplier alone.  Picard passes it its nodes
-in blocks of norms.ROW_BLOCK rows; its one (nt+1)-row array is the (nt+1,
-kept) iterate, whose modes above the band are the linear flow's, written
-once, and each sweep overwrites the iterate's band in place block by
-block, rebuilding the linear part's band one row at a time.  Picard
+in blocks of norms._block_rows(N) rows, about 2**14 node values each; its
+one (nt+1)-row array is the (nt+1, kept) iterate, whose modes above the
+band are the linear flow's, written once, and each sweep overwrites the
+iterate's band in place block by block, rebuilding the linear part's band
+one row at a time, with the kernel's buffers as its scratch.  Picard
 returns that iterate as its nodes;
 etdrk4_solve yields its rows one at a time as (step, t, field), and nothing
 gathers them.  Full spectra, with the negative modes filled in as
@@ -66,8 +67,12 @@ def _advection(grid: SpectralGrid, real: bool, rows: tuple[int, ...] = ()):
     the spectra live in buffers of the kernel, so a call creates no array;
     the inverse transform runs unnormalised (norm="forward"), which is u at
     the nodes exactly because N is a power of two.  Returns (keep, tail,
-    advect): keep slices the kept modes out of an FFT-order spectrum, and
-    tail the modes above the band out of a kept row.
+    advect, buffers): keep slices the kept modes out of an FFT-order
+    spectrum, tail the modes above the band out of a kept row, and buffers
+    is the kernel's (spectra, nodes), its rows + (kept modes,) complex
+    spectra and, for a real field, its rows + (N,) node values (None for a
+    complex one).  Both are dead between calls, so a caller may use them
+    for other work there, as Picard's sweep does.
     """
     n = grid.n
     keep = slice(0, n // 2 + 1 if real else n)
@@ -97,7 +102,7 @@ def _advection(grid: SpectralGrid, real: bool, rows: tuple[int, ...] = ()):
             np.multiply(high_gain, w[..., tail.stop:], out=out[..., head:])
         return out
 
-    return keep, tail, advect
+    return keep, tail, advect, (spectra, nodes)
 
 
 def _cut(rows: np.ndarray, tail: slice, out: np.ndarray) -> np.ndarray:
@@ -137,7 +142,7 @@ def nonlinearity(f: SpectralField) -> SpectralField:
     Equals -u*u_x up to dealiasing; its zero mode vanishes identically
     because it is a total derivative, and the modes above the band are zero.
     """
-    keep, tail, advect = _advection(f.grid, f.is_real)
+    keep, tail, advect, _ = _advection(f.grid, f.is_real)
     band = np.delete(f.coeffs[keep], tail)
     out = _splice(advect(band, np.empty_like(band)), tail,
                   np.zeros(keep.stop, dtype=complex))
@@ -205,17 +210,24 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     overwrites the iterate's band in place.  That is safe because the step
     from node m writes nodes m+2 and m+3 and reads only the advection terms
     of nodes m..m+3, all taken from old rows: the sweep walks the nodes in
-    blocks of norms.ROW_BLOCK, and one batched kernel call writes the terms
-    of a block's old rows, after those of the two nodes before the block,
-    before any of its rows is overwritten.  The block's new band rows are
-    formed in a block-sized buffer, each in the operand order of a
-    whole-array sweep (the linear part, then M3 R_m, then the weighted
-    terms); once the block is complete, the H^s power of each row's step
-    (new - old, zero above the band) is summed by the body of
-    norms.sup_hs_norm and the new rows overwrite the old.  The distance
-    between iterates is the largest of those norms, bitwise sup_hs_norm of
-    the whole step.  The sweep's buffers live for one sweep; the
-    diagnostics then walk the new iterate in blocks of their own.
+    blocks of norms._block_rows(N) rows, an even number, and one batched
+    kernel call writes the terms of a block's old rows, after those of the
+    two nodes before the block, before any of its rows is overwritten.  A
+    real flow's kernel reads the old band where it lies in the iterate, a
+    prefix of each kept row; a complex flow's band is two pieces, which the
+    sweep copies out once per block.  The block's new band rows are formed
+    in a block-sized buffer, each in the operand order of a whole-array
+    sweep (the linear part, then M3 R_m, then the weighted terms); once
+    the block is complete, each row's step (new - old, zero above the band)
+    is formed in the kernel's spectra (in the complex flow's band copy),
+    its H^s power is summed by the body of norms.sup_hs_norm in the
+    kernel's node values (the complex flow's spectra, read as doubles), and
+    the new rows overwrite the old.  The distance between iterates is the
+    largest of those norms, bitwise sup_hs_norm of the whole step, and no
+    value depends on the block height.  So beyond the iterate a sweep
+    holds block-sized buffers only, the kernel's, the terms (two rows more
+    than a block) and the new rows, for one sweep; the diagnostics then
+    walk the new iterate in blocks of their own.
 
     Returns (nodes, report).  nodes is the last iterate on the kept modes,
     one row per node times[k] = k*T/nt: an (nt+1, N/2+1) array of half
@@ -262,20 +274,27 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     simpson = (dt / 3.0 * M2, 4.0 * dt / 3.0 * M1, dt / 3.0)
     three_eighths = (3.0 * dt / 8.0 * M3, 9.0 * dt / 8.0 * M2,
                      9.0 * dt / 8.0 * M1, 3.0 * dt / 8.0)
-    blocks = norms._row_blocks(nt + 1)
+    blocks = norms._row_blocks(nt + 1, grid.n)
     size, width = blocks[0].stop, len(M1)  # rows in a block, band modes
 
     def duhamel(iterate: np.ndarray) -> float:
         # the image of the iterate overwrites its band, block by block, and
-        # the H^s power of each row's step goes to add_power; the buffers
+        # the H^s power of each row's step goes to add_power.  The kernel's
+        # buffers are dead once a block's terms are formed, so its spectra
+        # hold the block's step, new - old, and its node values (a complex
+        # flow's spectra, read as doubles) the step's powers.  The buffers
         # live for one sweep, so none is held while the diagnostics run
-        _, _, advect = _advection(grid, is_real, (size,))
-        add_power, distance = norms._hs_powers(grid, keep.stop, nt + 1, s)
-        # the band of the block's old rows, the advection terms of its nodes
-        # after those of the two nodes before it, and its new rows
-        held = np.empty((size, width), dtype=complex)
+        _, _, advect, (spectra, nodes) = _advection(grid, is_real, (size,))
+        if is_real:  # the band is a prefix of each kept row, read where it lies
+            steps, powers = spectra[:, :width], nodes
+        else:  # the band is two pieces: the old rows' one copy takes the step
+            steps = np.empty((size, width), dtype=complex)
+            powers = spectra.view(float)[:, :grid.n]
+        add_power, distance = norms._hs_powers(grid, keep.stop, s, powers)
+        # the advection terms of the block's nodes after those of the two
+        # nodes before it, and the block's new rows
         terms = np.empty((size + 2, width), dtype=complex)
-        stage = np.empty_like(held)
+        stage = np.empty((size, width), dtype=complex)
         run = np.zeros(width, dtype=complex)  # R_m
         tmp = np.empty_like(run)
         # the band of the linear part at the node last formed: node 0's is
@@ -289,7 +308,8 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 
         for rows in blocks:
             k = rows.stop - rows.start
-            old, new = _cut(iterate[rows], tail, held[:k]), stage[:k]
+            step, new = steps[:k], stage[:k]
+            old = iterate[rows, :width] if is_real else _cut(iterate[rows], tail, step)
             if rows.start:  # keep the terms of the two nodes before the block
                 terms[:2] = terms[-2:]
             advect(old, terms[2:k + 2])
@@ -308,7 +328,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
                 np.multiply(M2, run, out=run)
                 add(run, simpson, window)
                 new[i] += run
-            add_power(np.subtract(new, old, out=old))
+            add_power(np.subtract(new, old, out=step))
             _splice(new, tail, iterate[rows])
         return distance()
 
@@ -362,7 +382,12 @@ def _etdrk4_coeffs(z: np.ndarray, dt: float):
     circle around each node (full circle: the symbol is complex, so
     conjugate symmetry may not be assumed).  Each node's mean is its own, so
     they are taken over blocks of COEFF_BLOCK nodes and concatenated: the
-    (nodes, 32) temporaries stay one block in size.
+    (nodes, 32) temporaries stay one block in size.  The means' rounding is
+    not the node's own: numpy sums a (block, 32) array along its rows in an
+    order that depends on the block's shape, so another COEFF_BLOCK moves
+    f1, f2 and f3 in their last bits (at 128, 90, 75 and 81 of the 683
+    band nodes of n = 2048, L = 40, dt = 1e-4 on kdvks), and every ETDRK4
+    result with them.
     """
     z = np.asarray(z, dtype=complex)
     theta = 2.0 * np.pi * (np.arange(32) + 0.5) / 32
@@ -413,7 +438,7 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 
     grid = u0.grid
     is_real = u0.is_real and phi.is_even
-    keep, tail, advect = _advection(grid, is_real)
+    keep, tail, advect, _ = _advection(grid, is_real)
     E = symbols.flow_multiplier(phi, dt, grid, is_real)
     E2 = symbols.flow_multiplier(phi, dt / 2.0, grid, is_real)
     E_tail = E[tail]

@@ -292,7 +292,7 @@ def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float) -> float:
         h_s(x) = q - eta*t*p*x**p + sum_i eta*t*c_i*s**m_i*(m_i+n_i)*x**(m_i+n_i).
 
     One search finds its sign changes: each term is held as (degree, sign,
-    log of its size), log eta + log t added in all but q, and
+    log of its size), log(eta*t) (_log_product) added in all but q, and
     _log_sign_changes pins them in u = log x between bounds taken in logs,
     so no coefficient or power leaves the doubles, whatever eta*t or p (at
     p = 1e12 the stationary point is u ~ -2.7e-11).  The sup is the largest
@@ -308,7 +308,7 @@ def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float) -> float:
         raise ValueError("t must be positive")
     if q < 0:
         raise ValueError("q must be nonnegative")
-    log_ts = math.log(phi.eta) + math.log(t)
+    log_ts = _log_product(phi.eta, t)
     xs = np.array([0.0, *_stationary_points(phi, q, log_ts)])
     ts = phi.eta * t
     normal = sys.float_info.min <= ts <= sys.float_info.max
@@ -326,6 +326,29 @@ def weighted_multiplier_sup(phi: PhaseFunction, q: float, t: float) -> float:
     logs = np.isnan(vals) if normal else xs != 0.0
     vals[logs] = _log_values(phi, q, log_ts, xs[logs])
     return float(np.max(vals))
+
+
+# ln 2 = LN2_HI + LN2_LO, LN2_HI with 32 significant bits, so that e*LN2_HI
+# is exact for every binary exponent e of a product of two doubles
+LN2_HI = float.fromhex("0x1.62e42fee00000p-1")
+LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+
+
+def _log_product(a: float, b: float) -> float:
+    """log(a*b) of positive doubles, within about half an ulp of the result.
+
+    Where a*b is a normal double that is log(a*b) (exactly log(b) at a = 1);
+    elsewhere a*b = ma*mb * 2**e from frexp, ma*mb in [1/4, 1) rounded once,
+    and the log is e*LN2_HI, exact, plus log(ma*mb) + e*LN2_LO.  The sum
+    log(a) + log(b) carries the rounding of both logs and of their sum, up
+    to about 1.2 ulps of the result.
+    """
+    ab = a * b
+    if sys.float_info.min <= ab <= sys.float_info.max:
+        return math.log(ab)
+    (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
+    e = ea + eb
+    return e * LN2_HI + (math.log(ma * mb) + e * LN2_LO)
 
 
 def _stationary_points(phi: PhaseFunction, q: float, log_ts: float) -> list[float]:

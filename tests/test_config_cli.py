@@ -714,12 +714,12 @@ def test_overflowing_weight_is_refused_before_the_solve(runner, tmp_path,
     advection = dklb.solver._advection
 
     def no_step(grid, real):  # the kernel runs in every nonlinear ETDRK4 step
-        keep, tail, _ = advection(grid, real)
+        keep, tail, _, buffers = advection(grid, real)
 
         def never(v, out):
             raise AssertionError("an ETDRK4 step ran")
 
-        return keep, tail, never
+        return keep, tail, never, buffers
 
     monkeypatch.setattr(dklb.solver, "_advection", no_step)
     out = tmp_path / "out"

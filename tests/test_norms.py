@@ -35,7 +35,7 @@ from dklb.norms import (
     verify_smoothing,
     weighted_norm,
 )
-from dklb.norms import ROW_BLOCK, _magnitudes, _pnorm, _row_blocks, _trapezoid_weights
+from dklb.norms import _block_rows, _magnitudes, _pnorm, _row_blocks, _trapezoid_weights
 
 from conftest import derivative, flow_table
 
@@ -381,11 +381,11 @@ def _whole_lambda_diagnostics(grid, phi, times, coeffs, s):
 def test_row_blocked_norms_are_bitwise_the_whole_array_formulas(grid256, rng, rows,
                                                                  real, s):
     # sup_hs_norm and lambda_diagnostics walk the rows in blocks of
-    # ROW_BLOCK = 16: one partial block, one full one, a full one and one
-    # row, and ends of 3 and 1 rows; half spectra of real fields and full
-    # spectra of complex ones.  kdvb has no lambda6, nor lambda3 at s = 1
-    assert ROW_BLOCK == 16
+    # _block_rows(256) = 16: one partial block, one full one, a full one and
+    # one row, and ends of 3 and 1 rows; half spectra of real fields and
+    # full spectra of complex ones.  kdvb has no lambda6, nor lambda3 at s = 1
     n = grid256.n
+    assert _block_rows(n) == 16
     x = rng.standard_normal((rows, n))
     coeffs = (np.fft.rfft(x) if real
               else np.fft.fft(x + 1j * rng.standard_normal((rows, n)))) / n
@@ -407,8 +407,8 @@ def test_lambda_diagnostics_transform_each_map_once_per_block(grid256, rng,
                                                               monkeypatch, real,
                                                               s, maps):
     # u and du/dx, and at s > 0 (lambda3 defined on kdvks) D^s u and
-    # D^s du/dx: one batched transform per map and block of ROW_BLOCK rows,
-    # so lambda5 and lambda6 share the pass over du/dx
+    # D^s du/dx: one batched transform per map and block of _block_rows(256)
+    # = 16 rows, so lambda5 and lambda6 share the pass over du/dx
     rows, n = 35, grid256.n
     x = rng.standard_normal((rows, n))
     coeffs = (np.fft.rfft(x) if real
@@ -569,12 +569,13 @@ def _whole_array_ratios(check, phi, grid, T, size, seed, nt, s, a, b, q):
 @pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
 @pytest.mark.parametrize("check", ["C1", "C2", "C3", "C4", "P_inf"])
 def test_row_blocked_ratios_are_bitwise_the_whole_array_ratios(check, name, nt):
-    # verify_smoothing streams each sample through blocks of ROW_BLOCK rows:
-    # 17 rows end in a block of one, 35 in one of 3, 49 in one of 1 after
-    # three full ones; a real flow (kdvks) and a complex one (optimality:2)
-    assert ROW_BLOCK == 16
+    # verify_smoothing streams each sample through blocks of _block_rows(128)
+    # = 16 rows: 17 rows end in a block of one, 35 in one of 3, 49 in one of
+    # 1 after three full ones; a real flow (kdvks) and a complex one
+    # (optimality:2)
     phi = symbols.preset(name)
     grid = SpectralGrid(128, 40.0)
+    assert _block_rows(grid.n) == 16
     kw = dict(T=0.5, size=4, seed=5, nt=nt, s=0.5, a=3.0, b=6.0, q=1.0)
     rep = verify_smoothing(check, phi, grid=grid, **kw)
     want = _whole_array_ratios(check, phi, grid, **kw)
@@ -587,19 +588,23 @@ def test_row_blocked_ratios_are_bitwise_the_whole_array_ratios(check, name, nt):
                                           (math.inf, 2.0), (2.5, 3.5)])
 def test_mixed_norm_of_row_blocks_is_bitwise_its_whole_array_value(rng, rows, order,
                                                                    outer, inner):
-    # the same magnitudes as one array and as blocks that share one buffer
+    # the same magnitudes as one array and as blocks that share one buffer,
+    # over which mixed_norm forms each block's powers; the array is left as
+    # it is
     mags = rng.uniform(0.0, 2.0, (rows, 64)) * 10.0 ** rng.integers(-3, 4, (rows, 64))
     tw = rng.uniform(0.5, 1.5, rows)
-    buffer = np.empty((ROW_BLOCK, 64))
+    buffer = np.empty((_block_rows(64), 64))
 
     def blocks():
-        for block in _row_blocks(rows):
+        for block in _row_blocks(rows, 64):
             view = buffer[: block.stop - block.start]
             view[...] = mags[block]
             yield view
 
     want = _whole_array_mixed_norm(mags, tw, 0.25, outer, inner, order)
+    kept = mags.copy()
     assert mixed_norm(mags, tw, 0.25, outer, inner, order) == want
+    assert np.array_equal(mags, kept)
     assert mixed_norm(blocks(), tw, 0.25, outer, inner, order) == want
     with pytest.raises(ValueError, match="times"):
         mixed_norm(mags[:-1], tw, 0.25, outer, inner, order)
@@ -624,6 +629,26 @@ def test_mixed_norm_refuses_an_exponent_that_loses_nonzero_magnitudes(order):
     mags[0, 0] = math.inf
     assert mixed_norm(mags, tw, 1.0, 2.0, 2.0, order) == math.inf
     assert mixed_norm(np.zeros((5, 8)), tw, 1.0, 2000.0, 2000.0, order) == 0.0
+
+
+@pytest.mark.parametrize("order", ["t_outer_x_inner", "x_outer_t_inner"])
+def test_mixed_norm_checks_the_magnitudes_of_blocks_it_overwrites(order):
+    # the blocks of an iterable take their own powers, and the range check
+    # still reads their magnitudes: 1e80 and 1e-90 are finite and not zero,
+    # while their fourth powers overflow and round to 0.  Checked against
+    # the powers, the first would read inf, the second 0, and neither raise
+    tw = np.ones(5)
+
+    def blocks(value):
+        for rows in (2, 3):
+            yield np.full((rows, 8), value)
+
+    with (np.errstate(over="ignore"),
+          pytest.raises(ExponentError, match="^inner: .*overflows")):
+        mixed_norm(blocks(1e80), tw, 1.0, 2.0, 4.0, order)
+    with pytest.raises(ExponentError, match="^inner: .*rounds to 0"):
+        mixed_norm(blocks(1e-90), tw, 1.0, 2.0, 4.0, order)
+    assert mixed_norm(blocks(1e30), tw, 1.0, 2.0, 4.0, order) > 0.0
 
 
 def test_vacuous_ratios_name_the_exponent_behind_them():
@@ -699,9 +724,9 @@ def test_verify_smoothing_memory_is_flat_in_size(kdvks_phi):
 
 def test_verify_smoothing_peak_is_its_flow_table():
     # the state is the (49, 1024) complex flow table, 0.77 MiB, and blocks of
-    # ROW_BLOCK rows; the peak, 1.43-1.51 MiB over the five checks, is the
-    # table's own build.  Whole (49, 1024) products and magnitudes per
-    # sample peaked at 2.06-2.40 MiB
+    # _block_rows(1024) = 16 rows; the peak, 1.43-1.51 MiB over the five
+    # checks, is the table's own build.  Whole (49, 1024) products and
+    # magnitudes per sample peaked at 2.06-2.40 MiB
     phi, grid = symbols.preset("optimality:2"), SpectralGrid(1024, 40.0)
     verify_smoothing("C2", phi, grid=grid, size=1)  # transform plans are cached
     for check in ("C1", "C2", "C3", "C4", "P_inf"):

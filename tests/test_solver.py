@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dklb import symbols
+from dklb import norms, symbols
 from dklb.errors import BoundError, NumericalError
 from dklb.fields import gaussian, normalize_l2, random_mixture
 from dklb.grid import (
@@ -21,11 +21,11 @@ from dklb.grid import (
 from dklb.norms import (
     A2,
     A3,
-    ROW_BLOCK,
-    _row_blocks,
+    _block_rows,
     hs_norm,
     lambda_diagnostics,
     sup_hs_norm,
+    verify_smoothing,
 )
 from dklb.solver import (
     _advection,
@@ -176,15 +176,18 @@ def test_picard_memory_stays_small(kdvks_phi):
     # the two-routes benchmark problem.  A real flow's iterate stays on modes
     # 0..N/2, 2.1 MiB, and is the one (nt+1)-row array: the first iterate is
     # formed node by node by the semigroup law, and each sweep rebuilds the
-    # linear part's band one row at a time.  Each sweep's block buffers of 16
-    # rows live for that sweep and the diagnostics' for theirs, and the
-    # nodes are returned as they are: 3.78 MiB at the peak, in the sweep.
-    # With a whole flow table behind the first iterate and the linear part's
-    # band held as an (nt+1, band) array it peaked at 5.06 MiB; a full-width
-    # linear part with block buffers kept across sweeps at 6.11 MiB, four
-    # whole arrays (a separate advection term and new iterate) at 9.35 MiB, a
-    # (nt+1, N) node buffer, whole-array diagnostics and full spectra
-    # returned at 14.6 MiB, and one-row sweeps over full spectra at 26.5 MiB
+    # linear part's band one row at a time.  Each sweep's block buffers of
+    # _block_rows(2048) = 8 rows live for that sweep and the diagnostics' for
+    # theirs; the sweep reads the old band in the iterate and forms the step
+    # and its powers in the kernel's buffers; and the nodes are returned as
+    # they are: 2.88 MiB at the peak, in the sweep.  16-row blocks with a
+    # copy of the old band and a buffer of powers peaked at 3.78 MiB; a
+    # whole flow table behind the first iterate and the linear part's band
+    # held as an (nt+1, band) array at 5.06 MiB; a full-width linear part
+    # with block buffers kept across sweeps at 6.11 MiB, four whole arrays
+    # (a separate advection term and new iterate) at 9.35 MiB, a (nt+1, N)
+    # node buffer, whole-array diagnostics and full spectra returned at
+    # 14.6 MiB, and one-row sweeps over full spectra at 26.5 MiB
     grid = SpectralGrid(2048, 40.0)
     u0 = normalize_l2(random_mixture(grid, np.random.default_rng(1)), 0.1)
     tracemalloc.start()
@@ -194,37 +197,76 @@ def test_picard_memory_stays_small(kdvks_phi):
     finally:
         tracemalloc.stop()
     assert rep.iterations == 3
-    assert peak <= 3.9 * 2**20, peak / 2**20
+    assert peak <= 3.0 * 2**20, peak / 2**20
 
 
-def test_picard_peak_is_bounded_by_its_arrays(kdvks_phi):
-    # at n = 4096 and nt = 64: the (nt+1, N/2+1) iterate and blocks of
-    # ROW_BLOCK rows: the sweep's old band, new rows and advection terms
-    # (two rows more), the kernel's spectra and node values and the
-    # distance's powers; the diagnostics' spectra and magnitudes.  Their sum
-    # bounds the traced peak, 5.28 MiB in the sweep, when the diagnostics'
-    # buffers are not alive.  With the linear part's band held as an
-    # (nt+1, band) array it peaked at 6.52 MiB, and a full-width linear part
-    # with the sweep's buffers held across sweeps at 8.19 MiB
-    grid = SpectralGrid(4096, 40.0)
-    nt, rows = 64, ROW_BLOCK
-    u0 = normalize_l2(random_mixture(grid, np.random.default_rng(1)), 0.1)
-    kept = grid.n // 2 + 1
+def _sweep_bound(grid, nt):
+    # what Picard's traced peak may hold at once, in bytes: the (nt+1, N/2+1)
+    # iterate; the run's rows: the flow multipliers at dt, 2dt and 3dt on
+    # the kept modes and on the band, the six quadrature weights and the
+    # linear part's three band rows, and the grid's cached wavenumbers and
+    # dealias mask; the sweep's buffers in blocks of _block_rows(N) rows:
+    # the advection terms (two rows more) and new rows on the band, and the
+    # kernel's spectra and node values, which also hold each block's step
+    # and its H^s powers; and numpy's iteration buffers for one broadcast
+    # product, np.getbufsize() entries for each of three operands.  The
+    # diagnostics' block buffers are never alive with the sweep's
+    rows, n = _block_rows(grid.n), grid.n
+    kept = n // 2 + 1
     tail = grid.dealias_tail(True)
     band = kept - (tail.stop - tail.start)
     c, f = 16, 8  # bytes of a complex and of a float entry
-    bound = ((nt + 1) * kept * c
-             + (3 * rows + 2) * band * c
-             + rows * (kept * c + grid.n * f) + rows * grid.n * f
-             + rows * (kept * c + grid.n * f))
+    return ((nt + 1) * kept * c
+            + (3 * kept + 12 * band) * c + 3 * n * f + n
+            + (2 * rows + 2) * band * c + rows * (kept * c + n * f)
+            + 3 * np.getbufsize() * c)
+
+
+def _picard_peak(u0, phi, nt):
     tracemalloc.start()
     try:
-        _, rep = picard_solve(u0, kdvks_phi, T=0.1, nt=nt, tol=0.0, max_iter=3)
+        _, rep = picard_solve(u0, phi, T=0.1, nt=nt, tol=0.0, max_iter=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rep.iterations == 3
+    return peak
+
+
+def test_picard_peak_is_bounded_by_its_arrays(kdvks_phi):
+    # at n = 4096 and nt = 64, in blocks of _block_rows(4096) = 4 rows, the
+    # traced peak is 3.16 MiB in the sweep, under _sweep_bound's 3.32 MiB.
+    # With 16-row blocks, a copy of the old band and a buffer of powers it
+    # peaked at 5.28 MiB; with the linear part's band held as an (nt+1,
+    # band) array at 6.52 MiB, and a full-width linear part with the
+    # sweep's buffers held across sweeps at 8.19 MiB
+    grid = SpectralGrid(4096, 40.0)
+    assert _block_rows(grid.n) == 4
+    u0 = normalize_l2(random_mixture(grid, np.random.default_rng(1)), 0.1)
+    peak = _picard_peak(u0, kdvks_phi, 64)
+    bound = _sweep_bound(grid, 64)
     assert peak <= bound, (peak / 2**20, bound / 2**20)
+
+
+def test_picard_sweep_buffers_stay_block_sized_at_n_8192(kdvks_phi):
+    # beyond its iterate Picard's traced peak holds O(rows * n) bytes, flat
+    # in nt: at n = 8192 in blocks of 4 rows, 1.90 MiB at nt = 16 and at
+    # nt = 128, 7.6 blocks of 4 rows of N doubles, and within _sweep_bound.
+    # In 16-row blocks, with a copy of the old band and a buffer of powers,
+    # it was 5.9 MiB, 23 such blocks
+    grid = SpectralGrid(8192, 40.0)
+    rows = _block_rows(grid.n)
+    assert rows == 4
+    u0 = normalize_l2(random_mixture(grid, np.random.default_rng(1)), 0.1)
+    block = rows * grid.n * 8
+    grid.xi_odd, grid.dealias_mask  # cached on the grid by the first run
+    extra = []
+    for nt in (16, 128):
+        peak = _picard_peak(u0, kdvks_phi, nt)
+        assert peak <= _sweep_bound(grid, nt), (nt, peak / 2**20)
+        extra.append(peak - (nt + 1) * (grid.n // 2 + 1) * 16)
+    assert max(extra) <= 10 * block, [e / block for e in extra]
+    assert abs(extra[1] - extra[0]) <= block / 4, [e / block for e in extra]
 
 
 def _picard_fields(nodes, grid):
@@ -270,11 +312,11 @@ def _assert_band_bitwise(got, want, tail):
 
 @pytest.mark.parametrize("name", ["kdvks", "optimality:3"])
 def test_batched_sweep_is_bitwise_the_per_row_kernel(grid256, monkeypatch, name):
-    # Picard's sweep transforms its nodes in blocks of ROW_BLOCK rows; with
-    # the one-row kernel called node by node every iterate, distance and
-    # diagnostic must be the same to the bit, on the real route (kdvks) and
-    # the complex one (optimality:3), with 17 and 35 nodes, whose last
-    # blocks hold 1 and 3 rows
+    # Picard's sweep transforms its nodes in blocks of _block_rows(256) = 16
+    # rows; with the one-row kernel called node by node every iterate,
+    # distance and diagnostic must be the same to the bit, on the real route
+    # (kdvks) and the complex one (optimality:3), with 17 and 35 nodes,
+    # whose last blocks hold 1 and 3 rows
     import dklb.solver
 
     phi = symbols.preset(name)
@@ -283,7 +325,7 @@ def test_batched_sweep_is_bitwise_the_per_row_kernel(grid256, monkeypatch, name)
     advection = dklb.solver._advection
 
     def per_row(grid, real, rows=()):
-        keep, tail, _ = advection(grid, real)
+        keep, tail, _, buffers = advection(grid, real, rows)
         advect = _full_width_advection(grid, real)
 
         def each(v, out):
@@ -291,7 +333,7 @@ def test_batched_sweep_is_bitwise_the_per_row_kernel(grid256, monkeypatch, name)
                 term[...] = np.delete(advect(_kept_rows(band, tail, keep.stop)), tail)
             return out
 
-        return keep, tail, each
+        return keep, tail, each, buffers
 
     monkeypatch.setattr(dklb.solver, "_advection", per_row)
     for nt, (blocked, report) in runs.items():
@@ -301,6 +343,40 @@ def test_batched_sweep_is_bitwise_the_per_row_kernel(grid256, monkeypatch, name)
         assert np.array_equal(blocked, oracle)
         assert report.iterate_distances == oracle_report.iterate_distances
         assert report.lambda_values == oracle_report.lambda_values
+
+
+@pytest.mark.parametrize("name", ["kdvks", "optimality:3"])
+def test_block_height_changes_no_bit(grid256, rng, monkeypatch, name):
+    # every row block follows norms._block_rows, and the height changes no
+    # row's arithmetic: Picard's nodes and report (distances and lambdas,
+    # with the |xi|^s-gained maps at s = 0.5) and the ensemble ratios of
+    # both nestings are the same to the bit in blocks of 4, 8 and 16 rows
+    # and in one whole block, on a real flow (kdvks) and a complex one
+    # (optimality:3).  129, 35 and 17 nodes end in partial blocks of 1, 3
+    # and 1 rows at every height
+    phi = symbols.preset(name)
+    u0 = _rough_data(grid256, rng)
+
+    def runs():
+        out = []
+        for nt in (128, 34, 16):
+            nodes, report = picard_solve(u0, phi, 0.1, nt=nt, tol=0.0, max_iter=3, s=0.5)
+            out.append((nodes.tobytes(), report))
+            for check in ("C2", "P_inf"):
+                rep = verify_smoothing(check, phi, grid=grid256, size=3, nt=nt, s=0.5)
+                out.append(rep.ratios.tobytes())
+        return out
+
+    monkeypatch.setattr(norms, "_block_rows", lambda n: 1 << 30)
+    whole = runs()
+    for height in (4, 8, 16):
+        monkeypatch.setattr(norms, "_block_rows", lambda n, height=height: height)
+        assert runs() == whole, height
+
+
+def test_block_rows_hold_about_2_to_the_14_nodes():
+    # 16 rows up to n = 1024, then 2**14 // n, and at least 4 rows
+    assert [_block_rows(2**k) for k in range(4, 18)] == [16] * 7 + [8] + [4] * 6
 
 
 def _four_array_picard(u0, phi, T, nt, max_iter, s=0.0):
@@ -408,8 +484,8 @@ def test_picard_linear_part_drifts_from_the_flow_table_by_nt_ulps(grid256, rng,
     advection = dklb.solver._advection
 
     def zero(grid, real, rows=()):
-        keep, tail, _ = advection(grid, real, rows)
-        return keep, tail, lambda v, out: out.fill(0.0) or out
+        keep, tail, _, buffers = advection(grid, real, rows)
+        return keep, tail, lambda v, out: out.fill(0.0) or out, buffers
 
     monkeypatch.setattr(dklb.solver, "_advection", zero)
     phi = symbols.preset(name)
@@ -751,7 +827,7 @@ def test_picard_divergence_names_the_iterate(grid256, kdvks_phi, monkeypatch):
     def poisoned(grid, real, rows=()):
         # the advection term of the third iterate's last node is nan; each
         # sweep builds its kernel, so the calls are counted across kernels
-        keep, tail, advect = advection(grid, real, rows)
+        keep, tail, advect, buffers = advection(grid, real, rows)
 
         def nan_at_the_third_sweep(v, out):
             advect(v, out)
@@ -760,7 +836,7 @@ def test_picard_divergence_names_the_iterate(grid256, kdvks_phi, monkeypatch):
                 out[-1, 7] = np.nan
             return out
 
-        return keep, tail, nan_at_the_third_sweep
+        return keep, tail, nan_at_the_third_sweep, buffers
 
     monkeypatch.setattr(dklb.solver, "_advection", poisoned)
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
