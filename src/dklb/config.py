@@ -239,8 +239,9 @@ class ExperimentConfig:
 
         The digest comes from CPython's own `_sha1` module, because `hashlib`
         loads OpenSSL's libcrypto, about 3.5 MiB of resident memory, to hash
-        these 1.5 KB once per run.  `hashlib.sha1` is the fallback for builds
-        without `_sha1`; both give the same digest.
+        these 1.5 KB once per run; with `fields.numpy_random` importing
+        numpy.random with OpenSSL blocked, no run loads it.  `hashlib.sha1` is
+        the fallback for builds without `_sha1`; both give the same digest.
         """
         body = self.echo().encode()
         return sha1(b"blob %d\0" % len(body) + body).hexdigest()
@@ -265,7 +266,7 @@ class ExperimentConfig:
             except NumericalError as exc:  # only the width can overflow it
                 raise NumericalError(f"data.width: {exc}") from None
         elif kind == "mixture":
-            rng = np.random.default_rng(self.get("ensemble", "seed"))
+            rng = fields.numpy_random().default_rng(self.get("ensemble", "seed"))
             f = fields.random_mixture(grid, rng) * amplitude
         elif kind == "cusp":
             f = fields.mollified_cusp(grid, self.get("decay", "gamma"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 
 import numpy as np
@@ -57,6 +58,42 @@ def normalize_l2(f: SpectralField, target: float = 1.0) -> SpectralField:
     return f * (target / norm)
 
 
+# Modules whose import loads OpenSSL's libcrypto (_hashlib) or imports a
+# module that does; numpy.random imports secrets, which imports the rest.
+_OPENSSL_CHAIN = ("_hashlib", "hashlib", "hmac", "secrets")
+
+
+def numpy_random():
+    """The numpy.random module, imported without loading OpenSSL.
+
+    dklb's only import of numpy.random.  numpy.random imports secrets, hence
+    hmac and hashlib, which load OpenSSL's libcrypto (about 3.5 MiB of resident
+    memory) through _hashlib; nothing in dklb hashes with them.  So when none
+    of _hashlib, hashlib, hmac and secrets is loaded yet, the import runs with
+    _hashlib blocked: hmac and hashlib take their documented fallbacks,
+    _operator's compare_digest and the builtin _sha* and _blake2 modules.
+    Then the block and the modules the import added are dropped from
+    sys.modules, so a later ``import hashlib`` loads the OpenSSL-backed
+    module as usual.  The one thing that outlives the import is numpy's
+    ``bit_generator.randbits``: ``SystemRandom().getrandbits`` of the dropped
+    secrets module, the same function ``secrets.randbits`` is.  When any of
+    the four is already loaded, this is a plain import.
+
+    Not meant to run while another thread first imports hashlib; dklb draws
+    on one thread.
+    """
+    guarded = sys.modules.keys().isdisjoint(_OPENSSL_CHAIN)
+    if guarded:
+        sys.modules["_hashlib"] = None
+    try:
+        import numpy.random
+    finally:
+        if guarded:
+            for name in _OPENSSL_CHAIN:
+                sys.modules.pop(name, None)
+    return numpy.random
+
+
 def random_mixture(grid: SpectralGrid, rng: np.random.Generator) -> SpectralField:
     """One random Gaussian mixture, L2-normalized.
 
@@ -88,10 +125,12 @@ def sample_ensemble(grid: SpectralGrid, size: int, seed: int) -> Iterator[Spectr
     Sample k has its own PRNG stream, child k of the root seed, so the
     ensemble is reproducible regardless of evaluation order; the iterator
     draws one sample per step and holds none, so memory stays flat in size.
+    numpy.random comes from `numpy_random`, so drawing loads no OpenSSL.
     """
-    root = np.random.SeedSequence(seed)
+    random = numpy_random()
+    root = random.SeedSequence(seed)
     for _ in range(size):  # spawning one at a time yields spawn(size)'s children
-        yield random_mixture(grid, np.random.default_rng(root.spawn(1)[0]))
+        yield random_mixture(grid, random.default_rng(root.spawn(1)[0]))
 
 
 def mollified_cusp(grid: SpectralGrid, gamma: float = 0.5,

@@ -201,23 +201,111 @@ def test_the_cli_loads_brackets_and_plots_only_for_the_runs_that_use_them():
     assert result.stdout.strip() == "[]"
 
 
-def test_the_runs_that_draw_no_random_data_do_not_load_openssl(tmp_path):
-    # the manifest hash comes from CPython's own _sha1, so only a run that
-    # draws random data (numpy.random imports secrets, hence hashlib) loads
-    # OpenSSL's libcrypto through _hashlib
-    runs = ("simulate", "picard", "existence-time", "decay-experiment",
-            "verify-bracket", "conjugate-check")
-    result = _fresh_python("-c", "import sys\n"
+def test_no_run_loads_openssl(tmp_path):
+    # the manifest hash comes from CPython's own _sha1, and numpy.random
+    # (which imports secrets, hence hmac and hashlib) is imported with
+    # _hashlib blocked, so no run loads OpenSSL's libcrypto, not even the
+    # runs that draw random data
+    runs = (("simulate",), ("picard",), ("existence-time",),
+            ("decay-experiment",), ("verify-bracket",), ("conjugate-check",),
+            ("verify-smoothing", "-D", "ensemble.size=4"),
+            ("simulate", "-D", "data.kind=mixture", "-D", "solver.t=0.01"),
+            ("picard", "-D", "data.kind=mixture", "-D", "solver.t=0.01"))
+    result = _fresh_python("-c", "import os, sys\n"
                            "from dklb.cli import main\n"
-                           f"for run in {runs!r}:\n"
+                           f"for i, run in enumerate({runs!r}):\n"
+                           f"    out = os.path.join({str(tmp_path)!r}, str(i))\n"
                            "    try:\n"
-                           f"        main([run, '-D', 'output.dir=' + {str(tmp_path)!r}])\n"
+                           "        main([*run, '-D', 'output.dir=' + out])\n"
                            "    except SystemExit as done:\n"
                            "        assert done.code == 0, run\n"
-                           "print('_hashlib' in sys.modules)")
+                           "maps = '/proc/self/maps'\n"
+                           "mapped = os.path.exists(maps) and 'libcrypto' in open(maps).read()\n"
+                           "print('_hashlib' in sys.modules, mapped)")
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
-    assert len(list(tmp_path.glob("*-manifest.ini"))) == len(runs)
+    assert result.stdout.splitlines()[-1] == "False False"
+    assert len(list(tmp_path.glob("*/*-manifest.ini"))) == len(runs)
+
+
+def test_hashlib_imported_after_a_draw_is_openssl_backed():
+    result = _fresh_python("-c", "import sys\n"
+                           "from dklb.fields import sample_ensemble\n"
+                           "from dklb.grid import SpectralGrid\n"
+                           "next(sample_ensemble(SpectralGrid(64, 10.0), 1, 0))\n"
+                           "import hashlib, hmac, secrets\n"
+                           "print('_hashlib' in sys.modules)\n"
+                           "import _hashlib\n"
+                           "import numpy as np\n"
+                           "np.random.default_rng().standard_normal()\n"
+                           "print(hmac.compare_digest is _hashlib.compare_digest, "
+                           "secrets.compare_digest is _hashlib.compare_digest, "
+                           "hashlib.sha256(b'').hexdigest()[:8])")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True", "True", "True", "e3b0c442"]
+
+
+# (test id, what the interpreter imports before its first draw)
+_PRELUDES = (("guarded", ""),
+             ("hashlib-first", "import hashlib\n"),
+             ("hashlib-without-openssl",
+              "sys.modules['_hashlib'] = None\n"
+              "import hashlib\n"
+              "del sys.modules['_hashlib']\n"))
+
+
+@pytest.mark.parametrize("prelude", [p for _, p in _PRELUDES],
+                         ids=[name for name, _ in _PRELUDES])
+def test_the_first_draw_keeps_a_loaded_hashlib_and_draws_the_same(prelude):
+    # an interpreter that loaded hashlib before its first draw, with or
+    # without OpenSSL, keeps that module object (one that had not loaded it
+    # still has none), and every interpreter draws the guarded one's first
+    # ensemble sample bit for bit
+    def first_sample(prelude):
+        result = _fresh_python("-c", "import sys\n" + prelude +
+                               "before = sys.modules.get('hashlib')\n"
+                               "from dklb.fields import sample_ensemble\n"
+                               "from dklb.grid import SpectralGrid\n"
+                               "u0 = next(sample_ensemble(SpectralGrid(256, 40.0), 3, 7))\n"
+                               "print(sys.modules.get('hashlib') is before, "
+                               "u0.coeffs.tobytes().hex())")
+        assert result.returncode == 0, result.stderr
+        return result.stdout.split()
+
+    kept, sample = first_sample(prelude)
+    assert kept == "True"
+    assert sample == first_sample("")[1]
+
+
+def test_numpy_random_is_named_only_inside_fields_numpy_random():
+    # annotations are not evaluated under `from __future__ import annotations`
+    import ast
+
+    def names_numpy_random(node):
+        if isinstance(node, ast.Import):
+            return any((a.name + ".").startswith("numpy.random.") for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return ((node.module or "") + ".").startswith("numpy.random.") or (
+                node.module == "numpy" and any(a.name == "random" for a in node.names))
+        return (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+    inside, outside = [], []
+    for path in sorted(Path(dklb.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        annotations = [n.annotation for n in ast.walk(tree)
+                       if isinstance(n, (ast.arg, ast.AnnAssign)) and n.annotation]
+        annotations += [n.returns for n in ast.walk(tree)
+                        if isinstance(n, ast.FunctionDef) and n.returns]
+        skip = {id(n) for root in annotations for n in ast.walk(root)}
+        guarded = {id(n) for f in ast.walk(tree) if path.name == "fields.py"
+                   and isinstance(f, ast.FunctionDef) and f.name == "numpy_random"
+                   for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if id(node) not in skip and names_numpy_random(node):
+                (inside if id(node) in guarded else outside).append(
+                    f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert inside  # the scan sees the one import it allows
 
 
 def test_the_bracket_pairs_bound_is_the_number_of_standard_pairs():
