@@ -75,8 +75,9 @@ def _subcommand(name: str, plot: str | None = None):
     `plot` kind draws the CSV) and the exit-code policy, shared by all."""
 
     def decorate(fn):
+        # a plain string: click.Path() would import locale on every run
         @click.option("--config", "-c", "config_path", default=None,
-                      type=click.Path(),
+                      metavar="PATH",
                       help="INI config file (defaults apply without one).")
         @click.option("--set", "-D", "overrides", multiple=True,
                       metavar="SEC.KEY=VAL",
@@ -90,7 +91,7 @@ def _subcommand(name: str, plot: str | None = None):
                 (outdir / f"{name}-manifest.ini").write_text(
                     f"{cfg.echo()}[manifest]\nsubcommand = {name}\n"
                     f"seed = {cfg.get('ensemble', 'seed')}\n"
-                    f"hash = {cfg.content_hash()}\n")
+                    f"hash = {cfg.content_hash()}\n", encoding="utf-8")
                 csv_path = outdir / f"{name}.csv"
                 partial = outdir / f".{name}.csv.partial"
                 try:

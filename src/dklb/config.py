@@ -8,9 +8,7 @@ as the config for a byte-identical replay.
 
 from __future__ import annotations
 
-import configparser
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -214,14 +212,15 @@ def _make_phase(values: dict) -> symbols.PhaseFunction:
         raise ConfigError(f"model: {exc}") from exc
 
 
-@dataclass
 class ExperimentConfig:
     """A validated configuration: each key's text as given (echoed, hashed),
     its parsed value, and the symbol, all fixed at load."""
 
-    raw: dict[tuple[str, str], str]
-    values: dict[tuple[str, str], object]
-    phase: symbols.PhaseFunction
+    def __init__(self, raw: dict[tuple[str, str], str],
+                 values: dict[tuple[str, str], object], phase: symbols.PhaseFunction):
+        self.raw = raw
+        self.values = values
+        self.phase = phase
 
     def get(self, section: str, key: str):
         return self.values[(section, key)]
@@ -286,13 +285,15 @@ def load_config(path: str | Path | None = None,
            for section, keys in _SCHEMA.items()
            for key, (_, default) in keys.items()}
     if path is not None:
+        import configparser  # read only under --config
+
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            with open(path) as handle:
+            with open(path, encoding="utf-8") as handle:
                 parser.read_file(handle)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"malformed config {path}: {exc}") from exc
         for section in parser.sections():
             if section == "manifest":

@@ -24,7 +24,7 @@ and a real field has one reading, its half spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +83,7 @@ def shifted_multiplier(phi: symbols.PhaseFunction, b: float, t: float, xi
     return np.exp(-t * Sz)
 
 
-@dataclass
-class ConjugationResult:
+class ConjugationResult(NamedTuple):
     """Outcome of one weight-then-flow versus flow-then-weight comparison."""
 
     rel_error: float
@@ -228,8 +227,7 @@ def _persistence_ratios(u0: SpectralField, phi: symbols.PhaseFunction, w: Weight
     return np.divide(moved, denom, out=np.zeros_like(denom), where=denom != 0.0)
 
 
-@dataclass
-class ExchangeReport:
+class ExchangeReport(NamedTuple):
     """Weighted-persistence ratios over a seeded ensemble and a time grid."""
 
     ratios: np.ndarray  # shape (samples, len(t_values))
@@ -257,8 +255,7 @@ def exchange_ensemble(phi: symbols.PhaseFunction, r: float, s: float,
 # --- smoothing-versus-decay probe --------------------------------------------
 
 
-@dataclass
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Derivative-norm growth of rough, decaying data under one linear flow."""
 
     rows: list[dict]          # sigma, t, norm, mult_bound

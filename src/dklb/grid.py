@@ -23,7 +23,6 @@ m(-xi) = conj(m(xi)), on a given multiplier.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -38,18 +37,34 @@ DEALIAS = 2.0 / 3.0
 EXP_WEIGHT_CAP = 300.0
 
 
-@dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform periodic grid with N nodes on a domain of length L."""
+    """Uniform periodic grid with N nodes on a domain of length L.
 
-    n: int
-    length: float
+    A plain immutable value: grids with equal n and length are equal and
+    hash equal, and assigning to a field raises AttributeError.  The
+    instance dict holds the fields and the cached_property arrays, each
+    computed on first use.
+    """
 
-    def __post_init__(self):
-        if self.n < 16 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"N must be a power of two >= 16, got {self.n}")
-        if not self.length > 0:
-            raise ValueError(f"domain length must be positive, got {self.length}")
+    def __init__(self, n: int, length: float):
+        if n < 16 or (n & (n - 1)) != 0:
+            raise ValueError(f"N must be a power of two >= 16, got {n}")
+        if not length > 0:
+            raise ValueError(f"domain length must be positive, got {length}")
+        vars(self).update(n=n, length=length)
+
+    def __eq__(self, other):
+        if type(other) is not SpectralGrid:
+            return NotImplemented
+        return (self.n, self.length) == (other.n, other.length)
+
+    def __hash__(self):
+        return hash((self.n, self.length))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -99,13 +114,17 @@ class SpectralGrid:
         return self.n // 2
 
 
-@dataclass
 class SpectralField:
-    """A field on a SpectralGrid, represented by its Fourier coefficients."""
+    """A field on a SpectralGrid, represented by its Fourier coefficients.
 
-    grid: SpectralGrid
-    coeffs: np.ndarray
-    is_real: bool
+    A mutable record with identity equality: comparing coefficient arrays
+    is left to numpy.
+    """
+
+    def __init__(self, grid: SpectralGrid, coeffs: np.ndarray, is_real: bool):
+        self.grid = grid
+        self.coeffs = coeffs
+        self.is_real = is_real
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy(), self.is_real)
@@ -227,18 +246,28 @@ def boundary_leakage(f: SpectralField) -> float:
 WEIGHT_KINDS = ("poly", "bracket", "exp")
 
 
-@dataclass(frozen=True)
 class WeightSpec:
-    """A pointwise spatial weight: poly |x|^r, bracket (1+x^2)^(r/2), or exp(b*x)."""
+    """A pointwise spatial weight: poly |x|^r, bracket (1+x^2)^(r/2), or exp(b*x).
 
-    kind: str
-    param: float
+    A plain immutable value, like SpectralGrid.
+    """
 
-    def __post_init__(self):
-        if self.kind not in WEIGHT_KINDS:
-            raise ValueError(f"unknown weight kind {self.kind!r}; choose from {WEIGHT_KINDS}")
-        if self.kind in ("poly", "bracket") and self.param < 0:
-            raise ValueError(f"{self.kind} weight exponent must be >= 0, got {self.param}")
+    def __init__(self, kind: str, param: float):
+        if kind not in WEIGHT_KINDS:
+            raise ValueError(f"unknown weight kind {kind!r}; choose from {WEIGHT_KINDS}")
+        if kind in ("poly", "bracket") and param < 0:
+            raise ValueError(f"{kind} weight exponent must be >= 0, got {param}")
+        vars(self).update(kind=kind, param=param)
+
+    def __eq__(self, other):
+        if type(other) is not WeightSpec:
+            return NotImplemented
+        return (self.kind, self.param) == (other.kind, other.param)
+
+    def __hash__(self):
+        return hash((self.kind, self.param))
+
+    __setattr__ = __delattr__ = SpectralGrid.__setattr__
 
     @property
     def label(self) -> str:

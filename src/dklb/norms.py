@@ -28,7 +28,7 @@ measure bound ratios over seeded random ensembles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -480,8 +480,7 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
 SMOOTHING_CHECKS = ("C1", "C2", "C3", "C4", "P_inf")
 
 
-@dataclass
-class NormEnsembleReport:
+class NormEnsembleReport(NamedTuple):
     """Bound ratios LHS/RHS over a seeded ensemble; the RHS constant is 1."""
 
     check: str

@@ -40,7 +40,7 @@ evaluating the flow at every node and summing over every pair of nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,15 +152,14 @@ def nonlinearity(f: SpectralField) -> SpectralField:
 # --- Picard iteration on the integral form ----------------------------------
 
 
-@dataclass
-class ContractionReport:
+class ContractionReport(NamedTuple):
     """Convergence record of one Picard run."""
 
     converged: bool
     iterations: int
     iterate_distances: list[float]
     lambda_values: list[dict[str, float]]
-    notes: list[str] = field(default_factory=list)
+    notes: list[str]
 
     @property
     def distance_ratios(self) -> list[float]:

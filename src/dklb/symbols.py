@@ -19,31 +19,40 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 
 
-@dataclass(frozen=True)
 class PhaseTerm:
     """One correction term c * xi**m * |xi|**n of the damping symbol.
 
     The signed power m keeps the sign of xi (odd m makes the term odd), the
     absolute power n does not.  m must be a nonnegative integer; n a
-    nonnegative real.
+    nonnegative real.  A plain immutable value: equal fields give equal,
+    equally hashed terms, and assigning to a field raises AttributeError.
     """
 
-    coeff: float
-    m: int
-    n: float
+    def __init__(self, coeff: float, m: int, n: float):
+        if m < 0 or int(m) != m:
+            raise ValueError(f"signed power m must be a nonnegative integer, got {m}")
+        if n < 0:
+            raise ValueError(f"absolute power n must be nonnegative, got {n}")
+        vars(self).update(coeff=coeff, m=m, n=n)
 
-    def __post_init__(self):
-        if self.m < 0 or int(self.m) != self.m:
-            raise ValueError(f"signed power m must be a nonnegative integer, got {self.m}")
-        if self.n < 0:
-            raise ValueError(f"absolute power n must be nonnegative, got {self.n}")
+    def __eq__(self, other):
+        if type(other) is not PhaseTerm:
+            return NotImplemented
+        return (self.coeff, self.m, self.n) == (other.coeff, other.m, other.n)
+
+    def __hash__(self):
+        return hash((self.coeff, self.m, self.n))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def degree(self) -> float:
@@ -54,7 +63,6 @@ class PhaseTerm:
         return self.coeff * xi**self.m * np.abs(xi) ** self.n
 
 
-@dataclass(frozen=True)
 class PhaseFunction:
     """Damping symbol Phi(xi) = -|xi|**p + Phi1(xi), Phi1 of lower degree.
 
@@ -63,23 +71,29 @@ class PhaseFunction:
     evaluates nothing, so a symbol builds however large its coefficients
     are, and a flow that overflows meets the guard of whatever evaluates it.
     The dominance threshold is find_M(phi), computed where it is read.
+    terms is stored as a tuple.  A plain immutable value, like PhaseTerm.
     """
 
-    p: float
-    terms: tuple[PhaseTerm, ...] = ()
-    eta: float = 1.0
+    def __init__(self, p: float, terms: tuple[PhaseTerm, ...] = (), eta: float = 1.0):
+        terms = tuple(terms)
+        if not p > 0:
+            raise ValueError(f"leading power p must be positive, got {p}")
+        if not eta > 0:
+            raise ValueError(f"dissipation strength eta must be positive, got {eta}")
+        for t in terms:
+            if t.degree >= p:
+                raise ValueError(f"correction term degree m+n={t.degree} must be < p={p}")
+        vars(self).update(p=p, terms=terms, eta=eta)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.p > 0:
-            raise ValueError(f"leading power p must be positive, got {self.p}")
-        if not self.eta > 0:
-            raise ValueError(f"dissipation strength eta must be positive, got {self.eta}")
-        for t in self.terms:
-            if t.degree >= self.p:
-                raise ValueError(
-                    f"correction term degree m+n={t.degree} must be < p={self.p}"
-                )
+    def __eq__(self, other):
+        if type(other) is not PhaseFunction:
+            return NotImplemented
+        return (self.p, self.terms, self.eta) == (other.p, other.terms, other.eta)
+
+    def __hash__(self):
+        return hash((self.p, self.terms, self.eta))
+
+    __setattr__ = __delattr__ = PhaseTerm.__setattr__
 
     @property
     def is_even(self) -> bool:

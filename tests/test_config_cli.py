@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -199,6 +200,42 @@ def test_the_cli_loads_brackets_and_plots_only_for_the_runs_that_use_them():
                            f"print([m for m in {unused!r} if m in sys.modules])")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_the_run_path_loads_no_dataclasses_configparser_or_locale(tmp_path):
+    # after numpy and click, dklb's start-up adds only its own modules,
+    # __future__ and _sha1: dataclasses (and copy), configparser and locale
+    # (through click.Path) cost milliseconds on every run.  pathlib is in the
+    # baseline because dklb names its files with it, and a bare interpreter
+    # (no site-packages .pth files) has not loaded it after numpy and click.
+    # A --config run loads configparser; verify-bracket alone loads
+    # dataclasses, with fractions.
+    config = tmp_path / "run.ini"
+    config.write_text(f"[grid]\nn = 64\n[output]\ndir = {tmp_path / 'file'}\n")
+    bracket = ("verify-bracket", "-D", "brackets.max_n=2", "-D", "brackets.max_a=1",
+               "-D", "brackets.pairs=1", "-D", f"output.dir={tmp_path / 'bracket'}")
+    result = _fresh_python("-c", "import sys\n"
+                           "import click, numpy, pathlib\n"
+                           "before = set(sys.modules)\n"
+                           "import dklb.cli, dklb.config\n"
+                           "dklb.config.load_config()\n"
+                           "print('added', sorted(m for m in set(sys.modules) - before\n"
+                           "                      if m.partition('.')[0] != 'dklb'))\n"
+                           "for run in sys.argv[1:]:\n"
+                           "    try:\n"
+                           "        dklb.cli.main(run.split('|'))\n"
+                           "    except SystemExit as done:\n"
+                           "        assert done.code == 0, (run, done.code)\n"
+                           "    print('loaded', [m for m in ('configparser', 'dataclasses',\n"
+                           "                                 'fractions') if m in sys.modules])\n",
+                           f"existence-time|--config|{config}", "|".join(bracket))
+    assert result.returncode == 0, result.stderr
+    lines = [line.split(" ", 1) for line in result.stdout.splitlines()]
+    added = [ast.literal_eval(rest) for word, rest in lines if word == "added"]
+    assert len(added) == 1 and set(added[0]) <= {"__future__", "_sha1"}, added
+    assert [rest for word, rest in lines if word == "loaded"] == [
+        "['configparser']", "['configparser', 'dataclasses', 'fractions']"]
+    assert "n = 64\n" in (tmp_path / "file" / "existence-time-manifest.ini").read_text()
 
 
 def test_no_run_loads_openssl(tmp_path):
@@ -883,6 +920,35 @@ def test_missing_config_file_exits_2(runner, tmp_path):
                                   str(tmp_path / "nope.ini")])
     assert result.exit_code == 2
     assert "cannot read config" in result.output
+
+
+def test_config_file_that_is_not_utf8_exits_2_and_names_it(runner, tmp_path):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"\xff[grid]\nn = 64\n")
+    result = runner.invoke(main, ["simulate", "--config", str(bad),
+                                  "-D", f"output.dir={tmp_path / 'out'}"])
+    assert result.exit_code == 2, result.output
+    assert f"validation error: malformed config {bad}: " in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_reads_as_utf8_under_an_ascii_locale(tmp_path, monkeypatch):
+    # the manifest is written as UTF-8 too, so a replay reads what a run wrote
+    config = tmp_path / "run.ini"
+    config.write_bytes(b"# \xc3\xa9ta = 1\n[grid]\nn = 64\n")
+    for name, value in (("LC_ALL", "C"), ("PYTHONCOERCECLOCALE", "0"), ("PYTHONUTF8", "0")):
+        monkeypatch.setenv(name, value)
+    result = _fresh_python("-c", "import sys\n"
+                           "from dklb.config import load_config\n"
+                           "print(load_config(sys.argv[1]).get('grid', 'n'))", str(config))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "64\n"
+
+
+def test_help_names_the_config_option_path(runner):
+    result = runner.invoke(main, ["simulate", "--help"])
+    assert result.exit_code == 0, result.output
+    assert "-c, --config PATH  " in result.output
 
 
 def test_picard_zero_data_converges_immediately(runner, tmp_path):

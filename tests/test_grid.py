@@ -1,5 +1,7 @@
 """Grid layer: transforms, Fourier calculus, products, weights, snapshots."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,6 +26,7 @@ from dklb.grid import (
     write_snapshot,
 )
 from dklb.fields import gaussian
+from dklb.symbols import PhaseFunction, PhaseTerm
 
 from conftest import derivative, hermitian_defect
 
@@ -40,6 +43,65 @@ def test_grid_requires_power_of_two():
         SpectralGrid(8, 40.0)
     with pytest.raises(ValueError):
         SpectralGrid(256, -1.0)
+
+
+# --- the immutable value types ---------------------------------------------
+
+# (type, constructor arguments, the same with one field changed, field names)
+VALUE_TYPES = [
+    (SpectralGrid, (256, 40.0), (256, 80.0), ("n", "length")),
+    (WeightSpec, ("exp", 0.25), ("exp", -0.25), ("kind", "param")),
+    (PhaseTerm, (1.0, 0, 2.0), (1.0, 2, 2.0), ("coeff", "m", "n")),
+    (PhaseFunction, (4.0, (PhaseTerm(1.0, 0, 2.0),), 0.5), (4.0, (), 0.5),
+     ("p", "terms", "eta")),
+]
+
+
+@pytest.mark.parametrize("cls, args, other, names", VALUE_TYPES,
+                         ids=[v[0].__name__ for v in VALUE_TYPES])
+def test_value_types_are_equal_by_their_fields_and_refuse_assignment(cls, args,
+                                                                      other, names):
+    a, b = cls(*args), cls(*args)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != cls(*other) and a != args
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SpectralGrid(100, 40.0), "N must be a power of two >= 16, got 100"),
+    (lambda: SpectralGrid(256, 0.0), "domain length must be positive, got 0.0"),
+    (lambda: WeightSpec("sech", 1.0),
+     "unknown weight kind 'sech'; choose from ('poly', 'bracket', 'exp')"),
+    (lambda: WeightSpec("bracket", -1.0), "bracket weight exponent must be >= 0, got -1.0"),
+    (lambda: PhaseTerm(1.0, -1, 0.0), "signed power m must be a nonnegative integer, got -1"),
+    (lambda: PhaseTerm(1.0, 1.5, 0.0), "signed power m must be a nonnegative integer, got 1.5"),
+    (lambda: PhaseTerm(1.0, 0, -1.0), "absolute power n must be nonnegative, got -1.0"),
+    (lambda: PhaseFunction(0.0), "leading power p must be positive, got 0.0"),
+    (lambda: PhaseFunction(4.0, eta=0.0), "dissipation strength eta must be positive, got 0.0"),
+    (lambda: PhaseFunction(4.0, [PhaseTerm(1.0, 1, 3.0)]),
+     "correction term degree m+n=4.0 must be < p=4.0"),
+])
+def test_value_types_refuse_bad_fields_with_their_messages(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_phase_function_stores_its_terms_as_a_tuple():
+    phi = PhaseFunction(4.0, [PhaseTerm(1.0, 0, 2.0)])
+    assert phi.terms == (PhaseTerm(1.0, 0, 2.0),) and type(phi.terms) is tuple
+    assert phi == PhaseFunction(4.0, (PhaseTerm(1.0, 0, 2.0),))
+
+
+def test_grid_wavenumbers_are_computed_once():
+    grid = SpectralGrid(64, 40.0)
+    assert "xi" not in vars(grid)
+    xi = grid.xi
+    assert grid.xi is xi and vars(grid)["xi"] is xi
 
 
 def test_xi_odd_zeroes_only_the_nyquist_entry(grid256):
