@@ -9,7 +9,7 @@ as the config for a byte-identical replay.
 from __future__ import annotations
 
 import math
-from pathlib import Path
+import os
 
 import numpy as np
 
@@ -278,7 +278,7 @@ class ExperimentConfig:
         return f
 
 
-def load_config(path: str | Path | None = None,
+def load_config(path: str | os.PathLike | None = None,
                 overrides: tuple[str, ...] = ()) -> ExperimentConfig:
     """Read an INI file (optional) and apply section.key=value overrides."""
     raw = {(section, key): default

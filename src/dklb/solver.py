@@ -370,37 +370,38 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 # --- ETDRK4 on the differential form ----------------------------------------
 
 
-# modes per block of the contour means in _etdrk4_coeffs
-COEFF_BLOCK = 1024
-
-
+@np.errstate(over="ignore", invalid="ignore")  # overflowing terms: see the limits
 def _etdrk4_coeffs(z: np.ndarray, dt: float):
     """Exponential-integrator coefficients Q, f1, f2, f3 for nodes z = dt*c.
 
-    Entire functions of z evaluated by averaging over 32 points of a unit
-    circle around each node (full circle: the symbol is complex, so
-    conjugate symmetry may not be assumed).  Each node's mean is its own, so
-    they are taken over blocks of COEFF_BLOCK nodes and concatenated: the
-    (nodes, 32) temporaries stay one block in size.  The means' rounding is
-    not the node's own: numpy sums a (block, 32) array along its rows in an
-    order that depends on the block's shape, so another COEFF_BLOCK moves
-    f1, f2 and f3 in their last bits (at 128, 90, 75 and 81 of the 683
-    band nodes of n = 2048, L = 40, dt = 1e-4 on kdvks), and every ETDRK4
-    result with them.
+    Entire functions of z, each the mean over 32 points of a unit circle
+    around its node (a full circle: a complex symbol has no conjugate
+    symmetry).  One pass adds each point's terms in a fixed order, 8 points
+    to a group sum and each group to the totals (as accurate as numpy's
+    pairwise mean), so a node's coefficients are its own to the bit.  The
+    products with exp(r) call np.multiply: from 256 KiB, `a * temporary`
+    runs in place as `temporary * a`, which rounds differently.  Past
+    |z| ~ 1.3e154, or at a symbol of -inf, a term is 0*inf or inf/inf:
+    where exp(z) is 0, the coefficients take their limits, to within 4/|z|
+    relative; elsewhere such a node stays nan.
     """
     z = np.asarray(z, dtype=complex)
-    theta = 2.0 * np.pi * (np.arange(32) + 0.5) / 32
-    circle = np.exp(1j * theta)[None, :]
-    blocks = []
-    for b in range(0, len(z), COEFF_BLOCK):
-        r = z[b:b + COEFF_BLOCK, None] + circle
-        er = np.exp(r)
-        blocks.append((
-            dt * np.mean((np.exp(r / 2.0) - 1.0) / r, axis=1),
-            dt * np.mean((-4.0 - r + er * (4.0 - 3.0 * r + r**2)) / r**3, axis=1),
-            dt * np.mean((2.0 + r + er * (-2.0 + r)) / r**3, axis=1),
-            dt * np.mean((-4.0 - 3.0 * r - r**2 + er * (4.0 - r)) / r**3, axis=1)))
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    sums, group = np.zeros((2, 4, len(z)), dtype=complex)
+    for k, theta in enumerate(2.0 * np.pi * (np.arange(32) + 0.5) / 32):
+        r = z + np.exp(1j * theta)
+        er, r2, r3 = np.exp(r), r**2, r**3
+        group[0] += (np.exp(r / 2.0) - 1.0) / r
+        group[1] += (-4.0 - r + np.multiply(er, 4.0 - 3.0 * r + r2)) / r3
+        group[2] += (2.0 + r + np.multiply(er, -2.0 + r)) / r3
+        group[3] += (-4.0 - 3.0 * r - r2 + np.multiply(er, 4.0 - r)) / r3
+        if k % 8 == 7:
+            sums += group
+            group.fill(0.0)
+    Q, f1, f2, f3 = np.multiply(sums, dt / 32, out=sums)
+    lost = ~np.isfinite(f1 + f2 + f3) & (np.exp(z.real) == 0.0)
+    q = -dt / z[lost]  # the limit of Q and f3; f1's is q/z and f2's -q/z
+    Q[lost], f1[lost], f2[lost], f3[lost] = q, q / z[lost], -q / z[lost], q
+    return Q, f1, f2, f3
 
 
 def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
@@ -416,15 +417,15 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 
     The state is the kept modes of _advection: modes 0..N/2 through
     irfft/rfft for a real flow, every mode through ifft/fft for a complex
-    one.  The four stages run on the band only, with the multipliers cut to
-    it and Q, f1, f2, f3 and their contour means evaluated on it; above the
-    band the advection term is zero, so each step multiplies those modes by
-    E alone, and the finiteness check covers the whole kept row.  The
-    stages run in preallocated band-width buffers, E2*v and 2*f2 computed
-    once, with every product and sum in the operand order of the plain
-    formulas, so the band is bitwise that of the allocating full-width
-    scheme, and the modes above it are its values (its E*v + 0 may differ
-    in the sign of an exact zero).
+    one.  The four stages run on the band only, with E and E2 (one
+    flow_multiplier call) cut to it and Q, f1, f2, f3 each band node's own
+    (_etdrk4_coeffs, at their limits where E is 0); above the band the
+    advection term is zero, so each step multiplies those modes by E alone,
+    and the finiteness check covers the whole kept row.  The stages run in
+    preallocated band-width buffers, E2*v and 2*f2 computed once, with every
+    product and sum in the operand order of the plain formulas, so the band
+    is bitwise that of the allocating full-width scheme, and the modes above
+    it are its values (its E*v + 0 may differ in the sign of an exact zero).
     """
     if dt <= 0 or T <= 0:
         raise ValueError("T and dt must be positive")
@@ -438,8 +439,7 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     grid = u0.grid
     is_real = u0.is_real and phi.is_even
     keep, tail, advect, _ = _advection(grid, is_real)
-    E = symbols.flow_multiplier(phi, dt, grid, is_real)
-    E2 = symbols.flow_multiplier(phi, dt / 2.0, grid, is_real)
+    E, E2 = symbols.flow_multiplier(phi, (dt, dt / 2.0), grid, is_real)
     E_tail = E[tail]
     E, E2 = np.delete(E, tail), np.delete(E2, tail)
     xi, xi_odd = np.delete(grid.xi[keep], tail), np.delete(grid.xi_odd[keep], tail)

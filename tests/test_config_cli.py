@@ -641,6 +641,19 @@ def test_non_finite_sobolev_norm_exits_1(runner, tmp_path, command):
     assert not (out / f"{command}.csv").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    ("model.preset=custom", "model.p=200"),
+    ("model.preset=custom", "model.p=200", "solver.method=linear"),
+    ("model.preset=kdvb", "model.eta=1e300"),
+])
+def test_simulate_runs_where_the_contour_terms_overflow(runner, tmp_path, overrides):
+    # ETDRK4 runs on every symbol Picard runs on: here the contour means of
+    # its coefficients overflow at modes whose flow multiplier is exactly 0
+    args = [a for o in overrides for a in ("-D", o)]
+    result = runner.invoke(main, ["simulate", *args, "-D", f"output.dir={tmp_path}"])
+    assert result.exit_code == 0, result.output
+
+
 @pytest.mark.parametrize("length", ["1e308", "1e-320"])
 def test_degenerate_mixture_grid_exits_1_and_names_the_length(runner, tmp_path,
                                                               length):

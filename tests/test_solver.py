@@ -689,19 +689,6 @@ def test_etdrk4_coeffs_match_their_taylor_series_near_zero():
         assert np.max(np.abs(got - want) / np.abs(want)) <= 4e-15
 
 
-def _whole_etdrk4_coeffs(z, dt):
-    # the contour means on one (nodes, 32) array: the oracle for their blocks
-    z = np.asarray(z, dtype=complex)
-    theta = 2.0 * np.pi * (np.arange(32) + 0.5) / 32
-    r = z[:, None] + np.exp(1j * theta)[None, :]
-    er = np.exp(r)
-    Q = dt * np.mean((np.exp(r / 2.0) - 1.0) / r, axis=1)
-    f1 = dt * np.mean((-4.0 - r + er * (4.0 - 3.0 * r + r**2)) / r**3, axis=1)
-    f2 = dt * np.mean((2.0 + r + er * (-2.0 + r)) / r**3, axis=1)
-    f3 = dt * np.mean((-4.0 - 3.0 * r - r**2 + er * (4.0 - r)) / r**3, axis=1)
-    return Q, f1, f2, f3
-
-
 def _etdrk4_nodes(phi, n, dt):
     # z = dt*c on the kept modes of a flow of real data, as etdrk4_solve
     # forms it: modes 0..N/2 for an even symbol, every mode otherwise
@@ -711,24 +698,51 @@ def _etdrk4_nodes(phi, n, dt):
     return c.real * dt + 1j * c.imag * dt
 
 
-@pytest.mark.parametrize("n", [64, 2048, 4096])
-def test_blocked_etdrk4_coeffs_are_bitwise_the_whole_array(kdvks_phi, n):
-    # kdvks keeps 33, 1025 and 2049 modes: one partial block of 1024, then
-    # a full block and one mode, then two full blocks and one mode; the
-    # complex flow of optimality:2 keeps all 64, 2048 and 4096
-    for z in (_etdrk4_nodes(kdvks_phi, n, 1e-3),
-              _etdrk4_nodes(symbols.preset("optimality:2"), n, 1e-3)):
-        got = _etdrk4_coeffs(z, 1e-3)
-        want = _whole_etdrk4_coeffs(z, 1e-3)
-        assert len(got) == 4
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and np.array_equal(g, w)
+@pytest.mark.parametrize("name, n", [(name, n) for name in ("kdvks", "optimality:2")
+                                     for n in (64, 2048, 4096)]
+                         + [("optimality:2", 16384)])
+def test_etdrk4_coeffs_of_a_node_are_its_own(name, n):
+    # a node's coefficients are the same bits computed alone as within the
+    # whole call, so no batch size moves them.  kdvks keeps 33, 1025 and
+    # 2049 modes, the complex flow of optimality:2 all 64, 2048 and 4096,
+    # and at n = 16384 arrays of 256 KiB, where numpy forms a product of a
+    # temporary in place; about 300 nodes of each call are taken alone
+    z = _etdrk4_nodes(symbols.preset(name), n, 1e-3)
+    whole = np.array(_etdrk4_coeffs(z, 1e-3))
+    nodes = [*range(0, len(z), max(1, len(z) // 300)), len(z) - 1]
+    alone = np.array([_etdrk4_coeffs(z[i:i + 1], 1e-3) for i in nodes])
+    assert whole.shape == (4, len(z))
+    assert np.array_equal(alone[:, :, 0].T, whole[:, nodes])
 
 
-def test_etdrk4_coeffs_memory_stays_one_block(kdvks_phi):
-    # at n = 16384 the 8193 kept modes took several (8193, 32) complex
-    # temporaries at once, 20.1 MiB traced; blocks of 1024 modes peak at
-    # 2.96 MiB
+def _plain_etdrk4_means(z, dt):
+    # the contour means on one (nodes, 32) array with numpy's mean, each with
+    # the mean of its terms' magnitudes, which bounds any summation order's
+    # rounding: the reference for the group sums.  The terms are formed as
+    # _etdrk4_coeffs forms them, its products with exp(r) never in place
+    r = np.asarray(z, dtype=complex)[:, None] + np.exp(
+        1j * 2.0 * np.pi * (np.arange(32) + 0.5) / 32)
+    er = np.exp(r)
+    terms = ((np.exp(r / 2.0) - 1.0) / r,
+             (-4.0 - r + np.multiply(er, 4.0 - 3.0 * r + r**2)) / r**3,
+             (2.0 + r + np.multiply(er, -2.0 + r)) / r**3,
+             (-4.0 - 3.0 * r - r**2 + np.multiply(er, 4.0 - r)) / r**3)
+    return [(dt * np.mean(t, axis=1), dt * np.mean(np.abs(t), axis=1)) for t in terms]
+
+
+@pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
+def test_etdrk4_coeffs_are_the_plain_means_to_rounding(name):
+    # the same 32 terms in another order: two sums of them differ by at most
+    # 31 eps times the sum of their magnitudes each, plus the final scaling
+    z = _etdrk4_nodes(symbols.preset(name), 2048, 1e-4)
+    for got, (want, size) in zip(_etdrk4_coeffs(z, 1e-4), _plain_etdrk4_means(z, 1e-4)):
+        assert np.all(np.abs(got - want) <= 32 * np.finfo(float).eps * size)
+
+
+def test_etdrk4_coeffs_memory_is_a_few_node_arrays(kdvks_phi):
+    # at n = 16384 one (8193, 32) complex array alone is 4 MiB; one pass over
+    # the contour points holds its group and total sums and a few
+    # node-length temporaries, 1.88 MiB traced
     z = _etdrk4_nodes(kdvks_phi, 16384, 1e-4)
     tracemalloc.start()
     try:
@@ -736,7 +750,31 @@ def test_etdrk4_coeffs_memory_stays_one_block(kdvks_phi):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20, peak / 2**20
+    assert peak < 2 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("phi", [symbols.PhaseFunction(p=200.0), symbols.kdvb(1e300)],
+                         ids=["custom-p200", "kdvb-eta1e300"])
+def test_linear_etdrk4_is_the_flow_where_the_contour_terms_overflow(grid256, phi):
+    # |z| passes 1.3e154 at modes whose multiplier is exactly 0: the contour
+    # terms there are 0*inf or inf/inf, the coefficients take their limits,
+    # and E*v + f1*0 stays the flow
+    u0 = gaussian(grid256)
+    lin = final_field(etdrk4_solve(u0, phi, 1.0, 1.0 / 64, nonlinear=False))
+    exact = flowed(u0, phi, 1.0)
+    assert l2_norm(lin - exact) <= 1e-10 * l2_norm(exact)
+
+
+def test_etdrk4_coeffs_take_their_limits_where_exp_z_is_zero():
+    # past |z| ~ 1.3e154, or at a symbol of -inf, the contour terms are 0*inf
+    # or inf/inf; where exp(z) is 0 each coefficient is its limit, and
+    # elsewhere the nan is left to the stepper's finiteness guard
+    z = np.array([-np.inf, complex(-np.inf, 5.0), complex(-1e200, 1e180), 1e160j])
+    Q, f1, f2, f3 = _etdrk4_coeffs(z, 0.1)
+    limit = -0.1 / z[:3]
+    assert np.array_equal(Q[:3], limit) and np.array_equal(f3[:3], limit)
+    assert np.array_equal(f1[:3], limit / z[:3]) and np.array_equal(f2[:3], -f1[:3])
+    assert np.isnan(f1[3])
 
 
 def test_picard_rejects_no_iterations(grid256, kdvks_phi):
