@@ -253,7 +253,7 @@ def dd_semigroup_multiplier(poly: np.ndarray, t, grid, real: bool = False):
     """
     times = np.asarray(t, dtype=float)
     neg_t = -times.reshape(-1, 1)
-    modes = grid.modes[: grid.n // 2 + 1 if real else grid.n].astype(float)
+    modes = grid.modes[: grid.kept_modes(real)].astype(float)
     xi = np.asarray(dd_div_d(dd_mul_d(TWO_PI, modes), grid.length))
     # a mode is dropped where every time's double exponent -t*Re S(i*xi) is
     # below -745 by over 1e-6 of B >= |t| sum |c_k| |xi|^k, far above its

@@ -29,8 +29,7 @@ import functools
 import os
 import sys
 from collections.abc import Generator
-from contextlib import contextmanager
-from pathlib import Path
+from contextlib import contextmanager, suppress
 
 import click
 import numpy as np
@@ -43,7 +42,7 @@ from .conjugation import (
     regularity_gain_probe,
 )
 from .errors import BoundError, ConfigError, ExponentError, NumericalError
-from .grid import SpectralField, l2_norm, write_snapshot
+from .grid import SpectralField, write_snapshot
 from .norms import hs_norm, verify_smoothing, weighted_norm
 from .solver import (
     _full_spectrum,
@@ -86,14 +85,15 @@ def _subcommand(name: str, plot: str | None = None):
         def wrapper(config_path, overrides):
             try:
                 cfg = load_config(config_path, tuple(overrides))
-                outdir = Path(cfg.get("output", "dir"))
-                outdir.mkdir(parents=True, exist_ok=True)
-                (outdir / f"{name}-manifest.ini").write_text(
-                    f"{cfg.echo()}[manifest]\nsubcommand = {name}\n"
-                    f"seed = {cfg.get('ensemble', 'seed')}\n"
-                    f"hash = {cfg.content_hash()}\n", encoding="utf-8")
-                csv_path = outdir / f"{name}.csv"
-                partial = outdir / f".{name}.csv.partial"
+                outdir = cfg.get("output", "dir")
+                os.makedirs(outdir, exist_ok=True)
+                with open(os.path.join(outdir, f"{name}-manifest.ini"), "w",
+                          encoding="utf-8") as manifest:
+                    manifest.write(f"{cfg.echo()}[manifest]\nsubcommand = {name}\n"
+                                   f"seed = {cfg.get('ensemble', 'seed')}\n"
+                                   f"hash = {cfg.content_hash()}\n")
+                csv_path = os.path.join(outdir, f"{name}.csv")
+                partial = os.path.join(outdir, f".{name}.csv.partial")
                 try:
                     # every non-finite result meets a guard that names it, so
                     # numpy's own floating-point warnings would only repeat it
@@ -101,7 +101,8 @@ def _subcommand(name: str, plot: str | None = None):
                         summary, failure = _write_rows(fn(cfg, outdir), handle)
                     os.replace(partial, csv_path)
                 finally:
-                    partial.unlink(missing_ok=True)
+                    with suppress(FileNotFoundError):
+                        os.remove(partial)
                 if plot and "svg" in cfg.get("output", "formats"):
                     from .plots import emit_plot  # csv is loaded for svg only
                     emit_plot(csv_path, plot)
@@ -147,7 +148,7 @@ def main():
 
 @main.command()
 @_subcommand("simulate", plot="timeseries")
-def simulate(cfg: ExperimentConfig, outdir: Path) -> Run:
+def simulate(cfg: ExperimentConfig, outdir: str) -> Run:
     """Run ETDRK4 (or linear flow) and write a norm-vs-time CSV index."""
     phase = cfg.build_phase()
     grid = cfg.build_grid()
@@ -166,18 +167,20 @@ def simulate(cfg: ExperimentConfig, outdir: Path) -> Run:
     yield ["step", "t", "l2", "hs"] + [w.label for w in weights]
     count = 0
     for step, t, snap in stream:  # row 0 is u0: an overflowing |x|^r fails before step 1
-        row = [step, t, l2_norm(snap), hs_norm(snap, s)]
-        row += [weighted_norm(snap, w, wv) for w, wv in zip(weights, wvals)]
+        kept = snap.coeffs[None, :grid.kept_modes(snap.is_real)]  # one row
+        cells = [hs_norm(grid, kept, 0.0), hs_norm(grid, kept, s)]
+        cells += [weighted_norm(grid, kept, w, wv) for w, wv in zip(weights, wvals)]
+        row = [step, t] + [cell.item() for cell in cells]  # python floats
         yield row
         count += 1
         if "snapshots" in cfg.get("output", "formats"):
-            write_snapshot(outdir / f"simulate-{step:06d}.dklb", snap, t)
+            write_snapshot(os.path.join(outdir, f"simulate-{step:06d}.dklb"), snap, t)
     return [f"simulate: {count} snapshots, final l2={row[2]!r}"], None
 
 
 @main.command()
 @_subcommand("picard")
-def picard(cfg: ExperimentConfig, outdir: Path) -> Run:
+def picard(cfg: ExperimentConfig, outdir: str) -> Run:
     """Solve the integral form by successive substitution; report contraction."""
     phase = cfg.build_phase()
     grid = cfg.build_grid()
@@ -199,7 +202,8 @@ def picard(cfg: ExperimentConfig, outdir: Path) -> Run:
     if "snapshots" in cfg.get("output", "formats"):  # the last node, whole
         real = nodes.shape[-1] < grid.n
         final = SpectralField(grid, _full_spectrum(nodes[-1], grid.n, real), real)
-        write_snapshot(outdir / "picard-final.dklb", final, cfg.get("solver", "t"))
+        write_snapshot(os.path.join(outdir, "picard-final.dklb"), final,
+                       cfg.get("solver", "t"))
     if not report.converged:
         return [], (
             f"not converged after {report.iterations} iterations "
@@ -209,7 +213,7 @@ def picard(cfg: ExperimentConfig, outdir: Path) -> Run:
 
 @main.command(name="verify-bracket")
 @_subcommand("verify-bracket")
-def verify_bracket(cfg: ExperimentConfig, outdir: Path) -> Run:
+def verify_bracket(cfg: ExperimentConfig, outdir: str) -> Run:
     """Check quadrature values of <n,m,a> against their exact reductions."""
     from . import brackets  # with fractions, loaded by this subcommand only
 
@@ -236,7 +240,7 @@ def verify_bracket(cfg: ExperimentConfig, outdir: Path) -> Run:
 
 @main.command(name="verify-smoothing")
 @_subcommand("verify-smoothing", plot="histogram")
-def verify_smoothing_cmd(cfg: ExperimentConfig, outdir: Path) -> Run:
+def verify_smoothing_cmd(cfg: ExperimentConfig, outdir: str) -> Run:
     """Measure one linear smoothing bound over a seeded random ensemble."""
     phase = cfg.build_phase()
     # each check's hypotheses, and alpha > 0, relate its exponents to p
@@ -263,7 +267,7 @@ def verify_smoothing_cmd(cfg: ExperimentConfig, outdir: Path) -> Run:
 
 @main.command(name="conjugate-check")
 @_subcommand("conjugate-check")
-def conjugate_check(cfg: ExperimentConfig, outdir: Path) -> Run:
+def conjugate_check(cfg: ExperimentConfig, outdir: str) -> Run:
     """Exponential-weight conjugation identity across (b, t) cells."""
     grid = cfg.build_grid()
     f = cfg.build_data(grid)
@@ -287,7 +291,7 @@ def conjugate_check(cfg: ExperimentConfig, outdir: Path) -> Run:
 
 @main.command(name="decay-experiment")
 @_subcommand("decay-experiment", plot="timeseries")
-def decay_experiment(cfg: ExperimentConfig, outdir: Path) -> Run:
+def decay_experiment(cfg: ExperimentConfig, outdir: str) -> Run:
     """Weighted-derivative growth of the flow on mollified cusp data."""
     report = regularity_gain_probe(
         cfg.build_phase(), cfg.get("decay", "sigmas"), cfg.get("decay", "t"),
@@ -308,7 +312,7 @@ def decay_experiment(cfg: ExperimentConfig, outdir: Path) -> Run:
 
 @main.command(name="existence-time")
 @_subcommand("existence-time")
-def existence_time_cmd(cfg: ExperimentConfig, outdir: Path) -> Run:
+def existence_time_cmd(cfg: ExperimentConfig, outdir: str) -> Run:
     """Certified contraction horizons over a sweep of data sizes and cstar."""
     phase = cfg.build_phase()
     s = cfg.get("solver", "s")

@@ -38,11 +38,10 @@ from .grid import (
     WeightSpec,
     apply_multiplier,
     boundary_leakage,
-    fractional_D,
     from_values,
     l2_norm,
 )
-from .norms import hs_norm, weighted_norm
+from .norms import hs_norm, multiplier_norm, weighted_norm
 
 
 def operator_polynomial(phi: symbols.PhaseFunction) -> np.ndarray:
@@ -180,7 +179,7 @@ def _weighted(f: SpectralField, real: bool, wv: np.ndarray, mult=None) -> Spectr
     # multiplier mult (f's own values without one), every node in
     # double-double, from the half spectrum when the field is real
     grid = f.grid
-    coeffs = f.coeffs[: grid.n // 2 + 1 if real else None]
+    coeffs = f.coeffs[: grid.kept_modes(real)]
     return from_values(grid, dd_field_values(coeffs, grid, np.arange(grid.n), mult) * wv)
 
 
@@ -198,8 +197,8 @@ def weight_exchange_check(u0: SpectralField, phi: symbols.PhaseFunction,
     w = _persistence_weight(phi, r, s)
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    table = symbols.flow_multiplier(phi, (t,), u0.grid)
-    return float(_persistence_ratios(u0, phi, w, w.values(u0.grid), s, (t,), table)[0])
+    table = symbols.flow_multiplier(phi, (t,), u0.grid, u0.is_real and phi.is_even)
+    return float(_persistence_ratios(u0, w, w.values(u0.grid), s, (t,), table)[0])
 
 
 def _persistence_weight(phi: symbols.PhaseFunction, r: float, s: float) -> WeightSpec:
@@ -215,15 +214,15 @@ def _persistence_weight(phi: symbols.PhaseFunction, r: float, s: float) -> Weigh
     return WeightSpec("poly", r)
 
 
-def _persistence_ratios(u0: SpectralField, phi: symbols.PhaseFunction, w: WeightSpec,
-                        wv: np.ndarray, s: float, t_values, table) -> np.ndarray:
-    # ||w V(t)u0|| / ((1+t)||u0||_{H^s} + ||w u0||) per t, row k of table being
-    # the flow multiplier at t_values[k]; 0 where the denominator vanishes (zero data)
-    real = u0.is_real and phi.is_even
-    # u0 first, as in apply_multiplier: complex products do not commute bitwise
-    moved = np.array([weighted_norm(SpectralField(u0.grid, c, real), w, wv)
-                      for c in u0.coeffs * table])
-    denom = (1.0 + np.asarray(t_values)) * hs_norm(u0, s) + weighted_norm(u0, w, wv)
+def _persistence_ratios(u0: SpectralField, w: WeightSpec, wv: np.ndarray, s: float,
+                        t_values, table) -> np.ndarray:
+    # ||w V(t)u0|| / ((1+t)||u0||_{H^s} + ||w u0||) per t, row k of table the
+    # flow's kept modes at t_values[k]; 0 where the denominator vanishes (zero data)
+    grid = u0.grid
+    moved = weighted_norm(grid, u0.coeffs[:table.shape[-1]] * table, w, wv)
+    own = u0.coeffs[None, :grid.kept_modes(u0.is_real)]
+    denom = ((1.0 + np.asarray(t_values)) * hs_norm(grid, own, s)[0]
+             + weighted_norm(grid, own, w, wv)[0])
     return np.divide(moved, denom, out=np.zeros_like(denom), where=denom != 0.0)
 
 
@@ -243,10 +242,11 @@ def exchange_ensemble(phi: symbols.PhaseFunction, r: float, s: float,
         grid = SpectralGrid(256, 40.0)
     w = _persistence_weight(phi, r, s)
     t_values = tuple(float(t) for t in t_values)
-    table, wv = symbols.flow_multiplier(phi, t_values, grid), w.values(grid)
+    # the samples are real, so the flow is real exactly when phi is even
+    table, wv = symbols.flow_multiplier(phi, t_values, grid, phi.is_even), w.values(grid)
     ratios = np.empty((size, len(t_values)))
     for i, u0 in enumerate(sample_ensemble(grid, size, seed)):
-        ratios[i] = _persistence_ratios(u0, phi, w, wv, s, t_values, table)
+        ratios[i] = _persistence_ratios(u0, w, wv, s, t_values, table)
     if not np.all(np.isfinite(ratios)):
         raise NumericalError("non-finite persistence ratio in ensemble")
     return ExchangeReport(ratios, float(np.max(ratios)) if ratios.size else 0.0)
@@ -292,9 +292,10 @@ def regularity_gain_probe(phi: symbols.PhaseFunction, sigmas, t_values, *,
     u0 = mollified_cusp(grid, gamma, h)
     sigmas = tuple(float(s) for s in sigmas)
     t_values = tuple(float(t) for t in t_values)
-    # one flow table over t_values serves every sigma; row k is V(t_k)u0
-    moved = [SpectralField(grid, c, u0.is_real and phi.is_even)
-             for c in u0.coeffs * symbols.flow_multiplier(phi, t_values, grid)]
+    # one flow table over t_values serves every sigma; row k is V(t_k)u0 on
+    # the flow's kept modes
+    keep = grid.kept_modes(u0.is_real and phi.is_even)
+    moved = u0.coeffs[:keep] * symbols.flow_multiplier(phi, t_values, grid, keep < grid.n)
     x = np.abs(grid.xi)
     with np.errstate(over="ignore", invalid="ignore"):
         sizes = x ** phi.p + sum(abs(term.coeff) * x ** term.degree
@@ -309,9 +310,8 @@ def regularity_gain_probe(phi: symbols.PhaseFunction, sigmas, t_values, *,
     over = []
     rates = {}
     for sigma in sigmas:
-        norms_t = []
-        for t, vt, allowance in zip(t_values, moved, allowances):
-            nrm = l2_norm(fractional_D(vt, sigma))
+        norms_t = multiplier_norm(grid, moved, x[:keep] ** sigma)
+        for t, nrm, allowance in zip(t_values, norms_t.tolist(), allowances):
             bound = math.sqrt(symbols.weighted_multiplier_sup(phi, sigma, t))
             if not (math.isfinite(nrm) and math.isfinite(bound)):
                 raise NumericalError(f"decay probe norm {nrm} and envelope {bound} "
@@ -319,11 +319,9 @@ def regularity_gain_probe(phi: symbols.PhaseFunction, sigmas, t_values, *,
             rows.append({"sigma": sigma, "t": t, "norm": nrm, "mult_bound": bound})
             if nrm > bound * (1.0 + allowance):
                 over.append(rows[-1])
-            norms_t.append(nrm)
-        norms_arr = np.asarray(norms_t)
         # a slope needs two distinct times; repeats of one time fit nothing
-        if np.all(norms_arr > 0) and len(set(t_values)) > 1:
-            slope = np.polyfit(np.log(t_values), np.log(norms_arr), 1)[0]
+        if np.all(norms_t > 0) and len(set(t_values)) > 1:
+            slope = np.polyfit(np.log(t_values), np.log(norms_t), 1)[0]
         else:
             slope = float("nan")
         rates[sigma] = float(slope)

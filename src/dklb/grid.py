@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import struct
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -93,6 +92,10 @@ class SpectralGrid:
         """True on modes kept by the dealias cutoff |k| <= DEALIAS * N/2."""
         return np.abs(self.modes) <= DEALIAS * (self.n // 2)
 
+    def kept_modes(self, real: bool) -> int:
+        """Modes a flow keeps: N/2+1 (0..N/2) if it is real, else all N."""
+        return self.n // 2 + 1 if real else self.n
+
     def dealias_tail(self, real: bool) -> slice:
         """The kept modes above the dealias band, one slice of a kept row.
 
@@ -102,8 +105,8 @@ class SpectralGrid:
         one: contiguous either way, so the kept row without them is the
         band, modes 0..K and then, for a complex flow, -K..-1.
         """
-        top = int(np.count_nonzero(self.dealias_mask[: self.n // 2 + 1]))  # K+1
-        return slice(top, self.n // 2 + 1 if real else self.n - top + 1)
+        top = int(np.count_nonzero(self.dealias_mask[: self.kept_modes(True)]))  # K+1
+        return slice(top, self.kept_modes(True) if real else self.n - top + 1)
 
     @property
     def dx(self) -> float:
@@ -188,15 +191,6 @@ def apply_multiplier(f: SpectralField, m, keeps_real: bool) -> SpectralField:
     if m.shape != (f.grid.n,):
         raise ValueError(f"multiplier shape {m.shape} does not match grid")
     return SpectralField(f.grid, f.coeffs * m, f.is_real and keeps_real)
-
-
-def fractional_D(f: SpectralField, s: float) -> SpectralField:
-    """|xi|**s multiplier; the zero mode maps to 0 for s > 0 (identity at s=0)."""
-    if s < 0:
-        raise ValueError(f"fractional derivative order must be >= 0, got {s}")
-    if s == 0:
-        return f.copy()
-    return apply_multiplier(f, np.abs(f.grid.xi) ** s, True)
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -314,12 +308,14 @@ def write_snapshot(path, f: SpectralField, t: float) -> None:
     body = np.empty(2 * f.grid.n, dtype="<f8")
     body[0::2] = f.coeffs.real
     body[1::2] = f.coeffs.imag
-    Path(path).write_bytes(header + body.tobytes())
+    with open(path, "wb") as handle:
+        handle.write(header + body.tobytes())
 
 
 def read_snapshot(path) -> tuple[SpectralField, float]:
     """Read a binary snapshot; returns (field, t)."""
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as handle:
+        raw = handle.read()
     if len(raw) < _HEADER.size:
         raise ValueError(f"snapshot file {path} is truncated")
     magic, version, n, length, t, is_real = _HEADER.unpack_from(raw)

@@ -35,14 +35,7 @@ import numpy as np
 from . import symbols
 from .errors import BoundError, ExponentError, NumericalError
 from .fields import sample_ensemble
-from .grid import (
-    SpectralField,
-    SpectralGrid,
-    WeightSpec,
-    fractional_D,
-    l2_norm,
-    to_values,
-)
+from .grid import SpectralField, SpectralGrid, WeightSpec, l2_norm, to_values
 
 INF = math.inf
 
@@ -161,39 +154,27 @@ def A3(phi: symbols.PhaseFunction, s: float, T: float) -> float:
 # --- norms on fields and trajectories --------------------------------------
 
 
-def hs_norm(f: SpectralField, s: float = 0.0) -> float:
-    """Sobolev norm ||(1+xi^2)^(s/2) u||_{L2}; NumericalError if not finite."""
-    w = (1.0 + f.grid.xi**2) ** (s / 2.0)
-    norm = float(np.sqrt(f.grid.length) * np.linalg.norm(w * f.coeffs))
-    if not math.isfinite(norm):
-        raise NumericalError(f"H^s norm at s={s!r} is not finite ({norm!r})")
-    return norm
+def _hs_powers(grid: SpectralGrid, weight: np.ndarray, power: np.ndarray):
+    """The norms ||m(xi) u||_{L2} of the rows of (rows, kept modes) spectra.
 
-
-def _hs_powers(grid: SpectralGrid, keep: int, s: float, power: np.ndarray):
-    """The H^s power of each row of (rows, keep) spectra, summed block by block.
-
-    Returns (add, sup).  add(coeffs) sums the weighted power of each row of
-    coeffs, a block of rows, and keeps the largest sum so far; sup() gives
-    the largest H^s norm among the rows added, NumericalError if it is not
-    finite.  The powers are formed in power, a caller's buffer of (at least
-    a block of) rows of N doubles, whose rows need not be adjacent.  A row of
-    N entries is an FFT-order spectrum; a row of N/2+1 entries is the half
-    spectrum (modes 0..N/2) of a real field, whose modes 1..N/2-1 stand for
-    their conjugates too and count twice: the weighted power of the half row
-    is mirrored into the places of the conjugates, so that each row sums the
-    power of its FFT-order spectrum in the same order and to the same bit.
-    add also takes the band of such rows, the kept row without its
-    SpectralGrid.dealias_tail, as Picard's steps are: the modes above the
-    band are zero in the buffer, so the sum is that of the kept row whose
-    tail is zero, to the bit.
+    Returns norms(coeffs, out), which writes sqrt(L * sum |m u|^2) of each
+    row of coeffs, a block of rows, into out, unchecked: weight holds m on
+    the kept modes.  The powers are formed in power, a caller's buffer of
+    (at least a block of) rows of N doubles, whose rows need not be
+    adjacent.  A row of N entries is an FFT-order spectrum; a row of N/2+1
+    entries is the half spectrum (modes 0..N/2) of a real field, whose
+    modes 1..N/2-1 stand for their conjugates too and count twice: the
+    weighted power of the half row is mirrored into the places of the
+    conjugates, so that each row sums the power of its FFT-order spectrum
+    in the same order and to the same bit.  norms also takes the band of
+    such rows, the kept row without its SpectralGrid.dealias_tail, as
+    Picard's steps are: the modes above the band are zero in the buffer, so
+    the sum is that of the kept row whose tail is zero, to the bit.
     """
-    n = grid.n
+    n, keep = grid.n, len(weight)
     tail = grid.dealias_tail(keep < n)
-    weight = (1.0 + grid.xi[:keep] ** 2) ** (s / 2.0)
-    top = np.zeros(())  # the largest row sum so far; np.maximum keeps a NaN
 
-    def add(coeffs: np.ndarray) -> None:
+    def norms(coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
         summed = power[: len(coeffs)]
         half = summed[:, :keep]
         if coeffs.shape[-1] == keep:
@@ -208,30 +189,44 @@ def _hs_powers(grid: SpectralGrid, keep: int, s: float, power: np.ndarray):
         if keep < n:  # row by row, where source and target do not overlap
             for row in summed:
                 row[keep:] = row[n // 2 - 1:0:-1]
-        np.maximum(top, np.max(np.sum(summed, axis=1)), out=top)
+        np.sum(summed, axis=1, out=out)
+        out *= grid.length
+        return np.sqrt(out, out=out)
 
-    def sup() -> float:
-        norm = float(np.sqrt(grid.length * top))
-        if not math.isfinite(norm):
-            raise NumericalError(f"H^s norm at s={s!r} is not finite ({norm!r})")
-        return norm
-
-    return add, sup
+    return norms
 
 
-def sup_hs_norm(grid: SpectralGrid, coeffs: np.ndarray, s: float = 0.0) -> float:
-    """The largest H^s norm among the rows of (rows, modes) spectra.
-
-    Rows of N entries are FFT-order spectra, rows of N/2+1 the half spectra
-    of real fields (_hs_powers).  The rows are walked in blocks of
-    _block_rows(N), each summed in one buffer of that many rows;
-    NumericalError if the result is not finite.
-    """
+def multiplier_norm(grid: SpectralGrid, coeffs: np.ndarray,
+                    weight: np.ndarray) -> np.ndarray:
+    """||m(xi) u||_{L2} of each row of (rows, kept modes) spectra, unchecked,
+    weight holding m on the kept modes (_hs_powers): the rows are walked in
+    blocks of _block_rows(N), each summed in one buffer of that many rows."""
     power = np.empty((min(_block_rows(grid.n), len(coeffs)), grid.n))
-    add, sup = _hs_powers(grid, coeffs.shape[-1], s, power)
+    norms = _hs_powers(grid, weight, power)
+    out = np.empty(len(coeffs))
     for rows in _row_blocks(len(coeffs), grid.n):
-        add(coeffs[rows])
-    return sup()
+        norms(coeffs[rows], out[rows])
+    return out
+
+
+def _hs_weight(grid: SpectralGrid, keep: int, s: float) -> np.ndarray:
+    """The Sobolev weight (1+xi^2)^(s/2) on the first keep modes."""
+    return (1.0 + grid.xi[:keep] ** 2) ** (s / 2.0)
+
+
+def _finite_hs(norms: np.ndarray, s: float) -> np.ndarray:
+    """norms, H^s norms at s; NumericalError unless every one is finite."""
+    if not np.isfinite(norms).all():  # np.max shows a NaN before an inf
+        raise NumericalError(f"H^s norm at s={s!r} is not finite "
+                             f"({float(np.max(norms))!r})")
+    return norms
+
+
+def hs_norm(grid: SpectralGrid, coeffs: np.ndarray, s: float = 0.0) -> np.ndarray:
+    """Sobolev norm ||(1+xi^2)^(s/2) u||_{L2} of each row of (rows, kept
+    modes) spectra (multiplier_norm); NumericalError if one is not finite."""
+    weight = _hs_weight(grid, coeffs.shape[-1], s)
+    return _finite_hs(multiplier_norm(grid, coeffs, weight), s)
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
@@ -244,15 +239,21 @@ def lp_norm(f: SpectralField, p: float) -> float:
     return float((np.sum(vals**p) * f.grid.dx) ** (1.0 / p))
 
 
-def weighted_norm(f: SpectralField, w: WeightSpec, wv=None) -> float:
-    """||w(x) * u||_{L2} at the nodes; NumericalError if not finite.  wv, if
-    given, holds w's values on f's grid."""
-    wv = w.values(f.grid) if wv is None else wv
-    vals = np.abs(to_values(f))
-    norm = float(np.sqrt(np.sum((wv * vals) ** 2) * f.grid.dx))
-    if not math.isfinite(norm):
-        raise NumericalError(f"{w.label}-weighted norm is not finite ({norm!r})")
-    return norm
+def weighted_norm(grid: SpectralGrid, coeffs: np.ndarray, w: WeightSpec,
+                  wv=None) -> np.ndarray:
+    """||w(x) * u||_{L2} at the nodes of each row of (rows, kept modes)
+    spectra, read through a _block_reader; NumericalError if one is not
+    finite.  wv, if given, holds w's values on grid."""
+    wv = w.values(grid) if wv is None else wv
+    kept = coeffs.shape[-1]
+    out = np.empty(len(coeffs))
+    read = _block_reader(grid.n, kept < grid.n, len(coeffs), kept)
+    for rows, vals in zip(_row_blocks(len(coeffs), grid.n), read(coeffs)):
+        out[rows] = np.sqrt(np.sum((wv * vals) ** 2, axis=1) * grid.dx)
+    if not np.isfinite(out).all():
+        raise NumericalError(f"{w.label}-weighted norm is not finite "
+                             f"({float(np.max(out))!r})")
+    return out
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -408,7 +409,7 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
                        s: float = 0.0) -> dict[str, float]:
     """The layered trajectory diagnostics lambda1..lambda6 (those defined).
 
-    lambda1  sup-in-time H^s norm
+    lambda1  sup-in-time H^s norm, the largest row of hs_norm
     lambda2  A2(T)^-1 ||u||_{L2_T L4_x}              (needs alpha(2,4,0) > 0)
     lambda3  A3(T)^-1 ||D^s u||_{L2_T L4_x}          (needs alpha(2,4,s) > 0)
     lambda4  ||D^s du/dx||_{L2_T L4_x}               (deliberately unnormalized)
@@ -418,7 +419,7 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
     Aggregate: Lambda = lambda1+..+lambda5, reported when lambda3 is defined.
 
     Row k of coeffs is the field at times[k]: the half spectrum (modes
-    0..N/2) of a real field, as sup_hs_norm reads it, or the FFT-order
+    0..N/2) of a real field, as hs_norm reads it, or the FFT-order
     spectrum of a complex one.  lambda2..lambda6 are mixed_norms, each map
     (u, du/dx, and at s > 0 their D^s) read once through one _block_reader;
     lambda6's per-row sups are noted in the pass over du/dx.  A lambda that
@@ -438,7 +439,7 @@ def lambda_diagnostics(grid: SpectralGrid, phi: symbols.PhaseFunction,
     consts = lambda_constants(phi, T, s)
     tw = _trapezoid_weights(times)
     kept = coeffs.shape[-1]
-    lambda1 = sup_hs_norm(grid, coeffs, s)
+    lambda1 = float(np.max(hs_norm(grid, coeffs, s)))
     gain = np.abs(grid.xi[:kept]) ** s if s else None
     ddx = 1j * grid.xi_odd[:kept]
     sups = np.empty(len(coeffs))
@@ -526,6 +527,8 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
         raise ValueError("T must be positive")
 
     p = phi.p
+    real = phi.is_even  # mixtures are real, and |xi|^s keeps real fields real
+    keep = grid.kept_modes(real)
     if check == "C1" and a < 2:
         raise ValueError(f"C1 requires a >= 2, got a={a}")
     if check in ("C2", "C3") and b < 2:
@@ -545,16 +548,13 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
         "C1": (a, INF, tx, s, (a, INF, s),
                lambda u0: lp_norm(u0, conjugate_exponent(a)), {"outer": "a"}),
         "C2": (2.0, b, tx, s, (2.0, b, s), l2_norm, {"inner": "b"}),
-        "C3": (2.0, b, tx, 1.0, (2.0, b, 1.0 - s),
-               lambda u0: l2_norm(fractional_D(u0, s)), {"inner": "b"}),
+        "C3": (2.0, b, tx, 1.0, (2.0, b, 1.0 - s), lambda u0: multiplier_norm(
+            grid, u0.coeffs[None, :keep], np.abs(grid.xi[:keep]) ** s)[0], {"inner": "b"}),
         "C4": (2.0, 2.0, tx, s, (2.0, 2.0, s), l2_norm, {}),
         "P_inf": (INF, 2.0, xt, q, None, l2_norm, {}),
     }[check]
     # smoothing_A validates alpha > 0
     const = 1.0 if bound is None else _bound_constant(*bound, phi, T)
-
-    real = phi.is_even  # mixtures are real, and |xi|^s keeps real fields real
-    keep = grid.n // 2 + 1 if real else grid.n
     times = np.linspace(0.0, T, nt + 1)
     tw = _trapezoid_weights(times)
     flow = symbols.flow_multiplier(phi, times, grid, real)

@@ -75,7 +75,7 @@ def _advection(grid: SpectralGrid, real: bool, rows: tuple[int, ...] = ()):
     for other work there, as Picard's sweep does.
     """
     n = grid.n
-    keep = slice(0, n // 2 + 1 if real else n)
+    keep = slice(0, grid.kept_modes(real))
     tail = grid.dealias_tail(real)
     mask = grid.dealias_mask[keep]
     gain = mask * (-0.5j * grid.xi_odd[keep]) / n
@@ -219,11 +219,11 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     sweep (the linear part, then M3 R_m, then the weighted terms); once
     the block is complete, each row's step (new - old, zero above the band)
     is formed in the kernel's spectra (in the complex flow's band copy),
-    its H^s power is summed by the body of norms.sup_hs_norm in the
+    its H^s norm is taken by the body of norms.hs_norm, its powers in the
     kernel's node values (the complex flow's spectra, read as doubles), and
     the new rows overwrite the old.  The distance between iterates is the
-    largest of those norms, bitwise sup_hs_norm of the whole step, and no
-    value depends on the block height.  So beyond the iterate a sweep
+    largest of those norms, bitwise the largest hs_norm of the whole step,
+    and no value depends on the block height.  So beyond the iterate a sweep
     holds block-sized buffers only, the kernel's, the terms (two rows more
     than a block) and the new rows, for one sweep; the diagnostics then
     walk the new iterate in blocks of their own.
@@ -252,7 +252,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     # the lambda constants depend on phi, T and s alone: refused before any work
     norms.lambda_constants(phi, T, s)
     is_real = u0.is_real and phi.is_even
-    keep = slice(0, grid.n // 2 + 1 if is_real else grid.n)
+    keep = slice(0, grid.kept_modes(is_real))
     tail = grid.dealias_tail(is_real)
 
     # the first iterate is the linear part, node by node by the semigroup law;
@@ -261,7 +261,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     iterate = np.empty((nt + 1, keep.stop), dtype=complex)
     iterate[0] = u0.coeffs[keep]
     # data without a finite H^s norm fail here, not as a diverged iterate
-    norms.sup_hs_norm(grid, iterate[:1], s)
+    norms.hs_norm(grid, iterate[:1], s)
     for k in range(1, nt + 1):
         np.multiply(iterate[k - 1], steps[0], out=iterate[k])
     if not np.isfinite(iterate[:, tail]).all():  # so would every iterate
@@ -278,7 +278,7 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 
     def duhamel(iterate: np.ndarray) -> float:
         # the image of the iterate overwrites its band, block by block, and
-        # the H^s power of each row's step goes to add_power.  The kernel's
+        # the H^s norm of each row's step goes to distances.  The kernel's
         # buffers are dead once a block's terms are formed, so its spectra
         # hold the block's step, new - old, and its node values (a complex
         # flow's spectra, read as doubles) the step's powers.  The buffers
@@ -289,7 +289,8 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         else:  # the band is two pieces: the old rows' one copy takes the step
             steps = np.empty((size, width), dtype=complex)
             powers = spectra.view(float)[:, :grid.n]
-        add_power, distance = norms._hs_powers(grid, keep.stop, s, powers)
+        hs_norms = norms._hs_powers(grid, norms._hs_weight(grid, keep.stop, s), powers)
+        distances = np.empty(nt + 1)
         # the advection terms of the block's nodes after those of the two
         # nodes before it, and the block's new rows
         terms = np.empty((size + 2, width), dtype=complex)
@@ -327,9 +328,9 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
                 np.multiply(M2, run, out=run)
                 add(run, simpson, window)
                 new[i] += run
-            add_power(np.subtract(new, old, out=step))
+            hs_norms(np.subtract(new, old, out=step), distances[rows])
             _splice(new, tail, iterate[rows])
-        return distance()
+        return float(np.max(norms._finite_hs(distances, s)))
 
     notes: list[str] = []
     if phi.p <= 2.5:
@@ -503,16 +504,17 @@ def dissipation_residuals(rows, eta: float) -> np.ndarray:
 
         | (E_{n+1} - E_n)/dt + eta*(D_n + D_{n+1}) | / E_n
 
-    with E = ||u||^2 and D = ||u_x||^2 (trapezoid in time on D).  Each row
-    is reduced to its E and D as it arrives, so the rows are read as a
-    stream and only the previous row's t, E and D are held.
+    with E = ||u||^2 and D = L * sum xi^2 |c_k|^2 (trapezoid in time on D),
+    ||u_x||^2 but at the Nyquist mode, which the flow damps at grid.xi.
+    Each row is reduced to its E and D as it arrives, so the rows are read
+    as a stream and only the previous row's t, E and D are held.
     """
     residuals = []
     previous = None
     for _, t, f in rows:
         power = np.abs(f.coeffs) ** 2
         E = f.grid.length * np.sum(power)
-        D = f.grid.length * (power @ f.grid.xi_odd**2)
+        D = f.grid.length * (power @ f.grid.xi**2)
         if previous is not None:
             t0, E0, D0 = previous
             res = abs((E - E0) / (t - t0) + eta * (D0 + D))

@@ -276,7 +276,7 @@ def flow_multiplier(phi: PhaseFunction, t, grid, real: bool = False):
     so no realness rests on it, and moving it would change every
     optimality:k result.
     """
-    keep = grid.n // 2 + 1 if real else grid.n
+    keep = grid.kept_modes(real)
     return _flow(phi, t, grid.xi[:keep], grid.xi_odd[:keep])
 
 

@@ -57,6 +57,43 @@ def random_real_field(grid256, rng):
 # --- oracles: closed forms the package does not carry ------------------------
 
 
+def fractional_D(f, s):
+    """|xi|**s multiplier; the zero mode maps to 0 for s > 0 (identity at s=0)."""
+    if s < 0:
+        raise ValueError(f"fractional derivative order must be >= 0, got {s}")
+    if s == 0:
+        return f.copy()
+    return grid_mod.apply_multiplier(f, np.abs(f.grid.xi) ** s, True)
+
+
+def field_hs_norm(f, s=0.0):
+    """||(1+xi^2)^(s/2) u||_{L2} of one field, through a BLAS norm of its
+    FFT-order spectrum."""
+    w = (1.0 + f.grid.xi**2) ** (s / 2.0)
+    return float(np.sqrt(f.grid.length) * np.linalg.norm(w * f.coeffs))
+
+
+def field_weighted_norm(f, w):
+    """||w(x) * u||_{L2} of one field, at the nodes of its to_values."""
+    vals = np.abs(grid_mod.to_values(f))
+    return float(np.sqrt(np.sum((w.values(f.grid) * vals) ** 2) * f.grid.dx))
+
+
+def whole_row_norms(grid, coeffs, weight):
+    """||m(xi) u|| of each row of (rows, kept modes) spectra as one array
+    expression: |m u|^2 of each half row mirrored into the places of its
+    conjugates, and each FFT-order row summed.  The oracle for the row
+    blocks of norms.multiplier_norm."""
+    n, keep = grid.n, coeffs.shape[-1]
+    power = np.empty(coeffs.shape[:-1] + (n,))
+    rows = np.abs(coeffs, out=power[:, :keep])
+    rows *= weight
+    rows *= rows
+    if keep < n:
+        power[:, keep:] = power[:, n // 2 - 1:0:-1]
+    return np.sqrt(grid.length * np.sum(power, axis=1))
+
+
 def derivative(f, order=1):
     """The spectral derivative (d/dx)^order, as multiplier (i*xi_odd)^order."""
     return grid_mod.apply_multiplier(f, (1j * f.grid.xi_odd) ** order, True)

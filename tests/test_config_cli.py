@@ -16,7 +16,7 @@ from dklb.config import _SCHEMA, load_config
 from dklb.conjugation import regularity_gain_probe
 from dklb.errors import ConfigError
 from dklb.fields import mollified_cusp
-from dklb.grid import SpectralGrid
+from dklb.grid import SpectralGrid, l2_norm, read_snapshot
 from dklb.symbols import kdvks, optimality, phase_eval, preset
 
 
@@ -205,17 +205,15 @@ def test_the_cli_loads_brackets_and_plots_only_for_the_runs_that_use_them():
 def test_the_run_path_loads_no_dataclasses_configparser_or_locale(tmp_path):
     # after numpy and click, dklb's start-up adds only its own modules,
     # __future__ and _sha1: dataclasses (and copy), configparser and locale
-    # (through click.Path) cost milliseconds on every run.  pathlib is in the
-    # baseline because dklb names its files with it, and a bare interpreter
-    # (no site-packages .pth files) has not loaded it after numpy and click.
-    # A --config run loads configparser; verify-bracket alone loads
-    # dataclasses, with fractions.
+    # (through click.Path) cost milliseconds on every run, and so does
+    # pathlib (dklb names its files with os.path).  A --config run loads
+    # configparser; verify-bracket alone loads dataclasses, with fractions.
     config = tmp_path / "run.ini"
     config.write_text(f"[grid]\nn = 64\n[output]\ndir = {tmp_path / 'file'}\n")
     bracket = ("verify-bracket", "-D", "brackets.max_n=2", "-D", "brackets.max_a=1",
                "-D", "brackets.pairs=1", "-D", f"output.dir={tmp_path / 'bracket'}")
     result = _fresh_python("-c", "import sys\n"
-                           "import click, numpy, pathlib\n"
+                           "import click, numpy\n"
                            "before = set(sys.modules)\n"
                            "import dklb.cli, dklb.config\n"
                            "dklb.config.load_config()\n"
@@ -236,6 +234,47 @@ def test_the_run_path_loads_no_dataclasses_configparser_or_locale(tmp_path):
     assert [rest for word, rest in lines if word == "loaded"] == [
         "['configparser']", "['configparser', 'dataclasses', 'fractions']"]
     assert "n = 64\n" in (tmp_path / "file" / "existence-time-manifest.ini").read_text()
+
+
+def test_a_bare_interpreter_loads_only_dklb_and_sha1_for_the_cli():
+    # under -S no site-packages .pth file loads anything, so after numpy and
+    # click, importing the cli adds dklb's own modules and the manifest's
+    # _sha1 only (and __future__, where the installed click does not load
+    # it): no pathlib, whose import adds fnmatch, ipaddress, ntpath, urllib
+    # and urllib.parse on every run
+    import click
+
+    sites = {os.path.dirname(os.path.dirname(m.__file__)) for m in (np, click)}
+    paths = [str(Path(dklb.__file__).resolve().parents[1]), *sorted(sites)]
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys\n"
+         "import click, numpy\n"
+         "before = set(sys.modules)\n"
+         "import dklb.cli\n"
+         "print(sorted(m for m in set(sys.modules) - before\n"
+         "             if m.partition('.')[0] != 'dklb'))\n"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
+    assert result.returncode == 0, result.stderr
+    assert set(ast.literal_eval(result.stdout)) <= {"__future__", "_sha1"}, result.stdout
+
+
+def test_simulate_norms_are_within_2_ulps_of_l2_norm(runner, tmp_path):
+    # each default row's l2 and hs cells (s = 0) sum the mirrored power of
+    # the snapshot's kept row, and l2_norm takes a BLAS norm of its full
+    # spectrum: the two sum in other orders
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["simulate", "-D", "output.formats=csv snapshots",
+                                  "-D", f"output.dir={out}"])
+    assert result.exit_code == 0, result.output
+    lines = (out / "simulate.csv").read_text().splitlines()[1:]
+    assert len(lines) == 65
+    for line in lines:
+        step, _, l2, hs = line.split(",")
+        assert l2 == hs
+        field, _ = read_snapshot(out / f"simulate-{int(step):06d}.dklb")
+        assert abs(float(l2) - l2_norm(field)) <= 2 * math.ulp(l2_norm(field)), step
 
 
 def test_no_run_loads_openssl(tmp_path):
@@ -1156,7 +1195,7 @@ def test_decay_experiment_over_its_envelope_writes_the_csv_and_exits_1(
 
     flow = symbols.flow_multiplier
     monkeypatch.setattr(symbols, "flow_multiplier",
-                        lambda phi, t, grid: 2.0 * flow(phi, t, grid))
+                        lambda phi, t, grid, real=False: 2.0 * flow(phi, t, grid, real))
     out = tmp_path / "out"
     result = runner.invoke(main, ["decay-experiment", "-D", f"output.dir={out}"])
     assert result.exit_code == 1, result.output

@@ -28,14 +28,21 @@ from dklb.grid import (
     SpectralGrid,
     WeightSpec,
     apply_multiplier,
-    fractional_D,
     l2_norm,
     to_values,
 )
 from dklb.norms import hs_norm, weighted_norm
 from dklb.symbols import semigroup_multiplier
 
-from conftest import expanded_multiplier, flowed
+from conftest import (
+    expanded_multiplier,
+    field_hs_norm,
+    field_weighted_norm,
+    flow_table,
+    flowed,
+    fractional_D,
+    whole_row_norms,
+)
 
 
 KDVKS = symbols.kdvks()
@@ -249,15 +256,23 @@ def test_exchange_ensemble_matches_weight_exchange_check(name):
 
 @pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
 def test_weight_exchange_check_is_the_semigroup_formula(name):
-    # the ratio, bit for bit, as the flow applied at one time gives it
+    # the ratio, bit for bit, as the flow applied at one time gives it on
+    # the flow's kept modes; and, to rounding, as the field oracles give it
     phi = symbols.preset(name)
     grid = SpectralGrid(128, 40.0)
     w = WeightSpec("poly", 0.5)
+    keep = grid.kept_modes(phi.is_even)  # the samples are real
     for u0 in sample_ensemble(grid, 4, 5):
+        own = u0.coeffs[None, : grid.kept_modes(True)]
         for t in (0.0, 0.1, 0.5):
-            denom = (1.0 + t) * hs_norm(u0, 1.5) + weighted_norm(u0, w)
-            expected = weighted_norm(flowed(u0, phi, t), w) / denom
-            assert weight_exchange_check(u0, phi, 0.5, 1.5, t) == expected
+            denom = (1.0 + t) * hs_norm(grid, own, 1.5)[0] + weighted_norm(grid, own, w)[0]
+            moved = flow_table(u0, phi, t)[None, :keep]
+            expected = weighted_norm(grid, moved, w)[0] / denom
+            got = weight_exchange_check(u0, phi, 0.5, 1.5, t)
+            assert got == expected
+            fields = ((1.0 + t) * field_hs_norm(u0, 1.5) + field_weighted_norm(u0, w))
+            assert got == pytest.approx(field_weighted_norm(flowed(u0, phi, t), w) / fields,
+                                        rel=1e-14)
 
 
 def test_exchange_ensemble_builds_one_flow_table(monkeypatch):
@@ -266,15 +281,15 @@ def test_exchange_ensemble_builds_one_flow_table(monkeypatch):
     calls = []
     flow = symbols.flow_multiplier
 
-    def counting(phi, t, grid):
-        calls.append(np.shape(t))
-        return flow(phi, t, grid)
+    def counting(phi, t, grid, real=False):
+        calls.append((np.shape(t), real))
+        return flow(phi, t, grid, real)
 
     monkeypatch.setattr(symbols, "flow_multiplier", counting)
     rep = exchange_ensemble(KDVKS, 0.5, 1.5, (0.1, 0.5, 1.0), size=7, seed=2,
                             grid=SpectralGrid(128, 40.0))
     assert rep.ratios.shape == (7, 3)
-    assert calls == [(3,)]
+    assert calls == [((3,), True)]  # half spectra: the flow is real
 
 
 def test_exchange_ensemble_refuses_bad_exponents_before_drawing():
@@ -312,26 +327,33 @@ def test_regularity_gain_probe_fits_no_rate_through_one_repeated_time():
     assert all(np.isfinite(v) for v in rep.fitted_rates.values())
 
 
-def test_regularity_gain_probe_builds_one_flow_table(monkeypatch):
-    # one table over the times serves every sigma, and each norm is the one
-    # the flow applied at that time gives
+@pytest.mark.parametrize("phi, real", [(KDVKS, True), (OPT2, False)])
+def test_regularity_gain_probe_builds_one_flow_table(monkeypatch, phi, real):
+    # one table over the times, on the flow's kept modes, serves every
+    # sigma, and each norm is bitwise the row rule of the flow applied at
+    # that time, and to rounding the field oracle's ||D^sigma V(t)u0||
     grid = SpectralGrid(128, 40.0)
     calls = []
     flow = symbols.flow_multiplier
 
-    def counting(phi, t, grid):
-        calls.append(np.shape(t))
-        return flow(phi, t, grid)
+    def counting(phi, t, grid, real=False):
+        calls.append((np.shape(t), real))
+        return flow(phi, t, grid, real)
 
     monkeypatch.setattr(symbols, "flow_multiplier", counting)
-    rep = regularity_gain_probe(OPT2, sigmas=(0.0, 0.5), t_values=(0.1, 0.2, 0.4),
+    rep = regularity_gain_probe(phi, sigmas=(0.0, 0.5), t_values=(0.1, 0.2, 0.4),
                                 grid=grid)
-    assert calls == [(3,)]
+    assert calls == [((3,), real)]
     monkeypatch.setattr(symbols, "flow_multiplier", flow)
     u0 = mollified_cusp(grid)
+    keep = grid.kept_modes(real)
     for row in rep.rows:
-        vt = flowed(u0, OPT2, row["t"])
-        assert row["norm"] == l2_norm(fractional_D(vt, row["sigma"]))
+        vt = flowed(u0, phi, row["t"])
+        weight = np.abs(grid.xi[:keep]) ** row["sigma"]
+        assert type(row["norm"]) is float
+        assert row["norm"] == whole_row_norms(grid, vt.coeffs[None, :keep], weight)[0]
+        assert row["norm"] == pytest.approx(l2_norm(fractional_D(vt, row["sigma"])),
+                                            rel=4.5e-16)
 
 
 def test_theta_profile_positive_for_small_b(wide_grid):

@@ -16,7 +16,6 @@ from dklb.grid import (
     apply_multiplier,
     boundary_leakage,
     dealiased_product,
-    fractional_D,
     from_values,
     l2_norm,
     multiplier_preserves_real,
@@ -28,7 +27,7 @@ from dklb.grid import (
 from dklb.fields import gaussian
 from dklb.symbols import PhaseFunction, PhaseTerm
 
-from conftest import derivative, hermitian_defect
+from conftest import derivative, fractional_D, hermitian_defect
 
 coeff_arrays = st.lists(
     st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
@@ -109,6 +108,14 @@ def test_xi_odd_zeroes_only_the_nyquist_entry(grid256):
     assert grid256.modes[nyq] == -grid256.n // 2
     assert grid256.xi_odd[nyq] == 0.0
     assert np.array_equal(np.delete(grid256.xi_odd, nyq), np.delete(grid256.xi, nyq))
+
+
+def test_kept_modes_are_the_half_spectrum_or_every_mode(grid256, rng):
+    # a real flow keeps rfft's modes 0..N/2, a complex one all N, and the
+    # modes above the dealias band end a real flow's kept row
+    assert grid256.kept_modes(True) == len(np.fft.rfft(rng.standard_normal(256))) == 129
+    assert grid256.kept_modes(False) == 256
+    assert grid256.dealias_tail(True).stop == grid256.kept_modes(True)
 
 
 def test_nodes_cover_fundamental_domain(grid256):

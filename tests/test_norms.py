@@ -12,15 +12,7 @@ from hypothesis import strategies as st
 from dklb import fields, norms, solver, symbols
 from dklb.errors import BoundError, ExponentError, NumericalError
 from dklb.fields import gaussian, normalize_l2, random_mixture, sample_ensemble
-from dklb.grid import (
-    SpectralField,
-    SpectralGrid,
-    WeightSpec,
-    fractional_D,
-    from_values,
-    l2_norm,
-    to_values,
-)
+from dklb.grid import SpectralField, SpectralGrid, WeightSpec, from_values, l2_norm, to_values
 from dklb.norms import (
     A2,
     A3,
@@ -30,14 +22,30 @@ from dklb.norms import (
     lambda_diagnostics,
     lp_norm,
     mixed_norm,
+    multiplier_norm,
     smoothing_A,
-    sup_hs_norm,
     verify_smoothing,
     weighted_norm,
 )
 from dklb.norms import _block_rows, _magnitudes, _pnorm, _row_blocks, _trapezoid_weights
 
-from conftest import derivative, flow_table
+from conftest import (
+    derivative,
+    field_hs_norm,
+    field_weighted_norm,
+    flow_table,
+    fractional_D,
+    whole_row_norms,
+)
+
+
+def _kept(f):
+    # a field's kept row, as the one row of (rows, kept modes) spectra
+    return f.coeffs[None, : f.grid.kept_modes(f.is_real)]
+
+
+def _hs_weight(grid, keep, s):
+    return (1.0 + grid.xi[:keep] ** 2) ** (s / 2.0)
 
 
 def _flow_mags(u0, phi, times):
@@ -143,39 +151,52 @@ def test_smoothing_A_is_infinite_where_the_eta_factor_overflows():
 
 
 def test_hs_norm_at_zero_is_l2(random_real_field):
-    assert hs_norm(random_real_field, 0.0) == pytest.approx(
-        l2_norm(random_real_field), rel=1e-14)
+    assert hs_norm(random_real_field.grid, _kept(random_real_field), 0.0)[0] == \
+        pytest.approx(l2_norm(random_real_field), rel=1e-14)
 
 
 def test_hs_norm_monotone_in_s(random_real_field):
-    norms = [hs_norm(random_real_field, s) for s in (0.0, 0.5, 1.0, 2.0)]
+    norms = [hs_norm(random_real_field.grid, _kept(random_real_field), s)[0]
+             for s in (0.0, 0.5, 1.0, 2.0)]
     assert all(a <= b * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
 
 
 def test_hs_norm_refuses_a_non_finite_result(random_real_field):
     with (np.errstate(over="ignore", invalid="ignore"),
-          pytest.raises(NumericalError, match="not finite")):
-        hs_norm(random_real_field, 1e308)
+          pytest.raises(NumericalError, match="H\\^s norm at s=1e\\+308 is not finite")):
+        hs_norm(random_real_field.grid, _kept(random_real_field), 1e308)
 
 
-def test_sup_hs_norm_is_the_largest_row_norm(grid256, rng):
+def test_hs_norm_is_each_row_norm(grid256, rng):
     # on full spectra, and on the half spectra of the same real fields,
     # which count modes 1..N/2-1 twice and sum to the bit like their
     # Hermitian extensions, so that picard.csv does not depend on which
     # one Picard holds
     rows = [from_values(grid256, rng.standard_normal(grid256.n)) for _ in range(4)]
     coeffs = np.array([f.coeffs for f in rows])
-    half = coeffs[:, : grid256.n // 2 + 1]
+    half = coeffs[:, : grid256.kept_modes(True)]
     extended = solver._full_spectrum(half, grid256.n, True)
     for s in (0.0, 0.5, 2.0):
-        expect = max(hs_norm(f, s) for f in rows)
+        expect = [field_hs_norm(f, s) for f in rows]
         for kept in (coeffs, half):
-            assert sup_hs_norm(grid256, kept, s) == pytest.approx(expect, rel=1e-14)
-        assert sup_hs_norm(grid256, half, s) == sup_hs_norm(grid256, extended, s)
+            assert hs_norm(grid256, kept, s) == pytest.approx(expect, rel=1e-14)
+        assert np.array_equal(hs_norm(grid256, half, s), hs_norm(grid256, extended, s))
     for kept in (coeffs, half):
         with (np.errstate(over="ignore", invalid="ignore"),
               pytest.raises(NumericalError, match="not finite")):
-            sup_hs_norm(grid256, kept, 1e308)
+            hs_norm(grid256, kept, 1e308)
+
+
+def test_multiplier_norm_is_the_norm_of_the_multiplied_field(grid256, rng):
+    # |xi|^s through the row rule against the field oracle's product and
+    # BLAS norm: the two sum in other orders, so they agree to rounding
+    f = from_values(grid256, rng.standard_normal(grid256.n))
+    g = from_values(grid256, rng.standard_normal(grid256.n) + 1j)
+    for s in (0.0, 0.5, 1.0, 2.0):
+        for field in (f, g):
+            kept = _kept(field)
+            got = multiplier_norm(grid256, kept, np.abs(grid256.xi[:kept.shape[-1]]) ** s)
+            assert got[0] == pytest.approx(l2_norm(fractional_D(field, s)), rel=1e-14)
 
 
 def test_random_mixture_on_a_degenerate_grid_raises_numerical_error():
@@ -190,14 +211,35 @@ def test_hs_norm_of_pure_mode(grid256):
     f = from_values(grid256, np.sin(k * grid256.x))
     for s in (0.0, 1.0, 2.0):
         expect = l2_norm(f) * (1 + k**2) ** (s / 2)
-        assert hs_norm(f, s) == pytest.approx(expect, rel=1e-12)
+        assert hs_norm(grid256, _kept(f), s)[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_weighted_norm_gaussian_moment(grid256):
     # || |x| e^{-x^2/2} ||_{L2}^2 = integral x^2 e^{-x^2} = sqrt(pi)/2
     f = gaussian(grid256, width=1.0)
-    val = weighted_norm(f, WeightSpec("poly", 1.0))
+    val = weighted_norm(grid256, _kept(f), WeightSpec("poly", 1.0))[0]
     assert val == pytest.approx(math.sqrt(math.sqrt(math.pi) / 2), rel=1e-8)
+
+
+@pytest.mark.parametrize("rows", [1, 16, 17, 35])
+@pytest.mark.parametrize("real", [True, False])
+def test_weighted_norm_of_rows_is_each_fields_nodal_norm(grid256, rng, rows, real):
+    # irfft of each half row (or ifft of each full one), in blocks of 16
+    # rows, against one to_values per field: the transforms round
+    # differently, so they agree to rounding; the rows are independent of
+    # their blocks, bitwise
+    x = rng.standard_normal((rows, grid256.n))
+    fields = [from_values(grid256, v if real else v + 1j * v[::-1]) for v in x]
+    coeffs = np.array([f.coeffs[: grid256.kept_modes(real)] for f in fields])
+    for w in (WeightSpec("poly", 1.0), WeightSpec("exp", 0.1)):
+        got = weighted_norm(grid256, coeffs, w)
+        assert got == pytest.approx([field_weighted_norm(f, w) for f in fields], rel=1e-14)
+        one_by_one = [weighted_norm(grid256, row[None], w, w.values(grid256))[0]
+                      for row in coeffs]
+        assert np.array_equal(got, one_by_one)
+    with (np.errstate(over="ignore", invalid="ignore"),
+          pytest.raises(NumericalError, match="poly:400-weighted norm is not finite")):
+        weighted_norm(SpectralGrid(256, 1e4), coeffs, WeightSpec("poly", 400.0))
 
 
 def test_lp_norm_special_cases(grid256, rng):
@@ -290,7 +332,7 @@ def _reference_lambdas(phi, times, snaps, s):
                             else (np.sum(v**inner) * dx) ** (1.0 / inner))
         return math.sqrt(np.trapezoid(np.square(per_time), times))
 
-    out = {"lambda1": max(hs_norm(f, s) for f in snaps),
+    out = {"lambda1": max(field_hs_norm(f, s) for f in snaps),
            "lambda2": l2_t(lambda f: f, 4.0) / A2(phi, T)}
     if alpha(2.0, 4.0, s, phi.p) > 0:
         out["lambda3"] = l2_t(lambda f: fractional_D(f, s), 4.0) / A3(phi, s, T)
@@ -327,19 +369,6 @@ def test_lambda_diagnostics_match_a_per_snapshot_reference(grid256, name, data, 
         assert got[key] == pytest.approx(want[key], rel=1e-14, abs=0.0), key
 
 
-def _whole_sup_hs_norm(grid, coeffs, s):
-    # sup_hs_norm as one array expression over all rows: the oracle for its
-    # row blocks
-    n, keep = grid.n, coeffs.shape[-1]
-    power = np.empty(coeffs.shape[:-1] + (n,))
-    rows = np.abs(coeffs, out=power[:, :keep])
-    rows *= (1.0 + grid.xi[:keep] ** 2) ** (s / 2.0)
-    rows *= rows
-    if keep < n:
-        power[:, keep:] = power[:, n // 2 - 1:0:-1]
-    return float(np.sqrt(grid.length * np.max(np.sum(power, axis=1))))
-
-
 def _whole_lambda_diagnostics(grid, phi, times, coeffs, s):
     # lambda_diagnostics with one transform of all rows per multiplier and
     # the mixed-norm quadrature on the whole (rows, nodes) array: the oracle
@@ -360,7 +389,8 @@ def _whole_lambda_diagnostics(grid, phi, times, coeffs, s):
     ddx = 1j * grid.xi_odd
     plain = l2_t(mags_of(), 4.0)
     u_x = mags_of(ddx)
-    out = {"lambda1": _whole_sup_hs_norm(grid, coeffs, s),
+    hs = whole_row_norms(grid, coeffs, _hs_weight(grid, coeffs.shape[-1], s))
+    out = {"lambda1": float(np.max(hs)),
            "lambda2": plain / A2(phi, T)}
     if alpha(2.0, 4.0, s, phi.p) > 0:
         gained = plain if gain is None else l2_t(mags_of(gain), 4.0)
@@ -380,7 +410,7 @@ def _whole_lambda_diagnostics(grid, phi, times, coeffs, s):
 @pytest.mark.parametrize("s", [0.0, 1.0])
 def test_row_blocked_norms_are_bitwise_the_whole_array_formulas(grid256, rng, rows,
                                                                  real, s):
-    # sup_hs_norm and lambda_diagnostics walk the rows in blocks of
+    # hs_norm and lambda_diagnostics walk the rows in blocks of
     # _block_rows(256) = 16: one partial block, one full one, a full one and
     # one row, and ends of 3 and 1 rows; half spectra of real fields and
     # full spectra of complex ones.  kdvb has no lambda6, nor lambda3 at s = 1
@@ -390,7 +420,8 @@ def test_row_blocked_norms_are_bitwise_the_whole_array_formulas(grid256, rng, ro
     coeffs = (np.fft.rfft(x) if real
               else np.fft.fft(x + 1j * rng.standard_normal((rows, n)))) / n
     times = np.linspace(0.0, 0.2, rows)
-    assert sup_hs_norm(grid256, coeffs, s) == _whole_sup_hs_norm(grid256, coeffs, s)
+    assert np.array_equal(hs_norm(grid256, coeffs, s),
+                          whole_row_norms(grid256, coeffs, _hs_weight(grid256, coeffs.shape[-1], s)))
     for name in ("kdvks", "kdvb"):
         phi = symbols.preset(name)
         got = lambda_diagnostics(grid256, phi, times, coeffs, s)
@@ -398,7 +429,7 @@ def test_row_blocked_norms_are_bitwise_the_whole_array_formulas(grid256, rng, ro
         assert list(got) == list(want) and got == want, (name, got, want)
     with (np.errstate(over="ignore", invalid="ignore"),
           pytest.raises(NumericalError, match="not finite")):
-        sup_hs_norm(grid256, coeffs, 1e308)
+        hs_norm(grid256, coeffs, 1e308)
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -469,6 +500,15 @@ def _snapshot_magnitudes(f, half_spectrum):
     return np.abs(to_values(f))
 
 
+def _d_s_norm(u0, phi, s, half_spectrum=True):
+    # C3's right-hand ||D^s u0||: the row rule on the flow's kept modes, or
+    # the field oracle's product and BLAS norm
+    if not half_spectrum:
+        return l2_norm(fractional_D(u0, s))
+    kept = u0.coeffs[None, : u0.grid.kept_modes(phi.is_even)]
+    return whole_row_norms(u0.grid, kept, np.abs(u0.grid.xi[:kept.shape[-1]]) ** s)[0]
+
+
 def _reference_ratios(check, phi, grid, T, size, seed, nt, s, q,
                       half_spectrum=True):
     """verify_smoothing's ratios, one field per sample and time and one
@@ -493,7 +533,7 @@ def _reference_ratios(check, phi, grid, T, size, seed, nt, s, q,
             rhs = smoothing_A(2.0, 4.0, s, phi, T) * l2_norm(u0)
         elif check == "C3":
             num = lhs(snaps, 1.0, 2.0, 4.0)
-            rhs = smoothing_A(2.0, 4.0, 1.0 - s, phi, T) * l2_norm(fractional_D(u0, s))
+            rhs = smoothing_A(2.0, 4.0, 1.0 - s, phi, T) * _d_s_norm(u0, phi, s, half_spectrum)
         elif check == "C4":
             num = lhs(snaps, s, 2.0, 2.0)
             rhs = smoothing_A(2.0, 2.0, s, phi, T) * l2_norm(u0)
@@ -542,14 +582,13 @@ def _whole_array_ratios(check, phi, grid, T, size, seed, nt, s, a, b, q):
         "C1": (a, inf, tx, s, (a, inf, s),
                lambda u0: lp_norm(u0, conjugate_exponent(a))),
         "C2": (2.0, b, tx, s, (2.0, b, s), l2_norm),
-        "C3": (2.0, b, tx, 1.0, (2.0, b, 1.0 - s),
-               lambda u0: l2_norm(fractional_D(u0, s))),
+        "C3": (2.0, b, tx, 1.0, (2.0, b, 1.0 - s), lambda u0: _d_s_norm(u0, phi, s)),
         "C4": (2.0, 2.0, tx, s, (2.0, 2.0, s), l2_norm),
         "P_inf": (inf, 2.0, xt, q, None, l2_norm),
     }[check]
     const = 1.0 if bound is None else smoothing_A(*bound, phi, T)
     real = phi.is_even
-    keep = grid.n // 2 + 1 if real else grid.n
+    keep = grid.kept_modes(real)
     times = np.linspace(0.0, T, nt + 1)
     tw = _trapezoid_weights(times)
     flow = symbols.flow_multiplier(phi, times, grid, real)

@@ -24,7 +24,6 @@ from dklb.norms import (
     _block_rows,
     hs_norm,
     lambda_diagnostics,
-    sup_hs_norm,
     verify_smoothing,
 )
 from dklb.solver import (
@@ -44,6 +43,7 @@ from conftest import (
     flow_table,
     flowed,
     hermitian_defect,
+    whole_row_norms,
 )
 
 
@@ -383,8 +383,9 @@ def _four_array_picard(u0, phi, T, nt, max_iter, s=0.0):
     # the sweep the banded in-place one replaced: the linear part, the
     # advection term of every node and two iterates, each a whole
     # (nt+1, kept) array in full-width arithmetic, and the distance the
-    # whole-array sup_hs_norm of their difference.  The linear part runs
-    # from u0 node by node by the semigroup law, times M1 at each step
+    # largest whole-array H^s norm of a row of their difference.  The
+    # linear part runs from u0 node by node by the semigroup law, times M1
+    # at each step
     grid, dt = u0.grid, T / nt
     real = u0.is_real and phi.is_even
     keep = grid.n // 2 + 1 if real else grid.n
@@ -414,7 +415,8 @@ def _four_array_picard(u0, phi, T, nt, max_iter, s=0.0):
             for w, row in zip(simpson, nl[m:m + 3]):
                 run += w * row
             new[m + 2] += run
-        distances.append(sup_hs_norm(grid, new - current, s))
+        weight = (1.0 + grid.xi[:keep] ** 2) ** (s / 2.0)
+        distances.append(float(np.max(whole_row_norms(grid, new - current, weight))))
         lambdas.append(lambda_diagnostics(grid, phi, np.linspace(0.0, T, nt + 1), new, s))
         current = new
     return current, distances, lambdas
@@ -974,7 +976,7 @@ def _whole_dissipation_residuals(coeffs, times, grid, eta):
     # product for every D: the oracle for the streamed residuals
     power = np.abs(coeffs) ** 2
     E = grid.length * np.sum(power, axis=1)
-    D = grid.length * (power @ grid.xi_odd**2)
+    D = grid.length * (power @ grid.xi**2)
     res = np.abs((E[1:] - E[:-1]) / np.diff(times) + eta * (D[:-1] + D[1:]))
     return np.where(E[:-1] > 0, res / np.where(E[:-1] > 0, E[:-1], 1.0), 0.0)
 
@@ -994,6 +996,34 @@ def test_streamed_dissipation_residuals_are_the_whole_array_formula(grid256, kdv
     assert got.shape == want.shape == (100,)
     assert np.max(np.abs(got - want)) <= 1e-15
     assert len(dissipation_residuals(iter(rows[:1]), kdvb_phi.eta)) == 0
+
+
+def test_dissipation_residuals_count_the_damping_of_the_nyquist_mode(grid256, kdvb_phi):
+    # a real Nyquist cosine, (-1)^j at the nodes: the flow damps it at the
+    # full xi_N, so D takes xi_N^2 there, not the 0 of xi_odd.  What is left
+    # is the trapezoid's error, (2/3)(eta*xi_N^2)^3 dt^2 = 0.42; with D = 0
+    # the residual was 2*eta*xi_N^2 = 777
+    u0 = from_values(grid256, 0.01 * np.cos(grid256.xi[grid256.nyquist_index] * grid256.x))
+    assert np.count_nonzero(np.abs(u0.coeffs) > 1e-15) == 1
+    dt = 1e-4
+    res = dissipation_residuals(etdrk4_solve(u0, kdvb_phi, 1e-3, dt), kdvb_phi.eta)
+    rate = kdvb_phi.eta * grid256.xi[grid256.nyquist_index] ** 2
+    assert len(res) == 10 and np.all(res <= rate**3 * dt**2), res
+
+
+def test_hs_norms_of_the_two_routes_agree_on_criterion_04s_problem(grid256, kdvks_phi):
+    # Picard's nodes and ETDRK4's kept rows at their common times, each
+    # through the one row rule of hs_norm, at s = 0, 1 and 2
+    u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
+    nodes, report = picard_solve(u0, kdvks_phi, 0.1, nt=64, tol=1e-8)
+    assert report.converged
+    rows = list(etdrk4_solve(u0, kdvks_phi, 0.1, 1e-3, snapshot_stride=25))
+    index = [int(round(t / (0.1 / 64))) for _, t, _ in rows]
+    assert index == [0, 16, 32, 48, 64]
+    kept = np.array([f.coeffs[: grid256.kept_modes(True)] for _, _, f in rows])
+    for s in (0.0, 1.0, 2.0):
+        picard, etd = hs_norm(grid256, nodes[index], s), hs_norm(grid256, kept, s)
+        assert np.max(np.abs(picard - etd) / etd) <= 1e-9, s
 
 
 def test_linear_flow_norm_bound(grid256, kdvks_phi, rng):
