@@ -42,15 +42,9 @@ from .conjugation import (
     regularity_gain_probe,
 )
 from .errors import BoundError, ConfigError, ExponentError, NumericalError
-from .grid import SpectralField, write_snapshot
+from .grid import from_kept, write_snapshot
 from .norms import hs_norm, verify_smoothing, weighted_norm
-from .solver import (
-    _full_spectrum,
-    contraction_threshold,
-    etdrk4_solve,
-    existence_time,
-    picard_solve,
-)
+from .solver import contraction_threshold, etdrk4_solve, existence_time, picard_solve
 
 # exit codes
 OK, NUMERICAL, VALIDATION = 0, 1, 2
@@ -166,16 +160,17 @@ def simulate(cfg: ExperimentConfig, outdir: str) -> Run:
                               snapshot_stride=cfg.get("solver", "snapshot_stride"))
     yield ["step", "t", "l2", "hs"] + [w.label for w in weights]
     count = 0
-    for step, t, snap in stream:  # row 0 is u0: an overflowing |x|^r fails before step 1
-        kept = snap.coeffs[None, :grid.kept_modes(snap.is_real)]  # one row
+    for step, t, row in stream:  # row 0 is u0: an overflowing |x|^r fails before step 1
+        kept = row[None]
         cells = [hs_norm(grid, kept, 0.0), hs_norm(grid, kept, s)]
         cells += [weighted_norm(grid, kept, w, wv) for w, wv in zip(weights, wvals)]
-        row = [step, t] + [cell.item() for cell in cells]  # python floats
-        yield row
+        line = [step, t] + [cell.item() for cell in cells]  # python floats
+        yield line
         count += 1
-        if "snapshots" in cfg.get("output", "formats"):
-            write_snapshot(os.path.join(outdir, f"simulate-{step:06d}.dklb"), snap, t)
-    return [f"simulate: {count} snapshots, final l2={row[2]!r}"], None
+        if "snapshots" in cfg.get("output", "formats"):  # the row, whole
+            write_snapshot(os.path.join(outdir, f"simulate-{step:06d}.dklb"),
+                           from_kept(grid, row), t)
+    return [f"simulate: {count} rows, final l2={line[2]!r}"], None
 
 
 @main.command()
@@ -200,10 +195,8 @@ def picard(cfg: ExperimentConfig, outdir: str) -> Run:
     for i, (d, lam) in enumerate(zip(report.iterate_distances, report.lambda_values)):
         yield [i + 1, d, ratios[i]] + [lam[k] for k in lambda_keys]
     if "snapshots" in cfg.get("output", "formats"):  # the last node, whole
-        real = nodes.shape[-1] < grid.n
-        final = SpectralField(grid, _full_spectrum(nodes[-1], grid.n, real), real)
-        write_snapshot(os.path.join(outdir, "picard-final.dklb"), final,
-                       cfg.get("solver", "t"))
+        write_snapshot(os.path.join(outdir, "picard-final.dklb"),
+                       from_kept(grid, nodes[-1]), cfg.get("solver", "t"))
     if not report.converged:
         return [], (
             f"not converged after {report.iterations} iterations "

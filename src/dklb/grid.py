@@ -9,15 +9,15 @@ Conventions, fixed once for the whole package:
 
 A field whose is_real flag is set must have Hermitian coefficients,
 c_{-k} = conj(c_k).  Realness is a static fact, never measured: from_values
-reads it from the dtype of the values, and apply_multiplier takes it from
-its caller.  The derivative multipliers (i*xi)^k and |xi|^s keep real
-fields real, and so does the flow of a damping symbol exactly when the
-symbol is even.  The rule holds on every grid because odd terms (odd
-derivatives, the dispersive phase t*xi^3) are evaluated at
-SpectralGrid.xi_odd, which is zero at the unpaired Nyquist mode k = -N/2:
-the convention of Trefethen, Spectral Methods in MATLAB (2000), ch. 3.
-multiplier_preserves_real checks the condition behind the rule,
-m(-xi) = conj(m(xi)), on a given multiplier.
+reads it from the dtype of the values, from_kept from the length of a
+kept-mode row, and apply_multiplier takes it from its caller.  The
+derivative multipliers (i*xi)^k and |xi|^s keep real fields real, and so
+does the flow of a damping symbol exactly when the symbol is even.  The
+rule holds on every grid because odd terms (odd derivatives, the dispersive
+phase t*xi^3) are evaluated at SpectralGrid.xi_odd, which is zero at the
+unpaired Nyquist mode k = -N/2: the convention of Trefethen, Spectral
+Methods in MATLAB (2000), ch. 3.  multiplier_preserves_real checks the
+condition behind the rule, m(-xi) = conj(m(xi)), on a given multiplier.
 """
 
 from __future__ import annotations
@@ -163,6 +163,18 @@ def to_values(f: SpectralField) -> np.ndarray:
     """Nodal values; real dtype when the field is flagged real."""
     vals = np.fft.ifft(f.coeffs) * f.grid.n
     return vals.real if f.is_real else vals
+
+
+def from_kept(grid: SpectralGrid, row: np.ndarray) -> SpectralField:
+    """The field whose kept modes are row: a complex field's N coefficients
+    as they stand, or a real field's N/2+1 (modes 0..N/2), extended into a
+    new array with modes -N/2+1..-1 the exact conjugates of N/2-1..1."""
+    if len(row) == grid.n:
+        return SpectralField(grid, row, False)
+    coeffs = np.empty(grid.n, dtype=complex)
+    coeffs[: len(row)] = row
+    np.conjugate(row[-2:0:-1], out=coeffs[len(row):])
+    return SpectralField(grid, coeffs, True)
 
 
 def _flip_index(n: int) -> np.ndarray:

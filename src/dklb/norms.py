@@ -35,7 +35,7 @@ import numpy as np
 from . import symbols
 from .errors import BoundError, ExponentError, NumericalError
 from .fields import sample_ensemble
-from .grid import SpectralField, SpectralGrid, WeightSpec, l2_norm, to_values
+from .grid import SpectralGrid, WeightSpec, l2_norm
 
 INF = math.inf
 
@@ -229,27 +229,34 @@ def hs_norm(grid: SpectralGrid, coeffs: np.ndarray, s: float = 0.0) -> np.ndarra
     return _finite_hs(multiplier_norm(grid, coeffs, weight), s)
 
 
-def lp_norm(f: SpectralField, p: float) -> float:
-    """Physical-space L^p norm with quadrature weight L/N; p=inf is the grid max."""
-    vals = np.abs(to_values(f))
-    if p == INF:
-        return float(np.max(vals))
+def _node_norms(grid: SpectralGrid, coeffs: np.ndarray, norm) -> np.ndarray:
+    """norm(vals) of each row of (rows, kept modes) spectra: norm maps a block
+    of |values| at the nodes (a _block_reader's, irfft of half rows) to one
+    norm per row."""
+    kept = coeffs.shape[-1]
+    out = np.empty(len(coeffs))
+    read = _block_reader(grid.n, kept < grid.n, len(coeffs), kept)
+    for rows, vals in zip(_row_blocks(len(coeffs), grid.n), read(coeffs)):
+        out[rows] = norm(vals)
+    return out
+
+
+def lp_norm(grid: SpectralGrid, coeffs: np.ndarray, p: float) -> np.ndarray:
+    """L^p norm at the nodes, with quadrature weight L/N, of each row of
+    (rows, kept modes) spectra (_node_norms); p=inf is the grid max."""
     if p < 1:
         raise ValueError(f"Lebesgue exponent must be >= 1, got {p}")
-    return float((np.sum(vals**p) * f.grid.dx) ** (1.0 / p))
+    return _node_norms(grid, coeffs, lambda vals: _pnorm(vals, grid.dx, p, 1, vals))
 
 
 def weighted_norm(grid: SpectralGrid, coeffs: np.ndarray, w: WeightSpec,
                   wv=None) -> np.ndarray:
     """||w(x) * u||_{L2} at the nodes of each row of (rows, kept modes)
-    spectra, read through a _block_reader; NumericalError if one is not
-    finite.  wv, if given, holds w's values on grid."""
+    spectra (_node_norms); NumericalError if one is not finite.  wv, if
+    given, holds w's values on grid."""
     wv = w.values(grid) if wv is None else wv
-    kept = coeffs.shape[-1]
-    out = np.empty(len(coeffs))
-    read = _block_reader(grid.n, kept < grid.n, len(coeffs), kept)
-    for rows, vals in zip(_row_blocks(len(coeffs), grid.n), read(coeffs)):
-        out[rows] = np.sqrt(np.sum((wv * vals) ** 2, axis=1) * grid.dx)
+    out = _node_norms(grid, coeffs, lambda vals: np.sqrt(
+        np.sum((wv * vals) ** 2, axis=1) * grid.dx))
     if not np.isfinite(out).all():
         raise NumericalError(f"{w.label}-weighted norm is not finite "
                              f"({float(np.max(out))!r})")
@@ -545,8 +552,8 @@ def verify_smoothing(check: str, phi: symbols.PhaseFunction, *,
     # holds each exponent that is not fixed.
     tx, xt = "t_outer_x_inner", "x_outer_t_inner"
     outer, inner, order, gain_order, bound, rhs_norm, names = {
-        "C1": (a, INF, tx, s, (a, INF, s),
-               lambda u0: lp_norm(u0, conjugate_exponent(a)), {"outer": "a"}),
+        "C1": (a, INF, tx, s, (a, INF, s), lambda u0: lp_norm(
+            grid, u0.coeffs[None, :keep], conjugate_exponent(a))[0], {"outer": "a"}),
         "C2": (2.0, b, tx, s, (2.0, b, s), l2_norm, {"inner": "b"}),
         "C3": (2.0, b, tx, 1.0, (2.0, b, 1.0 - s), lambda u0: multiplier_norm(
             grid, u0.coeffs[None, :keep], np.abs(grid.xi[:keep]) ** s)[0], {"inner": "b"}),

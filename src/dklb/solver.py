@@ -28,13 +28,13 @@ one (nt+1)-row array is the (nt+1, kept) iterate, whose modes above the
 band are the linear flow's, written once, and each sweep overwrites the
 iterate's band in place block by block, rebuilding the linear part's band
 one row at a time, with the kernel's buffers as its scratch.  Picard
-returns that iterate as its nodes;
-etdrk4_solve yields its rows one at a time as (step, t, field), and nothing
-gathers them.  Full spectra, with the negative modes filled in as
-conjugates, are built only for the fields ETDRK4 yields and the Picard rows
-a caller extends.  The inner loops are linear in time: ETDRK4 runs its
-stages in preallocated buffers, and Picard's Duhamel sweep runs its
-linear part and its quadrature sums forward by the semigroup law instead of
+returns that iterate as its nodes, and etdrk4_solve yields its rows one at
+a time as (step, t, row), in the same format, and nothing gathers them.
+Full spectra, with the negative modes filled in as conjugates, are built
+only where a whole field is needed (grid.from_kept): for a snapshot, and
+in nonlinearity.  The inner loops are linear in time: ETDRK4 runs its
+stages in preallocated buffers, and Picard's Duhamel sweep runs its linear
+part and its quadrature sums forward by the semigroup law instead of
 evaluating the flow at every node and summing over every pair of nodes.
 """
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import norms, symbols
 from .errors import NumericalError
-from .grid import SpectralField, SpectralGrid
+from .grid import SpectralField, SpectralGrid, from_kept
 
 
 def _advection(grid: SpectralGrid, real: bool, rows: tuple[int, ...] = ()):
@@ -121,21 +121,6 @@ def _splice(band: np.ndarray, tail: slice, rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _full_spectrum(v: np.ndarray, n: int, real: bool) -> np.ndarray:
-    """The FFT-order spectra whose kept modes are v, along the last axis.
-
-    A real field's modes -N/2+1..-1 are the conjugates of modes N/2-1..1, an
-    exact Hermitian extension into a new array; a complex field keeps every
-    mode already, so v itself is returned.
-    """
-    if not real:
-        return v
-    full = np.empty(v.shape[:-1] + (n,), dtype=complex)
-    full[..., : n // 2 + 1] = v
-    np.conjugate(v[..., n // 2 - 1:0:-1], out=full[..., n // 2 + 1:])
-    return full
-
-
 def nonlinearity(f: SpectralField) -> SpectralField:
     """The advection term as fed to Duhamel: -1/2 d/dx of the dealiased square.
 
@@ -146,7 +131,7 @@ def nonlinearity(f: SpectralField) -> SpectralField:
     band = np.delete(f.coeffs[keep], tail)
     out = _splice(advect(band, np.empty_like(band)), tail,
                   np.zeros(keep.stop, dtype=complex))
-    return SpectralField(f.grid, _full_spectrum(out, f.grid.n, f.is_real), f.is_real)
+    return from_kept(f.grid, out)
 
 
 # --- Picard iteration on the integral form ----------------------------------
@@ -231,8 +216,8 @@ def picard_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
     Returns (nodes, report).  nodes is the last iterate on the kept modes,
     one row per node times[k] = k*T/nt: an (nt+1, N/2+1) array of half
     spectra for a real flow (real data and phi.is_even), (nt+1, N) FFT-order
-    spectra for a complex one; _full_spectrum extends the rows a caller
-    needs whole.  report is a ContractionReport with per-iterate distances
+    spectra for a complex one; grid.from_kept extends a row a caller needs
+    whole.  report is a ContractionReport with per-iterate distances
     and the layered diagnostics of each iterate
     (norms.lambda_diagnostics at s: lambda1..lambda6 and Lambda, those
     defined).  Non-convergence is reported, not raised; an iterate whose
@@ -411,8 +396,9 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
 
     Checks T (an integer multiple of dt), dt and the stride and sets up the
     coefficients at the call, then returns a stream that yields
-    (step, t, field) at step 0 (a copy of u0), every snapshot_stride-th step
-    and the last, each a fresh full spectrum that the caller may keep.  With
+    (step, t, row) at step 0 (u0's kept modes), every snapshot_stride-th
+    step and the last, each row a fresh array of the kept modes that the
+    caller may keep: the format of picard_solve's node rows.  With
     nonlinear=False each step is exactly the flow multiplier; NaN or
     overflow aborts at its step.
 
@@ -454,11 +440,11 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
         return advect(v, out) if nonlinear else out.fill(0.0)
 
     def rows():
-        yield 0, 0.0, SpectralField(grid, u0.coeffs.copy(), is_real)
         # the kept row as its band, then the modes above the band, which
         # each step multiplies by E alone
         kept = u0.coeffs[keep]
         v = np.concatenate((np.delete(kept, tail), kept[tail]))
+        yield 0, 0.0, kept.copy()
         v_band, above = v[:len(E)], v[len(E):]
         E2v, a, b, cc, Nv, Na, Nb, Nc, tmp = np.empty((9, len(E)), dtype=complex)
         finite = np.empty(len(v), dtype=bool)
@@ -488,33 +474,33 @@ def etdrk4_solve(u0: SpectralField, phi: symbols.PhaseFunction, T: float,
             if step % snapshot_stride == 0 or step == steps:  # a new row
                 row = _splice(v_band, tail, np.empty(keep.stop, dtype=complex))
                 row[tail] = above
-                yield step, step * dt, SpectralField(
-                    grid, _full_spectrum(row, grid.n, is_real), is_real)
+                yield step, step * dt, row
 
     return rows()
 
 
-def dissipation_residuals(rows, eta: float) -> np.ndarray:
+def dissipation_residuals(grid: SpectralGrid, rows, eta: float) -> np.ndarray:
     """Per-step residual of the energy balance for the Burgers-type symbol.
 
     For Phi(xi) = -xi^2 the exact semi-discrete identity is
     d/dt ||u||^2 = -2*eta*||u_x||^2 (the advection term is a total
-    derivative and drops out).  rows are (step, t, field) rows, as
-    etdrk4_solve yields them; returned is, for each step between two rows,
+    derivative and drops out).  rows are etdrk4_solve's (step, t, row) rows
+    on grid; returned is, for each step between two rows,
 
         | (E_{n+1} - E_n)/dt + eta*(D_n + D_{n+1}) | / E_n
 
-    with E = ||u||^2 and D = L * sum xi^2 |c_k|^2 (trapezoid in time on D),
-    ||u_x||^2 but at the Nyquist mode, which the flow damps at grid.xi.
-    Each row is reduced to its E and D as it arrives, so the rows are read
-    as a stream and only the previous row's t, E and D are held.
+    with E = ||u||^2 (norms.hs_norm) and D = ||m u||^2 at m = |xi|
+    (norms.multiplier_norm), trapezoid in time on D: ||u_x||^2 but at the
+    Nyquist mode, which the flow damps at grid.xi.  Each row is reduced to
+    its E and D as it arrives, so only the previous row's t, E and D are
+    held.
     """
     residuals = []
     previous = None
-    for _, t, f in rows:
-        power = np.abs(f.coeffs) ** 2
-        E = f.grid.length * np.sum(power)
-        D = f.grid.length * (power @ f.grid.xi**2)
+    for _, t, row in rows:
+        e = norms.hs_norm(grid, row[None])[0]
+        d = norms.multiplier_norm(grid, row[None], np.abs(grid.xi[:len(row)]))[0]
+        E, D = e * e, d * d  # correctly rounded, which a scalar ** 2 (pow) need not be
         if previous is not None:
             t0, E0, D0 = previous
             res = abs((E - E0) / (t - t0) + eta * (D0 + D))

@@ -79,6 +79,15 @@ def field_weighted_norm(f, w):
     return float(np.sqrt(np.sum((w.values(f.grid) * vals) ** 2) * f.grid.dx))
 
 
+def field_lp_norm(f, p):
+    """||u||_{L^p} of one field, at the nodes of its to_values, with
+    quadrature weight L/N; p=inf is the grid max."""
+    vals = np.abs(grid_mod.to_values(f))
+    if p == np.inf:
+        return float(np.max(vals))
+    return float((np.sum(vals**p) * f.grid.dx) ** (1.0 / p))
+
+
 def whole_row_norms(grid, coeffs, weight):
     """||m(xi) u|| of each row of (rows, kept modes) spectra as one array
     expression: |m u|^2 of each half row mirrored into the places of its
@@ -134,6 +143,7 @@ def flowed(u0, phi, t):
                                   u0.is_real and phi.is_even)
 
 
-def final_field(rows):
-    """The field of the last (step, t, field) row of a solver stream."""
-    return deque(rows, maxlen=1)[0][2]
+def final_field(grid, rows):
+    """The field on grid of the last (step, t, row) row of a solver stream,
+    its kept-mode row extended by grid.from_kept."""
+    return grid_mod.from_kept(grid, deque(rows, maxlen=1)[0][2])

@@ -16,8 +16,10 @@ from dklb.config import _SCHEMA, load_config
 from dklb.conjugation import regularity_gain_probe
 from dklb.errors import ConfigError
 from dklb.fields import mollified_cusp
-from dklb.grid import SpectralGrid, l2_norm, read_snapshot
+from dklb.grid import SpectralGrid, from_kept, l2_norm, read_snapshot
 from dklb.symbols import kdvks, optimality, phase_eval, preset
+
+from conftest import hermitian_defect
 
 
 @pytest.fixture
@@ -1285,6 +1287,42 @@ def test_simulate_writes_norm_index_and_snapshots(runner, tmp_path):
     assert lines[1].startswith("0,0.0,")
     snaps = sorted(out.glob("simulate-*.dklb"))
     assert len(snaps) == 9
+
+
+def test_simulate_summary_counts_rows_with_or_without_snapshots(runner, tmp_path):
+    # the summary counts the rows of simulate.csv, which the default
+    # output.formats = csv writes without a single snapshot
+    for formats, snapshots in (("csv", 0), ("csv snapshots", 9)):
+        out = tmp_path / formats.replace(" ", "-")
+        result = runner.invoke(main, ["simulate", "-D", "grid.n=64",
+                                      "-D", "solver.t=0.1", "-D", "solver.nt=8",
+                                      "-D", f"output.formats={formats}",
+                                      "-D", f"output.dir={out}"])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[1].startswith("simulate: 9 rows, final l2=")
+        assert len(list(out.glob("*.dklb"))) == snapshots
+
+
+@pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
+def test_simulate_step_0_snapshot_is_u0s_kept_row_whole(runner, tmp_path, name):
+    # step 0 is extended from u0's kept row like every later row: for a real
+    # flow an exactly Hermitian spectrum, where u0's own FFT spectrum misses
+    # the exact conjugates by rounding
+    overrides = (f"model.preset={name}", "solver.t=0.01", "solver.nt=2",
+                 "output.formats=csv snapshots", f"output.dir={tmp_path}")
+    args = [a for o in overrides for a in ("-D", o)]
+    result = runner.invoke(main, ["simulate", *args])
+    assert result.exit_code == 0, result.output
+    cfg = load_config(None, overrides)
+    grid = cfg.build_grid()
+    u0 = cfg.build_data(grid)
+    real = cfg.build_phase().is_even
+    field, t = read_snapshot(tmp_path / "simulate-000000.dklb")
+    assert t == 0.0 and field.is_real == real
+    want = from_kept(grid, u0.coeffs[: grid.kept_modes(real)])
+    assert np.array_equal(field.coeffs, want.coeffs)
+    if real:
+        assert hermitian_defect(field.coeffs) == 0.0 < hermitian_defect(u0.coeffs)
 
 
 def test_simulate_memory_is_flat_in_the_snapshot_count(runner, tmp_path):

@@ -16,6 +16,7 @@ from dklb.grid import (
     apply_multiplier,
     boundary_leakage,
     dealiased_product,
+    from_kept,
     from_values,
     l2_norm,
     multiplier_preserves_real,
@@ -116,6 +117,22 @@ def test_kept_modes_are_the_half_spectrum_or_every_mode(grid256, rng):
     assert grid256.kept_modes(True) == len(np.fft.rfft(rng.standard_normal(256))) == 129
     assert grid256.kept_modes(False) == 256
     assert grid256.dealias_tail(True).stop == grid256.kept_modes(True)
+
+
+def test_from_kept_extends_half_rows_exactly(grid256, rng):
+    # a half row is a real field's, its negative modes the exact conjugates
+    # of modes N/2-1..1 in a new array; a full row is a complex field's
+    # coefficients as they stand
+    x = rng.standard_normal(grid256.n)
+    half = np.fft.rfft(x) / grid256.n
+    f = from_kept(grid256, half)
+    assert f.is_real and f.grid == grid256
+    assert np.array_equal(f.coeffs[: grid256.kept_modes(True)], half)
+    assert hermitian_defect(f.coeffs) == 0.0
+    assert np.allclose(f.coeffs, np.fft.fft(x) / grid256.n, rtol=0.0, atol=1e-14)
+    c = f.coeffs * 1j
+    g = from_kept(grid256, c)
+    assert not g.is_real and g.coeffs is c
 
 
 def test_nodes_cover_fundamental_domain(grid256):

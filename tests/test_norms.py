@@ -9,10 +9,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dklb import fields, norms, solver, symbols
+from dklb import fields, norms, symbols
 from dklb.errors import BoundError, ExponentError, NumericalError
 from dklb.fields import gaussian, normalize_l2, random_mixture, sample_ensemble
-from dklb.grid import SpectralField, SpectralGrid, WeightSpec, from_values, l2_norm, to_values
+from dklb.grid import (
+    SpectralField,
+    SpectralGrid,
+    WeightSpec,
+    from_kept,
+    from_values,
+    l2_norm,
+    to_values,
+)
 from dklb.norms import (
     A2,
     A3,
@@ -32,6 +40,7 @@ from dklb.norms import _block_rows, _magnitudes, _pnorm, _row_blocks, _trapezoid
 from conftest import (
     derivative,
     field_hs_norm,
+    field_lp_norm,
     field_weighted_norm,
     flow_table,
     fractional_D,
@@ -175,7 +184,7 @@ def test_hs_norm_is_each_row_norm(grid256, rng):
     rows = [from_values(grid256, rng.standard_normal(grid256.n)) for _ in range(4)]
     coeffs = np.array([f.coeffs for f in rows])
     half = coeffs[:, : grid256.kept_modes(True)]
-    extended = solver._full_spectrum(half, grid256.n, True)
+    extended = np.array([from_kept(grid256, row).coeffs for row in half])
     for s in (0.0, 0.5, 2.0):
         expect = [field_hs_norm(f, s) for f in rows]
         for kept in (coeffs, half):
@@ -242,14 +251,24 @@ def test_weighted_norm_of_rows_is_each_fields_nodal_norm(grid256, rng, rows, rea
         weighted_norm(SpectralGrid(256, 1e4), coeffs, WeightSpec("poly", 400.0))
 
 
-def test_lp_norm_special_cases(grid256, rng):
-    from dklb.grid import to_values
-
-    vals = rng.standard_normal(grid256.n)
-    f = from_values(grid256, vals)
-    assert lp_norm(f, 2.0) == pytest.approx(l2_norm(f), rel=1e-12)
-    assert lp_norm(f, math.inf) == pytest.approx(np.max(np.abs(to_values(f))),
-                                                 rel=1e-12)
+@pytest.mark.parametrize("rows", [1, 16, 17, 35])
+@pytest.mark.parametrize("real", [True, False])
+def test_lp_norm_of_rows_is_each_fields_nodal_norm(grid256, rng, rows, real):
+    # as weighted_norm: irfft of each half row (or ifft of each full one), in
+    # blocks of 16 rows, against one to_values per field, to rounding; the
+    # rows are independent of their blocks, bitwise
+    x = rng.standard_normal((rows, grid256.n))
+    fields = [from_values(grid256, v if real else v + 1j * v[::-1]) for v in x]
+    coeffs = np.array([f.coeffs[: grid256.kept_modes(real)] for f in fields])
+    for p in (1.0, 4.0 / 3.0, 2.0, 4.0, math.inf):
+        got = lp_norm(grid256, coeffs, p)
+        assert got == pytest.approx([field_lp_norm(f, p) for f in fields], rel=1e-13)
+        one_by_one = [lp_norm(grid256, row[None], p)[0] for row in coeffs]
+        assert np.array_equal(got, one_by_one)
+    assert lp_norm(grid256, coeffs, 2.0) == pytest.approx(hs_norm(grid256, coeffs),
+                                                          rel=1e-14)
+    with pytest.raises(ValueError, match="Lebesgue exponent must be >= 1"):
+        lp_norm(grid256, coeffs, 0.5)
 
 
 def test_mixed_norm_constant_trajectory_collapses(grid256):
@@ -527,7 +546,8 @@ def _reference_ratios(check, phi, grid, T, size, seed, nt, s, q,
                  for row in flow_table(u0, phi, times)]
         if check == "C1":
             num = lhs(snaps, s, 2.0, math.inf)
-            rhs = smoothing_A(2.0, math.inf, s, phi, T) * lp_norm(u0, 2.0)
+            kept = u0.coeffs[None, : grid.kept_modes(phi.is_even and half_spectrum)]
+            rhs = smoothing_A(2.0, math.inf, s, phi, T) * lp_norm(grid, kept, 2.0)[0]
         elif check == "C2":
             num = lhs(snaps, s, 2.0, 4.0)
             rhs = smoothing_A(2.0, 4.0, s, phi, T) * l2_norm(u0)
@@ -579,8 +599,8 @@ def _whole_array_ratios(check, phi, grid, T, size, seed, nt, s, a, b, q):
     table formed, and its magnitudes taken, at once."""
     inf, tx, xt = math.inf, "t_outer_x_inner", "x_outer_t_inner"
     outer, inner, order, gain_order, bound, rhs_norm = {
-        "C1": (a, inf, tx, s, (a, inf, s),
-               lambda u0: lp_norm(u0, conjugate_exponent(a))),
+        "C1": (a, inf, tx, s, (a, inf, s), lambda u0: lp_norm(
+            grid, u0.coeffs[None, :keep], conjugate_exponent(a))[0]),
         "C2": (2.0, b, tx, s, (2.0, b, s), l2_norm),
         "C3": (2.0, b, tx, 1.0, (2.0, b, 1.0 - s), lambda u0: _d_s_norm(u0, phi, s)),
         "C4": (2.0, 2.0, tx, s, (2.0, 2.0, s), l2_norm),

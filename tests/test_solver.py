@@ -13,6 +13,7 @@ from dklb.grid import (
     SpectralField,
     SpectralGrid,
     dealiased_product,
+    from_kept,
     from_values,
     l2_norm,
     multiplier_preserves_real,
@@ -29,7 +30,6 @@ from dklb.norms import (
 from dklb.solver import (
     _advection,
     _etdrk4_coeffs,
-    _full_spectrum,
     dissipation_residuals,
     etdrk4_solve,
     existence_time,
@@ -48,8 +48,8 @@ from conftest import (
 
 
 def _coeffs(rows):
-    # the spectra of gathered (step, t, field) rows as one (rows, N) array
-    return np.array([f.coeffs for _, _, f in rows])
+    # the kept-mode rows of gathered (step, t, row) rows as one array
+    return np.array([row for _, _, row in rows])
 
 
 def test_semigroup_at_zero_is_identity(grid256, kdvks_phi, rng):
@@ -144,18 +144,6 @@ def test_real_nonlinearity_is_hermitian_and_matches_the_complex_path(grid256, rn
         cplx = nonlinearity(SpectralField(grid256, f.coeffs, False))
         scale = np.max(np.abs(cplx.coeffs))
         assert np.max(np.abs(real.coeffs - cplx.coeffs)) <= 1e-14 * scale
-
-
-def test_full_spectrum_extends_half_spectra_exactly(grid256, rng):
-    x = rng.standard_normal((2, grid256.n))
-    half = np.fft.rfft(x) / grid256.n
-    full = _full_spectrum(half, grid256.n, True)
-    assert np.array_equal(full[:, : grid256.n // 2 + 1], half)
-    for row in full:
-        assert hermitian_defect(row) == 0.0
-    assert np.allclose(full, np.fft.fft(x) / grid256.n, rtol=0.0, atol=1e-14)
-    c = full[0] * 1j
-    assert _full_spectrum(c, grid256.n, False) is c
 
 
 def test_nonlinearity_matches_the_dealiased_product(rng):
@@ -272,9 +260,7 @@ def test_picard_sweep_buffers_stay_block_sized_at_n_8192(kdvks_phi):
 def _picard_fields(nodes, grid):
     # Picard's kept-mode nodes as fields: half spectra are a real flow's,
     # extended to full spectra
-    real = nodes.shape[-1] < grid.n
-    return [SpectralField(grid, row, real)
-            for row in _full_spectrum(nodes, grid.n, real)]
+    return [from_kept(grid, row) for row in nodes]
 
 
 def _full_width_advection(grid, real):
@@ -612,7 +598,7 @@ def _allocating_etdrk4(u0, phi, T, dt, nonlinear):
         Nc = N(cc)
         v = E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
         rows.append(v)
-    return np.vstack([u0.coeffs, _full_spectrum(np.array(rows), n, real)])
+    return np.vstack([u0.coeffs[keep], *rows])
 
 
 @pytest.mark.parametrize("name, eta", BAND_CASES)
@@ -626,7 +612,7 @@ def test_etdrk4_on_the_band_is_bitwise_the_full_width_stepper(grid256, rng, name
     u0 = _rough_data(grid256, rng)
     ref = _allocating_etdrk4(u0, phi, 0.05, 0.0025, nonlinear)
     rows = _coeffs(etdrk4_solve(u0, phi, T=0.05, dt=0.0025, nonlinear=nonlinear))
-    tail = grid256.dealias_tail(False)  # the rows are full spectra
+    tail = grid256.dealias_tail(phi.is_even)  # the rows are kept rows
     _assert_band_bitwise(rows, ref, tail)
     if eta < 1.0:
         assert np.all(rows[-1, tail] != 0.0)
@@ -638,8 +624,8 @@ def test_linear_etdrk4_is_the_flow_over_long_horizons(grid256, kdvks_phi, T):
     # by at most exp(0.125), while the flow at T grows by exp(62.5) or exp(250)
     u0 = gaussian(grid256, width=1.2, amplitude=2.0)
     dt = 0.5
-    lin = final_field(etdrk4_solve(u0, kdvks_phi, T, dt, nonlinear=False,
-                                   snapshot_stride=int(T / dt)))
+    lin = final_field(grid256, etdrk4_solve(u0, kdvks_phi, T, dt, nonlinear=False,
+                                            snapshot_stride=int(T / dt)))
     exact = flowed(u0, kdvks_phi, T)
     assert l2_norm(lin - exact) <= 1e-12 * l2_norm(exact)
 
@@ -667,13 +653,32 @@ def test_etdrk4_stream_rows_are_the_trajectory_rows(grid256, name, stride):
     phi = symbols.preset(name)
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.5)
     rows = list(etdrk4_solve(u0, phi, 0.05, 0.0025, snapshot_stride=stride))
-    steps, times, fields = zip(*rows)
+    steps, times, kept = zip(*rows)
     # 20 steps: stride 3 does not divide them, so the last step is added
     assert list(steps) == sorted({*range(0, 20, stride), 20})
     assert times == tuple(k * 0.0025 for k in steps)
     ref = _allocating_etdrk4(u0, phi, 0.05, 0.0025, True)
     assert np.array_equal(_coeffs(rows), ref[list(steps)])
-    assert [f.is_real for f in fields] == [phi.is_even] * len(rows)
+    keep = grid256.kept_modes(phi.is_even)
+    assert [row.shape for row in kept] == [(keep,)] * len(rows)
+
+
+@pytest.mark.parametrize("name", ["kdvks", "optimality:2"])
+def test_etdrk4_rows_are_in_the_format_of_picards_nodes(grid256, name):
+    # one row format from both routes: a real flow's half spectra, a complex
+    # flow's full ones, row 0 included; and each row is the caller's, so
+    # overwriting it as it comes changes no later row
+    phi = symbols.preset(name)
+    u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
+    nodes, _ = picard_solve(u0, phi, 0.01, nt=2)
+    assert nodes.shape == (3, grid256.kept_modes(phi.is_even))
+    rows = list(etdrk4_solve(u0, phi, 0.01, 0.0025))
+    for _, _, row in rows:
+        assert row.shape == nodes[0].shape and row.dtype == nodes.dtype
+    for (_, _, row), (_, _, mine) in zip(rows, etdrk4_solve(u0, phi, 0.01, 0.0025),
+                                         strict=True):
+        assert np.array_equal(mine, row)
+        mine[:] = np.nan
 
 
 def test_etdrk4_coeffs_match_their_taylor_series_near_zero():
@@ -762,7 +767,7 @@ def test_linear_etdrk4_is_the_flow_where_the_contour_terms_overflow(grid256, phi
     # terms there are 0*inf or inf/inf, the coefficients take their limits,
     # and E*v + f1*0 stays the flow
     u0 = gaussian(grid256)
-    lin = final_field(etdrk4_solve(u0, phi, 1.0, 1.0 / 64, nonlinear=False))
+    lin = final_field(grid256, etdrk4_solve(u0, phi, 1.0, 1.0 / 64, nonlinear=False))
     exact = flowed(u0, phi, 1.0)
     assert l2_norm(lin - exact) <= 1e-10 * l2_norm(exact)
 
@@ -815,10 +820,9 @@ def test_picard_matches_etdrk4(grid256, kdvks_phi):
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
     nodes, rep = picard_solve(u0, kdvks_phi, T=0.1, nt=40, tol=1e-10)
     assert rep.converged
-    rows = etdrk4_solve(u0, kdvks_phi, T=0.1, dt=0.1 / 40)
-    sup = max(l2_norm(a - b) for a, (_, _, b) in zip(_picard_fields(nodes, grid256),
-                                                    rows, strict=True))
-    assert sup <= 1e-6
+    rows = _coeffs(etdrk4_solve(u0, kdvks_phi, T=0.1, dt=0.1 / 40))
+    assert rows.shape == nodes.shape
+    assert np.max(hs_norm(grid256, nodes - rows)) <= 1e-6
 
 
 @pytest.mark.parametrize("name", ["kdvb", "ost", "optimality:2"])
@@ -829,14 +833,13 @@ def test_picard_matches_etdrk4_on_more_symbols(grid256, name):
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
     nodes, report = picard_solve(u0, phi, 0.1, nt=64, tol=1e-8)
     assert report.converged
-    snapshots = _picard_fields(nodes, grid256)
+    assert nodes.shape[-1] == grid256.kept_modes(phi.is_even)
     times = np.linspace(0.0, 0.1, 65)
     sup = 0.0
-    for _, t, f in etdrk4_solve(u0, phi, 0.1, 1e-3, snapshot_stride=25):
+    for _, t, row in etdrk4_solve(u0, phi, 0.1, 1e-3, snapshot_stride=25):
         i = int(round(t / (0.1 / 64)))
         assert abs(times[i] - t) < 1e-12
-        assert snapshots[i].is_real == f.is_real == phi.is_even
-        sup = max(sup, l2_norm(snapshots[i] - f))
+        sup = max(sup, hs_norm(grid256, (nodes[i] - row)[None])[0])
     assert sup <= 1e-10
 
 
@@ -899,7 +902,7 @@ def test_a_flow_that_overflows_above_the_band_only_fails_in_both_routes():
     u0 = normalize_l2(gaussian(grid, width=1.5), 0.1)
     with np.errstate(all="ignore"):
         with pytest.raises(NumericalError, match="^ETDRK4 lost finiteness at step 141$"):
-            final_field(etdrk4_solve(u0, phi, 100.0, 0.5, snapshot_stride=1000))
+            final_field(grid, etdrk4_solve(u0, phi, 100.0, 0.5, snapshot_stride=1000))
         with pytest.raises(NumericalError, match="^Picard iterate 1 diverged: "):
             picard_solve(u0, phi, 100.0, nt=8)
 
@@ -926,7 +929,8 @@ def test_etdrk4_requires_integral_step_count(grid256, kdvks_phi):
 
 def test_etdrk4_linear_mode_is_exact(grid256, kdvks_phi):
     u0 = normalize_l2(gaussian(grid256, width=1.2))
-    lin = final_field(etdrk4_solve(u0, kdvks_phi, T=0.2, dt=0.01, nonlinear=False))
+    lin = final_field(grid256, etdrk4_solve(u0, kdvks_phi, T=0.2, dt=0.01,
+                                            nonlinear=False))
     ref = flowed(u0, kdvks_phi, 0.2)
     rel = l2_norm(lin - ref) / l2_norm(ref)
     assert rel <= 1e-10
@@ -935,10 +939,10 @@ def test_etdrk4_linear_mode_is_exact(grid256, kdvks_phi):
 def test_etdrk4_self_convergence_order(kdvks_phi):
     grid = SpectralGrid(128, 40.0)
     u0 = gaussian(grid, width=1.2, amplitude=2.0)
-    ref = final_field(etdrk4_solve(u0, kdvks_phi, T=0.1, dt=2.5e-4))
+    ref = final_field(grid, etdrk4_solve(u0, kdvks_phi, T=0.1, dt=2.5e-4))
     errs = []
     for dt in (4e-3, 2e-3):
-        errs.append(l2_norm(final_field(etdrk4_solve(u0, kdvks_phi, T=0.1, dt=dt))
+        errs.append(l2_norm(final_field(grid, etdrk4_solve(u0, kdvks_phi, T=0.1, dt=dt))
                             - ref))
     order = math.log2(errs[0] / errs[1])
     assert order >= 3.0
@@ -951,51 +955,50 @@ def test_etdrk4_snapshot_stride(grid256, kdvks_phi):
     assert len(strided) == 5
     assert np.allclose([t for _, t, _ in strided], [t for _, t, _ in dense[::2]],
                        atol=1e-15)
-    assert np.array_equal(strided[-1][2].coeffs, dense[-1][2].coeffs)
+    assert np.array_equal(strided[-1][2], dense[-1][2])
 
 
 def test_etdrk4_aborts_on_overflow(grid256, kdvks_phi):
     u0 = gaussian(grid256, width=0.5, amplitude=1e150)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="step"):
-            final_field(etdrk4_solve(u0, kdvks_phi, T=0.1, dt=0.025))
+            final_field(grid256, etdrk4_solve(u0, kdvks_phi, T=0.1, dt=0.025))
 
 
 def test_kdvb_dissipation_identity(grid256, kdvb_phi):
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.5)
     rows = list(etdrk4_solve(u0, kdvb_phi, T=1.0, dt=0.01))
-    res = dissipation_residuals(rows, kdvb_phi.eta)
-    norms_sq = np.array([l2_norm(f) ** 2 for _, _, f in rows])
+    res = dissipation_residuals(grid256, rows, kdvb_phi.eta)
+    norms_sq = hs_norm(grid256, _coeffs(rows)) ** 2
     assert np.all(res <= 1e-4 * norms_sq[1:])
     # second-order damping never creates mass
     assert np.all(np.diff(norms_sq) <= 1e-12)
 
 
 def _whole_dissipation_residuals(coeffs, times, grid, eta):
-    # the energy balance on the whole (rows, N) array, one matrix-vector
-    # product for every D: the oracle for the streamed residuals
-    power = np.abs(coeffs) ** 2
-    E = grid.length * np.sum(power, axis=1)
-    D = grid.length * (power @ grid.xi**2)
+    # the energy balance on the whole (rows, kept modes) array, each of E and
+    # D the square of one array expression of the row rule: the oracle for
+    # the streamed residuals
+    E = whole_row_norms(grid, coeffs, np.ones(coeffs.shape[-1])) ** 2
+    D = whole_row_norms(grid, coeffs, np.abs(grid.xi[:coeffs.shape[-1]])) ** 2
     res = np.abs((E[1:] - E[:-1]) / np.diff(times) + eta * (D[:-1] + D[1:]))
     return np.where(E[:-1] > 0, res / np.where(E[:-1] > 0, E[:-1], 1.0), 0.0)
 
 
-def test_streamed_dissipation_residuals_are_the_whole_array_formula(grid256, kdvb_phi):
-    # criterion 06's problem.  Each row's D is one dot product, which BLAS
-    # sums in another order than the rows of a matrix-vector product, so D
-    # moves by a few ulps and the residual by a few ulps of eta*D/E (about
-    # 0.2 here): 40 of the 100 residuals differ, by at most 1.2e-16, which
-    # is 3.1e-11 of the residual, as E's difference cancels most of D.  E,
-    # a pairwise sum either way, is the same to the bit
+@pytest.mark.parametrize("name", ["kdvb", "optimality:2"])
+def test_streamed_dissipation_residuals_are_the_whole_array_formula(grid256, name):
+    # criterion 06's problem, and a complex flow's full rows: each row's E
+    # and D are hs_norm and multiplier_norm of that row alone, squared, and
+    # the same to the bit as the rows of the whole-array rule
+    phi = symbols.preset(name)
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.5)
-    rows = list(etdrk4_solve(u0, kdvb_phi, 1.0, 0.01))
-    got = dissipation_residuals(iter(rows), kdvb_phi.eta)
+    rows = list(etdrk4_solve(u0, phi, 1.0, 0.01))
+    got = dissipation_residuals(grid256, iter(rows), phi.eta)
     want = _whole_dissipation_residuals(_coeffs(rows), [t for _, t, _ in rows],
-                                        grid256, kdvb_phi.eta)
+                                        grid256, phi.eta)
     assert got.shape == want.shape == (100,)
-    assert np.max(np.abs(got - want)) <= 1e-15
-    assert len(dissipation_residuals(iter(rows[:1]), kdvb_phi.eta)) == 0
+    assert np.array_equal(got, want)
+    assert len(dissipation_residuals(grid256, iter(rows[:1]), phi.eta)) == 0
 
 
 def test_dissipation_residuals_count_the_damping_of_the_nyquist_mode(grid256, kdvb_phi):
@@ -1006,7 +1009,8 @@ def test_dissipation_residuals_count_the_damping_of_the_nyquist_mode(grid256, kd
     u0 = from_values(grid256, 0.01 * np.cos(grid256.xi[grid256.nyquist_index] * grid256.x))
     assert np.count_nonzero(np.abs(u0.coeffs) > 1e-15) == 1
     dt = 1e-4
-    res = dissipation_residuals(etdrk4_solve(u0, kdvb_phi, 1e-3, dt), kdvb_phi.eta)
+    res = dissipation_residuals(grid256, etdrk4_solve(u0, kdvb_phi, 1e-3, dt),
+                                kdvb_phi.eta)
     rate = kdvb_phi.eta * grid256.xi[grid256.nyquist_index] ** 2
     assert len(res) == 10 and np.all(res <= rate**3 * dt**2), res
 
@@ -1020,7 +1024,7 @@ def test_hs_norms_of_the_two_routes_agree_on_criterion_04s_problem(grid256, kdvk
     rows = list(etdrk4_solve(u0, kdvks_phi, 0.1, 1e-3, snapshot_stride=25))
     index = [int(round(t / (0.1 / 64))) for _, t, _ in rows]
     assert index == [0, 16, 32, 48, 64]
-    kept = np.array([f.coeffs[: grid256.kept_modes(True)] for _, _, f in rows])
+    kept = _coeffs(rows)
     for s in (0.0, 1.0, 2.0):
         picard, etd = hs_norm(grid256, nodes[index], s), hs_norm(grid256, kept, s)
         assert np.max(np.abs(picard - etd) / etd) <= 1e-9, s
@@ -1075,22 +1079,23 @@ def test_flow_keeps_real_iff_symbol_is_even():
             for u0 in (real, real * 1j):
                 expect = u0.is_real and phi.is_even
                 rows = etdrk4_solve(u0, phi, T=0.01, dt=0.005)
-                assert [f.is_real for _, _, f in rows][1:] == [expect] * 2
+                assert [len(row) for _, _, row in rows] == [grid.kept_modes(expect)] * 3
                 nodes, _ = picard_solve(u0, phi, T=0.01, nt=2)
                 assert nodes.shape == (3, n // 2 + 1 if expect else n)
 
 
 def test_real_data_stays_real_under_flow(grid256, kdvks_phi):
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
-    for _, _, f in etdrk4_solve(u0, kdvks_phi, T=0.05, dt=0.0125):
-        assert f.is_real
+    for _, _, row in etdrk4_solve(u0, kdvks_phi, T=0.05, dt=0.0125):
+        f = from_kept(grid256, row)
+        assert f.is_real and hermitian_defect(f.coeffs) == 0.0
         assert np.isrealobj(to_values(f))
 
 
 def test_complex_evolution_permitted(grid256):
     phi = symbols.preset("optimality:2")
     u0 = normalize_l2(gaussian(grid256, width=1.5), 0.1)
-    final = final_field(etdrk4_solve(u0, phi, T=0.02, dt=0.005))
+    final = final_field(grid256, etdrk4_solve(u0, phi, T=0.02, dt=0.005))
     assert not final.is_real
     assert np.all(np.isfinite(final.coeffs))
 
@@ -1106,7 +1111,7 @@ def test_linear_etdrk4_rows_are_the_flow_table(grid256, name):
     rows = list(etdrk4_solve(u0, phi, 0.2, 0.025, nonlinear=False))
     times = [t for _, t, _ in rows]
     assert times == [k * 0.025 for k in range(9)]
-    gap = np.max(np.abs(_coeffs(rows) - flow_table(u0, phi, times)), axis=1)
+    keep = grid256.kept_modes(phi.is_even)
+    gap = np.max(np.abs(_coeffs(rows) - flow_table(u0, phi, times)[:, :keep]), axis=1)
     ulp = np.finfo(float).eps * np.max(np.abs(u0.coeffs))
     assert np.all(gap <= 2 * np.arange(9) * ulp), gap / ulp
-    assert [f.is_real for _, _, f in rows] == [phi.is_even] * 9
