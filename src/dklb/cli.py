@@ -15,10 +15,10 @@ back through --config replays the run byte-identically.
 
 Exit codes: 0 success, 1 numerical failure (divergence, overflow, boundary
 leakage, a smoothing exponent at which a norm of nonzero data rounds to 0 or
-overflows, a smoothing bound constant that is not finite and positive) or an
-allocation the machine refuses, 2 validation failure (bad
-config, violated precondition, or an output.dir that cannot be created or
-written).  Each key's own domain, model.terms included, is checked once, at
+overflows, a smoothing bound constant that is not finite and positive, data
+no existence horizon certifies) or an allocation the machine refuses, 2
+validation failure (bad config, violated precondition, or an output.dir that
+cannot be created or written).  Each key's own domain, model.terms included, is checked once, at
 load, on every subcommand; a rule that spans keys is checked by the
 subcommand that reads them, and names them.
 """
@@ -29,13 +29,13 @@ import functools
 import os
 import sys
 from collections.abc import Generator
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 
 import click
 import numpy as np
 
-from . import norms
-from .config import ExperimentConfig, load_config
+from . import fields, norms
+from .config import ExperimentConfig, _fields, load_config
 from .conjugation import (
     conjugation_check,
     operator_polynomial,
@@ -52,15 +52,6 @@ OK, NUMERICAL, VALIDATION = 0, 1, 2
 # a body yields its CSV header, then its rows, and returns its summary lines
 # and a failure message or None
 Run = Generator[list, None, tuple[list[str], str | None]]
-
-
-@contextmanager
-def _fields(*keys: str):
-    """Name the config keys behind a library precondition that spans them."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{'/'.join(keys)}: {exc}") from exc
 
 
 def _subcommand(name: str, plot: str | None = None):
@@ -162,7 +153,8 @@ def simulate(cfg: ExperimentConfig, outdir: str) -> Run:
     count = 0
     for step, t, row in stream:  # row 0 is u0: an overflowing |x|^r fails before step 1
         kept = row[None]
-        cells = [hs_norm(grid, kept, 0.0), hs_norm(grid, kept, s)]
+        l2 = hs_norm(grid, kept, 0.0)
+        cells = [l2, hs_norm(grid, kept, s) if s else l2]  # H^0 is L^2
         cells += [weighted_norm(grid, kept, w, wv) for w, wv in zip(weights, wvals)]
         line = [step, t] + [cell.item() for cell in cells]  # python floats
         yield line
@@ -181,14 +173,11 @@ def picard(cfg: ExperimentConfig, outdir: str) -> Run:
     grid = cfg.build_grid()
     u0 = cfg.build_data(grid)
     tol = cfg.get("solver", "tol")
-    with _fields("solver.nt"):  # Simpson's rule takes an even step count
-        try:
-            nodes, report = picard_solve(
-                u0, phase, cfg.get("solver", "t"), nt=cfg.get("solver", "nt"),
-                tol=tol, max_iter=cfg.get("solver", "max_iter"),
-                s=cfg.get("solver", "s"))
-        except BoundError as exc:  # the lambda constants grow like exp(eta*T)
-            raise NumericalError(f"model.eta/solver.t: {exc}") from exc
+    # Simpson's rule takes an even step count; the lambdas grow like exp(eta*T)
+    with _fields("solver.nt"), _fields("model.eta", "solver.t", error=BoundError):
+        nodes, report = picard_solve(
+            u0, phase, cfg.get("solver", "t"), nt=cfg.get("solver", "nt"),
+            tol=tol, max_iter=cfg.get("solver", "max_iter"), s=cfg.get("solver", "s"))
     lambda_keys = list(report.lambda_values[0])
     yield ["iterate", "distance", "ratio"] + lambda_keys
     ratios = ["", *report.distance_ratios]
@@ -236,9 +225,11 @@ def verify_bracket(cfg: ExperimentConfig, outdir: str) -> Run:
 def verify_smoothing_cmd(cfg: ExperimentConfig, outdir: str) -> Run:
     """Measure one linear smoothing bound over a seeded random ensemble."""
     phase = cfg.build_phase()
-    # each check's hypotheses, and alpha > 0, relate its exponents to p
-    with _fields("smoothing.check", "smoothing.s", "smoothing.a", "smoothing.b",
-                 "smoothing.q", "model"):
+    # each check's hypotheses, and alpha > 0, relate its exponents to p; the
+    # bound constant grows like exp(eta*T)
+    with (_fields("smoothing.check", "smoothing.s", "smoothing.a", "smoothing.b",
+                  "smoothing.q", "model"),
+          _fields("model.eta", "smoothing.t", error=BoundError)):
         try:
             report = verify_smoothing(
                 cfg.get("smoothing", "check"), phase, grid=cfg.build_grid(),
@@ -248,8 +239,6 @@ def verify_smoothing_cmd(cfg: ExperimentConfig, outdir: str) -> Run:
                 b=cfg.get("smoothing", "b"), q=cfg.get("smoothing", "q"))
         except ExponentError as exc:  # its parameters are named as the keys
             raise ExponentError(f"smoothing.{exc.name}", exc.detail) from exc
-        except BoundError as exc:  # the constant grows like exp(eta*T)
-            raise NumericalError(f"model.eta/smoothing.t: {exc}") from exc
     yield ["sample_id", "ratio"]
     for i, r in enumerate(report.ratios):
         yield [i, float(r)]
@@ -286,10 +275,11 @@ def conjugate_check(cfg: ExperimentConfig, outdir: str) -> Run:
 @_subcommand("decay-experiment", plot="timeseries")
 def decay_experiment(cfg: ExperimentConfig, outdir: str) -> Run:
     """Weighted-derivative growth of the flow on mollified cusp data."""
-    report = regularity_gain_probe(
-        cfg.build_phase(), cfg.get("decay", "sigmas"), cfg.get("decay", "t"),
-        grid=cfg.build_grid(), gamma=cfg.get("decay", "gamma"),
-        h=cfg.get("decay", "h"))
+    with _fields("decay.gamma", "decay.h", error=NumericalError):
+        u0 = fields.mollified_cusp(cfg.build_grid(), cfg.get("decay", "gamma"),
+                                   cfg.get("decay", "h"))
+    report = regularity_gain_probe(cfg.build_phase(), u0, cfg.get("decay", "sigmas"),
+                                   cfg.get("decay", "t"))
     yield ["sigma", "t", "norm", "mult_bound", "fitted_rate"]
     for row in report.rows:
         yield [row["sigma"], row["t"], row["norm"], row["mult_bound"],
@@ -314,7 +304,8 @@ def existence_time_cmd(cfg: ExperimentConfig, outdir: str) -> Run:
     for u0_norm in cfg.get("existence", "norms"):
         for cstar in cfg.get("existence", "cstars"):
             with _fields("solver.s", "model"):  # alpha(2, 4, s, p) > 0
-                t0, z0 = existence_time(u0_norm, phase, s=s, cstar=cstar)
+                with _fields("existence.norms", "existence.cstars", error=NumericalError):
+                    t0, z0 = existence_time(u0_norm, phase, s=s, cstar=cstar)
                 a_sum = norms.A2(phase, t0) + norms.A3(phase, s, t0)
             threshold = contraction_threshold(cstar, z0)
             yield [u0_norm, cstar, t0, a_sum, threshold]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,6 +22,17 @@ except ImportError:  # a CPython built without its own hash modules
 from . import fields, norms, symbols
 from .errors import ConfigError, NumericalError
 from .grid import SpectralField, SpectralGrid, WeightSpec, parse_weight
+
+
+@contextmanager
+def _fields(*keys: str, error: type[Exception] = ValueError):
+    """Name the config keys behind a library precondition that spans them,
+    or behind a numerical `error` that they alone can cause."""
+    try:
+        yield
+    except error as exc:
+        named = ConfigError if error is ValueError else NumericalError
+        raise named(f"{'/'.join(keys)}: {exc}") from exc
 
 
 def _float(text: str) -> float:
@@ -260,16 +272,15 @@ class ExperimentConfig:
         if kind == "gaussian":
             f = fields.gaussian(grid, center, width, amplitude)
         elif kind == "spectral-gaussian":
-            try:
+            with _fields("data.width", error=NumericalError):  # only it can overflow
                 f = fields.gaussian_spectral(grid, center, width, amplitude)
-            except NumericalError as exc:  # only the width can overflow it
-                raise NumericalError(f"data.width: {exc}") from None
         elif kind == "mixture":
             rng = fields.numpy_random().default_rng(self.get("ensemble", "seed"))
             f = fields.random_mixture(grid, rng) * amplitude
         elif kind == "cusp":
-            f = fields.mollified_cusp(grid, self.get("decay", "gamma"),
-                                      self.get("decay", "h"))
+            with _fields("decay.gamma", "decay.h", error=NumericalError):
+                f = fields.mollified_cusp(grid, self.get("decay", "gamma"),
+                                          self.get("decay", "h"))
         else:
             f = SpectralField(grid, np.zeros(grid.n, dtype=complex), True)
         target = self.get("data", "l2")

@@ -31,7 +31,7 @@ import numpy as np
 from . import symbols
 from ._seam import dd_field_values, dd_semigroup_multiplier
 from .errors import LeakageError, NumericalError
-from .fields import mollified_cusp, sample_ensemble
+from .fields import sample_ensemble
 from .grid import (
     SpectralField,
     SpectralGrid,
@@ -263,12 +263,11 @@ class ProbeReport(NamedTuple):
     over_envelope: list[dict]  # the rows whose norm exceeds its envelope
 
 
-def regularity_gain_probe(phi: symbols.PhaseFunction, sigmas, t_values, *,
-                          grid: SpectralGrid | None = None, gamma: float = 0.5,
-                          h: float = 0.05) -> ProbeReport:
-    """Tabulate ||D^sigma V(t) u0|| for mollified-cusp data under the flow of phi.
+def regularity_gain_probe(phi: symbols.PhaseFunction, u0: SpectralField, sigmas,
+                          t_values) -> ProbeReport:
+    """Tabulate ||D^sigma V(t) u0|| under the flow of phi, for unit-L2 data
+    u0 such as mollified_cusp's, which decays like |x|^(gamma-2).
 
-    The data decays like |x|^(gamma-2), as mollified_cusp builds it.
     Also records the spectral envelope mult_bound = sup |xi|^sigma *
     exp(eta*t*Phi), and per-sigma fitted decay rates of the norm in t.  A
     norm or an envelope that is not finite raises NumericalError.
@@ -287,9 +286,7 @@ def regularity_gain_probe(phi: symbols.PhaseFunction, sigmas, t_values, *,
     halved by the square root); 16 for the fixed number of other roundings
     (products, powers, exp, cos and sin, square roots).
     """
-    if grid is None:
-        grid = SpectralGrid(512, 40.0)
-    u0 = mollified_cusp(grid, gamma, h)
+    grid = u0.grid
     sigmas = tuple(float(s) for s in sigmas)
     t_values = tuple(float(t) for t in t_values)
     # one flow table over t_values serves every sigma; row k is V(t_k)u0 on

@@ -139,10 +139,19 @@ def mollified_cusp(grid: SpectralGrid, gamma: float = 0.5,
 
     (x^2 + h^2)^(gamma/2) / (1 + x^2), L2-normalized.  The cusp controls the
     high-frequency tail; the bracket factor sets the spatial decay, so the
-    data decays like |x|^(gamma-2).
+    data decays like |x|^(gamma-2).  NumericalError where the normalized
+    node values leave the doubles: not finite, or all zero.
     """
     if h <= 0:
         raise ValueError(f"mollification scale must be positive, got {h}")
     x = grid.x
-    vals = (x**2 + h**2) ** (gamma / 2.0) * (1.0 + x**2) ** -1.0
-    return normalize_l2(from_values(grid, vals))
+    try:
+        h2 = h**2
+    except OverflowError:  # the square leaves the doubles
+        h2 = math.inf
+    vals = (x**2 + h2) ** (gamma / 2.0) * (1.0 + x**2) ** -1.0
+    f = normalize_l2(from_values(grid, vals))
+    if np.isfinite(f.coeffs).all() and f.coeffs.any():
+        return f
+    raise NumericalError(f"the cusp's node values at gamma={gamma!r}, h={h!r} "
+                         "leave the doubles")

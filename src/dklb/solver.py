@@ -40,6 +40,7 @@ evaluating the flow at every node and summing over every pair of nodes.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -526,10 +527,10 @@ def existence_time(u0_hs_norm: float, phi: symbols.PhaseFunction,
     """Largest horizon (capped at 1) the contraction bookkeeping certifies.
 
     z0 = 2*cstar*||u0||_{H^s}; the bookkeeping needs a horizon T with
-    (A2+A3)(T) < 1/(2*cstar*z0), which exists because both constants vanish
-    as T -> 0.  Returns (T0, z0) with T0 = min(1, T~), T~ found by bisection;
-    the returned T0 satisfies the strict inequality.  Zero data makes the
-    constraint vacuous and returns T0 = 1.
+    (A2+A3)(T) < 1/(2*cstar*z0).  Returns (T0, z0), T0 = 1 where that holds
+    at 1, else the largest double at which it holds (A2+A3 increases in T).
+    Zero data makes it vacuous: T0 = 1.  NumericalError where it fails even
+    at the smallest double, as when z0 overflows: no horizon is certified.
     """
     if u0_hs_norm < 0:
         raise ValueError("norm must be nonnegative")
@@ -545,20 +546,8 @@ def existence_time(u0_hs_norm: float, phi: symbols.PhaseFunction,
     threshold = contraction_threshold(cstar, z0)
     if a_sum(1.0) < threshold:
         return 1.0, z0
-    lo = 1.0
-    for _ in range(4096):
-        lo /= 2.0
-        if a_sum(lo) < threshold:
-            break
-    else:
-        raise NumericalError("could not find a horizon satisfying the constraint")
-    hi = 2.0 * lo
-    for _ in range(200):
-        if hi - lo <= 1e-12 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if a_sum(mid) < threshold:
-            lo = mid
-        else:
-            hi = mid
-    return lo, z0
+    horizon = symbols._pinned(lambda T: a_sum(T) >= threshold, [math.ulp(0.0), 1.0])
+    if not horizon:
+        raise NumericalError(f"no horizon at norm {u0_hs_norm!r}, cstar {cstar!r}: (A2+A3)"
+                             f"(T) >= 1/(2*cstar*z0) = {threshold!r} at every double T > 0")
+    return horizon[0], z0

@@ -237,7 +237,9 @@ def _log_bounds(poly) -> tuple[float, float]:
 
 def _pinned(negative, cuts) -> list[float]:
     # the sign change on each piece between adjacent cuts that has one,
-    # pinned to adjacent floats by bisection: its nonnegative side
+    # pinned to adjacent floats by bisection: its nonnegative side.  negative
+    # may be any predicate that changes once at most on a piece, such as
+    # existence_time's monotone one, whose last False is the horizon
     roots = []
     for lo, up in zip(cuts, cuts[1:]):
         neg_lo = negative(lo)

@@ -11,10 +11,11 @@ import pytest
 from click.testing import CliRunner
 
 import dklb
+from dklb import cli
 from dklb.cli import main
 from dklb.config import _SCHEMA, load_config
 from dklb.conjugation import regularity_gain_probe
-from dklb.errors import ConfigError
+from dklb.errors import ConfigError, NumericalError
 from dklb.fields import mollified_cusp
 from dklb.grid import SpectralGrid, from_kept, l2_norm, read_snapshot
 from dklb.symbols import kdvks, optimality, phase_eval, preset
@@ -277,6 +278,25 @@ def test_simulate_norms_are_within_2_ulps_of_l2_norm(runner, tmp_path):
         assert l2 == hs
         field, _ = read_snapshot(out / f"simulate-{int(step):06d}.dklb")
         assert abs(float(l2) - l2_norm(field)) <= 2 * math.ulp(l2_norm(field)), step
+
+
+@pytest.mark.parametrize("s, per_row", [("0", 1), ("0.5", 2)])
+def test_simulate_takes_l2_once_where_hs_is_l2(runner, tmp_path, monkeypatch, s,
+                                               per_row):
+    # at solver.s = 0 the H^s norm is the L^2 norm, and each row takes it once
+    calls = []
+    hs_norm = cli.hs_norm
+
+    def counting(grid, coeffs, s=0.0):
+        calls.append(s)
+        return hs_norm(grid, coeffs, s)
+
+    monkeypatch.setattr(cli, "hs_norm", counting)
+    result = runner.invoke(main, ["simulate", "-D", "grid.n=64", "-D", "solver.t=0.1",
+                                  "-D", "solver.nt=8", "-D", f"solver.s={s}",
+                                  "-D", f"output.dir={tmp_path}"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 9 * per_row
 
 
 def test_no_run_loads_openssl(tmp_path):
@@ -634,6 +654,48 @@ def test_existence_time_survives_an_overflowing_growth_factor(runner, tmp_path,
         _, _, t0, a_sum, threshold = map(float, line.split(","))
         assert math.isfinite(t0) and 0.0 < t0 <= 1.0
         assert a_sum < threshold
+
+
+@pytest.mark.parametrize("override", ["existence.norms=1e300", "existence.norms=1e308",
+                                      "existence.cstars=1e308"])
+def test_existence_time_without_a_positive_horizon_exits_1_naming_the_keys(
+        runner, tmp_path, override):
+    # the bookkeeping fails at every double T > 0 (or z0 overflows), so the
+    # first pair is refused and no CSV is written, not a row with t0 = 0.0
+    result = runner.invoke(main, ["existence-time", "-D", override,
+                                  "-D", f"output.dir={tmp_path}"])
+    assert result.exit_code == 1, result.output
+    pair = "norm 0.01, cstar 1e+308" if "cstars" in override else (
+        f"norm {float(override.split('=')[1])!r}, cstar 0.5")
+    assert (f"numerical failure: existence.norms/existence.cstars: no horizon at "
+            f"{pair}: ") in result.output
+    assert not (tmp_path / "existence-time.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("decay-experiment", "-D", "decay.h=1e200"),  # h**2 overflows
+    ("simulate", "-D", "data.kind=cusp", "-D", "decay.h=1e200"),
+    ("decay-experiment", "-D", "decay.gamma=700"),  # the power overflows
+    ("picard", "-D", "data.kind=cusp", "-D", "decay.gamma=-1e300"),  # inf, and 0
+])
+def test_cusp_data_that_leave_the_doubles_exit_1_naming_the_decay_keys(runner, tmp_path,
+                                                                       args):
+    result = runner.invoke(main, [*args, "-D", f"output.dir={tmp_path}"])
+    assert result.exit_code == 1, result.output
+    assert ("numerical failure: decay.gamma/decay.h: the cusp's node values at "
+            in result.output)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_mollified_cusp_refuses_node_values_that_leave_the_doubles():
+    grid = SpectralGrid(64, 40.0)
+    with np.errstate(all="ignore"):
+        for gamma, h in ((0.5, 1e200), (700.0, 0.05), (-1e300, 0.05), (-700.0, 1e3)):
+            with pytest.raises(NumericalError, match="leave the doubles"):
+                mollified_cusp(grid, gamma, h)
+    # at gamma = 0 an h whose square overflows is harmless: its power is 1
+    assert np.array_equal(mollified_cusp(grid, 0.0, 1e200).coeffs,
+                          mollified_cusp(grid, 0.0, 1.0).coeffs)
 
 
 def test_existence_time_with_underflowing_cstar_has_no_threshold(runner,
@@ -1383,10 +1445,10 @@ def test_decay_experiment_probes_the_model_symbol(runner, tmp_path):
     cfg = load_config(None, ("grid.n=64",))
     tables = {}
     for name in ("kdvb", "optimality:2"):
-        report = regularity_gain_probe(
-            preset(name), cfg.get("decay", "sigmas"), cfg.get("decay", "t"),
-            grid=cfg.build_grid(), gamma=cfg.get("decay", "gamma"),
-            h=cfg.get("decay", "h"))
+        u0 = mollified_cusp(cfg.build_grid(), cfg.get("decay", "gamma"),
+                            cfg.get("decay", "h"))
+        report = regularity_gain_probe(preset(name), u0, cfg.get("decay", "sigmas"),
+                                       cfg.get("decay", "t"))
         out = tmp_path / name.replace(":", "")
         result = runner.invoke(main, ["decay-experiment", "-D", "grid.n=64",
                                       "-D", f"model.preset={name}",

@@ -300,8 +300,8 @@ def test_exchange_ensemble_refuses_bad_exponents_before_drawing():
 
 
 def test_regularity_gain_probe_rows():
-    rep = regularity_gain_probe(OPT2, sigmas=(0.0, 0.5), t_values=(0.1, 0.2, 0.4),
-                                grid=SpectralGrid(256, 40.0))
+    rep = regularity_gain_probe(OPT2, mollified_cusp(SpectralGrid(256, 40.0)),
+                                sigmas=(0.0, 0.5), t_values=(0.1, 0.2, 0.4))
     assert len(rep.rows) == 6
     for row in rep.rows:
         assert set(row) == {"sigma", "t", "norm", "mult_bound"}
@@ -318,12 +318,12 @@ def test_regularity_gain_probe_fits_no_rate_through_one_repeated_time():
     grid = SpectralGrid(64, 40.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = regularity_gain_probe(OPT2, sigmas=(0.0, 0.5), t_values=(0.1, 0.1),
-                                    grid=grid)
+        rep = regularity_gain_probe(OPT2, mollified_cusp(grid), sigmas=(0.0, 0.5),
+                                    t_values=(0.1, 0.1))
     assert len(rep.rows) == 4
     assert all(np.isnan(v) for v in rep.fitted_rates.values())
-    rep = regularity_gain_probe(OPT2, sigmas=(0.0, 0.5), t_values=(0.1, 0.1, 0.2),
-                                grid=grid)
+    rep = regularity_gain_probe(OPT2, mollified_cusp(grid), sigmas=(0.0, 0.5),
+                                t_values=(0.1, 0.1, 0.2))
     assert all(np.isfinite(v) for v in rep.fitted_rates.values())
 
 
@@ -340,12 +340,11 @@ def test_regularity_gain_probe_builds_one_flow_table(monkeypatch, phi, real):
         calls.append((np.shape(t), real))
         return flow(phi, t, grid, real)
 
+    u0 = mollified_cusp(grid)
     monkeypatch.setattr(symbols, "flow_multiplier", counting)
-    rep = regularity_gain_probe(phi, sigmas=(0.0, 0.5), t_values=(0.1, 0.2, 0.4),
-                                grid=grid)
+    rep = regularity_gain_probe(phi, u0, sigmas=(0.0, 0.5), t_values=(0.1, 0.2, 0.4))
     assert calls == [((3,), real)]
     monkeypatch.setattr(symbols, "flow_multiplier", flow)
-    u0 = mollified_cusp(grid)
     keep = grid.kept_modes(real)
     for row in rep.rows:
         vt = flowed(u0, phi, row["t"])

@@ -1,6 +1,7 @@
 """Time evolution: semigroup, Picard contraction, ETDRK4, existence times."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,7 @@ from dklb.norms import (
 from dklb.solver import (
     _advection,
     _etdrk4_coeffs,
+    contraction_threshold,
     dissipation_residuals,
     etdrk4_solve,
     existence_time,
@@ -1052,6 +1054,40 @@ def test_existence_time_aposteriori(kdvks_phi):
             assert z0 == 2.0 * cstar * norm
             budget = A2(kdvks_phi, T0) + A3(kdvks_phi, 0.0, T0)
             assert budget < 1.0 / (2.0 * cstar * z0)
+
+
+# criterion 09's nine points; kdvb where exp(eta*T) overflows at T = 1, so
+# that A2(1) is inf; kdvks where the horizons reach 1e-233
+_SWEEP = [(n, c) for n in (0.01, 0.1, 1.0) for c in (0.5, 1.0, 2.0)]
+_HORIZONS = ([("kdvks", 1.0, n, c) for n, c in _SWEEP]
+             + [("kdvb", eta, n, c) for eta in (65536.0, 1e308) for n, c in _SWEEP]
+             + [("kdvks", 1.0, 1e100, c) for c in (0.5, 1.0, 2.0)])
+
+
+def test_existence_time_is_the_largest_double_the_bookkeeping_certifies():
+    below = 0
+    for name, eta, norm, cstar in _HORIZONS:
+        phi = symbols.preset(name, eta)
+        T0, z0 = existence_time(norm, phi, cstar=cstar)
+        threshold = contraction_threshold(cstar, z0)
+        assert 0.0 < T0 <= 1.0
+        assert A2(phi, T0) + A3(phi, 0.0, T0) < threshold, (name, eta, norm, cstar)
+        if T0 < 1.0:
+            up = math.nextafter(T0, math.inf)
+            assert A2(phi, up) + A3(phi, 0.0, up) >= threshold, (name, eta, norm, cstar)
+            below += 1
+    assert below == 6 + 2 * 9 + 3
+
+
+@pytest.mark.parametrize("norm, cstar", [(1e140, 2.0), (1e300, 0.5), (1e308, 1.0),
+                                         (0.01, 1e308)])
+def test_existence_time_refuses_data_no_positive_horizon_certifies(kdvks_phi, norm,
+                                                                   cstar):
+    # (A2+A3)(T) is at least 1/(2*cstar*z0) already at the smallest double,
+    # or z0 overflows and the threshold is 0: no T0, not even 0.0, is certified
+    with pytest.raises(NumericalError,
+                       match=re.escape(f"no horizon at norm {norm!r}, cstar {cstar!r}: ")):
+        existence_time(norm, kdvks_phi, cstar=cstar)
 
 
 def test_existence_time_monotone(kdvks_phi):
